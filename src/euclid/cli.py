@@ -35,19 +35,25 @@ def _seed(args) -> int:
     return args.seed
 
 
-def _load_instance(path: str, prop_id: str):
+def _load_instance(path: str, base: str):
     """Bind the objects of a declaration script to a proposition's
     parameters, in declaration order."""
-    base, _ = elements.split_identifier(prop_id)
-    spec = elements.PARAM_SPECS[base]
-    text = open(path, encoding="utf-8").read()
+    try:
+        text = open(path, encoding="utf-8").read()
+    except OSError as e:
+        print(e, file=sys.stderr)
+        raise SystemExit(2)
     script, diags = dsl.parse(text)
     diags += dsl.check(script)
     if any(d.severity == "error" for d in diags):
         for d in diags:
             print(d, file=sys.stderr)
         raise SystemExit(2)
-    inter = dsl.interpret(script)
+    try:
+        inter = dsl.interpret(script)
+    except dsl.ScriptError as e:
+        print(e, file=sys.stderr)
+        raise SystemExit(2)
     declared = []
     for st in script.statements:
         if isinstance(st, dsl.Decl):
@@ -57,7 +63,7 @@ def _load_instance(path: str, prop_id: str):
     # so helper declarations (points feeding a segment, say) are skipped
     kwargs = {}
     used = [False] * len(declared)
-    for pname, ptype in spec:
+    for pname, ptype in elements.PROPOSITIONS[base].params:
         want = Segment if ptype == "number" else _TYPE_MAP[ptype]
         for i, obj in enumerate(declared):
             if not used[i] and type(obj) is want:
@@ -107,28 +113,21 @@ def _cmd_prop(args) -> int:
     except EuclidError as e:
         print(e, file=sys.stderr)
         return 2
-    if base not in elements.CONSTRUCTIONS:
-        print(f"unknown proposition {args.id!r}", file=sys.stderr)
-        return 2
     strategy = args.strategy or id_strategy
+    if strategy is not None and \
+            strategy not in elements.STRATEGIES.get(base, ()):
+        print(f"{base} has no strategy {strategy!r}", file=sys.stderr)
+        return 2
     new_context()
     if args.input:
         kwargs = _load_instance(args.input, base)
     else:
-        rng = random.Random(_seed(args))
-        kwargs = verify.generate_instance(base, rng)
-        kwargs.pop("strategy", None)
-    if strategy is not None:
-        if strategy not in elements.STRATEGIES.get(base, ()):
-            print(f"{base} has no strategy {strategy!r}", file=sys.stderr)
-            return 2
-        kwargs["strategy"] = strategy
+        kwargs = verify.generate_instance(base, random.Random(_seed(args)))
     if args.side:
         kwargs["side"] = args.side
-    if base == "I.44" and kwargs.get("strategy") == "tinemue_equal_case":
-        kwargs["d"] = elements.tinemue_matching_angle(kwargs["t"])
     try:
-        result = elements.CONSTRUCTIONS[base](**kwargs)
+        result = elements.CONSTRUCTIONS[base](
+            **elements.strategy_kwargs(strategy, kwargs))
     except EuclidError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
@@ -187,11 +186,7 @@ def _cmd_compare(args) -> int:
     if args.input:
         kwargs = _load_instance(args.input, base)
     else:
-        rng = random.Random(_seed(args))
-        kwargs = verify.generate_instance(base, rng)
-        kwargs.pop("strategy", None)
-    if base == "I.44" and "tinemue_equal_case" in strategies:
-        kwargs["d"] = elements.tinemue_matching_angle(kwargs["t"])
+        kwargs = verify.generate_instance(base, random.Random(_seed(args)))
     report = verify.compare(base, strategies, kwargs)
     if args.records:
         for record in report.records():

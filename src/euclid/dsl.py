@@ -47,7 +47,7 @@ from .geom import (
     segment_eq,
 )
 from .number import Constructible, sqrt_nonneg
-from .trace import Tracer, trace_lines
+from .trace import Tracer, describe_object, trace_lines
 
 TYPES = ("point", "segment", "line", "ray", "circle", "angle", "figure")
 PRIMITIVES = ("join", "extend", "circle", "intersect", "angle", "figure")
@@ -559,19 +559,16 @@ def check(script: Script) -> list[Diagnostic]:
                                         f"unknown proposition {expr.prop_id!r}"))
                 base, id_strategy = None, None
             if base is not None:
-                spec = elements.PARAM_SPECS[base]
+                prop = elements.PROPOSITIONS[base]
                 got = [arg_type(a) for a in expr.args]
                 check_args(expr.span, expr.prop_id,
-                           tuple(w for _, w in spec), got)
+                           tuple(w for _, w in prop.params), got)
                 strategy = expr.strategy or id_strategy
-                if strategy is not None and \
-                        strategy not in elements.STRATEGIES.get(base, ()):
+                if strategy is not None and strategy not in prop.strategies:
                     diags.append(Diagnostic(
                         expr.span, "error",
                         f"{base} has no strategy {strategy!r}"))
-                result_types = (elements.RESULT_TYPES[base],)
-                if base == "I.43":
-                    result_types = ("figure",)
+                result_types = (prop.result,)
             else:
                 result_types = ("unknown",)
         if st.type not in result_types and "unknown" not in result_types:
@@ -731,7 +728,8 @@ def interpret(script: Script) -> Interpretation:
             if isinstance(st, Assertion):
                 args = [value(a) for a in st.args]
                 passed = _run_predicate(st.predicate, args, st.span)
-                text = f"{st.predicate}({', '.join(_short(a) for a in args)})"
+                text = (f"{st.predicate}"
+                        f"({', '.join(describe_object(a) for a in args)})")
                 outcomes.append(AssertionOutcome(st.span, text, passed))
                 continue
             expr = st.expr
@@ -770,12 +768,6 @@ def interpret(script: Script) -> Interpretation:
         except EuclidError as e:
             raise ScriptError(st.span, f"{type(e).__name__}: {e}")
     return Interpretation(env, tr, outcomes)
-
-
-def _short(obj) -> str:
-    from .trace import describe_object
-
-    return describe_object(obj)
 
 
 def _run_predicate(predicate: str, args, span) -> bool:

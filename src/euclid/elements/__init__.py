@@ -7,6 +7,9 @@ identifier such as "I.44.alnayrizi".
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from typing import Callable
+
 from ..errors import UnknownProposition
 from .basics import (
     p1_equilateral,
@@ -39,100 +42,102 @@ from .areas import (
 )
 from .theorems import THEOREM_IDS, check_theorem
 
-CONSTRUCTIONS = {
-    "I.1": p1_equilateral,
-    "I.2": p2_place,
-    "I.3": p3_cut,
-    "I.9": p9_bisect_angle,
-    "I.10": p10_bisect_segment,
-    "I.11": p11_perp_at,
-    "I.12": p12_perp_from,
-    "I.22": p22_triangle,
-    "I.23": p23_copy_angle,
-    "I.31": p31_parallel,
-    "I.42": p42_parallelogram_eq_triangle,
-    "I.43": p43_complements,
-    "I.44": p44_apply,
-    "I.45": p45_apply_figure,
-    "I.46": p46_square,
+
+@dataclass(frozen=True)
+class Proposition:
+    """One construction: its function, its positional parameters as
+    (name, type word) pairs, the type of its principal result, and its
+    variant strategies in order, each with its identifier suffix."""
+
+    fn: Callable
+    params: tuple[tuple[str, str], ...]
+    result: str
+    strategies: dict[str, str] = field(default_factory=dict)
+
+
+PROPOSITIONS = {
+    "I.1": Proposition(p1_equilateral, (("ab", "segment"),), "figure"),
+    "I.2": Proposition(p2_place, (("a", "point"), ("bc", "segment")),
+                       "segment"),
+    "I.3": Proposition(p3_cut, (("greater", "segment"), ("less", "segment")),
+                       "point"),
+    "I.9": Proposition(p9_bisect_angle, (("angle", "angle"),), "ray"),
+    "I.10": Proposition(p10_bisect_segment, (("ab", "segment"),), "point"),
+    "I.11": Proposition(p11_perp_at, (("l", "line"), ("c", "point")), "line"),
+    "I.12": Proposition(p12_perp_from, (("l", "line"), ("c", "point")),
+                        "line"),
+    "I.22": Proposition(p22_triangle,
+                        (("a_len", "number"), ("b_len", "number"),
+                         ("c_len", "number"), ("base_ray", "ray")), "figure"),
+    "I.23": Proposition(p23_copy_angle,
+                        (("target_ray", "ray"), ("model", "angle")), "angle",
+                        {"euclid": ".euclid", "proclus": ".proclus",
+                         "albertus": ".albertus",
+                         "commandinus": ".commandinus",
+                         "clavius": ".clavius", "campanus": ".campanus"}),
+    "I.31": Proposition(p31_parallel, (("p", "point"), ("l", "line")), "line"),
+    "I.42": Proposition(p42_parallelogram_eq_triangle,
+                        (("t", "figure"), ("d", "angle")), "figure",
+                        {"euclid": ".euclid", "alnayrizi": ".alnayrizi"}),
+    "I.43": Proposition(p43_complements, (("pg", "figure"), ("k", "point")),
+                        "figure"),
+    "I.44": Proposition(p44_apply,
+                        (("ab", "segment"), ("t", "figure"), ("d", "angle")),
+                        "figure",
+                        {"euclid_superposition": ".euclid",
+                         "alnayrizi": ".alnayrizi",
+                         "robert_of_chester": ".chester",
+                         "campanus": ".campanus",
+                         "tinemue_equal_case": ".tinemue"}),
+    "I.45": Proposition(p45_apply_figure,
+                        (("d_angle", "angle"), ("f", "figure")), "figure"),
+    "I.46": Proposition(p46_square, (("ab", "segment"),), "figure",
+                        {"campanus_first": ".campanus",
+                         "campanus_second": ".campanus2"}),
 }
 
-STRATEGIES = {
-    "I.23": P23_STRATEGIES,
-    "I.42": P42_STRATEGIES,
-    "I.44": P44_STRATEGIES,
-    "I.46": P46_STRATEGIES,
-}
-
-# positional parameters: (name, type word) per proposition
-PARAM_SPECS = {
-    "I.1": (("ab", "segment"),),
-    "I.2": (("a", "point"), ("bc", "segment")),
-    "I.3": (("greater", "segment"), ("less", "segment")),
-    "I.9": (("angle", "angle"),),
-    "I.10": (("ab", "segment"),),
-    "I.11": (("l", "line"), ("c", "point")),
-    "I.12": (("l", "line"), ("c", "point")),
-    "I.22": (("a_len", "number"), ("b_len", "number"), ("c_len", "number"),
-             ("base_ray", "ray")),
-    "I.23": (("target_ray", "ray"), ("model", "angle")),
-    "I.31": (("p", "point"), ("l", "line")),
-    "I.42": (("t", "figure"), ("d", "angle")),
-    "I.43": (("pg", "figure"), ("k", "point")),
-    "I.44": (("ab", "segment"), ("t", "figure"), ("d", "angle")),
-    "I.45": (("d_angle", "angle"), ("f", "figure")),
-    "I.46": (("ab", "segment"),),
-}
-
-# the type of each proposition's principal result
-RESULT_TYPES = {
-    "I.1": "figure", "I.2": "segment", "I.3": "point", "I.9": "ray",
-    "I.10": "point", "I.11": "line", "I.12": "line", "I.22": "figure",
-    "I.23": "angle", "I.31": "line", "I.42": "figure", "I.43": "figure",
-    "I.44": "figure", "I.45": "figure", "I.46": "figure",
-}
-
-STRATEGY_SUFFIXES = {
-    "euclid": ".euclid",
-    "proclus": ".proclus",
-    "albertus": ".albertus",
-    "commandinus": ".commandinus",
-    "clavius": ".clavius",
-    "campanus": ".campanus",
-    "alnayrizi": ".alnayrizi",
-    "euclid_superposition": ".euclid",
-    "robert_of_chester": ".chester",
-    "tinemue_equal_case": ".tinemue",
-    "campanus_first": ".campanus",
-    "campanus_second": ".campanus2",
-}
+# calls go through CONSTRUCTIONS, never through a record's fn, so that a
+# function rebound in this dict (as a profiler does) is the one that runs
+CONSTRUCTIONS = {pid: p.fn for pid, p in PROPOSITIONS.items()}
+STRATEGIES = {pid: tuple(p.strategies) for pid, p in PROPOSITIONS.items()
+              if p.strategies}
 
 
 def split_identifier(prop_id: str) -> tuple[str, str | None]:
-    """Split e.g. "I.44.chester" into ("I.44", "robert_of_chester")."""
-    parts = prop_id.split(".")
-    if len(parts) == 2:
-        return prop_id, None
-    if len(parts) == 3:
-        base = ".".join(parts[:2])
-        suffix = "." + parts[2]
-        for strategy, s in STRATEGY_SUFFIXES.items():
-            if s == suffix and strategy in STRATEGIES.get(base, ()):
+    """Split e.g. "I.44.chester" into ("I.44", "robert_of_chester").
+
+    Raises UnknownProposition unless the base names a construction and the
+    suffix, if any, one of its strategies.
+    """
+    base = ".".join(prop_id.split(".")[:2])
+    prop = PROPOSITIONS.get(base)
+    if prop is not None:
+        if prop_id == base:
+            return base, None
+        for strategy, suffix in prop.strategies.items():
+            if prop_id == base + suffix:
                 return base, strategy
     raise UnknownProposition(f"unknown proposition identifier {prop_id!r}")
 
 
-def construction(prop_id: str):
-    base, strategy = split_identifier(prop_id)
-    if base not in CONSTRUCTIONS:
-        raise UnknownProposition(f"unknown proposition identifier {prop_id!r}")
-    return CONSTRUCTIONS[base], strategy
+def strategy_kwargs(strategy: str | None, kwargs: dict) -> dict:
+    """The keyword arguments that run ``strategy`` on an instance.
+
+    Tinemue's equal case covers only the angle matched to the triangle, so
+    that angle replaces the given one.
+    """
+    if strategy is None:
+        return kwargs
+    call = dict(kwargs, strategy=strategy)
+    if strategy == "tinemue_equal_case":
+        call["d"] = tinemue_matching_angle(call["t"])
+    return call
 
 
 __all__ = [
-    "CONSTRUCTIONS", "STRATEGIES", "PARAM_SPECS", "RESULT_TYPES",
+    "PROPOSITIONS", "Proposition", "CONSTRUCTIONS", "STRATEGIES",
     "THEOREM_IDS",
-    "check_theorem", "construction", "split_identifier",
+    "check_theorem", "split_identifier", "strategy_kwargs",
     "p1_equilateral", "p2_place", "p3_cut", "p9_bisect_angle",
     "p10_bisect_segment", "p11_perp_at", "p12_perp_from",
     "p22_triangle", "place_triangle_on_ray", "p23_copy_angle", "p31_parallel",

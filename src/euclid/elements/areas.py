@@ -59,10 +59,6 @@ P44_STRATEGIES = ("euclid_superposition", "alnayrizi", "robert_of_chester",
 P46_STRATEGIES = ("campanus_first", "campanus_second")
 
 
-def _angle_side(base_from: Point, base_to: Point, probe: Point) -> str:
-    return side_name_of(base_from, base_to, probe)
-
-
 # ---------------------------------------------------------------------------
 # I.42
 
@@ -109,7 +105,7 @@ def _p42_euclid(tr: Tracer, t: Figure, d: Angle):
         tr.register_input(p)
     e = cite_midpoint(tr, b, c, "E bisects BC")
     tr.join(a, e)
-    side = _angle_side(e, c, a)
+    side = side_name_of(e, c, a)
     sub = tr.sub("I.23")
     copied = p23_copy_angle(Ray(e, c), d, side=side, tracer=sub)
     w = copied.result.arm2
@@ -133,7 +129,7 @@ def _p42_alnayrizi(tr: Tracer, t: Figure, d: Angle):
         tr.register_input(p)
     e = cite_midpoint(tr, b, g, "E bisects BG")
     tr.join(a, e)
-    side = _angle_side(e, g, a)
+    side = side_name_of(e, g, a)
     sub = tr.sub("I.23")
     copied = p23_copy_angle(Ray(e, g), d, side=side, tracer=sub)
     w = copied.result.arm2
@@ -160,7 +156,6 @@ def p42_on_ray(t: Figure, d: Angle, base_ray: Ray, side: str = "upper",
     require_triangle(t)
     tr = tracer or Tracer("I.42+")
     v1, v2, v3 = t.vertices
-    base_sq = v2.dist_sq(v3)
     o = base_ray.origin
     tr.register_input(o)
     sub = tr.sub("I.22")

@@ -269,10 +269,6 @@ class Isometry:
     ty: Constructible
     reflect: bool = False
 
-    @staticmethod
-    def identity() -> "Isometry":
-        return Isometry(_c(1), _c(0), _c(0), _c(0), False)
-
     def apply(self, p: Point) -> Point:
         x, y = p.x, p.y
         if self.reflect:
@@ -425,17 +421,6 @@ def intersect_circles(c1: Circle, c2: Circle) -> list[Point]:
         p1 = Point(0, rhs / b)
         p2 = Point(1, rhs / b)
     return intersect_line_circle(Line(p1, p2), c1)
-
-
-def intersect_ray_circle(r: Ray, c: Circle) -> list[Point]:
-    return [p for p in intersect_line_circle(r.line(), c) if r.contains(p)]
-
-
-def intersect_segment_line(s: Segment, l: Line) -> Optional[Point]:
-    got = intersect_lines(s.line(), l)
-    if isinstance(got, Point) and s.contains(got):
-        return got
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -66,10 +66,6 @@ class Trace:
         return self._count("circle")
 
     @property
-    def picks(self) -> int:
-        return self._count("pick")
-
-    @property
     def subconstructions(self) -> int:
         return self._count("sub")
 
@@ -90,15 +86,6 @@ class Trace:
     def object_count(self) -> int:
         n = len(self.inputs) + sum(len(s.produced) for s in self.steps)
         return n
-
-    def max_radical_depth(self, registry: dict[int, object]) -> int:
-        depth = 0
-        for s in self.steps:
-            for oid in s.produced:
-                depth = max(depth, _object_depth(registry.get(oid)))
-            if s.sub is not None:
-                depth = max(depth, s.sub.max_radical_depth(registry))
-        return depth
 
     def check_references(self, ambient=()) -> bool:
         """Every referenced object id precedes the ids a step produces.

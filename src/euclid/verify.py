@@ -16,8 +16,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import elements
-from .elements import check_theorem, tinemue_matching_angle
-from .elements.theorems import THEOREM_IDS
+from .elements import THEOREM_IDS, check_theorem
 from .errors import EuclidError, UnknownProposition, VerificationFailure
 from .geom import (
     Angle,
@@ -32,11 +31,7 @@ from .geom import (
 )
 from .number import Constructible, new_context
 
-CONSTRUCTION_IDS = ("I.1", "I.2", "I.3", "I.9", "I.10", "I.11", "I.12",
-                    "I.22", "I.23", "I.31", "I.42", "I.43", "I.44", "I.45",
-                    "I.46")
-
-SUITE_IDS = tuple(dict.fromkeys(CONSTRUCTION_IDS + THEOREM_IDS))
+SUITE_IDS = tuple(dict.fromkeys((*elements.CONSTRUCTIONS, *THEOREM_IDS)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +189,12 @@ def _transversal(rng, l1: Line, l2: Line) -> Line:
             return t
 
 
-def generate_instance(prop_id: str, rng: random.Random) -> dict:
+def generate_instance(base: str, rng: random.Random) -> dict:
     """A random valid instance (keyword arguments) for the proposition."""
-    base, strategy = elements.split_identifier(prop_id)
     gen = _GENERATORS.get(base)
     if gen is None:
-        raise UnknownProposition(f"no instance generator for {prop_id!r}")
-    kwargs = gen(rng)
-    if strategy is not None:
-        kwargs["strategy"] = strategy
-    if base == "I.44" and kwargs.get("strategy") == "tinemue_equal_case":
-        kwargs["d"] = tinemue_matching_angle(kwargs["t"])
-    return kwargs
+        raise UnknownProposition(f"no instance generator for {base!r}")
+    return gen(rng)
 
 
 def _gen_i1(rng):
@@ -578,12 +567,8 @@ class SuiteReport:
 def _run_strategy(base: str, strategy: Optional[str], kwargs: dict
                   ) -> StrategyOutcome:
     fn = elements.CONSTRUCTIONS[base]
-    call = dict(kwargs)
-    call.pop("strategy", None)
-    if strategy is not None:
-        call["strategy"] = strategy
     try:
-        result = fn(**call)
+        result = fn(**elements.strategy_kwargs(strategy, kwargs))
     except VerificationFailure as e:
         return StrategyOutcome(strategy, False, error=str(e))
     except EuclidError as e:
@@ -618,14 +603,9 @@ def compare(prop_id: str, strategies, kwargs: dict) -> ComparisonReport:
 
 def run_suite(prop_id: str, count: int = 100, seed: int = 7) -> SuiteReport:
     """Random-instance postcondition suite; failures are expected to be 0."""
-    if prop_id in THEOREM_IDS and prop_id not in CONSTRUCTION_IDS:
+    if prop_id in THEOREM_IDS and prop_id not in elements.CONSTRUCTIONS:
         return _run_theorem_suite(prop_id, count, seed)
-    try:
-        base, strategy = elements.split_identifier(prop_id)
-    except UnknownProposition:
-        raise
-    if base not in elements.CONSTRUCTIONS:
-        raise UnknownProposition(f"unknown proposition identifier {prop_id!r}")
+    base, strategy = elements.split_identifier(prop_id)
     rng = random.Random(seed)
     report = SuiteReport(prop_id, count, seed)
     if strategy is not None:
@@ -637,11 +617,8 @@ def run_suite(prop_id: str, count: int = 100, seed: int = 7) -> SuiteReport:
         kwargs = generate_instance(base, rng)
         outcomes = {}
         for strat in strategies:
-            call = dict(kwargs)
-            if base == "I.44" and strat == "tinemue_equal_case":
-                call["d"] = tinemue_matching_angle(call["t"])
             outcomes[strat if strat is not None else "-"] = \
-                _run_strategy(base, strat, call)
+                _run_strategy(base, strat, kwargs)
         report.instances.append(ComparisonReport(prop_id, outcomes))
     return report
 

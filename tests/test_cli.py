@@ -32,6 +32,13 @@ class TestRun:
         assert main(["run", str(bad)]) == 2
         assert "expected" in capsys.readouterr().err
 
+    def test_unknown_prop_exit_2(self, tmp_path, capsys):
+        script = tmp_path / "u.euc"
+        script.write_text("point A = (0,0)\npoint B = (4,0)\n"
+                          "segment ab = join(A, B)\nfigure t = prop I.4(ab)\n")
+        assert main(["run", str(script)]) == 2
+        assert "unknown proposition 'I.4'" in capsys.readouterr().err
+
     def test_failing_assertion_exit_1(self, tmp_path, capsys):
         script = tmp_path / "f.euc"
         script.write_text("point A = (0,0)\npoint B = (1,0)\npoint C = (3,4)\n"
@@ -62,6 +69,20 @@ class TestProp:
 
     def test_unknown_prop(self, capsys):
         assert main(["prop", "I.77"]) == 2
+
+    def test_missing_input(self, tmp_path, capsys):
+        missing = str(tmp_path / "none.txt")
+        assert main(["prop", "I.44", "--input", missing]) == 2
+        assert "No such file" in capsys.readouterr().err
+        assert main(["compare", "I.44", "--strategies", "alnayrizi",
+                     "--input", missing]) == 2
+        assert "No such file" in capsys.readouterr().err
+
+    def test_degenerate_input(self, tmp_path, capsys):
+        inst = tmp_path / "inst.txt"
+        inst.write_text("point A = (0,0)\nsegment ab = join(A, A)\n")
+        assert main(["prop", "I.1", "--input", str(inst)]) == 2
+        assert "DegenerateInput" in capsys.readouterr().err
 
     def test_svg(self, tmp_path, capsys):
         target = tmp_path / "p.svg"

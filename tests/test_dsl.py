@@ -105,6 +105,15 @@ class TestCheck:
         diags = check(script)
         assert any("no strategy" in d.message for d in diags)
 
+    @pytest.mark.parametrize("prop_id", ["I.99", "I.4"])
+    def test_unknown_proposition(self, prop_id):
+        text = ("point A = (0,0)\npoint B = (4,0)\nsegment ab = join(A, B)\n"
+                f"figure t = prop {prop_id}(ab)\n")
+        script, _ = parse(text)
+        diags = check(script)
+        assert [d.message for d in diags] == [
+            f"unknown proposition {prop_id!r}"]
+
 
 class TestInterpret:
     def test_i1_apex(self):
