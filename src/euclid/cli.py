@@ -14,25 +14,20 @@ import sys
 
 from . import dsl, elements, verify
 from .errors import EuclidError
-from .geom import Angle, Figure, Line, Point, Ray, Segment
 from .number import new_context
 from .render import render, render_result
 from .trace import trace_lines
 
-_TYPE_MAP = {
-    "point": Point, "segment": Segment, "line": Line, "ray": Ray,
-    "angle": Angle, "figure": Figure,
-}
-
 
 def _seed(args) -> int:
     env = os.environ.get("EUCLID_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(2)
-    return args.seed
+    if env is None:
+        return args.seed
+    try:
+        return int(env)
+    except ValueError:
+        print(f"EUCLID_SEED must be an integer, got {env!r}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _load_instance(path: str, base: str):
@@ -60,13 +55,14 @@ def _load_instance(path: str, base: str):
             for name in st.names:
                 declared.append(inter.env[name.ident])
     # each parameter takes the first type-matching object not yet consumed,
-    # so helper declarations (points feeding a segment, say) are skipped
+    # so helper declarations (points feeding a segment, say) are skipped;
+    # a type word is the class name in lower case
     kwargs = {}
     used = [False] * len(declared)
     for pname, ptype in elements.PROPOSITIONS[base].params:
-        want = Segment if ptype == "number" else _TYPE_MAP[ptype]
+        want = "segment" if ptype == "number" else ptype
         for i, obj in enumerate(declared):
-            if not used[i] and type(obj) is want:
+            if not used[i] and type(obj).__name__.lower() == want:
                 used[i] = True
                 kwargs[pname] = obj.length() if ptype == "number" else obj
                 break
@@ -75,6 +71,15 @@ def _load_instance(path: str, base: str):
                   f"of {base}", file=sys.stderr)
             raise SystemExit(2)
     return kwargs
+
+
+def _instance(args, base: str) -> dict:
+    """The instance to run in a fresh context: the objects of the --input
+    file, or a random instance drawn from the seed."""
+    new_context()
+    if args.input:
+        return _load_instance(args.input, base)
+    return verify.generate_instance(base, random.Random(_seed(args)))
 
 
 def _cmd_run(args) -> int:
@@ -118,11 +123,7 @@ def _cmd_prop(args) -> int:
             strategy not in elements.STRATEGIES.get(base, ()):
         print(f"{base} has no strategy {strategy!r}", file=sys.stderr)
         return 2
-    new_context()
-    if args.input:
-        kwargs = _load_instance(args.input, base)
-    else:
-        kwargs = verify.generate_instance(base, random.Random(_seed(args)))
+    kwargs = _instance(args, base)
     if args.side:
         kwargs["side"] = args.side
     try:
@@ -177,16 +178,15 @@ def _cmd_compare(args) -> int:
         print(e, file=sys.stderr)
         return 2
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    if not strategies:
+        print("--strategies needs at least one strategy name", file=sys.stderr)
+        return 2
     known = elements.STRATEGIES.get(base, ())
     for s in strategies:
         if s not in known:
             print(f"{base} has no strategy {s!r}", file=sys.stderr)
             return 2
-    new_context()
-    if args.input:
-        kwargs = _load_instance(args.input, base)
-    else:
-        kwargs = verify.generate_instance(base, random.Random(_seed(args)))
+    kwargs = _instance(args, base)
     report = verify.compare(base, strategies, kwargs)
     if args.records:
         for record in report.records():

@@ -35,7 +35,6 @@ from .geom import (
     Line,
     Point,
     Ray,
-    Segment,
     angle_eq,
     collinear,
     content,
@@ -656,13 +655,10 @@ def interpret(script: Script) -> Interpretation:
         return _eval_coord(arg)
 
     def as_line(obj, span) -> Line:
-        if isinstance(obj, Line):
-            return obj
-        if isinstance(obj, Segment):
+        try:
             return obj.line()
-        if isinstance(obj, Ray):
-            return obj.line()
-        raise ScriptError(span, "expected a line-like object")
+        except AttributeError:
+            raise ScriptError(span, "expected a line-like object")
 
     def run_intersect(expr: Call):
         a = value(expr.args[0])
@@ -779,9 +775,7 @@ def _run_predicate(predicate: str, args, span) -> bool:
         if predicate == "area_eq":
             return (content(args[0]) - content(args[1])).is_zero()
         if predicate == "parallel":
-            l1 = args[0] if isinstance(args[0], Line) else args[0].line()
-            l2 = args[1] if isinstance(args[1], Line) else args[1].line()
-            return parallel(l1, l2)
+            return parallel(args[0].line(), args[1].line())
         if predicate == "right_angle":
             return is_right(args[0])
         return collinear(args[0], args[1], args[2])

@@ -65,12 +65,6 @@ class Point:
     def dist(self, other: "Point") -> Constructible:
         return sqrt_nonneg(self.dist_sq(other))
 
-    def radical_depth(self) -> int:
-        return max(self.x.radical_depth(), self.y.radical_depth())
-
-    def approx(self, digits: int = 6) -> tuple[str, str]:
-        return self.x.approx(digits), self.y.approx(digits)
-
     def __repr__(self):
         return f"Point({self.x.approx(4)}, {self.y.approx(4)})"
 
@@ -154,6 +148,9 @@ class Line:
 
     def direction(self) -> Vec:
         return self.q - self.p
+
+    def line(self) -> "Line":
+        return self
 
     def contains(self, pt: Point) -> bool:
         return self.direction().cross(pt - self.p).is_zero()
@@ -288,6 +285,33 @@ class Isometry:
         s = self.s * oc + self.c * os
         t = self.apply(Point(other.tx, other.ty))
         return Isometry(c, s, t.x, t.y, self.reflect != other.reflect)
+
+
+def coords(obj) -> list[Constructible]:
+    """Every constructible number in a geometry value, in field order.
+
+    Tuples are flattened and any other value walks its instance fields;
+    a value with no geometry in it gives [].
+    """
+    if isinstance(obj, Point):
+        return [obj.x, obj.y]
+    if isinstance(obj, Constructible):
+        return [obj]
+    if isinstance(obj, tuple):
+        parts = obj
+    else:
+        parts = getattr(obj, "__dict__", {}).values()
+    return [c for part in parts for c in coords(part)]
+
+
+def points(obj) -> list[Point]:
+    """The defining points of a geometry value, in field order."""
+    if isinstance(obj, Point):
+        return [obj]
+    if isinstance(obj, Figure):
+        return list(obj.vertices)
+    fields = getattr(obj, "__dict__", {}).values()
+    return [v for v in fields if isinstance(v, Point)]
 
 
 # sentinel results for line intersection
@@ -580,9 +604,9 @@ def superpose(from_seg: Segment, to_seg: Segment, side: str = "direct") -> Isome
     ax, ay = (a.x, -a.y) if side == "flipped" else (a.x, a.y)
     tx = to_seg.a.x - (c * ax - s * ay)
     ty = to_seg.a.y - (s * ax + c * ay)
-    m = Isometry(c, s, tx, ty, side == "flipped")
-    assert (c * c + s * s - 1).is_zero(), "rotation pair must be unitary"
-    return m
+    if not (c * c + s * s - 1).is_zero():
+        raise SuperpositionMismatch("rotation pair must be unitary")
+    return Isometry(c, s, tx, ty, side == "flipped")
 
 
 def apply_isometry(m: Isometry, p: Point) -> Point:

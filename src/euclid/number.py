@@ -53,6 +53,7 @@ class FieldContext:
         self.rad_index: dict[Node, int] = {}  # radicand node -> level
         self._sqrt_memo: dict[tuple[Node, int], Optional[Node]] = {}
         self._inv_memo: dict[Node, Node] = {}
+        self._rad_iv: dict[tuple[int, int], tuple] = {}
         self._lock = threading.RLock()
 
     def adjoin(self, radicand: Node) -> int:
@@ -222,9 +223,7 @@ def _node_interval(x: Node, ctx: FieldContext, prec: int):
 
 
 def _rad_sqrt_interval(level: int, ctx: FieldContext, prec: int):
-    cache = getattr(ctx, "_rad_iv", None)
-    if cache is None:
-        cache = ctx._rad_iv = {}
+    cache = ctx._rad_iv
     key = (level, prec)
     got = cache.get(key)
     if got is None:
@@ -247,7 +246,8 @@ def _nsign_exact(x: Node, ctx: FieldContext) -> int:
     r = ctx.radicands[level - 1]
     t = _nsub(_nmul(a, a, ctx), _nmul(_nmul(b, b, ctx), r, ctx))
     st = _nsign_exact(t, ctx)
-    assert st != 0, "tower canonicity violated"
+    if st == 0:
+        raise FieldContextError("tower canonicity violated")
     return sa if st > 0 else sb
 
 

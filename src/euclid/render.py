@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import NothingToRender
-from .geom import Angle, Circle, Figure, Line, Point, Ray, Segment
+from .geom import Angle, Circle, Figure, Line, Point, Ray, Segment, points
 from .number import Constructible, sqrt_nonneg
 from .trace import PropositionResult
 
@@ -38,28 +38,16 @@ def _fmt(x: Fraction) -> str:
     return f"{sign}{text[:-2]}.{text[-2:]}"
 
 
+def _xy(p: Point) -> tuple[Fraction, Fraction]:
+    return _fr(p.x), _fr(p.y)
+
+
 def _object_extent(obj) -> list[tuple[Fraction, Fraction]]:
-    if isinstance(obj, Point):
-        return [(_fr(obj.x), _fr(obj.y))]
-    if isinstance(obj, Segment):
-        return _object_extent(obj.a) + _object_extent(obj.b)
-    if isinstance(obj, (Line, Ray)):
-        p = obj.p if isinstance(obj, Line) else obj.origin
-        q = obj.q if isinstance(obj, Line) else obj.through
-        return _object_extent(p) + _object_extent(q)
     if isinstance(obj, Circle):
-        cx, cy = _fr(obj.center.x), _fr(obj.center.y)
+        cx, cy = _xy(obj.center)
         r = _fr(sqrt_nonneg(obj.radius_sq))
         return [(cx - r, cy - r), (cx + r, cy + r)]
-    if isinstance(obj, Figure):
-        out = []
-        for v in obj.vertices:
-            out.extend(_object_extent(v))
-        return out
-    if isinstance(obj, Angle):
-        return (_object_extent(obj.vertex) + _object_extent(obj.arm1)
-                + _object_extent(obj.arm2))
-    return []
+    return [_xy(p) for p in points(obj)]
 
 
 class _Canvas:
@@ -149,37 +137,30 @@ def render(objects: dict[str, object],
     for name, obj in drawable.items():
         style = style_of(name)
         if isinstance(obj, Point):
-            x, y = canvas.to_screen(_fr(obj.x), _fr(obj.y))
+            x, y = canvas.to_screen(*_xy(obj))
             body.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" '
                         f'fill="{_POINT_FILL[style]}" stroke="none"/>')
             labelled.append((x, y, name, style))
         elif isinstance(obj, Segment):
-            emit_segment((_fr(obj.a.x), _fr(obj.a.y)),
-                         (_fr(obj.b.x), _fr(obj.b.y)), style)
-        elif isinstance(obj, Line):
-            got = canvas.clip_line((_fr(obj.p.x), _fr(obj.p.y)),
-                                   (_fr(obj.q.x), _fr(obj.q.y)))
-            if got:
-                emit_segment(*got, style)
-        elif isinstance(obj, Ray):
-            got = canvas.clip_ray((_fr(obj.origin.x), _fr(obj.origin.y)),
-                                  (_fr(obj.through.x), _fr(obj.through.y)))
+            emit_segment(_xy(obj.a), _xy(obj.b), style)
+        elif isinstance(obj, (Line, Ray)):
+            clip = canvas.clip_line if isinstance(obj, Line) else canvas.clip_ray
+            got = clip(*(_xy(p) for p in points(obj)))
             if got:
                 emit_segment(*got, style)
         elif isinstance(obj, Circle):
-            cx, cy = canvas.to_screen(_fr(obj.center.x), _fr(obj.center.y))
+            cx, cy = canvas.to_screen(*_xy(obj.center))
             r = _fr(sqrt_nonneg(obj.radius_sq)) * canvas.scale
             body.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
                         f'r="{_fmt(r)}" {_STYLES[style]}/>')
         elif isinstance(obj, Figure):
-            pts = [canvas.to_screen(_fr(v.x), _fr(v.y)) for v in obj.vertices]
+            pts = [canvas.to_screen(*_xy(v)) for v in obj.vertices]
             path = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts) + " Z"
             body.append(f'<path d="{path}" {_STYLES[style]}/>')
         elif isinstance(obj, Angle):
-            emit_segment((_fr(obj.vertex.x), _fr(obj.vertex.y)),
-                         (_fr(obj.arm1.x), _fr(obj.arm1.y)), style)
-            emit_segment((_fr(obj.vertex.x), _fr(obj.vertex.y)),
-                         (_fr(obj.arm2.x), _fr(obj.arm2.y)), style)
+            vertex = _xy(obj.vertex)
+            emit_segment(vertex, _xy(obj.arm1), style)
+            emit_segment(vertex, _xy(obj.arm2), style)
 
     if labels:
         placed: list[tuple[Fraction, Fraction]] = []

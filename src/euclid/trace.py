@@ -24,9 +24,11 @@ from .geom import (
     Segment,
     apply_isometry,
     circle as geom_circle,
+    coords,
     extend as geom_extend,
     join as geom_join,
     join_segment,
+    points,
     superpose as geom_superpose,
 )
 
@@ -116,21 +118,7 @@ def _all_ids(trace: Trace) -> set[int]:
 
 
 def _object_depth(obj) -> int:
-    if isinstance(obj, Point):
-        return obj.radical_depth()
-    if isinstance(obj, Segment):
-        return max(obj.a.radical_depth(), obj.b.radical_depth())
-    if isinstance(obj, Line):
-        return max(obj.p.radical_depth(), obj.q.radical_depth())
-    if isinstance(obj, Ray):
-        return max(obj.origin.radical_depth(), obj.through.radical_depth())
-    if isinstance(obj, Circle):
-        return max(obj.center.radical_depth(), obj.radius_sq.radical_depth())
-    if isinstance(obj, Figure):
-        return max(v.radical_depth() for v in obj.vertices)
-    if isinstance(obj, Isometry):
-        return max(x.radical_depth() for x in (obj.c, obj.s, obj.tx, obj.ty))
-    return 0
+    return max((c.radical_depth() for c in coords(obj)), default=0)
 
 
 class Tracer:
@@ -291,23 +279,17 @@ def describe_object(obj) -> str:
     """Short deterministic description (six-digit decimal coordinates)."""
     if isinstance(obj, Point):
         return f"point({obj.x.approx(6)}, {obj.y.approx(6)})"
-    if isinstance(obj, Segment):
-        return f"segment[{describe_object(obj.a)} {describe_object(obj.b)}]"
-    if isinstance(obj, Line):
-        return f"line[{describe_object(obj.p)} {describe_object(obj.q)}]"
-    if isinstance(obj, Ray):
-        return f"ray[{describe_object(obj.origin)} {describe_object(obj.through)}]"
     if isinstance(obj, Circle):
         return (f"circle[{describe_object(obj.center)} "
                 f"r2={obj.radius_sq.approx(6)}]")
-    if isinstance(obj, Figure):
-        inner = " ".join(describe_object(v) for v in obj.vertices)
-        return f"figure[{inner}]"
     if isinstance(obj, Isometry):
         kind = "reflecting" if obj.reflect else "direct"
         return (f"isometry[{kind} c={obj.c.approx(6)} s={obj.s.approx(6)} "
                 f"t=({obj.tx.approx(6)}, {obj.ty.approx(6)})]")
-    return type(obj).__name__.lower()
+    name = type(obj).__name__.lower()
+    if isinstance(obj, (Segment, Line, Ray, Figure)):
+        return f"{name}[{' '.join(describe_object(p) for p in points(obj))}]"
+    return name
 
 
 def trace_lines(trace: Trace, registry: dict[int, object],

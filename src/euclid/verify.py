@@ -566,9 +566,14 @@ class SuiteReport:
 
 def _run_strategy(base: str, strategy: Optional[str], kwargs: dict
                   ) -> StrategyOutcome:
-    fn = elements.CONSTRUCTIONS[base]
+    """Run one construction strategy, or the validator of a theorem base."""
     try:
-        result = fn(**elements.strategy_kwargs(strategy, kwargs))
+        if base not in elements.CONSTRUCTIONS:
+            report = check_theorem(base, kwargs)
+            return StrategyOutcome(None, report.all_pass,
+                                   checks=list(report.claims))
+        result = elements.CONSTRUCTIONS[base](
+            **elements.strategy_kwargs(strategy, kwargs))
     except VerificationFailure as e:
         return StrategyOutcome(strategy, False, error=str(e))
     except EuclidError as e:
@@ -584,14 +589,6 @@ def _run_strategy(base: str, strategy: Optional[str], kwargs: dict
         object_count=trace.object_count)
 
 
-def _run_theorem(base: str, bundle: dict) -> StrategyOutcome:
-    try:
-        report = check_theorem(base, bundle)
-    except EuclidError as e:
-        return StrategyOutcome(None, False, error=f"{type(e).__name__}: {e}")
-    return StrategyOutcome(None, report.all_pass, checks=list(report.claims))
-
-
 def compare(prop_id: str, strategies, kwargs: dict) -> ComparisonReport:
     """Run several strategies on one instance; deterministic report."""
     base, _ = elements.split_identifier(prop_id)
@@ -603,9 +600,10 @@ def compare(prop_id: str, strategies, kwargs: dict) -> ComparisonReport:
 
 def run_suite(prop_id: str, count: int = 100, seed: int = 7) -> SuiteReport:
     """Random-instance postcondition suite; failures are expected to be 0."""
-    if prop_id in THEOREM_IDS and prop_id not in elements.CONSTRUCTIONS:
-        return _run_theorem_suite(prop_id, count, seed)
-    base, strategy = elements.split_identifier(prop_id)
+    if prop_id in THEOREM_IDS:
+        base, strategy = prop_id, None
+    else:
+        base, strategy = elements.split_identifier(prop_id)
     rng = random.Random(seed)
     report = SuiteReport(prop_id, count, seed)
     if strategy is not None:
@@ -620,18 +618,6 @@ def run_suite(prop_id: str, count: int = 100, seed: int = 7) -> SuiteReport:
             outcomes[strat if strat is not None else "-"] = \
                 _run_strategy(base, strat, kwargs)
         report.instances.append(ComparisonReport(prop_id, outcomes))
-    return report
-
-
-def _run_theorem_suite(theorem_id: str, count: int, seed: int) -> SuiteReport:
-    rng = random.Random(seed)
-    report = SuiteReport(theorem_id, count, seed)
-    for _ in range(count):
-        new_context()
-        bundle = generate_instance(theorem_id, rng)
-        outcome = _run_theorem(theorem_id, bundle)
-        report.instances.append(
-            ComparisonReport(theorem_id, {"-": outcome}))
     return report
 
 

@@ -110,6 +110,16 @@ class TestSuite:
     def test_unknown_suite(self, capsys):
         assert main(["suite", "I.99", "--n", "1"]) == 2
 
+    def test_env_seed_not_integer(self, capsys):
+        os.environ["EUCLID_SEED"] = "abc"
+        try:
+            assert main(["suite", "I.1", "--n", "1"]) == 2
+        finally:
+            del os.environ["EUCLID_SEED"]
+        captured = capsys.readouterr()
+        assert captured.err.strip() != ""
+        assert "EUCLID_SEED" in captured.err and captured.out == ""
+
 
 class TestCompare:
     def test_i44_compare(self, capsys):
@@ -123,6 +133,11 @@ class TestCompare:
 
     def test_bad_strategy(self, capsys):
         assert main(["compare", "I.44", "--strategies", "nope"]) == 2
+
+    def test_empty_strategy_list(self, capsys):
+        assert main(["compare", "I.44", "--strategies", ","]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--strategies" in captured.err
 
     def test_instance_file(self, tmp_path, capsys):
         inst = tmp_path / "inst.txt"
