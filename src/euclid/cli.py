@@ -8,6 +8,7 @@ parse error.  The environment variable EUCLID_SEED overrides --seed.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import random
 import sys
@@ -122,6 +123,10 @@ def _cmd_prop(args) -> int:
     if strategy is not None and \
             strategy not in elements.STRATEGIES.get(base, ()):
         print(f"{base} has no strategy {strategy!r}", file=sys.stderr)
+        return 2
+    if args.side and "side" not in inspect.signature(
+            elements.PROPOSITIONS[base].fn).parameters:
+        print(f"{base} takes no --side", file=sys.stderr)
         return 2
     kwargs = _instance(args, base)
     if args.side:

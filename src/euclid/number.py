@@ -11,8 +11,15 @@ rests on floating point.
 
 The tower itself lives in a :class:`FieldContext`.  Radicands are adjoined
 on demand by :func:`sqrt_nonneg`, which first searches the existing tower
-for an exact square root.  Rational values are context-free; irrational
-values from different contexts must not be mixed (``FieldContextError``).
+for an exact square root along one of two paths.  A rational value asked
+for in F(k), where r_1..r_k are all rational, takes the multiquadratic
+path: it is a square there exactly when its square class lies in the
+GF(2) span of the classes of r_1..r_k (Besicovitch), which gcd factor
+refinement decides without factoring.  Every other query (an irrational
+value, or a k above the first nested radicand) takes the general path, a
+recursive scan of the tower levels.  Rational values are context-free;
+irrational values from different contexts must not be mixed
+(``FieldContextError``).
 Long-running batch jobs should call :func:`new_context` between independent
 problem instances so towers stay small.
 """
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Optional, Union
 
 from .errors import DivisionByZero, FieldContextError, NegativeRadicand
@@ -51,7 +58,10 @@ class FieldContext:
         self.radicands: list[Node] = []      # radicands[i] generates level i+1
         self.rad_depth: list[int] = []       # nested radical depth of sqrt(radicands[i])
         self.rad_index: dict[Node, int] = {}  # radicand node -> level
-        self._sqrt_memo: dict[tuple[Node, int], Optional[Node]] = {}
+        # integer radicands of levels 1..len, all below the first nested one
+        self.rational_radicands: list[int] = []
+        # node -> [highest level checked, a root or None]
+        self._sqrt_memo: dict[Node, list] = {}
         self._inv_memo: dict[Node, Node] = {}
         self._rad_iv: dict[tuple[int, int], tuple] = {}
         self._lock = threading.RLock()
@@ -61,6 +71,9 @@ class FieldContext:
         with self._lock:
             self.radicands.append(radicand)
             level = len(self.radicands)
+            if (len(self.rational_radicands) == level - 1
+                    and radicand[0] == 0 and radicand[1].denominator == 1):
+                self.rational_radicands.append(radicand[1].numerator)
             self.rad_index[radicand] = level
             self.rad_depth.append(_node_depth(radicand, self) + 1)
             return level
@@ -280,12 +293,17 @@ def _rational_sqrt(f: Fraction) -> Optional[Fraction]:
 
 
 def _has_sqrt(x: Node, k: int, ctx: FieldContext) -> Optional[Node]:
-    """An exact square root of x inside F(k), or None.  Requires x > 0.
+    """An exact square root of x inside F(k), or None.  Requires x >= 0.
 
-    The scan over tower levels is iterative and memoized per node, so a
-    long-lived context degrades gracefully instead of blowing the stack.
+    A rational x with k no higher than the rational prefix of the tower
+    takes the multiquadratic span test, :func:`_rational_sqrt_in_prefix`.
+    Any other query takes the general path: a scan over tower levels that
+    is iterative and memoized per node, so a long-lived context degrades
+    gracefully instead of blowing the stack.
     """
     lx = x[0]
+    if lx == 0 and k <= len(ctx.rational_radicands):
+        return _rational_sqrt_in_prefix(x[1], k, ctx)
     memo = ctx._sqrt_memo
     entry = memo.get(x)
     if entry is None:
@@ -300,6 +318,84 @@ def _has_sqrt(x: Node, k: int, ctx: FieldContext) -> Optional[Node]:
     if root is None:
         return None
     return root if root[0] <= k else None
+
+
+def _coprime_base(nums: list[int]) -> list[int]:
+    """Pairwise coprime integers > 1 whose products give every number in
+    nums (gcd factor refinement; nothing is factored)."""
+    base: list[int] = []
+    todo = list(nums)
+    while todo:
+        a = todo.pop()
+        if a == 1:
+            continue
+        for i, b in enumerate(base):
+            g = gcd(a, b)
+            if g > 1:
+                del base[i]
+                todo += (g, a // g, b // g)
+                break
+        else:
+            base.append(a)
+    return base
+
+
+def _parity_mask(n: int, base: list[int]) -> int:
+    """Bit j is the parity of the exponent of base[j] in n."""
+    mask = 0
+    for j, b in enumerate(base):
+        while n % b == 0:
+            n //= b
+            mask ^= 1 << j
+    return mask
+
+
+def _rational_sqrt_in_prefix(f: Fraction, k: int,
+                             ctx: FieldContext) -> Optional[Node]:
+    """A square root of the rational f >= 0 inside F(k), or None, where
+    r_1..r_k are all rational.
+
+    f is a square in Q(sqrt r_1, ..., sqrt r_k) exactly when f times the
+    product of some subset S of the r_i is a rational square; the root is
+    then c * prod_S sqrt(r_i) with c rational.  Over a pairwise coprime
+    base, an integer is a square exactly when its exponent of every base
+    element that is not itself a square is even, so S solves a GF(2)
+    system in the exponent parities.
+    """
+    c = _rational_sqrt(f)
+    if c is not None:  # also f == 0, which gcd refinement cannot take
+        return (0, c)
+    rads = ctx.rational_radicands[:k]
+    target = f.numerator * f.denominator
+    base = [b for b in _coprime_base(rads + [target]) if isqrt(b) ** 2 != b]
+    pivots: dict[int, tuple[int, int]] = {}  # top bit -> (parities, subset)
+
+    def reduce(v: int, subset: int) -> tuple[int, int]:
+        while v:
+            pivot = pivots.get(v.bit_length())
+            if pivot is None:
+                break
+            v ^= pivot[0]
+            subset ^= pivot[1]
+        return v, subset
+
+    for i, r in enumerate(rads):
+        v, subset = reduce(_parity_mask(r, base), 1 << i)
+        if v:
+            pivots[v.bit_length()] = (v, subset)
+    v, subset = reduce(_parity_mask(target, base), 0)
+    if v:
+        return None
+    root, prod = _ONE, _F1
+    for i, r in enumerate(rads):
+        if subset >> i & 1:
+            root = _nmul(root, (i + 1, (_ZERO, _ONE)), ctx)
+            prod *= r
+    c = _rational_sqrt(f / prod)
+    if c is None:
+        raise FieldContextError("square classes of the rational radicands "
+                                "are inconsistent")
+    return _nscale(root, c)
 
 
 def _sqrt_at_own_level(x: Node, ctx: FieldContext) -> Optional[Node]:

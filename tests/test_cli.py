@@ -70,6 +70,12 @@ class TestProp:
     def test_unknown_prop(self, capsys):
         assert main(["prop", "I.77"]) == 2
 
+    def test_side_not_a_parameter(self, capsys):
+        for prop_id in ("I.45", "I.10"):
+            assert main(["prop", prop_id, "--side", "upper"]) == 2
+            assert f"{prop_id} takes no --side" in capsys.readouterr().err
+        assert main(["prop", "I.1", "--side", "lower", "--seed", "3"]) == 0
+
     def test_missing_input(self, tmp_path, capsys):
         missing = str(tmp_path / "none.txt")
         assert main(["prop", "I.44", "--input", missing]) == 2

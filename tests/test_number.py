@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -98,6 +99,62 @@ class TestSqrt:
         assert C(5).radical_depth() == 0
         assert r2.radical_depth() == 1
         assert sqrt_nonneg(1 + r2).radical_depth() == 2
+
+
+# square-class atoms: small primes, primes above 37, and squares of primes
+# above 37 (5043 = 41^2*3 and 72283 = 41^2*43 leave coprime-base elements
+# that are not squarefree)
+_ATOMS = (2, 3, 5, 7, 11, 41, 43, 47, 41 * 41, 43 * 43)
+_square_class_products = st.lists(st.sampled_from(_ATOMS), min_size=1,
+                                  max_size=3).map(math.prod)
+
+
+def _in_span(x, rads):
+    """Brute force: x times the product of some subset of rads is a
+    rational square."""
+    for mask in range(1 << len(rads)):
+        prod = math.prod(r for i, r in enumerate(rads) if mask >> i & 1)
+        if number._rational_sqrt(x * prod) is not None:
+            return True
+    return False
+
+
+class TestMultiquadratic:
+    @given(st.lists(_square_class_products | st.sampled_from((5043, 72283)),
+                    max_size=6),
+           st.lists(st.tuples(_square_class_products, _square_class_products),
+                    min_size=1, max_size=4))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_brute_force_oracle(self, radicands, queries):
+        for p, q in queries:
+            ctx = new_context()
+            for r in radicands:
+                sqrt_nonneg(C(r))
+            rads = list(ctx.rational_radicands)
+            assert rads == [r[1] for r in ctx.radicands]
+            x = Fraction(p, q)
+            y = sqrt_nonneg(C(x))
+            assert (len(ctx.radicands) == len(rads)) == _in_span(x, rads)
+            assert y * y == C(x)
+            assert y.sign() == 1
+
+    def test_nested_level_ends_rational_prefix(self):
+        # sqrt(5 + 2*sqrt(6)) = sqrt(2) + sqrt(3), so 2 is a square in the
+        # tower although no rational radicand spans it
+        ctx = new_context()
+        r6 = sqrt_nonneg(C(6))
+        sqrt_nonneg(5 + 2 * r6)
+        assert ctx.rational_radicands == [6]
+        r2 = sqrt_nonneg(C(2))
+        assert len(ctx.radicands) == 2
+        assert r2 * r2 == C(2)
+        assert to_prefix(r2) == "+ 0 × + -2 × 1 √ 6 √ + 5 × 2 √ 6"
+
+    def test_square_factor_above_small_primes(self):
+        ctx = new_context()
+        assert to_prefix(sqrt_nonneg(C(72283))) == "+ 0 × 1 √ 72283"
+        assert to_prefix(sqrt_nonneg(C(43))) == "+ 0 × 1/41 √ 72283"
+        assert len(ctx.radicands) == 1
 
 
 class TestSign:
