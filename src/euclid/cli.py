@@ -157,6 +157,10 @@ def _cmd_prop(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    if args.n < 0:
+        print(f"--n must be a non-negative integer, got {args.n}",
+              file=sys.stderr)
+        return 2
     seed = _seed(args)
     ids = verify.SUITE_IDS if args.id == "all" else (args.id,)
     failures = 0

@@ -133,13 +133,7 @@ class PointLit:
     span: Span
 
 
-@dataclass(frozen=True)
-class EndpointWord:
-    word: str  # "a" | "b"
-    span: Span
-
-
-Arg = Union[Name, PointLit, CoordExpr, EndpointWord]
+Arg = Union[Name, PointLit, CoordExpr]
 
 
 @dataclass(frozen=True)
@@ -496,8 +490,6 @@ def check(script: Script) -> list[Diagnostic]:
             return env[arg.ident]
         if isinstance(arg, PointLit):
             return "point"
-        if isinstance(arg, EndpointWord):
-            return "endpoint"
         return "number"
 
     def check_args(span, what, want, got) -> None:
@@ -650,8 +642,6 @@ def interpret(script: Script) -> Interpretation:
             raise ScriptError(arg.span, f"undefined name {arg.ident!r}")
         if isinstance(arg, PointLit):
             return Point(_eval_coord(arg.x), _eval_coord(arg.y))
-        if isinstance(arg, EndpointWord):
-            return arg.word
         return _eval_coord(arg)
 
     def as_line(obj, span) -> Line:
@@ -804,8 +794,6 @@ def _pretty_arg(arg) -> str:
         return arg.ident
     if isinstance(arg, PointLit):
         return f"({arg.x.pretty()}, {arg.y.pretty()})"
-    if isinstance(arg, EndpointWord):
-        return arg.word
     return arg.pretty()
 
 

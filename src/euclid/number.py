@@ -20,13 +20,18 @@ value, or a k above the first nested radicand) takes the general path, a
 recursive scan of the tower levels.  Rational values are context-free;
 irrational values from different contexts must not be mixed
 (``FieldContextError``).
-Long-running batch jobs should call :func:`new_context` between independent
-problem instances so towers stay small.
+
+The current context is per thread and per asyncio task: a thread or task
+that has none gets a fresh one on first use, and :func:`new_context`
+replaces the current context of its caller only.  Long-running batch jobs
+should call :func:`new_context` between independent problem instances so
+towers stay small.
 """
 
 from __future__ import annotations
 
 import threading
+from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Optional, Union
@@ -48,13 +53,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 class FieldContext:
     """A growable tower of quadratic extensions of the rationals."""
 
-    _counter = 0
-    _counter_lock = threading.Lock()
-
     def __init__(self) -> None:
-        with FieldContext._counter_lock:
-            FieldContext._counter += 1
-            self.serial = FieldContext._counter
         self.radicands: list[Node] = []      # radicands[i] generates level i+1
         self.rad_depth: list[int] = []       # nested radical depth of sqrt(radicands[i])
         self.rad_index: dict[Node, int] = {}  # radicand node -> level
@@ -79,25 +78,26 @@ class FieldContext:
             return level
 
 
-_current = FieldContext()
-_current_lock = threading.Lock()
+_current: ContextVar[FieldContext] = ContextVar("euclid_field_context")
 
 
 def new_context() -> FieldContext:
-    """Start a fresh field tower; subsequent radicals are adjoined to it.
+    """Start a fresh field tower for the calling thread or task; subsequent
+    radicals are adjoined to it.
 
     Existing values remain valid (they keep a reference to their own
     context) but irrational values from different contexts cannot be
     combined.
     """
-    global _current
-    with _current_lock:
-        _current = FieldContext()
-        return _current
+    ctx = FieldContext()
+    _current.set(ctx)
+    return ctx
 
 
 def current_context() -> FieldContext:
-    return _current
+    """The calling thread's or task's tower, created on first use."""
+    ctx = _current.get(None)
+    return new_context() if ctx is None else ctx
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def _nscale(x: Node, f: Fraction) -> Node:
     return (level, (_nscale(a, f), _nscale(b, f)))
 
 
-def _nmul(x: Node, y: Node, ctx: FieldContext) -> Node:
+def _nmul(x: Node, y: Node, ctx: Optional[FieldContext]) -> Node:
     lx, ly = x[0], y[0]
     if lx == 0:
         return _nscale(y, x[1])
@@ -177,7 +177,7 @@ def _ninv(x: Node, ctx: FieldContext) -> Node:
     return _mk(level, _nmul(a, inv_den, ctx), _nmul(_nneg(b), inv_den, ctx))
 
 
-def _ndiv(x: Node, y: Node, ctx: FieldContext) -> Node:
+def _ndiv(x: Node, y: Node, ctx: Optional[FieldContext]) -> Node:
     if y[0] == 0:
         if y[1] == 0:
             raise DivisionByZero("division by exact zero")
@@ -264,7 +264,7 @@ def _nsign_exact(x: Node, ctx: FieldContext) -> int:
     return sa if st > 0 else sb
 
 
-def _nsign(x: Node, ctx: FieldContext) -> int:
+def _nsign(x: Node, ctx: Optional[FieldContext]) -> int:
     if x[0] == 0:
         f = x[1]
         return (f > 0) - (f < 0)
@@ -522,9 +522,6 @@ class Constructible:
             "cannot mix irrational values from different field contexts"
         )
 
-    def _ctx_or_current(self) -> FieldContext:
-        return self._ctx if self._ctx is not None else _current
-
     # -- arithmetic ---------------------------------------------------------
 
     @staticmethod
@@ -560,9 +557,7 @@ class Constructible:
         if o is NotImplemented:
             return NotImplemented
         ctx = self._join_ctx(o)
-        return Constructible._wrap(
-            _nmul(self._node, o._node, ctx if ctx is not None else _current), ctx
-        )
+        return Constructible._wrap(_nmul(self._node, o._node, ctx), ctx)
 
     __rmul__ = __mul__
 
@@ -571,9 +566,7 @@ class Constructible:
         if o is NotImplemented:
             return NotImplemented
         ctx = self._join_ctx(o)
-        return Constructible._wrap(
-            _ndiv(self._node, o._node, ctx if ctx is not None else _current), ctx
-        )
+        return Constructible._wrap(_ndiv(self._node, o._node, ctx), ctx)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -608,7 +601,7 @@ class Constructible:
         """Exact trichotomy: -1, 0 or +1."""
         if self._node == _ZERO:
             return 0
-        return _nsign(self._node, self._ctx_or_current())
+        return _nsign(self._node, self._ctx)
 
     def is_zero(self) -> bool:
         return self._node == _ZERO
@@ -638,7 +631,7 @@ class Constructible:
     def __hash__(self):
         if self._node[0] == 0:
             return hash(self._node[1])
-        return hash((self._ctx.serial, self._node))
+        return hash(self._node)
 
     def __bool__(self):
         return self._node != _ZERO
@@ -728,7 +721,7 @@ def sign(a: RationalLike) -> int:
 def sqrt_nonneg(a: RationalLike) -> Constructible:
     """The non-negative square root of a non-negative value."""
     v = _as_value(a)
-    ctx = v._ctx_or_current()
+    ctx = current_context() if v._ctx is None else v._ctx
     return Constructible._wrap(_csqrt(v._node, ctx), ctx)
 
 

@@ -358,26 +358,21 @@ def _shear_pg(rng, a: Point, b: Point, v) -> Figure:
     return Figure([a, b, Point(b.x + w_x, b.y + w_y), Point(a.x + w_x, a.y + w_y)])
 
 
-def _gen_i35(rng):
+def _base_and_offset(rng):
+    """Distinct points a, b and an offset v not parallel to b - a."""
     while True:
         a, b = _distinct_points(rng, 2)
         v = _point(rng) - a
-        if (b - a).cross(v).sign() == 0:
-            continue
-        return {"pg1": _shear_pg(rng, a, b, v), "pg2": _shear_pg(rng, a, b, v)}
+        if (b - a).cross(v).sign() != 0:
+            return a, b, v
 
 
-def _gen_i36(rng):
-    while True:
-        a, b = _distinct_points(rng, 2)
-        v = _point(rng) - a
-        if (b - a).cross(v).sign() == 0:
-            continue
-        r = Fraction(rng.randint(-6, 6), rng.choice((1, 2)))
-        u = b - a
-        a2 = Point(a.x + u.dx * r, a.y + u.dy * r)
-        b2 = Point(b.x + u.dx * r, b.y + u.dy * r)
-        return {"pg1": _shear_pg(rng, a, b, v), "pg2": _shear_pg(rng, a2, b2, v)}
+def _slid_base(rng, a: Point, b: Point) -> tuple[Point, Point]:
+    """The base a, b moved along its own line by a random multiple."""
+    r = Fraction(rng.randint(-6, 6), rng.choice((1, 2)))
+    u = b - a
+    return (Point(a.x + u.dx * r, a.y + u.dy * r),
+            Point(b.x + u.dx * r, b.y + u.dy * r))
 
 
 def _apex_on_parallel(rng, a: Point, b: Point, v) -> Point:
@@ -386,38 +381,34 @@ def _apex_on_parallel(rng, a: Point, b: Point, v) -> Point:
     return Point(a.x + v.dx + u.dx * s, a.y + v.dy + u.dy * s)
 
 
+def _gen_i35(rng):
+    a, b, v = _base_and_offset(rng)
+    return {"pg1": _shear_pg(rng, a, b, v), "pg2": _shear_pg(rng, a, b, v)}
+
+
+def _gen_i36(rng):
+    a, b, v = _base_and_offset(rng)
+    a2, b2 = _slid_base(rng, a, b)
+    return {"pg1": _shear_pg(rng, a, b, v), "pg2": _shear_pg(rng, a2, b2, v)}
+
+
 def _gen_i37(rng):
-    while True:
-        a, b = _distinct_points(rng, 2)
-        v = _point(rng) - a
-        if (b - a).cross(v).sign() == 0:
-            continue
-        return {"t1": Figure([a, b, _apex_on_parallel(rng, a, b, v)]),
-                "t2": Figure([a, b, _apex_on_parallel(rng, a, b, v)])}
+    a, b, v = _base_and_offset(rng)
+    return {"t1": Figure([a, b, _apex_on_parallel(rng, a, b, v)]),
+            "t2": Figure([a, b, _apex_on_parallel(rng, a, b, v)])}
 
 
 def _gen_i38(rng):
-    while True:
-        a, b = _distinct_points(rng, 2)
-        v = _point(rng) - a
-        if (b - a).cross(v).sign() == 0:
-            continue
-        r = Fraction(rng.randint(-6, 6), rng.choice((1, 2)))
-        u = b - a
-        a2 = Point(a.x + u.dx * r, a.y + u.dy * r)
-        b2 = Point(b.x + u.dx * r, b.y + u.dy * r)
-        return {"t1": Figure([a, b, _apex_on_parallel(rng, a, b, v)]),
-                "t2": Figure([a2, b2, _apex_on_parallel(rng, a2, b2, v)])}
+    a, b, v = _base_and_offset(rng)
+    a2, b2 = _slid_base(rng, a, b)
+    return {"t1": Figure([a, b, _apex_on_parallel(rng, a, b, v)]),
+            "t2": Figure([a2, b2, _apex_on_parallel(rng, a2, b2, v)])}
 
 
 def _gen_i41(rng):
-    while True:
-        a, b = _distinct_points(rng, 2)
-        v = _point(rng) - a
-        if (b - a).cross(v).sign() == 0:
-            continue
-        return {"pg": _shear_pg(rng, a, b, v),
-                "t": Figure([a, b, _apex_on_parallel(rng, a, b, v)])}
+    a, b, v = _base_and_offset(rng)
+    return {"pg": _shear_pg(rng, a, b, v),
+            "t": Figure([a, b, _apex_on_parallel(rng, a, b, v)])}
 
 
 _GENERATORS: dict[str, Callable] = {

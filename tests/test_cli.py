@@ -126,6 +126,12 @@ class TestSuite:
         assert captured.err.strip() != ""
         assert "EUCLID_SEED" in captured.err and captured.out == ""
 
+    def test_negative_count(self, capsys):
+        assert main(["suite", "I.1", "--n", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "--n must be a non-negative integer, got -1\n"
+
 
 class TestCompare:
     def test_i44_compare(self, capsys):

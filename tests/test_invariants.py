@@ -16,3 +16,14 @@ def test_no_assert_statements():
         found += [f"{path.relative_to(PACKAGE)}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_global_statements():
+    """Process-wide mutable state stays out: per-caller state lives in
+    objects or context variables, never behind ``global``."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert found == []
