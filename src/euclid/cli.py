@@ -8,7 +8,6 @@ parse error.  The environment variable EUCLID_SEED overrides --seed.
 from __future__ import annotations
 
 import argparse
-import inspect
 import os
 import random
 import sys
@@ -31,9 +30,9 @@ def _seed(args) -> int:
         raise SystemExit(2)
 
 
-def _load_instance(path: str, base: str):
-    """Bind the objects of a declaration script to a proposition's
-    parameters, in declaration order."""
+def _checked_script(path: str) -> dsl.Script:
+    """Read, parse and check a script; print the diagnostics and exit 2
+    unless it is clean."""
     try:
         text = open(path, encoding="utf-8").read()
     except OSError as e:
@@ -45,6 +44,13 @@ def _load_instance(path: str, base: str):
         for d in diags:
             print(d, file=sys.stderr)
         raise SystemExit(2)
+    return script
+
+
+def _load_instance(path: str, base: str):
+    """Bind the objects of a declaration script to a proposition's
+    parameters, in declaration order."""
+    script = _checked_script(path)
     try:
         inter = dsl.interpret(script)
     except dsl.ScriptError as e:
@@ -84,17 +90,7 @@ def _instance(args, base: str) -> dict:
 
 
 def _cmd_run(args) -> int:
-    try:
-        text = open(args.script, encoding="utf-8").read()
-    except OSError as e:
-        print(e, file=sys.stderr)
-        return 2
-    script, diags = dsl.parse(text)
-    diags += dsl.check(script)
-    if any(d.severity == "error" for d in diags):
-        for d in diags:
-            print(d, file=sys.stderr)
-        return 2
+    script = _checked_script(args.script)
     try:
         inter = dsl.interpret(script)
     except dsl.ScriptError as e:
@@ -124,8 +120,7 @@ def _cmd_prop(args) -> int:
             strategy not in elements.STRATEGIES.get(base, ()):
         print(f"{base} has no strategy {strategy!r}", file=sys.stderr)
         return 2
-    if args.side and "side" not in inspect.signature(
-            elements.PROPOSITIONS[base].fn).parameters:
+    if args.side and not elements.PROPOSITIONS[base].takes_side:
         print(f"{base} takes no --side", file=sys.stderr)
         return 2
     kwargs = _instance(args, base)

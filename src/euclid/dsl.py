@@ -17,6 +17,10 @@ Coordinates are rationals or explicit sqrt(...) expressions combined with
 Intersection selectors are ``first``/``second`` (canonical lexicographic
 order), ``left_of(r)``/``right_of(r)`` for a ray, and
 ``same_side(l, P)``/``opposite_side(l, P)`` for a line and a point.
+
+Each word is one ``Word`` record in ``PRIMITIVES``, ``PREDICATES`` or
+``SELECTORS``, which the parser, ``check`` and ``interpret`` all read; the
+type words are the lower-case names of the classes the primitives bind.
 Grammar (EBNF) ships in the package documentation.
 """
 
@@ -24,10 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from . import elements
-from .errors import EuclidError, NoSuchIntersection
+from .errors import DegenerateInput, EuclidError, NoSuchIntersection
 from .geom import (
     Angle,
     Circle,
@@ -35,6 +39,7 @@ from .geom import (
     Line,
     Point,
     Ray,
+    Segment,
     angle_eq,
     collinear,
     content,
@@ -48,12 +53,114 @@ from .geom import (
 from .number import Constructible, sqrt_nonneg
 from .trace import Tracer, describe_object, trace_lines
 
-TYPES = ("point", "segment", "line", "ray", "circle", "angle", "figure")
-PRIMITIVES = ("join", "extend", "circle", "intersect", "angle", "figure")
-PREDICATES = ("seg_eq", "angle_eq", "area_eq", "parallel", "right_angle",
-              "collinear")
-SELECTOR_WORDS = ("first", "second", "left_of", "right_of", "same_side",
-                  "opposite_side")
+
+# ---------------------------------------------------------------------------
+# words
+
+
+@dataclass(frozen=True)
+class Word:
+    """One script word: its argument type words (the last repeats when
+    ``repeats`` is set), its implementation, and the geom classes a
+    declaration can bind from it (none for a predicate or a selector).
+
+    A primitive runs as ``run(tracer, declared_type, *args, [choice])``, a
+    predicate as ``run(*args) -> bool``, and a selector as ``run(*args)``
+    returning the choice that ``Tracer.pick`` takes.
+    """
+
+    args: tuple[str, ...]
+    run: Callable
+    binds: tuple[type, ...] = ()
+    repeats: bool = False
+
+    @property
+    def types(self) -> tuple[str, ...]:
+        """The type words a declaration can bind from this word."""
+        return tuple(cls.__name__.lower() for cls in self.binds)
+
+
+def _registered(tr: Tracer, obj):
+    tr.register_input(obj)
+    return obj
+
+
+def _intersect(tr: Tracer, declared, a, b, chosen="only") -> Point:
+    if isinstance(a, Circle) and isinstance(b, Circle):
+        pts = intersect_circles(a, b)
+    elif isinstance(a, Circle):
+        pts = intersect_line_circle(b.line(), a)
+    elif isinstance(b, Circle):
+        pts = intersect_line_circle(a.line(), b)
+    else:
+        got = intersect_lines(a.line(), b.line())
+        pts = [got] if isinstance(got, Point) else []
+    return tr.pick(pts, chosen, note="intersect", operands=(a, b))
+
+
+def _turn(want: int):
+    """Pick the point on the left (+1) or right (-1) of a ray."""
+    def select(ray: Ray):
+        d = ray.direction()
+        return lambda p: d.cross(p - ray.origin).sign() == want
+    return select
+
+
+def _side(same: int):
+    """Pick the point on the same (+1) or opposite (-1) side as a probe."""
+    def select(line, probe: Point):
+        ref = line.line()
+        s = ref.side_of(probe)
+        if s == 0:
+            raise DegenerateInput("reference point lies on the line")
+        return lambda p: ref.side_of(p) == same * s
+    return select
+
+
+PRIMITIVES = {
+    "join": Word(("point", "point"),
+                 lambda tr, declared, p, q: (tr.join_line(p, q)
+                                             if declared == "line"
+                                             else tr.join(p, q)),
+                 (Segment, Line)),
+    "extend": Word(("segment", "endpoint"),
+                   lambda tr, declared, s, end: tr.extend(s, end), (Ray,)),
+    "circle": Word(("point", "point"),
+                   lambda tr, declared, c, p: tr.circle(c, p), (Circle,)),
+    "intersect": Word(("curve", "curve"), _intersect, (Point,)),
+    "angle": Word(("point", "point", "point"),
+                  lambda tr, declared, *pts: _registered(tr, Angle(*pts)),
+                  (Angle,)),
+    "figure": Word(("point", "point", "point"),
+                   lambda tr, declared, *pts: _registered(tr, Figure(pts)),
+                   (Figure,), repeats=True),
+}
+
+PREDICATES = {
+    "seg_eq": Word(("segment", "segment"), segment_eq),
+    "angle_eq": Word(("angle", "angle"), angle_eq),
+    "area_eq": Word(("figure", "figure"),
+                    lambda f, g: (content(f) - content(g)).is_zero()),
+    "parallel": Word(("line", "line"),
+                     lambda l, m: parallel(l.line(), m.line())),
+    "right_angle": Word(("angle",), is_right),
+    "collinear": Word(("point", "point", "point"), collinear),
+}
+
+SELECTORS = {
+    "first": Word((), lambda: "first"),
+    "second": Word((), lambda: "second"),
+    "left_of": Word(("ray",), _turn(1)),
+    "right_of": Word(("ray",), _turn(-1)),
+    "same_side": Word(("line", "point"), _side(1)),
+    "opposite_side": Word(("line", "point"), _side(-1)),
+}
+
+TYPES = tuple(dict.fromkeys(t for w in PRIMITIVES.values() for t in w.types))
+
+# an argument of the key type also accepts these types
+_ACCEPTS = {"line": ("line", "segment", "ray"),
+            "curve": ("line", "segment", "ray", "circle")}
 
 
 @dataclass(frozen=True)
@@ -344,12 +451,10 @@ class _LineParser:
 
     def selector(self) -> Optional[Selector]:
         t = self.peek()
-        if t.kind != "word" or t.text not in SELECTOR_WORDS:
+        if t.kind != "word" or t.text not in SELECTORS:
             return None
         self.advance()
-        if t.text in ("first", "second"):
-            return Selector(t.text, (), t.span)
-        args = self.arg_list()
+        args = self.arg_list() if SELECTORS[t.text].args else ()
         return Selector(t.text, args, t.span)
 
     # statements --------------------------------------------------------
@@ -377,7 +482,7 @@ class _LineParser:
         type_tok = self.advance()
         first = self.expect_word()
         names = [Name(first.text, first.span)]
-        while self.peek().kind == "punct" and self.peek().text == ",":
+        if self.peek().kind == "punct" and self.peek().text == ",":
             self.advance()
             tok = self.expect_word()
             names.append(Name(tok.text, tok.span))
@@ -448,32 +553,6 @@ def parse(text: str) -> tuple[Script, list[Diagnostic]]:
 # static checking
 
 
-_CALL_SIGNATURES = {
-    "join": ("point", "point"),
-    "extend": ("segment", "endpoint"),
-    "circle": ("point", "point"),
-    "angle": ("point", "point", "point"),
-}
-
-_CALL_RESULTS = {
-    "join": ("segment", "line"),
-    "extend": ("ray",),
-    "circle": ("circle",),
-    "intersect": ("point",),
-    "angle": ("angle",),
-    "figure": ("figure",),
-}
-
-_PREDICATE_SIGNATURES = {
-    "seg_eq": ("segment", "segment"),
-    "angle_eq": ("angle", "angle"),
-    "area_eq": ("figure", "figure"),
-    "parallel": ("line", "line"),
-    "right_angle": ("angle",),
-    "collinear": ("point", "point", "point"),
-}
-
-
 def check(script: Script) -> list[Diagnostic]:
     """Definition-before-use, single definition, arity and type checks."""
     diags: list[Diagnostic] = []
@@ -492,18 +571,18 @@ def check(script: Script) -> list[Diagnostic]:
             return "point"
         return "number"
 
-    def check_args(span, what, want, got) -> None:
+    def check_args(span, what, want, args, repeats=False) -> None:
+        got = [arg_type(a) for a in args]
+        if repeats and len(got) > len(want):
+            want = want + want[-1:] * (len(got) - len(want))
         if len(want) != len(got):
+            least = "at least " if repeats else ""
             diags.append(Diagnostic(span, "error",
-                                    f"{what} takes {len(want)} arguments, "
-                                    f"got {len(got)}"))
+                                    f"{what} takes {least}{len(want)} "
+                                    f"arguments, got {len(got)}"))
             return
         for w, g in zip(want, got):
-            if g in ("unknown",):
-                continue
-            if w == "line" and g in ("line", "segment", "ray"):
-                continue
-            if w != g:
+            if g != "unknown" and g not in _ACCEPTS.get(w, (w,)):
                 diags.append(Diagnostic(
                     span, "error",
                     f"{what} expects ({', '.join(want)}), got {g!r}"))
@@ -511,37 +590,20 @@ def check(script: Script) -> list[Diagnostic]:
 
     for st in script.statements:
         if isinstance(st, Assertion):
-            want = _PREDICATE_SIGNATURES[st.predicate]
-            got = [arg_type(a) for a in st.args]
-            check_args(st.span, f"assert {st.predicate}", want, got)
+            check_args(st.span, f"assert {st.predicate}",
+                       PREDICATES[st.predicate].args, st.args)
             continue
         expr = st.expr
         if isinstance(expr, PointLit):
             result_types = ("point",)
         elif isinstance(expr, Call):
-            got = [arg_type(a) for a in expr.args]
-            if expr.fn == "figure":
-                if len(got) < 3:
-                    diags.append(Diagnostic(expr.span, "error",
-                                            "figure needs at least 3 points"))
-                elif any(g not in ("point", "unknown") for g in got):
-                    diags.append(Diagnostic(expr.span, "error",
-                                            "figure takes points"))
-            elif expr.fn == "intersect":
-                if len(got) != 2:
-                    diags.append(Diagnostic(expr.span, "error",
-                                            "intersect takes 2 arguments"))
-                elif any(g not in ("line", "segment", "ray", "circle",
-                                   "unknown") for g in got):
-                    diags.append(Diagnostic(expr.span, "error",
-                                            "intersect takes lines or circles"))
-                if expr.selector is not None:
-                    for a in expr.selector.args:
-                        arg_type(a)
-            else:
-                check_args(expr.span, expr.fn,
-                           _CALL_SIGNATURES[expr.fn], got)
-            result_types = _CALL_RESULTS[expr.fn]
+            word = PRIMITIVES[expr.fn]
+            check_args(expr.span, expr.fn, word.args, expr.args, word.repeats)
+            sel = expr.selector
+            if sel is not None:
+                check_args(sel.span, sel.kind, SELECTORS[sel.kind].args,
+                           sel.args)
+            result_types = word.types
         else:  # PropCall
             try:
                 base, id_strategy = elements.split_identifier(expr.prop_id)
@@ -551,14 +613,16 @@ def check(script: Script) -> list[Diagnostic]:
                 base, id_strategy = None, None
             if base is not None:
                 prop = elements.PROPOSITIONS[base]
-                got = [arg_type(a) for a in expr.args]
                 check_args(expr.span, expr.prop_id,
-                           tuple(w for _, w in prop.params), got)
+                           tuple(w for _, w in prop.params), expr.args)
                 strategy = expr.strategy or id_strategy
                 if strategy is not None and strategy not in prop.strategies:
                     diags.append(Diagnostic(
                         expr.span, "error",
                         f"{base} has no strategy {strategy!r}"))
+                if expr.side is not None and not prop.takes_side:
+                    diags.append(Diagnostic(expr.span, "error",
+                                            f"{base} takes no side"))
                 result_types = (prop.result,)
             else:
                 result_types = ("unknown",)
@@ -633,7 +697,7 @@ def interpret(script: Script) -> Interpretation:
     tr = Tracer("script")
     outcomes: list[AssertionOutcome] = []
 
-    def value(arg, span=None):
+    def value(arg):
         if isinstance(arg, Name):
             if arg.ident in env:
                 return env[arg.ident]
@@ -644,49 +708,17 @@ def interpret(script: Script) -> Interpretation:
             return Point(_eval_coord(arg.x), _eval_coord(arg.y))
         return _eval_coord(arg)
 
-    def as_line(obj, span) -> Line:
-        try:
-            return obj.line()
-        except AttributeError:
-            raise ScriptError(span, "expected a line-like object")
-
-    def run_intersect(expr: Call):
-        a = value(expr.args[0])
-        b = value(expr.args[1])
-        if isinstance(a, Circle) and isinstance(b, Circle):
-            pts = intersect_circles(a, b)
-        elif isinstance(a, Circle):
-            pts = intersect_line_circle(as_line(b, expr.span), a)
-        elif isinstance(b, Circle):
-            pts = intersect_line_circle(as_line(a, expr.span), b)
-        else:
-            got = intersect_lines(as_line(a, expr.span), as_line(b, expr.span))
-            pts = [got] if isinstance(got, Point) else []
+    def run_call(expr: Call, declared: str):
+        args = [value(a) for a in expr.args]
         sel = expr.selector
-        if sel is None:
-            chosen = "only"
-        elif sel.kind in ("first", "second"):
-            chosen = sel.kind
-        else:
-            operand = value(sel.args[0])
-            if sel.kind in ("left_of", "right_of"):
-                if not isinstance(operand, Ray):
-                    raise ScriptError(sel.span, "selector needs a ray")
-                want = 1 if sel.kind == "left_of" else -1
-                d = operand.direction()
-                chosen = lambda p: d.cross(p - operand.origin).sign() == want
-            else:
-                ref = as_line(operand, sel.span)
-                probe = value(sel.args[1])
-                s = ref.side_of(probe)
-                if s == 0:
-                    raise ScriptError(sel.span,
-                                      "reference point lies on the line")
-                want = s if sel.kind == "same_side" else -s
-                chosen = lambda p: ref.side_of(p) == want
+        if sel is not None:
+            sel_args = [value(a) for a in sel.args]
+            try:
+                args.append(SELECTORS[sel.kind].run(*sel_args))
+            except DegenerateInput as e:
+                raise ScriptError(sel.span, str(e))
         try:
-            return tr.pick(pts, chosen, note="intersect",
-                           operands=(a, b))
+            return PRIMITIVES[expr.fn].run(tr, declared, *args)
         except NoSuchIntersection as e:
             raise ScriptError(expr.span, str(e))
 
@@ -713,37 +745,18 @@ def interpret(script: Script) -> Interpretation:
         try:
             if isinstance(st, Assertion):
                 args = [value(a) for a in st.args]
-                passed = _run_predicate(st.predicate, args, st.span)
+                passed = PREDICATES[st.predicate].run(*args)
                 text = (f"{st.predicate}"
                         f"({', '.join(describe_object(a) for a in args)})")
                 outcomes.append(AssertionOutcome(st.span, text, passed))
                 continue
             expr = st.expr
             if isinstance(expr, PointLit):
-                got = value(expr)
-                tr.register_input(got)
+                got = _registered(tr, value(expr))
             elif isinstance(expr, PropCall):
                 got = run_prop(expr)
-            elif expr.fn == "join":
-                p, q = value(expr.args[0]), value(expr.args[1])
-                got = tr.join_line(p, q) if st.type == "line" else tr.join(p, q)
-            elif expr.fn == "extend":
-                endpoint = value(expr.args[1])
-                if endpoint not in ("a", "b"):
-                    raise ScriptError(st.span,
-                                      "extend needs an endpoint word a or b")
-                got = tr.extend(value(expr.args[0]), endpoint)
-            elif expr.fn == "circle":
-                got = tr.circle(value(expr.args[0]), value(expr.args[1]))
-            elif expr.fn == "intersect":
-                got = run_intersect(expr)
-            elif expr.fn == "angle":
-                got = Angle(value(expr.args[0]), value(expr.args[1]),
-                            value(expr.args[2]))
-                tr.register_input(got)
-            else:  # figure
-                got = Figure([value(a) for a in expr.args])
-                tr.register_input(got)
+            else:
+                got = run_call(expr, st.type)
             if isinstance(got, tuple):
                 for name, obj in zip(st.names, got):
                     env[name.ident] = obj
@@ -754,23 +767,6 @@ def interpret(script: Script) -> Interpretation:
         except EuclidError as e:
             raise ScriptError(st.span, f"{type(e).__name__}: {e}")
     return Interpretation(env, tr, outcomes)
-
-
-def _run_predicate(predicate: str, args, span) -> bool:
-    try:
-        if predicate == "seg_eq":
-            return segment_eq(args[0], args[1])
-        if predicate == "angle_eq":
-            return angle_eq(args[0], args[1])
-        if predicate == "area_eq":
-            return (content(args[0]) - content(args[1])).is_zero()
-        if predicate == "parallel":
-            return parallel(args[0].line(), args[1].line())
-        if predicate == "right_angle":
-            return is_right(args[0])
-        return collinear(args[0], args[1], args[2])
-    except AttributeError:
-        raise ScriptError(span, f"bad arguments for {predicate}")
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +807,7 @@ def _pretty_expr(expr) -> str:
     args = ", ".join(_pretty_arg(a) for a in expr.args)
     text = f"{expr.fn}({args})"
     if expr.selector is not None:
-        if expr.selector.args:
+        if SELECTORS[expr.selector.kind].args:
             sel_args = ", ".join(_pretty_arg(a) for a in expr.selector.args)
             text += f" {expr.selector.kind}({sel_args})"
         else:

@@ -7,6 +7,7 @@ identifier such as "I.44.alnayrizi".
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -53,6 +54,11 @@ class Proposition:
     params: tuple[tuple[str, str], ...]
     result: str
     strategies: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def takes_side(self) -> bool:
+        """Whether the construction takes a ``side`` keyword."""
+        return "side" in inspect.signature(self.fn).parameters
 
 
 PROPOSITIONS = {

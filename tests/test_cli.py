@@ -6,7 +6,12 @@ import pytest
 from euclid.cli import main
 from euclid.number import new_context
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+TESTS = Path(__file__).resolve().parent
+SCRIPTS = TESTS.parent / "scripts"
+
+SELECTOR_BASE = ("point A = (0,0)\npoint B = (2,0)\nsegment s = join(A, B)\n"
+                 "ray r = extend(s, b)\n"
+                 "circle c1 = circle(A, B)\ncircle c2 = circle(B, A)\n")
 
 
 @pytest.fixture(autouse=True)
@@ -52,6 +57,42 @@ class TestRun:
         main(["run", str(SCRIPTS / "i44.euc"), "--trace"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_every_word_trace_pinned(self, capsys):
+        assert main(["run", str(TESTS / "every_word.euc"), "--trace"]) == 0
+        expected = (TESTS / "every_word.out").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("selector, message", [
+        ("left_of()", "left_of takes 1 arguments, got 0"),
+        ("same_side(s)", "same_side takes 2 arguments, got 1"),
+        ("left_of(c1)", "left_of expects (ray), got 'circle'"),
+    ])
+    def test_selector_arguments_exit_2(self, tmp_path, capsys, selector,
+                                       message):
+        script = tmp_path / "sel.euc"
+        script.write_text(SELECTOR_BASE
+                          + f"point P = intersect(c1, c2) {selector}\n")
+        assert main(["run", str(script)]) == 2
+        assert f"7:29: error: {message}" in capsys.readouterr().err
+        assert main(["prop", "I.1", "--input", str(script)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_side_on_proposition_without_side(self, tmp_path, capsys):
+        script = tmp_path / "side.euc"
+        script.write_text("angle d = angle((0,0),(1,0),(0,1))\n"
+                          "figure f = figure((0,0),(4,0),(0,3))\n"
+                          "figure p = prop I.45 (d, f) side upper\n")
+        assert main(["run", str(script)]) == 2
+        assert "I.45 takes no side" in capsys.readouterr().err
+
+    def test_three_names_exit_2(self, tmp_path, capsys):
+        script = tmp_path / "three.euc"
+        script.write_text("figure pg = figure((0,0), (4,0), (6,3), (2,3))\n"
+                          "point K = (2, 1)\n"
+                          "figure u, v, w = prop I.43 (pg, K)\n")
+        assert main(["run", str(script)]) == 2
+        assert "3:12: error: expected '='" in capsys.readouterr().err
 
 
 class TestProp:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,13 @@ from euclid.dsl import ScriptError, check, interpret, parse, pretty
 from euclid.geom import Point
 from euclid.number import Constructible, new_context, sqrt_nonneg
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+EVERY_WORD = ROOT / "tests" / "every_word.euc"
+
+SELECTOR_BASE = ("point A = (0,0)\npoint B = (2,0)\nsegment s = join(A, B)\n"
+                 "line l = join(A, B)\nray r = extend(s, b)\n"
+                 "circle c1 = circle(A, B)\ncircle c2 = circle(B, A)\n")
 
 
 @pytest.fixture(autouse=True)
@@ -57,6 +64,15 @@ class TestParse:
         for d in diags:
             assert 1 <= d.span.line <= len(lines)
             assert 1 <= d.span.col <= len(lines[d.span.line - 1]) + 1
+
+    def test_at_most_two_names(self):
+        text = ("figure pg = figure((0,0), (4,0), (6,3), (2,3))\n"
+                "point K = (2, 1)\n"
+                "figure u, v, w = prop I.43 (pg, K)\n")
+        script, diags = parse(text)
+        assert [(d.span.line, d.message) for d in diags] == [
+            (3, "expected '='")]
+        assert len(script.statements) == 2
 
     def test_radical_coordinates(self):
         inter = run("point P = (sqrt(3)/2, 1/2)\n")
@@ -113,6 +129,86 @@ class TestCheck:
         diags = check(script)
         assert [d.message for d in diags] == [
             f"unknown proposition {prop_id!r}"]
+
+    @pytest.mark.parametrize("selector, message", [
+        ("left_of()", "left_of takes 1 arguments, got 0"),
+        ("left_of(c1)", "left_of expects (ray), got 'circle'"),
+        ("right_of(r, l)", "right_of takes 1 arguments, got 2"),
+        ("same_side(l)", "same_side takes 2 arguments, got 1"),
+        ("opposite_side(c2, A)",
+         "opposite_side expects (line, point), got 'circle'"),
+        ("same_side(r, Z)", "use of undefined name 'Z'"),
+    ])
+    def test_selector_arguments(self, selector, message):
+        script, diags = parse(
+            SELECTOR_BASE + f"point P = intersect(c1, c2) {selector}\n")
+        assert not diags
+        assert [d.message for d in check(script)] == [message]
+
+    def test_selector_line_accepts_segment_and_ray(self):
+        script, _ = parse(SELECTOR_BASE
+                          + "point P = intersect(c1, c2) same_side(s, (0,1))\n"
+                          + "point Q = intersect(c1, c2) same_side(r, (0,1))\n")
+        assert check(script) == []
+
+    def test_side_on_proposition_without_side(self):
+        text = ("angle d = angle((0,0),(1,0),(0,1))\n"
+                "figure f = figure((0,0),(4,0),(0,3))\n"
+                "figure p = prop I.45 (d, f) side upper\n")
+        script, _ = parse(text)
+        assert [d.message for d in check(script)] == ["I.45 takes no side"]
+
+    @pytest.mark.parametrize("call, message", [
+        ("figure f = figure(A, B)", "figure takes at least 3 arguments, got 2"),
+        ("figure f = figure(A, B, c1)",
+         "figure expects (point, point, point), got 'circle'"),
+        ("point P = intersect(A, c1)",
+         "intersect expects (curve, curve), got 'point'"),
+        ("point P = intersect(c1)", "intersect takes 2 arguments, got 1"),
+    ])
+    def test_irregular_words(self, call, message):
+        script, _ = parse(SELECTOR_BASE + call + "\n")
+        assert [d.message for d in check(script)] == [message]
+
+
+def _grammar_words(rule: str) -> set[str]:
+    """The quoted words of one rule of docs/grammar.ebnf."""
+    text = (ROOT / "docs" / "grammar.ebnf").read_text()
+    body = re.search(rf"^{rule}\s*=(.*?);", text, re.M | re.S).group(1)
+    return set(re.findall(r'"([a-z_]+)"', body))
+
+
+class TestWords:
+    def test_every_word_script_uses_every_word(self):
+        script, diags = parse(EVERY_WORD.read_text())
+        assert not diags and check(script) == []
+        decls = [st for st in script.statements if isinstance(st, dsl.Decl)]
+        calls = [st.expr for st in decls if isinstance(st.expr, dsl.Call)]
+        assert {st.type for st in decls} == set(dsl.TYPES)
+        assert {c.fn for c in calls} == set(dsl.PRIMITIVES)
+        assert {c.selector.kind for c in calls if c.selector} == set(
+            dsl.SELECTORS)
+        assert {st.predicate for st in script.statements
+                if isinstance(st, dsl.Assertion)} == set(dsl.PREDICATES)
+
+    @pytest.mark.parametrize("rule, words", [
+        ("type", dsl.TYPES),
+        ("primitive call", dsl.PRIMITIVES),
+        ("selector", dsl.SELECTORS),
+        ("predicate", dsl.PREDICATES),
+    ])
+    def test_grammar_lists_the_registry(self, rule, words):
+        assert _grammar_words(rule) == set(words)
+
+    def test_type_word_is_class_name(self):
+        # cli binds proposition parameters by the lower-case class name
+        script, _ = parse(EVERY_WORD.read_text())
+        inter = interpret(script)
+        for st in script.statements:
+            if isinstance(st, dsl.Decl):
+                for name in st.names:
+                    obj = inter.env[name.ident]
+                    assert type(obj).__name__.lower() == st.type
 
 
 class TestInterpret:
