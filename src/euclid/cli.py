@@ -40,7 +40,7 @@ def _checked_script(path: str) -> dsl.Script:
         raise SystemExit(2)
     script, diags = dsl.parse(text)
     diags += dsl.check(script)
-    if any(d.severity == "error" for d in diags):
+    if diags:
         for d in diags:
             print(d, file=sys.stderr)
         raise SystemExit(2)
@@ -126,14 +126,15 @@ def _cmd_prop(args) -> int:
     kwargs = _instance(args, base)
     if args.side:
         kwargs["side"] = args.side
+    call = elements.strategy_kwargs(strategy, kwargs)
     try:
-        result = elements.CONSTRUCTIONS[base](
-            **elements.strategy_kwargs(strategy, kwargs))
+        result = elements.CONSTRUCTIONS[base](**call)
+        checks = elements.certify(base, call, result)
     except EuclidError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
     print(f"# {result.prop_id}")
-    for line in result.report_lines():
+    for line in checks.lines():
         print(line)
     if base == "I.45":
         print(f"triangles: {len(result.objects['triangles'])}")
@@ -147,8 +148,7 @@ def _cmd_prop(args) -> int:
         with open(args.svg, "wb") as f:
             f.write(render_result(result))
         print(f"wrote {args.svg}")
-    ok = all(chk.passed for chk in result.verification)
-    return 0 if ok else 1
+    return 0 if checks.all_pass else 1
 
 
 def _cmd_suite(args) -> int:

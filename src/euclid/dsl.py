@@ -95,6 +95,8 @@ def _intersect(tr: Tracer, declared, a, b, chosen="only") -> Point:
     else:
         got = intersect_lines(a.line(), b.line())
         pts = [got] if isinstance(got, Point) else []
+    # a segment or a ray keeps only the points that lie on it
+    pts = [p for p in pts if a.contains(p) and b.contains(p)]
     return tr.pick(pts, chosen, note="intersect", operands=(a, b))
 
 
@@ -175,13 +177,12 @@ class Span:
 @dataclass
 class Diagnostic:
     span: Span
-    severity: str  # "error" | "warning"
     message: str
     note: str = ""
 
     def __str__(self):
         note = f" ({self.note})" if self.note else ""
-        return f"{self.span}: {self.severity}: {self.message}{note}"
+        return f"{self.span}: error: {self.message}{note}"
 
 
 # --- coordinate expressions -------------------------------------------------
@@ -331,7 +332,7 @@ def _lex_line(text: str, line_no: int, diags: list[Diagnostic]) -> list[Token]:
             out.append(Token("punct", ch, span))
             i += 1
             continue
-        diags.append(Diagnostic(span, "error", f"unexpected character {ch!r}"))
+        diags.append(Diagnostic(span, f"unexpected character {ch!r}"))
         i += 1
     out.append(Token("end", "", Span(line_no, n + 1)))
     return out
@@ -357,7 +358,7 @@ class _LineParser:
         return t
 
     def error(self, message: str, note: str = "") -> None:
-        self.diags.append(Diagnostic(self.peek().span, "error", message, note))
+        self.diags.append(Diagnostic(self.peek().span, message, note))
         raise _ParseAbort
 
     def expect_punct(self, ch: str) -> Token:
@@ -563,7 +564,7 @@ def check(script: Script) -> list[Diagnostic]:
             if arg.ident in ("a", "b") and arg.ident not in env:
                 return "endpoint"
             if arg.ident not in env:
-                diags.append(Diagnostic(arg.span, "error",
+                diags.append(Diagnostic(arg.span,
                                         f"use of undefined name {arg.ident!r}"))
                 return "unknown"
             return env[arg.ident]
@@ -577,15 +578,14 @@ def check(script: Script) -> list[Diagnostic]:
             want = want + want[-1:] * (len(got) - len(want))
         if len(want) != len(got):
             least = "at least " if repeats else ""
-            diags.append(Diagnostic(span, "error",
+            diags.append(Diagnostic(span,
                                     f"{what} takes {least}{len(want)} "
                                     f"arguments, got {len(got)}"))
             return
         for w, g in zip(want, got):
             if g != "unknown" and g not in _ACCEPTS.get(w, (w,)):
                 diags.append(Diagnostic(
-                    span, "error",
-                    f"{what} expects ({', '.join(want)}), got {g!r}"))
+                    span, f"{what} expects ({', '.join(want)}), got {g!r}"))
                 return
 
     for st in script.statements:
@@ -608,7 +608,7 @@ def check(script: Script) -> list[Diagnostic]:
             try:
                 base, id_strategy = elements.split_identifier(expr.prop_id)
             except EuclidError:
-                diags.append(Diagnostic(expr.span, "error",
+                diags.append(Diagnostic(expr.span,
                                         f"unknown proposition {expr.prop_id!r}"))
                 base, id_strategy = None, None
             if base is not None:
@@ -618,28 +618,28 @@ def check(script: Script) -> list[Diagnostic]:
                 strategy = expr.strategy or id_strategy
                 if strategy is not None and strategy not in prop.strategies:
                     diags.append(Diagnostic(
-                        expr.span, "error",
-                        f"{base} has no strategy {strategy!r}"))
+                        expr.span, f"{base} has no strategy {strategy!r}"))
                 if expr.side is not None and not prop.takes_side:
-                    diags.append(Diagnostic(expr.span, "error",
-                                            f"{base} takes no side"))
+                    diags.append(Diagnostic(expr.span, f"{base} takes no side"))
+                elif expr.side not in (None, "upper", "lower"):
+                    diags.append(Diagnostic(
+                        expr.span, "side must be 'upper' or 'lower', "
+                        f"got {expr.side!r}"))
                 result_types = (prop.result,)
             else:
                 result_types = ("unknown",)
         if st.type not in result_types and "unknown" not in result_types:
             diags.append(Diagnostic(
-                st.span, "error",
-                f"a {st.type} cannot be bound from this expression "
+                st.span, f"a {st.type} cannot be bound from this expression "
                 f"(it yields {result_types[0]})"))
         for name in st.names:
             if name.ident in env:
-                diags.append(Diagnostic(name.span, "error",
+                diags.append(Diagnostic(name.span,
                                         f"{name.ident!r} is already defined"))
             env[name.ident] = st.type
         if len(st.names) == 2 and not (
                 isinstance(expr, PropCall) and expr.prop_id.startswith("I.43")):
-            diags.append(Diagnostic(st.span, "error",
-                                    "only prop I.43 yields a pair"))
+            diags.append(Diagnostic(st.span, "only prop I.43 yields a pair"))
     return diags
 
 
@@ -724,22 +724,22 @@ def interpret(script: Script) -> Interpretation:
 
     def run_prop(expr: PropCall):
         base, id_strategy = elements.split_identifier(expr.prop_id)
-        fn = elements.CONSTRUCTIONS[base]
-        args = [value(a) for a in expr.args]
-        kwargs = {}
+        params = elements.PROPOSITIONS[base].params
+        call = {name: value(a) for (name, _), a in zip(params, expr.args)}
         strategy = expr.strategy or id_strategy
         if strategy is not None:
-            kwargs["strategy"] = strategy
+            call["strategy"] = strategy
         if expr.side is not None:
-            kwargs["side"] = expr.side
+            call["side"] = expr.side
         sub = tr.sub(base)
-        result = fn(*args, tracer=sub, **kwargs)
-        produced = result.result
-        if isinstance(produced, tuple):
-            tr.attach(sub, operands=(), produced=produced)
-        else:
-            tr.attach(sub, operands=(), produced=(produced,))
-        return result.result
+        result = elements.CONSTRUCTIONS[base](tracer=sub, **call)
+        checks = elements.certify(base, call, result)
+        if not checks.all_pass:
+            failed = "; ".join(c for c, ok, _ in checks.claims if not ok)
+            raise ScriptError(expr.span, f"{base} fails: {failed}")
+        got = result.result
+        tr.attach(sub, produced=got if isinstance(got, tuple) else (got,))
+        return got
 
     for st in script.statements:
         try:

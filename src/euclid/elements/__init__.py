@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import UnknownProposition
+from ..trace import Checks, PropositionResult
+from . import areas, basics, instances as gen, triangles
 from .basics import (
     p1_equilateral,
     p2_place,
@@ -41,18 +43,22 @@ from .areas import (
     tinemue_matching_angle,
     triangulate,
 )
-from .theorems import THEOREM_IDS, check_theorem
+from .theorems import THEOREM_IDS, THEOREMS, check_theorem
 
 
 @dataclass(frozen=True)
 class Proposition:
     """One construction: its function, its positional parameters as
-    (name, type word) pairs, the type of its principal result, and its
-    variant strategies in order, each with its identifier suffix."""
+    (name, type word) pairs, the type of its principal result, its instance
+    generator ``generate(rng) -> kwargs``, its postcondition ``post(checks,
+    call, result)`` on ``result = fn(**call)``, and its variant strategies
+    in order, each with its identifier suffix."""
 
     fn: Callable
     params: tuple[tuple[str, str], ...]
     result: str
+    generate: Callable
+    post: Callable
     strategies: dict[str, str] = field(default_factory=dict)
 
     @property
@@ -62,42 +68,52 @@ class Proposition:
 
 
 PROPOSITIONS = {
-    "I.1": Proposition(p1_equilateral, (("ab", "segment"),), "figure"),
+    "I.1": Proposition(p1_equilateral, (("ab", "segment"),), "figure",
+                       gen.i1, basics.post_i1),
     "I.2": Proposition(p2_place, (("a", "point"), ("bc", "segment")),
-                       "segment"),
+                       "segment", gen.i2, basics.post_i2),
     "I.3": Proposition(p3_cut, (("greater", "segment"), ("less", "segment")),
-                       "point"),
-    "I.9": Proposition(p9_bisect_angle, (("angle", "angle"),), "ray"),
-    "I.10": Proposition(p10_bisect_segment, (("ab", "segment"),), "point"),
-    "I.11": Proposition(p11_perp_at, (("l", "line"), ("c", "point")), "line"),
+                       "point", gen.i3, basics.post_i3),
+    "I.9": Proposition(p9_bisect_angle, (("angle", "angle"),), "ray",
+                       gen.i9, basics.post_i9),
+    "I.10": Proposition(p10_bisect_segment, (("ab", "segment"),), "point",
+                        gen.i10, basics.post_i10),
+    "I.11": Proposition(p11_perp_at, (("l", "line"), ("c", "point")), "line",
+                        gen.i11, basics.post_i11),
     "I.12": Proposition(p12_perp_from, (("l", "line"), ("c", "point")),
-                        "line"),
+                        "line", gen.i12, basics.post_i12),
     "I.22": Proposition(p22_triangle,
                         (("a_len", "number"), ("b_len", "number"),
-                         ("c_len", "number"), ("base_ray", "ray")), "figure"),
+                         ("c_len", "number"), ("base_ray", "ray")), "figure",
+                        gen.i22, triangles.post_i22),
     "I.23": Proposition(p23_copy_angle,
                         (("target_ray", "ray"), ("model", "angle")), "angle",
+                        gen.i23, triangles.post_i23,
                         {"euclid": ".euclid", "proclus": ".proclus",
                          "albertus": ".albertus",
                          "commandinus": ".commandinus",
                          "clavius": ".clavius", "campanus": ".campanus"}),
-    "I.31": Proposition(p31_parallel, (("p", "point"), ("l", "line")), "line"),
+    "I.31": Proposition(p31_parallel, (("p", "point"), ("l", "line")), "line",
+                        gen.i31, triangles.post_i31),
     "I.42": Proposition(p42_parallelogram_eq_triangle,
                         (("t", "figure"), ("d", "angle")), "figure",
+                        gen.i42, areas.post_i42,
                         {"euclid": ".euclid", "alnayrizi": ".alnayrizi"}),
     "I.43": Proposition(p43_complements, (("pg", "figure"), ("k", "point")),
-                        "figure"),
+                        "figure", gen.i43, areas.post_i43),
     "I.44": Proposition(p44_apply,
                         (("ab", "segment"), ("t", "figure"), ("d", "angle")),
-                        "figure",
+                        "figure", gen.i44, areas.post_i44,
                         {"euclid_superposition": ".euclid",
                          "alnayrizi": ".alnayrizi",
                          "robert_of_chester": ".chester",
                          "campanus": ".campanus",
                          "tinemue_equal_case": ".tinemue"}),
     "I.45": Proposition(p45_apply_figure,
-                        (("d_angle", "angle"), ("f", "figure")), "figure"),
+                        (("d_angle", "angle"), ("f", "figure")), "figure",
+                        gen.i45, areas.post_i45),
     "I.46": Proposition(p46_square, (("ab", "segment"),), "figure",
+                        gen.i46, areas.post_i46,
                         {"campanus_first": ".campanus",
                          "campanus_second": ".campanus2"}),
 }
@@ -140,10 +156,22 @@ def strategy_kwargs(strategy: str | None, kwargs: dict) -> dict:
     return call
 
 
+def certify(base: str, call: dict, result: PropositionResult) -> Checks:
+    """The postcondition of construction ``base`` on ``result``, the value
+    of ``fn(**call)``.  Keywords the call left out take the function's
+    defaults, so the checks see the side and strategy that ran."""
+    prop = PROPOSITIONS[base]
+    bound = inspect.signature(prop.fn).bind(**call)
+    bound.apply_defaults()
+    checks = Checks(base)
+    prop.post(checks, bound.arguments, result)
+    return checks
+
+
 __all__ = [
     "PROPOSITIONS", "Proposition", "CONSTRUCTIONS", "STRATEGIES",
-    "THEOREM_IDS",
-    "check_theorem", "split_identifier", "strategy_kwargs",
+    "THEOREMS", "THEOREM_IDS",
+    "certify", "check_theorem", "split_identifier", "strategy_kwargs",
     "p1_equilateral", "p2_place", "p3_cut", "p9_bisect_angle",
     "p10_bisect_segment", "p11_perp_at", "p12_perp_from",
     "p22_triangle", "place_triangle_on_ray", "p23_copy_angle", "p31_parallel",

@@ -9,15 +9,12 @@ from ..geom import (
     Line,
     Point,
     Ray,
-    Segment,
-    angle_eq,
     collinear,
-    content,
     is_parallelogram,
     on_ray_at_sq,
 )
 from ..number import Constructible
-from ..trace import Tracer, Verifier
+from ..trace import Tracer
 
 
 def side_sign(side: str) -> int:
@@ -105,19 +102,3 @@ def require_parallelogram(f: Figure) -> None:
     if not is_parallelogram(f):
         raise PreconditionViolated("expected a parallelogram")
 
-
-def verify_parallelogram_on_segment(v: Verifier, fig: Figure, ab: Segment,
-                                    t_content: Constructible, d: Angle) -> None:
-    """The shared I.44 postconditions, checked exactly."""
-    v.true("result is a parallelogram", is_parallelogram(fig))
-    v.zero("parallelogram content equals the given content",
-           content(fig) - t_content)
-    ends = {ab.a, ab.b}
-    has_side = any({s.a, s.b} == ends for s in fig.sides())
-    v.true("the given segment is one full side", has_side)
-    vs = fig.vertices
-    idx = next(i for i, p in enumerate(vs) if p == ab.a)
-    prev_v = vs[idx - 1]
-    next_v = vs[(idx + 1) % len(vs)]
-    v.true("angle at the segment end equals the given angle",
-           angle_eq(Angle(ab.a, prev_v, next_v), d))

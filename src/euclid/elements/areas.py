@@ -35,7 +35,7 @@ from ..geom import (
     signed_area,
     superpose,
 )
-from ..trace import PropositionResult, Tracer, Verifier
+from ..trace import Checks, PropositionResult, Tracer
 from ._common import (
     cite_midpoint,
     cite_parallel,
@@ -48,7 +48,6 @@ from ._common import (
     side_name_of,
     side_selector,
     side_sign,
-    verify_parallelogram_on_segment,
 )
 from .basics import p10_bisect_segment
 from .triangles import p23_copy_angle, place_triangle_on_ray
@@ -71,30 +70,23 @@ def p42_parallelogram_eq_triangle(t: Figure, d: Angle, strategy: str = "euclid",
     require_triangle(t)
     tr = tracer or Tracer("I.42" if strategy == "euclid" else "I.42.alnayrizi")
     if strategy == "euclid":
-        fig, objects, roles, angle_vertex = _p42_euclid(tr, t, d)
+        fig, objects, roles = _p42_euclid(tr, t, d)
     else:
-        fig, objects, roles, angle_vertex = _p42_alnayrizi(tr, t, d)
-
-    v = Verifier("I.42")
-    _verify_p42(v, fig, t, d, angle_vertex)
+        fig, objects, roles = _p42_alnayrizi(tr, t, d)
     return PropositionResult(
         f"I.42.{strategy}", objects=objects, roles=roles,
-        result=fig, tracer=tr, verification=v.checks)
+        result=fig, tracer=tr)
 
 
-def _verify_p42(v: Verifier, fig: Figure, t: Figure, d: Angle,
-                angle_vertex: Point) -> None:
-    v.zero("parallelogram content equals the triangle content",
-           content(fig) - content(t))
-    vs = fig.vertices
-    idx = next(i for i, p in enumerate(vs) if p == angle_vertex)
-    prev_v, next_v = vs[idx - 1], vs[(idx + 1) % 4]
-    v.true("one angle equals the given angle",
-           angle_eq(Angle(angle_vertex, prev_v, next_v), d))
-    a, b, c, dd = vs
-    v.true("opposite sides are parallel",
+def post_i42(r: Checks, call: dict, result: PropositionResult) -> None:
+    """Both routes put the given angle at the second vertex."""
+    a, b, c, dd = result.result.vertices
+    r.zero("parallelogram content equals the triangle content",
+           content(result.result) - content(call["t"]))
+    r.true("one angle equals the given angle", angle_eq(Angle(b, a, c), call["d"]))
+    r.true("opposite sides are parallel",
            (b - a).cross(c - dd).is_zero() and (c - b).cross(dd - a).is_zero())
-    v.true("opposite sides are equal",
+    r.true("opposite sides are equal",
            segment_eq(Segment(a, b), Segment(dd, c))
            and segment_eq(Segment(b, c), Segment(a, dd)))
 
@@ -118,7 +110,7 @@ def _p42_euclid(tr: Tracer, t: Figure, d: Angle):
     objects = {"A": a, "B": b, "C": c, "E": e, "F": f, "G": g, "parallelogram": fig}
     roles = {"A": "given", "B": "given", "C": "given", "E": "aux",
              "F": "result", "G": "result", "parallelogram": "result"}
-    return fig, objects, roles, e
+    return fig, objects, roles
 
 
 def _p42_alnayrizi(tr: Tracer, t: Figure, d: Angle):
@@ -142,7 +134,7 @@ def _p42_alnayrizi(tr: Tracer, t: Figure, d: Angle):
     objects = {"A": a, "B": b, "G": g, "E": e, "Z": z, "H": h, "parallelogram": fig}
     roles = {"A": "given", "B": "given", "G": "given", "E": "aux",
              "Z": "result", "H": "result", "parallelogram": "result"}
-    return fig, objects, roles, e
+    return fig, objects, roles
 
 
 def p42_on_ray(t: Figure, d: Angle, base_ray: Ray, side: str = "upper",
@@ -175,17 +167,12 @@ def p42_on_ray(t: Figure, d: Angle, base_ray: Ray, side: str = "upper",
     theta2 = only_point(tr, intersect_lines(epar, top), "Theta2",
                         operands=(epar, top))
     fig = Figure([o, e, theta2, theta])
-
-    v = Verifier("I.42+")
-    _verify_p42(v, fig, t, d, o)
-    v.true("one side lies along the ray from its origin",
-           fig.vertices[0] == o and base_ray.contains(e))
     objects = {"O": o, "E": e, "Theta": theta, "Theta2": theta2,
                "apex": papex, "parallelogram": fig}
     roles = {"O": "given", "E": "aux", "Theta": "result", "Theta2": "result",
              "apex": "aux", "parallelogram": "result"}
     return PropositionResult("I.42+", objects=objects, roles=roles,
-                             result=fig, tracer=tr, verification=v.checks)
+                             result=fig, tracer=tr)
 
 
 # ---------------------------------------------------------------------------
@@ -213,19 +200,20 @@ def p43_complements(pg: Figure, k: Point,
     f = only_point(tr, intersect_lines(par_ab, Line(b, c)), "F", operands=(par_ab,))
     comp1 = Figure([e, b, f, k])
     comp2 = Figure([h, k, g, d])
-
-    v = Verifier("I.43")
-    v.true("both complements are parallelograms",
-           is_parallelogram(comp1) and is_parallelogram(comp2))
-    v.zero("the complements have equal content", content(comp1) - content(comp2))
     objects = {"A": a, "B": b, "C": c, "D": d, "K": k, "E": e, "F": f,
                "G": g, "H": h, "BK": comp1, "KD": comp2}
     roles = {"A": "given", "B": "given", "C": "given", "D": "given",
              "K": "given", "E": "aux", "F": "aux", "G": "aux", "H": "aux",
              "BK": "result", "KD": "result"}
     return PropositionResult("I.43", objects=objects, roles=roles,
-                             result=(comp1, comp2), tracer=tr,
-                             verification=v.checks)
+                             result=(comp1, comp2), tracer=tr)
+
+
+def post_i43(r: Checks, call: dict, result: PropositionResult) -> None:
+    comp1, comp2 = result.result
+    r.true("both complements are parallelograms",
+           is_parallelogram(comp1) and is_parallelogram(comp2))
+    r.zero("the complements have equal content", content(comp1) - content(comp2))
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +242,27 @@ def p44_apply(ab: Segment, t: Figure, d: Angle,
         "tinemue_equal_case": _p44_tinemue,
     }[strategy]
     fig, objects, roles = builder(tr, ab, t, d, side)
-
-    v = Verifier(f"I.44.{strategy}")
-    verify_parallelogram_on_segment(v, fig, ab, content(t), d)
-    want = 1 if strategy == "euclid_superposition" else 0
-    v.true(f"superposition count is exactly {want}",
-           tr.trace.superposition_count == want)
     objects.setdefault("parallelogram", fig)
     roles.setdefault("parallelogram", "result")
     return PropositionResult(f"I.44.{strategy}", objects=objects, roles=roles,
-                             result=fig, tracer=tr, verification=v.checks)
+                             result=fig, tracer=tr)
+
+
+def post_i44(r: Checks, call: dict, result: PropositionResult) -> None:
+    """The postcondition all five routes meet."""
+    ab, fig = call["ab"], result.result
+    r.true("result is a parallelogram", is_parallelogram(fig))
+    r.zero("parallelogram content equals the given content",
+           content(fig) - content(call["t"]))
+    r.true("the given segment is one full side",
+           any({s.a, s.b} == {ab.a, ab.b} for s in fig.sides()))
+    vs = fig.vertices
+    i = vs.index(ab.a) if ab.a in vs else None
+    r.true("angle at the segment end equals the given angle", i is not None
+           and angle_eq(Angle(ab.a, vs[i - 1], vs[(i + 1) % len(vs)]), call["d"]))
+    want = 1 if call["strategy"] == "euclid_superposition" else 0
+    r.true(f"superposition count is exactly {want}",
+           result.trace.superposition_count == want)
 
 
 def _p44_euclid(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
@@ -543,9 +542,6 @@ def p45_apply_figure(d_angle: Angle, f: Figure,
         tr.register_input(p)
     pieces = triangulate(f)
     fat = [p for p in pieces if content(p).sign() > 0]
-    v = Verifier("I.45")
-    v.true("the figure splits into two fewer triangles than sides",
-           len(pieces) == len(f) - 2)
 
     sub = tr.sub("I.42")
     first = p42_parallelogram_eq_triangle(fat[0], d_angle, "euclid", tracer=sub)
@@ -554,7 +550,7 @@ def p45_apply_figure(d_angle: Angle, f: Figure,
     # far side tracked as (u, v): u carries the supplementary angle
     u, vv = first.result.vertices[0], first.result.vertices[3]
     acc_probe = base_e
-    for i, piece in enumerate(fat[1:], start=2):
+    for piece in fat[1:]:
         shared = Segment(u, vv)
         new_side = opposite_side(side_name_of(u, vv, acc_probe))
         sub44 = tr.sub("I.44")
@@ -563,26 +559,42 @@ def p45_apply_figure(d_angle: Angle, f: Figure,
         nfig = applied.result
         tr.attach(sub44, operands=(u, vv), produced=tuple(nfig.vertices))
         _, _, xi, n = nfig.vertices
-        v.true(f"piece {i}: shared side is a full side of both",
-               any({s.a, s.b} == {u, vv} for s in nfig.sides()))
-        v.true(f"piece {i}: abutting angles sum to two right angles",
-               angles_sum_to_two_rights(Angle(u, vv, acc_probe),
-                                        Angle(u, vv, xi)))
-        v.true(f"piece {i}: the outer edges meet in a straight line",
-               collinear(acc_probe, u, xi) and between(acc_probe, u, xi))
         acc_probe = u
         u, vv = xi, n
     fig = Figure([base_e, base_c, vv, u])
-
-    v.true("the result is a parallelogram", is_parallelogram(fig))
-    v.zero("the content equals the figure's content", content(fig) - content(f))
-    v.true("one angle equals the given angle",
-           angle_eq(Angle(base_e, base_c, u), d_angle))
     objects = {"figure": f, "parallelogram": fig,
                "triangles": tuple(pieces)}
     roles = {"figure": "given", "parallelogram": "result", "triangles": "aux"}
     return PropositionResult("I.45", objects=objects, roles=roles,
-                             result=fig, tracer=tr, verification=v.checks)
+                             result=fig, tracer=tr)
+
+
+def post_i45(r: Checks, call: dict, result: PropositionResult) -> None:
+    # piece i >= 2 is the I.44 sub step from the far side (u, v) to the
+    # figure (v, u, xi, n); the outer edge runs from the previous u to xi
+    f, fig = call["f"], result.result
+    r.true("the figure splits into two fewer triangles than sides",
+           len(result.objects["triangles"]) == len(f) - 2)
+    registry = result.tracer.registry
+    applied = [s for s in result.trace.steps
+               if s.kind == "sub" and s.note == "I.44"]
+    probe = fig.vertices[0]
+    for i, step in enumerate(applied, start=2):
+        u, vv = (registry[k] for k in step.operands)
+        piece = Figure(registry[k] for k in step.produced)
+        xi = piece.vertices[2]
+        r.true(f"piece {i}: shared side is a full side of both",
+               any({s.a, s.b} == {u, vv} for s in piece.sides()))
+        r.true(f"piece {i}: abutting angles sum to two right angles",
+               angles_sum_to_two_rights(Angle(u, vv, probe), Angle(u, vv, xi)))
+        r.true(f"piece {i}: the outer edges meet in a straight line",
+               collinear(probe, u, xi) and between(probe, u, xi))
+        probe = u
+    base_e, base_c, _, u = fig.vertices
+    r.true("the result is a parallelogram", is_parallelogram(fig))
+    r.zero("the content equals the figure's content", content(fig) - content(f))
+    r.true("one angle equals the given angle",
+           angle_eq(Angle(base_e, base_c, u), call["d_angle"]))
 
 
 def triangulate(f: Figure) -> list[Figure]:
@@ -674,16 +686,18 @@ def p46_square(ab: Segment, side: str = "upper",
                      note="d toward b", operands=(circ_c, cd))
         tr.join(dd, b)
     fig = Figure([a, b, dd, c])
-
-    v = Verifier("I.46")
-    for s in fig.sides():
-        v.zero("side equals the given segment", s.length_sq() - ab.length_sq())
-    vs = fig.vertices
-    for i in range(4):
-        v.true("right angle at each corner",
-               is_right(Angle(vs[i], vs[i - 1], vs[(i + 1) % 4])))
     objects = {"a": a, "b": b, "c": c, "d": dd, "square": fig}
     roles = {"a": "given", "b": "given", "c": "result", "d": "result",
              "square": "result"}
     return PropositionResult(f"I.46.{strategy}", objects=objects, roles=roles,
-                             result=fig, tracer=tr, verification=v.checks)
+                             result=fig, tracer=tr)
+
+
+def post_i46(r: Checks, call: dict, result: PropositionResult) -> None:
+    ab, fig = call["ab"], result.result
+    for s in fig.sides():
+        r.zero("side equals the given segment", s.length_sq() - ab.length_sq())
+    vs = fig.vertices
+    for i in range(4):
+        r.true("right angle at each corner",
+               is_right(Angle(vs[i], vs[i - 1], vs[(i + 1) % 4])))

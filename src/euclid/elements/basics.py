@@ -19,7 +19,7 @@ from ..geom import (
     point_reflect,
     segment_eq,
 )
-from ..trace import PropositionResult, Tracer, Verifier
+from ..trace import Checks, PropositionResult, Tracer
 from ._common import only_point, side_selector
 
 
@@ -34,20 +34,22 @@ def p1_equilateral(ab: Segment, side: str = "upper",
     c2 = tr.circle(b, a)
     apex = tr.pick(intersect_circles(c1, c2), side_selector(a, b, side),
                    note=f"apex on the {side} side", operands=(c1, c2))
-    ca = tr.join(apex, a)
-    cb = tr.join(apex, b)
+    tr.join(apex, a)
+    tr.join(apex, b)
     triangle = Figure([a, b, apex])
-
-    v = Verifier("I.1")
-    v.zero("side CA equals AB", ca.length_sq() - ab.length_sq())
-    v.zero("side CB equals AB", cb.length_sq() - ab.length_sq())
-    v.true("apex lies on the requested side",
-           side_selector(a, b, side)(apex))
     return PropositionResult(
         "I.1",
         objects={"A": a, "B": b, "C": apex, "triangle": triangle},
         roles={"A": "given", "B": "given", "C": "result", "triangle": "result"},
-        result=triangle, tracer=tr, verification=v.checks)
+        result=triangle, tracer=tr)
+
+
+def post_i1(r: Checks, call: dict, result: PropositionResult) -> None:
+    ab, (a, b, apex) = call["ab"], result.result.vertices
+    r.zero("side CA equals AB", apex.dist_sq(a) - ab.length_sq())
+    r.zero("side CB equals AB", apex.dist_sq(b) - ab.length_sq())
+    r.true("apex lies on the requested side",
+           side_selector(ab.a, ab.b, call["side"])(apex))
 
 
 def p2_place(a: Point, bc: Segment, side: str = "upper",
@@ -65,13 +67,10 @@ def p2_place(a: Point, bc: Segment, side: str = "upper",
         tr.register_input(obj)
     if a == b:
         result = Segment(a, c)
-        v = Verifier("I.2")
-        v.zero("placed segment equals the given one",
-               result.length_sq() - bc.length_sq())
         return PropositionResult(
             "I.2", objects={"A": a, "B": b, "C": c, "AL": result},
             roles={"A": "given", "B": "given", "C": "given", "AL": "result"},
-            result=result, tracer=tr, verification=v.checks)
+            result=result, tracer=tr)
 
     ab = tr.join(a, b)
     sub = tr.sub("I.1")
@@ -93,17 +92,22 @@ def p2_place(a: Point, bc: Segment, side: str = "upper",
                 lambda p: dir_ae.dot(p - a).sign() > 0,
                 note="L beyond A on AE", operands=(gkl, ray_ae))
     result = Segment(a, l)
-
-    v = Verifier("I.2")
-    v.zero("AL equals BC", result.length_sq() - bc.length_sq())
-    v.true("AL starts at the given point", result.a == a)
-    v.true("no superposition used", tr.trace.superposition_count == 0)
     return PropositionResult(
         "I.2",
         objects={"A": a, "B": b, "C": c, "D": d, "G": g, "L": l, "AL": result},
         roles={"A": "given", "B": "given", "C": "given",
                "D": "aux", "G": "aux", "L": "result", "AL": "result"},
-        result=result, tracer=tr, verification=v.checks)
+        result=result, tracer=tr)
+
+
+def post_i2(r: Checks, call: dict, result: PropositionResult) -> None:
+    a, bc, al = call["a"], call["bc"], result.result
+    if a == bc.a:
+        r.zero("placed segment equals the given one", al.length_sq() - bc.length_sq())
+        return
+    r.zero("AL equals BC", al.length_sq() - bc.length_sq())
+    r.true("AL starts at the given point", al.a == a)
+    r.true("no superposition used", result.trace.superposition_count == 0)
 
 
 def p3_cut(greater: Segment, less: Segment,
@@ -124,17 +128,18 @@ def p3_cut(greater: Segment, less: Segment,
     e = tr.pick(intersect_line_circle(Line(a, b), cdef),
                 lambda p: toward.dot(p - a).sign() > 0,
                 note="E toward B", operands=(cdef,))
-
-    v = Verifier("I.3")
-    v.zero("AE equals the lesser segment",
-           Segment(a, e).length_sq() - less.length_sq())
-    v.true("E lies strictly between the greater segment's ends",
-           between(a, e, b))
     return PropositionResult(
         "I.3",
         objects={"A": a, "B": b, "D": d, "E": e},
         roles={"A": "given", "B": "given", "D": "aux", "E": "result"},
-        result=e, tracer=tr, verification=v.checks)
+        result=e, tracer=tr)
+
+
+def post_i3(r: Checks, call: dict, result: PropositionResult) -> None:
+    greater, e = call["greater"], result.result
+    r.zero("AE equals the lesser segment", greater.a.dist_sq(e) - call["less"].length_sq())
+    r.true("E lies strictly between the greater segment's ends",
+           between(greater.a, e, greater.b))
 
 
 def p9_bisect_angle(angle: Angle, tracer: Tracer | None = None) -> PropositionResult:
@@ -157,16 +162,19 @@ def p9_bisect_angle(angle: Angle, tracer: Tracer | None = None) -> PropositionRe
     tr.attach(sub, operands=(de,), produced=(f,))
     tr.join(a, f)
     bisector = Ray(a, f)
-
-    v = Verifier("I.9")
-    v.true("the two halves are equal angles",
-           angle_eq(Angle(a, d, f), Angle(a, e, f)))
     return PropositionResult(
         "I.9",
         objects={"A": a, "D": d, "E": e, "F": f, "bisector": bisector},
         roles={"A": "given", "D": "given", "E": "aux", "F": "aux",
                "bisector": "result"},
-        result=bisector, tracer=tr, verification=v.checks)
+        result=bisector, tracer=tr)
+
+
+def post_i9(r: Checks, call: dict, result: PropositionResult) -> None:
+    angle, f = call["angle"], result.result.through
+    r.true("the two halves are equal angles",
+           angle_eq(Angle(angle.vertex, angle.arm1, f),
+                    Angle(angle.vertex, angle.arm2, f)))
 
 
 def p10_bisect_segment(ab: Segment, tracer: Tracer | None = None) -> PropositionResult:
@@ -185,15 +193,17 @@ def p10_bisect_segment(ab: Segment, tracer: Tracer | None = None) -> Proposition
     tr.attach(sub9, operands=(c,), produced=(ray.through,))
     d = only_point(tr, intersect_lines(ray.line(), Line(a, b)),
                    "D where the bisector meets AB", operands=(ab,))
-
-    v = Verifier("I.10")
-    v.zero("AD equals DB", a.dist_sq(d) - d.dist_sq(b))
-    v.true("D is the exact midpoint", d == a.midpoint(b))
     return PropositionResult(
         "I.10",
         objects={"A": a, "B": b, "C": c, "D": d},
         roles={"A": "given", "B": "given", "C": "aux", "D": "result"},
-        result=d, tracer=tr, verification=v.checks)
+        result=d, tracer=tr)
+
+
+def post_i10(r: Checks, call: dict, result: PropositionResult) -> None:
+    ab, d = call["ab"], result.result
+    r.zero("AD equals DB", ab.a.dist_sq(d) - d.dist_sq(ab.b))
+    r.true("D is the exact midpoint", d == ab.a.midpoint(ab.b))
 
 
 def p11_perp_at(l: Line, c: Point, tracer: Tracer | None = None) -> PropositionResult:
@@ -215,16 +225,19 @@ def p11_perp_at(l: Line, c: Point, tracer: Tracer | None = None) -> PropositionR
     tr.attach(sub, operands=(d, e), produced=(f,))
     tr.join(f, c)
     result = Line(c, f)
-
-    v = Verifier("I.11")
-    v.true("FC is at right angles to the line",
-           is_right(Angle(c, f, d)) and is_right(Angle(c, f, e)))
     return PropositionResult(
         "I.11",
         objects={"C": c, "D": d, "E": e, "F": f, "perpendicular": result},
         roles={"C": "given", "D": "aux", "E": "aux", "F": "aux",
                "perpendicular": "result"},
-        result=result, tracer=tr, verification=v.checks)
+        result=result, tracer=tr)
+
+
+def post_i11(r: Checks, call: dict, result: PropositionResult) -> None:
+    c, f = call["c"], result.result.q
+    d, e = result.objects["D"], result.objects["E"]
+    r.true("FC is at right angles to the line",
+           is_right(Angle(c, f, d)) and is_right(Angle(c, f, e)))
 
 
 def p12_perp_from(l: Line, c: Point, tracer: Tracer | None = None) -> PropositionResult:
@@ -253,18 +266,21 @@ def p12_perp_from(l: Line, c: Point, tracer: Tracer | None = None) -> Propositio
     ch = tr.join(c, h)
     tr.join(c, e)
     result = Line(c, h)
-
-    v = Verifier("I.12")
-    v.true("GH equals HE", segment_eq(Segment(g, h), Segment(h, e)))
-    v.true("CG equals CE", segment_eq(Segment(c, g), Segment(c, e)))
-    v.true("angles GHC and EHC are equal (I.8)",
-           angle_eq(Angle(h, g, c), Angle(h, e, c)))
-    v.true("CH is perpendicular to the line",
-           is_right(Angle(h, c, g)) and is_right(Angle(h, c, e)))
     return PropositionResult(
         "I.12",
         objects={"C": c, "D": d, "E": e, "G": g, "H": h,
                  "perpendicular": result, "CH": ch},
         roles={"C": "given", "D": "aux", "E": "aux", "G": "aux",
                "H": "result", "perpendicular": "result", "CH": "aux"},
-        result=result, tracer=tr, verification=v.checks)
+        result=result, tracer=tr)
+
+
+def post_i12(r: Checks, call: dict, result: PropositionResult) -> None:
+    c, h = call["c"], result.result.q
+    g, e = result.objects["G"], result.objects["E"]
+    r.true("GH equals HE", segment_eq(Segment(g, h), Segment(h, e)))
+    r.true("CG equals CE", segment_eq(Segment(c, g), Segment(c, e)))
+    r.true("angles GHC and EHC are equal (I.8)",
+           angle_eq(Angle(h, g, c), Angle(h, e, c)))
+    r.true("CH is perpendicular to the line",
+           is_right(Angle(h, c, g)) and is_right(Angle(h, c, e)))

@@ -8,7 +8,8 @@ not proof checkers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from ..errors import HypothesisNotSatisfied, UnknownProposition
 from ..geom import (
@@ -31,26 +32,8 @@ from ..geom import (
     parallel,
     segment_eq,
 )
-
-
-@dataclass
-class TheoremReport:
-    theorem_id: str
-    claims: list = field(default_factory=list)
-
-    def check(self, claim: str, ok: bool, residual: str = "0") -> None:
-        self.claims.append((claim, bool(ok), residual))
-
-    def zero(self, claim: str, residual) -> None:
-        self.claims.append((claim, residual.sign() == 0, str(residual)))
-
-    @property
-    def all_pass(self) -> bool:
-        return all(ok for _, ok, _ in self.claims)
-
-    def lines(self) -> list[str]:
-        return [f"{c}\t{'PASS' if ok else 'FAIL'}\t{r}"
-                for c, ok, r in self.claims]
+from ..trace import Checks
+from . import instances as gen
 
 
 def _need(bundle: dict, *keys):
@@ -78,7 +61,7 @@ def _corresponding(t1: Figure, t2: Figure):
     return a, b, c, d, e, f
 
 
-def _check_i4(r: TheoremReport, bundle: dict) -> None:
+def _check_i4(r: Checks, bundle: dict) -> None:
     t1, t2 = _need(bundle, "t1", "t2")
     a, b, c, d, e, f = _corresponding(t1, t2)
     _hyp(segment_eq(Segment(a, b), Segment(d, e)), "first sides unequal")
@@ -87,12 +70,12 @@ def _check_i4(r: TheoremReport, bundle: dict) -> None:
     r.zero("base equals base", b.dist_sq(c) - e.dist_sq(f))
     r.zero("triangle content equals triangle content",
            content(t1) - content(t2))
-    r.check("remaining angles equal respectively",
+    r.true("remaining angles equal respectively",
             angle_eq(Angle(b, a, c), Angle(e, d, f))
             and angle_eq(Angle(c, a, b), Angle(f, d, e)))
 
 
-def _check_i7(r: TheoremReport, bundle: dict) -> None:
+def _check_i7(r: Checks, bundle: dict) -> None:
     base, c, d = _need(bundle, "base", "c", "d")
     _hyp(isinstance(base, Segment), "expected a base segment")
     a, b = base.a, base.b
@@ -101,32 +84,32 @@ def _check_i7(r: TheoremReport, bundle: dict) -> None:
     _hyp(sc != 0 and sd == sc, "the points must lie on one same side")
     _hyp(segment_eq(Segment(a, c), Segment(a, d)), "first pair unequal")
     _hyp(segment_eq(Segment(b, c), Segment(b, d)), "second pair unequal")
-    r.check("the two meeting points coincide", c == d)
+    r.true("the two meeting points coincide", c == d)
 
 
-def _check_i8(r: TheoremReport, bundle: dict) -> None:
+def _check_i8(r: Checks, bundle: dict) -> None:
     t1, t2 = _need(bundle, "t1", "t2")
     a, b, c, d, e, f = _corresponding(t1, t2)
     _hyp(segment_eq(Segment(a, b), Segment(d, e)), "first sides unequal")
     _hyp(segment_eq(Segment(a, c), Segment(d, f)), "second sides unequal")
     _hyp(segment_eq(Segment(b, c), Segment(e, f)), "bases unequal")
-    r.check("the contained angles are equal",
+    r.true("the contained angles are equal",
             angle_eq(Angle(a, b, c), Angle(d, e, f)))
-    r.check("the other angles are equal as well",
+    r.true("the other angles are equal as well",
             angle_eq(Angle(b, a, c), Angle(e, d, f))
             and angle_eq(Angle(c, a, b), Angle(f, d, e)))
 
 
-def _check_i13(r: TheoremReport, bundle: dict) -> None:
+def _check_i13(r: Checks, bundle: dict) -> None:
     a, b, c, d = _need(bundle, "a", "b", "c", "d")
     _hyp(collinear(c, b, d) and between(c, b, d),
          "the foot must lie strictly between the line points")
     _hyp(not collinear(a, b, c), "the standing line must leave the base line")
-    r.check("the adjacent angles are two right angles or equal to two",
+    r.true("the adjacent angles are two right angles or equal to two",
             angles_sum_to_two_rights(Angle(b, c, a), Angle(b, a, d)))
 
 
-def _check_i14(r: TheoremReport, bundle: dict) -> None:
+def _check_i14(r: Checks, bundle: dict) -> None:
     a, b, c, d = _need(bundle, "a", "b", "c", "d")
     _hyp(not collinear(a, b, c) and not collinear(a, b, d),
          "the side lines must leave BA")
@@ -135,42 +118,42 @@ def _check_i14(r: TheoremReport, bundle: dict) -> None:
     _hyp(sc * sd < 0, "the two lines must lie on opposite sides of BA")
     _hyp(angles_sum_to_two_rights(Angle(b, a, c), Angle(b, a, d)),
          "adjacent angles must equal two right angles")
-    r.check("the two lines are in a straight line", collinear(c, b, d))
+    r.true("the two lines are in a straight line", collinear(c, b, d))
 
 
-def _check_i15(r: TheoremReport, bundle: dict) -> None:
+def _check_i15(r: Checks, bundle: dict) -> None:
     a, b, c, d = _need(bundle, "a", "b", "c", "d")
     e = intersect_lines(Line(a, b), Line(c, d))
     _hyp(isinstance(e, Point), "the lines do not cut one another")
     _hyp(between(a, e, b) and between(c, e, d),
          "the intersection must fall inside both segments")
-    r.check("vertical angles are equal (first pair)",
+    r.true("vertical angles are equal (first pair)",
             angle_eq(Angle(e, c, a), Angle(e, d, b)))
-    r.check("vertical angles are equal (second pair)",
+    r.true("vertical angles are equal (second pair)",
             angle_eq(Angle(e, c, b), Angle(e, d, a)))
 
 
-def _check_i16(r: TheoremReport, bundle: dict) -> None:
+def _check_i16(r: Checks, bundle: dict) -> None:
     t, = _need(bundle, "t")
     a, b, c = _tri(t)
     d = Point(c.x * 2 - b.x, c.y * 2 - b.y)  # BC produced to D
     ext = Angle(c, a, d)
-    r.check("exterior angle exceeds the first interior and opposite angle",
+    r.true("exterior angle exceeds the first interior and opposite angle",
             angle_lt(Angle(b, a, c), ext))
-    r.check("exterior angle exceeds the second interior and opposite angle",
+    r.true("exterior angle exceeds the second interior and opposite angle",
             angle_lt(Angle(a, b, c), ext))
 
 
-def _check_i20(r: TheoremReport, bundle: dict) -> None:
+def _check_i20(r: Checks, bundle: dict) -> None:
     t, = _need(bundle, "t")
     a, b, c = _tri(t)
     ab, bc, ca = a.dist(b), b.dist(c), c.dist(a)
-    r.check("two sides exceed the third (all pairings)",
+    r.true("two sides exceed the third (all pairings)",
             (ab + bc - ca).sign() > 0 and (bc + ca - ab).sign() > 0
             and (ca + ab - bc).sign() > 0)
 
 
-def _check_i26(r: TheoremReport, bundle: dict) -> None:
+def _check_i26(r: Checks, bundle: dict) -> None:
     t1, t2 = _need(bundle, "t1", "t2")
     case = bundle.get("case", "adjoining")
     a, b, c, d, e, f = _corresponding(t1, t2)
@@ -184,11 +167,11 @@ def _check_i26(r: TheoremReport, bundle: dict) -> None:
              "the subtending sides must be equal")
     else:
         raise HypothesisNotSatisfied(f"unknown case {case!r}")
-    r.check("the remaining sides are equal",
+    r.true("the remaining sides are equal",
             segment_eq(Segment(a, b), Segment(d, e))
             and segment_eq(Segment(a, c), Segment(d, f))
             and segment_eq(Segment(b, c), Segment(e, f)))
-    r.check("the remaining angle is equal",
+    r.true("the remaining angle is equal",
             angle_eq(Angle(a, b, c), Angle(d, e, f)))
 
 
@@ -217,15 +200,15 @@ def _alternate_pair(l1: Line, l2: Line, t: Line, g: Point, h: Point):
     return a, d
 
 
-def _check_i27(r: TheoremReport, bundle: dict) -> None:
+def _check_i27(r: Checks, bundle: dict) -> None:
     l1, l2, t, g, h = _transversal_points(bundle)
     a, d = _alternate_pair(l1, l2, t, g, h)
     _hyp(angle_eq(Angle(g, a, h), Angle(h, d, g)),
          "alternate angles must be equal")
-    r.check("the lines are parallel", parallel(l1, l2))
+    r.true("the lines are parallel", parallel(l1, l2))
 
 
-def _check_i28(r: TheoremReport, bundle: dict) -> None:
+def _check_i28(r: Checks, bundle: dict) -> None:
     l1, l2, t, g, h = _transversal_points(bundle)
     form = bundle.get("form", "cointerior")
     a, d = _alternate_pair(l1, l2, t, g, h)
@@ -239,35 +222,35 @@ def _check_i28(r: TheoremReport, bundle: dict) -> None:
              "interior angles on the same side must equal two right angles")
     else:
         raise HypothesisNotSatisfied(f"unknown form {form!r}")
-    r.check("the lines are parallel", parallel(l1, l2))
+    r.true("the lines are parallel", parallel(l1, l2))
 
 
-def _check_i29(r: TheoremReport, bundle: dict) -> None:
+def _check_i29(r: Checks, bundle: dict) -> None:
     l1, l2, t, g, h = _transversal_points(bundle)
     _hyp(parallel(l1, l2), "the lines must be parallel")
     a, d = _alternate_pair(l1, l2, t, g, h)
     b = Point(g.x * 2 - a.x, g.y * 2 - a.y)
     e = Point(g.x * 2 - h.x, g.y * 2 - h.y)
-    r.check("alternate angles are equal",
+    r.true("alternate angles are equal",
             angle_eq(Angle(g, a, h), Angle(h, d, g)))
-    r.check("exterior equals interior and opposite on the same side",
+    r.true("exterior equals interior and opposite on the same side",
             angle_eq(Angle(g, e, b), Angle(h, g, d)))
-    r.check("interior angles on the same side equal two right angles",
+    r.true("interior angles on the same side equal two right angles",
             angles_sum_to_two_rights(Angle(g, b, h), Angle(h, g, d)))
 
 
-def _check_i30(r: TheoremReport, bundle: dict) -> None:
+def _check_i30(r: Checks, bundle: dict) -> None:
     l1, l2, l3 = _need(bundle, "l1", "l2", "l3")
     _hyp(parallel(l1, l3), "the first line must parallel the third")
     _hyp(parallel(l2, l3), "the second line must parallel the third")
-    r.check("lines parallel to the same line are parallel", parallel(l1, l2))
+    r.true("lines parallel to the same line are parallel", parallel(l1, l2))
 
 
-def _check_i32(r: TheoremReport, bundle: dict) -> None:
+def _check_i32(r: Checks, bundle: dict) -> None:
     t, = _need(bundle, "t")
     a, b, c = _tri(t)
     d = Point(c.x * 2 - b.x, c.y * 2 - b.y)
-    r.check("the exterior angle equals the two interior and opposite",
+    r.true("the exterior angle equals the two interior and opposite",
             angle_sum_eq(Angle(b, a, c), Angle(a, b, c), Angle(c, a, d)))
     interior_sum_cos = (
         angle_cos(Angle(b, a, c)) * angle_cos(Angle(a, b, c))
@@ -276,7 +259,7 @@ def _check_i32(r: TheoremReport, bundle: dict) -> None:
            interior_sum_cos + angle_cos(Angle(c, a, b)))
 
 
-def _check_i33(r: TheoremReport, bundle: dict) -> None:
+def _check_i33(r: Checks, bundle: dict) -> None:
     ab, cd = _need(bundle, "ab", "cd")
     _hyp(isinstance(ab, Segment) and isinstance(cd, Segment),
          "expected two segments")
@@ -287,19 +270,19 @@ def _check_i33(r: TheoremReport, bundle: dict) -> None:
     _hyp(not ab.line().contains(cd.a), "the segments must not be collinear")
     ac = Segment(ab.a, cd.a)
     bd = Segment(ab.b, cd.b)
-    r.check("the joining lines are equal", segment_eq(ac, bd))
-    r.check("the joining lines are parallel", parallel(ac.line(), bd.line()))
+    r.true("the joining lines are equal", segment_eq(ac, bd))
+    r.true("the joining lines are parallel", parallel(ac.line(), bd.line()))
 
 
-def _check_i34(r: TheoremReport, bundle: dict) -> None:
+def _check_i34(r: Checks, bundle: dict) -> None:
     pg, = _need(bundle, "pg")
     _hyp(isinstance(pg, Figure) and is_parallelogram(pg),
          "expected a parallelogram")
     a, b, c, d = pg.vertices
-    r.check("opposite sides are equal",
+    r.true("opposite sides are equal",
             segment_eq(Segment(a, b), Segment(d, c))
             and segment_eq(Segment(b, c), Segment(a, d)))
-    r.check("opposite angles are equal",
+    r.true("opposite angles are equal",
             angle_eq(Angle(a, d, b), Angle(c, b, d))
             and angle_eq(Angle(b, a, c), Angle(d, a, c)))
     r.zero("the diameter bisects the area",
@@ -313,7 +296,7 @@ def _same_parallels(base_line: Line, *tops: Point) -> bool:
     return all(top_line.contains(p) for p in tops)
 
 
-def _check_i35(r: TheoremReport, bundle: dict) -> None:
+def _check_i35(r: Checks, bundle: dict) -> None:
     pg1, pg2 = _need(bundle, "pg1", "pg2")
     for pg in (pg1, pg2):
         _hyp(isinstance(pg, Figure) and is_parallelogram(pg),
@@ -327,7 +310,7 @@ def _check_i35(r: TheoremReport, bundle: dict) -> None:
            content(pg1) - content(pg2))
 
 
-def _check_i36(r: TheoremReport, bundle: dict) -> None:
+def _check_i36(r: Checks, bundle: dict) -> None:
     pg1, pg2 = _need(bundle, "pg1", "pg2")
     for pg in (pg1, pg2):
         _hyp(isinstance(pg, Figure) and is_parallelogram(pg),
@@ -345,7 +328,7 @@ def _check_i36(r: TheoremReport, bundle: dict) -> None:
            content(pg1) - content(pg2))
 
 
-def _check_i37(r: TheoremReport, bundle: dict) -> None:
+def _check_i37(r: Checks, bundle: dict) -> None:
     t1, t2 = _need(bundle, "t1", "t2")
     a1, b1, c1 = _tri(t1)
     a2, b2, c2 = _tri(t2)
@@ -355,7 +338,7 @@ def _check_i37(r: TheoremReport, bundle: dict) -> None:
     r.zero("the triangles are equal in content", content(t1) - content(t2))
 
 
-def _check_i38(r: TheoremReport, bundle: dict) -> None:
+def _check_i38(r: Checks, bundle: dict) -> None:
     t1, t2 = _need(bundle, "t1", "t2")
     a1, b1, c1 = _tri(t1)
     a2, b2, c2 = _tri(t2)
@@ -369,7 +352,7 @@ def _check_i38(r: TheoremReport, bundle: dict) -> None:
     r.zero("the triangles are equal in content", content(t1) - content(t2))
 
 
-def _check_i41(r: TheoremReport, bundle: dict) -> None:
+def _check_i41(r: Checks, bundle: dict) -> None:
     pg, t = _need(bundle, "pg", "t")
     _hyp(isinstance(pg, Figure) and is_parallelogram(pg),
          "expected a parallelogram")
@@ -382,7 +365,7 @@ def _check_i41(r: TheoremReport, bundle: dict) -> None:
            content(pg) - content(t) * 2)
 
 
-def _check_i43(r: TheoremReport, bundle: dict) -> None:
+def _check_i43(r: Checks, bundle: dict) -> None:
     from .areas import p43_complements
 
     pg, k = _need(bundle, "pg", "k")
@@ -392,38 +375,47 @@ def _check_i43(r: TheoremReport, bundle: dict) -> None:
            content(comp1) - content(comp2))
 
 
-_CHECKS = {
-    "I.4": _check_i4,
-    "I.7": _check_i7,
-    "I.8": _check_i8,
-    "I.13": _check_i13,
-    "I.14": _check_i14,
-    "I.15": _check_i15,
-    "I.16": _check_i16,
-    "I.20": _check_i20,
-    "I.26": _check_i26,
-    "I.27": _check_i27,
-    "I.28": _check_i28,
-    "I.29": _check_i29,
-    "I.30": _check_i30,
-    "I.32": _check_i32,
-    "I.33": _check_i33,
-    "I.34": _check_i34,
-    "I.35": _check_i35,
-    "I.36": _check_i36,
-    "I.37": _check_i37,
-    "I.38": _check_i38,
-    "I.41": _check_i41,
-    "I.43": _check_i43,
+@dataclass(frozen=True)
+class Theorem:
+    """One theorem: its random hypothesis-conforming instance generator and
+    its validator, ``check(checks, bundle)``."""
+
+    generate: Callable
+    check: Callable
+
+
+THEOREMS = {
+    "I.4": Theorem(gen.t_pair, _check_i4),
+    "I.7": Theorem(gen.i7, _check_i7),
+    "I.8": Theorem(gen.t_pair, _check_i8),
+    "I.13": Theorem(gen.i13, _check_i13),
+    "I.14": Theorem(gen.i13, _check_i14),
+    "I.15": Theorem(gen.i15, _check_i15),
+    "I.16": Theorem(gen.triangle_only, _check_i16),
+    "I.20": Theorem(gen.triangle_only, _check_i20),
+    "I.26": Theorem(gen.i26, _check_i26),
+    "I.27": Theorem(gen.transversal_bundle, _check_i27),
+    "I.28": Theorem(gen.i28, _check_i28),
+    "I.29": Theorem(gen.transversal_bundle, _check_i29),
+    "I.30": Theorem(gen.i30, _check_i30),
+    "I.32": Theorem(gen.triangle_only, _check_i32),
+    "I.33": Theorem(gen.i33, _check_i33),
+    "I.34": Theorem(gen.i34, _check_i34),
+    "I.35": Theorem(gen.i35, _check_i35),
+    "I.36": Theorem(gen.i36, _check_i36),
+    "I.37": Theorem(gen.i37, _check_i37),
+    "I.38": Theorem(gen.i38, _check_i38),
+    "I.41": Theorem(gen.i41, _check_i41),
+    "I.43": Theorem(gen.i43, _check_i43),
 }
 
-THEOREM_IDS = tuple(sorted(_CHECKS, key=lambda s: int(s.split(".")[1])))
+THEOREM_IDS = tuple(sorted(THEOREMS, key=lambda s: int(s.split(".")[1])))
 
 
-def check_theorem(theorem_id: str, bundle: dict) -> TheoremReport:
+def check_theorem(theorem_id: str, bundle: dict) -> Checks:
     """Validate one theorem instance exactly; see each checker's bundle."""
-    if theorem_id not in _CHECKS:
+    if theorem_id not in THEOREMS:
         raise UnknownProposition(f"no validator for {theorem_id!r}")
-    report = TheoremReport(theorem_id)
-    _CHECKS[theorem_id](report, bundle)
-    return report
+    checks = Checks(theorem_id)
+    THEOREMS[theorem_id].check(checks, bundle)
+    return checks

@@ -16,7 +16,7 @@ from ..geom import (
     point_reflect,
 )
 from ..number import Constructible
-from ..trace import PropositionResult, Tracer, Verifier
+from ..trace import Checks, PropositionResult, Tracer
 from ._common import angle_measures, cut_at, side_selector
 
 P23_STRATEGIES = ("euclid", "proclus", "albertus", "commandinus", "clavius",
@@ -65,19 +65,21 @@ def p22_triangle(a_len: Constructible, b_len: Constructible, c_len: Constructibl
     tr.join(k, f)
     tr.join(k, g)
     triangle = Figure([k, f, g])
-
-    v = Verifier("I.22")
-    v.zero("KF equals the first length", k.dist_sq(f) - a_len * a_len)
-    v.zero("FG equals the second length", f.dist_sq(g) - b_len * b_len)
-    v.zero("GK equals the third length", g.dist_sq(k) - c_len * c_len)
-    v.true("the second side lies along the ray from its origin",
-           f == base_ray.origin and base_ray.contains(g))
     return PropositionResult(
         "I.22",
         objects={"D": d, "F": f, "G": g, "H": h, "K": k, "triangle": triangle},
         roles={"D": "aux", "F": "given", "G": "result", "H": "aux",
                "K": "result", "triangle": "result"},
-        result=triangle, tracer=tr, verification=v.checks)
+        result=triangle, tracer=tr)
+
+
+def post_i22(r: Checks, call: dict, result: PropositionResult) -> None:
+    ray, (k, f, g) = call["base_ray"], result.result.vertices
+    r.zero("KF equals the first length", k.dist_sq(f) - call["a_len"] ** 2)
+    r.zero("FG equals the second length", f.dist_sq(g) - call["b_len"] ** 2)
+    r.zero("GK equals the third length", g.dist_sq(k) - call["c_len"] ** 2)
+    r.true("the second side lies along the ray from its origin",
+           f == ray.origin and ray.contains(g))
 
 
 def place_triangle_on_ray(a_len: Constructible, b_len: Constructible,
@@ -108,20 +110,12 @@ def place_triangle_on_ray(a_len: Constructible, b_len: Constructible,
     tr.join(v2, v3)
     tr.join(v3, v1)
     triangle = Figure([v1, v2, v3])
-
-    v = Verifier("I.22+")
-    v.zero("first side has the first length", v1.dist_sq(v2) - a_len * a_len)
-    v.zero("second side has the second length", v2.dist_sq(v3) - b_len * b_len)
-    v.zero("third side has the third length", v3.dist_sq(v1) - c_len * c_len)
-    v.true("first side runs along the ray from its origin",
-           v1 == ray.origin and ray.contains(v2))
-    v.true("apex on the requested side", side_selector(v1, toward, side)(v3))
     return PropositionResult(
         "I.22+",
         objects={"V1": v1, "V2": v2, "V3": v3, "triangle": triangle},
         roles={"V1": "given", "V2": "result", "V3": "result",
                "triangle": "result"},
-        result=triangle, tracer=tr, verification=v.checks)
+        result=triangle, tracer=tr)
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +137,19 @@ def p23_copy_angle(target_ray: Ray, model: Angle, side: str = "upper",
     builder = globals()[f"_p23_{strategy}"]
     apex, on_ray, objects, roles = builder(tr, target_ray, model, side)
     result = Angle(target_ray.origin, on_ray, apex)
-
-    v = Verifier("I.23")
-    v.true("constructed angle equals the model angle", angle_eq(result, model))
-    v.true("one arm lies along the target ray",
-           target_ray.contains(on_ray))
-    v.true("apex on the requested side",
-           side_selector(target_ray.origin, target_ray.through, side)(apex))
     objects.setdefault("angle", result)
     roles.setdefault("angle", "result")
     return PropositionResult(
         f"I.23.{strategy}", objects=objects, roles=roles,
-        result=result, tracer=tr, verification=v.checks)
+        result=result, tracer=tr)
+
+
+def post_i23(r: Checks, call: dict, result: PropositionResult) -> None:
+    ray, angle = call["target_ray"], result.result
+    r.true("constructed angle equals the model angle", angle_eq(angle, call["model"]))
+    r.true("one arm lies along the target ray", ray.contains(angle.arm1))
+    r.true("apex on the requested side",
+           side_selector(ray.origin, ray.through, call["side"])(angle.arm2))
 
 
 def _p23_euclid(tr: Tracer, ray: Ray, model: Angle, side: str):
@@ -307,13 +302,10 @@ def p31_parallel(p: Point, l: Line, tracer: Tracer | None = None) -> Proposition
     tr.register_input(p)
     tr.register_input(l)
     if l.contains(p):
-        v = Verifier("I.31")
-        v.true("point on the line: the line itself is returned (coincident)",
-               True)
         return PropositionResult(
             "I.31", objects={"A": p, "parallel": l},
             roles={"A": "given", "parallel": "result"},
-            result=l, tracer=tr, verification=v.checks)
+            result=l, tracer=tr)
 
     # the chance point D: the nearer defining point of the line
     if (p.dist_sq(l.p) - p.dist_sq(l.q)).sign() <= 0:
@@ -335,15 +327,22 @@ def p31_parallel(p: Point, l: Line, tracer: Tracer | None = None) -> Proposition
     f = point_reflect(e, p)
     tr.register_input(f)  # label on the produced part
     result = Line(e, f)
-
-    v = Verifier("I.31")
-    v.true("the drawn line is parallel to the given line", parallel(result, l))
-    v.true("the drawn line passes through the given point", result.contains(p))
-    v.true("alternate angles are equal (I.27 hypothesis)",
-           angle_eq(Angle(p, d, e), Angle(d, p, c)))
     return PropositionResult(
         "I.31",
         objects={"A": p, "D": d, "C": c, "E": e, "F": f, "parallel": result},
         roles={"A": "given", "D": "aux", "C": "aux", "E": "aux", "F": "aux",
                "parallel": "result"},
-        result=result, tracer=tr, verification=v.checks)
+        result=result, tracer=tr)
+
+
+def post_i31(r: Checks, call: dict, result: PropositionResult) -> None:
+    p, l, drawn = call["p"], call["l"], result.result
+    if l.contains(p):
+        r.true("point on the line: the line itself is returned (coincident)",
+               drawn == l and drawn.contains(p))
+        return
+    r.true("the drawn line is parallel to the given line", parallel(drawn, l))
+    r.true("the drawn line passes through the given point", drawn.contains(p))
+    d, c, e = (result.objects[k] for k in "DCE")
+    r.true("alternate angles are equal (I.27 hypothesis)",
+           angle_eq(Angle(p, d, e), Angle(d, p, c)))

@@ -49,10 +49,6 @@ class NotSimple(EuclidError):
     """A rectilineal figure is self-intersecting."""
 
 
-class VerificationFailure(EuclidError):
-    """An exact postcondition check failed (construction bug)."""
-
-
 class NoSuchIntersection(EuclidError):
     """An intersection selector matched nothing."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .errors import NoSuchIntersection, VerificationFailure
+from .errors import NoSuchIntersection
 from .geom import (
     Circle,
     Figure,
@@ -244,22 +244,14 @@ def _select(candidates: list[Point], selector) -> tuple[Point, str]:
 
 
 @dataclass
-class Check:
-    claim: str
-    passed: bool
-    residual: str = "0"
-
-
-@dataclass
 class PropositionResult:
-    """Named constructed objects, the trace, and the exact verifications."""
+    """Named constructed objects, the result and the trace of one run."""
 
     prop_id: str
     objects: dict[str, object]
     roles: dict[str, str]          # given | aux | result
     result: object
     tracer: Tracer
-    verification: list[Check] = field(default_factory=list)
 
     @property
     def trace(self) -> Trace:
@@ -268,11 +260,28 @@ class PropositionResult:
     def max_radical_depth(self) -> int:
         return self.tracer.max_radical_depth()
 
-    def report_lines(self) -> list[str]:
-        out = []
-        for c in self.verification:
-            out.append(f"{c.claim}\t{'PASS' if c.passed else 'FAIL'}\t{c.residual}")
-        return out
+
+@dataclass
+class Checks:
+    """Every exact check on one result or theorem instance, in order, as
+    (claim, passed, residual); a failed check raises nothing."""
+
+    prop_id: str
+    claims: list[tuple[str, bool, str]] = field(default_factory=list)
+
+    def true(self, claim: str, ok: bool) -> None:
+        self.claims.append((claim, bool(ok), "0"))
+
+    def zero(self, claim: str, residual) -> None:
+        self.claims.append((claim, residual.sign() == 0, str(residual)))
+
+    @property
+    def all_pass(self) -> bool:
+        return all(ok for _, ok, _ in self.claims)
+
+    def lines(self) -> list[str]:
+        return [f"{c}\t{'PASS' if ok else 'FAIL'}\t{r}"
+                for c, ok, r in self.claims]
 
 
 def describe_object(obj) -> str:
@@ -311,22 +320,3 @@ def trace_lines(trace: Trace, registry: dict[int, object],
     out.append(f"{pad}counters: joins={j} extends={e} circles={c} "
                f"superpositions={trace.superposition_count}")
     return out
-
-
-class Verifier:
-    """Collects exact checks; raises if any fails."""
-
-    def __init__(self, prop_id: str):
-        self.prop_id = prop_id
-        self.checks: list[Check] = []
-
-    def zero(self, claim: str, residual) -> None:
-        ok = residual.sign() == 0
-        self.checks.append(Check(claim, ok, str(residual)))
-        if not ok:
-            raise VerificationFailure(f"{self.prop_id}: {claim} (residual {residual!r})")
-
-    def true(self, claim: str, value: bool, residual: str = "0") -> None:
-        self.checks.append(Check(claim, bool(value), residual))
-        if not value:
-            raise VerificationFailure(f"{self.prop_id}: {claim}")

@@ -14,6 +14,7 @@ import pytest
 from euclid import verify
 from euclid.elements import (
     P44_STRATEGIES,
+    instances,
     p44_apply,
     p45_apply_figure,
     tinemue_matching_angle,
@@ -83,11 +84,11 @@ def test_3_triangulation_counts():
     with Budget(1.0, "3 triangulation-counts"):
         rng = random.Random(11)
         right = Angle(P(20, 20), P(21, 20), P(20, 21))
-        decagon = verify._simple_polygon(rng, 10)
+        decagon = instances._simple_polygon(rng, 10)
         assert len(triangulate(decagon)) == 8
         for n in (4, 5, 6, 7, 8):
             new_context()
-            poly = verify._simple_polygon(rng, n)
+            poly = instances._simple_polygon(rng, n)
             got = p45_apply_figure(right, poly)
             assert len(got.objects["triangles"]) == n - 2
 

@@ -86,6 +86,14 @@ class TestRun:
         assert main(["run", str(script)]) == 2
         assert "I.45 takes no side" in capsys.readouterr().err
 
+    def test_side_word_exit_2(self, tmp_path, capsys):
+        script = tmp_path / "side.euc"
+        script.write_text("segment s = join((0,0), (1,0))\n"
+                          "figure T = prop I.1 (s) side sideways\n")
+        assert main(["run", str(script)]) == 2
+        assert capsys.readouterr().err == (
+            "2:12: error: side must be 'upper' or 'lower', got 'sideways'\n")
+
     def test_three_names_exit_2(self, tmp_path, capsys):
         script = tmp_path / "three.euc"
         script.write_text("figure pg = figure((0,0), (4,0), (6,3), (2,3))\n"

@@ -151,6 +151,12 @@ class TestCheck:
                           + "point Q = intersect(c1, c2) same_side(r, (0,1))\n")
         assert check(script) == []
 
+    def test_side_word(self):
+        script, _ = parse("segment s = join((0,0), (1,0))\n"
+                          "figure T = prop I.1 (s) side sideways\n")
+        assert [d.message for d in check(script)] == [
+            "side must be 'upper' or 'lower', got 'sideways'"]
+
     def test_side_on_proposition_without_side(self):
         text = ("angle d = angle((0,0),(1,0),(0,1))\n"
                 "figure f = figure((0,0),(4,0),(0,3))\n"
@@ -232,6 +238,18 @@ class TestInterpret:
         with pytest.raises(ScriptError) as err:
             interpret(script)
         assert err.value.span.line == 6
+
+    def test_intersect_keeps_points_on_segment_or_ray(self):
+        base = ("segment s = join((0,0), (2,0))\nray r = extend(s, b)\n"
+                "circle c = circle((-5,0), (-4,0))\n"
+                "circle u = circle((0,0), (1,0))\n")
+        # the circle c meets the ray's line only behind its origin
+        script, _ = parse(base + "point P = intersect(r, c) first\n")
+        with pytest.raises(ScriptError, match="no intersection point"):
+            interpret(script)
+        # the segment keeps one of the two points where u meets its line
+        inter = run(base + "point Q = intersect(s, u)\n")
+        assert inter.env["Q"] == Point(Constructible(1), Constructible(0))
 
     def test_left_of_selector(self):
         text = ("point A = (0,0)\npoint B = (1,0)\n"

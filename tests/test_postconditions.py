@@ -1,0 +1,72 @@
+"""A result that misses its postcondition is reported claim by claim.
+
+Each test rebinds a registry construction to one that moves a vertex of
+its figure by a rational offset after it is built, so only the checks the
+registry runs on the returned result can notice.
+"""
+
+import dataclasses
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from euclid import elements
+from euclid.cli import main
+from euclid.geom import Figure, Point
+from euclid.number import new_context
+from euclid.verify import run_suite
+
+
+@pytest.fixture(autouse=True)
+def _fresh_field():
+    new_context()
+
+
+@pytest.fixture
+def moved(monkeypatch):
+    """Rebind a construction so that vertex 2 of its figure is moved."""
+    def move(prop_id):
+        fn = elements.CONSTRUCTIONS[prop_id]
+
+        def construction(*args, **kwargs):
+            got = fn(*args, **kwargs)
+            vs = list(got.result.vertices)
+            vs[2] = Point(vs[2].x + Fraction(1, 3), vs[2].y + Fraction(1, 7))
+            return dataclasses.replace(got, result=Figure(vs))
+
+        monkeypatch.setitem(elements.CONSTRUCTIONS, prop_id, construction)
+    return move
+
+
+@pytest.mark.parametrize("prop_id", ["I.1", "I.44"])
+def test_suite_counts_and_lists_failed_claims(moved, prop_id):
+    moved(prop_id)
+    report = run_suite(prop_id, 2, seed=7)
+    assert report.runs == 2 * len(elements.STRATEGIES.get(prop_id, (None,)))
+    assert report.failures == report.runs
+    lines = report.lines()
+    assert not any("\tERROR\t" in line for line in lines)
+    fails = Counter(line.split(":")[0] for line in lines if "\tFAIL\t" in line)
+    assert len(fails) == report.runs
+    assert all(n > 1 for n in fails.values()), fails
+
+
+@pytest.mark.parametrize("prop_id, claims", [("I.1", 3), ("I.44", 5)])
+def test_prop_prints_every_check_and_exits_1(moved, capsys, prop_id, claims):
+    moved(prop_id)
+    assert main(["prop", prop_id, "--seed", "3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    checks = [line for line in out if line.count("\t") == 2]
+    assert len(checks) == claims
+    assert sum("\tFAIL\t" in line for line in checks) > 1
+
+
+def test_script_prop_stops_with_exit_1(moved, tmp_path, capsys):
+    moved("I.1")
+    script = tmp_path / "i1.euc"
+    script.write_text("segment s = join((0,0), (1,0))\n"
+                      "figure T = prop I.1 (s)\n")
+    assert main(["run", str(script)]) == 1
+    assert capsys.readouterr().err == (
+        "2:12: I.1 fails: side CA equals AB; side CB equals AB\n")

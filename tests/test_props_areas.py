@@ -87,6 +87,12 @@ class TestP42:
         assert (content(fig) - content(t)).is_zero()
         assert angle_eq(Angle(fig.vertices[0], fig.vertices[1],
                               fig.vertices[3]), RIGHT)
+        # opposite sides parallel and equal; one side along the ray
+        a, b, c, d = fig.vertices
+        assert is_parallelogram(fig)
+        assert segment_eq(Segment(a, b), Segment(d, c))
+        assert segment_eq(Segment(b, c), Segment(a, d))
+        assert ray.contains(b)
 
     def test_degenerate_triangle_rejected(self):
         with pytest.raises(PreconditionViolated):

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from euclid.elements import (
+    CONSTRUCTIONS,
+    certify,
     p1_equilateral,
     p2_place,
     p3_cut,
@@ -173,11 +175,19 @@ class TestP22:
         assert k == Point(C(1, 2), sqrt_nonneg(C(3)) / 2)
 
     def test_placement(self):
-        got = place_triangle_on_ray(C(3), C(4), C(5), Ray(P(0, 0), P(1, 0)),
-                                    "upper")
+        ray = Ray(P(0, 0), P(1, 0))
+        got = place_triangle_on_ray(C(3), C(4), C(5), ray, "upper")
         v1, v2, v3 = got.result.vertices
         assert v1 == P(0, 0) and v2 == P(3, 0)
         assert v3 == P(3, 4)
+        # the sides in order have the three lengths
+        assert (v1.dist_sq(v2) - 9).is_zero()
+        assert (v2.dist_sq(v3) - 16).is_zero()
+        assert (v3.dist_sq(v1) - 25).is_zero()
+        # the first side runs along the ray from its origin, the apex lies
+        # on the requested side
+        assert v1 == ray.origin and ray.contains(v2)
+        assert ray.direction().cross(v3 - v1).sign() > 0
 
 
 class TestP23:
@@ -244,3 +254,10 @@ class TestP31:
         l = Line(P(0, 0), P(1, 0))
         got = p31_parallel(P(2, 0), l)
         assert got.result is l
+
+    def test_point_on_line_certified(self):
+        call = {"p": P(2, 0), "l": Line(P(0, 0), P(1, 0))}
+        got = CONSTRUCTIONS["I.31"](**call)
+        assert certify("I.31", call, got).lines() == [
+            "point on the line: the line itself is returned (coincident)"
+            "\tPASS\t0"]

@@ -20,7 +20,7 @@ def _fresh_field():
 def assert_all_pass(report):
     assert report.claims, "no claims checked"
     for claim, ok, residual in report.claims:
-        assert ok, f"{report.theorem_id}: {claim} failed ({residual})"
+        assert ok, f"{report.prop_id}: {claim} failed ({residual})"
 
 
 class TestCongruence:
