@@ -42,7 +42,7 @@ class Point:
     def __eq__(self, other):
         if not isinstance(other, Point):
             return NotImplemented
-        return (self.x - other.x).is_zero() and (self.y - other.y).is_zero()
+        return self.x == other.x and self.y == other.y
 
     def __hash__(self):
         return hash((self.x, self.y))
@@ -121,9 +121,6 @@ class Segment:
 
     def midpoint(self) -> Point:
         return self.a.midpoint(self.b)
-
-    def reversed(self) -> "Segment":
-        return Segment(self.b, self.a)
 
     def line(self) -> "Line":
         return Line(self.a, self.b)
@@ -627,9 +624,3 @@ def on_ray_at_sq(ray: Ray, dist_sq: Constructible) -> Point:
     d = ray.direction()
     t = sqrt_nonneg(dist_sq / d.norm_sq())
     return Point(ray.origin.x + d.dx * t, ray.origin.y + d.dy * t)
-
-
-def foot_of_perpendicular(l: Line, p: Point) -> Point:
-    d = l.direction()
-    t = d.dot(p - l.p) / d.norm_sq()
-    return Point(l.p.x + d.dx * t, l.p.y + d.dy * t)

@@ -2,12 +2,21 @@
 
 A value is an element of a tower of real quadratic extensions
 Q = F0 < F1 < ... < Fk, where F(i) = F(i-1)(sqrt(r_i)) and each radicand
-r_i is a positive element of F(i-1) that is not a square there.  Elements
-are kept in a canonical nested form ``a + b*sqrt(r_k)`` with ``b != 0``
-(values that live in a lower field are stored at their minimal level), so
-an element is zero exactly when it is the rational zero.  Signs are decided
-by interval refinement with an exact algebraic fallback; no decision ever
-rests on floating point.
+r_i is a positive element of F(i-1) that is not a square there.  Signs are
+decided by interval refinement with an exact algebraic fallback; no
+decision ever rests on floating point.
+
+Every value is stored as integers over one denominator.  Level i has the
+integral generator g_i = e_i*sqrt(r_i), where e_i is the denominator of
+r_i (so g_i = sqrt(r_i) when r_i has none); g_i^2 = e_i^2*r_i then has
+integer coefficients over the lower generators.  An irrational value is
+p/d with d a positive integer and p an integer polynomial in the nested
+form ``a + b*g_k``, with ``b != 0`` (a value that lives in a lower field
+is stored at its minimal level), and the gcd of the integer leaves of p
+coprime to d.  That form is unique, so two values of one tower are equal
+exactly when their nodes are, and a value is zero exactly when it is the
+rational zero.  Rational values stay plain fractions.  Each operation
+works on the integer leaves and reduces its result with one gcd pass.
 
 The tower itself lives in a :class:`FieldContext`.  Radicands are adjoined
 on demand by :func:`sqrt_nonneg`, which first searches the existing tower
@@ -38,13 +47,16 @@ from typing import Optional, Union
 
 from .errors import DivisionByZero, FieldContextError, NegativeRadicand
 
-# A node is (0, Fraction) or (level, (a_node, b_node)) with level >= 1,
-# the component nodes at levels < level, and b_node never the zero node.
+# A poly is an int, or (k, a, b) with k >= 1 for a + b*g_k, where a and b
+# are polys of levels below k and b is never 0.
+Poly = Union[int, tuple]
+# A node is (0, Fraction) for a rational value, or (k, p, d) for the
+# irrational value p/d: p a poly of level k >= 1, d > 0 an int coprime to
+# the gcd of the leaves of p.
 Node = tuple
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
-_ZERO: Node = (0, _F0)
+_ZERO: Node = (0, Fraction(0))
 _ONE: Node = (0, _F1)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -59,15 +71,21 @@ class FieldContext:
         self.rad_index: dict[Node, int] = {}  # radicand node -> level
         # integer radicands of levels 1..len, all below the first nested one
         self.rational_radicands: list[int] = []
+        # e_i, the denominator of radicands[i-1], and g_i^2 as a poly
+        self.gen_scale: list[int] = []
+        self.gen_square: list[Poly] = []
         # node -> [highest level checked, a root or None]
         self._sqrt_memo: dict[Node, list] = {}
         self._inv_memo: dict[Node, Node] = {}
-        self._rad_iv: dict[tuple[int, int], tuple] = {}
+        self._rad_iv: dict[tuple[int, int], tuple[int, int]] = {}
         self._lock = threading.RLock()
 
     def adjoin(self, radicand: Node) -> int:
         """Append a radicand known not to be a square in the current tower."""
         with self._lock:
+            p, e = _frac(radicand)
+            self.gen_scale.append(e)
+            self.gen_square.append(_pscale(p, e))
             self.radicands.append(radicand)
             level = len(self.radicands)
             if (len(self.rational_radicands) == level - 1
@@ -101,36 +119,163 @@ def current_context() -> FieldContext:
 
 
 # ---------------------------------------------------------------------------
-# raw node arithmetic
+# integer polys: the numerators of irrational values
 
 
-def _mk(level: int, a: Node, b: Node) -> Node:
-    return a if b == _ZERO else (level, (a, b))
+def _pscale(p: Poly, k: int) -> Poly:
+    """k*p for a nonzero int k."""
+    if k == 1:
+        return p
+    if type(p) is int:
+        return p * k
+    return (p[0], _pscale(p[1], k), _pscale(p[2], k))
+
+
+def _plin(p: Poly, u: int, q: Poly, v: int) -> Poly:
+    """u*p + v*q for nonzero ints u and v."""
+    if type(p) is int:
+        if type(q) is int:
+            return u * p + v * q
+        return (q[0], _plin(p, u, q[1], v), _pscale(q[2], v))
+    if type(q) is int:
+        return (p[0], _plin(p[1], u, q, v), _pscale(p[2], u))
+    lp, lq = p[0], q[0]
+    if lp == lq:
+        b = _plin(p[2], u, q[2], v)
+        a = _plin(p[1], u, q[1], v)
+        return (lp, a, b) if b else a
+    if lp > lq:
+        return (lp, _plin(p[1], u, q, v), _pscale(p[2], u))
+    return (lq, _plin(p, u, q[1], v), _pscale(q[2], v))
+
+
+def _pmul(p: Poly, q: Poly, sq: list[Poly]) -> Poly:
+    """p*q, where sq[k-1] is g_k^2."""
+    if type(p) is int:
+        if type(q) is int:
+            return p * q
+        return _pscale(q, p) if p else 0
+    if type(q) is int:
+        return _pscale(p, q) if q else 0
+    lp, lq = p[0], q[0]
+    if lp < lq:
+        p, q, lp, lq = q, p, lq, lp
+    _, a, b = p
+    if lq < lp:
+        return (lp, _pmul(a, q, sq), _pmul(b, q, sq))
+    _, c, d = q
+    bd = _pmul(b, d, sq)
+    hi = _plin(_pmul(a, d, sq), 1, _pmul(b, c, sq), 1)
+    lo = _plin(_pmul(a, c, sq), 1, _pmul(bd, sq[lp - 1], sq), 1)
+    return (lp, lo, hi) if hi else lo
+
+
+def _pnorm(p: tuple, sq: list[Poly]) -> Poly:
+    """a^2 - b^2 g_k^2 for p = (k, a, b): nonzero, because g_k is not in
+    the lower field."""
+    k, a, b = p
+    return _plin(_pmul(a, a, sq), 1, _pmul(_pmul(b, b, sq), sq[k - 1], sq), -1)
+
+
+def _pinv(p: Poly, sq: list[Poly]) -> tuple[Poly, int]:
+    """(q, d) with q/d = 1/p in lowest terms and d > 0; p is not 0."""
+    if type(p) is int:
+        return (1, p) if p > 0 else (-1, -p)
+    # 1/(a + b*g) = (a - b*g) / (a^2 - b^2 g^2)
+    k, a, b = p
+    q, d = _pinv(_pnorm(p, sq), sq)
+    return _reduce((k, _pmul(a, q, sq), _pmul(b, _pscale(q, -1), sq)), d)
+
+
+def _pgcd(p: Poly, g: int) -> int:
+    """The gcd of g and every leaf of p."""
+    if type(p) is int:
+        return gcd(g, p)
+    g = _pgcd(p[2], g)
+    return g if g == 1 else _pgcd(p[1], g)
+
+
+def _pdiv(p: Poly, g: int) -> Poly:
+    """p/g for a g that divides every leaf of p."""
+    if type(p) is int:
+        return p // g
+    return (p[0], _pdiv(p[1], g), _pdiv(p[2], g))
+
+
+def _reduce(p: Poly, d: int) -> tuple[Poly, int]:
+    """p/d with the common factor of d and the leaves of p taken out."""
+    if d != 1:
+        g = _pgcd(p, d)
+        if g != 1:
+            return _pdiv(p, g), d // g
+    return p, d
+
+
+def _pdepth(p: Poly, ctx: FieldContext) -> int:
+    if type(p) is int:
+        return 0
+    k, a, b = p
+    return max(ctx.rad_depth[k - 1], _pdepth(a, ctx), _pdepth(b, ctx))
+
+
+# ---------------------------------------------------------------------------
+# nodes
+
+
+def _node(p: Poly, d: int) -> Node:
+    """The node of p/d for an int d > 0."""
+    if type(p) is int:
+        return (0, Fraction(p, d))
+    p, d = _reduce(p, d)
+    return (p[0], p, d)
+
+
+def _frac(x: Node) -> tuple[Poly, int]:
+    """The poly and the denominator of a node."""
+    if x[0] == 0:
+        f = x[1]
+        return f.numerator, f.denominator
+    return x[1], x[2]
+
+
+def _gen(k: int, ctx: FieldContext) -> Node:
+    """The node of sqrt(r_k)."""
+    return (k, (k, 0, 1), ctx.gen_scale[k - 1])
+
+
+def _mk(k: int, a: Node, b: Node, ctx: FieldContext) -> Node:
+    """The node of a + b*sqrt(r_k) for nodes a, b of F(k-1)."""
+    if b == _ZERO:
+        return a
+    pa, da = _frac(a)
+    pb, db = _frac(b)
+    db *= ctx.gen_scale[k - 1]
+    g = gcd(da, db)
+    return _node((k, _pscale(pa, db // g), _pscale(pb, da // g)), da // g * db)
+
+
+def _split(x: Node, ctx: FieldContext) -> tuple[Node, Node]:
+    """Nodes a, b of F(k-1) with x = a + b*sqrt(r_k), k the level of x."""
+    k, (_, a, b), d = x
+    return _node(a, d), _node(_pscale(b, ctx.gen_scale[k - 1]), d)
 
 
 def _nneg(x: Node) -> Node:
     if x[0] == 0:
         return (0, -x[1])
-    level, (a, b) = x
-    return (level, (_nneg(a), _nneg(b)))
+    return (x[0], _pscale(x[1], -1), x[2])
 
 
-def _nadd(x: Node, y: Node) -> Node:
-    lx, ly = x[0], y[0]
-    if lx == 0 and ly == 0:
-        return (0, x[1] + y[1])
-    if lx < ly:
-        x, y = y, x
-        lx, ly = ly, lx
-    a, b = x[1]
-    if ly == lx:
-        c, d = y[1]
-        return _mk(lx, _nadd(a, c), _nadd(b, d))
-    return _mk(lx, _nadd(a, y), b)
-
-
-def _nsub(x: Node, y: Node) -> Node:
-    return _nadd(x, _nneg(y))
+def _nadd(x: Node, y: Node, s: int = 1) -> Node:
+    """x + s*y for s = 1 or -1."""
+    if x[0] == 0 and y[0] == 0:
+        return (0, x[1] + y[1] if s > 0 else x[1] - y[1])
+    px, dx = _frac(x)
+    py, dy = _frac(y)
+    if dx == dy:
+        return _node(_plin(px, 1, py, s), dx)
+    g = gcd(dx, dy)
+    return _node(_plin(px, dy // g, py, s * (dx // g)), dx // g * dy)
 
 
 def _nscale(x: Node, f: Fraction) -> Node:
@@ -138,29 +283,15 @@ def _nscale(x: Node, f: Fraction) -> Node:
         return _ZERO
     if x[0] == 0:
         return (0, x[1] * f)
-    level, (a, b) = x
-    return (level, (_nscale(a, f), _nscale(b, f)))
+    return _node(_pscale(x[1], f.numerator), x[2] * f.denominator)
 
 
 def _nmul(x: Node, y: Node, ctx: Optional[FieldContext]) -> Node:
-    lx, ly = x[0], y[0]
-    if lx == 0:
+    if x[0] == 0:
         return _nscale(y, x[1])
-    if ly == 0:
+    if y[0] == 0:
         return _nscale(x, y[1])
-    if lx < ly:
-        x, y = y, x
-        lx, ly = ly, lx
-    a, b = x[1]
-    if ly < lx:
-        return _mk(lx, _nmul(a, y, ctx), _nmul(b, y, ctx))
-    c, d = y[1]
-    r = ctx.radicands[lx - 1]
-    ac = _nmul(a, c, ctx)
-    bd = _nmul(b, d, ctx)
-    ad = _nmul(a, d, ctx)
-    bc = _nmul(b, c, ctx)
-    return _mk(lx, _nadd(ac, _nmul(bd, r, ctx)), _nadd(ad, bc))
+    return _node(_pmul(x[1], y[1], ctx.gen_square), x[2] * y[2])
 
 
 def _ninv(x: Node, ctx: FieldContext) -> Node:
@@ -168,13 +299,8 @@ def _ninv(x: Node, ctx: FieldContext) -> Node:
         if x[1] == 0:
             raise DivisionByZero("division by exact zero")
         return (0, 1 / x[1])
-    level, (a, b) = x
-    r = ctx.radicands[level - 1]
-    # 1/(a + b*sqrt(r)) = (a - b*sqrt(r)) / (a^2 - b^2 r); the denominator is
-    # nonzero because r is not a square in the lower field.
-    den = _nsub(_nmul(a, a, ctx), _nmul(_nmul(b, b, ctx), r, ctx))
-    inv_den = _ninv(den, ctx)
-    return _mk(level, _nmul(a, inv_den, ctx), _nmul(_nneg(b), inv_den, ctx))
+    q, d = _pinv(x[1], ctx.gen_square)
+    return _node(_pscale(q, x[2]), d)
 
 
 def _ndiv(x: Node, y: Node, ctx: Optional[FieldContext]) -> Node:
@@ -186,53 +312,37 @@ def _ndiv(x: Node, y: Node, ctx: Optional[FieldContext]) -> Node:
 
 
 def _node_depth(x: Node, ctx: FieldContext) -> int:
-    if x[0] == 0:
-        return 0
-    level, (a, b) = x
-    d = max(_node_depth(a, ctx), _node_depth(b, ctx))
-    return max(d, ctx.rad_depth[level - 1])
+    return 0 if x[0] == 0 else _pdepth(x[1], ctx)
 
 
 # ---------------------------------------------------------------------------
 # sign determination: interval refinement with an exact algebraic fallback
 
 
-def _iv_round(lo: Fraction, hi: Fraction, prec: int) -> tuple[Fraction, Fraction]:
-    scale = 1 << prec
-    lo2 = Fraction(lo.numerator * scale // lo.denominator, scale)
-    n = hi.numerator * scale
-    q, rem = divmod(n, hi.denominator)
-    hi2 = Fraction(q + (1 if rem else 0), scale)
-    return lo2, hi2
+def _iv_leaf(n: int, d: int, prec: int) -> tuple[int, int]:
+    """Floor and ceiling of n/d * 2**prec."""
+    n <<= prec
+    return n // d, -(-n // d)
 
 
-def _iv_mul(a, b, prec):
-    p1 = a[0] * b[0]
-    p2 = a[0] * b[1]
-    p3 = a[1] * b[0]
-    p4 = a[1] * b[1]
-    return _iv_round(min(p1, p2, p3, p4), max(p1, p2, p3, p4), prec)
+def _node_interval(x: Node, ctx: FieldContext, prec: int) -> tuple[int, int]:
+    """Integers lo, hi with lo <= x * 2**prec <= hi."""
+    p, d = _frac(x)
+    return _piv(p, 1, d, ctx, prec)
 
 
-def _iv_sqrt(x, prec):
-    lo, hi = x
-    if lo < 0:
-        lo = _F0
-    scale = 1 << (2 * prec)
-    slo = isqrt(lo.numerator * scale // lo.denominator)
-    shi = isqrt(hi.numerator * scale // hi.denominator) + 1
-    return Fraction(slo, 1 << prec), Fraction(shi, 1 << prec)
-
-
-def _node_interval(x: Node, ctx: FieldContext, prec: int):
-    if x[0] == 0:
-        return _iv_round(x[1], x[1], prec)
-    level, (a, b) = x
-    ia = _node_interval(a, ctx, prec)
-    ib = _node_interval(b, ctx, prec)
-    ir = _rad_sqrt_interval(level, ctx, prec)
-    p = _iv_mul(ib, ir, prec)
-    return _iv_round(ia[0] + p[0], ia[1] + p[1], prec)
+def _piv(p: Poly, m: int, d: int, ctx: FieldContext, prec: int):
+    """The interval of p*m/d.  Each leaf is rounded outward as the reduced
+    coefficient of the canonical form it stands for, and each product with
+    sqrt(r_k) is rounded outward, to multiples of 2**-prec."""
+    if type(p) is int:
+        return _iv_leaf(p * m, d, prec)
+    k, a, b = p
+    alo, ahi = _piv(a, m, d, ctx, prec)
+    blo, bhi = _piv(b, m * ctx.gen_scale[k - 1], d, ctx, prec)
+    rlo, rhi = _rad_sqrt_interval(k, ctx, prec)
+    prods = (blo * rlo, blo * rhi, bhi * rlo, bhi * rhi)
+    return alo + (min(prods) >> prec), ahi - (-max(prods) >> prec)
 
 
 def _rad_sqrt_interval(level: int, ctx: FieldContext, prec: int):
@@ -240,25 +350,21 @@ def _rad_sqrt_interval(level: int, ctx: FieldContext, prec: int):
     key = (level, prec)
     got = cache.get(key)
     if got is None:
-        got = _iv_sqrt(_node_interval(ctx.radicands[level - 1], ctx, prec), prec)
-        cache[key] = got
+        lo, hi = _node_interval(ctx.radicands[level - 1], ctx, prec)
+        got = cache[key] = (isqrt(max(lo, 0) << prec), isqrt(hi << prec) + 1)
     return got
 
 
-def _nsign_exact(x: Node, ctx: FieldContext) -> int:
-    if x[0] == 0:
-        f = x[1]
-        return (f > 0) - (f < 0)
-    level, (a, b) = x
-    sa = _nsign_exact(a, ctx)
-    sb = _nsign_exact(b, ctx)
+def _psign_exact(p: Poly, sq: list[Poly]) -> int:
+    if type(p) is int:
+        return (p > 0) - (p < 0)
+    sa = _psign_exact(p[1], sq)
+    sb = _psign_exact(p[2], sq)
     if sa == 0:
         return sb
     if sa == sb:
         return sa
-    r = ctx.radicands[level - 1]
-    t = _nsub(_nmul(a, a, ctx), _nmul(_nmul(b, b, ctx), r, ctx))
-    st = _nsign_exact(t, ctx)
+    st = _psign_exact(_pnorm(p, sq), sq)
     if st == 0:
         raise FieldContextError("tower canonicity violated")
     return sa if st > 0 else sb
@@ -270,14 +376,15 @@ def _nsign(x: Node, ctx: Optional[FieldContext]) -> int:
         return (f > 0) - (f < 0)
     # canonical nodes of positive level are never zero, so refinement is a
     # complete decision procedure; the exact fallback bounds the work when
-    # the value is extremely close to zero.
+    # the value is extremely close to zero.  The denominator is positive,
+    # so the exact sign is that of the poly.
     for prec in (64, 128, 256, 512):
         lo, hi = _node_interval(x, ctx, prec)
         if lo > 0:
             return 1
         if hi < 0:
             return -1
-    return _nsign_exact(x, ctx)
+    return _psign_exact(x[1], ctx.gen_square)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +496,7 @@ def _rational_sqrt_in_prefix(f: Fraction, k: int,
     root, prod = _ONE, _F1
     for i, r in enumerate(rads):
         if subset >> i & 1:
-            root = _nmul(root, (i + 1, (_ZERO, _ONE)), ctx)
+            root = _nmul(root, _gen(i + 1, ctx), ctx)
             prod *= r
     c = _rational_sqrt(f / prod)
     if c is None:
@@ -403,9 +510,8 @@ def _sqrt_at_own_level(x: Node, ctx: FieldContext) -> Optional[Node]:
         r = _rational_sqrt(x[1])
         return None if r is None else (0, r)
     k = x[0]
-    a, b = x[1]
-    r = ctx.radicands[k - 1]
-    disc = _nsub(_nmul(a, a, ctx), _nmul(_nmul(b, b, ctx), r, ctx))
+    a, b = _split(x, ctx)
+    disc = _node(_pnorm(x[1], ctx.gen_square), x[2] * x[2])
     if _nsign(disc, ctx) < 0:
         return None
     w = _has_sqrt(disc, k - 1, ctx)
@@ -420,8 +526,8 @@ def _sqrt_at_own_level(x: Node, ctx: FieldContext) -> Optional[Node]:
         if s is None:
             continue
         t = _ndiv(_nscale(b, two), s, ctx)
-        y = _mk(k, s, t)
-        if _nsub(_nmul(y, y, ctx), x) == _ZERO:
+        y = _mk(k, s, t, ctx)
+        if _nmul(y, y, ctx) == x:
             return y
     return None
 
@@ -434,7 +540,7 @@ def _sqrt_t_branch(x: Node, j: int, ctx: FieldContext) -> Optional[Node]:
         inv_r = ctx._inv_memo[r] = _ninv(r, ctx)
     t = _has_sqrt(_nmul(x, inv_r, ctx), j - 1, ctx)
     if t is not None:
-        return _mk(j, _ZERO, t)
+        return _mk(j, _ZERO, t, ctx)
     return None
 
 
@@ -479,7 +585,7 @@ def _csqrt(x: Node, ctx: FieldContext) -> Node:
                     y = _nneg(y)
                 return _nscale(y, scale)
             level = ctx.adjoin(rad)
-        root: Node = (level, (_ZERO, _ONE))
+        root = _gen(level, ctx)
     return _nscale(root, scale)
 
 
@@ -544,7 +650,8 @@ class Constructible:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return Constructible._wrap(_nsub(self._node, o._node), self._join_ctx(o))
+        return Constructible._wrap(_nadd(self._node, o._node, -1),
+                                   self._join_ctx(o))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -610,7 +717,8 @@ class Constructible:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return (self - o)._node == _ZERO
+        self._join_ctx(o)
+        return self._node == o._node
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -662,12 +770,11 @@ class Constructible:
             mid = node[1]
         else:
             ctx = self._ctx
-            bound = Fraction(1, 4 * 10 ** digits)
             prec = 64
             while True:
                 lo, hi = _node_interval(node, ctx, prec)
-                if hi - lo < bound:
-                    mid = (lo + hi) / 2
+                if (hi - lo) * 4 * 10 ** digits < 1 << prec:
+                    mid = Fraction(lo + hi, 1 << (prec + 1))
                     break
                 prec *= 2
         scaled = mid * 10 ** digits
@@ -738,23 +845,24 @@ TWO = Constructible(2)
 # canonical prefix serialization
 
 
-def _ser(node: Node, ctx: Optional[FieldContext], out: list[str]) -> None:
-    if node[0] == 0:
-        out.append(str(node[1]))
+def _ser(p: Poly, d: int, ctx: Optional[FieldContext], out: list[str]) -> None:
+    """Print p/d, each coefficient as its own reduced rational."""
+    if type(p) is int:
+        out.append(str(Fraction(p, d)))
         return
-    level, (a, b) = node
+    k, a, b = p
     out.append("+")
-    _ser(a, ctx, out)
+    _ser(a, d, ctx, out)
     out.append("×")  # multiplication sign
-    _ser(b, ctx, out)
+    _ser(_pscale(b, ctx.gen_scale[k - 1]), d, ctx, out)
     out.append("√")  # square root sign
-    _ser(ctx.radicands[level - 1], ctx, out)
+    _ser(*_frac(ctx.radicands[k - 1]), ctx, out)
 
 
 def to_prefix(x: Constructible) -> str:
     """Canonical prefix form over rational literals and + - * / sqrt."""
     out: list[str] = []
-    _ser(x._node, x._ctx, out)
+    _ser(*_frac(x._node), x._ctx, out)
     return " ".join(out)
 
 

@@ -264,13 +264,15 @@ class PropositionResult:
 @dataclass
 class Checks:
     """Every exact check on one result or theorem instance, in order, as
-    (claim, passed, residual); a failed check raises nothing."""
+    (claim, passed, residual); a failed check raises nothing.  A boolean
+    claim has no residual: it shows ``0`` when it holds and ``-`` when it
+    fails."""
 
     prop_id: str
     claims: list[tuple[str, bool, str]] = field(default_factory=list)
 
     def true(self, claim: str, ok: bool) -> None:
-        self.claims.append((claim, bool(ok), "0"))
+        self.claims.append((claim, bool(ok), "0" if ok else "-"))
 
     def zero(self, claim: str, residual) -> None:
         self.claims.append((claim, residual.sign() == 0, str(residual)))

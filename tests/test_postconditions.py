@@ -70,3 +70,11 @@ def test_script_prop_stops_with_exit_1(moved, tmp_path, capsys):
     assert main(["run", str(script)]) == 1
     assert capsys.readouterr().err == (
         "2:12: I.1 fails: side CA equals AB; side CB equals AB\n")
+
+
+def test_failed_boolean_claim_shows_no_zero_residual(moved, capsys):
+    moved("I.44")
+    assert main(["prop", "I.44", "--seed", "3"]) == 1
+    line, = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("result is a parallelogram\t")]
+    assert line.endswith("\tFAIL\t-") and not line.endswith("\t0")
