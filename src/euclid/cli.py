@@ -89,6 +89,17 @@ def _instance(args, base: str) -> dict:
     return verify.generate_instance(base, random.Random(_seed(args)))
 
 
+def _write_svg(path: str, svg: bytes) -> None:
+    """Write an SVG file; print why and exit 2 if it cannot be written."""
+    try:
+        with open(path, "wb") as f:
+            f.write(svg)
+    except OSError as e:
+        print(f"cannot write {path}: {e.strerror or e}", file=sys.stderr)
+        raise SystemExit(2)
+    print(f"wrote {path}")
+
+
 def _cmd_run(args) -> int:
     script = _checked_script(args.script)
     try:
@@ -102,10 +113,7 @@ def _cmd_run(args) -> int:
     if args.trace:
         print(inter.trace_text())
     if args.svg:
-        drawable = {k: v for k, v in inter.env.items()}
-        with open(args.svg, "wb") as f:
-            f.write(render(drawable))
-        print(f"wrote {args.svg}")
+        _write_svg(args.svg, render(inter.env))
     return 0 if inter.all_assertions_pass else 1
 
 
@@ -145,9 +153,7 @@ def _cmd_prop(args) -> int:
     if args.trace:
         print("\n".join(trace_lines(result.trace, result.tracer.registry)))
     if args.svg:
-        with open(args.svg, "wb") as f:
-            f.write(render_result(result))
-        print(f"wrote {args.svg}")
+        _write_svg(args.svg, render_result(result))
     return 0 if checks.all_pass else 1
 
 

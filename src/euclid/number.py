@@ -6,17 +6,21 @@ r_i is a positive element of F(i-1) that is not a square there.  Signs are
 decided by interval refinement with an exact algebraic fallback; no
 decision ever rests on floating point.
 
-Every value is stored as integers over one denominator.  Level i has the
-integral generator g_i = e_i*sqrt(r_i), where e_i is the denominator of
-r_i (so g_i = sqrt(r_i) when r_i has none); g_i^2 = e_i^2*r_i then has
-integer coefficients over the lower generators.  An irrational value is
-p/d with d a positive integer and p an integer polynomial in the nested
-form ``a + b*g_k``, with ``b != 0`` (a value that lives in a lower field
-is stored at its minimal level), and the gcd of the integer leaves of p
-coprime to d.  That form is unique, so two values of one tower are equal
-exactly when their nodes are, and a value is zero exactly when it is the
-rational zero.  Rational values stay plain fractions.  Each operation
-works on the integer leaves and reduces its result with one gcd pass.
+Every value, rational or not, is stored as integers over one
+denominator.  Level i has the integral generator g_i = e_i*sqrt(r_i),
+where e_i is the denominator of r_i (so g_i = sqrt(r_i) when r_i has
+none); g_i^2 = e_i^2*r_i then has integer coefficients over the lower
+generators.  A value is p/d with d a positive integer and p an integer
+polynomial in the nested form ``a + b*g_k``, with ``b != 0`` (a value that
+lives in a lower field is stored at its minimal level), and the gcd of the
+integer leaves of p coprime to d.  A rational value is the case k = 0,
+where p is one int and p/d is in lowest terms.  That form is unique, so
+two values of one tower are equal exactly when their nodes are, and a
+value is zero exactly when it is the rational zero.  Each operation works
+on the integer leaves and reduces its result with one gcd pass, so
+arithmetic stays in Python ints; only the public boundary (the
+constructor, :meth:`Constructible.as_fraction`, :meth:`Constructible.approx`
+and the prefix form) converts to and from fractions.
 
 The tower itself lives in a :class:`FieldContext`.  Radicands are adjoined
 on demand by :func:`sqrt_nonneg`, which first searches the existing tower
@@ -50,14 +54,13 @@ from .errors import DivisionByZero, FieldContextError, NegativeRadicand
 # A poly is an int, or (k, a, b) with k >= 1 for a + b*g_k, where a and b
 # are polys of levels below k and b is never 0.
 Poly = Union[int, tuple]
-# A node is (0, Fraction) for a rational value, or (k, p, d) for the
-# irrational value p/d: p a poly of level k >= 1, d > 0 an int coprime to
-# the gcd of the leaves of p.
+# A node is (k, p, d) for the value p/d: p a poly of level k (an int when
+# k is 0), d > 0 an int coprime to the gcd of the leaves of p.
 Node = tuple
 
-_F1 = Fraction(1)
-_ZERO: Node = (0, Fraction(0))
-_ONE: Node = (0, _F1)
+_ZERO: Node = (0, 0, 1)
+_ONE: Node = (0, 1, 1)
+_HALF: Node = (0, 1, 2)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -83,16 +86,15 @@ class FieldContext:
     def adjoin(self, radicand: Node) -> int:
         """Append a radicand known not to be a square in the current tower."""
         with self._lock:
-            p, e = _frac(radicand)
-            self.gen_scale.append(e)
-            self.gen_square.append(_pscale(p, e))
+            self.gen_scale.append(radicand[2])
+            self.gen_square.append(_pscale(radicand[1], radicand[2]))
             self.radicands.append(radicand)
             level = len(self.radicands)
             if (len(self.rational_radicands) == level - 1
-                    and radicand[0] == 0 and radicand[1].denominator == 1):
-                self.rational_radicands.append(radicand[1].numerator)
+                    and radicand[0] == 0 and radicand[2] == 1):
+                self.rational_radicands.append(radicand[1])
             self.rad_index[radicand] = level
-            self.rad_depth.append(_node_depth(radicand, self) + 1)
+            self.rad_depth.append(_pdepth(radicand[1], self) + 1)
             return level
 
 
@@ -119,7 +121,7 @@ def current_context() -> FieldContext:
 
 
 # ---------------------------------------------------------------------------
-# integer polys: the numerators of irrational values
+# integer polys: the numerators of values
 
 
 def _pscale(p: Poly, k: int) -> Poly:
@@ -225,17 +227,10 @@ def _pdepth(p: Poly, ctx: FieldContext) -> int:
 def _node(p: Poly, d: int) -> Node:
     """The node of p/d for an int d > 0."""
     if type(p) is int:
-        return (0, Fraction(p, d))
+        g = gcd(p, d)
+        return (0, p, d) if g == 1 else (0, p // g, d // g)
     p, d = _reduce(p, d)
     return (p[0], p, d)
-
-
-def _frac(x: Node) -> tuple[Poly, int]:
-    """The poly and the denominator of a node."""
-    if x[0] == 0:
-        f = x[1]
-        return f.numerator, f.denominator
-    return x[1], x[2]
 
 
 def _gen(k: int, ctx: FieldContext) -> Node:
@@ -247,8 +242,8 @@ def _mk(k: int, a: Node, b: Node, ctx: FieldContext) -> Node:
     """The node of a + b*sqrt(r_k) for nodes a, b of F(k-1)."""
     if b == _ZERO:
         return a
-    pa, da = _frac(a)
-    pb, db = _frac(b)
+    _, pa, da = a
+    _, pb, db = b
     db *= ctx.gen_scale[k - 1]
     g = gcd(da, db)
     return _node((k, _pscale(pa, db // g), _pscale(pb, da // g)), da // g * db)
@@ -261,58 +256,35 @@ def _split(x: Node, ctx: FieldContext) -> tuple[Node, Node]:
 
 
 def _nneg(x: Node) -> Node:
-    if x[0] == 0:
-        return (0, -x[1])
     return (x[0], _pscale(x[1], -1), x[2])
 
 
 def _nadd(x: Node, y: Node, s: int = 1) -> Node:
     """x + s*y for s = 1 or -1."""
-    if x[0] == 0 and y[0] == 0:
-        return (0, x[1] + y[1] if s > 0 else x[1] - y[1])
-    px, dx = _frac(x)
-    py, dy = _frac(y)
+    _, px, dx = x
+    _, py, dy = y
     if dx == dy:
         return _node(_plin(px, 1, py, s), dx)
     g = gcd(dx, dy)
     return _node(_plin(px, dy // g, py, s * (dx // g)), dx // g * dy)
 
 
-def _nscale(x: Node, f: Fraction) -> Node:
-    if f == 0:
-        return _ZERO
-    if x[0] == 0:
-        return (0, x[1] * f)
-    return _node(_pscale(x[1], f.numerator), x[2] * f.denominator)
-
-
 def _nmul(x: Node, y: Node, ctx: Optional[FieldContext]) -> Node:
-    if x[0] == 0:
-        return _nscale(y, x[1])
-    if y[0] == 0:
-        return _nscale(x, y[1])
-    return _node(_pmul(x[1], y[1], ctx.gen_square), x[2] * y[2])
+    # the poly code reads g_k^2 only when both factors are irrational, so
+    # rationals need no context here or in _ninv
+    sq = None if ctx is None else ctx.gen_square
+    return _node(_pmul(x[1], y[1], sq), x[2] * y[2])
 
 
-def _ninv(x: Node, ctx: FieldContext) -> Node:
-    if x[0] == 0:
-        if x[1] == 0:
-            raise DivisionByZero("division by exact zero")
-        return (0, 1 / x[1])
-    q, d = _pinv(x[1], ctx.gen_square)
+def _ninv(x: Node, ctx: Optional[FieldContext]) -> Node:
+    if x[1] == 0:
+        raise DivisionByZero("division by exact zero")
+    q, d = _pinv(x[1], None if ctx is None else ctx.gen_square)
     return _node(_pscale(q, x[2]), d)
 
 
 def _ndiv(x: Node, y: Node, ctx: Optional[FieldContext]) -> Node:
-    if y[0] == 0:
-        if y[1] == 0:
-            raise DivisionByZero("division by exact zero")
-        return _nscale(x, 1 / y[1])
     return _nmul(x, _ninv(y, ctx), ctx)
-
-
-def _node_depth(x: Node, ctx: FieldContext) -> int:
-    return 0 if x[0] == 0 else _pdepth(x[1], ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +299,7 @@ def _iv_leaf(n: int, d: int, prec: int) -> tuple[int, int]:
 
 def _node_interval(x: Node, ctx: FieldContext, prec: int) -> tuple[int, int]:
     """Integers lo, hi with lo <= x * 2**prec <= hi."""
-    p, d = _frac(x)
-    return _piv(p, 1, d, ctx, prec)
+    return _piv(x[1], 1, x[2], ctx, prec)
 
 
 def _piv(p: Poly, m: int, d: int, ctx: FieldContext, prec: int):
@@ -372,8 +343,7 @@ def _psign_exact(p: Poly, sq: list[Poly]) -> int:
 
 def _nsign(x: Node, ctx: Optional[FieldContext]) -> int:
     if x[0] == 0:
-        f = x[1]
-        return (f > 0) - (f < 0)
+        return (x[1] > 0) - (x[1] < 0)
     # canonical nodes of positive level are never zero, so refinement is a
     # complete decision procedure; the exact fallback bounds the work when
     # the value is extremely close to zero.  The denominator is positive,
@@ -391,11 +361,13 @@ def _nsign(x: Node, ctx: Optional[FieldContext]) -> int:
 # square roots inside and on top of the tower
 
 
-def _rational_sqrt(f: Fraction) -> Optional[Fraction]:
-    p, q = f.numerator, f.denominator
-    rp, rq = isqrt(p), isqrt(q)
-    if rp * rp == p and rq * rq == q:
-        return Fraction(rp, rq)
+def _rational_sqrt(x: Node) -> Optional[Node]:
+    """The square root of the rational x >= 0 if it is rational, or None:
+    n/d in lowest terms is a square exactly when n and d are."""
+    _, n, d = x
+    rn, rd = isqrt(n), isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return (0, rn, rd)
     return None
 
 
@@ -410,7 +382,7 @@ def _has_sqrt(x: Node, k: int, ctx: FieldContext) -> Optional[Node]:
     """
     lx = x[0]
     if lx == 0 and k <= len(ctx.rational_radicands):
-        return _rational_sqrt_in_prefix(x[1], k, ctx)
+        return _rational_sqrt_in_prefix(x, k, ctx)
     memo = ctx._sqrt_memo
     entry = memo.get(x)
     if entry is None:
@@ -457,23 +429,24 @@ def _parity_mask(n: int, base: list[int]) -> int:
     return mask
 
 
-def _rational_sqrt_in_prefix(f: Fraction, k: int,
+def _rational_sqrt_in_prefix(x: Node, k: int,
                              ctx: FieldContext) -> Optional[Node]:
-    """A square root of the rational f >= 0 inside F(k), or None, where
+    """A square root of the rational x >= 0 inside F(k), or None, where
     r_1..r_k are all rational.
 
-    f is a square in Q(sqrt r_1, ..., sqrt r_k) exactly when f times the
+    x is a square in Q(sqrt r_1, ..., sqrt r_k) exactly when x times the
     product of some subset S of the r_i is a rational square; the root is
     then c * prod_S sqrt(r_i) with c rational.  Over a pairwise coprime
     base, an integer is a square exactly when its exponent of every base
     element that is not itself a square is even, so S solves a GF(2)
     system in the exponent parities.
     """
-    c = _rational_sqrt(f)
-    if c is not None:  # also f == 0, which gcd refinement cannot take
-        return (0, c)
+    c = _rational_sqrt(x)
+    if c is not None:  # also x == 0, which gcd refinement cannot take
+        return c
     rads = ctx.rational_radicands[:k]
-    target = f.numerator * f.denominator
+    _, n, d = x
+    target = n * d
     base = [b for b in _coprime_base(rads + [target]) if isqrt(b) ** 2 != b]
     pivots: dict[int, tuple[int, int]] = {}  # top bit -> (parities, subset)
 
@@ -493,22 +466,21 @@ def _rational_sqrt_in_prefix(f: Fraction, k: int,
     v, subset = reduce(_parity_mask(target, base), 0)
     if v:
         return None
-    root, prod = _ONE, _F1
+    root, prod = _ONE, 1
     for i, r in enumerate(rads):
         if subset >> i & 1:
             root = _nmul(root, _gen(i + 1, ctx), ctx)
             prod *= r
-    c = _rational_sqrt(f / prod)
+    c = _rational_sqrt(_node(n, d * prod))
     if c is None:
         raise FieldContextError("square classes of the rational radicands "
                                 "are inconsistent")
-    return _nscale(root, c)
+    return _nmul(root, c, ctx)
 
 
 def _sqrt_at_own_level(x: Node, ctx: FieldContext) -> Optional[Node]:
     if x[0] == 0:
-        r = _rational_sqrt(x[1])
-        return None if r is None else (0, r)
+        return _rational_sqrt(x)
     k = x[0]
     a, b = _split(x, ctx)
     disc = _node(_pnorm(x[1], ctx.gen_square), x[2] * x[2])
@@ -517,15 +489,14 @@ def _sqrt_at_own_level(x: Node, ctx: FieldContext) -> Optional[Node]:
     w = _has_sqrt(disc, k - 1, ctx)
     if w is None:
         return None
-    two = Fraction(1, 2)
     for w2 in (w, _nneg(w)):
-        p = _nscale(_nadd(a, w2), two)
+        p = _nmul(_nadd(a, w2), _HALF, ctx)
         if p == _ZERO or _nsign(p, ctx) < 0:
             continue
         s = _has_sqrt(p, k - 1, ctx)
         if s is None:
             continue
-        t = _ndiv(_nscale(b, two), s, ctx)
+        t = _ndiv(_nmul(b, _HALF, ctx), s, ctx)
         y = _mk(k, s, t, ctx)
         if _nmul(y, y, ctx) == x:
             return y
@@ -564,18 +535,17 @@ def _csqrt(x: Node, ctx: FieldContext) -> Node:
         raise NegativeRadicand("square root of a negative value")
     if s == 0:
         return _ZERO
-    scale = _F1
+    scale = _ONE
     rad = x
     if x[0] == 0:
-        # sqrt(p/q) = sqrt(p*q)/q; pull out small square factors so equal
+        # sqrt(n/d) = sqrt(n*d)/d; pull out small square factors so equal
         # rational radicands share one tower entry.
-        f = x[1]
-        m = f.numerator * f.denominator
-        sq, m = _strip_square_factor(m)
-        scale = Fraction(sq, f.denominator)
+        _, n, d = x
+        sq, m = _strip_square_factor(n * d)
+        scale = _node(sq, d)
         if m == 1:
-            return (0, scale)
-        rad = (0, Fraction(m))
+            return scale
+        rad = (0, m, 1)
     with ctx._lock:
         level = ctx.rad_index.get(rad)
         if level is None:
@@ -583,10 +553,10 @@ def _csqrt(x: Node, ctx: FieldContext) -> Node:
             if y is not None:
                 if _nsign(y, ctx) < 0:
                     y = _nneg(y)
-                return _nscale(y, scale)
+                return _nmul(y, scale, ctx)
             level = ctx.adjoin(rad)
         root = _gen(level, ctx)
-    return _nscale(root, scale)
+    return _nmul(root, scale, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -602,12 +572,20 @@ class Constructible:
     __slots__ = ("_node", "_ctx")
 
     def __init__(self, value: Union[int, str, Fraction] = 0):
-        if isinstance(value, Constructible):
+        if type(value) is int:
+            self._node = (0, value, 1)
+            self._ctx = None
+        elif isinstance(value, Constructible):
             self._node = value._node
             self._ctx = value._ctx
-            return
-        self._node = (0, Fraction(value))
-        self._ctx = None
+        elif isinstance(value, (int, Fraction, str)):
+            f = Fraction(value)
+            self._node = (0, f.numerator, f.denominator)
+            self._ctx = None
+        else:
+            # a float is a binary fraction, not the decimal it prints as
+            raise TypeError("an exact value needs an int, a Fraction or a "
+                            f"str, not {type(value).__name__}")
 
     @staticmethod
     def _wrap(node: Node, ctx: Optional[FieldContext]) -> "Constructible":
@@ -737,8 +715,9 @@ class Constructible:
         return (self - self._coerce(other)).sign() >= 0
 
     def __hash__(self):
-        if self._node[0] == 0:
-            return hash(self._node[1])
+        k, n, d = self._node
+        if k == 0:  # equal to the hash of the equal int or Fraction
+            return hash(n) if d == 1 else hash(Fraction(n, d))
         return hash(self._node)
 
     def __bool__(self):
@@ -751,15 +730,14 @@ class Constructible:
         return self._node[0] == 0
 
     def as_fraction(self) -> Fraction:
-        if self._node[0] != 0:
+        k, n, d = self._node
+        if k != 0:
             raise ValueError("value is irrational")
-        return self._node[1]
+        return Fraction(n, d)
 
     def radical_depth(self) -> int:
         """Maximum nesting depth of square roots in the canonical form."""
-        if self._node[0] == 0:
-            return 0
-        return _node_depth(self._node, self._ctx)
+        return _pdepth(self._node[1], self._ctx)
 
     def approx(self, digits: int) -> str:
         """Decimal approximation with absolute error below 10**-digits."""
@@ -767,7 +745,7 @@ class Constructible:
             raise ValueError("digits must be >= 1")
         node = self._node
         if node[0] == 0:
-            mid = node[1]
+            mid = Fraction(node[1], node[2])
         else:
             ctx = self._ctx
             prec = 64
@@ -856,13 +834,13 @@ def _ser(p: Poly, d: int, ctx: Optional[FieldContext], out: list[str]) -> None:
     out.append("×")  # multiplication sign
     _ser(_pscale(b, ctx.gen_scale[k - 1]), d, ctx, out)
     out.append("√")  # square root sign
-    _ser(*_frac(ctx.radicands[k - 1]), ctx, out)
+    _ser(*ctx.radicands[k - 1][1:], ctx, out)
 
 
 def to_prefix(x: Constructible) -> str:
     """Canonical prefix form over rational literals and + - * / sqrt."""
     out: list[str] = []
-    _ser(*_frac(x._node), x._ctx, out)
+    _ser(*x._node[1:], x._ctx, out)
     return " ".join(out)
 
 
@@ -887,8 +865,7 @@ def from_prefix(text: str) -> Constructible:
             return parse() / parse()
         if tok == "√" or tok == "sqrt":
             return sqrt_nonneg(parse())
-        lit = tok.replace("−", "-")
-        return Constructible(Fraction(lit))
+        return Constructible(Fraction(tok.replace("−", "-")))
 
     value = parse()
     if pos != len(tokens):

@@ -31,6 +31,11 @@ class TestRun:
         assert main(["run", str(SCRIPTS / "i1.euc"), "--svg", str(target)]) == 0
         assert target.read_bytes().startswith(b"<svg")
 
+    def test_svg_unwritable_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "i1.svg"
+        assert main(["run", str(SCRIPTS / "i1.euc"), "--svg", str(target)]) == 2
+        assert f"cannot write {target}: " in capsys.readouterr().err
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.euc"
         bad.write_text("point A = (0 0)\n")
@@ -143,6 +148,11 @@ class TestProp:
         target = tmp_path / "p.svg"
         assert main(["prop", "I.1", "--seed", "3", "--svg", str(target)]) == 0
         assert target.exists()
+
+    def test_svg_unwritable_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "p.svg"
+        assert main(["prop", "I.1", "--seed", "3", "--svg", str(target)]) == 2
+        assert f"cannot write {target}: " in capsys.readouterr().err
 
 
 class TestSuite:

@@ -1,7 +1,11 @@
 """Invariants are real checks: ``python -O`` strips ``assert`` statements,
-so the engine's source holds none."""
+so the engine's source holds none, and a run under ``-O`` prints what a
+plain run prints."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import euclid
@@ -27,3 +31,17 @@ def test_no_global_statements():
         found += [f"{path.relative_to(PACKAGE)}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Global)]
     assert found == []
+
+
+def test_optimized_interpreter_gives_same_records():
+    env = {k: v for k, v in os.environ.items() if k != "EUCLID_SEED"}
+    env["PYTHONPATH"] = str(PACKAGE.parent)
+
+    def run(*flags):
+        return subprocess.run([sys.executable, *flags, "-m", "euclid", "suite",
+                               "all", "--n", "1", "--seed", "3", "--records"],
+                              capture_output=True, env=env, timeout=120)
+
+    plain, optimized = run(), run("-O")
+    assert plain.returncode == 0 and optimized.returncode == 0
+    assert plain.stdout and plain.stdout == optimized.stdout

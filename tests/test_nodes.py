@@ -5,7 +5,8 @@ every object of every construction result at one instance seed, and for
 elements of 12-level towers whose nested radicands carry denominators.
 The property test holds every stored value to its normal form: integer
 leaves over one positive denominator coprime to their gcd, minimal
-level and a nonzero top coefficient.
+level and a nonzero top coefficient; a rational value is one int over
+its denominator in lowest terms.
 """
 
 import hashlib
@@ -118,12 +119,10 @@ def _content(p) -> int:
 
 
 def assert_normal(x: Constructible) -> None:
-    node = x._node
-    if node[0] == 0:
-        assert len(node) == 2 and type(node[1]) is Fraction
-        return
-    level, p, d = node
-    assert level >= 1 and _poly_level(p) == level
+    level, p, d = x._node
+    assert _poly_level(p) == level
+    if level == 0:
+        assert type(p) is int
     assert type(d) is int and d > 0 and gcd(_content(p), d) == 1
 
 
@@ -169,6 +168,12 @@ class TestEquality:
             assert x == y
             assert x._node == y._node and hash(x) == hash(y)
         assert (1 / p) * p == 1 and hash((1 / p) * p) == hash(1)
+
+    def test_rationals_meet_int_and_fraction(self):
+        assert hash(Constructible(Fraction(1, 2))) == hash(Fraction(1, 2))
+        assert Constructible(3) in {3}
+        f = Constructible(Fraction(-2, 4)).as_fraction()
+        assert type(f) is Fraction and f == Fraction(-1, 2)
 
     def test_points_compare_by_coordinates(self):
         new_context()

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from euclid import number
 from euclid.errors import DivisionByZero, NegativeRadicand
+from euclid.geom import Point
 from euclid.number import (
     Constructible,
+    add,
     approx,
     div,
     from_prefix,
@@ -65,6 +66,20 @@ class TestRationalArithmetic:
         with pytest.raises(DivisionByZero):
             div(sqrt_nonneg(C(2)), sqrt_nonneg(C(2)) - sqrt_nonneg(C(2)))
 
+    # a float is the binary fraction nearest its literal, so no exact value
+    # is made from one: 0.1 would be 3602879701896397/36028797018963968
+    def test_float_rejected_by_constructor(self):
+        with pytest.raises(TypeError):
+            Constructible(0.1)
+
+    def test_float_rejected_by_point(self):
+        with pytest.raises(TypeError):
+            Point(0.5, 0)
+
+    def test_float_rejected_by_operation_surface(self):
+        with pytest.raises(TypeError):
+            add(0.1, 1)
+
 
 class TestSqrt:
     def test_sqrt_zero(self):
@@ -109,12 +124,17 @@ _square_class_products = st.lists(st.sampled_from(_ATOMS), min_size=1,
                                   max_size=3).map(math.prod)
 
 
+def _is_rational_square(f):
+    """A Fraction in lowest terms is a square when both its terms are."""
+    return all(math.isqrt(n) ** 2 == n for n in (f.numerator, f.denominator))
+
+
 def _in_span(x, rads):
     """Brute force: x times the product of some subset of rads is a
     rational square."""
     for mask in range(1 << len(rads)):
         prod = math.prod(r for i, r in enumerate(rads) if mask >> i & 1)
-        if number._rational_sqrt(x * prod) is not None:
+        if _is_rational_square(x * prod):
             return True
     return False
 
