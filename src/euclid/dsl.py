@@ -192,24 +192,15 @@ class Diagnostic:
 class CoordNum:
     value: Fraction
 
-    def pretty(self) -> str:
-        return str(self.value)
-
 
 @dataclass(frozen=True)
 class CoordSqrt:
     inner: "CoordExpr"
 
-    def pretty(self) -> str:
-        return f"sqrt({self.inner.pretty()})"
-
 
 @dataclass(frozen=True)
 class CoordNeg:
     inner: "CoordExpr"
-
-    def pretty(self) -> str:
-        return f"-{self.inner.pretty()}"
 
 
 @dataclass(frozen=True)
@@ -217,9 +208,6 @@ class CoordBin:
     op: str
     left: "CoordExpr"
     right: "CoordExpr"
-
-    def pretty(self) -> str:
-        return f"({self.left.pretty()} {self.op} {self.right.pretty()})"
 
 
 CoordExpr = Union[CoordNum, CoordSqrt, CoordNeg, CoordBin]
@@ -767,49 +755,3 @@ def interpret(script: Script) -> Interpretation:
         except EuclidError as e:
             raise ScriptError(st.span, f"{type(e).__name__}: {e}")
     return Interpretation(env, tr, outcomes)
-
-
-# ---------------------------------------------------------------------------
-# pretty printing
-
-
-def pretty(script: Script) -> str:
-    out = []
-    for st in script.statements:
-        if isinstance(st, Assertion):
-            args = ", ".join(_pretty_arg(a) for a in st.args)
-            out.append(f"assert {st.predicate}({args})")
-            continue
-        names = ", ".join(n.ident for n in st.names)
-        out.append(f"{st.type} {names} = {_pretty_expr(st.expr)}")
-    return "\n".join(out) + "\n"
-
-
-def _pretty_arg(arg) -> str:
-    if isinstance(arg, Name):
-        return arg.ident
-    if isinstance(arg, PointLit):
-        return f"({arg.x.pretty()}, {arg.y.pretty()})"
-    return arg.pretty()
-
-
-def _pretty_expr(expr) -> str:
-    if isinstance(expr, PointLit):
-        return _pretty_arg(expr)
-    if isinstance(expr, PropCall):
-        args = ", ".join(_pretty_arg(a) for a in expr.args)
-        text = f"prop {expr.prop_id} ({args})"
-        if expr.strategy:
-            text += f" strategy {expr.strategy}"
-        if expr.side:
-            text += f" side {expr.side}"
-        return text
-    args = ", ".join(_pretty_arg(a) for a in expr.args)
-    text = f"{expr.fn}({args})"
-    if expr.selector is not None:
-        if SELECTORS[expr.selector.kind].args:
-            sel_args = ", ".join(_pretty_arg(a) for a in expr.selector.args)
-            text += f" {expr.selector.kind}({sel_args})"
-        else:
-            text += f" {expr.selector.kind}"
-    return text

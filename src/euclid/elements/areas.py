@@ -21,7 +21,6 @@ from ..geom import (
     Segment,
     angle_eq,
     angles_sum_to_two_rights,
-    apply_isometry,
     between,
     collinear,
     content,
@@ -285,7 +284,7 @@ def _p44_euclid(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
     ref = ab.b - ab.a
     want = lambda p: ref.cross(p - ab.a).sign() == scaffold_sign
     flag = "direct"
-    if not want(apply_isometry(superpose(from_seg, to_seg, "direct"), f42)):
+    if not want(superpose(from_seg, to_seg, "direct").apply(f42)):
         flag = "flipped"
     m, (g, f) = tr.superpose(from_seg, to_seg, flag, carry=[f42, g42])
     b, e = b0, e_t

@@ -365,16 +365,6 @@ def _check_i41(r: Checks, bundle: dict) -> None:
            content(pg) - content(t) * 2)
 
 
-def _check_i43(r: Checks, bundle: dict) -> None:
-    from .areas import p43_complements
-
-    pg, k = _need(bundle, "pg", "k")
-    got = p43_complements(pg, k)
-    comp1, comp2 = got.result
-    r.zero("the complements about the diameter are equal",
-           content(comp1) - content(comp2))
-
-
 @dataclass(frozen=True)
 class Theorem:
     """One theorem: its random hypothesis-conforming instance generator and
@@ -406,7 +396,6 @@ THEOREMS = {
     "I.37": Theorem(gen.i37, _check_i37),
     "I.38": Theorem(gen.i38, _check_i38),
     "I.41": Theorem(gen.i41, _check_i41),
-    "I.43": Theorem(gen.i43, _check_i43),
 }
 
 THEOREM_IDS = tuple(sorted(THEOREMS, key=lambda s: int(s.split(".")[1])))

@@ -19,9 +19,6 @@ from ..number import Constructible
 from ..trace import Checks, PropositionResult, Tracer
 from ._common import angle_measures, cut_at, side_selector
 
-P23_STRATEGIES = ("euclid", "proclus", "albertus", "commandinus", "clavius",
-                  "campanus")
-
 
 def _require_triangle_inequality(a: Constructible, b: Constructible,
                                  c: Constructible) -> None:
@@ -131,11 +128,11 @@ def p23_copy_angle(target_ray: Ray, model: Angle, side: str = "upper",
     requested side.  All strategies satisfy the same postcondition and
     differ only in their construction routes.
     """
-    if strategy not in P23_STRATEGIES:
+    route = P23_STRATEGIES.get(strategy)
+    if route is None:
         raise PreconditionViolated(f"unknown I.23 strategy {strategy!r}")
     tr = tracer or Tracer(f"I.23.{strategy}" if strategy != "euclid" else "I.23")
-    builder = globals()[f"_p23_{strategy}"]
-    apex, on_ray, objects, roles = builder(tr, target_ray, model, side)
+    apex, on_ray, objects, roles = route(tr, target_ray, model, side)
     result = Angle(target_ray.origin, on_ray, apex)
     objects.setdefault("angle", result)
     roles.setdefault("angle", "result")
@@ -286,6 +283,12 @@ def _p23_campanus(tr: Tracer, ray: Ray, model: Angle, side: str):
     objects = {"f": f, "d": d, "g": g, "h": h, "k": k}
     roles = {"f": "given", "d": "aux", "g": "aux", "h": "aux", "k": "result"}
     return k, g, objects, roles
+
+
+# strategy name -> construction route
+P23_STRATEGIES = {"euclid": _p23_euclid, "proclus": _p23_proclus,
+                  "albertus": _p23_albertus, "commandinus": _p23_commandinus,
+                  "clavius": _p23_clavius, "campanus": _p23_campanus}
 
 
 # ---------------------------------------------------------------------------

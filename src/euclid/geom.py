@@ -9,7 +9,7 @@ with the exact sign of a constructible number; there are no tolerances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from . import number
 from .errors import (
@@ -87,18 +87,11 @@ class Vec:
     def norm_sq(self) -> Constructible:
         return self.dot(self)
 
-    def perp(self) -> "Vec":
-        return Vec(-self.dy, self.dx)
-
     def __add__(self, other: "Vec") -> "Vec":
         return Vec(self.dx + other.dx, self.dy + other.dy)
 
     def __neg__(self) -> "Vec":
         return Vec(-self.dx, -self.dy)
-
-    def scaled(self, k) -> "Vec":
-        k = _c(k)
-        return Vec(self.dx * k, self.dy * k)
 
 
 @dataclass(frozen=True)
@@ -118,9 +111,6 @@ class Segment:
 
     def direction(self) -> Vec:
         return self.b - self.a
-
-    def midpoint(self) -> Point:
-        return self.a.midpoint(self.b)
 
     def line(self) -> "Line":
         return Line(self.a, self.b)
@@ -190,10 +180,6 @@ class Circle:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius_sq", rs)
 
-    @property
-    def radius(self) -> Constructible:
-        return sqrt_nonneg(self.radius_sq)
-
     def contains(self, p: Point) -> bool:
         return (self.center.dist_sq(p) - self.radius_sq).is_zero()
 
@@ -250,9 +236,6 @@ class Figure:
         vs = self.vertices
         return [Segment(a, b) for a, b in zip(vs, vs[1:] + vs[:1])]
 
-    def reversed(self) -> "Figure":
-        return Figure(tuple(reversed(self.vertices)))
-
 
 # rotation pair (c, s) with c^2 + s^2 = 1, optional reflection, translation
 @dataclass(frozen=True)
@@ -269,19 +252,6 @@ class Isometry:
             y = -y
         return Point(self.c * x - self.s * y + self.tx,
                      self.s * x + self.c * y + self.ty)
-
-    def __call__(self, p: Point) -> Point:
-        return self.apply(p)
-
-    def compose(self, other: "Isometry") -> "Isometry":
-        """self after other."""
-        oc, os = other.c, other.s
-        if self.reflect:
-            oc, os = oc, -os  # reflect flips the incoming rotation's sense
-        c = self.c * oc - self.s * os
-        s = self.s * oc + self.c * os
-        t = self.apply(Point(other.tx, other.ty))
-        return Isometry(c, s, t.x, t.y, self.reflect != other.reflect)
 
 
 def coords(obj) -> list[Constructible]:
@@ -367,12 +337,9 @@ def circle(center: Point, distance_to: Point) -> Circle:
 # intersections
 
 
-def point_key(p: Point) -> "_PointKey":
-    """Sort key for the canonical lexicographic point order."""
-    return _PointKey(p)
-
-
 class _PointKey:
+    """Sort key for the canonical lexicographic point order."""
+
     __slots__ = ("p",)
 
     def __init__(self, p: Point):
@@ -383,10 +350,6 @@ class _PointKey:
         if sx != 0:
             return sx < 0
         return (self.p.y - other.p.y).sign() < 0
-
-
-def _sorted_points(points: list[Point]) -> list[Point]:
-    return sorted(points, key=point_key)
 
 
 def intersect_lines(l1: Line, l2: Line):
@@ -418,7 +381,7 @@ def intersect_line_circle(l: Line, c: Circle) -> list[Point]:
     out = []
     for t in ((-b - root) / (2 * a), (-b + root) / (2 * a)):
         out.append(Point(l.p.x + d.dx * t, l.p.y + d.dy * t))
-    return _sorted_points(out)
+    return sorted(out, key=_PointKey)
 
 
 def intersect_circles(c1: Circle, c2: Circle) -> list[Point]:
@@ -604,10 +567,6 @@ def superpose(from_seg: Segment, to_seg: Segment, side: str = "direct") -> Isome
     if not (c * c + s * s - 1).is_zero():
         raise SuperpositionMismatch("rotation pair must be unitary")
     return Isometry(c, s, tx, ty, side == "flipped")
-
-
-def apply_isometry(m: Isometry, p: Point) -> Point:
-    return m.apply(p)
 
 
 def point_reflect(p: Point, through: Point) -> Point:

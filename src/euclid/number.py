@@ -77,9 +77,6 @@ class FieldContext:
         # e_i, the denominator of radicands[i-1], and g_i^2 as a poly
         self.gen_scale: list[int] = []
         self.gen_square: list[Poly] = []
-        # node -> [highest level checked, a root or None]
-        self._sqrt_memo: dict[Node, list] = {}
-        self._inv_memo: dict[Node, Node] = {}
         self._rad_iv: dict[tuple[int, int], tuple[int, int]] = {}
         self._lock = threading.RLock()
 
@@ -376,27 +373,20 @@ def _has_sqrt(x: Node, k: int, ctx: FieldContext) -> Optional[Node]:
 
     A rational x with k no higher than the rational prefix of the tower
     takes the multiquadratic span test, :func:`_rational_sqrt_in_prefix`.
-    Any other query takes the general path: a scan over tower levels that
-    is iterative and memoized per node, so a long-lived context degrades
-    gracefully instead of blowing the stack.
+    Any other query takes the general path: a root at the level of x
+    itself, then a root t*sqrt(r_j) for j above that level up to k, stopping
+    at the first root found.  Nothing is remembered between queries, so
+    the context holds only the tower however long it lives.
     """
     lx = x[0]
     if lx == 0 and k <= len(ctx.rational_radicands):
         return _rational_sqrt_in_prefix(x, k, ctx)
-    memo = ctx._sqrt_memo
-    entry = memo.get(x)
-    if entry is None:
-        entry = memo[x] = [lx, _sqrt_at_own_level(x, ctx)]
-    checked, root = entry
-    if root is None and checked < k:
-        j = checked
-        while root is None and j < k:
-            j += 1
-            root = _sqrt_t_branch(x, j, ctx)
-        entry[0], entry[1] = j, root
-    if root is None:
-        return None
-    return root if root[0] <= k else None
+    root = _sqrt_at_own_level(x, ctx)
+    j = lx
+    while root is None and j < k:
+        j += 1
+        root = _sqrt_t_branch(x, j, ctx)
+    return root
 
 
 def _coprime_base(nums: list[int]) -> list[int]:
@@ -505,11 +495,7 @@ def _sqrt_at_own_level(x: Node, ctx: FieldContext) -> Optional[Node]:
 
 def _sqrt_t_branch(x: Node, j: int, ctx: FieldContext) -> Optional[Node]:
     """A root of the form t*sqrt(r_j) with t in F(j-1), if any."""
-    r = ctx.radicands[j - 1]
-    inv_r = ctx._inv_memo.get(r)
-    if inv_r is None:
-        inv_r = ctx._inv_memo[r] = _ninv(r, ctx)
-    t = _has_sqrt(_nmul(x, inv_r, ctx), j - 1, ctx)
+    t = _has_sqrt(_ndiv(x, ctx.radicands[j - 1], ctx), j - 1, ctx)
     if t is not None:
         return _mk(j, _ZERO, t, ctx)
     return None
@@ -579,8 +565,13 @@ class Constructible:
             self._node = value._node
             self._ctx = value._ctx
         elif isinstance(value, (int, Fraction, str)):
-            f = Fraction(value)
-            self._node = (0, f.numerator, f.denominator)
+            # a Fraction is already in lowest terms with a positive denominator
+            if not isinstance(value, Fraction):
+                try:
+                    value = Fraction(value)
+                except ZeroDivisionError:
+                    raise DivisionByZero(f"zero denominator in {value!r}") from None
+            self._node = (0, value.numerator, value.denominator)
             self._ctx = None
         else:
             # a float is a binary fraction, not the decimal it prints as
@@ -776,47 +767,14 @@ class Constructible:
 
 
 def rational(numerator: int, denominator: int = 1) -> Constructible:
-    return Constructible(Fraction(numerator, denominator))
-
-
-def _as_value(x: RationalLike) -> Constructible:
-    return x if isinstance(x, Constructible) else Constructible(x)
-
-
-def add(a: RationalLike, b: RationalLike) -> Constructible:
-    return _as_value(a) + _as_value(b)
-
-
-def sub(a: RationalLike, b: RationalLike) -> Constructible:
-    return _as_value(a) - _as_value(b)
-
-
-def mul(a: RationalLike, b: RationalLike) -> Constructible:
-    return _as_value(a) * _as_value(b)
-
-
-def div(a: RationalLike, b: RationalLike) -> Constructible:
-    return _as_value(a) / _as_value(b)
-
-
-def sign(a: RationalLike) -> int:
-    return _as_value(a).sign()
+    return Constructible(numerator) / denominator
 
 
 def sqrt_nonneg(a: RationalLike) -> Constructible:
     """The non-negative square root of a non-negative value."""
-    v = _as_value(a)
+    v = a if isinstance(a, Constructible) else Constructible(a)
     ctx = current_context() if v._ctx is None else v._ctx
     return Constructible._wrap(_csqrt(v._node, ctx), ctx)
-
-
-def approx(a: RationalLike, digits: int) -> str:
-    return _as_value(a).approx(digits)
-
-
-ZERO = Constructible(0)
-ONE = Constructible(1)
-TWO = Constructible(2)
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +823,7 @@ def from_prefix(text: str) -> Constructible:
             return parse() / parse()
         if tok == "√" or tok == "sqrt":
             return sqrt_nonneg(parse())
-        return Constructible(Fraction(tok.replace("−", "-")))
+        return Constructible(tok.replace("−", "-"))
 
     value = parse()
     if pos != len(tokens):

@@ -24,6 +24,7 @@ _STYLES = {
 }
 _POINT_FILL = {"given": "#202020", "aux": "#9a9a9a", "result": "#1a5fb4"}
 _DIGITS = 6
+_WIDTH = Fraction(640)
 
 
 def _fr(value: Constructible) -> Fraction:
@@ -51,7 +52,7 @@ def _object_extent(obj) -> list[tuple[Fraction, Fraction]]:
 
 
 class _Canvas:
-    def __init__(self, xs, ys, width: Fraction):
+    def __init__(self, xs, ys):
         min_x, max_x = min(xs), max(xs)
         min_y, max_y = min(ys), max(ys)
         span_x = max_x - min_x or Fraction(1)
@@ -62,8 +63,8 @@ class _Canvas:
         self.max_x = max_x + margin_x
         self.min_y = min_y - margin_y
         self.max_y = max_y + margin_y
-        self.width = width
-        self.scale = width / (self.max_x - self.min_x)
+        self.width = _WIDTH
+        self.scale = _WIDTH / (self.max_x - self.min_x)
         self.height = (self.max_y - self.min_y) * self.scale
 
     def to_screen(self, x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
@@ -105,8 +106,7 @@ class _Canvas:
 
 
 def render(objects: dict[str, object],
-           roles: Optional[dict[str, str]] = None,
-           width: int = 640, labels: bool = True) -> bytes:
+           roles: Optional[dict[str, str]] = None) -> bytes:
     """Render named objects to SVG bytes (deterministic)."""
     drawable = {name: obj for name, obj in objects.items()
                 if isinstance(obj, (Point, Segment, Line, Ray, Circle,
@@ -120,7 +120,7 @@ def render(objects: dict[str, object],
         extent.extend(_object_extent(obj))
     xs = [e[0] for e in extent]
     ys = [e[1] for e in extent]
-    canvas = _Canvas(xs, ys, Fraction(width))
+    canvas = _Canvas(xs, ys)
 
     body: list[str] = []
     labelled: list[tuple[Fraction, Fraction, str, str]] = []
@@ -162,21 +162,20 @@ def render(objects: dict[str, object],
             emit_segment(vertex, _xy(obj.arm1), style)
             emit_segment(vertex, _xy(obj.arm2), style)
 
-    if labels:
-        placed: list[tuple[Fraction, Fraction]] = []
-        # northeast of the point, shifted clockwise on collision
-        offsets = ((6, -6), (6, 12), (-14, 12), (-14, -6))
-        min_gap = Fraction(14)
-        for x, y, name, style in labelled:
-            for dx, dy in offsets:
-                ax, ay = x + dx, y + dy
-                if all(abs(ax - px) > min_gap or abs(ay - py) > min_gap
-                       for px, py in placed):
-                    break
-            placed.append((ax, ay))
-            body.append(f'<text x="{_fmt(ax)}" y="{_fmt(ay)}" '
-                        f'font-family="serif" font-size="14" '
-                        f'fill="{_POINT_FILL[style]}">{_escape(name)}</text>')
+    placed: list[tuple[Fraction, Fraction]] = []
+    # northeast of the point, shifted clockwise on collision
+    offsets = ((6, -6), (6, 12), (-14, 12), (-14, -6))
+    min_gap = Fraction(14)
+    for x, y, name, style in labelled:
+        for dx, dy in offsets:
+            ax, ay = x + dx, y + dy
+            if all(abs(ax - px) > min_gap or abs(ay - py) > min_gap
+                   for px, py in placed):
+                break
+        placed.append((ax, ay))
+        body.append(f'<text x="{_fmt(ax)}" y="{_fmt(ay)}" '
+                    f'font-family="serif" font-size="14" '
+                    f'fill="{_POINT_FILL[style]}">{_escape(name)}</text>')
 
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'width="{_fmt(canvas.width)}" height="{_fmt(canvas.height)}" '
@@ -190,7 +189,7 @@ def _escape(text: str) -> str:
             .replace(">", "&gt;"))
 
 
-def render_result(result: PropositionResult, width: int = 640) -> bytes:
+def render_result(result: PropositionResult) -> bytes:
     """Render a proposition's named objects with role-based styling.
 
     Top-level construction steps contribute their circles and drawn lines
@@ -209,4 +208,4 @@ def render_result(result: PropositionResult, width: int = 640) -> bytes:
                 objects[name] = obj
                 roles[name] = "aux"
                 known.add(id(obj))
-    return render(objects, roles, width)
+    return render(objects, roles)

@@ -22,7 +22,6 @@ from .geom import (
     Point,
     Ray,
     Segment,
-    apply_isometry,
     circle as geom_circle,
     coords,
     extend as geom_extend,
@@ -66,10 +65,6 @@ class Trace:
     @property
     def circles(self) -> int:
         return self._count("circle")
-
-    @property
-    def subconstructions(self) -> int:
-        return self._count("sub")
 
     @property
     def superposition_count(self) -> int:
@@ -125,20 +120,19 @@ class Tracer:
     """Builds a Trace while performing the primitive operations.
 
     A tracer owns an object registry shared with nested tracers, so ids are
-    unique across one whole construction run.
+    unique across one whole construction run.  The registry only grows, so
+    the next id is one past its size.
     """
 
-    def __init__(self, label: str = "", _registry=None, _ids=None, _counter=None):
+    def __init__(self, label: str = "", _registry=None, _ids=None):
         self.trace = Trace(label)
         self.registry: dict[int, object] = _registry if _registry is not None else {}
         self._ids: dict[int, int] = _ids if _ids is not None else {}
-        self._counter = _counter if _counter is not None else [0]
 
     # registry ----------------------------------------------------------
 
     def _new_id(self, obj) -> int:
-        self._counter[0] += 1
-        oid = self._counter[0]
+        oid = len(self.registry) + 1
         self.registry[oid] = obj
         self._ids[id(obj)] = oid
         return oid
@@ -195,14 +189,12 @@ class Tracer:
                   carry: Iterable[Point] = ()) -> tuple[Isometry, list[Point]]:
         """Record one placement step; ``carry`` points are moved along."""
         m = geom_superpose(from_seg, to_seg, side)
-        images = [apply_isometry(m, p) for p in carry]
+        images = [m.apply(p) for p in carry]
         self._record("superpose", (from_seg, to_seg), (m, *images), note=side)
         return m, images
 
     def sub(self, prop_id: str) -> "Tracer":
-        child = Tracer(prop_id, _registry=self.registry, _ids=self._ids,
-                       _counter=self._counter)
-        return child
+        return Tracer(prop_id, _registry=self.registry, _ids=self._ids)
 
     def attach(self, child: "Tracer", operands: Iterable[object] = (),
                produced: Iterable[object] = ()) -> None:

@@ -18,7 +18,7 @@ from .elements import THEOREM_IDS, check_theorem
 from .errors import EuclidError, UnknownProposition
 from .number import new_context
 
-SUITE_IDS = tuple(dict.fromkeys((*elements.CONSTRUCTIONS, *THEOREM_IDS)))
+SUITE_IDS = (*elements.CONSTRUCTIONS, *THEOREM_IDS)
 
 
 def generate_instance(base: str, rng: random.Random) -> dict:

@@ -3,11 +3,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from euclid import dsl
-from euclid.dsl import ScriptError, check, interpret, parse, pretty
+from euclid.dsl import ScriptError, check, interpret, parse
 from euclid.geom import Point
 from euclid.number import Constructible, new_context, sqrt_nonneg
 
@@ -294,29 +292,3 @@ class TestInterpret:
         inter = run(text)
         assert not inter.all_assertions_pass
 
-
-class TestPretty:
-    def test_round_trip_identity(self):
-        text = (SCRIPTS / "i44.euc").read_text()
-        script, _ = parse(text)
-        printed = pretty(script)
-        script2, diags = parse(printed)
-        assert not diags
-        assert pretty(script2) == printed
-
-    def test_round_trip_i1(self):
-        script, _ = parse((SCRIPTS / "i1.euc").read_text())
-        printed = pretty(script)
-        script2, _ = parse(printed)
-        assert pretty(script2) == printed
-
-    @given(st.integers(-40, 40), st.integers(1, 12), st.integers(0, 30))
-    @settings(max_examples=25, deadline=None)
-    def test_coordinate_round_trip(self, num, den, rad):
-        text = f"point P = ({num}/{den} + sqrt({rad}), -{den})\n"
-        script, diags = parse(text)
-        assert not diags
-        printed = pretty(script)
-        script2, diags2 = parse(printed)
-        assert not diags2
-        assert pretty(script2) == printed

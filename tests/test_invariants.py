@@ -1,16 +1,20 @@
 """Invariants are real checks: ``python -O`` strips ``assert`` statements,
 so the engine's source holds none, and a run under ``-O`` prints what a
-plain run prints."""
+plain run prints.  The engine also keeps no definition that nothing
+references."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import euclid
 
 PACKAGE = Path(euclid.__file__).resolve().parent
+ROOT = PACKAGE.parent.parent
 
 
 def test_no_assert_statements():
@@ -31,6 +35,45 @@ def test_no_global_statements():
         found += [f"{path.relative_to(PACKAGE)}:{node.lineno}"
                   for node in ast.walk(tree) if isinstance(node, ast.Global)]
     assert found == []
+
+
+def _definitions(tree):
+    """(name, line) of every module-level function, class and UPPER_CASE
+    constant, and of every method that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    yield target.id, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield item.name, item.lineno
+
+
+def test_every_definition_is_referenced():
+    """No unused helpers: each name the engine defines appears somewhere
+    other than its own definition line, in the engine, the benchmark, the
+    example scripts or the README.  Tests do not count as callers.  The
+    check goes by name, so it is a floor, not a proof of use."""
+    sources = sorted(PACKAGE.rglob("*.py"))
+    corpus = [p for d in ("bench", "scripts") for p in sorted((ROOT / d).rglob("*"))
+              if p.suffix in (".py", ".md", ".euc", ".txt")]
+    texts = {p: p.read_text(encoding="utf-8")
+             for p in [*sources, *corpus, ROOT / "README.md"]}
+    words = Counter(w for text in texts.values() for w in re.findall(r"\w+", text))
+    unused = []
+    for path in sources:
+        lines = texts[path].splitlines()
+        for name, line in _definitions(ast.parse(texts[path])):
+            if words[name] <= re.findall(r"\w+", lines[line - 1]).count(name):
+                unused.append(f"{path.relative_to(PACKAGE)}:{line} {name}")
+    assert unused == []
 
 
 def test_optimized_interpreter_gives_same_records():

@@ -104,6 +104,21 @@ def test_nested_tower_elements_pinned():
     assert _digest(out) == TOWERS_SHA256
 
 
+def test_context_does_not_grow_with_queries():
+    """A long-lived context holds its tower and nothing that grows with
+    the square-root queries asked of it."""
+    rng = random.Random(5)
+    gens = _tower(rng, 8)
+    ctx = number.current_context()
+    for _ in range(200):
+        p = _element(rng, gens)
+        assert sqrt_nonneg(p * p) == abs(p)
+    assert len(ctx.radicands) == 8
+    sizes = {name: len(value) for name, value in vars(ctx).items()
+             if isinstance(value, (dict, list))}
+    assert max(sizes.values()) <= 4 * len(ctx.radicands), sizes
+
+
 def _poly_level(p) -> int:
     """The level of a poly, after checking its nested form."""
     if type(p) is int:

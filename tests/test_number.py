@@ -11,15 +11,10 @@ from euclid.errors import DivisionByZero, NegativeRadicand
 from euclid.geom import Point
 from euclid.number import (
     Constructible,
-    add,
-    approx,
-    div,
     from_prefix,
-    mul,
     new_context,
-    sign,
+    rational,
     sqrt_nonneg,
-    sub,
     to_prefix,
 )
 
@@ -50,21 +45,30 @@ class TestRationalArithmetic:
 
     def test_mul_sqrt2_sqrt2(self):
         r2 = sqrt_nonneg(C(2))
-        assert mul(r2, r2) == C(2)
+        assert r2 * r2 == C(2)
 
     def test_div_one_by_sqrt2(self):
         r2 = sqrt_nonneg(C(2))
-        assert (div(1, r2) - r2 / 2).sign() == 0
+        assert (1 / r2 - r2 / 2).sign() == 0
 
     def test_sub_identical_radicals(self):
         r3 = sqrt_nonneg(C(3))
-        assert sub(r3, r3).sign() == 0
+        assert (r3 - r3).sign() == 0
 
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
-            div(1, C(0))
+            1 / C(0)
         with pytest.raises(DivisionByZero):
-            div(sqrt_nonneg(C(2)), sqrt_nonneg(C(2)) - sqrt_nonneg(C(2)))
+            sqrt_nonneg(C(2)) / (sqrt_nonneg(C(2)) - sqrt_nonneg(C(2)))
+
+    # a zero denominator is the same error however the value is spelled
+    @pytest.mark.parametrize("make", [lambda: rational(1, 0),
+                                      lambda: Constructible("1/0"),
+                                      lambda: from_prefix("1/0")],
+                             ids=["rational", "str", "prefix"])
+    def test_zero_denominator(self, make):
+        with pytest.raises(DivisionByZero):
+            make()
 
     # a float is the binary fraction nearest its literal, so no exact value
     # is made from one: 0.1 would be 3602879701896397/36028797018963968
@@ -78,7 +82,7 @@ class TestRationalArithmetic:
 
     def test_float_rejected_by_operation_surface(self):
         with pytest.raises(TypeError):
-            add(0.1, 1)
+            C(1) + 0.1
 
 
 class TestSqrt:
@@ -180,22 +184,22 @@ class TestMultiquadratic:
 class TestSign:
     def test_sqrt2_vs_seven_fifths(self):
         # rational squaring oracle: 2 > 49/25
-        assert sign(sqrt_nonneg(C(2)) - C(7, 5)) == 1
+        assert (sqrt_nonneg(C(2)) - C(7, 5)).sign() == 1
 
     def test_sqrt2_vs_three_halves(self):
         # rational squaring oracle: 2 < 9/4
-        assert sign(sqrt_nonneg(C(2)) - C(3, 2)) == -1
+        assert (sqrt_nonneg(C(2)) - C(3, 2)).sign() == -1
 
     def test_expansion_zero(self):
         lhs = sqrt_nonneg(C(2)) + sqrt_nonneg(C(8))
-        assert sign(lhs * lhs - 18) == 0
+        assert (lhs * lhs - 18).sign() == 0
 
     def test_tiny_difference(self):
         # sqrt(2) against a 20-digit convergent; sign must still be exact
         a = Fraction(14142135623730950488, 10 ** 19)
-        assert sign(sqrt_nonneg(C(2)) - Constructible(a)) == 1
+        assert (sqrt_nonneg(C(2)) - Constructible(a)).sign() == 1
         b = Fraction(14142135623730950489, 10 ** 19)
-        assert sign(sqrt_nonneg(C(2)) - Constructible(b)) == -1
+        assert (sqrt_nonneg(C(2)) - Constructible(b)).sign() == -1
 
     def test_sign_beyond_interval_refinement(self):
         # a 200-digit convergent: intervals up to 512 bits straddle zero,
@@ -240,22 +244,22 @@ class TestSign:
 
 class TestApprox:
     def test_third(self):
-        assert approx(C(1, 3), 4) == "0.3333"
+        assert C(1, 3).approx(4) == "0.3333"
 
     def test_sqrt2(self):
         # interval-refinement oracle: isqrt(2 * 10^8) = 14142
-        assert approx(sqrt_nonneg(C(2)), 4) == "1.4142"
+        assert sqrt_nonneg(C(2)).approx(4) == "1.4142"
 
     def test_zero(self):
-        assert approx(C(0), 2) == "0.00"
+        assert C(0).approx(2) == "0.00"
 
     def test_negative(self):
-        assert approx(C(-1, 3), 3) == "-0.333"
+        assert C(-1, 3).approx(3) == "-0.333"
 
     def test_agrees_with_mpmath(self):
         with mpmath.workdps(60):
             want = mpmath.nstr(mpmath.sqrt(5), 25, strip_zeros=False)
-        got = approx(sqrt_nonneg(C(5)), 20)
+        got = sqrt_nonneg(C(5)).approx(20)
         assert abs(mpmath.mpf(got) - mpmath.mpf(want)) < mpmath.mpf(10) ** -19
 
 

@@ -88,7 +88,7 @@ class TestP2:
         got = p2_place(P(0, 0), Segment(P(3, 0), P(3, 1)))
         assert got.trace.circles == 2
         assert got.trace.joins >= 2
-        assert got.trace.subconstructions == 1
+        assert sum(s.kind == "sub" for s in got.trace.steps) == 1
         assert got.trace.superposition_count == 0
 
     def test_coincident_point_returns_reanchored(self):

