@@ -16,7 +16,7 @@ from . import dsl, elements, verify
 from .errors import EuclidError
 from .number import new_context
 from .render import render, render_result
-from .trace import trace_lines
+from .trace import key_values, trace_lines
 
 
 def _seed(args) -> int:
@@ -146,10 +146,9 @@ def _cmd_prop(args) -> int:
         print(line)
     if base == "I.45":
         print(f"triangles: {len(result.objects['triangles'])}")
-    j, e, c = result.trace.postulate_counts()
-    print(f"joins={j} extends={e} circles={c} "
-          f"superpositions={result.trace.superposition_count} "
-          f"max_radical_depth={result.max_radical_depth()}")
+    costs = result.costs()
+    del costs["objects"]
+    print(key_values(costs))
     if args.trace:
         print("\n".join(trace_lines(result.trace, result.tracer.registry)))
     if args.svg:
@@ -174,7 +173,7 @@ def _cmd_suite(args) -> int:
         failures += report.failures
         if args.records:
             for record in report.records():
-                print(" ".join(f"{k}={v}" for k, v in record.items()))
+                print(key_values(record))
         else:
             for line in report.lines():
                 print(line)
@@ -200,7 +199,7 @@ def _cmd_compare(args) -> int:
     report = verify.compare(base, strategies, kwargs)
     if args.records:
         for record in report.records():
-            print(" ".join(f"{k}={v}" for k, v in record.items()))
+            print(key_values(record))
     else:
         for line in report.lines():
             print(line)

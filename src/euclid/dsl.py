@@ -13,7 +13,9 @@ statement either declares a named object or asserts an exact predicate:
     assert seg_eq(s, s)
 
 Coordinates are rationals or explicit sqrt(...) expressions combined with
-+ - * / and parentheses, exactly the closure the number layer supports.
++ - * / and parentheses, exactly the closure the number layer supports.  The
+parser writes each coordinate as prefix text, and ``number.from_prefix``
+evaluates it, left to right.
 Intersection selectors are ``first``/``second`` (canonical lexicographic
 order), ``left_of(r)``/``right_of(r)`` for a ray, and
 ``same_side(l, P)``/``opposite_side(l, P)`` for a line and a point.
@@ -27,7 +29,6 @@ Grammar (EBNF) ships in the package documentation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from . import elements
@@ -50,7 +51,7 @@ from .geom import (
     parallel,
     segment_eq,
 )
-from .number import Constructible, sqrt_nonneg
+from .number import from_prefix
 from .trace import Tracer, describe_object, trace_lines
 
 
@@ -185,34 +186,6 @@ class Diagnostic:
         return f"{self.span}: error: {self.message}{note}"
 
 
-# --- coordinate expressions -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoordNum:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class CoordSqrt:
-    inner: "CoordExpr"
-
-
-@dataclass(frozen=True)
-class CoordNeg:
-    inner: "CoordExpr"
-
-
-@dataclass(frozen=True)
-class CoordBin:
-    op: str
-    left: "CoordExpr"
-    right: "CoordExpr"
-
-
-CoordExpr = Union[CoordNum, CoordSqrt, CoordNeg, CoordBin]
-
-
 # --- statement AST ----------------------------------------------------------
 
 
@@ -224,12 +197,12 @@ class Name:
 
 @dataclass(frozen=True)
 class PointLit:
-    x: CoordExpr
-    y: CoordExpr
+    x: str  # prefix text for number.from_prefix
+    y: str
     span: Span
 
 
-Arg = Union[Name, PointLit, CoordExpr]
+Arg = Union[Name, PointLit, str]  # a bare str is a number in prefix text
 
 
 @dataclass(frozen=True)
@@ -361,29 +334,27 @@ class _LineParser:
             return self.advance()
         self.error("expected a name")
 
-    # coordinate expressions ------------------------------------------
+    # coordinate expressions: infix in, prefix text out ------------------
 
-    def coord(self) -> CoordExpr:
+    def coord(self) -> str:
         node = self.coord_term()
         while self.peek().kind == "punct" and self.peek().text in "+-":
             op = self.advance().text
-            rhs = self.coord_term()
-            node = CoordBin(op, node, rhs)
+            node = f"{op} {node} {self.coord_term()}"
         return node
 
-    def coord_term(self) -> CoordExpr:
+    def coord_term(self) -> str:
         node = self.coord_factor()
         while self.peek().kind == "punct" and self.peek().text in "*/":
             op = self.advance().text
-            rhs = self.coord_factor()
-            node = CoordBin(op, node, rhs)
+            node = f"{op} {node} {self.coord_factor()}"
         return node
 
-    def coord_factor(self) -> CoordExpr:
+    def coord_factor(self) -> str:
         t = self.peek()
         if t.kind == "punct" and t.text == "-":
             self.advance()
-            return CoordNeg(self.coord_factor())
+            return f"- 0 {self.coord_factor()}"
         if t.kind == "punct" and t.text == "(":
             self.advance()
             inner = self.coord()
@@ -394,10 +365,9 @@ class _LineParser:
             self.expect_punct("(")
             inner = self.coord()
             self.expect_punct(")")
-            return CoordSqrt(inner)
+            return f"sqrt {inner}"
         if t.kind == "number":
-            self.advance()
-            return CoordNum(Fraction(int(t.text)))
+            return self.advance().text
         self.error("expected a number, sqrt(...) or parenthesized expression")
 
     def looks_like_coord(self) -> bool:
@@ -662,23 +632,6 @@ class Interpretation:
         return "\n".join(trace_lines(self.tracer.trace, self.tracer.registry))
 
 
-def _eval_coord(expr: CoordExpr) -> Constructible:
-    if isinstance(expr, CoordNum):
-        return Constructible(expr.value)
-    if isinstance(expr, CoordNeg):
-        return -_eval_coord(expr.inner)
-    if isinstance(expr, CoordSqrt):
-        return sqrt_nonneg(_eval_coord(expr.inner))
-    l, r = _eval_coord(expr.left), _eval_coord(expr.right)
-    if expr.op == "+":
-        return l + r
-    if expr.op == "-":
-        return l - r
-    if expr.op == "*":
-        return l * r
-    return l / r
-
-
 def interpret(script: Script) -> Interpretation:
     """Run a checked script; deterministic given the script text."""
     env: dict[str, object] = {}
@@ -693,8 +646,8 @@ def interpret(script: Script) -> Interpretation:
                 return arg.ident
             raise ScriptError(arg.span, f"undefined name {arg.ident!r}")
         if isinstance(arg, PointLit):
-            return Point(_eval_coord(arg.x), _eval_coord(arg.y))
-        return _eval_coord(arg)
+            return Point(from_prefix(arg.x), from_prefix(arg.y))
+        return from_prefix(arg)
 
     def run_call(expr: Call, declared: str):
         args = [value(a) for a in expr.args]

@@ -51,15 +51,15 @@ class Proposition:
     """One construction: its function, its positional parameters as
     (name, type word) pairs, the type of its principal result, its instance
     generator ``generate(rng) -> kwargs``, its postcondition ``post(checks,
-    call, result)`` on ``result = fn(**call)``, and its variant strategies
-    in order, each with its identifier suffix."""
+    call, result)`` on ``result = fn(**call)``, and its strategy table:
+    each variant strategy in order, with its identifier suffix and route."""
 
     fn: Callable
     params: tuple[tuple[str, str], ...]
     result: str
     generate: Callable
     post: Callable
-    strategies: dict[str, str] = field(default_factory=dict)
+    strategies: dict[str, tuple[str, Callable]] = field(default_factory=dict)
 
     @property
     def takes_side(self) -> bool:
@@ -88,34 +88,22 @@ PROPOSITIONS = {
                         gen.i22, triangles.post_i22),
     "I.23": Proposition(p23_copy_angle,
                         (("target_ray", "ray"), ("model", "angle")), "angle",
-                        gen.i23, triangles.post_i23,
-                        {"euclid": ".euclid", "proclus": ".proclus",
-                         "albertus": ".albertus",
-                         "commandinus": ".commandinus",
-                         "clavius": ".clavius", "campanus": ".campanus"}),
+                        gen.i23, triangles.post_i23, P23_STRATEGIES),
     "I.31": Proposition(p31_parallel, (("p", "point"), ("l", "line")), "line",
                         gen.i31, triangles.post_i31),
     "I.42": Proposition(p42_parallelogram_eq_triangle,
                         (("t", "figure"), ("d", "angle")), "figure",
-                        gen.i42, areas.post_i42,
-                        {"euclid": ".euclid", "alnayrizi": ".alnayrizi"}),
+                        gen.i42, areas.post_i42, P42_STRATEGIES),
     "I.43": Proposition(p43_complements, (("pg", "figure"), ("k", "point")),
                         "figure", gen.i43, areas.post_i43),
     "I.44": Proposition(p44_apply,
                         (("ab", "segment"), ("t", "figure"), ("d", "angle")),
-                        "figure", gen.i44, areas.post_i44,
-                        {"euclid_superposition": ".euclid",
-                         "alnayrizi": ".alnayrizi",
-                         "robert_of_chester": ".chester",
-                         "campanus": ".campanus",
-                         "tinemue_equal_case": ".tinemue"}),
+                        "figure", gen.i44, areas.post_i44, P44_STRATEGIES),
     "I.45": Proposition(p45_apply_figure,
                         (("d_angle", "angle"), ("f", "figure")), "figure",
                         gen.i45, areas.post_i45),
     "I.46": Proposition(p46_square, (("ab", "segment"),), "figure",
-                        gen.i46, areas.post_i46,
-                        {"campanus_first": ".campanus",
-                         "campanus_second": ".campanus2"}),
+                        gen.i46, areas.post_i46, P46_STRATEGIES),
 }
 
 # calls go through CONSTRUCTIONS, never through a record's fn, so that a
@@ -136,7 +124,7 @@ def split_identifier(prop_id: str) -> tuple[str, str | None]:
     if prop is not None:
         if prop_id == base:
             return base, None
-        for strategy, suffix in prop.strategies.items():
+        for strategy, (suffix, _) in prop.strategies.items():
             if prop_id == base + suffix:
                 return base, strategy
     raise UnknownProposition(f"unknown proposition identifier {prop_id!r}")

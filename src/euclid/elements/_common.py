@@ -17,6 +17,14 @@ from ..number import Constructible
 from ..trace import Tracer
 
 
+def strategy_route(strategies: dict, base: str, strategy: str):
+    """The route of ``strategy`` in the table of construction ``base``,
+    which maps each strategy name to its identifier suffix and route."""
+    if strategy not in strategies:
+        raise PreconditionViolated(f"unknown {base} strategy {strategy!r}")
+    return strategies[strategy][1]
+
+
 def side_sign(side: str) -> int:
     if side == "upper":
         return 1

@@ -47,14 +47,10 @@ from ._common import (
     side_name_of,
     side_selector,
     side_sign,
+    strategy_route,
 )
-from .basics import p10_bisect_segment
+from .basics import p10_bisect_segment, p11_perp_at
 from .triangles import p23_copy_angle, place_triangle_on_ray
-
-P42_STRATEGIES = ("euclid", "alnayrizi")
-P44_STRATEGIES = ("euclid_superposition", "alnayrizi", "robert_of_chester",
-                  "campanus", "tinemue_equal_case")
-P46_STRATEGIES = ("campanus_first", "campanus_second")
 
 
 # ---------------------------------------------------------------------------
@@ -64,14 +60,10 @@ P46_STRATEGIES = ("campanus_first", "campanus_second")
 def p42_parallelogram_eq_triangle(t: Figure, d: Angle, strategy: str = "euclid",
                                   tracer: Tracer | None = None) -> PropositionResult:
     """Construct, in a given angle, a parallelogram equal to a given triangle."""
-    if strategy not in P42_STRATEGIES:
-        raise PreconditionViolated(f"unknown I.42 strategy {strategy!r}")
+    route = strategy_route(P42_STRATEGIES, "I.42", strategy)
     require_triangle(t)
-    tr = tracer or Tracer("I.42" if strategy == "euclid" else "I.42.alnayrizi")
-    if strategy == "euclid":
-        fig, objects, roles = _p42_euclid(tr, t, d)
-    else:
-        fig, objects, roles = _p42_alnayrizi(tr, t, d)
+    tr = tracer or Tracer("I.42" if strategy == "euclid" else f"I.42.{strategy}")
+    fig, objects, roles = route(tr, t, d)
     return PropositionResult(
         f"I.42.{strategy}", objects=objects, roles=roles,
         result=fig, tracer=tr)
@@ -134,6 +126,11 @@ def _p42_alnayrizi(tr: Tracer, t: Figure, d: Angle):
     roles = {"A": "given", "B": "given", "G": "given", "E": "aux",
              "Z": "result", "H": "result", "parallelogram": "result"}
     return fig, objects, roles
+
+
+# strategy name -> (identifier suffix, construction route)
+P42_STRATEGIES = {"euclid": (".euclid", _p42_euclid),
+                  "alnayrizi": (".alnayrizi", _p42_alnayrizi)}
 
 
 def p42_on_ray(t: Figure, d: Angle, base_ray: Ray, side: str = "upper",
@@ -229,18 +226,10 @@ def p44_apply(ab: Segment, t: Figure, d: Angle,
     of the triangle, and the given angle at the segment's first endpoint;
     ``side`` chooses the half-plane the result lies in.
     """
-    if strategy not in P44_STRATEGIES:
-        raise PreconditionViolated(f"unknown I.44 strategy {strategy!r}")
+    route = strategy_route(P44_STRATEGIES, "I.44", strategy)
     require_triangle(t)
     tr = tracer or Tracer(f"I.44.{strategy}")
-    builder = {
-        "euclid_superposition": _p44_euclid,
-        "alnayrizi": _p44_alnayrizi,
-        "robert_of_chester": _p44_robert,
-        "campanus": _p44_campanus,
-        "tinemue_equal_case": _p44_tinemue,
-    }[strategy]
-    fig, objects, roles = builder(tr, ab, t, d, side)
+    fig, objects, roles = route(tr, ab, t, d, side)
     objects.setdefault("parallelogram", fig)
     roles.setdefault("parallelogram", "result")
     return PropositionResult(f"I.44.{strategy}", objects=objects, roles=roles,
@@ -511,6 +500,14 @@ def _p44_tinemue(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
     return fig, objects, roles
 
 
+# strategy name -> (identifier suffix, construction route)
+P44_STRATEGIES = {"euclid_superposition": (".euclid", _p44_euclid),
+                  "alnayrizi": (".alnayrizi", _p44_alnayrizi),
+                  "robert_of_chester": (".chester", _p44_robert),
+                  "campanus": (".campanus", _p44_campanus),
+                  "tinemue_equal_case": (".tinemue", _p44_tinemue)}
+
+
 def tinemue_matching_angle(t: Figure) -> Angle:
     """The angle the equal-angle route requires for the given triangle."""
     require_triangle(t)
@@ -602,7 +599,6 @@ def triangulate(f: Figure) -> list[Figure]:
     if signed_area(f).sign() < 0:
         verts.reverse()
     out: list[Figure] = []
-    guard = 0
     while len(verts) > 3:
         n = len(verts)
         clipped = False
@@ -620,15 +616,14 @@ def triangulate(f: Figure) -> list[Figure]:
             a, b, c = verts[i - 1], verts[i], verts[(i + 1) % n]
             if (b - a).cross(c - a).sign() <= 0:
                 continue
-            if any(_in_triangle(p, a, b, c) for j, p in enumerate(verts)
+            if any(_in_triangle(p, a, b, c) for p in verts
                    if p not in (a, b, c)):
                 continue
             out.append(Figure([a, b, c]))
             del verts[i]
             clipped = True
             break
-        guard += 1
-        if not clipped or guard > 10000:
+        if not clipped:
             raise NotSimple("ear clipping failed; is the figure simple?")
     out.append(Figure(verts))
     return out
@@ -648,48 +643,58 @@ def _in_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:
 def p46_square(ab: Segment, side: str = "upper",
                strategy: str = "campanus_first",
                tracer: Tracer | None = None) -> PropositionResult:
-    """Describe a square on a given segment (two completed proof routes)."""
-    if strategy not in P46_STRATEGIES:
-        raise PreconditionViolated(f"unknown I.46 strategy {strategy!r}")
+    """Describe a square on a given segment (two completed proof routes).
+
+    Both routes raise the perpendicular at a and cut it at c; the route
+    then finds the fourth corner d."""
+    route = strategy_route(P46_STRATEGIES, "I.46", strategy)
     tr = tracer or Tracer(f"I.46.{strategy}")
     a, b = ab.a, ab.b
     tr.register_input(a)
     tr.register_input(b)
-    from .basics import p11_perp_at
-
-    if strategy == "campanus_first":
-        sub1 = tr.sub("I.11")
-        perp_a = p11_perp_at(Line(a, b), a, tracer=sub1).result
-        tr.attach(sub1, operands=(a,), produced=(perp_a,))
-        circ_a = tr.circle(a, b)
-        c = tr.pick(intersect_line_circle(perp_a, circ_a),
-                    side_selector(a, b, side), note="c", operands=(circ_a,))
-        sub2 = tr.sub("I.11")
-        perp_b = p11_perp_at(Line(a, b), b, tracer=sub2).result
-        tr.attach(sub2, operands=(b,), produced=(perp_b,))
-        circ_b = tr.circle(b, a)
-        dd = tr.pick(intersect_line_circle(perp_b, circ_b),
-                     side_selector(a, b, side), note="d", operands=(circ_b,))
-        tr.join(c, dd)
-    else:
-        sub1 = tr.sub("I.11")
-        perp_a = p11_perp_at(Line(a, b), a, tracer=sub1).result
-        tr.attach(sub1, operands=(a,), produced=(perp_a,))
-        circ_a = tr.circle(a, b)
-        c = tr.pick(intersect_line_circle(perp_a, circ_a),
-                    side_selector(a, b, side), note="c", operands=(circ_a,))
-        cd = cite_parallel(tr, c, Line(a, b), "cd through c parallel to ab")
-        circ_c = tr.circle(c, a)
-        dd = tr.pick(intersect_line_circle(cd, circ_c),
-                     lambda p: (b - a).dot(p - c).sign() > 0,
-                     note="d toward b", operands=(circ_c, cd))
-        tr.join(dd, b)
+    c = _p46_corner(tr, a, b, a, b, side, "c")
+    dd = route(tr, a, b, c, side)
     fig = Figure([a, b, dd, c])
     objects = {"a": a, "b": b, "c": c, "d": dd, "square": fig}
     roles = {"a": "given", "b": "given", "c": "result", "d": "result",
              "square": "result"}
     return PropositionResult(f"I.46.{strategy}", objects=objects, roles=roles,
                              result=fig, tracer=tr)
+
+
+def _p46_corner(tr: Tracer, a: Point, b: Point, at: Point, through: Point,
+                side: str, note: str) -> Point:
+    # the perpendicular to ab at ``at`` (I.11), cut on ``side`` by the
+    # circle about ``at`` through ``through``
+    sub = tr.sub("I.11")
+    perp = p11_perp_at(Line(a, b), at, tracer=sub).result
+    tr.attach(sub, operands=(at,), produced=(perp,))
+    circ = tr.circle(at, through)
+    return tr.pick(intersect_line_circle(perp, circ), side_selector(a, b, side),
+                   note=note, operands=(circ,))
+
+
+def _p46_first(tr: Tracer, a: Point, b: Point, c: Point, side: str) -> Point:
+    # the same perpendicular at b, then join the two corners
+    dd = _p46_corner(tr, a, b, b, a, side, "d")
+    tr.join(c, dd)
+    return dd
+
+
+def _p46_second(tr: Tracer, a: Point, b: Point, c: Point, side: str) -> Point:
+    # the parallel through c, cut by the circle about c through a
+    cd = cite_parallel(tr, c, Line(a, b), "cd through c parallel to ab")
+    circ_c = tr.circle(c, a)
+    dd = tr.pick(intersect_line_circle(cd, circ_c),
+                 lambda p: (b - a).dot(p - c).sign() > 0,
+                 note="d toward b", operands=(circ_c, cd))
+    tr.join(dd, b)
+    return dd
+
+
+# strategy name -> (identifier suffix, construction route)
+P46_STRATEGIES = {"campanus_first": (".campanus", _p46_first),
+                  "campanus_second": (".campanus2", _p46_second)}
 
 
 def post_i46(r: Checks, call: dict, result: PropositionResult) -> None:

@@ -18,6 +18,7 @@ from ..geom import (
     collinear,
     intersect_lines,
     is_simple,
+    point_reflect,
     signed_area,
 )
 from ..number import Constructible
@@ -271,7 +272,7 @@ def i7(rng):
 def i13(rng):
     while True:
         b, d, a = _distinct_points(rng, 3)
-        c = Point(b.x * 2 - d.x, b.y * 2 - d.y)
+        c = point_reflect(d, b)
         if not collinear(a, b, d):
             return {"a": a, "b": b, "c": c, "d": d}
 

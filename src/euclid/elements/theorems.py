@@ -30,6 +30,7 @@ from ..geom import (
     intersect_lines,
     is_parallelogram,
     parallel,
+    point_reflect,
     segment_eq,
 )
 from ..trace import Checks
@@ -136,7 +137,7 @@ def _check_i15(r: Checks, bundle: dict) -> None:
 def _check_i16(r: Checks, bundle: dict) -> None:
     t, = _need(bundle, "t")
     a, b, c = _tri(t)
-    d = Point(c.x * 2 - b.x, c.y * 2 - b.y)  # BC produced to D
+    d = point_reflect(b, c)  # BC produced to D
     ext = Angle(c, a, d)
     r.true("exterior angle exceeds the first interior and opposite angle",
             angle_lt(Angle(b, a, c), ext))
@@ -195,7 +196,7 @@ def _alternate_pair(l1: Line, l2: Line, t: Line, g: Point, h: Point):
     _hyp(sa != 0, "degenerate transversal configuration")
     d = l2.p if l2.p != h else l2.q
     if t.side_of(d) != -sa:
-        d = Point(h.x * 2 - d.x, h.y * 2 - d.y)
+        d = point_reflect(d, h)
     _hyp(t.side_of(d) == -sa, "could not find opposite-side arm")
     return a, d
 
@@ -212,9 +213,9 @@ def _check_i28(r: Checks, bundle: dict) -> None:
     l1, l2, t, g, h = _transversal_points(bundle)
     form = bundle.get("form", "cointerior")
     a, d = _alternate_pair(l1, l2, t, g, h)
-    b = Point(g.x * 2 - a.x, g.y * 2 - a.y)   # same side as d
+    b = point_reflect(a, g)   # same side as d
     if form == "exterior":
-        e = Point(g.x * 2 - h.x, g.y * 2 - h.y)  # on the transversal above g
+        e = point_reflect(h, g)  # on the transversal above g
         _hyp(angle_eq(Angle(g, e, b), Angle(h, g, d)),
              "exterior angle must equal the interior opposite on the same side")
     elif form == "cointerior":
@@ -229,8 +230,8 @@ def _check_i29(r: Checks, bundle: dict) -> None:
     l1, l2, t, g, h = _transversal_points(bundle)
     _hyp(parallel(l1, l2), "the lines must be parallel")
     a, d = _alternate_pair(l1, l2, t, g, h)
-    b = Point(g.x * 2 - a.x, g.y * 2 - a.y)
-    e = Point(g.x * 2 - h.x, g.y * 2 - h.y)
+    b = point_reflect(a, g)
+    e = point_reflect(h, g)
     r.true("alternate angles are equal",
             angle_eq(Angle(g, a, h), Angle(h, d, g)))
     r.true("exterior equals interior and opposite on the same side",
@@ -249,7 +250,7 @@ def _check_i30(r: Checks, bundle: dict) -> None:
 def _check_i32(r: Checks, bundle: dict) -> None:
     t, = _need(bundle, "t")
     a, b, c = _tri(t)
-    d = Point(c.x * 2 - b.x, c.y * 2 - b.y)
+    d = point_reflect(b, c)
     r.true("the exterior angle equals the two interior and opposite",
             angle_sum_eq(Angle(b, a, c), Angle(a, b, c), Angle(c, a, d)))
     interior_sum_cos = (

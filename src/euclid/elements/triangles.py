@@ -17,7 +17,7 @@ from ..geom import (
 )
 from ..number import Constructible
 from ..trace import Checks, PropositionResult, Tracer
-from ._common import angle_measures, cut_at, side_selector
+from ._common import angle_measures, cut_at, side_selector, strategy_route
 
 
 def _require_triangle_inequality(a: Constructible, b: Constructible,
@@ -128,9 +128,7 @@ def p23_copy_angle(target_ray: Ray, model: Angle, side: str = "upper",
     requested side.  All strategies satisfy the same postcondition and
     differ only in their construction routes.
     """
-    route = P23_STRATEGIES.get(strategy)
-    if route is None:
-        raise PreconditionViolated(f"unknown I.23 strategy {strategy!r}")
+    route = strategy_route(P23_STRATEGIES, "I.23", strategy)
     tr = tracer or Tracer(f"I.23.{strategy}" if strategy != "euclid" else "I.23")
     apex, on_ray, objects, roles = route(tr, target_ray, model, side)
     result = Angle(target_ray.origin, on_ray, apex)
@@ -285,10 +283,13 @@ def _p23_campanus(tr: Tracer, ray: Ray, model: Angle, side: str):
     return k, g, objects, roles
 
 
-# strategy name -> construction route
-P23_STRATEGIES = {"euclid": _p23_euclid, "proclus": _p23_proclus,
-                  "albertus": _p23_albertus, "commandinus": _p23_commandinus,
-                  "clavius": _p23_clavius, "campanus": _p23_campanus}
+# strategy name -> (identifier suffix, construction route)
+P23_STRATEGIES = {"euclid": (".euclid", _p23_euclid),
+                  "proclus": (".proclus", _p23_proclus),
+                  "albertus": (".albertus", _p23_albertus),
+                  "commandinus": (".commandinus", _p23_commandinus),
+                  "clavius": (".clavius", _p23_clavius),
+                  "campanus": (".campanus", _p23_campanus)}
 
 
 # ---------------------------------------------------------------------------

@@ -87,12 +87,6 @@ class Vec:
     def norm_sq(self) -> Constructible:
         return self.dot(self)
 
-    def __add__(self, other: "Vec") -> "Vec":
-        return Vec(self.dx + other.dx, self.dy + other.dy)
-
-    def __neg__(self) -> "Vec":
-        return Vec(-self.dx, -self.dy)
-
 
 @dataclass(frozen=True)
 class Segment:

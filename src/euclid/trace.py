@@ -6,6 +6,8 @@ applications (join, extend, circle), intersection selections, superposition
 counters tally the steps of one trace level; the superposition counter and
 the radical-depth counter aggregate over nested sub-constructions as well,
 since those two are global properties of a construction route.
+``PropositionResult.costs`` is a route's one cost ledger, which reports,
+records and the ``prop`` line all print.
 """
 
 from __future__ import annotations
@@ -51,20 +53,16 @@ class Trace:
 
     # counters ---------------------------------------------------------
 
-    def _count(self, kind: str) -> int:
-        return sum(1 for s in self.steps if s.kind == kind)
-
-    @property
-    def joins(self) -> int:
-        return self._count("join")
-
-    @property
-    def extends(self) -> int:
-        return self._count("extend")
-
-    @property
-    def circles(self) -> int:
-        return self._count("circle")
+    def counters(self) -> dict[str, int]:
+        """Postulate steps of this level and superpositions of every level,
+        in report order."""
+        counts = {"joins": 0, "extends": 0, "circles": 0}
+        for s in self.steps:
+            key = s.kind + "s"
+            if key in counts:
+                counts[key] += 1
+        counts["superpositions"] = self.superposition_count
+        return counts
 
     @property
     def superposition_count(self) -> int:
@@ -74,14 +72,6 @@ class Trace:
                 n += 1
             elif s.sub is not None:
                 n += s.sub.superposition_count
-        return n
-
-    def postulate_counts(self) -> tuple[int, int, int]:
-        return self.joins, self.extends, self.circles
-
-    @property
-    def object_count(self) -> int:
-        n = len(self.inputs) + sum(len(s.produced) for s in self.steps)
         return n
 
     def check_references(self, ambient=()) -> bool:
@@ -201,17 +191,11 @@ class Tracer:
         self._record("sub", operands, produced, note=child.trace.label,
                      sub=child.trace)
 
-    def max_radical_depth(self) -> int:
-        depth = 0
-        for obj in self.registry.values():
-            depth = max(depth, _object_depth(obj))
-        return depth
-
 
 def _select(candidates: list[Point], selector) -> tuple[Point, str]:
     if not candidates:
         raise NoSuchIntersection("no intersection point to select")
-    if selector is None or selector == "only":
+    if selector == "only":
         if len(candidates) != 1:
             raise NoSuchIntersection("expected exactly one intersection")
         return candidates[0], "only"
@@ -249,8 +233,19 @@ class PropositionResult:
     def trace(self) -> Trace:
         return self.tracer.trace
 
-    def max_radical_depth(self) -> int:
-        return self.tracer.max_radical_depth()
+    def costs(self) -> dict[str, int]:
+        """The route's cost ledger, in report order: the trace counters,
+        the deepest radical among all registered objects, and the number
+        of objects at the top level."""
+        trace = self.trace
+        return {
+            **trace.counters(),
+            "max_radical_depth": max(
+                (_object_depth(o) for o in self.tracer.registry.values()),
+                default=0),
+            "objects": len(trace.inputs) + sum(len(s.produced)
+                                               for s in trace.steps),
+        }
 
 
 @dataclass
@@ -310,7 +305,10 @@ def trace_lines(trace: Trace, registry: dict[int, object],
         out.append(f"{pad}{n}. {s.kind}{note} <- [{ops}] {prods}".rstrip())
         if s.sub is not None:
             out.extend(trace_lines(s.sub, registry, indent + 1))
-    j, e, c = trace.postulate_counts()
-    out.append(f"{pad}counters: joins={j} extends={e} circles={c} "
-               f"superpositions={trace.superposition_count}")
+    out.append(f"{pad}counters: {key_values(trace.counters())}")
     return out
+
+
+def key_values(fields: dict) -> str:
+    """``key=value`` pairs in order, space separated."""
+    return " ".join(f"{k}={v}" for k, v in fields.items())

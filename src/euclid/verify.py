@@ -17,6 +17,7 @@ from . import elements
 from .elements import THEOREM_IDS, check_theorem
 from .errors import EuclidError, UnknownProposition
 from .number import new_context
+from .trace import PropositionResult, Tracer, key_values
 
 SUITE_IDS = (*elements.CONSTRUCTIONS, *THEOREM_IDS)
 
@@ -33,26 +34,21 @@ def generate_instance(base: str, rng: random.Random) -> dict:
 # reports
 
 
+# the ledger of a run that built nothing: a theorem or an error outcome
+# prints the same keys as a construction, each at 0
+_NO_COSTS = PropositionResult("", {}, {}, None, Tracer()).costs()
+
+
 @dataclass
 class StrategyOutcome:
     strategy: Optional[str]
     passed: bool
     error: str = ""
     checks: list = field(default_factory=list)
-    postulates: tuple[int, int, int] = (0, 0, 0)
-    superpositions: int = 0
-    max_radical_depth: int = 0
-    object_count: int = 0
+    costs: dict[str, int] = field(default_factory=_NO_COSTS.copy)
 
     def metric_lines(self) -> list[str]:
-        name = self.strategy or "-"
-        return [
-            f"strategy={name} joins={self.postulates[0]}"
-            f" extends={self.postulates[1]} circles={self.postulates[2]}"
-            f" superpositions={self.superpositions}"
-            f" max_radical_depth={self.max_radical_depth}"
-            f" objects={self.object_count}"
-        ]
+        return [f"strategy={self.strategy or '-'} {key_values(self.costs)}"]
 
 
 @dataclass
@@ -82,12 +78,7 @@ class ComparisonReport:
                 "passed": oc.passed,
                 "error": oc.error or "; ".join(
                     claim for claim, ok, _ in oc.checks if not ok),
-                "joins": oc.postulates[0],
-                "extends": oc.postulates[1],
-                "circles": oc.postulates[2],
-                "superpositions": oc.superpositions,
-                "max_radical_depth": oc.max_radical_depth,
-                "objects": oc.object_count,
+                **oc.costs,
             })
         return out
 
@@ -116,7 +107,7 @@ class SuiteReport:
         totals: dict[str, int] = {}
         for inst in self.instances:
             for name, oc in inst.outcomes.items():
-                totals[name] = totals.get(name, 0) + oc.superpositions
+                totals[name] = totals.get(name, 0) + oc.costs["superpositions"]
         return totals
 
     def lines(self) -> list[str]:
@@ -137,7 +128,7 @@ class SuiteReport:
         depth = 0
         for inst in self.instances:
             for oc in inst.outcomes.values():
-                depth = max(depth, oc.max_radical_depth)
+                depth = max(depth, oc.costs["max_radical_depth"])
         out.append(f"max_radical_depth={depth}")
         return out
 
@@ -168,13 +159,8 @@ def _run_strategy(base: str, strategy: Optional[str], kwargs: dict
     except EuclidError as e:
         return StrategyOutcome(strategy, False,
                                error=f"{type(e).__name__}: {e}")
-    trace = result.trace
-    return StrategyOutcome(
-        strategy, report.all_pass, checks=report.claims,
-        postulates=trace.postulate_counts(),
-        superpositions=trace.superposition_count,
-        max_radical_depth=result.max_radical_depth(),
-        object_count=trace.object_count)
+    return StrategyOutcome(strategy, report.all_pass, checks=report.claims,
+                           costs=result.costs())
 
 
 def compare(prop_id: str, strategies, kwargs: dict) -> ComparisonReport:

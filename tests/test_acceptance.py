@@ -126,8 +126,7 @@ def test_5_exact_postcondition_suites():
 
 
 THEOREM_PLAN = ("I.13", "I.15", "I.27", "I.28", "I.29", "I.30", "I.32",
-                "I.33", "I.34", "I.35", "I.36", "I.37", "I.38", "I.41",
-                "I.43")
+                "I.33", "I.34", "I.35", "I.36", "I.37", "I.38", "I.41")
 
 
 def test_6_theorem_validators():

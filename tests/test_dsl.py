@@ -292,3 +292,36 @@ class TestInterpret:
         inter = run(text)
         assert not inter.all_assertions_pass
 
+
+
+C = Constructible
+
+COORDINATES = [
+    ("1 + 2 * 3", lambda: C(1) + C(2) * C(3)),
+    ("5 - 2 - 1", lambda: (C(5) - C(2)) - C(1)),
+    ("8 / 4 / 2", lambda: (C(8) / C(4)) / C(2)),
+    ("-(1)/2", lambda: -C(1) / C(2)),
+    ("- -3", lambda: -(-C(3))),
+    ("sqrt(5 + 2*sqrt(6))", lambda: sqrt_nonneg(C(2)) + sqrt_nonneg(C(3))),
+]
+
+
+class TestCoordinates:
+    @pytest.mark.parametrize("text, expected", COORDINATES,
+                             ids=[t for t, _ in COORDINATES])
+    def test_value(self, text, expected):
+        inter = run(f"point P = ({text}, {text})\n")
+        want = expected()
+        assert inter.env["P"] == Point(want, want)
+
+    @pytest.mark.parametrize("text, error", [
+        ("sqrt(0 - 1)", "NegativeRadicand"),
+        ("1/0", "DivisionByZero"),
+    ])
+    def test_run_fails(self, tmp_path, capsys, text, error):
+        from euclid.cli import main
+
+        script = tmp_path / "bad.euc"
+        script.write_text(f"point P = ({text}, 0)\n")
+        assert main(["run", str(script)]) == 1
+        assert f"1:1: {error}: " in capsys.readouterr().err

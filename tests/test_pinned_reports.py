@@ -1,0 +1,33 @@
+"""Report bytes are pinned.  ``test_8_determinism`` compares two runs of the
+same code; these digests compare a run with the bytes recorded before the
+last change to the engine.  A change that alters report output on purpose
+re-records the digests and says why in CHANGES.md."""
+
+import hashlib
+import os
+
+import pytest
+
+from euclid.cli import main
+
+FIVE = ("euclid_superposition,alnayrizi,robert_of_chester,campanus,"
+        "tinemue_equal_case")
+
+PINNED = [
+    ("suite all --n 2 --seed 7",
+     "8d5f315d7542a1562e117bd6cca1f369ccd3ce2a75a40d3a1d00bd7ffcd57915"),
+    ("suite all --n 2 --seed 7 --records",
+     "38a8df6d14cd6036494fc1bc3cacac873ef28925977c122768bf44cb536fee9f"),
+    (f"compare I.44 --strategies {FIVE} --seed 3",
+     "c51a076379d309f4b27d70fcc772c8d26103ab120410c4d3cfe3e081d4107838"),
+    (f"compare I.44 --strategies {FIVE} --seed 3 --records",
+     "1e54c38e2b715314ec2dff3b1680eec156af90479728a5910be2dc6bdc62037e"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED, ids=[a for a, _ in PINNED])
+def test_report_bytes(monkeypatch, capsys, argv, digest):
+    monkeypatch.delenv("EUCLID_SEED", raising=False)
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -26,8 +26,9 @@ def test_record(prop_id):
     assert elements.STRATEGIES.get(prop_id, ()) == \
         tuple(ENGINE_STRATEGIES.get(prop_id, ()))
     assert split_identifier(prop_id) == (prop_id, None)
-    for strategy, suffix in prop.strategies.items():
+    for strategy, (suffix, route) in prop.strategies.items():
         assert split_identifier(prop_id + suffix) == (prop_id, strategy)
+        assert callable(route)
 
 
 def test_suite_ids():
