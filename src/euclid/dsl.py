@@ -302,12 +302,17 @@ def _lex_line(text: str, line_no: int, diags: list[Diagnostic]) -> list[Token]:
 # ---------------------------------------------------------------------------
 # parser
 
+# The parser recurses once per open level of a coordinate, so a deeper
+# coordinate is a parse error rather than an exhausted Python stack.
+MAX_COORD_NESTING = 64
+
 
 class _LineParser:
     def __init__(self, tokens: list[Token], diags: list[Diagnostic]):
         self.tokens = tokens
         self.pos = 0
         self.diags = diags
+        self.nesting = 0  # open coordinate levels
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -352,23 +357,29 @@ class _LineParser:
 
     def coord_factor(self) -> str:
         t = self.peek()
-        if t.kind == "punct" and t.text == "-":
-            self.advance()
-            return f"- 0 {self.coord_factor()}"
-        if t.kind == "punct" and t.text == "(":
-            self.advance()
-            inner = self.coord()
-            self.expect_punct(")")
-            return inner
-        if t.kind == "word" and t.text == "sqrt":
-            self.advance()
-            self.expect_punct("(")
-            inner = self.coord()
-            self.expect_punct(")")
-            return f"sqrt {inner}"
         if t.kind == "number":
             return self.advance().text
-        self.error("expected a number, sqrt(...) or parenthesized expression")
+        if not ((t.kind == "punct" and t.text in ("-", "("))
+                or (t.kind == "word" and t.text == "sqrt")):
+            self.error("expected a number, sqrt(...) or parenthesized "
+                       "expression")
+        if self.nesting == MAX_COORD_NESTING:
+            self.error(f"coordinate nested more than {MAX_COORD_NESTING} "
+                       "levels deep",
+                       note="each '(', 'sqrt(' and unary '-' opens a level")
+        self.nesting += 1
+        self.advance()
+        if t.text == "-":
+            node = f"- 0 {self.coord_factor()}"
+        elif t.text == "(":
+            node = self.coord()
+            self.expect_punct(")")
+        else:
+            self.expect_punct("(")
+            node = f"sqrt {self.coord()}"
+            self.expect_punct(")")
+        self.nesting -= 1
+        return node
 
     def looks_like_coord(self) -> bool:
         t = self.peek()

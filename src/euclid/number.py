@@ -22,15 +22,20 @@ arithmetic stays in Python ints; only the public boundary (the
 constructor, :meth:`Constructible.as_fraction`, :meth:`Constructible.approx`
 and the prefix form) converts to and from fractions.
 
-The tower itself lives in a :class:`FieldContext`.  Radicands are adjoined
-on demand by :func:`sqrt_nonneg`, which first searches the existing tower
-for an exact square root along one of two paths.  A rational value asked
-for in F(k), where r_1..r_k are all rational, takes the multiquadratic
-path: it is a square there exactly when its square class lies in the
-GF(2) span of the classes of r_1..r_k (Besicovitch), which gcd factor
-refinement decides without factoring.  Every other query (an irrational
-value, or a k above the first nested radicand) takes the general path, a
-recursive scan of the tower levels.  Rational values are context-free;
+The tower itself lives in a :class:`FieldContext`, with per-level facts
+that :meth:`FieldContext.adjoin` sets and nothing keyed by queries.
+Radicands are adjoined on demand by :func:`sqrt_nonneg`, which first
+searches the existing tower for an exact square root along one of two
+paths.  A rational value asked for in F(k), where r_1..r_k are all
+rational, takes the multiquadratic path: it is a square there exactly when
+its square class lies in the GF(2) span of the classes of r_1..r_k
+(Besicovitch), which gcd factor refinement decides without factoring; the
+context keeps the coprime base and the echelon rows of those classes.
+Every other query (an irrational value, or a k above the first nested
+radicand) takes the general path, a recursive scan of the tower levels
+that a norm test prunes exactly: when the norm of x into the field below
+its level is not a square there, no branch that only multiplies x by
+lower radicands can find a root.  Rational values are context-free;
 irrational values from different contexts must not be mixed
 (``FieldContextError``).
 
@@ -43,6 +48,7 @@ towers stay small.
 
 from __future__ import annotations
 
+import operator
 import threading
 from contextvars import ContextVar
 from fractions import Fraction
@@ -77,6 +83,12 @@ class FieldContext:
         # e_i, the denominator of radicands[i-1], and g_i^2 as a poly
         self.gen_scale: list[int] = []
         self.gen_square: list[Poly] = []
+        # the square classes of rational_radicands: a pairwise coprime base
+        # of non-square integers, and one GF(2) echelon row per radicand,
+        # keyed by its top bit, as (exponent parities over the base, subset
+        # of rational_radicands)
+        self.square_base: list[int] = []
+        self.square_rows: dict[int, tuple[int, int]] = {}
         self._rad_iv: dict[tuple[int, int], tuple[int, int]] = {}
         self._lock = threading.RLock()
 
@@ -90,9 +102,29 @@ class FieldContext:
             if (len(self.rational_radicands) == level - 1
                     and radicand[0] == 0 and radicand[2] == 1):
                 self.rational_radicands.append(radicand[1])
+                self._add_square_class(radicand[1])
             self.rad_index[radicand] = level
             self.rad_depth.append(_pdepth(radicand[1], self) + 1)
             return level
+
+    def _add_square_class(self, r: int) -> None:
+        """Extend the square-class basis by the newest rational radicand r.
+
+        A part of r coprime to the base becomes a new base element.  When r
+        would split a base element instead, the base and rows are refined
+        again from all the rational radicands."""
+        base = self.square_base
+        mask, rest = _parity_mask(r, base)
+        if _splits(rest, base):
+            self.square_base = _square_base(self.rational_radicands)
+            self.square_rows = _square_rows(self.rational_radicands,
+                                            self.square_base)
+            return
+        if not _is_square(rest):
+            mask |= 1 << len(base)
+            base.append(rest)
+        _add_row(self.square_rows, mask,
+                 1 << (len(self.rational_radicands) - 1))
 
 
 _current: ContextVar[FieldContext] = ContextVar("euclid_field_context")
@@ -373,16 +405,26 @@ def _has_sqrt(x: Node, k: int, ctx: FieldContext) -> Optional[Node]:
 
     A rational x with k no higher than the rational prefix of the tower
     takes the multiquadratic span test, :func:`_rational_sqrt_in_prefix`.
-    Any other query takes the general path: a root at the level of x
-    itself, then a root t*sqrt(r_j) for j above that level up to k, stopping
-    at the first root found.  Nothing is remembered between queries, so
-    the context holds only the tower however long it lives.
+    Any other query takes the general path: a root at the level l of x
+    itself, then a root t*sqrt(r_j) for j above l up to k, stopping at the
+    first root found.  Branch j asks whether x/r_j is a square in F(j-1),
+    and recurses the same way.
+
+    The norm test prunes that scan exactly.  For u in F(l-1), the norm of
+    x*u into F(l-1) is u^2 times the norm of x, so when the norm of x is
+    negative or not a square in F(l-1), no x*u is a square in F(l).  While
+    r_(l+1)..r_j all lie in F(l-1), branch j asks only about such values
+    x*u, so the scan skips it: over rational radicands above l the whole
+    query costs one norm test.
     """
     lx = x[0]
     if lx == 0 and k <= len(ctx.rational_radicands):
         return _rational_sqrt_in_prefix(x, k, ctx)
-    root = _sqrt_at_own_level(x, ctx)
+    root, norm_fails = _sqrt_at_own_level(x, ctx)
     j = lx
+    if norm_fails:
+        while j < k and ctx.radicands[j][0] < lx:
+            j += 1
     while root is None and j < k:
         j += 1
         root = _sqrt_t_branch(x, j, ctx)
@@ -409,14 +451,61 @@ def _coprime_base(nums: list[int]) -> list[int]:
     return base
 
 
-def _parity_mask(n: int, base: list[int]) -> int:
-    """Bit j is the parity of the exponent of base[j] in n."""
+def _is_square(n: int) -> bool:
+    return isqrt(n) ** 2 == n
+
+
+def _square_base(nums: list[int]) -> list[int]:
+    """The non-square elements of a coprime base of nums: a square element
+    changes no square class, so only these carry parities."""
+    return [b for b in _coprime_base(nums) if not _is_square(b)]
+
+
+def _parity_mask(n: int, base: list[int]) -> tuple[int, int]:
+    """(mask, rest): bit j of mask is the parity of the exponent of base[j]
+    in n, and rest is n with every power of a base element divided out."""
     mask = 0
     for j, b in enumerate(base):
         while n % b == 0:
             n //= b
             mask ^= 1 << j
-    return mask
+    return mask, n
+
+
+def _splits(rest: int, base: list[int]) -> bool:
+    """Whether rest shares a factor with some base element, which would
+    then have to be split before it can carry a parity."""
+    return any(gcd(rest, b) > 1 for b in base)
+
+
+def _reduce_row(rows: dict[int, tuple[int, int]], v: int,
+                subset: int) -> tuple[int, int]:
+    """Reduce the parities v, reached from the given subset of radicands,
+    by the echelon rows."""
+    while v:
+        pivot = rows.get(v.bit_length())
+        if pivot is None:
+            break
+        v ^= pivot[0]
+        subset ^= pivot[1]
+    return v, subset
+
+
+def _add_row(rows: dict[int, tuple[int, int]], v: int, subset: int) -> None:
+    v, subset = _reduce_row(rows, v, subset)
+    if not v:
+        raise FieldContextError("a rational radicand is a square in the "
+                                "tower below it")
+    rows[v.bit_length()] = (v, subset)
+
+
+def _square_rows(rads: list[int],
+                 base: list[int]) -> dict[int, tuple[int, int]]:
+    """The echelon rows of the parities of rads over base."""
+    rows: dict[int, tuple[int, int]] = {}
+    for i, r in enumerate(rads):
+        _add_row(rows, _parity_mask(r, base)[0], 1 << i)
+    return rows
 
 
 def _rational_sqrt_in_prefix(x: Node, k: int,
@@ -428,36 +517,33 @@ def _rational_sqrt_in_prefix(x: Node, k: int,
     product of some subset S of the r_i is a rational square; the root is
     then c * prod_S sqrt(r_i) with c rational.  Over a pairwise coprime
     base, an integer is a square exactly when its exponent of every base
-    element that is not itself a square is even, so S solves a GF(2)
-    system in the exponent parities.
+    element that is not itself a square is even, and its part coprime to
+    the base is a square, so S solves a GF(2) system in the exponent
+    parities.  The context keeps that system for all its rational
+    radicands; each is independent of the earlier ones, so S is unique,
+    and it lies in F(k) when it uses no radicand above level k.  A query
+    whose target shares a factor with a base element without dividing out
+    refines a base of its own, and stores nothing.
     """
     c = _rational_sqrt(x)
     if c is not None:  # also x == 0, which gcd refinement cannot take
         return c
-    rads = ctx.rational_radicands[:k]
     _, n, d = x
     target = n * d
-    base = [b for b in _coprime_base(rads + [target]) if isqrt(b) ** 2 != b]
-    pivots: dict[int, tuple[int, int]] = {}  # top bit -> (parities, subset)
-
-    def reduce(v: int, subset: int) -> tuple[int, int]:
-        while v:
-            pivot = pivots.get(v.bit_length())
-            if pivot is None:
-                break
-            v ^= pivot[0]
-            subset ^= pivot[1]
-        return v, subset
-
-    for i, r in enumerate(rads):
-        v, subset = reduce(_parity_mask(r, base), 1 << i)
-        if v:
-            pivots[v.bit_length()] = (v, subset)
-    v, subset = reduce(_parity_mask(target, base), 0)
-    if v:
+    base, rows = ctx.square_base, ctx.square_rows
+    mask, rest = _parity_mask(target, base)
+    if _splits(rest, base):
+        rads = ctx.rational_radicands[:k]
+        base = _square_base(rads + [target])
+        rows = _square_rows(rads, base)
+        mask, rest = _parity_mask(target, base)
+    if not _is_square(rest):
+        return None
+    v, subset = _reduce_row(rows, mask, 0)
+    if v or subset >> k:
         return None
     root, prod = _ONE, 1
-    for i, r in enumerate(rads):
+    for i, r in enumerate(ctx.rational_radicands[:k]):
         if subset >> i & 1:
             root = _nmul(root, _gen(i + 1, ctx), ctx)
             prod *= r
@@ -468,17 +554,21 @@ def _rational_sqrt_in_prefix(x: Node, k: int,
     return _nmul(root, c, ctx)
 
 
-def _sqrt_at_own_level(x: Node, ctx: FieldContext) -> Optional[Node]:
+def _sqrt_at_own_level(x: Node,
+                       ctx: FieldContext) -> tuple[Optional[Node], bool]:
+    """A square root of x in F(l), l the level of x, or None; and whether
+    the norm test failed, proving that no x*u with u in F(l-1) is a square
+    in F(l).  A rational x has no norm test."""
     if x[0] == 0:
-        return _rational_sqrt(x)
+        return _rational_sqrt(x), False
     k = x[0]
-    a, b = _split(x, ctx)
     disc = _node(_pnorm(x[1], ctx.gen_square), x[2] * x[2])
     if _nsign(disc, ctx) < 0:
-        return None
+        return None, True
     w = _has_sqrt(disc, k - 1, ctx)
     if w is None:
-        return None
+        return None, True
+    a, b = _split(x, ctx)
     for w2 in (w, _nneg(w)):
         p = _nmul(_nadd(a, w2), _HALF, ctx)
         if p == _ZERO or _nsign(p, ctx) < 0:
@@ -489,8 +579,8 @@ def _sqrt_at_own_level(x: Node, ctx: FieldContext) -> Optional[Node]:
         t = _ndiv(_nmul(b, _HALF, ctx), s, ctx)
         y = _mk(k, s, t, ctx)
         if _nmul(y, y, ctx) == x:
-            return y
-    return None
+            return y, False
+    return None, False
 
 
 def _sqrt_t_branch(x: Node, j: int, ctx: FieldContext) -> Optional[Node]:
@@ -802,30 +892,41 @@ def to_prefix(x: Constructible) -> str:
     return " ".join(out)
 
 
+_PREFIX_OPS = {
+    "+": (2, operator.add),
+    "−": (2, operator.sub), "-": (2, operator.sub),  # minus sign, hyphen
+    "×": (2, operator.mul), "*": (2, operator.mul),  # multiplication sign
+    "÷": (2, operator.truediv), "/": (2, operator.truediv),  # division sign
+    "√": (1, sqrt_nonneg), "sqrt": (1, sqrt_nonneg),  # square root sign
+}
+
+
 def from_prefix(text: str) -> Constructible:
-    """Parse a prefix expression; inverse of :func:`to_prefix`."""
-    tokens = text.split()
-    pos = 0
+    """Parse a prefix expression; inverse of :func:`to_prefix`.
 
-    def parse() -> Constructible:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of expression")
-        tok = tokens[pos]
-        pos += 1
-        if tok == "+":
-            return parse() + parse()
-        if tok in ("−", "-") :
-            return parse() - parse()
-        if tok == "×" or tok == "*":
-            return parse() * parse()
-        if tok == "÷" or tok == "/":
-            return parse() / parse()
-        if tok == "√" or tok == "sqrt":
-            return sqrt_nonneg(parse())
-        return Constructible(tok.replace("−", "-"))
-
-    value = parse()
-    if pos != len(tokens):
-        raise ValueError("trailing tokens in expression")
+    Each operation is applied as soon as its last operand is complete,
+    left to right, so square roots are taken (and levels adjoined) in the
+    order they are written.  Pending operations live on an explicit stack,
+    so any nesting depth parses."""
+    pending: list[tuple[tuple, list[Constructible]]] = []
+    value = None
+    for tok in text.split():
+        if value is not None:
+            raise ValueError("trailing tokens in expression")
+        op = _PREFIX_OPS.get(tok)
+        if op is not None:
+            pending.append((op, []))
+            continue
+        v = Constructible(tok.replace("−", "-"))
+        while pending:
+            (arity, fn), args = pending[-1]
+            args.append(v)
+            if len(args) < arity:
+                break
+            pending.pop()
+            v = fn(*args)
+        else:
+            value = v
+    if value is None:
+        raise ValueError("unexpected end of expression")
     return value

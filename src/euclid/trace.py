@@ -102,8 +102,19 @@ def _all_ids(trace: Trace) -> set[int]:
     return out
 
 
-def _object_depth(obj) -> int:
-    return max((c.radical_depth() for c in coords(obj)), default=0)
+def _object_depth(*objects) -> int:
+    """The deepest radical among the coordinates of objects that share one
+    field context.  No value is deeper than the deepest radicand of its
+    context, so the walk stops once it reaches that depth."""
+    depth = 0
+    for obj in objects:
+        for c in coords(obj):
+            d = c.radical_depth()
+            if d > depth:
+                depth = d
+                if depth == max(c._ctx.rad_depth):
+                    return depth
+    return depth
 
 
 class Tracer:
@@ -236,13 +247,13 @@ class PropositionResult:
     def costs(self) -> dict[str, int]:
         """The route's cost ledger, in report order: the trace counters,
         the deepest radical among all registered objects, and the number
-        of objects at the top level."""
+        of objects at the top level.  One run lives in one field context,
+        so the walk over the registry can stop at that context's deepest
+        radicand."""
         trace = self.trace
         return {
             **trace.counters(),
-            "max_radical_depth": max(
-                (_object_depth(o) for o in self.tracer.registry.values()),
-                default=0),
+            "max_radical_depth": _object_depth(*self.tracer.registry.values()),
             "objects": len(trace.inputs) + sum(len(s.produced)
                                                for s in trace.steps),
         }

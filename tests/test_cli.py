@@ -49,6 +49,20 @@ class TestRun:
         assert main(["run", str(script)]) == 2
         assert "unknown proposition 'I.4'" in capsys.readouterr().err
 
+    def test_long_coordinate_exit_0(self, tmp_path, capsys):
+        script = tmp_path / "sum.euc"
+        script.write_text(f"point A = ({' + '.join(['1'] * 1200)}, 0)\n"
+                          "assert collinear(A, A, A)\n")
+        assert main(["run", str(script)]) == 0
+        assert "point(1200.000000, 0.000000)" in capsys.readouterr().out
+
+    def test_deep_coordinate_exit_2(self, tmp_path, capsys):
+        script = tmp_path / "parens.euc"
+        script.write_text(f"point A = ({'(' * 400}1{')' * 400}, 0)\n")
+        assert main(["run", str(script)]) == 2
+        assert "1:76: error: coordinate nested more than 64 levels deep" \
+            in capsys.readouterr().err
+
     def test_failing_assertion_exit_1(self, tmp_path, capsys):
         script = tmp_path / "f.euc"
         script.write_text("point A = (0,0)\npoint B = (1,0)\npoint C = (3,4)\n"

@@ -104,6 +104,14 @@ def test_non_geometry_values():
     assert describe_object(None) == "nonetype"
 
 
+def test_depth_walk_stops_only_at_the_deepest_radicand():
+    values, r2, (o, p, q) = _values()
+    deep = Point(sqrt_nonneg(1 + r2), 0)
+    assert _object_depth(o, p, values["Circle"], deep, q) == 2
+    assert _object_depth(o, p, q) == 1
+    assert _object_depth(o, q) == 0
+
+
 def test_tuples_flatten():
     values, r2, (o, p, q) = _values()
     got = coords((o, values["Segment"]))

@@ -72,6 +72,23 @@ class TestParse:
             (3, "expected '='")]
         assert len(script.statements) == 2
 
+    def test_coordinate_nesting_cap(self):
+        def nested(levels):
+            text = "1"
+            for i in range(levels):
+                text = ("({})", "-{}", "-{}", "sqrt({})")[i % 4].format(text)
+            return text
+
+        cap = dsl.MAX_COORD_NESTING
+        inter = run(f"point P = ({nested(cap)}, 0)\n")
+        assert abs(inter.env["P"].x) == 1
+        text = f"point P = ({nested(cap + 1)}, 0)\n"
+        script, diags = parse(text)
+        assert script.statements == []
+        assert [(d.span.line, d.span.col, d.message) for d in diags] == [
+            (1, text.index("1"),
+             f"coordinate nested more than {cap} levels deep")]
+
     def test_radical_coordinates(self):
         inter = run("point P = (sqrt(3)/2, 1/2)\n")
         p = inter.env["P"]

@@ -63,13 +63,16 @@ def _squarefree(rng):
             return n
 
 
-def _tower(rng, levels):
-    """Generators of a fresh tower; the top two radicands are
-    a + b*g over a lower generator g, with b's denominator 1, 2 or 3."""
+def _tower(rng, levels, nested=None):
+    """Generators of a fresh tower.  The radicands of the levels in nested
+    (by default the top two) are a + b*g over a lower generator g, with b's
+    denominator 1, 2 or 3; the others are squarefree integers."""
+    if nested is None:
+        nested = (levels - 1, levels)
     ctx = new_context()
     gens = []
     while len(gens) < levels:
-        if len(gens) >= levels - 2:
+        if len(gens) + 1 in nested:
             b = Fraction(rng.randint(1, 6), rng.choice((1, 2, 3)))
             rad = rng.randint(2, 12) + b * rng.choice(gens)
             if rad.sign() <= 0:
@@ -105,18 +108,144 @@ def test_nested_tower_elements_pinned():
 
 
 def test_context_does_not_grow_with_queries():
-    """A long-lived context holds its tower and nothing that grows with
-    the square-root queries asked of it."""
+    """A long-lived context holds its tower and per-level facts, and
+    nothing that grows with the square-root queries asked of it: neither
+    irrational squares nor rational squares over the rational prefix (whose
+    large square factors make some of them split a square-class base
+    element) change the square-class basis."""
     rng = random.Random(5)
     gens = _tower(rng, 8)
     ctx = number.current_context()
-    for _ in range(200):
+    basis = (list(ctx.square_base), dict(ctx.square_rows))
+    rads = ctx.rational_radicands
+    for _ in range(100):
         p = _element(rng, gens)
         assert sqrt_nonneg(p * p) == abs(p)
+        q = Fraction(rng.choice((41, 43, 47)) * rng.randint(1, 9),
+                     rng.randint(1, 9))
+        x = q * q * rng.choice(rads) * rng.choice(rads)
+        assert sqrt_nonneg(x) ** 2 == x
     assert len(ctx.radicands) == 8
+    assert (ctx.square_base, ctx.square_rows) == basis
     sizes = {name: len(value) for name, value in vars(ctx).items()
              if isinstance(value, (dict, list))}
     assert max(sizes.values()) <= 4 * len(ctx.radicands), sizes
+
+
+# -- the square-root search against the scan before the norm test -------
+
+
+def _reference_has_sqrt(x, k, ctx):
+    """A square root of x >= 0 in F(k) by the full scan: a root at the
+    level of x, then a root t*sqrt(r_j) for every j above it up to k.  It
+    is the search as it was before the norm test pruned it, except that a
+    rational query over the rational prefix tries every subset of the
+    prefix radicands."""
+    lx = x[0]
+    if lx == 0 and k <= len(ctx.rational_radicands):
+        return _reference_prefix_sqrt(x, k, ctx)
+    root = _reference_own_level(x, ctx)
+    j = lx
+    while root is None and j < k:
+        j += 1
+        t = _reference_has_sqrt(number._ndiv(x, ctx.radicands[j - 1], ctx),
+                                j - 1, ctx)
+        if t is not None:
+            root = number._mk(j, number._ZERO, t, ctx)
+    return root
+
+
+def _reference_own_level(x, ctx):
+    if x[0] == 0:
+        return number._rational_sqrt(x)
+    k = x[0]
+    a, b = number._split(x, ctx)
+    disc = number._node(number._pnorm(x[1], ctx.gen_square), x[2] * x[2])
+    if number._nsign(disc, ctx) < 0:
+        return None
+    w = _reference_has_sqrt(disc, k - 1, ctx)
+    if w is None:
+        return None
+    for w2 in (w, number._nneg(w)):
+        p = number._nmul(number._nadd(a, w2), number._HALF, ctx)
+        if p == number._ZERO or number._nsign(p, ctx) < 0:
+            continue
+        s = _reference_has_sqrt(p, k - 1, ctx)
+        if s is None:
+            continue
+        t = number._ndiv(number._nmul(b, number._HALF, ctx), s, ctx)
+        y = number._mk(k, s, t, ctx)
+        if number._nmul(y, y, ctx) == x:
+            return y
+    return None
+
+
+def _reference_prefix_sqrt(x, k, ctx):
+    rads = ctx.rational_radicands[:k]
+    for subset in range(1 << k):
+        chosen = [i for i in range(k) if subset >> i & 1]
+        prod = 1
+        for i in chosen:
+            prod *= rads[i]
+        root = number._rational_sqrt(number._node(x[1], x[2] * prod))
+        if root is not None:
+            for i in chosen:
+                root = number._nmul(root, number._gen(i + 1, ctx), ctx)
+            return root
+    return None
+
+
+# A prime above the absolute norm of every radicand _tower draws does not
+# ramify in the tower, so it is not a square there.
+_NON_SQUARE = 10**9 + 7
+
+
+@given(st.integers(0, 2**16), st.integers(3, 6), st.data())
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_pruned_scan_agrees_with_full_scan(seed, levels, data):
+    nested = data.draw(st.sets(st.integers(2, levels), min_size=1,
+                               max_size=2))
+    rng = random.Random(seed)
+    gens = _tower(rng, levels, nested)
+    ctx = number.current_context()
+    for _ in range(3):
+        y = Constructible(Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+        for g in rng.sample(gens, rng.randint(1, 3)):
+            y = y + Fraction(rng.randint(-5, 5), rng.randint(1, 3)) * g
+        x = y * y
+        for g in rng.sample(gens, rng.randint(0, 2)):
+            x = x * g * g
+        for value, square in ((x, True), (x * _NON_SQUARE, False)):
+            for k in range(value._node[0], levels + 1):
+                got = number._has_sqrt(value._node, k, ctx)
+                assert got == _reference_has_sqrt(value._node, k, ctx)
+            assert (got is not None) == square
+        root = sqrt_nonneg(x)
+        assert root * root == x and len(ctx.radicands) == levels
+    root = sqrt_nonneg(x * _NON_SQUARE)
+    assert root * root == x * _NON_SQUARE
+    assert len(ctx.radicands) == levels + 1
+
+
+def test_norm_test_ends_the_scan(monkeypatch):
+    """3 + sqrt(2) has norm 7 over Q, not a square, so it is not a square
+    under any number of rational levels: one norm test proves it, where
+    the full scan tries every subset of the ten levels above sqrt(2)."""
+    ctx = new_context()
+    r2 = sqrt_nonneg(2)
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        sqrt_nonneg(p)
+    own_level = number._sqrt_at_own_level
+    checks = []
+
+    def counted(x, c):
+        checks.append(x)
+        return own_level(x, c)
+
+    monkeypatch.setattr(number, "_sqrt_at_own_level", counted)
+    sqrt_nonneg(3 + r2)
+    assert len(ctx.radicands) == 12
+    assert len(checks) <= 2
 
 
 def _poly_level(p) -> int:

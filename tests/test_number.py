@@ -334,6 +334,22 @@ class TestSerialization:
         v = from_prefix("÷ − 5 1 √ 4")
         assert v.as_fraction() == Fraction(2)
 
+    def test_deep_expression(self):
+        assert from_prefix("+ " * 5000 + "1 " * 5001).as_fraction() == 5001
+        assert from_prefix("√ " * 2000 + "1").as_fraction() == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "unexpected end"), ("+ 1", "unexpected end"),
+        ("1 2", "trailing tokens"), ("√ 4 4", "trailing tokens")])
+    def test_malformed(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            from_prefix(text)
+
+    def test_roots_taken_left_to_right(self):
+        ctx = new_context()
+        from_prefix("+ √ 3 × √ 2 √ 5")
+        assert [r[1] for r in ctx.radicands] == [3, 2, 5]
+
     def test_canonical_is_stable(self):
         new_context()
         a = to_prefix(sqrt_nonneg(C(2)) + 1)
