@@ -34,7 +34,8 @@ def _checked_script(path: str) -> dsl.Script:
     """Read, parse and check a script; print the diagnostics and exit 2
     unless it is clean."""
     try:
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as e:
         print(e, file=sys.stderr)
         raise SystemExit(2)

@@ -48,6 +48,7 @@ from .geom import (
     intersect_line_circle,
     intersect_lines,
     is_right,
+    orientation,
     parallel,
     segment_eq,
 )
@@ -104,8 +105,7 @@ def _intersect(tr: Tracer, declared, a, b, chosen="only") -> Point:
 def _turn(want: int):
     """Pick the point on the left (+1) or right (-1) of a ray."""
     def select(ray: Ray):
-        d = ray.direction()
-        return lambda p: d.cross(p - ray.origin).sign() == want
+        return lambda p: orientation(ray.origin, ray.through, p) == want
     return select
 
 

@@ -48,18 +48,28 @@ from .theorems import THEOREM_IDS, THEOREMS, check_theorem
 
 @dataclass(frozen=True)
 class Proposition:
-    """One construction: its function, its positional parameters as
-    (name, type word) pairs, the type of its principal result, its instance
-    generator ``generate(rng) -> kwargs``, its postcondition ``post(checks,
-    call, result)`` on ``result = fn(**call)``, and its strategy table:
-    each variant strategy in order, with its identifier suffix and route."""
+    """One construction: its function, the type of its principal result,
+    its instance generator ``generate(rng) -> kwargs``, its postcondition
+    ``post(checks, call, result)`` on ``result = fn(**call)``, and its
+    strategy table: each variant strategy in order, with its identifier
+    suffix and route."""
 
     fn: Callable
-    params: tuple[tuple[str, str], ...]
     result: str
     generate: Callable
     post: Callable
     strategies: dict[str, tuple[str, Callable]] = field(default_factory=dict)
+
+    @property
+    def params(self) -> tuple[tuple[str, str], ...]:
+        """The positional parameters as (name, type word) pairs, read from
+        the signature: the annotated class name in lower case, and
+        "number" for a ``Constructible`` length."""
+        return tuple(
+            (p.name, "number" if p.annotation == "Constructible"
+             else p.annotation.lower())
+            for p in inspect.signature(self.fn).parameters.values()
+            if p.default is inspect.Parameter.empty)
 
     @property
     def takes_side(self) -> bool:
@@ -68,42 +78,25 @@ class Proposition:
 
 
 PROPOSITIONS = {
-    "I.1": Proposition(p1_equilateral, (("ab", "segment"),), "figure",
-                       gen.i1, basics.post_i1),
-    "I.2": Proposition(p2_place, (("a", "point"), ("bc", "segment")),
-                       "segment", gen.i2, basics.post_i2),
-    "I.3": Proposition(p3_cut, (("greater", "segment"), ("less", "segment")),
-                       "point", gen.i3, basics.post_i3),
-    "I.9": Proposition(p9_bisect_angle, (("angle", "angle"),), "ray",
-                       gen.i9, basics.post_i9),
-    "I.10": Proposition(p10_bisect_segment, (("ab", "segment"),), "point",
-                        gen.i10, basics.post_i10),
-    "I.11": Proposition(p11_perp_at, (("l", "line"), ("c", "point")), "line",
-                        gen.i11, basics.post_i11),
-    "I.12": Proposition(p12_perp_from, (("l", "line"), ("c", "point")),
-                        "line", gen.i12, basics.post_i12),
-    "I.22": Proposition(p22_triangle,
-                        (("a_len", "number"), ("b_len", "number"),
-                         ("c_len", "number"), ("base_ray", "ray")), "figure",
-                        gen.i22, triangles.post_i22),
-    "I.23": Proposition(p23_copy_angle,
-                        (("target_ray", "ray"), ("model", "angle")), "angle",
-                        gen.i23, triangles.post_i23, P23_STRATEGIES),
-    "I.31": Proposition(p31_parallel, (("p", "point"), ("l", "line")), "line",
-                        gen.i31, triangles.post_i31),
-    "I.42": Proposition(p42_parallelogram_eq_triangle,
-                        (("t", "figure"), ("d", "angle")), "figure",
-                        gen.i42, areas.post_i42, P42_STRATEGIES),
-    "I.43": Proposition(p43_complements, (("pg", "figure"), ("k", "point")),
-                        "figure", gen.i43, areas.post_i43),
-    "I.44": Proposition(p44_apply,
-                        (("ab", "segment"), ("t", "figure"), ("d", "angle")),
-                        "figure", gen.i44, areas.post_i44, P44_STRATEGIES),
-    "I.45": Proposition(p45_apply_figure,
-                        (("d_angle", "angle"), ("f", "figure")), "figure",
-                        gen.i45, areas.post_i45),
-    "I.46": Proposition(p46_square, (("ab", "segment"),), "figure",
-                        gen.i46, areas.post_i46, P46_STRATEGIES),
+    "I.1": Proposition(p1_equilateral, "figure", gen.i1, basics.post_i1),
+    "I.2": Proposition(p2_place, "segment", gen.i2, basics.post_i2),
+    "I.3": Proposition(p3_cut, "point", gen.i3, basics.post_i3),
+    "I.9": Proposition(p9_bisect_angle, "ray", gen.i9, basics.post_i9),
+    "I.10": Proposition(p10_bisect_segment, "point", gen.i10, basics.post_i10),
+    "I.11": Proposition(p11_perp_at, "line", gen.i11, basics.post_i11),
+    "I.12": Proposition(p12_perp_from, "line", gen.i12, basics.post_i12),
+    "I.22": Proposition(p22_triangle, "figure", gen.i22, triangles.post_i22),
+    "I.23": Proposition(p23_copy_angle, "angle", gen.i23, triangles.post_i23,
+                        P23_STRATEGIES),
+    "I.31": Proposition(p31_parallel, "line", gen.i31, triangles.post_i31),
+    "I.42": Proposition(p42_parallelogram_eq_triangle, "figure", gen.i42,
+                        areas.post_i42, P42_STRATEGIES),
+    "I.43": Proposition(p43_complements, "figure", gen.i43, areas.post_i43),
+    "I.44": Proposition(p44_apply, "figure", gen.i44, areas.post_i44,
+                        P44_STRATEGIES),
+    "I.45": Proposition(p45_apply_figure, "figure", gen.i45, areas.post_i45),
+    "I.46": Proposition(p46_square, "figure", gen.i46, areas.post_i46,
+                        P46_STRATEGIES),
 }
 
 # calls go through CONSTRUCTIONS, never through a record's fn, so that a

@@ -9,9 +9,12 @@ from ..geom import (
     Line,
     Point,
     Ray,
+    Segment,
     collinear,
     is_parallelogram,
     on_ray_at_sq,
+    orientation,
+    point_reflect,
 )
 from ..number import Constructible
 from ..trace import Tracer
@@ -26,6 +29,8 @@ def strategy_route(strategies: dict, base: str, strategy: str):
 
 
 def side_sign(side: str) -> int:
+    """The orientation sign of a side word: "upper" is +1 (left of the
+    directed line), "lower" is -1."""
     if side == "upper":
         return 1
     if side == "lower":
@@ -33,26 +38,22 @@ def side_sign(side: str) -> int:
     raise PreconditionViolated("side must be 'upper' or 'lower'")
 
 
+def side_word(sign: int) -> str:
+    """The side word of an orientation sign."""
+    return "upper" if sign > 0 else "lower"
+
+
 def side_selector(anchor: Point, toward: Point, side: str):
     """Points strictly in the chosen half-plane of the ray anchor->toward."""
     want = side_sign(side)
-    d = toward - anchor
-    return lambda p: d.cross(p - anchor).sign() == want
+    return lambda p: orientation(anchor, toward, p) == want
 
 
 def side_name_of(anchor: Point, toward: Point, probe: Point) -> str:
-    s = (toward - anchor).cross(probe - anchor).sign()
+    s = orientation(anchor, toward, probe)
     if s == 0:
         raise PreconditionViolated("probe point lies on the reference line")
-    return "upper" if s > 0 else "lower"
-
-
-def opposite_side(side: str) -> str:
-    return "lower" if side == "upper" else "upper"
-
-
-def sign_word(s: int) -> str:
-    return "upper" if s > 0 else "lower"
+    return side_word(s)
 
 
 def ray_side_word(ray: Ray, ref_from: Point, ref_to: Point,
@@ -61,7 +62,14 @@ def ray_side_word(ray: Ray, ref_from: Point, ref_to: Point,
     chosen half-plane has the desired orientation sign relative to the
     reference ray ref_from->ref_to."""
     dir_sign = ray.direction().dot(ref_to - ref_from).sign()
-    return sign_word(desired_sign * dir_sign)
+    return side_word(desired_sign * dir_sign)
+
+
+def produce(tr: Tracer, a: Point, b: Point) -> Point:
+    """Produce ab beyond b (Postulate 2); the point as far beyond b as a
+    lies before it."""
+    tr.extend(Segment(a, b), "b")
+    return point_reflect(a, b)
 
 
 def cut_at(tr: Tracer, origin: Point, toward: Point, length_sq: Constructible,

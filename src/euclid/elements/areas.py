@@ -29,7 +29,7 @@ from ..geom import (
     is_parallelogram,
     is_right,
     is_simple,
-    point_reflect,
+    orientation,
     segment_eq,
     signed_area,
     superpose,
@@ -40,7 +40,7 @@ from ._common import (
     cite_parallel,
     cut_at,
     only_point,
-    opposite_side,
+    produce,
     ray_side_word,
     require_parallelogram,
     require_triangle,
@@ -49,8 +49,8 @@ from ._common import (
     side_sign,
     strategy_route,
 )
-from .basics import p10_bisect_segment, p11_perp_at
-from .triangles import p23_copy_angle, place_triangle_on_ray
+from .basics import bisect, p11_perp_at
+from .triangles import copy_angle, place_triangle_on_ray
 
 
 # ---------------------------------------------------------------------------
@@ -84,15 +84,10 @@ def post_i42(r: Checks, call: dict, result: PropositionResult) -> None:
 
 def _p42_euclid(tr: Tracer, t: Figure, d: Angle):
     a, b, c = t.vertices
-    for p in t.vertices:
-        tr.register_input(p)
+    tr.register_input(a, b, c)
     e = cite_midpoint(tr, b, c, "E bisects BC")
     tr.join(a, e)
-    side = side_name_of(e, c, a)
-    sub = tr.sub("I.23")
-    copied = p23_copy_angle(Ray(e, c), d, side=side, tracer=sub)
-    w = copied.result.arm2
-    tr.attach(sub, operands=(e, c), produced=(w,))
+    w = copy_angle(tr, Ray(e, c), d, side_name_of(e, c, a))
     ag = cite_parallel(tr, a, Line(b, c), "AG through A parallel to EC")
     f = only_point(tr, intersect_lines(Line(e, w), ag), "F", operands=(ag,))
     cg = cite_parallel(tr, c, Line(e, w), "CG through C parallel to EF")
@@ -108,15 +103,10 @@ def _p42_alnayrizi(tr: Tracer, t: Figure, d: Angle):
     # same bisection, but the parallel through the base vertex is drawn
     # first and the parallelogram is named from that vertex
     a, b, g = t.vertices
-    for p in t.vertices:
-        tr.register_input(p)
+    tr.register_input(a, b, g)
     e = cite_midpoint(tr, b, g, "E bisects BG")
     tr.join(a, e)
-    side = side_name_of(e, g, a)
-    sub = tr.sub("I.23")
-    copied = p23_copy_angle(Ray(e, g), d, side=side, tracer=sub)
-    w = copied.result.arm2
-    tr.attach(sub, operands=(e, g), produced=(w,))
+    w = copy_angle(tr, Ray(e, g), d, side_name_of(e, g, a))
     gh = cite_parallel(tr, g, Line(e, w), "GH through G parallel to EZ")
     azh = cite_parallel(tr, a, Line(b, g), "AZH through A parallel to BG")
     z = only_point(tr, intersect_lines(Line(e, w), azh), "Z", operands=(azh,))
@@ -152,10 +142,7 @@ def p42_on_ray(t: Figure, d: Angle, base_ray: Ray, side: str = "upper",
     pb, pc, papex = placed.result.vertices
     tr.attach(sub, operands=(o,), produced=(pb, pc, papex))
     e = cite_midpoint(tr, pb, pc, "E bisects the placed base")
-    sub23 = tr.sub("I.23")
-    copied = p23_copy_angle(Ray(o, e), d, side=side, tracer=sub23)
-    w = copied.result.arm2
-    tr.attach(sub23, operands=(o, e), produced=(w,))
+    w = copy_angle(tr, Ray(o, e), d, side)
     top = cite_parallel(tr, papex, Line(pb, pc), "top line through the apex")
     theta = only_point(tr, intersect_lines(Line(o, w), top), "Theta",
                        operands=(top,))
@@ -184,9 +171,7 @@ def p43_complements(pg: Figure, k: Point,
         raise PreconditionViolated(
             "the point must lie strictly inside the diameter")
     tr = tracer or Tracer("I.43")
-    for p in (a, b, c, d):
-        tr.register_input(p)
-    tr.register_input(k)
+    tr.register_input(a, b, c, d, k)
     tr.join(a, c)
     par_ab = cite_parallel(tr, k, Line(a, b), "through K parallel to AB")
     par_ad = cite_parallel(tr, k, Line(a, d), "through K parallel to AD")
@@ -257,23 +242,19 @@ def _p44_euclid(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
     # build the parallelogram anywhere (I.42), then place it so one side is
     # in a straight line with the given segment: one superposition step
     a0, b0 = ab.b, ab.a  # extension goes beyond the angle-carrying endpoint
-    tr.register_input(a0)
-    tr.register_input(b0)
+    tr.register_input(a0, b0)
     sub = tr.sub("I.42")
     p42 = p42_parallelogram_eq_triangle(t, d, "euclid", tracer=sub)
     f42, e42, c42, g42 = p42.result.vertices
     tr.attach(sub, operands=tuple(t.vertices), produced=(f42, e42, c42, g42))
-    seg0 = Segment(a0, b0)
-    tr.extend(seg0, "b")
-    e_t = cut_at(tr, b0, point_reflect(a0, b0), e42.dist_sq(c42),
+    e_t = cut_at(tr, b0, produce(tr, a0, b0), e42.dist_sq(c42),
                  "BE in a straight line with AB")
     from_seg = Segment(e42, c42)
     to_seg = Segment(b0, e_t)
-    scaffold_sign = -side_sign(side)
-    ref = ab.b - ab.a
-    want = lambda p: ref.cross(p - ab.a).sign() == scaffold_sign
+    # the scaffold lies on the far side of the given segment from the result
+    probe = superpose(from_seg, to_seg, "direct").apply(f42)
     flag = "direct"
-    if not want(superpose(from_seg, to_seg, "direct").apply(f42)):
+    if orientation(ab.a, ab.b, probe) != -side_sign(side):
         flag = "flipped"
     m, (g, f) = tr.superpose(from_seg, to_seg, flag, carry=[f42, g42])
     b, e = b0, e_t
@@ -301,11 +282,8 @@ def _p44_alnayrizi(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
     # is built there directly; the complement argument lands the result on
     # the given segment with no superposition
     a0, b0 = ab.b, ab.a
-    tr.register_input(a0)
-    tr.register_input(b0)
-    seg0 = Segment(a0, b0)
-    tr.extend(seg0, "b")
-    beyond = point_reflect(a0, b0)
+    tr.register_input(a0, b0)
+    beyond = produce(tr, a0, b0)
     base_sq = t.vertices[1].dist_sq(t.vertices[2])
     h = cut_at(tr, b0, beyond, base_sq / 4, "BH equal to half the base")
     scaffold = ray_side_word(Ray(b0, beyond), ab.a, ab.b, -side_sign(side))
@@ -338,37 +316,22 @@ def _p44_robert(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
     # doubled adjunction (the half point is the bisection for free); set the
     # given angle at the common endpoint and complete the figure
     a0, b0 = ab.b, ab.a
-    tr.register_input(a0)
-    tr.register_input(b0)
+    tr.register_input(a0, b0)
     tv1, tv2, tv3 = t.vertices
     base_sq = tv2.dist_sq(tv3)
-    seg0 = Segment(a0, b0)
-    tr.extend(seg0, "b")
-    beyond = point_reflect(a0, b0)
+    beyond = produce(tr, a0, b0)
     h = cut_at(tr, b0, beyond, base_sq / 4, "adjoined half base")
     g = cut_at(tr, b0, beyond, base_sq, "produced to the whole base")
     want = -side_sign(side)
-    sub1 = tr.sub("I.23")
-    cp1 = p23_copy_angle(Ray(b0, g), Angle(tv2, tv3, tv1),
-                         side=ray_side_word(Ray(b0, g), ab.a, ab.b, want),
-                         tracer=sub1)
-    w1 = cp1.result.arm2
-    tr.attach(sub1, operands=(b0, g), produced=(w1,))
-    sub2 = tr.sub("I.23")
-    cp2 = p23_copy_angle(Ray(g, b0), Angle(tv3, tv2, tv1),
-                         side=ray_side_word(Ray(g, b0), ab.a, ab.b, want),
-                         tracer=sub2)
-    w2 = cp2.result.arm2
-    tr.attach(sub2, operands=(g, b0), produced=(w2,))
+    w1 = copy_angle(tr, Ray(b0, g), Angle(tv2, tv3, tv1),
+                    ray_side_word(Ray(b0, g), ab.a, ab.b, want))
+    w2 = copy_angle(tr, Ray(g, b0), Angle(tv3, tv2, tv1),
+                    ray_side_word(Ray(g, b0), ab.a, ab.b, want))
     k = only_point(tr, intersect_lines(Line(b0, w1), Line(g, w2)), "K")
     tr.join(k, h)
     top = cite_parallel(tr, k, Line(b0, g), "top line through K")
-    sub3 = tr.sub("I.23")
-    cp3 = p23_copy_angle(Ray(b0, h), d,
-                         side=ray_side_word(Ray(b0, h), ab.a, ab.b, want),
-                         tracer=sub3)
-    w3 = cp3.result.arm2
-    tr.attach(sub3, operands=(b0, h), produced=(w3,))
+    w3 = copy_angle(tr, Ray(b0, h), d,
+                    ray_side_word(Ray(b0, h), ab.a, ab.b, want))
     theta = only_point(tr, intersect_lines(Line(b0, w3), top), "T", operands=(top,))
     hpar = cite_parallel(tr, h, Line(b0, theta), "through H parallel to BT")
     u = only_point(tr, intersect_lines(hpar, top), "U", operands=(hpar, top))
@@ -395,42 +358,24 @@ def _p44_campanus(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
     # at that endpoint opening into the adjunction, and the complements of
     # the completed figure land the result on the given segment
     a, b = ab.a, ab.b
-    tr.register_input(a)
-    tr.register_input(b)
+    tr.register_input(a, b)
     tv1, tv2, tv3 = t.vertices  # apex, base start, base end
     base_sq = tv2.dist_sq(tv3)
-    seg0 = Segment(b, a)
-    tr.extend(seg0, "b")
-    beyond = point_reflect(b, a)
+    beyond = produce(tr, b, a)
     g = cut_at(tr, a, beyond, base_sq, "ag adjoined equal to the base")
     # the ray g->a points with a->b, the ray a->g against it, so the side
     # words flip between the two copies
     want = -side_sign(side)
-    sub1 = tr.sub("I.23")
-    cp1 = p23_copy_angle(Ray(g, a), Angle(tv2, tv3, tv1),
-                         side=ray_side_word(Ray(g, a), ab.a, ab.b, want),
-                         tracer=sub1)
-    w1 = cp1.result.arm2
-    tr.attach(sub1, operands=(g, a), produced=(w1,))
-    sub2 = tr.sub("I.23")
-    cp2 = p23_copy_angle(Ray(a, g), Angle(tv3, tv2, tv1),
-                         side=ray_side_word(Ray(a, g), ab.a, ab.b, want),
-                         tracer=sub2)
-    w2 = cp2.result.arm2
-    tr.attach(sub2, operands=(a, g), produced=(w2,))
+    w1 = copy_angle(tr, Ray(g, a), Angle(tv2, tv3, tv1),
+                    ray_side_word(Ray(g, a), ab.a, ab.b, want))
+    w2 = copy_angle(tr, Ray(a, g), Angle(tv3, tv2, tv1),
+                    ray_side_word(Ray(a, g), ab.a, ab.b, want))
     k = only_point(tr, intersect_lines(Line(g, w1), Line(a, w2)), "k")
-    sub10 = tr.sub("I.10")
-    mid = p10_bisect_segment(Segment(g, a), tracer=sub10)
-    h = mid.result
-    tr.attach(sub10, operands=(g, a), produced=(h,))
+    h = bisect(tr, g, a)
     tr.join(k, h)
     top = cite_parallel(tr, k, Line(g, a), "mkn through k parallel to gh")
-    sub3 = tr.sub("I.23")
-    cp3 = p23_copy_angle(Ray(a, g), d,
-                         side=ray_side_word(Ray(a, g), ab.a, ab.b, want),
-                         tracer=sub3)
-    w3 = cp3.result.arm2
-    tr.attach(sub3, operands=(a, g), produced=(w3,))
+    w3 = copy_angle(tr, Ray(a, g), d,
+                    ray_side_word(Ray(a, g), ab.a, ab.b, want))
     l = only_point(tr, intersect_lines(Line(a, w3), top), "l", operands=(top,))
     hpar = cite_parallel(tr, h, Line(a, l), "through h parallel to al")
     m = only_point(tr, intersect_lines(hpar, top), "m", operands=(hpar, top))
@@ -456,12 +401,9 @@ def _p44_tinemue(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
     # line already matches the given angle; the tilted cases are left
     # undetermined by the source and are not guessed at
     a, b = ab.b, ab.a
-    tr.register_input(a)
-    tr.register_input(b)
+    tr.register_input(a, b)
     tv1, tv2, tv3 = t.vertices
-    seg0 = Segment(a, b)
-    tr.extend(seg0, "b")
-    beyond = point_reflect(a, b)
+    beyond = produce(tr, a, b)
     scaffold = ray_side_word(Ray(b, beyond), ab.a, ab.b, -side_sign(side))
     sub = tr.sub("I.22")
     placed = place_triangle_on_ray(
@@ -469,10 +411,7 @@ def _p44_tinemue(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
         Ray(b, beyond), side=scaffold, tracer=sub)
     _, c, dd = placed.result.vertices
     tr.attach(sub, operands=(b,), produced=(c, dd))
-    sub10 = tr.sub("I.10")
-    mid = p10_bisect_segment(Segment(b, c), tracer=sub10)
-    o = mid.result
-    tr.attach(sub10, operands=(b, c), produced=(o,))
+    o = bisect(tr, b, c)
     tr.join(o, dd)
     if not angle_eq(Angle(o, c, dd), d):
         raise StrategyInapplicable(
@@ -534,8 +473,7 @@ def p45_apply_figure(d_angle: Angle, f: Figure,
     if not is_simple(f):
         raise NotSimple("the figure's boundary crosses itself")
     tr = tracer or Tracer("I.45")
-    for p in f.vertices:
-        tr.register_input(p)
+    tr.register_input(*f.vertices)
     pieces = triangulate(f)
     fat = [p for p in pieces if content(p).sign() > 0]
 
@@ -548,7 +486,8 @@ def p45_apply_figure(d_angle: Angle, f: Figure,
     acc_probe = base_e
     for piece in fat[1:]:
         shared = Segment(u, vv)
-        new_side = opposite_side(side_name_of(u, vv, acc_probe))
+        # the far side of u->v from the probe is the probe's side of v->u
+        new_side = side_name_of(vv, u, acc_probe)
         sub44 = tr.sub("I.44")
         applied = p44_apply(shared, piece, d_angle, "alnayrizi",
                             side=new_side, tracer=sub44)
@@ -605,7 +544,7 @@ def triangulate(f: Figure) -> list[Figure]:
         # straight vertices first: clipping them never changes the boundary
         for i in range(n):
             a, b, c = verts[i - 1], verts[i], verts[(i + 1) % n]
-            if (b - a).cross(c - a).is_zero():
+            if collinear(a, b, c):
                 out.append(Figure([a, b, c]))
                 del verts[i]
                 clipped = True
@@ -614,7 +553,7 @@ def triangulate(f: Figure) -> list[Figure]:
             continue
         for i in range(n):
             a, b, c = verts[i - 1], verts[i], verts[(i + 1) % n]
-            if (b - a).cross(c - a).sign() <= 0:
+            if orientation(a, b, c) <= 0:
                 continue
             if any(_in_triangle(p, a, b, c) for p in verts
                    if p not in (a, b, c)):
@@ -630,10 +569,8 @@ def triangulate(f: Figure) -> list[Figure]:
 
 
 def _in_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:
-    s1 = (b - a).cross(p - a).sign()
-    s2 = (c - b).cross(p - b).sign()
-    s3 = (a - c).cross(p - c).sign()
-    return s1 >= 0 and s2 >= 0 and s3 >= 0
+    return (orientation(a, b, p) >= 0 and orientation(b, c, p) >= 0
+            and orientation(c, a, p) >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +587,7 @@ def p46_square(ab: Segment, side: str = "upper",
     route = strategy_route(P46_STRATEGIES, "I.46", strategy)
     tr = tracer or Tracer(f"I.46.{strategy}")
     a, b = ab.a, ab.b
-    tr.register_input(a)
-    tr.register_input(b)
+    tr.register_input(a, b)
     c = _p46_corner(tr, a, b, a, b, side, "c")
     dd = route(tr, a, b, c, side)
     fig = Figure([a, b, dd, c])

@@ -16,11 +16,12 @@ from ..geom import (
     intersect_line_circle,
     intersect_lines,
     is_right,
+    orientation,
     point_reflect,
     segment_eq,
 )
 from ..trace import Checks, PropositionResult, Tracer
-from ._common import only_point, side_selector
+from ._common import only_point, side_selector, side_word
 
 
 def p1_equilateral(ab: Segment, side: str = "upper",
@@ -28,8 +29,7 @@ def p1_equilateral(ab: Segment, side: str = "upper",
     """On a given finite straight line construct an equilateral triangle."""
     tr = tracer or Tracer("I.1")
     a, b = ab.a, ab.b
-    tr.register_input(a)
-    tr.register_input(b)
+    tr.register_input(a, b)
     c1 = tr.circle(a, b)
     c2 = tr.circle(b, a)
     apex = tr.pick(intersect_circles(c1, c2), side_selector(a, b, side),
@@ -63,8 +63,7 @@ def p2_place(a: Point, bc: Segment, side: str = "upper",
     """
     tr = tracer or Tracer("I.2")
     b, c = bc.a, bc.b
-    for obj in (a, b, c):
-        tr.register_input(obj)
+    tr.register_input(a, b, c)
     if a == b:
         result = Segment(a, c)
         return PropositionResult(
@@ -117,8 +116,7 @@ def p3_cut(greater: Segment, less: Segment,
         raise PreconditionViolated("first segment must be strictly greater")
     tr = tracer or Tracer("I.3")
     a, b = greater.a, greater.b
-    tr.register_input(a)
-    tr.register_input(b)
+    tr.register_input(a, b)
     sub = tr.sub("I.2")
     placed = p2_place(a, less, tracer=sub)
     d = placed.result.b
@@ -147,15 +145,14 @@ def p9_bisect_angle(angle: Angle, tracer: Tracer | None = None) -> PropositionRe
     tr = tracer or Tracer("I.9")
     a = angle.vertex
     d = angle.arm1
-    for obj in (a, d, angle.arm2):
-        tr.register_input(obj)
+    tr.register_input(a, d, angle.arm2)
     cad = tr.circle(a, d)
     arm2_ray = Ray(a, angle.arm2)
     e = tr.pick(intersect_line_circle(arm2_ray.line(), cad),
                 arm2_ray.contains, note="E on the second arm", operands=(cad,))
     de = tr.join(d, e)
     # equilateral triangle on DE, apex away from the vertex
-    away = "lower" if (e - d).cross(a - d).sign() > 0 else "upper"
+    away = side_word(-orientation(d, e, a))
     sub = tr.sub("I.1")
     tri = p1_equilateral(de, away, tracer=sub)
     f = tri.objects["C"]
@@ -181,8 +178,7 @@ def p10_bisect_segment(ab: Segment, tracer: Tracer | None = None) -> Proposition
     """Bisect a given finite straight line."""
     tr = tracer or Tracer("I.10")
     a, b = ab.a, ab.b
-    tr.register_input(a)
-    tr.register_input(b)
+    tr.register_input(a, b)
     sub = tr.sub("I.1")
     tri = p1_equilateral(ab, "upper", tracer=sub)
     c = tri.objects["C"]
@@ -200,6 +196,14 @@ def p10_bisect_segment(ab: Segment, tracer: Tracer | None = None) -> Proposition
         result=d, tracer=tr)
 
 
+def bisect(tr: Tracer, a: Point, b: Point) -> Point:
+    """Bisect the segment ab (runs I.10); the midpoint."""
+    sub = tr.sub("I.10")
+    mid = p10_bisect_segment(Segment(a, b), tracer=sub).result
+    tr.attach(sub, operands=(a, b), produced=(mid,))
+    return mid
+
+
 def post_i10(r: Checks, call: dict, result: PropositionResult) -> None:
     ab, d = call["ab"], result.result
     r.zero("AD equals DB", ab.a.dist_sq(d) - d.dist_sq(ab.b))
@@ -211,10 +215,8 @@ def p11_perp_at(l: Line, c: Point, tracer: Tracer | None = None) -> PropositionR
     if not l.contains(c):
         raise PreconditionViolated("the point must lie on the line")
     tr = tracer or Tracer("I.11")
-    tr.register_input(l)
-    tr.register_input(c)
     d = l.p if l.p != c else l.q
-    tr.register_input(d)
+    tr.register_input(l, c, d)
     circ = tr.circle(c, d)
     e = tr.pick(intersect_line_circle(l, circ), lambda p: p != d,
                 note="E opposite D", operands=(circ,))
@@ -250,18 +252,13 @@ def p12_perp_from(l: Line, c: Point, tracer: Tracer | None = None) -> Propositio
     if l.contains(c):
         raise PreconditionViolated("the point must lie off the line")
     tr = tracer or Tracer("I.12")
-    tr.register_input(l)
-    tr.register_input(c)
-    d = point_reflect(c, l.p)
-    tr.register_input(d)  # the chance point on the other side
+    d = point_reflect(c, l.p)  # the chance point on the other side
+    tr.register_input(l, c, d)
     circ = tr.circle(c, d)
     pts = intersect_line_circle(l, circ)
     g = tr.pick(pts, "first", note="G", operands=(circ, l))
     e = tr.pick(pts, "second", note="E", operands=(circ, l))
-    sub = tr.sub("I.10")
-    mid = p10_bisect_segment(Segment(g, e), tracer=sub)
-    h = mid.result
-    tr.attach(sub, operands=(g, e), produced=(h,))
+    h = bisect(tr, g, e)
     tr.join(c, g)
     ch = tr.join(c, h)
     tr.join(c, e)

@@ -9,15 +9,23 @@ from ..geom import (
     Line,
     Point,
     Ray,
-    Segment,
     angle_eq,
     intersect_circles,
+    orientation,
     parallel,
     point_reflect,
 )
 from ..number import Constructible
 from ..trace import Checks, PropositionResult, Tracer
-from ._common import angle_measures, cut_at, side_selector, strategy_route
+from ._common import (
+    angle_measures,
+    cut_at,
+    produce,
+    side_selector,
+    side_sign,
+    side_word,
+    strategy_route,
+)
 
 
 def _require_triangle_inequality(a: Constructible, b: Constructible,
@@ -49,8 +57,7 @@ def p22_triangle(a_len: Constructible, b_len: Constructible, c_len: Constructibl
     tr = tracer or Tracer("I.22")
     f = base_ray.origin
     toward = base_ray.through
-    tr.register_input(f)
-    tr.register_input(toward)
+    tr.register_input(f, toward)
     d = cut_at(tr, f, toward, a_len * a_len, "DF equal to the first length")
     g = cut_at(tr, f, toward, b_len * b_len, "FG equal to the second length")
     h = cut_at(tr, f, toward, (b_len + c_len) * (b_len + c_len),
@@ -93,8 +100,7 @@ def place_triangle_on_ray(a_len: Constructible, b_len: Constructible,
     tr = tracer or Tracer("I.22+")
     v1 = ray.origin
     toward = ray.through
-    tr.register_input(v1)
-    tr.register_input(toward)
+    tr.register_input(v1, toward)
     v2 = cut_at(tr, v1, toward, a_len * a_len, "first length along the ray")
     m1 = cut_at(tr, v1, toward, c_len * c_len, "marker for the third length")
     m2 = cut_at(tr, v2, point_reflect(v1, v2), b_len * b_len,
@@ -150,10 +156,8 @@ def post_i23(r: Checks, call: dict, result: PropositionResult) -> None:
 def _p23_euclid(tr: Tracer, ray: Ray, model: Angle, side: str):
     arm1_sq, arm2_sq, chord_sq = angle_measures(model)
     a = ray.origin
-    tr.register_input(a)
     d, e = model.arm1, model.arm2
-    tr.register_input(d)
-    tr.register_input(e)
+    tr.register_input(a, d, e)
     tr.join(d, e)
     f = cut_at(tr, a, ray.through, arm1_sq, "AF equal to CD")
     m1 = cut_at(tr, a, ray.through, arm2_sq, "marker for CE")
@@ -186,9 +190,9 @@ def _p23_proclus(tr: Tracer, ray: Ray, model: Angle, side: str):
     pts = intersect_circles(k, l)
     m = tr.pick(pts, side_selector(a, ray.through, side), note="M",
                 operands=(k, l))
-    n = tr.pick(pts, side_selector(a, ray.through,
-                                   "lower" if side == "upper" else "upper"),
-                note="N", operands=(k, l))
+    other = side_word(-side_sign(side))
+    n = tr.pick(pts, side_selector(a, ray.through, other), note="N",
+                operands=(k, l))
     tr.join(m, a)
     tr.join(m, b)
     tr.join(n, a)
@@ -292,6 +296,15 @@ P23_STRATEGIES = {"euclid": (".euclid", _p23_euclid),
                   "campanus": (".campanus", _p23_campanus)}
 
 
+def copy_angle(tr: Tracer, ray: Ray, model: Angle, side: str) -> Point:
+    """Copy the model angle onto the ray, apex on ``side`` (runs I.23);
+    the apex of the copy."""
+    sub = tr.sub("I.23")
+    apex = p23_copy_angle(ray, model, side=side, tracer=sub).result.arm2
+    tr.attach(sub, operands=(ray.origin, ray.through), produced=(apex,))
+    return apex
+
+
 # ---------------------------------------------------------------------------
 # I.31
 
@@ -303,8 +316,7 @@ def p31_parallel(p: Point, l: Line, tracer: Tracer | None = None) -> Proposition
     and the coincidence is recorded (documented deviation).
     """
     tr = tracer or Tracer("I.31")
-    tr.register_input(p)
-    tr.register_input(l)
+    tr.register_input(p, l)
     if l.contains(p):
         return PropositionResult(
             "I.31", objects={"A": p, "parallel": l},
@@ -316,19 +328,16 @@ def p31_parallel(p: Point, l: Line, tracer: Tracer | None = None) -> Proposition
         d, c = l.p, l.q
     else:
         d, c = l.q, l.p
-    tr.register_input(d)
-    tr.register_input(c)
+    tr.register_input(d, c)
     ad = tr.join(p, d)
     model = Angle(d, p, c)
     # alternate angles: the copy's apex goes to the side of AD away from C
-    side = "lower" if (d - p).cross(c - p).sign() > 0 else "upper"
+    side = side_word(-orientation(p, d, c))
     sub = tr.sub("I.23")
     copied = p23_copy_angle(Ray(p, d), model, side=side, tracer=sub)
     e = copied.result.arm2
     tr.attach(sub, operands=(ad,), produced=(e,))
-    ea = Segment(e, p)
-    tr.extend(ea, "b")
-    f = point_reflect(e, p)
+    f = produce(tr, e, p)
     tr.register_input(f)  # label on the produced part
     result = Line(e, f)
     return PropositionResult(

@@ -138,7 +138,7 @@ class Line:
 
     def side_of(self, pt: Point) -> int:
         """+1 left of p->q, -1 right, 0 on the line."""
-        return self.direction().cross(pt - self.p).sign()
+        return orientation(self.p, self.q, pt)
 
 
 @dataclass(frozen=True)
@@ -468,6 +468,11 @@ def is_right(a: Angle) -> bool:
 def parallel(l1: Line, l2: Line) -> bool:
     """Direction-parallelism; coincident lines also qualify."""
     return l1.direction().cross(l2.direction()).is_zero()
+
+
+def orientation(a: Point, b: Point, p: Point) -> int:
+    """+1 if p lies left of the directed line a->b, -1 right of it, 0 on it."""
+    return (b - a).cross(p - a).sign()
 
 
 def collinear(p: Point, q: Point, r: Point) -> bool:

@@ -140,14 +140,15 @@ class Tracer:
 
     def _id_of(self, obj) -> int:
         oid = self._ids.get(id(obj))
-        if oid is not None:
-            return oid
-        return self.register_input(obj)
-
-    def register_input(self, obj) -> int:
-        oid = self._new_id(obj)
-        self.trace.inputs.append(oid)
+        if oid is None:
+            self.register_input(obj)
+            oid = self._ids[id(obj)]
         return oid
+
+    def register_input(self, *objs) -> None:
+        """Register each given object, in order, as an input of this level."""
+        for obj in objs:
+            self.trace.inputs.append(self._new_id(obj))
 
     def _record(self, kind: str, operands: Iterable[object], produced: Iterable[object],
                 note: str = "", sub: Optional[Trace] = None) -> Step:

@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import euclid
 from euclid.cli import main
 from euclid.number import new_context
 
@@ -25,6 +28,16 @@ class TestRun:
         assert main(["run", str(SCRIPTS / "i44.euc")]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
+
+    def test_script_file_is_closed(self):
+        # development mode shows the ResourceWarning of an unclosed file
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(euclid.__file__).resolve().parents[1]))
+        got = subprocess.run(
+            [sys.executable, "-X", "dev", "-m", "euclid", "run",
+             str(SCRIPTS / "i1.euc")], capture_output=True, text=True, env=env)
+        assert got.returncode == 0, got.stderr
+        assert "ResourceWarning" not in got.stderr
 
     def test_svg_written(self, tmp_path, capsys):
         target = tmp_path / "i1.svg"

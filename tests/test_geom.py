@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from euclid import geom, number
 from euclid.errors import CoincidentCircles, DegenerateInput, SuperpositionMismatch
@@ -18,6 +20,7 @@ from euclid.geom import (
     angle_eq,
     angles_sum_to_two_rights,
     circle,
+    collinear,
     extend,
     intersect_circles,
     intersect_line_circle,
@@ -25,6 +28,7 @@ from euclid.geom import (
     is_right,
     join,
     join_segment,
+    orientation,
     parallel,
     point_reflect,
     segment_eq,
@@ -209,6 +213,33 @@ class TestParallel:
         l1 = Line(P(0, 0), P(1, 1))
         l2 = Line(P(0, 1), P(1, 2))
         assert intersect_lines(l1, l2) in (NO_INTERSECTION, COINCIDENT)
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+xy = st.tuples(rationals, rationals)
+
+
+class TestOrientation:
+    def test_left_right_on(self):
+        a, b = P(0, 0), P(2, 0)
+        assert orientation(a, b, P(1, 1)) == 1
+        assert orientation(a, b, P(1, -1)) == -1
+        assert orientation(a, b, P(5, 0)) == 0
+
+    @given(xy, xy, xy, rationals)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_agrees_with_side_of_and_collinear(self, a, b, p, t):
+        assume(a != b)
+        (ax, ay), (bx, by), (px, py) = a, b, p
+        cross = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+        want = (cross > 0) - (cross < 0)
+        a, b, p = P(a), P(b), P(p)
+        assert orientation(a, b, p) == want
+        assert orientation(b, a, p) == -want
+        assert Line(a, b).side_of(p) == want
+        assert collinear(a, b, p) == (want == 0)
+        on = P(ax + t * (bx - ax), ay + t * (by - ay))
+        assert orientation(a, b, on) == 0 and collinear(a, b, on)
 
 
 class TestSignedArea:

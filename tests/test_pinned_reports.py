@@ -1,13 +1,14 @@
-"""Report bytes are pinned.  ``test_8_determinism`` compares two runs of the
-same code; these digests compare a run with the bytes recorded before the
-last change to the engine.  A change that alters report output on purpose
-re-records the digests and says why in CHANGES.md."""
+"""Report and trace bytes are pinned.  ``test_8_determinism`` compares two
+runs of the same code; these digests compare a run with the bytes recorded
+before the last change to the engine.  A change that alters report or trace
+output on purpose re-records the digests and says why in CHANGES.md."""
 
 import hashlib
 import os
 
 import pytest
 
+from euclid import elements
 from euclid.cli import main
 
 FIVE = ("euclid_superposition,alnayrizi,robert_of_chester,campanus,"
@@ -31,3 +32,27 @@ def test_report_bytes(monkeypatch, capsys, argv, digest):
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def _trace_argvs():
+    """``prop <id> [--strategy s] --seed 3 --trace`` for every construction
+    and strategy, in registry order."""
+    for pid, prop in elements.PROPOSITIONS.items():
+        for strategy in list(prop.strategies) or [None]:
+            extra = ["--strategy", strategy] if strategy else []
+            yield ["prop", pid, *extra, "--seed", "3", "--trace"]
+
+
+TRACE_DIGEST = ("4c1e0dd7845409bf3a1822eaa2cdb4d4"
+                "322d0a38440d4a4b0273c92d1391aa91")
+
+
+def test_trace_bytes(monkeypatch, capsys):
+    monkeypatch.delenv("EUCLID_SEED", raising=False)
+    digest = hashlib.sha256()
+    argvs = list(_trace_argvs())
+    assert len(argvs) == 26
+    for argv in argvs:
+        assert main(argv) == 0
+        digest.update(capsys.readouterr().out.encode("utf-8"))
+    assert digest.hexdigest() == TRACE_DIGEST

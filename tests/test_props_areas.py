@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from euclid import elements, verify
 from euclid.elements import (
     p42_on_ray,
     p42_parallelogram_eq_triangle,
@@ -277,3 +279,20 @@ class TestP46:
         got = p46_square(ab, "lower")
         for s in got.result.sides():
             assert segment_eq(s, ab)
+
+
+ROUTES = [(pid, strategy) for pid, prop in elements.PROPOSITIONS.items()
+          for strategy in list(prop.strategies) or [None]]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("prop_id, strategy", ROUTES,
+                         ids=[f"{p}.{s}" if s else p for p, s in ROUTES])
+def test_trace_references_on_every_route(prop_id, strategy, seed):
+    """Every step of every construction route, nested sub-constructions
+    included, refers only to objects registered or produced before it."""
+    new_context()
+    kwargs = verify.generate_instance(prop_id, random.Random(seed))
+    call = elements.strategy_kwargs(strategy, kwargs)
+    got = elements.CONSTRUCTIONS[prop_id](**call)
+    assert got.trace.check_references()

@@ -1,8 +1,6 @@
-import inspect
-
 import pytest
 
-from euclid import elements, verify
+from euclid import dsl, elements, verify
 from euclid.elements import (
     P23_STRATEGIES,
     P42_STRATEGIES,
@@ -16,12 +14,34 @@ ENGINE_STRATEGIES = {"I.23": P23_STRATEGIES, "I.42": P42_STRATEGIES,
                      "I.44": P44_STRATEGIES, "I.46": P46_STRATEGIES}
 
 
+# each construction's positional parameters as (name, type word) pairs,
+# as the registry listed them by hand before it read them from signatures
+PARAMS = {
+    "I.1": (("ab", "segment"),),
+    "I.2": (("a", "point"), ("bc", "segment")),
+    "I.3": (("greater", "segment"), ("less", "segment")),
+    "I.9": (("angle", "angle"),),
+    "I.10": (("ab", "segment"),),
+    "I.11": (("l", "line"), ("c", "point")),
+    "I.12": (("l", "line"), ("c", "point")),
+    "I.22": (("a_len", "number"), ("b_len", "number"), ("c_len", "number"),
+             ("base_ray", "ray")),
+    "I.23": (("target_ray", "ray"), ("model", "angle")),
+    "I.31": (("p", "point"), ("l", "line")),
+    "I.42": (("t", "figure"), ("d", "angle")),
+    "I.43": (("pg", "figure"), ("k", "point")),
+    "I.44": (("ab", "segment"), ("t", "figure"), ("d", "angle")),
+    "I.45": (("d_angle", "angle"), ("f", "figure")),
+    "I.46": (("ab", "segment"),),
+}
+
+
 @pytest.mark.parametrize("prop_id", list(elements.PROPOSITIONS))
 def test_record(prop_id):
     prop = elements.PROPOSITIONS[prop_id]
-    positional = [p.name for p in inspect.signature(prop.fn).parameters.values()
-                  if p.default is inspect.Parameter.empty]
-    assert [name for name, _ in prop.params] == positional
+    assert prop.params == PARAMS[prop_id]
+    assert all(word in dsl.TYPES or word == "number"
+               for _, word in prop.params)
     assert elements.CONSTRUCTIONS[prop_id] is prop.fn
     assert elements.STRATEGIES.get(prop_id, ()) == \
         tuple(ENGINE_STRATEGIES.get(prop_id, ()))
