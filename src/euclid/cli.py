@@ -114,7 +114,9 @@ def _cmd_run(args) -> int:
     if args.trace:
         print(inter.trace_text())
     if args.svg:
-        _write_svg(args.svg, render(inter.env))
+        # a script's objects have no roles, so all draw as given
+        _write_svg(args.svg, render({name: ("given", obj)
+                                     for name, obj in inter.env.items()}))
     return 0 if inter.all_assertions_pass else 1
 
 
@@ -151,7 +153,7 @@ def _cmd_prop(args) -> int:
     del costs["objects"]
     print(key_values(costs))
     if args.trace:
-        print("\n".join(trace_lines(result.trace, result.tracer.registry)))
+        print("\n".join(trace_lines(result.trace)))
     if args.svg:
         _write_svg(args.svg, render_result(result))
     return 0 if checks.all_pass else 1

@@ -640,7 +640,7 @@ class Interpretation:
         return all(a.passed for a in self.assertions)
 
     def trace_text(self) -> str:
-        return "\n".join(trace_lines(self.tracer.trace, self.tracer.registry))
+        return "\n".join(trace_lines(self.tracer))
 
 
 def interpret(script: Script) -> Interpretation:

@@ -63,10 +63,8 @@ def p42_parallelogram_eq_triangle(t: Figure, d: Angle, strategy: str = "euclid",
     route = strategy_route(P42_STRATEGIES, "I.42", strategy)
     require_triangle(t)
     tr = tracer or Tracer("I.42" if strategy == "euclid" else f"I.42.{strategy}")
-    fig, objects, roles = route(tr, t, d)
-    return PropositionResult(
-        f"I.42.{strategy}", objects=objects, roles=roles,
-        result=fig, tracer=tr)
+    fig, named = route(tr, t, d)
+    return PropositionResult(f"I.42.{strategy}", named, fig, tr)
 
 
 def post_i42(r: Checks, call: dict, result: PropositionResult) -> None:
@@ -93,10 +91,9 @@ def _p42_euclid(tr: Tracer, t: Figure, d: Angle):
     cg = cite_parallel(tr, c, Line(e, w), "CG through C parallel to EF")
     g = only_point(tr, intersect_lines(cg, ag), "G", operands=(cg, ag))
     fig = Figure([f, e, c, g])
-    objects = {"A": a, "B": b, "C": c, "E": e, "F": f, "G": g, "parallelogram": fig}
-    roles = {"A": "given", "B": "given", "C": "given", "E": "aux",
-             "F": "result", "G": "result", "parallelogram": "result"}
-    return fig, objects, roles
+    return fig, {"A": ("given", a), "B": ("given", b), "C": ("given", c),
+                 "E": ("aux", e), "F": ("result", f), "G": ("result", g),
+                 "parallelogram": ("result", fig)}
 
 
 def _p42_alnayrizi(tr: Tracer, t: Figure, d: Angle):
@@ -112,10 +109,9 @@ def _p42_alnayrizi(tr: Tracer, t: Figure, d: Angle):
     z = only_point(tr, intersect_lines(Line(e, w), azh), "Z", operands=(azh,))
     h = only_point(tr, intersect_lines(gh, azh), "H", operands=(gh, azh))
     fig = Figure([g, e, z, h])
-    objects = {"A": a, "B": b, "G": g, "E": e, "Z": z, "H": h, "parallelogram": fig}
-    roles = {"A": "given", "B": "given", "G": "given", "E": "aux",
-             "Z": "result", "H": "result", "parallelogram": "result"}
-    return fig, objects, roles
+    return fig, {"A": ("given", a), "B": ("given", b), "G": ("given", g),
+                 "E": ("aux", e), "Z": ("result", z), "H": ("result", h),
+                 "parallelogram": ("result", fig)}
 
 
 # strategy name -> (identifier suffix, construction route)
@@ -150,12 +146,10 @@ def p42_on_ray(t: Figure, d: Angle, base_ray: Ray, side: str = "upper",
     theta2 = only_point(tr, intersect_lines(epar, top), "Theta2",
                         operands=(epar, top))
     fig = Figure([o, e, theta2, theta])
-    objects = {"O": o, "E": e, "Theta": theta, "Theta2": theta2,
-               "apex": papex, "parallelogram": fig}
-    roles = {"O": "given", "E": "aux", "Theta": "result", "Theta2": "result",
-             "apex": "aux", "parallelogram": "result"}
-    return PropositionResult("I.42+", objects=objects, roles=roles,
-                             result=fig, tracer=tr)
+    return PropositionResult(
+        "I.42+", {"O": ("given", o), "E": ("aux", e), "Theta": ("result", theta),
+                  "Theta2": ("result", theta2), "apex": ("aux", papex),
+                  "parallelogram": ("result", fig)}, fig, tr)
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +175,12 @@ def p43_complements(pg: Figure, k: Point,
     f = only_point(tr, intersect_lines(par_ab, Line(b, c)), "F", operands=(par_ab,))
     comp1 = Figure([e, b, f, k])
     comp2 = Figure([h, k, g, d])
-    objects = {"A": a, "B": b, "C": c, "D": d, "K": k, "E": e, "F": f,
-               "G": g, "H": h, "BK": comp1, "KD": comp2}
-    roles = {"A": "given", "B": "given", "C": "given", "D": "given",
-             "K": "given", "E": "aux", "F": "aux", "G": "aux", "H": "aux",
-             "BK": "result", "KD": "result"}
-    return PropositionResult("I.43", objects=objects, roles=roles,
-                             result=(comp1, comp2), tracer=tr)
+    return PropositionResult(
+        "I.43", {"A": ("given", a), "B": ("given", b), "C": ("given", c),
+                 "D": ("given", d), "K": ("given", k), "E": ("aux", e),
+                 "F": ("aux", f), "G": ("aux", g), "H": ("aux", h),
+                 "BK": ("result", comp1), "KD": ("result", comp2)},
+        (comp1, comp2), tr)
 
 
 def post_i43(r: Checks, call: dict, result: PropositionResult) -> None:
@@ -214,11 +207,9 @@ def p44_apply(ab: Segment, t: Figure, d: Angle,
     route = strategy_route(P44_STRATEGIES, "I.44", strategy)
     require_triangle(t)
     tr = tracer or Tracer(f"I.44.{strategy}")
-    fig, objects, roles = route(tr, ab, t, d, side)
-    objects.setdefault("parallelogram", fig)
-    roles.setdefault("parallelogram", "result")
-    return PropositionResult(f"I.44.{strategy}", objects=objects, roles=roles,
-                             result=fig, tracer=tr)
+    fig, named = route(tr, ab, t, d, side)
+    named.setdefault("parallelogram", ("result", fig))
+    return PropositionResult(f"I.44.{strategy}", named, fig, tr)
 
 
 def post_i44(r: Checks, call: dict, result: PropositionResult) -> None:
@@ -270,11 +261,9 @@ def _p44_euclid(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
     l = only_point(tr, intersect_lines(Line(h, a0), kl), "L", operands=(kl,))
     mm = only_point(tr, intersect_lines(Line(g, b), kl), "M", operands=(kl,))
     fig = Figure([a0, b0, mm, l])
-    objects = {"A": a0, "B": b0, "E": e, "F": f, "G": g, "H": h, "K": k,
-               "L": l, "M": mm}
-    roles = {"A": "given", "B": "given", "E": "aux", "F": "aux", "G": "aux",
-             "H": "aux", "K": "aux", "L": "result", "M": "result"}
-    return fig, objects, roles
+    return fig, {"A": ("given", a0), "B": ("given", b0), "E": ("aux", e),
+                 "F": ("aux", f), "G": ("aux", g), "H": ("aux", h),
+                 "K": ("aux", k), "L": ("result", l), "M": ("result", mm)}
 
 
 def _p44_alnayrizi(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
@@ -304,11 +293,9 @@ def _p44_alnayrizi(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
     tr.extend(Segment(theta, b0), "b")
     xi = only_point(tr, intersect_lines(Line(theta, b0), mn), "Xi", operands=(mn,))
     fig = Figure([a0, b0, xi, n])
-    objects = {"A": a0, "B": b0, "H": h, "Theta": theta, "K": kk, "L": l,
-               "M": m, "N": n, "Xi": xi}
-    roles = {"A": "given", "B": "given", "H": "aux", "Theta": "aux",
-             "K": "aux", "L": "aux", "M": "aux", "N": "result", "Xi": "result"}
-    return fig, objects, roles
+    return fig, {"A": ("given", a0), "B": ("given", b0), "H": ("aux", h),
+                 "Theta": ("aux", theta), "K": ("aux", kk), "L": ("aux", l),
+                 "M": ("aux", m), "N": ("result", n), "Xi": ("result", xi)}
 
 
 def _p44_robert(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
@@ -344,12 +331,10 @@ def _p44_robert(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
     xi = only_point(tr, intersect_lines(Line(theta, b0), bottom), "X",
                     operands=(bottom,))
     fig = Figure([a0, b0, xi, n])
-    objects = {"A": a0, "B": b0, "H": h, "G": g, "K": k, "T": theta, "U": u,
-               "L": l, "M": m, "N": n, "X": xi}
-    roles = {"A": "given", "B": "given", "H": "aux", "G": "aux", "K": "aux",
-             "T": "aux", "U": "aux", "L": "aux", "M": "aux",
-             "N": "result", "X": "result"}
-    return fig, objects, roles
+    return fig, {"A": ("given", a0), "B": ("given", b0), "H": ("aux", h),
+                 "G": ("aux", g), "K": ("aux", k), "T": ("aux", theta),
+                 "U": ("aux", u), "L": ("aux", l), "M": ("aux", m),
+                 "N": ("result", n), "X": ("result", xi)}
 
 
 def _p44_campanus(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
@@ -388,12 +373,10 @@ def _p44_campanus(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
     tr.extend(Segment(l, a), "b")
     p = only_point(tr, intersect_lines(Line(l, a), bottom), "p", operands=(bottom,))
     fig = Figure([a, b, q, p])
-    objects = {"a": a, "b": b, "g": g, "k": k, "h": h, "l": l, "m": m,
-               "n": n, "o": o, "p": p, "q": q}
-    roles = {"a": "given", "b": "given", "g": "aux", "k": "aux", "h": "aux",
-             "l": "aux", "m": "aux", "n": "aux", "o": "aux",
-             "p": "result", "q": "result"}
-    return fig, objects, roles
+    return fig, {"a": ("given", a), "b": ("given", b), "g": ("aux", g),
+                 "k": ("aux", k), "h": ("aux", h), "l": ("aux", l),
+                 "m": ("aux", m), "n": ("aux", n), "o": ("aux", o),
+                 "p": ("result", p), "q": ("result", q)}
 
 
 def _p44_tinemue(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
@@ -432,11 +415,10 @@ def _p44_tinemue(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
     tr.extend(Segment(f, b), "b")
     i = only_point(tr, intersect_lines(Line(f, b), bottom), "i", operands=(bottom,))
     fig = Figure([a, b, i, h])
-    objects = {"a": a, "b": b, "c": c, "d": dd, "o": o, "g": g, "f": f,
-               "k": k, "h": h, "i": i}
-    roles = {"a": "given", "b": "given", "c": "aux", "d": "aux", "o": "aux",
-             "g": "aux", "f": "aux", "k": "aux", "h": "result", "i": "result"}
-    return fig, objects, roles
+    return fig, {"a": ("given", a), "b": ("given", b), "c": ("aux", c),
+                 "d": ("aux", dd), "o": ("aux", o), "g": ("aux", g),
+                 "f": ("aux", f), "k": ("aux", k), "h": ("result", h),
+                 "i": ("result", i)}
 
 
 # strategy name -> (identifier suffix, construction route)
@@ -497,11 +479,9 @@ def p45_apply_figure(d_angle: Angle, f: Figure,
         acc_probe = u
         u, vv = xi, n
     fig = Figure([base_e, base_c, vv, u])
-    objects = {"figure": f, "parallelogram": fig,
-               "triangles": tuple(pieces)}
-    roles = {"figure": "given", "parallelogram": "result", "triangles": "aux"}
-    return PropositionResult("I.45", objects=objects, roles=roles,
-                             result=fig, tracer=tr)
+    return PropositionResult(
+        "I.45", {"figure": ("given", f), "parallelogram": ("result", fig),
+                 "triangles": ("aux", tuple(pieces))}, fig, tr)
 
 
 def post_i45(r: Checks, call: dict, result: PropositionResult) -> None:
@@ -510,7 +490,7 @@ def post_i45(r: Checks, call: dict, result: PropositionResult) -> None:
     f, fig = call["f"], result.result
     r.true("the figure splits into two fewer triangles than sides",
            len(result.objects["triangles"]) == len(f) - 2)
-    registry = result.tracer.registry
+    registry = result.trace.registry
     applied = [s for s in result.trace.steps
                if s.kind == "sub" and s.note == "I.44"]
     probe = fig.vertices[0]
@@ -591,11 +571,10 @@ def p46_square(ab: Segment, side: str = "upper",
     c = _p46_corner(tr, a, b, a, b, side, "c")
     dd = route(tr, a, b, c, side)
     fig = Figure([a, b, dd, c])
-    objects = {"a": a, "b": b, "c": c, "d": dd, "square": fig}
-    roles = {"a": "given", "b": "given", "c": "result", "d": "result",
-             "square": "result"}
-    return PropositionResult(f"I.46.{strategy}", objects=objects, roles=roles,
-                             result=fig, tracer=tr)
+    return PropositionResult(
+        f"I.46.{strategy}", {"a": ("given", a), "b": ("given", b),
+                             "c": ("result", c), "d": ("result", dd),
+                             "square": ("result", fig)}, fig, tr)
 
 
 def _p46_corner(tr: Tracer, a: Point, b: Point, at: Point, through: Point,

@@ -38,10 +38,8 @@ def p1_equilateral(ab: Segment, side: str = "upper",
     tr.join(apex, b)
     triangle = Figure([a, b, apex])
     return PropositionResult(
-        "I.1",
-        objects={"A": a, "B": b, "C": apex, "triangle": triangle},
-        roles={"A": "given", "B": "given", "C": "result", "triangle": "result"},
-        result=triangle, tracer=tr)
+        "I.1", {"A": ("given", a), "B": ("given", b), "C": ("result", apex),
+                "triangle": ("result", triangle)}, triangle, tr)
 
 
 def post_i1(r: Checks, call: dict, result: PropositionResult) -> None:
@@ -67,14 +65,13 @@ def p2_place(a: Point, bc: Segment, side: str = "upper",
     if a == b:
         result = Segment(a, c)
         return PropositionResult(
-            "I.2", objects={"A": a, "B": b, "C": c, "AL": result},
-            roles={"A": "given", "B": "given", "C": "given", "AL": "result"},
-            result=result, tracer=tr)
+            "I.2", {"A": ("given", a), "B": ("given", b), "C": ("given", c),
+                    "AL": ("result", result)}, result, tr)
 
     ab = tr.join(a, b)
     sub = tr.sub("I.1")
     tri = p1_equilateral(ab, side, tracer=sub)
-    d = tri.objects["C"]
+    d = tri.result.vertices[2]
     tr.attach(sub, operands=(ab,), produced=(d,))
     da = tr.join(d, a)
     db = tr.join(d, b)
@@ -92,11 +89,9 @@ def p2_place(a: Point, bc: Segment, side: str = "upper",
                 note="L beyond A on AE", operands=(gkl, ray_ae))
     result = Segment(a, l)
     return PropositionResult(
-        "I.2",
-        objects={"A": a, "B": b, "C": c, "D": d, "G": g, "L": l, "AL": result},
-        roles={"A": "given", "B": "given", "C": "given",
-               "D": "aux", "G": "aux", "L": "result", "AL": "result"},
-        result=result, tracer=tr)
+        "I.2", {"A": ("given", a), "B": ("given", b), "C": ("given", c),
+                "D": ("aux", d), "G": ("aux", g), "L": ("result", l),
+                "AL": ("result", result)}, result, tr)
 
 
 def post_i2(r: Checks, call: dict, result: PropositionResult) -> None:
@@ -127,10 +122,8 @@ def p3_cut(greater: Segment, less: Segment,
                 lambda p: toward.dot(p - a).sign() > 0,
                 note="E toward B", operands=(cdef,))
     return PropositionResult(
-        "I.3",
-        objects={"A": a, "B": b, "D": d, "E": e},
-        roles={"A": "given", "B": "given", "D": "aux", "E": "result"},
-        result=e, tracer=tr)
+        "I.3", {"A": ("given", a), "B": ("given", b), "D": ("aux", d),
+                "E": ("result", e)}, e, tr)
 
 
 def post_i3(r: Checks, call: dict, result: PropositionResult) -> None:
@@ -155,16 +148,14 @@ def p9_bisect_angle(angle: Angle, tracer: Tracer | None = None) -> PropositionRe
     away = side_word(-orientation(d, e, a))
     sub = tr.sub("I.1")
     tri = p1_equilateral(de, away, tracer=sub)
-    f = tri.objects["C"]
+    f = tri.result.vertices[2]
     tr.attach(sub, operands=(de,), produced=(f,))
     tr.join(a, f)
     bisector = Ray(a, f)
     return PropositionResult(
-        "I.9",
-        objects={"A": a, "D": d, "E": e, "F": f, "bisector": bisector},
-        roles={"A": "given", "D": "given", "E": "aux", "F": "aux",
-               "bisector": "result"},
-        result=bisector, tracer=tr)
+        "I.9", {"A": ("given", a), "D": ("given", d), "E": ("aux", e),
+                "F": ("aux", f), "bisector": ("result", bisector)},
+        bisector, tr)
 
 
 def post_i9(r: Checks, call: dict, result: PropositionResult) -> None:
@@ -181,7 +172,7 @@ def p10_bisect_segment(ab: Segment, tracer: Tracer | None = None) -> Proposition
     tr.register_input(a, b)
     sub = tr.sub("I.1")
     tri = p1_equilateral(ab, "upper", tracer=sub)
-    c = tri.objects["C"]
+    c = tri.result.vertices[2]
     tr.attach(sub, operands=(a, b), produced=(c,))
     sub9 = tr.sub("I.9")
     bis = p9_bisect_angle(Angle(c, a, b), tracer=sub9)
@@ -190,10 +181,8 @@ def p10_bisect_segment(ab: Segment, tracer: Tracer | None = None) -> Proposition
     d = only_point(tr, intersect_lines(ray.line(), Line(a, b)),
                    "D where the bisector meets AB", operands=(ab,))
     return PropositionResult(
-        "I.10",
-        objects={"A": a, "B": b, "C": c, "D": d},
-        roles={"A": "given", "B": "given", "C": "aux", "D": "result"},
-        result=d, tracer=tr)
+        "I.10", {"A": ("given", a), "B": ("given", b), "C": ("aux", c),
+                 "D": ("result", d)}, d, tr)
 
 
 def bisect(tr: Tracer, a: Point, b: Point) -> Point:
@@ -223,16 +212,14 @@ def p11_perp_at(l: Line, c: Point, tracer: Tracer | None = None) -> PropositionR
     de = Segment(d, e)
     sub = tr.sub("I.1")
     tri = p1_equilateral(de, "upper", tracer=sub)
-    f = tri.objects["C"]
+    f = tri.result.vertices[2]
     tr.attach(sub, operands=(d, e), produced=(f,))
     tr.join(f, c)
     result = Line(c, f)
     return PropositionResult(
-        "I.11",
-        objects={"C": c, "D": d, "E": e, "F": f, "perpendicular": result},
-        roles={"C": "given", "D": "aux", "E": "aux", "F": "aux",
-               "perpendicular": "result"},
-        result=result, tracer=tr)
+        "I.11", {"C": ("given", c), "D": ("aux", d), "E": ("aux", e),
+                 "F": ("aux", f), "perpendicular": ("result", result)},
+        result, tr)
 
 
 def post_i11(r: Checks, call: dict, result: PropositionResult) -> None:
@@ -264,12 +251,10 @@ def p12_perp_from(l: Line, c: Point, tracer: Tracer | None = None) -> Propositio
     tr.join(c, e)
     result = Line(c, h)
     return PropositionResult(
-        "I.12",
-        objects={"C": c, "D": d, "E": e, "G": g, "H": h,
-                 "perpendicular": result, "CH": ch},
-        roles={"C": "given", "D": "aux", "E": "aux", "G": "aux",
-               "H": "result", "perpendicular": "result", "CH": "aux"},
-        result=result, tracer=tr)
+        "I.12", {"C": ("given", c), "D": ("aux", d), "E": ("aux", e),
+                 "G": ("aux", g), "H": ("result", h),
+                 "perpendicular": ("result", result), "CH": ("aux", ch)},
+        result, tr)
 
 
 def post_i12(r: Checks, call: dict, result: PropositionResult) -> None:

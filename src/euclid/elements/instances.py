@@ -18,6 +18,7 @@ from ..geom import (
     collinear,
     intersect_lines,
     is_simple,
+    orientation,
     point_reflect,
     signed_area,
 )
@@ -86,14 +87,9 @@ def _ray(rng) -> Ray:
 
 def _parallelogram(rng) -> Figure:
     while True:
-        a = _point(rng)
-        u = _point(rng) - a
-        v = _point(rng) - a
-        if u.cross(v).sign() != 0:
-            b = a + u
-            c = Point(a.x + u.dx + v.dx, a.y + u.dy + v.dy)
-            d = a + v
-            return Figure([a, b, c, d])
+        a, b, d = _point(rng), _point(rng), _point(rng)
+        if not collinear(a, b, d):
+            return Figure([a, b, b + (d - a), d])
 
 
 def _simple_polygon(rng, n: int) -> Figure:
@@ -116,10 +112,7 @@ def _simple_polygon(rng, n: int) -> Figure:
             hp, hq = half(p), half(q)
             if hp != hq:
                 return -1 if hp < hq else 1
-            cross = (p - center).cross(q - center).sign()
-            if cross != 0:
-                return -cross
-            return 0
+            return -orientation(center, p, q)
 
         ordered = sorted(pts, key=functools.cmp_to_key(cmp))
         collinear_tie = any(
@@ -154,12 +147,9 @@ def _congruent_copy(rng, t: Figure) -> Figure:
 def _parallel_pair(rng):
     while True:
         l1 = _line(rng)
-        off = _point(rng) - l1.p
-        if l1.direction().cross(off).sign() == 0:
-            continue
-        p2 = l1.p + off
-        l2 = Line(p2, p2 + l1.direction())
-        return l1, l2
+        p2 = _point(rng)
+        if not l1.contains(p2):
+            return l1, Line(p2, p2 + l1.direction())
 
 
 def _transversal(rng, l1: Line, l2: Line) -> Line:
@@ -279,14 +269,10 @@ def i13(rng):
 
 def i15(rng):
     while True:
-        e = _point(rng)
-        u = _point(rng) - e
-        v = _point(rng) - e
-        if u.cross(v).sign() == 0 or (u.dx.is_zero() and u.dy.is_zero()) \
-                or (v.dx.is_zero() and v.dy.is_zero()):
-            continue
-        return {"a": e + u, "b": Point(e.x - u.dx, e.y - u.dy),
-                "c": e + v, "d": Point(e.x - v.dx, e.y - v.dy)}
+        e, a, c = _point(rng), _point(rng), _point(rng)
+        if not collinear(e, a, c):
+            return {"a": a, "b": point_reflect(a, e),
+                    "c": c, "d": point_reflect(c, e)}
 
 
 def triangle_only(rng):
@@ -322,11 +308,9 @@ def i30(rng):
 def i33(rng):
     while True:
         ab = _segment(rng)
-        off = _point(rng) - ab.a
-        if ab.direction().cross(off).sign() == 0:
-            continue
-        cd = Segment(ab.a + off, ab.b + off)
-        return {"ab": ab, "cd": cd}
+        c = _point(rng)
+        if not collinear(ab.a, ab.b, c):
+            return {"ab": ab, "cd": Segment(c, ab.b + (c - ab.a))}
 
 
 def i34(rng):
@@ -344,9 +328,9 @@ def _base_and_offset(rng):
     """Distinct points a, b and an offset v not parallel to b - a."""
     while True:
         a, b = _distinct_points(rng, 2)
-        v = _point(rng) - a
-        if (b - a).cross(v).sign() != 0:
-            return a, b, v
+        p = _point(rng)
+        if not collinear(a, b, p):
+            return a, b, p - a
 
 
 def _slid_base(rng, a: Point, b: Point) -> tuple[Point, Point]:

@@ -8,6 +8,7 @@ not proof checkers.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -37,13 +38,6 @@ from ..trace import Checks
 from . import instances as gen
 
 
-def _need(bundle: dict, *keys):
-    try:
-        return [bundle[k] for k in keys]
-    except KeyError as e:
-        raise HypothesisNotSatisfied(f"bundle is missing {e.args[0]!r}")
-
-
 def _hyp(ok: bool, message: str) -> None:
     if not ok:
         raise HypothesisNotSatisfied(message)
@@ -62,8 +56,7 @@ def _corresponding(t1: Figure, t2: Figure):
     return a, b, c, d, e, f
 
 
-def _check_i4(r: Checks, bundle: dict) -> None:
-    t1, t2 = _need(bundle, "t1", "t2")
+def _check_i4(r: Checks, t1, t2) -> None:
     a, b, c, d, e, f = _corresponding(t1, t2)
     _hyp(segment_eq(Segment(a, b), Segment(d, e)), "first sides unequal")
     _hyp(segment_eq(Segment(a, c), Segment(d, f)), "second sides unequal")
@@ -76,8 +69,7 @@ def _check_i4(r: Checks, bundle: dict) -> None:
             and angle_eq(Angle(c, a, b), Angle(f, d, e)))
 
 
-def _check_i7(r: Checks, bundle: dict) -> None:
-    base, c, d = _need(bundle, "base", "c", "d")
+def _check_i7(r: Checks, base, c, d) -> None:
     _hyp(isinstance(base, Segment), "expected a base segment")
     a, b = base.a, base.b
     sc = Line(a, b).side_of(c)
@@ -88,8 +80,7 @@ def _check_i7(r: Checks, bundle: dict) -> None:
     r.true("the two meeting points coincide", c == d)
 
 
-def _check_i8(r: Checks, bundle: dict) -> None:
-    t1, t2 = _need(bundle, "t1", "t2")
+def _check_i8(r: Checks, t1, t2) -> None:
     a, b, c, d, e, f = _corresponding(t1, t2)
     _hyp(segment_eq(Segment(a, b), Segment(d, e)), "first sides unequal")
     _hyp(segment_eq(Segment(a, c), Segment(d, f)), "second sides unequal")
@@ -101,8 +92,7 @@ def _check_i8(r: Checks, bundle: dict) -> None:
             and angle_eq(Angle(c, a, b), Angle(f, d, e)))
 
 
-def _check_i13(r: Checks, bundle: dict) -> None:
-    a, b, c, d = _need(bundle, "a", "b", "c", "d")
+def _check_i13(r: Checks, a, b, c, d) -> None:
     _hyp(collinear(c, b, d) and between(c, b, d),
          "the foot must lie strictly between the line points")
     _hyp(not collinear(a, b, c), "the standing line must leave the base line")
@@ -110,8 +100,7 @@ def _check_i13(r: Checks, bundle: dict) -> None:
             angles_sum_to_two_rights(Angle(b, c, a), Angle(b, a, d)))
 
 
-def _check_i14(r: Checks, bundle: dict) -> None:
-    a, b, c, d = _need(bundle, "a", "b", "c", "d")
+def _check_i14(r: Checks, a, b, c, d) -> None:
     _hyp(not collinear(a, b, c) and not collinear(a, b, d),
          "the side lines must leave BA")
     sc = Line(b, a).side_of(c)
@@ -122,8 +111,7 @@ def _check_i14(r: Checks, bundle: dict) -> None:
     r.true("the two lines are in a straight line", collinear(c, b, d))
 
 
-def _check_i15(r: Checks, bundle: dict) -> None:
-    a, b, c, d = _need(bundle, "a", "b", "c", "d")
+def _check_i15(r: Checks, a, b, c, d) -> None:
     e = intersect_lines(Line(a, b), Line(c, d))
     _hyp(isinstance(e, Point), "the lines do not cut one another")
     _hyp(between(a, e, b) and between(c, e, d),
@@ -134,8 +122,7 @@ def _check_i15(r: Checks, bundle: dict) -> None:
             angle_eq(Angle(e, c, b), Angle(e, d, a)))
 
 
-def _check_i16(r: Checks, bundle: dict) -> None:
-    t, = _need(bundle, "t")
+def _check_i16(r: Checks, t) -> None:
     a, b, c = _tri(t)
     d = point_reflect(b, c)  # BC produced to D
     ext = Angle(c, a, d)
@@ -145,8 +132,7 @@ def _check_i16(r: Checks, bundle: dict) -> None:
             angle_lt(Angle(a, b, c), ext))
 
 
-def _check_i20(r: Checks, bundle: dict) -> None:
-    t, = _need(bundle, "t")
+def _check_i20(r: Checks, t) -> None:
     a, b, c = _tri(t)
     ab, bc, ca = a.dist(b), b.dist(c), c.dist(a)
     r.true("two sides exceed the third (all pairings)",
@@ -154,9 +140,7 @@ def _check_i20(r: Checks, bundle: dict) -> None:
             and (ca + ab - bc).sign() > 0)
 
 
-def _check_i26(r: Checks, bundle: dict) -> None:
-    t1, t2 = _need(bundle, "t1", "t2")
-    case = bundle.get("case", "adjoining")
+def _check_i26(r: Checks, t1, t2, case="adjoining") -> None:
     a, b, c, d, e, f = _corresponding(t1, t2)
     _hyp(angle_eq(Angle(b, a, c), Angle(e, d, f)), "first angles unequal")
     _hyp(angle_eq(Angle(c, a, b), Angle(f, d, e)), "second angles unequal")
@@ -176,14 +160,13 @@ def _check_i26(r: Checks, bundle: dict) -> None:
             angle_eq(Angle(a, b, c), Angle(d, e, f)))
 
 
-def _transversal_points(bundle: dict):
-    l1, l2, t = _need(bundle, "l1", "l2", "transversal")
+def _transversal_points(l1: Line, l2: Line, t: Line):
     g = intersect_lines(t, l1)
     h = intersect_lines(t, l2)
     _hyp(isinstance(g, Point) and isinstance(h, Point),
          "the transversal must meet both lines")
     _hyp(g != h, "the transversal meets the lines at one point")
-    return l1, l2, t, g, h
+    return g, h
 
 
 def _alternate_pair(l1: Line, l2: Line, t: Line, g: Point, h: Point):
@@ -201,18 +184,17 @@ def _alternate_pair(l1: Line, l2: Line, t: Line, g: Point, h: Point):
     return a, d
 
 
-def _check_i27(r: Checks, bundle: dict) -> None:
-    l1, l2, t, g, h = _transversal_points(bundle)
-    a, d = _alternate_pair(l1, l2, t, g, h)
+def _check_i27(r: Checks, l1, l2, transversal) -> None:
+    g, h = _transversal_points(l1, l2, transversal)
+    a, d = _alternate_pair(l1, l2, transversal, g, h)
     _hyp(angle_eq(Angle(g, a, h), Angle(h, d, g)),
          "alternate angles must be equal")
     r.true("the lines are parallel", parallel(l1, l2))
 
 
-def _check_i28(r: Checks, bundle: dict) -> None:
-    l1, l2, t, g, h = _transversal_points(bundle)
-    form = bundle.get("form", "cointerior")
-    a, d = _alternate_pair(l1, l2, t, g, h)
+def _check_i28(r: Checks, l1, l2, transversal, form="cointerior") -> None:
+    g, h = _transversal_points(l1, l2, transversal)
+    a, d = _alternate_pair(l1, l2, transversal, g, h)
     b = point_reflect(a, g)   # same side as d
     if form == "exterior":
         e = point_reflect(h, g)  # on the transversal above g
@@ -226,10 +208,10 @@ def _check_i28(r: Checks, bundle: dict) -> None:
     r.true("the lines are parallel", parallel(l1, l2))
 
 
-def _check_i29(r: Checks, bundle: dict) -> None:
-    l1, l2, t, g, h = _transversal_points(bundle)
+def _check_i29(r: Checks, l1, l2, transversal) -> None:
+    g, h = _transversal_points(l1, l2, transversal)
     _hyp(parallel(l1, l2), "the lines must be parallel")
-    a, d = _alternate_pair(l1, l2, t, g, h)
+    a, d = _alternate_pair(l1, l2, transversal, g, h)
     b = point_reflect(a, g)
     e = point_reflect(h, g)
     r.true("alternate angles are equal",
@@ -240,15 +222,13 @@ def _check_i29(r: Checks, bundle: dict) -> None:
             angles_sum_to_two_rights(Angle(g, b, h), Angle(h, g, d)))
 
 
-def _check_i30(r: Checks, bundle: dict) -> None:
-    l1, l2, l3 = _need(bundle, "l1", "l2", "l3")
+def _check_i30(r: Checks, l1, l2, l3) -> None:
     _hyp(parallel(l1, l3), "the first line must parallel the third")
     _hyp(parallel(l2, l3), "the second line must parallel the third")
     r.true("lines parallel to the same line are parallel", parallel(l1, l2))
 
 
-def _check_i32(r: Checks, bundle: dict) -> None:
-    t, = _need(bundle, "t")
+def _check_i32(r: Checks, t) -> None:
     a, b, c = _tri(t)
     d = point_reflect(b, c)
     r.true("the exterior angle equals the two interior and opposite",
@@ -260,8 +240,7 @@ def _check_i32(r: Checks, bundle: dict) -> None:
            interior_sum_cos + angle_cos(Angle(c, a, b)))
 
 
-def _check_i33(r: Checks, bundle: dict) -> None:
-    ab, cd = _need(bundle, "ab", "cd")
+def _check_i33(r: Checks, ab, cd) -> None:
     _hyp(isinstance(ab, Segment) and isinstance(cd, Segment),
          "expected two segments")
     _hyp(segment_eq(ab, cd), "the segments must be equal")
@@ -275,8 +254,7 @@ def _check_i33(r: Checks, bundle: dict) -> None:
     r.true("the joining lines are parallel", parallel(ac.line(), bd.line()))
 
 
-def _check_i34(r: Checks, bundle: dict) -> None:
-    pg, = _need(bundle, "pg")
+def _check_i34(r: Checks, pg) -> None:
     _hyp(isinstance(pg, Figure) and is_parallelogram(pg),
          "expected a parallelogram")
     a, b, c, d = pg.vertices
@@ -297,8 +275,7 @@ def _same_parallels(base_line: Line, *tops: Point) -> bool:
     return all(top_line.contains(p) for p in tops)
 
 
-def _check_i35(r: Checks, bundle: dict) -> None:
-    pg1, pg2 = _need(bundle, "pg1", "pg2")
+def _check_i35(r: Checks, pg1, pg2) -> None:
     for pg in (pg1, pg2):
         _hyp(isinstance(pg, Figure) and is_parallelogram(pg),
              "expected parallelograms")
@@ -311,8 +288,7 @@ def _check_i35(r: Checks, bundle: dict) -> None:
            content(pg1) - content(pg2))
 
 
-def _check_i36(r: Checks, bundle: dict) -> None:
-    pg1, pg2 = _need(bundle, "pg1", "pg2")
+def _check_i36(r: Checks, pg1, pg2) -> None:
     for pg in (pg1, pg2):
         _hyp(isinstance(pg, Figure) and is_parallelogram(pg),
              "expected parallelograms")
@@ -329,8 +305,7 @@ def _check_i36(r: Checks, bundle: dict) -> None:
            content(pg1) - content(pg2))
 
 
-def _check_i37(r: Checks, bundle: dict) -> None:
-    t1, t2 = _need(bundle, "t1", "t2")
+def _check_i37(r: Checks, t1, t2) -> None:
     a1, b1, c1 = _tri(t1)
     a2, b2, c2 = _tri(t2)
     _hyp({a1, b1} == {a2, b2}, "the triangles must share their base")
@@ -339,8 +314,7 @@ def _check_i37(r: Checks, bundle: dict) -> None:
     r.zero("the triangles are equal in content", content(t1) - content(t2))
 
 
-def _check_i38(r: Checks, bundle: dict) -> None:
-    t1, t2 = _need(bundle, "t1", "t2")
+def _check_i38(r: Checks, t1, t2) -> None:
     a1, b1, c1 = _tri(t1)
     a2, b2, c2 = _tri(t2)
     base_line = Line(a1, b1)
@@ -353,8 +327,7 @@ def _check_i38(r: Checks, bundle: dict) -> None:
     r.zero("the triangles are equal in content", content(t1) - content(t2))
 
 
-def _check_i41(r: Checks, bundle: dict) -> None:
-    pg, t = _need(bundle, "pg", "t")
+def _check_i41(r: Checks, pg, t) -> None:
     _hyp(isinstance(pg, Figure) and is_parallelogram(pg),
          "expected a parallelogram")
     a, b, c, d = pg.vertices
@@ -369,7 +342,8 @@ def _check_i41(r: Checks, bundle: dict) -> None:
 @dataclass(frozen=True)
 class Theorem:
     """One theorem: its random hypothesis-conforming instance generator and
-    its validator, ``check(checks, bundle)``."""
+    its validator, ``check(checks, **bundle)``, whose parameters after the
+    checks name the givens."""
 
     generate: Callable
     check: Callable
@@ -403,9 +377,16 @@ THEOREM_IDS = tuple(sorted(THEOREMS, key=lambda s: int(s.split(".")[1])))
 
 
 def check_theorem(theorem_id: str, bundle: dict) -> Checks:
-    """Validate one theorem instance exactly; see each checker's bundle."""
+    """Validate one theorem instance exactly.  The bundle binds to the
+    givens of the theorem's check by name; a bundle that lacks a given or
+    names one the check does not take fails the hypothesis."""
     if theorem_id not in THEOREMS:
         raise UnknownProposition(f"no validator for {theorem_id!r}")
+    check = THEOREMS[theorem_id].check
     checks = Checks(theorem_id)
-    THEOREMS[theorem_id].check(checks, bundle)
+    try:
+        inspect.signature(check).bind(checks, **bundle)
+    except TypeError as e:
+        raise HypothesisNotSatisfied(f"{theorem_id} bundle: {e}")
+    check(checks, **bundle)
     return checks

@@ -70,11 +70,9 @@ def p22_triangle(a_len: Constructible, b_len: Constructible, c_len: Constructibl
     tr.join(k, g)
     triangle = Figure([k, f, g])
     return PropositionResult(
-        "I.22",
-        objects={"D": d, "F": f, "G": g, "H": h, "K": k, "triangle": triangle},
-        roles={"D": "aux", "F": "given", "G": "result", "H": "aux",
-               "K": "result", "triangle": "result"},
-        result=triangle, tracer=tr)
+        "I.22", {"D": ("aux", d), "F": ("given", f), "G": ("result", g),
+                 "H": ("aux", h), "K": ("result", k),
+                 "triangle": ("result", triangle)}, triangle, tr)
 
 
 def post_i22(r: Checks, call: dict, result: PropositionResult) -> None:
@@ -114,11 +112,9 @@ def place_triangle_on_ray(a_len: Constructible, b_len: Constructible,
     tr.join(v3, v1)
     triangle = Figure([v1, v2, v3])
     return PropositionResult(
-        "I.22+",
-        objects={"V1": v1, "V2": v2, "V3": v3, "triangle": triangle},
-        roles={"V1": "given", "V2": "result", "V3": "result",
-               "triangle": "result"},
-        result=triangle, tracer=tr)
+        "I.22+", {"V1": ("given", v1), "V2": ("result", v2),
+                  "V3": ("result", v3), "triangle": ("result", triangle)},
+        triangle, tr)
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +132,10 @@ def p23_copy_angle(target_ray: Ray, model: Angle, side: str = "upper",
     """
     route = strategy_route(P23_STRATEGIES, "I.23", strategy)
     tr = tracer or Tracer(f"I.23.{strategy}" if strategy != "euclid" else "I.23")
-    apex, on_ray, objects, roles = route(tr, target_ray, model, side)
+    apex, on_ray, named = route(tr, target_ray, model, side)
     result = Angle(target_ray.origin, on_ray, apex)
-    objects.setdefault("angle", result)
-    roles.setdefault("angle", "result")
-    return PropositionResult(
-        f"I.23.{strategy}", objects=objects, roles=roles,
-        result=result, tracer=tr)
+    named.setdefault("angle", ("result", result))
+    return PropositionResult(f"I.23.{strategy}", named, result, tr)
 
 
 def post_i23(r: Checks, call: dict, result: PropositionResult) -> None:
@@ -168,9 +161,8 @@ def _p23_euclid(tr: Tracer, ray: Ray, model: Angle, side: str):
                 note="G", operands=(c1, c2))
     tr.join(a, g)
     tr.join(f, g)
-    objects = {"A": a, "D": d, "E": e, "F": f, "G": g}
-    roles = {"A": "given", "D": "given", "E": "given", "F": "aux", "G": "result"}
-    return g, f, objects, roles
+    return g, f, {"A": ("given", a), "D": ("given", d), "E": ("given", e),
+                  "F": ("aux", f), "G": ("result", g)}
 
 
 def _p23_proclus(tr: Tracer, ray: Ray, model: Angle, side: str):
@@ -197,10 +189,8 @@ def _p23_proclus(tr: Tracer, ray: Ray, model: Angle, side: str):
     tr.join(m, b)
     tr.join(n, a)
     tr.join(n, b)
-    objects = {"A": a, "B": b, "F": f, "G": g, "M": m, "N": n}
-    roles = {"A": "given", "B": "aux", "F": "aux", "G": "aux",
-             "M": "result", "N": "aux"}
-    return m, b, objects, roles
+    return m, b, {"A": ("given", a), "B": ("aux", b), "F": ("aux", f),
+                  "G": ("aux", g), "M": ("result", m), "N": ("aux", n)}
 
 
 def _p23_albertus(tr: Tracer, ray: Ray, model: Angle, side: str):
@@ -222,9 +212,8 @@ def _p23_albertus(tr: Tracer, ray: Ray, model: Angle, side: str):
                 operands=(c1, c2))
     tr.join(d, a)
     tr.join(d, b)
-    objects = {"A": a, "B": b, "C": c, "E": e, "D": d}
-    roles = {"A": "given", "B": "aux", "C": "aux", "E": "aux", "D": "result"}
-    return d, b, objects, roles
+    return d, b, {"A": ("given", a), "B": ("aux", b), "C": ("aux", c),
+                  "E": ("aux", e), "D": ("result", d)}
 
 
 def _p23_commandinus(tr: Tracer, ray: Ray, model: Angle, side: str):
@@ -241,9 +230,7 @@ def _p23_commandinus(tr: Tracer, ray: Ray, model: Angle, side: str):
                 note="F", operands=(c1, c2))
     tr.join(a, f)
     tr.join(f, g)
-    objects = {"A": a, "G": g, "F": f}
-    roles = {"A": "given", "G": "aux", "F": "result"}
-    return f, g, objects, roles
+    return f, g, {"A": ("given", a), "G": ("aux", g), "F": ("result", f)}
 
 
 def _p23_clavius(tr: Tracer, ray: Ray, model: Angle, side: str):
@@ -259,9 +246,8 @@ def _p23_clavius(tr: Tracer, ray: Ray, model: Angle, side: str):
                 note="K", operands=(c1, c2))
     tr.join(c, k)
     tr.join(i, k)
-    objects = {"C": c, "I": i, "L": l, "M": m, "K": k}
-    roles = {"C": "given", "I": "aux", "L": "aux", "M": "aux", "K": "result"}
-    return k, i, objects, roles
+    return k, i, {"C": ("given", c), "I": ("aux", i), "L": ("aux", l),
+                  "M": ("aux", m), "K": ("result", k)}
 
 
 def _p23_campanus(tr: Tracer, ray: Ray, model: Angle, side: str):
@@ -282,9 +268,8 @@ def _p23_campanus(tr: Tracer, ray: Ray, model: Angle, side: str):
                 note="k", operands=(dk, kh))
     tr.join(k, f)
     tr.join(k, g)
-    objects = {"f": f, "d": d, "g": g, "h": h, "k": k}
-    roles = {"f": "given", "d": "aux", "g": "aux", "h": "aux", "k": "result"}
-    return k, g, objects, roles
+    return k, g, {"f": ("given", f), "d": ("aux", d), "g": ("aux", g),
+                  "h": ("aux", h), "k": ("result", k)}
 
 
 # strategy name -> (identifier suffix, construction route)
@@ -319,9 +304,7 @@ def p31_parallel(p: Point, l: Line, tracer: Tracer | None = None) -> Proposition
     tr.register_input(p, l)
     if l.contains(p):
         return PropositionResult(
-            "I.31", objects={"A": p, "parallel": l},
-            roles={"A": "given", "parallel": "result"},
-            result=l, tracer=tr)
+            "I.31", {"A": ("given", p), "parallel": ("result", l)}, l, tr)
 
     # the chance point D: the nearer defining point of the line
     if (p.dist_sq(l.p) - p.dist_sq(l.q)).sign() <= 0:
@@ -341,11 +324,9 @@ def p31_parallel(p: Point, l: Line, tracer: Tracer | None = None) -> Proposition
     tr.register_input(f)  # label on the produced part
     result = Line(e, f)
     return PropositionResult(
-        "I.31",
-        objects={"A": p, "D": d, "C": c, "E": e, "F": f, "parallel": result},
-        roles={"A": "given", "D": "aux", "C": "aux", "E": "aux", "F": "aux",
-               "parallel": "result"},
-        result=result, tracer=tr)
+        "I.31", {"A": ("given", p), "D": ("aux", d), "C": ("aux", c),
+                 "E": ("aux", e), "F": ("aux", f),
+                 "parallel": ("result", result)}, result, tr)
 
 
 def post_i31(r: Checks, call: dict, result: PropositionResult) -> None:

@@ -105,18 +105,17 @@ class _Canvas:
         return origin, far
 
 
-def render(objects: dict[str, object],
-           roles: Optional[dict[str, str]] = None) -> bytes:
-    """Render named objects to SVG bytes (deterministic)."""
-    drawable = {name: obj for name, obj in objects.items()
+def render(named: dict[str, tuple[str, object]]) -> bytes:
+    """Render named objects to SVG bytes (deterministic), each styled by
+    its role: given, aux or result."""
+    drawable = {name: (role, obj) for name, (role, obj) in named.items()
                 if isinstance(obj, (Point, Segment, Line, Ray, Circle,
                                     Figure, Angle))}
     if not drawable:
         raise NothingToRender("no drawable objects")
-    roles = roles or {}
 
     extent = []
-    for obj in drawable.values():
+    for _, obj in drawable.values():
         extent.extend(_object_extent(obj))
     xs = [e[0] for e in extent]
     ys = [e[1] for e in extent]
@@ -125,17 +124,13 @@ def render(objects: dict[str, object],
     body: list[str] = []
     labelled: list[tuple[Fraction, Fraction, str, str]] = []
 
-    def style_of(name: str) -> str:
-        return roles.get(name, "given")
-
     def emit_segment(p, q, style: str) -> None:
         (x1, y1) = canvas.to_screen(*p)
         (x2, y2) = canvas.to_screen(*q)
         body.append(f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
                     f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" {_STYLES[style]}/>')
 
-    for name, obj in drawable.items():
-        style = style_of(name)
+    for name, (style, obj) in drawable.items():
         if isinstance(obj, Point):
             x, y = canvas.to_screen(*_xy(obj))
             body.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" '
@@ -195,17 +190,13 @@ def render_result(result: PropositionResult) -> bytes:
     Top-level construction steps contribute their circles and drawn lines
     as auxiliary objects, so the figure shows how the result was produced.
     """
-    objects = dict(result.objects)
-    roles = dict(result.roles)
-    known = {id(obj) for obj in objects.values()}
+    named = dict(result.named)
+    known = {id(obj) for _, obj in named.values()}
     for n, step in enumerate(result.trace.steps, start=1):
         for oid in step.produced:
-            obj = result.tracer.registry.get(oid)
-            if id(obj) in known:
-                continue
-            if isinstance(obj, (Circle, Segment, Line, Ray)):
-                name = f"_step{n}_{oid}"
-                objects[name] = obj
-                roles[name] = "aux"
+            obj = result.trace.registry.get(oid)
+            if id(obj) not in known and isinstance(obj, (Circle, Segment,
+                                                         Line, Ray)):
+                named[f"_step{n}_{oid}"] = ("aux", obj)
                 known.add(id(obj))
-    return render(objects, roles)
+    return render(named)

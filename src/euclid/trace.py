@@ -2,12 +2,14 @@
 
 A trace is the ordered record of primitive construction acts: postulate
 applications (join, extend, circle), intersection selections, superposition
-(rigid-motion placement) and opaque sub-construction references.  Postulate
-counters tally the steps of one trace level; the superposition counter and
-the radical-depth counter aggregate over nested sub-constructions as well,
-since those two are global properties of a construction route.
-``PropositionResult.costs`` is a route's one cost ledger, which reports,
-records and the ``prop`` line all print.
+(rigid-motion placement) and opaque sub-construction references.  One
+``Tracer`` records each construction level, and a sub-construction's step
+holds the child's ``Tracer``.  Postulate counters tally the steps of one
+level; the superposition counter and the radical-depth counter aggregate
+over nested sub-constructions as well, since those two are global
+properties of a construction route.  A ``PropositionResult`` names each
+object once, with its role, and ``PropositionResult.costs`` is a route's
+one cost ledger, which reports, records and the ``prop`` line all print.
 """
 
 from __future__ import annotations
@@ -40,16 +42,48 @@ class Step:
     operands: tuple[int, ...]  # ids of earlier objects
     produced: tuple[int, ...]  # ids assigned to the step's outputs
     note: str = ""
-    sub: Optional["Trace"] = None
+    sub: Optional["Tracer"] = None
 
 
-class Trace:
-    """Ordered construction steps plus aggregate counters."""
+def _all_ids(trace: "Tracer") -> set[int]:
+    out = set(trace.inputs)
+    for s in trace.steps:
+        out.update(s.produced)
+        if s.sub is not None:
+            out |= _all_ids(s.sub)
+    return out
 
-    def __init__(self, label: str = ""):
+
+def _object_depth(*objects) -> int:
+    """The deepest radical among the coordinates of objects that share one
+    field context.  No value is deeper than the deepest radicand of its
+    context, so the walk stops once it reaches that depth."""
+    depth = 0
+    for obj in objects:
+        for c in coords(obj):
+            d = c.radical_depth()
+            if d > depth:
+                depth = d
+                if depth == max(c._ctx.rad_depth):
+                    return depth
+    return depth
+
+
+class Tracer:
+    """One level of a construction run: its label, input ids and ordered
+    steps, recorded while performing the primitive operations.
+
+    A tracer shares its object registry with nested tracers, so ids are
+    unique across one whole construction run.  The registry only grows, so
+    the next id is one past its size.
+    """
+
+    def __init__(self, label: str = "", _registry=None, _ids=None):
         self.label = label
         self.steps: list[Step] = []
         self.inputs: list[int] = []
+        self.registry: dict[int, object] = _registry if _registry is not None else {}
+        self._ids: dict[int, int] = _ids if _ids is not None else {}
 
     # counters ---------------------------------------------------------
 
@@ -92,44 +126,6 @@ class Trace:
             seen.update(s.produced)
         return True
 
-
-def _all_ids(trace: Trace) -> set[int]:
-    out = set(trace.inputs)
-    for s in trace.steps:
-        out.update(s.produced)
-        if s.sub is not None:
-            out |= _all_ids(s.sub)
-    return out
-
-
-def _object_depth(*objects) -> int:
-    """The deepest radical among the coordinates of objects that share one
-    field context.  No value is deeper than the deepest radicand of its
-    context, so the walk stops once it reaches that depth."""
-    depth = 0
-    for obj in objects:
-        for c in coords(obj):
-            d = c.radical_depth()
-            if d > depth:
-                depth = d
-                if depth == max(c._ctx.rad_depth):
-                    return depth
-    return depth
-
-
-class Tracer:
-    """Builds a Trace while performing the primitive operations.
-
-    A tracer owns an object registry shared with nested tracers, so ids are
-    unique across one whole construction run.  The registry only grows, so
-    the next id is one past its size.
-    """
-
-    def __init__(self, label: str = "", _registry=None, _ids=None):
-        self.trace = Trace(label)
-        self.registry: dict[int, object] = _registry if _registry is not None else {}
-        self._ids: dict[int, int] = _ids if _ids is not None else {}
-
     # registry ----------------------------------------------------------
 
     def _new_id(self, obj) -> int:
@@ -148,14 +144,14 @@ class Tracer:
     def register_input(self, *objs) -> None:
         """Register each given object, in order, as an input of this level."""
         for obj in objs:
-            self.trace.inputs.append(self._new_id(obj))
+            self.inputs.append(self._new_id(obj))
 
     def _record(self, kind: str, operands: Iterable[object], produced: Iterable[object],
-                note: str = "", sub: Optional[Trace] = None) -> Step:
+                note: str = "", sub: Optional["Tracer"] = None) -> Step:
         op_ids = tuple(self._id_of(o) for o in operands)
         out_ids = tuple(self._new_id(o) for o in produced)
         step = Step(kind, op_ids, out_ids, note, sub)
-        self.trace.steps.append(step)
+        self.steps.append(step)
         return step
 
     # primitives ----------------------------------------------------------
@@ -200,8 +196,7 @@ class Tracer:
 
     def attach(self, child: "Tracer", operands: Iterable[object] = (),
                produced: Iterable[object] = ()) -> None:
-        self._record("sub", operands, produced, note=child.trace.label,
-                     sub=child.trace)
+        self._record("sub", operands, produced, note=child.label, sub=child)
 
 
 def _select(candidates: list[Point], selector) -> tuple[Point, str]:
@@ -233,17 +228,17 @@ def _select(candidates: list[Point], selector) -> tuple[Point, str]:
 
 @dataclass
 class PropositionResult:
-    """Named constructed objects, the result and the trace of one run."""
+    """One run: each named object in drawing order with its role (given,
+    aux or result), the principal result and the top-level trace."""
 
     prop_id: str
-    objects: dict[str, object]
-    roles: dict[str, str]          # given | aux | result
+    named: dict[str, tuple[str, object]]
     result: object
-    tracer: Tracer
+    trace: Tracer
 
     @property
-    def trace(self) -> Trace:
-        return self.tracer.trace
+    def objects(self) -> dict[str, object]:
+        return {name: obj for name, (_, obj) in self.named.items()}
 
     def costs(self) -> dict[str, int]:
         """The route's cost ledger, in report order: the trace counters,
@@ -254,7 +249,7 @@ class PropositionResult:
         trace = self.trace
         return {
             **trace.counters(),
-            "max_radical_depth": _object_depth(*self.tracer.registry.values()),
+            "max_radical_depth": _object_depth(*trace.registry.values()),
             "objects": len(trace.inputs) + sum(len(s.produced)
                                                for s in trace.steps),
         }
@@ -302,8 +297,7 @@ def describe_object(obj) -> str:
     return name
 
 
-def trace_lines(trace: Trace, registry: dict[int, object],
-                indent: int = 0) -> list[str]:
+def trace_lines(trace: Tracer, indent: int = 0) -> list[str]:
     """Deterministic line rendering of a trace, nested subs indented."""
     pad = "  " * indent
     out = []
@@ -312,11 +306,11 @@ def trace_lines(trace: Trace, registry: dict[int, object],
     for n, s in enumerate(trace.steps, start=1):
         ops = ",".join(str(i) for i in s.operands)
         prods = " ".join(
-            f"#{i}={describe_object(registry.get(i))}" for i in s.produced)
+            f"#{i}={describe_object(trace.registry.get(i))}" for i in s.produced)
         note = f" ({s.note})" if s.note else ""
         out.append(f"{pad}{n}. {s.kind}{note} <- [{ops}] {prods}".rstrip())
         if s.sub is not None:
-            out.extend(trace_lines(s.sub, registry, indent + 1))
+            out.extend(trace_lines(s.sub, indent + 1))
     out.append(f"{pad}counters: {key_values(trace.counters())}")
     return out
 

@@ -36,19 +36,21 @@ def generate_instance(base: str, rng: random.Random) -> dict:
 
 # the ledger of a run that built nothing: a theorem or an error outcome
 # prints the same keys as a construction, each at 0
-_NO_COSTS = PropositionResult("", {}, {}, None, Tracer()).costs()
+_NO_COSTS = PropositionResult("", {}, None, Tracer()).costs()
 
 
 @dataclass
 class StrategyOutcome:
-    strategy: Optional[str]
-    passed: bool
+    """One strategy's run: the error that stopped it, or its claims and
+    costs."""
+
     error: str = ""
     checks: list = field(default_factory=list)
     costs: dict[str, int] = field(default_factory=_NO_COSTS.copy)
 
-    def metric_lines(self) -> list[str]:
-        return [f"strategy={self.strategy or '-'} {key_values(self.costs)}"]
+    @property
+    def passed(self) -> bool:
+        return not self.error and all(ok for _, ok, _ in self.checks)
 
 
 @dataclass
@@ -66,7 +68,7 @@ class ComparisonReport:
                 out.append(f"{name}: {claim}\t{'PASS' if ok else 'FAIL'}\t{residual}")
         out.append("# metrics")
         for name, oc in self.outcomes.items():
-            out.extend(oc.metric_lines())
+            out.append(f"strategy={name} {key_values(oc.costs)}")
         return out
 
     def records(self) -> list[dict]:
@@ -92,12 +94,8 @@ class SuiteReport:
 
     @property
     def failures(self) -> int:
-        n = 0
-        for inst in self.instances:
-            for oc in inst.outcomes.values():
-                if not oc.passed:
-                    n += 1
-        return n
+        return sum(not oc.passed for inst in self.instances
+                   for oc in inst.outcomes.values())
 
     @property
     def runs(self) -> int:
@@ -151,16 +149,13 @@ def _run_strategy(base: str, strategy: Optional[str], kwargs: dict
     validator of a theorem base."""
     try:
         if base not in elements.CONSTRUCTIONS:
-            report = check_theorem(base, kwargs)
-            return StrategyOutcome(None, report.all_pass, checks=report.claims)
+            return StrategyOutcome(checks=check_theorem(base, kwargs).claims)
         call = elements.strategy_kwargs(strategy, kwargs)
         result = elements.CONSTRUCTIONS[base](**call)
         report = elements.certify(base, call, result)
     except EuclidError as e:
-        return StrategyOutcome(strategy, False,
-                               error=f"{type(e).__name__}: {e}")
-    return StrategyOutcome(strategy, report.all_pass, checks=report.claims,
-                           costs=result.costs())
+        return StrategyOutcome(error=f"{type(e).__name__}: {e}")
+    return StrategyOutcome(checks=report.claims, costs=result.costs())
 
 
 def compare(prop_id: str, strategies, kwargs: dict) -> ComparisonReport:

@@ -5,6 +5,7 @@ output on purpose re-records the digests and says why in CHANGES.md."""
 
 import hashlib
 import os
+from pathlib import Path
 
 import pytest
 
@@ -34,13 +35,13 @@ def test_report_bytes(monkeypatch, capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-def _trace_argvs():
-    """``prop <id> [--strategy s] --seed 3 --trace`` for every construction
-    and strategy, in registry order."""
+def _trace_argvs(flags=("--trace",)):
+    """``prop <id> [--strategy s] --seed 3`` and ``flags`` for every
+    construction and strategy, in registry order."""
     for pid, prop in elements.PROPOSITIONS.items():
         for strategy in list(prop.strategies) or [None]:
             extra = ["--strategy", strategy] if strategy else []
-            yield ["prop", pid, *extra, "--seed", "3", "--trace"]
+            yield ["prop", pid, *extra, "--seed", "3", *flags]
 
 
 TRACE_DIGEST = ("4c1e0dd7845409bf3a1822eaa2cdb4d4"
@@ -56,3 +57,24 @@ def test_trace_bytes(monkeypatch, capsys):
         assert main(argv) == 0
         digest.update(capsys.readouterr().out.encode("utf-8"))
     assert digest.hexdigest() == TRACE_DIGEST
+
+
+SVG_DIGEST = ("12c61d875bbf06663ee9f8425eb1869e"
+              "2e0a31d61b063e881464305f29f06712")
+
+
+def test_svg_bytes(monkeypatch, capsys, tmp_path):
+    """The stdout and the SVG file of ``prop ... --svg`` for every
+    construction and strategy, then of ``run scripts/i44.euc --svg``."""
+    monkeypatch.delenv("EUCLID_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    script = Path(__file__).resolve().parent.parent / "scripts" / "i44.euc"
+    argvs = [*_trace_argvs(("--svg", "fig.svg")),
+             ["run", str(script), "--svg", "fig.svg"]]
+    assert len(argvs) == 27
+    digest = hashlib.sha256()
+    for argv in argvs:
+        assert main(argv) == 0
+        digest.update(capsys.readouterr().out.encode("utf-8"))
+        digest.update((tmp_path / "fig.svg").read_bytes())
+    assert digest.hexdigest() == SVG_DIGEST

@@ -31,6 +31,7 @@ from euclid.geom import (
     segment_eq,
 )
 from euclid.number import Constructible, new_context
+from euclid.render import render_result
 
 
 def P(x, y):
@@ -296,3 +297,19 @@ def test_trace_references_on_every_route(prop_id, strategy, seed):
     call = elements.strategy_kwargs(strategy, kwargs)
     got = elements.CONSTRUCTIONS[prop_id](**call)
     assert got.trace.check_references()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("prop_id, strategy", ROUTES,
+                         ids=[f"{p}.{s}" if s else p for p, s in ROUTES])
+def test_roles_on_every_route(prop_id, strategy, seed):
+    """Every construction route names each object once, with a role the
+    renderer styles, and its figure renders."""
+    new_context()
+    kwargs = verify.generate_instance(prop_id, random.Random(seed))
+    call = elements.strategy_kwargs(strategy, kwargs)
+    got = elements.CONSTRUCTIONS[prop_id](**call)
+    for name, entry in got.named.items():
+        assert isinstance(entry, tuple) and len(entry) == 2, name
+        assert entry[0] in ("given", "aux", "result"), name
+    assert render_result(got).startswith(b"<svg")

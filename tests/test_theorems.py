@@ -181,3 +181,46 @@ class TestReport:
     def test_ids_cover_catalogue(self):
         assert "I.41" in THEOREM_IDS and "I.13" in THEOREM_IDS
         assert len(THEOREM_IDS) == 21
+
+
+def _outcome(theorem_id, bundle):
+    """The claims of a check, or the message of its failed hypothesis."""
+    try:
+        return check_theorem(theorem_id, bundle).claims
+    except HypothesisNotSatisfied as e:
+        return str(e)
+
+
+class TestBundleBinding:
+    """A bundle binds to the givens of a theorem's check by name."""
+
+    T1 = Figure([P(0, 0), P(4, 0), P(1, 3)])
+    T2 = Figure([P(5, 5), P(9, 5), P(6, 8)])    # T1 translated
+    DOUBLE = Figure([P(0, 0), P(8, 0), P(2, 6)])  # T1 scaled by two
+
+    def test_missing_given_fails_the_hypothesis(self):
+        with pytest.raises(HypothesisNotSatisfied, match="t2"):
+            check_theorem("I.4", {"t1": self.T1})
+
+    def test_extra_given_fails_the_hypothesis(self):
+        with pytest.raises(HypothesisNotSatisfied, match="t3"):
+            check_theorem("I.4", {"t1": self.T1, "t2": self.T2, "t3": self.T1})
+
+    def test_i26_case_defaults_to_adjoining(self):
+        for t2 in (self.T2, self.DOUBLE):
+            bundle = {"t1": self.T1, "t2": t2}
+            assert _outcome("I.26", bundle) == \
+                _outcome("I.26", dict(bundle, case="adjoining"))
+        similar = {"t1": self.T1, "t2": self.DOUBLE}
+        assert _outcome("I.26", similar) != \
+            _outcome("I.26", dict(similar, case="subtending"))
+
+    def test_i28_form_defaults_to_cointerior(self):
+        l1, t = Line(P(0, 0), P(4, 1)), Line(P(1, -1), P(2, 5))
+        for l2 in (Line(P(0, 3), P(4, 4)), Line(P(0, 3), P(4, 5))):
+            bundle = {"l1": l1, "l2": l2, "transversal": t}
+            assert _outcome("I.28", bundle) == \
+                _outcome("I.28", dict(bundle, form="cointerior"))
+        tilted = {"l1": l1, "l2": Line(P(0, 3), P(4, 5)), "transversal": t}
+        assert _outcome("I.28", tilted) != \
+            _outcome("I.28", dict(tilted, form="exterior"))
