@@ -13,7 +13,7 @@ import random
 import sys
 
 from . import dsl, elements, verify
-from .errors import EuclidError
+from .errors import EuclidError, NothingToRender
 from .number import new_context
 from .render import render, render_result
 from .trace import key_values, trace_lines
@@ -115,30 +115,28 @@ def _cmd_run(args) -> int:
         print(inter.trace_text())
     if args.svg:
         # a script's objects have no roles, so all draw as given
-        _write_svg(args.svg, render({name: ("given", obj)
-                                     for name, obj in inter.env.items()}))
+        try:
+            svg = render({name: ("given", obj)
+                          for name, obj in inter.env.items()})
+        except NothingToRender as e:
+            print(e, file=sys.stderr)
+            return 2
+        _write_svg(args.svg, svg)
     return 0 if inter.all_assertions_pass else 1
 
 
 def _cmd_prop(args) -> int:
     try:
-        base, id_strategy = elements.split_identifier(args.id)
+        base, strategy = elements.split_identifier(args.id, args.strategy,
+                                                   args.side)
     except EuclidError as e:
         print(e, file=sys.stderr)
-        return 2
-    strategy = args.strategy or id_strategy
-    if strategy is not None and \
-            strategy not in elements.STRATEGIES.get(base, ()):
-        print(f"{base} has no strategy {strategy!r}", file=sys.stderr)
-        return 2
-    if args.side and not elements.PROPOSITIONS[base].takes_side:
-        print(f"{base} takes no --side", file=sys.stderr)
         return 2
     kwargs = _instance(args, base)
     if args.side:
         kwargs["side"] = args.side
-    call = elements.strategy_kwargs(strategy, kwargs)
     try:
+        call = elements.strategy_kwargs(strategy, kwargs)
         result = elements.CONSTRUCTIONS[base](**call)
         checks = elements.certify(base, call, result)
     except EuclidError as e:
@@ -184,20 +182,17 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     try:
         base, _ = elements.split_identifier(args.id)
+        for s in strategies:
+            elements.split_identifier(args.id, s)
     except EuclidError as e:
         print(e, file=sys.stderr)
         return 2
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     if not strategies:
         print("--strategies needs at least one strategy name", file=sys.stderr)
         return 2
-    known = elements.STRATEGIES.get(base, ())
-    for s in strategies:
-        if s not in known:
-            print(f"{base} has no strategy {s!r}", file=sys.stderr)
-            return 2
     kwargs = _instance(args, base)
     report = verify.compare(base, strategies, kwargs)
     if args.records:

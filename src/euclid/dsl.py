@@ -95,8 +95,7 @@ def _intersect(tr: Tracer, declared, a, b, chosen="only") -> Point:
     elif isinstance(b, Circle):
         pts = intersect_line_circle(a.line(), b)
     else:
-        got = intersect_lines(a.line(), b.line())
-        pts = [got] if isinstance(got, Point) else []
+        pts = intersect_lines(a.line(), b.line())
     # a segment or a ray keeps only the points that lie on it
     pts = [p for p in pts if a.contains(p) and b.contains(p)]
     return tr.pick(pts, chosen, note="intersect", operands=(a, b))
@@ -575,28 +574,16 @@ def check(script: Script) -> list[Diagnostic]:
             result_types = word.types
         else:  # PropCall
             try:
-                base, id_strategy = elements.split_identifier(expr.prop_id)
-            except EuclidError:
-                diags.append(Diagnostic(expr.span,
-                                        f"unknown proposition {expr.prop_id!r}"))
-                base, id_strategy = None, None
-            if base is not None:
+                base, _ = elements.split_identifier(
+                    expr.prop_id, expr.strategy, expr.side)
+            except EuclidError as e:
+                diags.append(Diagnostic(expr.span, str(e)))
+                result_types = ("unknown",)
+            else:
                 prop = elements.PROPOSITIONS[base]
                 check_args(expr.span, expr.prop_id,
                            tuple(w for _, w in prop.params), expr.args)
-                strategy = expr.strategy or id_strategy
-                if strategy is not None and strategy not in prop.strategies:
-                    diags.append(Diagnostic(
-                        expr.span, f"{base} has no strategy {strategy!r}"))
-                if expr.side is not None and not prop.takes_side:
-                    diags.append(Diagnostic(expr.span, f"{base} takes no side"))
-                elif expr.side not in (None, "upper", "lower"):
-                    diags.append(Diagnostic(
-                        expr.span, "side must be 'upper' or 'lower', "
-                        f"got {expr.side!r}"))
                 result_types = (prop.result,)
-            else:
-                result_types = ("unknown",)
         if st.type not in result_types and "unknown" not in result_types:
             diags.append(Diagnostic(
                 st.span, f"a {st.type} cannot be bound from this expression "
@@ -675,10 +662,10 @@ def interpret(script: Script) -> Interpretation:
             raise ScriptError(expr.span, str(e))
 
     def run_prop(expr: PropCall):
-        base, id_strategy = elements.split_identifier(expr.prop_id)
+        base, strategy = elements.split_identifier(
+            expr.prop_id, expr.strategy, expr.side)
         params = elements.PROPOSITIONS[base].params
         call = {name: value(a) for (name, _), a in zip(params, expr.args)}
-        strategy = expr.strategy or id_strategy
         if strategy is not None:
             call["strategy"] = strategy
         if expr.side is not None:

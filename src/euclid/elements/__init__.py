@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from ..errors import UnknownProposition
@@ -60,6 +61,11 @@ class Proposition:
     post: Callable
     strategies: dict[str, tuple[str, Callable]] = field(default_factory=dict)
 
+    @cached_property
+    def signature(self) -> inspect.Signature:
+        """The construction's signature, read once."""
+        return inspect.signature(self.fn)
+
     @property
     def params(self) -> tuple[tuple[str, str], ...]:
         """The positional parameters as (name, type word) pairs, read from
@@ -68,13 +74,8 @@ class Proposition:
         return tuple(
             (p.name, "number" if p.annotation == "Constructible"
              else p.annotation.lower())
-            for p in inspect.signature(self.fn).parameters.values()
+            for p in self.signature.parameters.values()
             if p.default is inspect.Parameter.empty)
-
-    @property
-    def takes_side(self) -> bool:
-        """Whether the construction takes a ``side`` keyword."""
-        return "side" in inspect.signature(self.fn).parameters
 
 
 PROPOSITIONS = {
@@ -106,21 +107,32 @@ STRATEGIES = {pid: tuple(p.strategies) for pid, p in PROPOSITIONS.items()
               if p.strategies}
 
 
-def split_identifier(prop_id: str) -> tuple[str, str | None]:
-    """Split e.g. "I.44.chester" into ("I.44", "robert_of_chester").
+def split_identifier(prop_id: str, strategy: str | None = None,
+                     side: str | None = None) -> tuple[str, str | None]:
+    """Resolve one call of a construction: e.g. "I.44.chester" gives
+    ("I.44", "robert_of_chester").  A strategy given beside the id must
+    agree with its suffix; a side must be a side word of a construction
+    that takes one.
 
-    Raises UnknownProposition unless the base names a construction and the
-    suffix, if any, one of its strategies.
+    Raises UnknownProposition for any call this rejects.
     """
     base = ".".join(prop_id.split(".")[:2])
     prop = PROPOSITIONS.get(base)
-    if prop is not None:
-        if prop_id == base:
-            return base, None
-        for strategy, (suffix, _) in prop.strategies.items():
-            if prop_id == base + suffix:
-                return base, strategy
-    raise UnknownProposition(f"unknown proposition identifier {prop_id!r}")
+    by_id = {base + suffix: name
+             for name, (suffix, _) in getattr(prop, "strategies", {}).items()}
+    if prop is None or prop_id not in (base, *by_id):
+        raise UnknownProposition(f"unknown proposition {prop_id!r}")
+    named = by_id.get(prop_id, strategy)
+    if strategy not in (None, named):
+        raise UnknownProposition(f"{prop_id} names {named!r}, not {strategy!r}")
+    if named is not None and named not in prop.strategies:
+        raise UnknownProposition(f"{base} has no strategy {named!r}")
+    if side is not None and "side" not in prop.signature.parameters:
+        raise UnknownProposition(f"{base} takes no side")
+    if side not in (None, "upper", "lower"):
+        raise UnknownProposition(
+            f"side must be 'upper' or 'lower', got {side!r}")
+    return base, named
 
 
 def strategy_kwargs(strategy: str | None, kwargs: dict) -> dict:
@@ -142,7 +154,7 @@ def certify(base: str, call: dict, result: PropositionResult) -> Checks:
     of ``fn(**call)``.  Keywords the call left out take the function's
     defaults, so the checks see the side and strategy that ran."""
     prop = PROPOSITIONS[base]
-    bound = inspect.signature(prop.fn).bind(**call)
+    bound = prop.signature.bind(**call)
     bound.apply_defaults()
     checks = Checks(base)
     prop.post(checks, bound.arguments, result)

@@ -73,31 +73,24 @@ def produce(tr: Tracer, a: Point, b: Point) -> Point:
 
 
 def cut_at(tr: Tracer, origin: Point, toward: Point, length_sq: Constructible,
-           note: str = "") -> Point:
+           note: str) -> Point:
     """Lay off a length along the ray origin->toward (cites I.3)."""
     p = on_ray_at_sq(Ray(origin, toward), length_sq)
-    tr._record("sub", (origin, toward), (p,), note=note or "I.3 cut")
+    tr._record("sub", (origin, toward), (p,), note=note)
     return p
 
 
-def cite_midpoint(tr: Tracer, a: Point, b: Point, note: str = "") -> Point:
+def cite_midpoint(tr: Tracer, a: Point, b: Point, note: str) -> Point:
     p = a.midpoint(b)
-    tr._record("sub", (a, b), (p,), note=note or "I.10 bisection")
+    tr._record("sub", (a, b), (p,), note=note)
     return p
 
 
-def cite_parallel(tr: Tracer, through: Point, l: Line, note: str = "") -> Line:
+def cite_parallel(tr: Tracer, through: Point, l: Line, note: str) -> Line:
     d = l.direction()
     out = Line(through, through + d)
-    tr._record("sub", (through, l), (out,), note=note or "I.31 parallel")
+    tr._record("sub", (through, l), (out,), note=note)
     return out
-
-
-def only_point(tr: Tracer, got, note: str, operands=()) -> Point:
-    """Record the selection of a unique line intersection."""
-    if not isinstance(got, Point):
-        raise PreconditionViolated(f"expected a unique intersection for {note}")
-    return tr.pick([got], "only", note=note, operands=operands)
 
 
 def angle_measures(a: Angle) -> tuple[Constructible, Constructible, Constructible]:

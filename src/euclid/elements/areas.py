@@ -39,7 +39,6 @@ from ._common import (
     cite_midpoint,
     cite_parallel,
     cut_at,
-    only_point,
     produce,
     ray_side_word,
     require_parallelogram,
@@ -87,9 +86,9 @@ def _p42_euclid(tr: Tracer, t: Figure, d: Angle):
     tr.join(a, e)
     w = copy_angle(tr, Ray(e, c), d, side_name_of(e, c, a))
     ag = cite_parallel(tr, a, Line(b, c), "AG through A parallel to EC")
-    f = only_point(tr, intersect_lines(Line(e, w), ag), "F", operands=(ag,))
+    f = tr.pick(intersect_lines(Line(e, w), ag), note="F", operands=(ag,))
     cg = cite_parallel(tr, c, Line(e, w), "CG through C parallel to EF")
-    g = only_point(tr, intersect_lines(cg, ag), "G", operands=(cg, ag))
+    g = tr.pick(intersect_lines(cg, ag), note="G", operands=(cg, ag))
     fig = Figure([f, e, c, g])
     return fig, {"A": ("given", a), "B": ("given", b), "C": ("given", c),
                  "E": ("aux", e), "F": ("result", f), "G": ("result", g),
@@ -106,8 +105,8 @@ def _p42_alnayrizi(tr: Tracer, t: Figure, d: Angle):
     w = copy_angle(tr, Ray(e, g), d, side_name_of(e, g, a))
     gh = cite_parallel(tr, g, Line(e, w), "GH through G parallel to EZ")
     azh = cite_parallel(tr, a, Line(b, g), "AZH through A parallel to BG")
-    z = only_point(tr, intersect_lines(Line(e, w), azh), "Z", operands=(azh,))
-    h = only_point(tr, intersect_lines(gh, azh), "H", operands=(gh, azh))
+    z = tr.pick(intersect_lines(Line(e, w), azh), note="Z", operands=(azh,))
+    h = tr.pick(intersect_lines(gh, azh), note="H", operands=(gh, azh))
     fig = Figure([g, e, z, h])
     return fig, {"A": ("given", a), "B": ("given", b), "G": ("given", g),
                  "E": ("aux", e), "Z": ("result", z), "H": ("result", h),
@@ -140,11 +139,11 @@ def p42_on_ray(t: Figure, d: Angle, base_ray: Ray, side: str = "upper",
     e = cite_midpoint(tr, pb, pc, "E bisects the placed base")
     w = copy_angle(tr, Ray(o, e), d, side)
     top = cite_parallel(tr, papex, Line(pb, pc), "top line through the apex")
-    theta = only_point(tr, intersect_lines(Line(o, w), top), "Theta",
-                       operands=(top,))
+    theta = tr.pick(intersect_lines(Line(o, w), top), note="Theta",
+                    operands=(top,))
     epar = cite_parallel(tr, e, Line(o, theta), "parallel through E")
-    theta2 = only_point(tr, intersect_lines(epar, top), "Theta2",
-                        operands=(epar, top))
+    theta2 = tr.pick(intersect_lines(epar, top), note="Theta2",
+                     operands=(epar, top))
     fig = Figure([o, e, theta2, theta])
     return PropositionResult(
         "I.42+", {"O": ("given", o), "E": ("aux", e), "Theta": ("result", theta),
@@ -169,10 +168,10 @@ def p43_complements(pg: Figure, k: Point,
     tr.join(a, c)
     par_ab = cite_parallel(tr, k, Line(a, b), "through K parallel to AB")
     par_ad = cite_parallel(tr, k, Line(a, d), "through K parallel to AD")
-    e = only_point(tr, intersect_lines(par_ad, Line(a, b)), "E", operands=(par_ad,))
-    g = only_point(tr, intersect_lines(par_ad, Line(d, c)), "G", operands=(par_ad,))
-    h = only_point(tr, intersect_lines(par_ab, Line(a, d)), "H", operands=(par_ab,))
-    f = only_point(tr, intersect_lines(par_ab, Line(b, c)), "F", operands=(par_ab,))
+    e = tr.pick(intersect_lines(par_ad, Line(a, b)), note="E", operands=(par_ad,))
+    g = tr.pick(intersect_lines(par_ad, Line(d, c)), note="G", operands=(par_ad,))
+    h = tr.pick(intersect_lines(par_ab, Line(a, d)), note="H", operands=(par_ab,))
+    f = tr.pick(intersect_lines(par_ab, Line(b, c)), note="F", operands=(par_ab,))
     comp1 = Figure([e, b, f, k])
     comp2 = Figure([h, k, g, d])
     return PropositionResult(
@@ -250,16 +249,16 @@ def _p44_euclid(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
     m, (g, f) = tr.superpose(from_seg, to_seg, flag, carry=[f42, g42])
     b, e = b0, e_t
     ah = cite_parallel(tr, a0, Line(b, g), "AH through A parallel to BG")
-    h = only_point(tr, intersect_lines(Line(g, f), ah), "H", operands=(ah,))
+    h = tr.pick(intersect_lines(Line(g, f), ah), note="H", operands=(ah,))
     tr.join(h, b)
     tr.extend(Segment(h, b), "b")
     tr.extend(Segment(f, e), "b")
-    k = only_point(tr, intersect_lines(Line(h, b), Line(f, e)), "K")
+    k = tr.pick(intersect_lines(Line(h, b), Line(f, e)), note="K")
     kl = cite_parallel(tr, k, Line(b, e), "KL through K parallel to EA")
     tr.extend(Segment(h, a0), "b")
     tr.extend(Segment(g, b), "b")
-    l = only_point(tr, intersect_lines(Line(h, a0), kl), "L", operands=(kl,))
-    mm = only_point(tr, intersect_lines(Line(g, b), kl), "M", operands=(kl,))
+    l = tr.pick(intersect_lines(Line(h, a0), kl), note="L", operands=(kl,))
+    mm = tr.pick(intersect_lines(Line(g, b), kl), note="M", operands=(kl,))
     fig = Figure([a0, b0, mm, l])
     return fig, {"A": ("given", a0), "B": ("given", b0), "E": ("aux", e),
                  "F": ("aux", f), "G": ("aux", g), "H": ("aux", h),
@@ -282,16 +281,16 @@ def _p44_alnayrizi(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
     tr.attach(sub, operands=(b0, h), produced=(theta, kk))
     tr.extend(Segment(kk, theta), "b")
     apar = cite_parallel(tr, a0, Line(b0, theta), "through A parallel to B-Theta")
-    l = only_point(tr, intersect_lines(Line(theta, kk), apar), "L", operands=(apar,))
+    l = tr.pick(intersect_lines(Line(theta, kk), apar), note="L", operands=(apar,))
     tr.join(l, b0)
     tr.extend(Segment(l, b0), "b")
     tr.extend(Segment(kk, h), "b")
-    m = only_point(tr, intersect_lines(Line(l, b0), Line(kk, h)), "M")
+    m = tr.pick(intersect_lines(Line(l, b0), Line(kk, h)), note="M")
     mn = cite_parallel(tr, m, Line(kk, l), "MN through M parallel to KL")
     tr.extend(Segment(l, a0), "b")
-    n = only_point(tr, intersect_lines(Line(l, a0), mn), "N", operands=(mn,))
+    n = tr.pick(intersect_lines(Line(l, a0), mn), note="N", operands=(mn,))
     tr.extend(Segment(theta, b0), "b")
-    xi = only_point(tr, intersect_lines(Line(theta, b0), mn), "Xi", operands=(mn,))
+    xi = tr.pick(intersect_lines(Line(theta, b0), mn), note="Xi", operands=(mn,))
     fig = Figure([a0, b0, xi, n])
     return fig, {"A": ("given", a0), "B": ("given", b0), "H": ("aux", h),
                  "Theta": ("aux", theta), "K": ("aux", kk), "L": ("aux", l),
@@ -314,22 +313,22 @@ def _p44_robert(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
                     ray_side_word(Ray(b0, g), ab.a, ab.b, want))
     w2 = copy_angle(tr, Ray(g, b0), Angle(tv3, tv2, tv1),
                     ray_side_word(Ray(g, b0), ab.a, ab.b, want))
-    k = only_point(tr, intersect_lines(Line(b0, w1), Line(g, w2)), "K")
+    k = tr.pick(intersect_lines(Line(b0, w1), Line(g, w2)), note="K")
     tr.join(k, h)
     top = cite_parallel(tr, k, Line(b0, g), "top line through K")
     w3 = copy_angle(tr, Ray(b0, h), d,
                     ray_side_word(Ray(b0, h), ab.a, ab.b, want))
-    theta = only_point(tr, intersect_lines(Line(b0, w3), top), "T", operands=(top,))
+    theta = tr.pick(intersect_lines(Line(b0, w3), top), note="T", operands=(top,))
     hpar = cite_parallel(tr, h, Line(b0, theta), "through H parallel to BT")
-    u = only_point(tr, intersect_lines(hpar, top), "U", operands=(hpar, top))
+    u = tr.pick(intersect_lines(hpar, top), note="U", operands=(hpar, top))
     apar = cite_parallel(tr, a0, Line(b0, theta), "through A parallel to BT")
-    l = only_point(tr, intersect_lines(top, apar), "L", operands=(apar,))
+    l = tr.pick(intersect_lines(top, apar), note="L", operands=(apar,))
     tr.join(l, b0)
-    m = only_point(tr, intersect_lines(Line(l, b0), Line(u, h)), "M")
+    m = tr.pick(intersect_lines(Line(l, b0), Line(u, h)), note="M")
     bottom = cite_parallel(tr, m, Line(b0, g), "bottom line through M")
-    n = only_point(tr, intersect_lines(Line(l, a0), bottom), "N", operands=(bottom,))
-    xi = only_point(tr, intersect_lines(Line(theta, b0), bottom), "X",
-                    operands=(bottom,))
+    n = tr.pick(intersect_lines(Line(l, a0), bottom), note="N", operands=(bottom,))
+    xi = tr.pick(intersect_lines(Line(theta, b0), bottom), note="X",
+                 operands=(bottom,))
     fig = Figure([a0, b0, xi, n])
     return fig, {"A": ("given", a0), "B": ("given", b0), "H": ("aux", h),
                  "G": ("aux", g), "K": ("aux", k), "T": ("aux", theta),
@@ -355,23 +354,23 @@ def _p44_campanus(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
                     ray_side_word(Ray(g, a), ab.a, ab.b, want))
     w2 = copy_angle(tr, Ray(a, g), Angle(tv3, tv2, tv1),
                     ray_side_word(Ray(a, g), ab.a, ab.b, want))
-    k = only_point(tr, intersect_lines(Line(g, w1), Line(a, w2)), "k")
+    k = tr.pick(intersect_lines(Line(g, w1), Line(a, w2)), note="k")
     h = bisect(tr, g, a)
     tr.join(k, h)
     top = cite_parallel(tr, k, Line(g, a), "mkn through k parallel to gh")
     w3 = copy_angle(tr, Ray(a, g), d,
                     ray_side_word(Ray(a, g), ab.a, ab.b, want))
-    l = only_point(tr, intersect_lines(Line(a, w3), top), "l", operands=(top,))
+    l = tr.pick(intersect_lines(Line(a, w3), top), note="l", operands=(top,))
     hpar = cite_parallel(tr, h, Line(a, l), "through h parallel to al")
-    m = only_point(tr, intersect_lines(hpar, top), "m", operands=(hpar, top))
+    m = tr.pick(intersect_lines(hpar, top), note="m", operands=(hpar, top))
     bn = cite_parallel(tr, b, Line(a, l), "bn through b parallel to al")
-    n = only_point(tr, intersect_lines(bn, top), "n", operands=(bn, top))
+    n = tr.pick(intersect_lines(bn, top), note="n", operands=(bn, top))
     tr.extend(Segment(n, a), "b")
-    o = only_point(tr, intersect_lines(Line(n, a), Line(h, m)), "o")
+    o = tr.pick(intersect_lines(Line(n, a), Line(h, m)), note="o")
     bottom = cite_parallel(tr, o, Line(g, a), "bottom through o")
-    q = only_point(tr, intersect_lines(Line(b, n), bottom), "q", operands=(bottom,))
+    q = tr.pick(intersect_lines(Line(b, n), bottom), note="q", operands=(bottom,))
     tr.extend(Segment(l, a), "b")
-    p = only_point(tr, intersect_lines(Line(l, a), bottom), "p", operands=(bottom,))
+    p = tr.pick(intersect_lines(Line(l, a), bottom), note="p", operands=(bottom,))
     fig = Figure([a, b, q, p])
     return fig, {"a": ("given", a), "b": ("given", b), "g": ("aux", g),
                  "k": ("aux", k), "h": ("aux", h), "l": ("aux", l),
@@ -402,18 +401,18 @@ def _p44_tinemue(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
             "tilted cases are out of scope")
     gpar = cite_parallel(tr, a, Line(o, dd), "through a parallel to od")
     top = cite_parallel(tr, dd, Line(a, o), "top line through d")
-    g = only_point(tr, intersect_lines(gpar, top), "g", operands=(gpar, top))
+    g = tr.pick(intersect_lines(gpar, top), note="g", operands=(gpar, top))
     bf = cite_parallel(tr, b, Line(o, dd), "bf through b parallel to od")
-    f = only_point(tr, intersect_lines(bf, top), "f", operands=(bf, top))
+    f = tr.pick(intersect_lines(bf, top), note="f", operands=(bf, top))
     tr.join(g, b)
     tr.extend(Segment(g, b), "b")
     tr.extend(Segment(dd, o), "b")
-    k = only_point(tr, intersect_lines(Line(g, b), Line(o, dd)), "k")
+    k = tr.pick(intersect_lines(Line(g, b), Line(o, dd)), note="k")
     bottom = cite_parallel(tr, k, Line(g, dd), "kh through k parallel to gd")
     tr.extend(Segment(g, a), "b")
-    h = only_point(tr, intersect_lines(Line(g, a), bottom), "h", operands=(bottom,))
+    h = tr.pick(intersect_lines(Line(g, a), bottom), note="h", operands=(bottom,))
     tr.extend(Segment(f, b), "b")
-    i = only_point(tr, intersect_lines(Line(f, b), bottom), "i", operands=(bottom,))
+    i = tr.pick(intersect_lines(Line(f, b), bottom), note="i", operands=(bottom,))
     fig = Figure([a, b, i, h])
     return fig, {"a": ("given", a), "b": ("given", b), "c": ("aux", c),
                  "d": ("aux", dd), "o": ("aux", o), "g": ("aux", g),

@@ -21,7 +21,7 @@ from ..geom import (
     segment_eq,
 )
 from ..trace import Checks, PropositionResult, Tracer
-from ._common import only_point, side_selector, side_word
+from ._common import side_selector, side_word
 
 
 def p1_equilateral(ab: Segment, side: str = "upper",
@@ -178,8 +178,8 @@ def p10_bisect_segment(ab: Segment, tracer: Tracer | None = None) -> Proposition
     bis = p9_bisect_angle(Angle(c, a, b), tracer=sub9)
     ray = bis.result
     tr.attach(sub9, operands=(c,), produced=(ray.through,))
-    d = only_point(tr, intersect_lines(ray.line(), Line(a, b)),
-                   "D where the bisector meets AB", operands=(ab,))
+    d = tr.pick(intersect_lines(ray.line(), Line(a, b)),
+                note="D where the bisector meets AB", operands=(ab,))
     return PropositionResult(
         "I.10", {"A": ("given", a), "B": ("given", b), "C": ("aux", c),
                  "D": ("result", d)}, d, tr)

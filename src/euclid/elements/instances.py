@@ -155,9 +155,8 @@ def _parallel_pair(rng):
 def _transversal(rng, l1: Line, l2: Line) -> Line:
     while True:
         t = _line(rng)
-        g = intersect_lines(t, l1)
-        h = intersect_lines(t, l2)
-        if isinstance(g, Point) and isinstance(h, Point) and g != h:
+        meets = intersect_lines(t, l1) + intersect_lines(t, l2)
+        if len(meets) == 2 and meets[0] != meets[1]:
             return t
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from ..errors import HypothesisNotSatisfied, UnknownProposition
@@ -112,8 +113,9 @@ def _check_i14(r: Checks, a, b, c, d) -> None:
 
 
 def _check_i15(r: Checks, a, b, c, d) -> None:
-    e = intersect_lines(Line(a, b), Line(c, d))
-    _hyp(isinstance(e, Point), "the lines do not cut one another")
+    meets = intersect_lines(Line(a, b), Line(c, d))
+    _hyp(meets != [], "the lines do not cut one another")
+    e = meets[0]
     _hyp(between(a, e, b) and between(c, e, d),
          "the intersection must fall inside both segments")
     r.true("vertical angles are equal (first pair)",
@@ -161,10 +163,9 @@ def _check_i26(r: Checks, t1, t2, case="adjoining") -> None:
 
 
 def _transversal_points(l1: Line, l2: Line, t: Line):
-    g = intersect_lines(t, l1)
-    h = intersect_lines(t, l2)
-    _hyp(isinstance(g, Point) and isinstance(h, Point),
-         "the transversal must meet both lines")
+    meets = intersect_lines(t, l1) + intersect_lines(t, l2)
+    _hyp(len(meets) == 2, "the transversal must meet both lines")
+    g, h = meets
     _hyp(g != h, "the transversal meets the lines at one point")
     return g, h
 
@@ -348,6 +349,11 @@ class Theorem:
     generate: Callable
     check: Callable
 
+    @cached_property
+    def signature(self) -> inspect.Signature:
+        """The check's signature, read once."""
+        return inspect.signature(self.check)
+
 
 THEOREMS = {
     "I.4": Theorem(gen.t_pair, _check_i4),
@@ -382,11 +388,11 @@ def check_theorem(theorem_id: str, bundle: dict) -> Checks:
     names one the check does not take fails the hypothesis."""
     if theorem_id not in THEOREMS:
         raise UnknownProposition(f"no validator for {theorem_id!r}")
-    check = THEOREMS[theorem_id].check
+    theorem = THEOREMS[theorem_id]
     checks = Checks(theorem_id)
     try:
-        inspect.signature(check).bind(checks, **bundle)
+        theorem.signature.bind(checks, **bundle)
     except TypeError as e:
         raise HypothesisNotSatisfied(f"{theorem_id} bundle: {e}")
-    check(checks, **bundle)
+    theorem.check(checks, **bundle)
     return checks

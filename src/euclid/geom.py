@@ -275,21 +275,6 @@ def points(obj) -> list[Point]:
     return [v for v in fields if isinstance(v, Point)]
 
 
-# sentinel results for line intersection
-class _NoIntersection:
-    def __repr__(self):
-        return "NoIntersection"
-
-
-class _Coincident:
-    def __repr__(self):
-        return "Coincident"
-
-
-NO_INTERSECTION = _NoIntersection()
-COINCIDENT = _Coincident()
-
-
 # ---------------------------------------------------------------------------
 # postulate primitives
 
@@ -346,15 +331,16 @@ class _PointKey:
         return (self.p.y - other.p.y).sign() < 0
 
 
-def intersect_lines(l1: Line, l2: Line):
-    """Exact intersection point, NO_INTERSECTION, or COINCIDENT."""
+def intersect_lines(l1: Line, l2: Line) -> list[Point]:
+    """The one exact intersection point, or none for parallel or
+    coincident lines."""
     d1 = l1.direction()
     d2 = l2.direction()
     denom = d1.cross(d2)
     if denom.is_zero():
-        return COINCIDENT if l1.contains(l2.p) else NO_INTERSECTION
+        return []
     t = (l2.p - l1.p).cross(d2) / denom
-    return Point(l1.p.x + d1.dx * t, l1.p.y + d1.dy * t)
+    return [Point(l1.p.x + d1.dx * t, l1.p.y + d1.dy * t)]
 
 
 def intersect_line_circle(l: Line, c: Circle) -> list[Point]:
@@ -532,11 +518,10 @@ def is_simple(f: Figure) -> bool:
 
 def _segments_meet(s1: Segment, s2: Segment) -> bool:
     got = intersect_lines(s1.line(), s2.line())
-    if got is NO_INTERSECTION:
-        return False
-    if got is COINCIDENT:
-        return s1.contains(s2.a) or s1.contains(s2.b) or s2.contains(s1.a)
-    return s1.contains(got) and s2.contains(got)
+    if got:
+        return s1.contains(got[0]) and s2.contains(got[0])
+    # parallel sides meet only where they overlap on one line
+    return s1.contains(s2.a) or s1.contains(s2.b) or s2.contains(s1.a)
 
 
 # ---------------------------------------------------------------------------

@@ -176,11 +176,12 @@ class Tracer:
         self._record("circle", (center, through), (c,))
         return c
 
-    def pick(self, candidates: list[Point], selector, note: str = "",
+    def pick(self, candidates: list[Point], selector="only", *, note: str,
              operands: Iterable[object] = ()) -> Point:
-        """Select one intersection point; records the selection."""
-        chosen, hint = _select(candidates, selector)
-        self._record("pick", operands, (chosen,), note=note or hint)
+        """Select one intersection point; records the selection.  The note
+        names the point in the step and in the error when none fits."""
+        chosen = _select(candidates, selector, note)
+        self._record("pick", operands, (chosen,), note=note)
         return chosen
 
     def superpose(self, from_seg: Segment, to_seg: Segment, side: str,
@@ -199,26 +200,26 @@ class Tracer:
         self._record("sub", operands, produced, note=child.label, sub=child)
 
 
-def _select(candidates: list[Point], selector) -> tuple[Point, str]:
+def _select(candidates: list[Point], selector, note: str) -> Point:
     if not candidates:
-        raise NoSuchIntersection("no intersection point to select")
+        raise NoSuchIntersection(f"{note}: no intersection point to select")
     if selector == "only":
         if len(candidates) != 1:
-            raise NoSuchIntersection("expected exactly one intersection")
-        return candidates[0], "only"
+            raise NoSuchIntersection(f"{note}: expected exactly one intersection")
+        return candidates[0]
     if selector == "first":
-        return candidates[0], "first"
+        return candidates[0]
     if selector == "second":
         if len(candidates) < 2:
-            raise NoSuchIntersection("no second intersection")
-        return candidates[1], "second"
+            raise NoSuchIntersection(f"{note}: no second intersection")
+        return candidates[1]
     if callable(selector):
         chosen = [p for p in candidates if selector(p)]
         if len(chosen) != 1:
             raise NoSuchIntersection(
-                f"selector matched {len(chosen)} of {len(candidates)} points"
-            )
-        return chosen[0], "predicate"
+                f"{note}: selector matched {len(chosen)} of "
+                f"{len(candidates)} points")
+        return chosen[0]
     raise ValueError(f"unknown selector {selector!r}")
 
 

@@ -49,6 +49,26 @@ class TestRun:
         assert main(["run", str(SCRIPTS / "i1.euc"), "--svg", str(target)]) == 2
         assert f"cannot write {target}: " in capsys.readouterr().err
 
+    def test_svg_nothing_drawable_exit_2(self, tmp_path, capsys):
+        script = tmp_path / "comment.euc"
+        script.write_text("# nothing to draw\n")
+        target = tmp_path / "empty.svg"
+        assert main(["run", str(script), "--svg", str(target)]) == 2
+        assert capsys.readouterr().err == "no drawable objects\n"
+        assert not target.exists()
+
+    def test_strategy_conflicts_with_suffix_exit_2(self, tmp_path, capsys):
+        script = tmp_path / "conflict.euc"
+        script.write_text(
+            "point A = (0,0)\npoint B = (4,0)\nsegment ab = join(A, B)\n"
+            "figure t = figure((3,4),(0,0),(6,0))\n"
+            "angle d = angle((20,20),(21,20),(20,21))\n"
+            "figure p = prop I.44.chester (ab, t, d) strategy alnayrizi\n")
+        assert main(["run", str(script)]) == 2
+        assert capsys.readouterr().err == (
+            "6:12: error: I.44.chester names 'robert_of_chester', "
+            "not 'alnayrizi'\n")
+
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.euc"
         bad.write_text("point A = (0 0)\n")
@@ -154,8 +174,29 @@ class TestProp:
     def test_side_not_a_parameter(self, capsys):
         for prop_id in ("I.45", "I.10"):
             assert main(["prop", prop_id, "--side", "upper"]) == 2
-            assert f"{prop_id} takes no --side" in capsys.readouterr().err
+            assert f"{prop_id} takes no side" in capsys.readouterr().err
         assert main(["prop", "I.1", "--side", "lower", "--seed", "3"]) == 0
+
+    def test_strategy_must_agree_with_suffix(self, capsys):
+        assert main(["prop", "I.44.chester", "--strategy", "alnayrizi"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("I.44.chester names 'robert_of_chester', "
+                                "not 'alnayrizi'\n")
+        assert main(["prop", "I.44.chester", "--strategy",
+                     "robert_of_chester", "--seed", "3"]) == 0
+        assert "# I.44.robert_of_chester" in capsys.readouterr().out
+
+    def test_strategy_on_degenerate_input_exit_1(self, tmp_path, capsys):
+        inst = tmp_path / "inst.txt"
+        inst.write_text(
+            "point A = (0,0)\npoint B = (4,0)\nsegment ab = join(A, B)\n"
+            "figure t = figure((0,0),(1,1),(2,2))\n"
+            "angle d = angle((20,20),(21,20),(20,21))\n")
+        assert main(["prop", "I.44", "--strategy", "tinemue_equal_case",
+                     "--input", str(inst)]) == 1
+        assert capsys.readouterr().err == (
+            "PreconditionViolated: degenerate (collinear) triangle\n")
 
     def test_missing_input(self, tmp_path, capsys):
         missing = str(tmp_path / "none.txt")
@@ -231,6 +272,13 @@ class TestCompare:
 
     def test_bad_strategy(self, capsys):
         assert main(["compare", "I.44", "--strategies", "nope"]) == 2
+
+    def test_strategy_must_agree_with_suffix(self, capsys):
+        assert main(["compare", "I.44.chester",
+                     "--strategies", "alnayrizi"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "names 'robert_of_chester', not 'alnayrizi'" in captured.err
 
     def test_empty_strategy_list(self, capsys):
         assert main(["compare", "I.44", "--strategies", ","]) == 2

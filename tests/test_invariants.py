@@ -76,6 +76,31 @@ def test_every_definition_is_referenced():
     assert unused == []
 
 
+def test_no_unused_imports():
+    """Every name a module imports, other than a ``__future__`` feature, is
+    read in that module or listed in its ``__all__``, so a deletion takes
+    its imports with it."""
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                read |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(
+                        f"{path.relative_to(PACKAGE)}:{node.lineno} {name}")
+    assert unused == []
+
+
 def test_optimized_interpreter_gives_same_records():
     env = {k: v for k, v in os.environ.items() if k != "EUCLID_SEED"}
     env["PYTHONPATH"] = str(PACKAGE.parent)

@@ -6,12 +6,13 @@ registry runs on the returned result can notice.
 """
 
 import dataclasses
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from euclid import elements
+from euclid import elements, verify
 from euclid.cli import main
 from euclid.geom import Figure, Point
 from euclid.number import new_context
@@ -78,3 +79,24 @@ def test_failed_boolean_claim_shows_no_zero_residual(moved, capsys):
     line, = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith("result is a parallelogram\t")]
     assert line.endswith("\tFAIL\t-") and not line.endswith("\t0")
+
+
+def test_side_blind_postconditions_are_pinned():
+    """A result built on the upper side, certified against the same call on
+    the lower side, should fail.  The ids listed here still pass: their
+    postconditions check no side.  Adding a side claim to one of them
+    removes it from this set."""
+    still_pass = set()
+    for prop_id in ("I.1", "I.22", "I.23", "I.44", "I.46"):
+        for strategy in elements.STRATEGIES.get(prop_id, (None,)):
+            for seed in range(10):
+                new_context()
+                kwargs = verify.generate_instance(prop_id, random.Random(seed))
+                call = elements.strategy_kwargs(strategy,
+                                                dict(kwargs, side="upper"))
+                result = elements.CONSTRUCTIONS[prop_id](**call)
+                lower = elements.certify(prop_id, dict(call, side="lower"),
+                                         result)
+                if lower.all_pass:
+                    still_pass.add(prop_id)
+    assert still_pass == {"I.22", "I.44", "I.46"}
