@@ -39,6 +39,9 @@ def _checked_script(path: str) -> dsl.Script:
     except OSError as e:
         print(e, file=sys.stderr)
         raise SystemExit(2)
+    except UnicodeDecodeError as e:
+        print(f"{path}: {e}", file=sys.stderr)
+        raise SystemExit(2)
     script, diags = dsl.parse(text)
     diags += dsl.check(script)
     if diags:
@@ -53,15 +56,10 @@ def _load_instance(path: str, base: str):
     parameters, in declaration order."""
     script = _checked_script(path)
     try:
-        inter = dsl.interpret(script)
+        declared = list(dsl.interpret(script).env.values())
     except dsl.ScriptError as e:
         print(e, file=sys.stderr)
         raise SystemExit(2)
-    declared = []
-    for st in script.statements:
-        if isinstance(st, dsl.Decl):
-            for name in st.names:
-                declared.append(inter.env[name.ident])
     # each parameter takes the first type-matching object not yet consumed,
     # so helper declarations (points feeding a segment, say) are skipped;
     # a type word is the class name in lower case
@@ -81,13 +79,16 @@ def _load_instance(path: str, base: str):
     return kwargs
 
 
-def _instance(args, base: str) -> dict:
-    """The instance to run in a fresh context: the objects of the --input
-    file, or a random instance drawn from the seed."""
+def _instances(args, base: str, strategies) -> dict:
+    """Each strategy's instance, in a fresh context: the objects of the
+    --input file as given, or one instance drawn from the seed and adapted
+    to each strategy."""
     new_context()
     if args.input:
-        return _load_instance(args.input, base)
-    return verify.generate_instance(base, random.Random(_seed(args)))
+        givens = _load_instance(args.input, base)
+        return {s: givens for s in strategies}
+    drawn = verify.generate_instance(base, random.Random(_seed(args)))
+    return {s: elements.drawn_instance(s, drawn) for s in strategies}
 
 
 def _write_svg(path: str, svg: bytes) -> None:
@@ -132,17 +133,13 @@ def _cmd_prop(args) -> int:
     except EuclidError as e:
         print(e, file=sys.stderr)
         return 2
-    kwargs = _instance(args, base)
-    if args.side:
-        kwargs["side"] = args.side
+    givens = _instances(args, base, [strategy])[strategy]
     try:
-        call = elements.strategy_kwargs(strategy, kwargs)
-        result = elements.CONSTRUCTIONS[base](**call)
-        checks = elements.certify(base, call, result)
+        result, checks = elements.run(base, givens, strategy, args.side)
     except EuclidError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    print(f"# {result.prop_id}")
+    print(f"# {checks.prop_id}")
     for line in checks.lines():
         print(line)
     if base == "I.45":
@@ -185,16 +182,18 @@ def _cmd_compare(args) -> int:
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     try:
         base, _ = elements.split_identifier(args.id)
-        for s in strategies:
-            elements.split_identifier(args.id, s)
     except EuclidError as e:
         print(e, file=sys.stderr)
         return 2
     if not strategies:
         print("--strategies needs at least one strategy name", file=sys.stderr)
         return 2
-    kwargs = _instance(args, base)
-    report = verify.compare(base, strategies, kwargs)
+    instances = _instances(args, base, strategies)
+    try:
+        report = verify.compare(args.id, instances)
+    except EuclidError as e:
+        print(e, file=sys.stderr)
+        return 2
     if args.records:
         for record in report.records():
             print(key_values(record))

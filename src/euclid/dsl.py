@@ -28,6 +28,7 @@ Grammar (EBNF) ships in the package documentation.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -271,9 +272,9 @@ def _lex_line(text: str, line_no: int, diags: list[Diagnostic]) -> list[Token]:
         if ch == "#":
             break
         span = Span(line_no, i + 1)
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             out.append(Token("number", text[i:j], span))
             i = j
@@ -357,6 +358,10 @@ class _LineParser:
     def coord_factor(self) -> str:
         t = self.peek()
         if t.kind == "number":
+            limit = sys.get_int_max_str_digits()
+            if limit and len(t.text) > limit:
+                self.error(f"number longer than {limit} digits",
+                           note="the interpreter's integer string limit")
             return self.advance().text
         if not ((t.kind == "punct" and t.text in ("-", "("))
                 or (t.kind == "word" and t.text == "sqrt")):
@@ -665,14 +670,9 @@ def interpret(script: Script) -> Interpretation:
         base, strategy = elements.split_identifier(
             expr.prop_id, expr.strategy, expr.side)
         params = elements.PROPOSITIONS[base].params
-        call = {name: value(a) for (name, _), a in zip(params, expr.args)}
-        if strategy is not None:
-            call["strategy"] = strategy
-        if expr.side is not None:
-            call["side"] = expr.side
+        givens = {name: value(a) for (name, _), a in zip(params, expr.args)}
         sub = tr.sub(base)
-        result = elements.CONSTRUCTIONS[base](tracer=sub, **call)
-        checks = elements.certify(base, call, result)
+        result, checks = elements.run(base, givens, strategy, expr.side, sub)
         if not checks.all_pass:
             failed = "; ".join(c for c, ok, _ in checks.claims if not ok)
             raise ScriptError(expr.span, f"{base} fails: {failed}")

@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Callable
 
 from ..errors import UnknownProposition
-from ..trace import Checks, PropositionResult
+from ..trace import Checks, PropositionResult, Tracer
 from . import areas, basics, instances as gen, triangles
 from .basics import (
     p1_equilateral,
@@ -135,36 +135,48 @@ def split_identifier(prop_id: str, strategy: str | None = None,
     return base, named
 
 
-def strategy_kwargs(strategy: str | None, kwargs: dict) -> dict:
-    """The keyword arguments that run ``strategy`` on an instance.
-
-    Tinemue's equal case covers only the angle matched to the triangle, so
-    that angle replaces the given one.
-    """
-    if strategy is None:
-        return kwargs
-    call = dict(kwargs, strategy=strategy)
+def drawn_instance(strategy: str | None, kwargs: dict) -> dict:
+    """A drawn instance adapted to ``strategy``.  Tinemue's equal case
+    covers only the angle matched to the triangle, so that angle replaces
+    the drawn one; a given instance is run as given."""
     if strategy == "tinemue_equal_case":
-        call["d"] = tinemue_matching_angle(call["t"])
-    return call
+        return dict(kwargs, d=tinemue_matching_angle(kwargs["t"]))
+    return kwargs
 
 
 def certify(base: str, call: dict, result: PropositionResult) -> Checks:
     """The postcondition of construction ``base`` on ``result``, the value
     of ``fn(**call)``.  Keywords the call left out take the function's
-    defaults, so the checks see the side and strategy that ran."""
+    defaults, so the checks see the side and strategy that ran, and the
+    checks name the run: ``base``, then ``.strategy`` if it has one."""
     prop = PROPOSITIONS[base]
     bound = prop.signature.bind(**call)
     bound.apply_defaults()
-    checks = Checks(base)
+    strategy = bound.arguments.get("strategy")
+    checks = Checks(base if strategy is None else f"{base}.{strategy}")
     prop.post(checks, bound.arguments, result)
     return checks
+
+
+def run(base: str, givens: dict, strategy: str | None = None,
+        side: str | None = None, tracer: Tracer | None = None
+        ) -> tuple[PropositionResult, Checks]:
+    """Run construction ``base`` on ``givens`` with the strategy and side
+    that ``split_identifier`` resolved (``None`` takes the function's
+    default), and certify the result."""
+    call = dict(givens)
+    if strategy is not None:
+        call["strategy"] = strategy
+    if side is not None:
+        call["side"] = side
+    result = CONSTRUCTIONS[base](**call, tracer=tracer)
+    return result, certify(base, call, result)
 
 
 __all__ = [
     "PROPOSITIONS", "Proposition", "CONSTRUCTIONS", "STRATEGIES",
     "THEOREMS", "THEOREM_IDS",
-    "certify", "check_theorem", "split_identifier", "strategy_kwargs",
+    "certify", "check_theorem", "drawn_instance", "run", "split_identifier",
     "p1_equilateral", "p2_place", "p3_cut", "p9_bisect_angle",
     "p10_bisect_segment", "p11_perp_at", "p12_perp_from",
     "p22_triangle", "place_triangle_on_ray", "p23_copy_angle", "p31_parallel",

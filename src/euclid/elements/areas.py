@@ -63,7 +63,7 @@ def p42_parallelogram_eq_triangle(t: Figure, d: Angle, strategy: str = "euclid",
     require_triangle(t)
     tr = tracer or Tracer("I.42" if strategy == "euclid" else f"I.42.{strategy}")
     fig, named = route(tr, t, d)
-    return PropositionResult(f"I.42.{strategy}", named, fig, tr)
+    return PropositionResult(named, fig, tr)
 
 
 def post_i42(r: Checks, call: dict, result: PropositionResult) -> None:
@@ -146,9 +146,9 @@ def p42_on_ray(t: Figure, d: Angle, base_ray: Ray, side: str = "upper",
                      operands=(epar, top))
     fig = Figure([o, e, theta2, theta])
     return PropositionResult(
-        "I.42+", {"O": ("given", o), "E": ("aux", e), "Theta": ("result", theta),
-                  "Theta2": ("result", theta2), "apex": ("aux", papex),
-                  "parallelogram": ("result", fig)}, fig, tr)
+        {"O": ("given", o), "E": ("aux", e), "Theta": ("result", theta),
+         "Theta2": ("result", theta2), "apex": ("aux", papex),
+         "parallelogram": ("result", fig)}, fig, tr)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +175,10 @@ def p43_complements(pg: Figure, k: Point,
     comp1 = Figure([e, b, f, k])
     comp2 = Figure([h, k, g, d])
     return PropositionResult(
-        "I.43", {"A": ("given", a), "B": ("given", b), "C": ("given", c),
-                 "D": ("given", d), "K": ("given", k), "E": ("aux", e),
-                 "F": ("aux", f), "G": ("aux", g), "H": ("aux", h),
-                 "BK": ("result", comp1), "KD": ("result", comp2)},
+        {"A": ("given", a), "B": ("given", b), "C": ("given", c),
+         "D": ("given", d), "K": ("given", k), "E": ("aux", e),
+         "F": ("aux", f), "G": ("aux", g), "H": ("aux", h),
+         "BK": ("result", comp1), "KD": ("result", comp2)},
         (comp1, comp2), tr)
 
 
@@ -208,7 +208,7 @@ def p44_apply(ab: Segment, t: Figure, d: Angle,
     tr = tracer or Tracer(f"I.44.{strategy}")
     fig, named = route(tr, ab, t, d, side)
     named.setdefault("parallelogram", ("result", fig))
-    return PropositionResult(f"I.44.{strategy}", named, fig, tr)
+    return PropositionResult(named, fig, tr)
 
 
 def post_i44(r: Checks, call: dict, result: PropositionResult) -> None:
@@ -479,8 +479,8 @@ def p45_apply_figure(d_angle: Angle, f: Figure,
         u, vv = xi, n
     fig = Figure([base_e, base_c, vv, u])
     return PropositionResult(
-        "I.45", {"figure": ("given", f), "parallelogram": ("result", fig),
-                 "triangles": ("aux", tuple(pieces))}, fig, tr)
+        {"figure": ("given", f), "parallelogram": ("result", fig),
+         "triangles": ("aux", tuple(pieces))}, fig, tr)
 
 
 def post_i45(r: Checks, call: dict, result: PropositionResult) -> None:
@@ -571,9 +571,8 @@ def p46_square(ab: Segment, side: str = "upper",
     dd = route(tr, a, b, c, side)
     fig = Figure([a, b, dd, c])
     return PropositionResult(
-        f"I.46.{strategy}", {"a": ("given", a), "b": ("given", b),
-                             "c": ("result", c), "d": ("result", dd),
-                             "square": ("result", fig)}, fig, tr)
+        {"a": ("given", a), "b": ("given", b), "c": ("result", c),
+         "d": ("result", dd), "square": ("result", fig)}, fig, tr)
 
 
 def _p46_corner(tr: Tracer, a: Point, b: Point, at: Point, through: Point,

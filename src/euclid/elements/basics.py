@@ -38,8 +38,8 @@ def p1_equilateral(ab: Segment, side: str = "upper",
     tr.join(apex, b)
     triangle = Figure([a, b, apex])
     return PropositionResult(
-        "I.1", {"A": ("given", a), "B": ("given", b), "C": ("result", apex),
-                "triangle": ("result", triangle)}, triangle, tr)
+        {"A": ("given", a), "B": ("given", b), "C": ("result", apex),
+         "triangle": ("result", triangle)}, triangle, tr)
 
 
 def post_i1(r: Checks, call: dict, result: PropositionResult) -> None:
@@ -65,8 +65,8 @@ def p2_place(a: Point, bc: Segment, side: str = "upper",
     if a == b:
         result = Segment(a, c)
         return PropositionResult(
-            "I.2", {"A": ("given", a), "B": ("given", b), "C": ("given", c),
-                    "AL": ("result", result)}, result, tr)
+            {"A": ("given", a), "B": ("given", b), "C": ("given", c),
+             "AL": ("result", result)}, result, tr)
 
     ab = tr.join(a, b)
     sub = tr.sub("I.1")
@@ -89,9 +89,9 @@ def p2_place(a: Point, bc: Segment, side: str = "upper",
                 note="L beyond A on AE", operands=(gkl, ray_ae))
     result = Segment(a, l)
     return PropositionResult(
-        "I.2", {"A": ("given", a), "B": ("given", b), "C": ("given", c),
-                "D": ("aux", d), "G": ("aux", g), "L": ("result", l),
-                "AL": ("result", result)}, result, tr)
+        {"A": ("given", a), "B": ("given", b), "C": ("given", c),
+         "D": ("aux", d), "G": ("aux", g), "L": ("result", l),
+         "AL": ("result", result)}, result, tr)
 
 
 def post_i2(r: Checks, call: dict, result: PropositionResult) -> None:
@@ -122,8 +122,8 @@ def p3_cut(greater: Segment, less: Segment,
                 lambda p: toward.dot(p - a).sign() > 0,
                 note="E toward B", operands=(cdef,))
     return PropositionResult(
-        "I.3", {"A": ("given", a), "B": ("given", b), "D": ("aux", d),
-                "E": ("result", e)}, e, tr)
+        {"A": ("given", a), "B": ("given", b), "D": ("aux", d),
+         "E": ("result", e)}, e, tr)
 
 
 def post_i3(r: Checks, call: dict, result: PropositionResult) -> None:
@@ -153,9 +153,8 @@ def p9_bisect_angle(angle: Angle, tracer: Tracer | None = None) -> PropositionRe
     tr.join(a, f)
     bisector = Ray(a, f)
     return PropositionResult(
-        "I.9", {"A": ("given", a), "D": ("given", d), "E": ("aux", e),
-                "F": ("aux", f), "bisector": ("result", bisector)},
-        bisector, tr)
+        {"A": ("given", a), "D": ("given", d), "E": ("aux", e),
+         "F": ("aux", f), "bisector": ("result", bisector)}, bisector, tr)
 
 
 def post_i9(r: Checks, call: dict, result: PropositionResult) -> None:
@@ -181,8 +180,8 @@ def p10_bisect_segment(ab: Segment, tracer: Tracer | None = None) -> Proposition
     d = tr.pick(intersect_lines(ray.line(), Line(a, b)),
                 note="D where the bisector meets AB", operands=(ab,))
     return PropositionResult(
-        "I.10", {"A": ("given", a), "B": ("given", b), "C": ("aux", c),
-                 "D": ("result", d)}, d, tr)
+        {"A": ("given", a), "B": ("given", b), "C": ("aux", c),
+         "D": ("result", d)}, d, tr)
 
 
 def bisect(tr: Tracer, a: Point, b: Point) -> Point:
@@ -217,9 +216,8 @@ def p11_perp_at(l: Line, c: Point, tracer: Tracer | None = None) -> PropositionR
     tr.join(f, c)
     result = Line(c, f)
     return PropositionResult(
-        "I.11", {"C": ("given", c), "D": ("aux", d), "E": ("aux", e),
-                 "F": ("aux", f), "perpendicular": ("result", result)},
-        result, tr)
+        {"C": ("given", c), "D": ("aux", d), "E": ("aux", e),
+         "F": ("aux", f), "perpendicular": ("result", result)}, result, tr)
 
 
 def post_i11(r: Checks, call: dict, result: PropositionResult) -> None:
@@ -251,10 +249,9 @@ def p12_perp_from(l: Line, c: Point, tracer: Tracer | None = None) -> Propositio
     tr.join(c, e)
     result = Line(c, h)
     return PropositionResult(
-        "I.12", {"C": ("given", c), "D": ("aux", d), "E": ("aux", e),
-                 "G": ("aux", g), "H": ("result", h),
-                 "perpendicular": ("result", result), "CH": ("aux", ch)},
-        result, tr)
+        {"C": ("given", c), "D": ("aux", d), "E": ("aux", e),
+         "G": ("aux", g), "H": ("result", h),
+         "perpendicular": ("result", result), "CH": ("aux", ch)}, result, tr)
 
 
 def post_i12(r: Checks, call: dict, result: PropositionResult) -> None:

@@ -70,9 +70,9 @@ def p22_triangle(a_len: Constructible, b_len: Constructible, c_len: Constructibl
     tr.join(k, g)
     triangle = Figure([k, f, g])
     return PropositionResult(
-        "I.22", {"D": ("aux", d), "F": ("given", f), "G": ("result", g),
-                 "H": ("aux", h), "K": ("result", k),
-                 "triangle": ("result", triangle)}, triangle, tr)
+        {"D": ("aux", d), "F": ("given", f), "G": ("result", g),
+         "H": ("aux", h), "K": ("result", k),
+         "triangle": ("result", triangle)}, triangle, tr)
 
 
 def post_i22(r: Checks, call: dict, result: PropositionResult) -> None:
@@ -112,9 +112,8 @@ def place_triangle_on_ray(a_len: Constructible, b_len: Constructible,
     tr.join(v3, v1)
     triangle = Figure([v1, v2, v3])
     return PropositionResult(
-        "I.22+", {"V1": ("given", v1), "V2": ("result", v2),
-                  "V3": ("result", v3), "triangle": ("result", triangle)},
-        triangle, tr)
+        {"V1": ("given", v1), "V2": ("result", v2),
+         "V3": ("result", v3), "triangle": ("result", triangle)}, triangle, tr)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +134,7 @@ def p23_copy_angle(target_ray: Ray, model: Angle, side: str = "upper",
     apex, on_ray, named = route(tr, target_ray, model, side)
     result = Angle(target_ray.origin, on_ray, apex)
     named.setdefault("angle", ("result", result))
-    return PropositionResult(f"I.23.{strategy}", named, result, tr)
+    return PropositionResult(named, result, tr)
 
 
 def post_i23(r: Checks, call: dict, result: PropositionResult) -> None:
@@ -304,7 +303,7 @@ def p31_parallel(p: Point, l: Line, tracer: Tracer | None = None) -> Proposition
     tr.register_input(p, l)
     if l.contains(p):
         return PropositionResult(
-            "I.31", {"A": ("given", p), "parallel": ("result", l)}, l, tr)
+            {"A": ("given", p), "parallel": ("result", l)}, l, tr)
 
     # the chance point D: the nearer defining point of the line
     if (p.dist_sq(l.p) - p.dist_sq(l.q)).sign() <= 0:
@@ -324,9 +323,8 @@ def p31_parallel(p: Point, l: Line, tracer: Tracer | None = None) -> Proposition
     tr.register_input(f)  # label on the produced part
     result = Line(e, f)
     return PropositionResult(
-        "I.31", {"A": ("given", p), "D": ("aux", d), "C": ("aux", c),
-                 "E": ("aux", e), "F": ("aux", f),
-                 "parallel": ("result", result)}, result, tr)
+        {"A": ("given", p), "D": ("aux", d), "C": ("aux", c), "E": ("aux", e),
+         "F": ("aux", f), "parallel": ("result", result)}, result, tr)
 
 
 def post_i31(r: Checks, call: dict, result: PropositionResult) -> None:

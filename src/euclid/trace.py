@@ -230,9 +230,9 @@ def _select(candidates: list[Point], selector, note: str) -> Point:
 @dataclass
 class PropositionResult:
     """One run: each named object in drawing order with its role (given,
-    aux or result), the principal result and the top-level trace."""
+    aux or result), the principal result and the top-level trace.  The
+    run's name is ``Checks.prop_id``, set when it is certified."""
 
-    prop_id: str
     named: dict[str, tuple[str, object]]
     result: object
     trace: Tracer
@@ -261,7 +261,8 @@ class Checks:
     """Every exact check on one result or theorem instance, in order, as
     (claim, passed, residual); a failed check raises nothing.  A boolean
     claim has no residual: it shows ``0`` when it holds and ``-`` when it
-    fails."""
+    fails.  ``prop_id`` names the run: the id, then ``.strategy`` for a
+    route of a construction with strategies."""
 
     prop_id: str
     claims: list[tuple[str, bool, str]] = field(default_factory=list)

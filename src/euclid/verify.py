@@ -36,7 +36,7 @@ def generate_instance(base: str, rng: random.Random) -> dict:
 
 # the ledger of a run that built nothing: a theorem or an error outcome
 # prints the same keys as a construction, each at 0
-_NO_COSTS = PropositionResult("", {}, None, Tracer()).costs()
+_NO_COSTS = PropositionResult({}, None, Tracer()).costs()
 
 
 @dataclass
@@ -131,61 +131,64 @@ class SuiteReport:
         return out
 
     def records(self) -> list[dict]:
-        out = []
-        for idx, inst in enumerate(self.instances):
-            for rec in inst.records():
-                rec = dict(rec, instance=idx)
-                out.append(rec)
-        return out
+        """Each comparison's records, named by the suite's id."""
+        return [dict(rec, proposition=self.prop_id, instance=idx)
+                for idx, inst in enumerate(self.instances)
+                for rec in inst.records()]
 
 
 # ---------------------------------------------------------------------------
 # running
 
 
-def _run_strategy(base: str, strategy: Optional[str], kwargs: dict
+def _resolve(prop_id: str, strategy: Optional[str] = None
+             ) -> tuple[str, Optional[str]]:
+    """``elements.split_identifier``, except that a theorem id, which has
+    no strategies, names itself."""
+    if prop_id in THEOREM_IDS and strategy is None:
+        return prop_id, None
+    return elements.split_identifier(prop_id, strategy)
+
+
+def _run_strategy(base: str, strategy: Optional[str], givens: dict
                   ) -> StrategyOutcome:
     """Run one construction strategy and its postcondition, or the
     validator of a theorem base."""
     try:
-        if base not in elements.CONSTRUCTIONS:
-            return StrategyOutcome(checks=check_theorem(base, kwargs).claims)
-        call = elements.strategy_kwargs(strategy, kwargs)
-        result = elements.CONSTRUCTIONS[base](**call)
-        report = elements.certify(base, call, result)
+        if base in THEOREM_IDS:
+            return StrategyOutcome(checks=check_theorem(base, givens).claims)
+        result, checks = elements.run(base, givens, strategy)
     except EuclidError as e:
         return StrategyOutcome(error=f"{type(e).__name__}: {e}")
-    return StrategyOutcome(checks=report.claims, costs=result.costs())
+    return StrategyOutcome(checks=checks.claims, costs=result.costs())
 
 
-def compare(prop_id: str, strategies, kwargs: dict) -> ComparisonReport:
-    """Run several strategies on one instance; deterministic report."""
-    base, _ = elements.split_identifier(prop_id)
-    outcomes = {}
-    for strategy in strategies:
-        outcomes[strategy] = _run_strategy(base, strategy, kwargs)
-    return ComparisonReport(prop_id, outcomes)
+def compare(prop_id: str, instances: dict) -> ComparisonReport:
+    """Run each strategy on its instance (``None`` stands for an id
+    without strategies and is shown as ``-``); deterministic report, named
+    by the resolved base.
+
+    Raises UnknownProposition for a strategy that ``prop_id`` does not
+    name, before anything runs.
+    """
+    base, _ = _resolve(prop_id)
+    runs = {strategy: _resolve(prop_id, strategy)[1] for strategy in instances}
+    return ComparisonReport(base, {
+        "-" if strategy is None else strategy:
+            _run_strategy(base, runs[strategy], givens)
+        for strategy, givens in instances.items()})
 
 
 def run_suite(prop_id: str, count: int = 100, seed: int = 7) -> SuiteReport:
     """Random-instance postcondition suite; failures are expected to be 0."""
-    if prop_id in THEOREM_IDS:
-        base, strategy = prop_id, None
-    else:
-        base, strategy = elements.split_identifier(prop_id)
+    base, strategy = _resolve(prop_id)
+    strategies = ((strategy,) if strategy is not None
+                  else elements.STRATEGIES.get(base, (None,)))
     rng = random.Random(seed)
     report = SuiteReport(prop_id, count, seed)
-    if strategy is not None:
-        strategies = [strategy]
-    else:
-        strategies = list(elements.STRATEGIES.get(base, (None,)))
     for _ in range(count):
         new_context()
         kwargs = generate_instance(base, rng)
-        outcomes = {}
-        for strat in strategies:
-            outcomes[strat if strat is not None else "-"] = \
-                _run_strategy(base, strat, kwargs)
-        report.instances.append(ComparisonReport(prop_id, outcomes))
+        report.instances.append(compare(prop_id, {
+            s: elements.drawn_instance(s, kwargs) for s in strategies}))
     return report
-

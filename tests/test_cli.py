@@ -12,6 +12,14 @@ from euclid.number import new_context
 TESTS = Path(__file__).resolve().parent
 SCRIPTS = TESTS.parent / "scripts"
 
+# an I.44 instance in a right angle; its triangle's apex is filled in
+TRIANGLE_IN_RIGHT_ANGLE = (
+    "point A = (0,0)\npoint B = (4,0)\nsegment ab = join(A, B)\n"
+    "figure t = figure({},(0,0),(6,0))\n"
+    "angle d = angle((20,20),(21,20),(20,21))\n")
+TINEMUE_TILTED = ("StrategyInapplicable: the bisecting slant does not equal "
+                  "the given angle; the tilted cases are out of scope")
+
 SELECTOR_BASE = ("point A = (0,0)\npoint B = (2,0)\nsegment s = join(A, B)\n"
                  "ray r = extend(s, b)\n"
                  "circle c1 = circle(A, B)\ncircle c2 = circle(B, A)\n")
@@ -68,6 +76,14 @@ class TestRun:
         assert capsys.readouterr().err == (
             "6:12: error: I.44.chester names 'robert_of_chester', "
             "not 'alnayrizi'\n")
+
+    def test_script_not_utf8_exit_2(self, tmp_path, capsys):
+        script = tmp_path / "latin1.euc"
+        script.write_bytes(b"point A = (0,0) # \xff\n")
+        assert main(["run", str(script)]) == 2
+        assert capsys.readouterr().err == (
+            f"{script}: 'utf-8' codec can't decode byte 0xff in position 18: "
+            "invalid start byte\n")
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.euc"
@@ -198,6 +214,27 @@ class TestProp:
         assert capsys.readouterr().err == (
             "PreconditionViolated: degenerate (collinear) triangle\n")
 
+    def test_given_instance_runs_as_given(self, tmp_path, capsys):
+        # a drawn instance gets Tinemue's matching angle; a given one keeps
+        # its own angle, which fits the isosceles triangle only
+        inst = tmp_path / "inst.txt"
+        argv = ["prop", "I.44", "--strategy", "tinemue_equal_case",
+                "--input", str(inst)]
+        inst.write_text(TRIANGLE_IN_RIGHT_ANGLE.format("(1,4)"))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == TINEMUE_TILTED + "\n"
+        inst.write_text(TRIANGLE_IN_RIGHT_ANGLE.format("(3,4)"))
+        assert main(argv) == 0
+        assert "# I.44.tinemue_equal_case" in capsys.readouterr().out
+
+    def test_input_not_utf8_exit_2(self, tmp_path, capsys):
+        inst = tmp_path / "inst.txt"
+        inst.write_bytes(b"\xff")
+        assert main(["prop", "I.1", "--input", str(inst)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{inst}: 'utf-8' codec can't decode")
+
     def test_missing_input(self, tmp_path, capsys):
         missing = str(tmp_path / "none.txt")
         assert main(["prop", "I.44", "--input", missing]) == 2
@@ -296,3 +333,16 @@ class TestCompare:
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("PASS") >= 8
+
+    def test_instance_file_runs_as_given(self, tmp_path, capsys):
+        inst = tmp_path / "inst.txt"
+        argv = ["compare", "I.44", "--strategies",
+                "alnayrizi,tinemue_equal_case", "--input", str(inst)]
+        inst.write_text(TRIANGLE_IN_RIGHT_ANGLE.format("(1,4)"))
+        assert main(argv) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert f"tinemue_equal_case\tERROR\t{TINEMUE_TILTED}" in out
+        assert not any(line.startswith("alnayrizi: ") and "\tFAIL\t" in line
+                       for line in out)
+        inst.write_text(TRIANGLE_IN_RIGHT_ANGLE.format("(3,4)"))
+        assert main(argv) == 0

@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -88,6 +89,27 @@ class TestParse:
         assert [(d.span.line, d.span.col, d.message) for d in diags] == [
             (1, text.index("1"),
              f"coordinate nested more than {cap} levels deep")]
+
+    def test_digits_are_ascii(self):
+        script, diags = parse("point A = (\u00b2, 0)\n")
+        assert script.statements == []
+        assert [(d.span.col, d.message) for d in diags][0] == (
+            12, "unexpected character '\u00b2'")
+
+    def test_number_length_cap(self):
+        limit = sys.get_int_max_str_digits()
+        inter = run(f"point P = ({'7' * limit}, 0)\n")
+        assert inter.env["P"].x == Constructible(int("7" * limit))
+        text = f"point P = (1 + {'7' * (limit + 1)}, 0)\n"
+        script, diags = parse(text)
+        assert script.statements == []
+        assert [(d.span.col, d.message) for d in diags] == [
+            (16, f"number longer than {limit} digits")]
+        sys.set_int_max_str_digits(0)
+        try:
+            assert parse(text)[1] == []
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_radical_coordinates(self):
         inter = run("point P = (sqrt(3)/2, 1/2)\n")
@@ -342,3 +364,17 @@ class TestCoordinates:
         script.write_text(f"point P = ({text}, 0)\n")
         assert main(["run", str(script)]) == 1
         assert f"1:1: {error}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, error", [
+        ("\u00b2", "1:12: error: unexpected character '\u00b2'"),
+        ("7" * (sys.get_int_max_str_digits() + 1),
+         f"1:12: error: number longer than {sys.get_int_max_str_digits()} "
+         "digits"),
+    ], ids=["superscript", "over-long"])
+    def test_parse_fails(self, tmp_path, capsys, text, error):
+        from euclid.cli import main
+
+        script = tmp_path / "bad.euc"
+        script.write_text(f"point P = ({text}, 0)\n", encoding="utf-8")
+        assert main(["run", str(script)]) == 2
+        assert capsys.readouterr().err.startswith(error)

@@ -1,7 +1,7 @@
 """Invariants are real checks: ``python -O`` strips ``assert`` statements,
 so the engine's source holds none, and a run under ``-O`` prints what a
 plain run prints.  The engine also keeps no definition that nothing
-references."""
+references, and runs every construction call through one runner."""
 
 import ast
 import os
@@ -99,6 +99,51 @@ def test_no_unused_imports():
                     unused.append(
                         f"{path.relative_to(PACKAGE)}:{node.lineno} {name}")
     assert unused == []
+
+
+def _scoped_nodes(node, scope=None):
+    """Every node below ``node`` with the name of the innermost function
+    that holds it (``None`` at module level)."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        inner = (child.name if isinstance(child, (ast.FunctionDef,
+                                                  ast.AsyncFunctionDef))
+                 else scope)
+        yield from _scoped_nodes(child, inner)
+
+
+def _name(node) -> str:
+    """The name a ``Name`` reads or the attribute an ``Attribute`` takes."""
+    return getattr(node, "id", None) or getattr(node, "attr", "")
+
+
+def _puts_strategy(node) -> bool:
+    """``x["strategy"] = ...`` or ``dict(..., strategy=...)``."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+        return getattr(node.slice, "value", None) == "strategy"
+    return (isinstance(node, ast.Call) and _name(node.func) == "dict"
+            and any(k.arg == "strategy" for k in node.keywords))
+
+
+def test_one_runner():
+    """Every front door runs a resolved call one way: only ``elements.run``
+    looks a construction up in ``CONSTRUCTIONS``, puts a strategy into a
+    call and certifies the result."""
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        where = str(path.relative_to(PACKAGE))
+        for scope, node in _scoped_nodes(tree):
+            if (isinstance(node, ast.Subscript)
+                    and _name(node.value) == "CONSTRUCTIONS"):
+                found.add((where, scope, "CONSTRUCTIONS[...]"))
+            if isinstance(node, ast.Call) and _name(node.func) == "certify":
+                found.add((where, scope, "certify(...)"))
+            if _puts_strategy(node):
+                found.add((where, scope, "strategy key"))
+    assert found == {("elements/__init__.py", "run", "CONSTRUCTIONS[...]"),
+                     ("elements/__init__.py", "run", "certify(...)"),
+                     ("elements/__init__.py", "run", "strategy key")}
 
 
 def test_optimized_interpreter_gives_same_records():

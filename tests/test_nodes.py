@@ -48,8 +48,8 @@ def test_construction_coordinates_pinned():
         for strategy in elements.STRATEGIES.get(prop_id, (None,)):
             new_context()
             kwargs = generate_instance(prop_id, random.Random(3))
-            call = elements.strategy_kwargs(strategy, kwargs)
-            result = elements.CONSTRUCTIONS[prop_id](**call)
+            result, _ = elements.run(
+                prop_id, elements.drawn_instance(strategy, kwargs), strategy)
             out.extend(to_prefix(c) for obj in result.objects.values()
                        for c in coords(obj))
     assert len(out) == 484

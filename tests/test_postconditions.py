@@ -92,8 +92,10 @@ def test_side_blind_postconditions_are_pinned():
             for seed in range(10):
                 new_context()
                 kwargs = verify.generate_instance(prop_id, random.Random(seed))
-                call = elements.strategy_kwargs(strategy,
-                                                dict(kwargs, side="upper"))
+                call = dict(elements.drawn_instance(strategy, kwargs),
+                            side="upper")
+                if strategy is not None:
+                    call["strategy"] = strategy
                 result = elements.CONSTRUCTIONS[prop_id](**call)
                 lower = elements.certify(prop_id, dict(call, side="lower"),
                                          result)

@@ -294,8 +294,8 @@ def test_trace_references_on_every_route(prop_id, strategy, seed):
     included, refers only to objects registered or produced before it."""
     new_context()
     kwargs = verify.generate_instance(prop_id, random.Random(seed))
-    call = elements.strategy_kwargs(strategy, kwargs)
-    got = elements.CONSTRUCTIONS[prop_id](**call)
+    got, _ = elements.run(
+        prop_id, elements.drawn_instance(strategy, kwargs), strategy)
     assert got.trace.check_references()
 
 
@@ -307,8 +307,8 @@ def test_roles_on_every_route(prop_id, strategy, seed):
     renderer styles, and its figure renders."""
     new_context()
     kwargs = verify.generate_instance(prop_id, random.Random(seed))
-    call = elements.strategy_kwargs(strategy, kwargs)
-    got = elements.CONSTRUCTIONS[prop_id](**call)
+    got, _ = elements.run(
+        prop_id, elements.drawn_instance(strategy, kwargs), strategy)
     for name, entry in got.named.items():
         assert isinstance(entry, tuple) and len(entry) == 2, name
         assert entry[0] in ("given", "aux", "result"), name

@@ -53,7 +53,7 @@ class TestCompare:
         new_context()
         rng = random.Random(5)
         kwargs = generate_instance("I.23", rng)
-        report = compare("I.23", ["euclid", "proclus"], kwargs)
+        report = compare("I.23", {"euclid": kwargs, "proclus": kwargs})
         assert all(oc.passed for oc in report.outcomes.values())
         eu = report.outcomes["euclid"]
         pr = report.outcomes["proclus"]
@@ -68,7 +68,8 @@ class TestCompare:
         new_context()
         rng = random.Random(6)
         kwargs = generate_instance("I.44", rng)
-        report = compare("I.44", ["euclid_superposition", "alnayrizi"], kwargs)
+        report = compare("I.44", {"euclid_superposition": kwargs,
+                                  "alnayrizi": kwargs})
         costs = {name: oc.costs for name, oc in report.outcomes.items()}
         assert costs["euclid_superposition"]["superpositions"] == 1
         assert costs["alnayrizi"]["superpositions"] == 0
@@ -87,6 +88,18 @@ class TestCompare:
         b = p46_square(**dict(kwargs, strategy="campanus_second"))
         assert set(a.result.vertices) == set(b.result.vertices)
 
+    def test_strategy_must_agree_with_suffix(self):
+        import random
+
+        from euclid.number import new_context
+
+        new_context()
+        kwargs = generate_instance("I.44", random.Random(6))
+        with pytest.raises(UnknownProposition,
+                           match="I.44.chester names 'robert_of_chester', "
+                                 "not 'alnayrizi'"):
+            compare("I.44.chester", {"alnayrizi": kwargs})
+
     def test_records_export(self):
         import random
 
@@ -95,7 +108,7 @@ class TestCompare:
         new_context()
         rng = random.Random(5)
         kwargs = generate_instance("I.42", rng)
-        report = compare("I.42", ["euclid", "alnayrizi"], kwargs)
+        report = compare("I.42", {"euclid": kwargs, "alnayrizi": kwargs})
         recs = report.records()
         assert len(recs) == 2
         assert {r["strategy"] for r in recs} == {"euclid", "alnayrizi"}
