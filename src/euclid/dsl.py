@@ -113,10 +113,10 @@ def _side(same: int):
     """Pick the point on the same (+1) or opposite (-1) side as a probe."""
     def select(line, probe: Point):
         ref = line.line()
-        s = ref.side_of(probe)
+        s = orientation(ref.p, ref.q, probe)
         if s == 0:
             raise DegenerateInput("reference point lies on the line")
-        return lambda p: ref.side_of(p) == same * s
+        return lambda p: orientation(ref.p, ref.q, p) == same * s
     return select
 
 
@@ -279,9 +279,10 @@ def _lex_line(text: str, line_no: int, diags: list[Diagnostic]) -> list[Token]:
             out.append(Token("number", text[i:j], span))
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch.isascii() and (ch.isalpha() or ch == "_"):
             j = i
-            while j < n and (text[j].isalnum() or text[j] in "_."):
+            while j < n and text[j].isascii() and (text[j].isalnum()
+                                                   or text[j] in "_."):
                 j += 1
             word = text[i:j].rstrip(".")
             j = i + len(word)

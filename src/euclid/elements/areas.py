@@ -502,7 +502,7 @@ def post_i45(r: Checks, call: dict, result: PropositionResult) -> None:
         r.true(f"piece {i}: abutting angles sum to two right angles",
                angles_sum_to_two_rights(Angle(u, vv, probe), Angle(u, vv, xi)))
         r.true(f"piece {i}: the outer edges meet in a straight line",
-               collinear(probe, u, xi) and between(probe, u, xi))
+               between(probe, u, xi))
         probe = u
     base_e, base_c, _, u = fig.vertices
     r.true("the result is a parallelogram", is_parallelogram(fig))

@@ -11,6 +11,7 @@ from fractions import Fraction
 from ..geom import (
     Angle,
     Figure,
+    Isometry,
     Line,
     Point,
     Ray,
@@ -136,12 +137,8 @@ def _rational_rotation(rng):
 def _congruent_copy(rng, t: Figure) -> Figure:
     c, s = _rational_rotation(rng)
     tx, ty = _coord(rng), _coord(rng)
-    flip = rng.choice((1, -1))
-    out = []
-    for p in t.vertices:
-        x, y = p.x, p.y * flip
-        out.append(Point(c * x - s * y + tx, s * x + c * y + ty))
-    return Figure(out)
+    motion = Isometry(c, s, tx, ty, rng.choice((False, True)))
+    return Figure(motion.apply(p) for p in t.vertices)
 
 
 def _parallel_pair(rng):
@@ -190,9 +187,7 @@ def i10(rng):
 def i11(rng):
     l = _line(rng)
     t = Fraction(rng.randint(-8, 8), rng.choice((1, 2, 4)))
-    d = l.direction()
-    c = Point(l.p.x + d.dx * t, l.p.y + d.dy * t)
-    return {"l": l, "c": c}
+    return {"l": l, "c": l.p + l.direction() * t}
 
 
 def i12(rng):
@@ -227,8 +222,7 @@ def i43(rng):
     pg = _parallelogram(rng)
     t = Fraction(rng.randint(1, 15), 16)
     a, _, c, _ = pg.vertices
-    k = Point(a.x + (c.x - a.x) * t, a.y + (c.y - a.y) * t)
-    return {"pg": pg, "k": k}
+    return {"pg": pg, "k": a + (c - a) * t}
 
 
 def i44(rng):
@@ -254,7 +248,7 @@ def i7(rng):
     while True:
         base = _segment(rng)
         c = _point(rng)
-        if base.line().side_of(c) != 0:
+        if orientation(base.a, base.b, c) != 0:
             return {"base": base, "c": c, "d": c}
 
 
@@ -319,8 +313,8 @@ def i34(rng):
 def _shear_pg(rng, a: Point, b: Point, v) -> Figure:
     t = Fraction(rng.randint(-6, 6), rng.choice((1, 2)))
     u = b - a
-    w_x, w_y = v.dx + u.dx * t, v.dy + u.dy * t
-    return Figure([a, b, Point(b.x + w_x, b.y + w_y), Point(a.x + w_x, a.y + w_y)])
+    top = a + v + u * t
+    return Figure([a, b, top + u, top])
 
 
 def _base_and_offset(rng):
@@ -334,16 +328,13 @@ def _base_and_offset(rng):
 
 def _slid_base(rng, a: Point, b: Point) -> tuple[Point, Point]:
     """The base a, b moved along its own line by a random multiple."""
-    r = Fraction(rng.randint(-6, 6), rng.choice((1, 2)))
-    u = b - a
-    return (Point(a.x + u.dx * r, a.y + u.dy * r),
-            Point(b.x + u.dx * r, b.y + u.dy * r))
+    shift = (b - a) * Fraction(rng.randint(-6, 6), rng.choice((1, 2)))
+    return a + shift, b + shift
 
 
 def _apex_on_parallel(rng, a: Point, b: Point, v) -> Point:
     s = Fraction(rng.randint(-8, 8), rng.choice((1, 2)))
-    u = b - a
-    return Point(a.x + v.dx + u.dx * s, a.y + v.dy + u.dy * s)
+    return a + v + (b - a) * s
 
 
 def i35(rng):

@@ -23,7 +23,7 @@ from ..geom import (
     angle_cos,
     angle_eq,
     angle_lt,
-    angle_sin,
+    angle_sum_cos,
     angle_sum_eq,
     angles_sum_to_two_rights,
     between,
@@ -31,6 +31,7 @@ from ..geom import (
     content,
     intersect_lines,
     is_parallelogram,
+    orientation,
     parallel,
     point_reflect,
     segment_eq,
@@ -73,8 +74,8 @@ def _check_i4(r: Checks, t1, t2) -> None:
 def _check_i7(r: Checks, base, c, d) -> None:
     _hyp(isinstance(base, Segment), "expected a base segment")
     a, b = base.a, base.b
-    sc = Line(a, b).side_of(c)
-    sd = Line(a, b).side_of(d)
+    sc = orientation(a, b, c)
+    sd = orientation(a, b, d)
     _hyp(sc != 0 and sd == sc, "the points must lie on one same side")
     _hyp(segment_eq(Segment(a, c), Segment(a, d)), "first pair unequal")
     _hyp(segment_eq(Segment(b, c), Segment(b, d)), "second pair unequal")
@@ -94,7 +95,7 @@ def _check_i8(r: Checks, t1, t2) -> None:
 
 
 def _check_i13(r: Checks, a, b, c, d) -> None:
-    _hyp(collinear(c, b, d) and between(c, b, d),
+    _hyp(between(c, b, d),
          "the foot must lie strictly between the line points")
     _hyp(not collinear(a, b, c), "the standing line must leave the base line")
     r.true("the adjacent angles are two right angles or equal to two",
@@ -104,8 +105,8 @@ def _check_i13(r: Checks, a, b, c, d) -> None:
 def _check_i14(r: Checks, a, b, c, d) -> None:
     _hyp(not collinear(a, b, c) and not collinear(a, b, d),
          "the side lines must leave BA")
-    sc = Line(b, a).side_of(c)
-    sd = Line(b, a).side_of(d)
+    sc = orientation(b, a, c)
+    sd = orientation(b, a, d)
     _hyp(sc * sd < 0, "the two lines must lie on opposite sides of BA")
     _hyp(angles_sum_to_two_rights(Angle(b, a, c), Angle(b, a, d)),
          "adjacent angles must equal two right angles")
@@ -173,15 +174,15 @@ def _transversal_points(l1: Line, l2: Line, t: Line):
 def _alternate_pair(l1: Line, l2: Line, t: Line, g: Point, h: Point):
     # pick arm points of l1 and l2 on opposite sides of the transversal
     a = l1.p if l1.p != g else l1.q
-    sa = t.side_of(a)
+    sa = orientation(t.p, t.q, a)
     if sa == 0:
         a = l1.q
-        sa = t.side_of(a)
+        sa = orientation(t.p, t.q, a)
     _hyp(sa != 0, "degenerate transversal configuration")
     d = l2.p if l2.p != h else l2.q
-    if t.side_of(d) != -sa:
+    if orientation(t.p, t.q, d) != -sa:
         d = point_reflect(d, h)
-    _hyp(t.side_of(d) == -sa, "could not find opposite-side arm")
+    _hyp(orientation(t.p, t.q, d) == -sa, "could not find opposite-side arm")
     return a, d
 
 
@@ -232,13 +233,11 @@ def _check_i30(r: Checks, l1, l2, l3) -> None:
 def _check_i32(r: Checks, t) -> None:
     a, b, c = _tri(t)
     d = point_reflect(b, c)
+    at_a, at_b = Angle(b, a, c), Angle(a, b, c)
     r.true("the exterior angle equals the two interior and opposite",
-            angle_sum_eq(Angle(b, a, c), Angle(a, b, c), Angle(c, a, d)))
-    interior_sum_cos = (
-        angle_cos(Angle(b, a, c)) * angle_cos(Angle(a, b, c))
-        - angle_sin(Angle(b, a, c)) * angle_sin(Angle(a, b, c)))
+            angle_sum_eq(at_a, at_b, Angle(c, a, d)))
     r.zero("the three interior angles equal two right angles",
-           interior_sum_cos + angle_cos(Angle(c, a, b)))
+           angle_sum_cos(at_a, at_b) + angle_cos(Angle(c, a, b)))
 
 
 def _check_i33(r: Checks, ab, cd) -> None:
@@ -271,8 +270,7 @@ def _check_i34(r: Checks, pg) -> None:
 
 def _same_parallels(base_line: Line, *tops: Point) -> bool:
     first = tops[0]
-    top_line = Line(first, Point(first.x + base_line.direction().dx,
-                                 first.y + base_line.direction().dy))
+    top_line = Line(first, first + base_line.direction())
     return all(top_line.contains(p) for p in tops)
 
 

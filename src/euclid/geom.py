@@ -1,9 +1,10 @@
 """Geometric primitives over exact constructible coordinates.
 
 Points, segments, lines, rays, circles, angles and polygonal figures, the
-three postulate primitives (join, extend, circle), exact intersection
-operations, exact predicates, and rigid motions.  Every predicate decides
-with the exact sign of a constructible number; there are no tolerances.
+postulate primitives (a join is the ``Segment`` or ``Line`` constructor;
+extend, circle), exact intersection operations, exact predicates, and
+rigid motions.  Every predicate decides with the exact sign of a
+constructible number; there are no tolerances.
 """
 
 from __future__ import annotations
@@ -87,6 +88,9 @@ class Vec:
     def norm_sq(self) -> Constructible:
         return self.dot(self)
 
+    def __mul__(self, k) -> "Vec":
+        return Vec(self.dx * k, self.dy * k)
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -110,12 +114,8 @@ class Segment:
         return Line(self.a, self.b)
 
     def contains(self, p: Point) -> bool:
-        d = self.direction()
-        w = p - self.a
-        if not d.cross(w).is_zero():
-            return False
-        t = d.dot(w)
-        return t.sign() >= 0 and (t - d.norm_sq()).sign() <= 0
+        return (collinear(self.a, self.b, p)
+                and (p - self.a).dot(p - self.b).sign() <= 0)
 
 
 @dataclass(frozen=True)
@@ -134,11 +134,7 @@ class Line:
         return self
 
     def contains(self, pt: Point) -> bool:
-        return self.direction().cross(pt - self.p).is_zero()
-
-    def side_of(self, pt: Point) -> int:
-        """+1 left of p->q, -1 right, 0 on the line."""
-        return orientation(self.p, self.q, pt)
+        return collinear(self.p, self.q, pt)
 
 
 @dataclass(frozen=True)
@@ -157,9 +153,8 @@ class Ray:
         return Line(self.origin, self.through)
 
     def contains(self, p: Point) -> bool:
-        d = self.direction()
-        w = p - self.origin
-        return d.cross(w).is_zero() and d.dot(w).sign() >= 0
+        return (collinear(self.origin, self.through, p)
+                and self.direction().dot(p - self.origin).sign() >= 0)
 
 
 @dataclass(frozen=True)
@@ -279,19 +274,6 @@ def points(obj) -> list[Point]:
 # postulate primitives
 
 
-def join(p: Point, q: Point) -> Line:
-    """Postulate 1: the straight line through two distinct points."""
-    if p == q:
-        raise DegenerateInput("cannot join coincident points")
-    return Line(p, q)
-
-
-def join_segment(p: Point, q: Point) -> Segment:
-    if p == q:
-        raise DegenerateInput("cannot join coincident points")
-    return Segment(p, q)
-
-
 def extend(s: Segment, beyond: str) -> Ray:
     """Postulate 2: produce the segment beyond one endpoint.
 
@@ -316,21 +298,6 @@ def circle(center: Point, distance_to: Point) -> Circle:
 # intersections
 
 
-class _PointKey:
-    """Sort key for the canonical lexicographic point order."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: Point):
-        self.p = p
-
-    def __lt__(self, other: "_PointKey") -> bool:
-        sx = (self.p.x - other.p.x).sign()
-        if sx != 0:
-            return sx < 0
-        return (self.p.y - other.p.y).sign() < 0
-
-
 def intersect_lines(l1: Line, l2: Line) -> list[Point]:
     """The one exact intersection point, or none for parallel or
     coincident lines."""
@@ -340,7 +307,7 @@ def intersect_lines(l1: Line, l2: Line) -> list[Point]:
     if denom.is_zero():
         return []
     t = (l2.p - l1.p).cross(d2) / denom
-    return [Point(l1.p.x + d1.dx * t, l1.p.y + d1.dy * t)]
+    return [l1.p + d1 * t]
 
 
 def intersect_line_circle(l: Line, c: Circle) -> list[Point]:
@@ -355,13 +322,13 @@ def intersect_line_circle(l: Line, c: Circle) -> list[Point]:
     if sd < 0:
         return []
     if sd == 0:
-        t = -b / (2 * a)
-        return [Point(l.p.x + d.dx * t, l.p.y + d.dy * t)]
+        return [l.p + d * (-b / (2 * a))]
     root = sqrt_nonneg(disc)
-    out = []
-    for t in ((-b - root) / (2 * a), (-b + root) / (2 * a)):
-        out.append(Point(l.p.x + d.dx * t, l.p.y + d.dy * t))
-    return sorted(out, key=_PointKey)
+    p = l.p + d * ((-b - root) / (2 * a))
+    q = l.p + d * ((-b + root) / (2 * a))
+    if ((q.x - p.x).sign() or (q.y - p.y).sign()) < 0:
+        p, q = q, p
+    return [p, q]
 
 
 def intersect_circles(c1: Circle, c2: Circle) -> list[Point]:
@@ -396,13 +363,15 @@ def segment_eq(s1: Segment, s2: Segment) -> bool:
     return (s1.length_sq() - s2.length_sq()).is_zero()
 
 
+def _cos_equal(d1: Constructible, q1: Constructible,
+               d2: Constructible, q2: Constructible) -> bool:
+    """d1 / sqrt(q1) == d2 / sqrt(q2), exactly: one sign, equal squares."""
+    return d1.sign() == d2.sign() and (d1 * d1 * q2 - d2 * d2 * q1).is_zero()
+
+
 def angle_eq(a1: Angle, a2: Angle) -> bool:
     """Equality of undirected proper angles: exactly equal cosines."""
-    d1, q1 = a1.cos_parts()
-    d2, q2 = a2.cos_parts()
-    if d1.sign() != d2.sign():
-        return False
-    return (d1 * d1 * q2 - d2 * d2 * q1).is_zero()
+    return _cos_equal(*a1.cos_parts(), *a2.cos_parts())
 
 
 def angle_lt(a1: Angle, a2: Angle) -> bool:
@@ -412,22 +381,15 @@ def angle_lt(a1: Angle, a2: Angle) -> bool:
     s1, s2 = d1.sign(), d2.sign()
     if s1 != s2:
         return s1 > s2
-    # same sign: compare d1/sqrt(q1) > d2/sqrt(q2) by squaring with care
-    diff = (d1 * d1 * q2 - d2 * d2 * q1).sign()
-    if s1 > 0:
-        return diff > 0
-    if s1 < 0:
-        return diff < 0
-    return False
+    # same sign: compare d1/sqrt(q1) > d2/sqrt(q2) by their squares
+    return s1 * (d1 * d1 * q2 - d2 * d2 * q1).sign() > 0
 
 
 def angles_sum_to_two_rights(a1: Angle, a2: Angle) -> bool:
     """cos(a1) == -cos(a2), exactly; for proper angles this is a1+a2=pi."""
     d1, q1 = a1.cos_parts()
     d2, q2 = a2.cos_parts()
-    if d1.sign() != -d2.sign():
-        return False
-    return (d1 * d1 * q2 - d2 * d2 * q1).is_zero()
+    return _cos_equal(d1, q1, -d2, q2)
 
 
 def angle_cos(a: Angle) -> Constructible:
@@ -440,10 +402,14 @@ def angle_sin(a: Angle) -> Constructible:
     return abs(u.cross(v)) / sqrt_nonneg(u.norm_sq() * v.norm_sq())
 
 
+def angle_sum_cos(a1: Angle, a2: Angle) -> Constructible:
+    """cos(a1 + a2), exactly."""
+    return angle_cos(a1) * angle_cos(a2) - angle_sin(a1) * angle_sin(a2)
+
+
 def angle_sum_eq(a1: Angle, a2: Angle, total: Angle) -> bool:
     """cos(a1 + a2) == cos(total), exactly (all proper, sum below 2 pi)."""
-    c = angle_cos(a1) * angle_cos(a2) - angle_sin(a1) * angle_sin(a2)
-    return (c - angle_cos(total)).is_zero()
+    return (angle_sum_cos(a1, a2) - angle_cos(total)).is_zero()
 
 
 def is_right(a: Angle) -> bool:
@@ -467,9 +433,7 @@ def collinear(p: Point, q: Point, r: Point) -> bool:
 
 def between(p: Point, q: Point, r: Point) -> bool:
     """q strictly between p and r on their common line."""
-    if not collinear(p, q, r):
-        return False
-    return (q - p).dot(q - r).sign() < 0
+    return collinear(p, q, r) and (q - p).dot(q - r).sign() < 0
 
 
 def signed_area(f: Figure) -> Constructible:
@@ -495,25 +459,17 @@ def is_parallelogram(f: Figure) -> bool:
 
 
 def is_simple(f: Figure) -> bool:
-    """No two non-adjacent sides meet; adjacent sides meet only at shared ends."""
+    """No vertex folds its two sides back onto each other, and no two
+    non-adjacent sides meet."""
+    vs = f.vertices
+    n = len(vs)
+    for a, b, c in zip(vs[-1:] + vs[:-1], vs, vs[1:] + vs[:1]):
+        if collinear(a, b, c) and (b - a).dot(b - c).sign() >= 0:
+            return False
     sides = f.sides()
-    n = len(sides)
-    for i in range(n):
-        for j in range(i + 1, n):
-            s1, s2 = sides[i], sides[j]
-            adjacent = j == i + 1 or (i == 0 and j == n - 1)
-            if adjacent:
-                shared = s1.b if j == i + 1 else s1.a
-                other1 = s1.a if j == i + 1 else s1.b
-                if s2.contains(other1) and other1 != shared:
-                    return False
-                other2 = s2.b if j == i + 1 else s2.a
-                if s1.contains(other2) and other2 != shared:
-                    return False
-                continue
-            if _segments_meet(s1, s2):
-                return False
-    return True
+    # sides 0 and n - 1 are adjacent across vertex 0
+    return not any(_segments_meet(sides[i], sides[j])
+                   for i in range(n) for j in range(i + 2, n - (i == 0)))
 
 
 def _segments_meet(s1: Segment, s2: Segment) -> bool:
@@ -565,5 +521,4 @@ def point_reflect(p: Point, through: Point) -> Point:
 def on_ray_at_sq(ray: Ray, dist_sq: Constructible) -> Point:
     """The point of the ray at squared distance ``dist_sq`` from its origin."""
     d = ray.direction()
-    t = sqrt_nonneg(dist_sq / d.norm_sq())
-    return Point(ray.origin.x + d.dx * t, ray.origin.y + d.dy * t)
+    return ray.origin + d * sqrt_nonneg(dist_sq / d.norm_sq())

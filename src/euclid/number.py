@@ -49,6 +49,7 @@ towers stay small.
 from __future__ import annotations
 
 import operator
+import sys
 import threading
 from contextvars import ContextVar
 from fractions import Fraction
@@ -839,7 +840,7 @@ class Constructible:
         scaled = mid * 10 ** digits
         n = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
         sign = "-" if n < 0 else ""
-        digits_str = str(abs(n)).rjust(digits + 1, "0")
+        digits_str = _decimal(abs(n)).rjust(digits + 1, "0")
         return f"{sign}{digits_str[:-digits]}.{digits_str[-digits:]}"
 
     def __float__(self):
@@ -871,10 +872,28 @@ def sqrt_nonneg(a: RationalLike) -> Constructible:
 # canonical prefix serialization
 
 
+def _decimal(n: int) -> str:
+    """``str(n)`` for an int of any length.  The interpreter writes at most
+    ``sys.get_int_max_str_digits()`` digits at once, so a longer int is
+    written in chunks of fewer digits."""
+    width = sys.get_int_max_str_digits() - 1
+    if width < 0 or n.bit_length() < 3 * width:  # under the limit, or none
+        return str(n)
+    sign, n = "-" if n < 0 else "", abs(n)
+    base = 10 ** width
+    chunks = []
+    while n >= base:
+        n, low = divmod(n, base)
+        chunks.append(str(low).rjust(width, "0"))
+    return sign + str(n) + "".join(reversed(chunks))
+
+
 def _ser(p: Poly, d: int, ctx: Optional[FieldContext], out: list[str]) -> None:
     """Print p/d, each coefficient as its own reduced rational."""
     if type(p) is int:
-        out.append(str(Fraction(p, d)))
+        q = Fraction(p, d)
+        out.append(_decimal(q.numerator) if q.denominator == 1
+                   else f"{_decimal(q.numerator)}/{_decimal(q.denominator)}")
         return
     k, a, b = p
     out.append("+")

@@ -29,8 +29,6 @@ from .geom import (
     circle as geom_circle,
     coords,
     extend as geom_extend,
-    join as geom_join,
-    join_segment,
     points,
     superpose as geom_superpose,
 )
@@ -157,12 +155,12 @@ class Tracer:
     # primitives ----------------------------------------------------------
 
     def join(self, p: Point, q: Point) -> Segment:
-        s = join_segment(p, q)
+        s = Segment(p, q)
         self._record("join", (p, q), (s,))
         return s
 
     def join_line(self, p: Point, q: Point) -> Line:
-        l = geom_join(p, q)
+        l = Line(p, q)
         self._record("join", (p, q), (l,), note="line")
         return l
 

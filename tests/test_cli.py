@@ -105,6 +105,15 @@ class TestRun:
         assert main(["run", str(script)]) == 0
         assert "point(1200.000000, 0.000000)" in capsys.readouterr().out
 
+    def test_long_literals_trace_exit_0(self, tmp_path, capsys):
+        # the product has 4400 digits, past the int-to-str limit of 4300
+        a, b = "1" + "2" * 2199, "3" + "4" * 2199
+        script = tmp_path / "long.euc"
+        script.write_text(f"point A = ({a}, {b})\npoint B = ({a} * {b}, 0)\n"
+                          "segment s = join(A, B)\n")
+        assert main(["run", str(script), "--trace"]) == 0
+        assert f"point({a}.000000, {b}.000000)" in capsys.readouterr().out
+
     def test_deep_coordinate_exit_2(self, tmp_path, capsys):
         script = tmp_path / "parens.euc"
         script.write_text(f"point A = ({'(' * 400}1{')' * 400}, 0)\n")

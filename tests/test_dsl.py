@@ -354,27 +354,35 @@ class TestCoordinates:
         assert inter.env["P"] == Point(want, want)
 
     @pytest.mark.parametrize("text, error", [
-        ("sqrt(0 - 1)", "NegativeRadicand"),
-        ("1/0", "DivisionByZero"),
-    ])
+        ("point P = (sqrt(0 - 1), 0)\n", "1:1: NegativeRadicand: "),
+        ("point P = (1/0, 0)\n", "1:1: DivisionByZero: "),
+        ("point A = (0, 0)\nsegment s = join(A, A)\n",
+         "2:1: DegenerateInput: segment endpoints coincide"),
+        ("point A = (0, 0)\nline l = join(A, A)\n",
+         "2:1: DegenerateInput: a line needs two distinct points"),
+    ], ids=["sqrt(0 - 1)-NegativeRadicand", "1/0-DivisionByZero",
+            "join-segment-coincident", "join-line-coincident"])
     def test_run_fails(self, tmp_path, capsys, text, error):
         from euclid.cli import main
 
         script = tmp_path / "bad.euc"
-        script.write_text(f"point P = ({text}, 0)\n")
+        script.write_text(text)
         assert main(["run", str(script)]) == 1
-        assert f"1:1: {error}: " in capsys.readouterr().err
+        assert error in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, error", [
-        ("\u00b2", "1:12: error: unexpected character '\u00b2'"),
-        ("7" * (sys.get_int_max_str_digits() + 1),
+        ("point P = (\u00b2, 0)\n",
+         "1:12: error: unexpected character '\u00b2'"),
+        (f"point P = ({'7' * (sys.get_int_max_str_digits() + 1)}, 0)\n",
          f"1:12: error: number longer than {sys.get_int_max_str_digits()} "
          "digits"),
-    ], ids=["superscript", "over-long"])
+        ("point A\u00b2 = (0, 0)\n",
+         "1:8: error: unexpected character '\u00b2'"),
+    ], ids=["superscript", "over-long", "superscript-in-name"])
     def test_parse_fails(self, tmp_path, capsys, text, error):
         from euclid.cli import main
 
         script = tmp_path / "bad.euc"
-        script.write_text(f"point P = ({text}, 0)\n", encoding="utf-8")
+        script.write_text(text, encoding="utf-8")
         assert main(["run", str(script)]) == 2
         assert capsys.readouterr().err.startswith(error)

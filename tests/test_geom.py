@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from euclid import geom, number
@@ -23,9 +24,10 @@ from euclid.geom import (
     intersect_circles,
     intersect_line_circle,
     intersect_lines,
+    angle_lt,
+    between,
     is_right,
-    join,
-    join_segment,
+    is_simple,
     orientation,
     parallel,
     point_reflect,
@@ -48,16 +50,16 @@ Y_AXIS = Line(P(0, 0), P(0, 1))
 
 class TestJoin:
     def test_x_axis_incidence(self):
-        l = join(P(0, 0), P(1, 0))
+        l = Line(P(0, 0), P(1, 0))
         assert l.contains(P(5, 0))
 
     def test_coincident_points(self):
         with pytest.raises(DegenerateInput):
-            join(P(0, 0), P(0, 0))
+            Line(P(0, 0), P(0, 0))
 
     def test_collinearity_determinant(self):
         # oracle: det [[2-1, 3-1], [3-1, 5-1]] = 1*4 - 2*2 = 0
-        l = join(P(1, 1), P(2, 3))
+        l = Line(P(1, 1), P(2, 3))
         assert l.contains(P(3, 5))
 
 
@@ -120,6 +122,16 @@ class TestIntersectLineCircle:
     def test_miss(self):
         c = circle(P(0, 0), P(1, 0))
         assert intersect_line_circle(Line(P(0, 2), P(1, 2)), c) == []
+
+    @pytest.mark.parametrize("down", [False, True])
+    def test_vertical_line_orders_by_y(self, down):
+        # equal x, so the lexicographic order falls to y: (1, -sqrt 3) first
+        new_context()
+        ends = [P(1, 0), P(1, 5)]
+        line = Line(*reversed(ends)) if down else Line(*ends)
+        r = sqrt_nonneg(Constructible(3))
+        got = intersect_line_circle(line, Circle(P(1, 0), 3))
+        assert got == [Point(1, -r), Point(1, r)]
 
 
 class TestIntersectCircles:
@@ -234,7 +246,7 @@ class TestOrientation:
         a, b, p = P(a), P(b), P(p)
         assert orientation(a, b, p) == want
         assert orientation(b, a, p) == -want
-        assert Line(a, b).side_of(p) == want
+        assert Line(a, b).contains(p) == (want == 0)
         assert collinear(a, b, p) == (want == 0)
         on = P(ax + t * (bx - ax), ay + t * (by - ay))
         assert orientation(a, b, on) == 0 and collinear(a, b, on)
@@ -362,3 +374,145 @@ class TestRandomInvariants:
         for a in angles:
             for b in angles:
                 assert angle_eq(a, b) == angle_eq(b, a)
+
+
+# ---------------------------------------------------------------------------
+# reference checks for the predicates, against independent formulations
+
+grid = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _on_segment(a, b, p):
+    """p = a + t (b - a) with 0 <= t <= 1, on Fraction pairs."""
+    if _cross(a, b, p) != 0:
+        return False
+    t = (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
+    return 0 <= t <= (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
+
+
+def _sides_meet(s1, s2):
+    (a, b), (c, d) = s1, s2
+    denom = _cross((0, 0), (b[0] - a[0], b[1] - a[1]), (d[0] - c[0], d[1] - c[1]))
+    if denom != 0:
+        t = Fraction(_cross((0, 0), (c[0] - a[0], c[1] - a[1]),
+                            (d[0] - c[0], d[1] - c[1])), denom)
+        hit = (a[0] + (b[0] - a[0]) * t, a[1] + (b[1] - a[1]) * t)
+        return _on_segment(a, b, hit) and _on_segment(c, d, hit)
+    return _on_segment(a, b, c) or _on_segment(a, b, d) or _on_segment(c, d, a)
+
+
+def _is_simple_pairwise(vs):
+    """Every pair of sides: non-adjacent sides must not meet, and adjacent
+    sides may share only their common end."""
+    sides = list(zip(vs, vs[1:] + vs[:1]))
+    n = len(sides)
+    for i in range(n):
+        for j in range(i + 1, n):
+            s1, s2 = sides[i], sides[j]
+            if j == i + 1 or (i == 0 and j == n - 1):
+                shared = s1[1] if j == i + 1 else s1[0]
+                other1 = s1[0] if j == i + 1 else s1[1]
+                other2 = s2[1] if j == i + 1 else s2[0]
+                if ((_on_segment(*s2, other1) and other1 != shared)
+                        or (_on_segment(*s1, other2) and other2 != shared)):
+                    return False
+            elif _sides_meet(s1, s2):
+                return False
+    return True
+
+
+class TestIsSimpleReference:
+    @given(st.lists(grid, min_size=3, max_size=7))
+    @example([(0, 0), (2, 0), (1, 0), (1, 1)])          # folds back along AB
+    @example([(0, 0), (2, 0), (1, 0)])                  # a flat triangle
+    @example([(0, 0), (2, 0), (1, 1), (2, 2), (0, 2), (1, 1)])  # repeated vertex
+    @example([(0, 0), (2, 2), (2, 0), (0, 2)])          # a bow tie
+    @example([(0, 0), (4, 0), (4, 4), (0, 4)])          # a square
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_agrees_with_pairwise_sides(self, vs):
+        assume(all(a != b for a, b in zip(vs, vs[1:] + vs[:1])))
+        assert is_simple(Figure(P(v) for v in vs)) == _is_simple_pairwise(vs)
+
+
+on_line_t = st.sampled_from([Fraction(t, 2) for t in range(-2, 5)])
+
+
+class TestIncidenceReference:
+    @given(grid, grid, grid, on_line_t, st.booleans())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_contains_and_between(self, a, b, p, t, on_line):
+        assume(a != b)
+        if on_line:
+            p = (a[0] + (b[0] - a[0]) * t, a[1] + (b[1] - a[1]) * t)
+        on = _cross(a, b, p) == 0
+        along = ((p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1]))
+        A, B, Q = P(a), P(b), P(p)
+        assert Segment(A, B).contains(Q) == _on_segment(a, b, p)
+        assert Ray(A, B).contains(Q) == (on and along >= 0)
+        assert Line(A, B).contains(Q) == on
+        assert between(A, Q, B) == (_on_segment(a, b, p) and p not in (a, b))
+        assert not between(A, Q, A)
+
+
+def _surd(pair):
+    """a + b sqrt(3)."""
+    a, b = pair
+    return Constructible(a) + Constructible(b) * sqrt_nonneg(Constructible(3))
+
+
+def _mp_cos(angle: Angle):
+    def xy(pt):
+        return mpmath.mpf(pt.x.approx(60)), mpmath.mpf(pt.y.approx(60))
+
+    (vx, vy), (px, py), (qx, qy) = map(xy, (angle.vertex, angle.arm1, angle.arm2))
+    ux, uy, wx, wy = px - vx, py - vy, qx - vx, qy - vy
+    return (ux * wx + uy * wy) / mpmath.sqrt((ux * ux + uy * uy) * (wx * wx + wy * wy))
+
+
+surd = st.tuples(st.integers(-3, 3), st.sampled_from((0, 0, 1, -1)))
+surd_point = st.tuples(surd, surd)
+SQRT3_RIGHT = dict(v=((0, 0), (0, 0)), p=((1, 0), (0, 1)), q=((0, -1), (1, 0)),
+                   r=((2, 0), (1, 0)), k=2)
+
+
+class TestAnglePredicatesReference:
+    """Each predicate against 50-digit cosines: smaller angle, larger cosine;
+    equal angles, equal cosines; two right angles, opposite cosines."""
+
+    @given(v=surd_point, p=surd_point, q=surd_point, r=surd_point,
+           shape=st.sampled_from(("free", "moved", "supplement")),
+           k=st.integers(1, 3))
+    @example(shape="moved", **SQRT3_RIGHT)         # equal right angles
+    @example(shape="supplement", **SQRT3_RIGHT)    # right, two rights in sum
+    @example(v=((0, 0), (0, 0)), p=((2, 0), (0, 0)), q=((1, 0), (0, 1)),
+             r=((3, 1), (0, 0)), shape="moved", k=3)       # 60 degrees, moved
+    @example(v=((0, 0), (0, 0)), p=((2, 0), (0, 0)), q=((1, 0), (0, 1)),
+             r=((0, 0), (0, 0)), shape="supplement", k=1)  # 60 and 120
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_agree_with_mpmath(self, v, p, q, r, shape, k):
+        new_context()
+        V, A, B, R = (Point(_surd(x), _surd(y)) for x, y in (v, p, q, r))
+        assume(not collinear(V, A, B))
+        a1 = Angle(V, A, B)
+        if shape == "free":
+            assume(not collinear(R, A, B))
+            a2 = Angle(R, A, B)
+        elif shape == "moved":
+            a2 = Angle(R, R + (A - V) * k, R + (B - V))
+        else:
+            a2 = Angle(V, A, point_reflect(B, V))
+        with mpmath.workdps(50):
+            c1, c2 = _mp_cos(a1), _mp_cos(a2)
+            tiny = mpmath.mpf(10) ** -40
+            assert angle_eq(a1, a2) == (abs(c1 - c2) < tiny)
+            assert angle_lt(a1, a2) == (c1 - c2 > tiny)
+            assert angle_lt(a2, a1) == (c2 - c1 > tiny)
+            assert angles_sum_to_two_rights(a1, a2) == (abs(c1 + c2) < tiny)
+        if shape == "moved":
+            assert angle_eq(a1, a2)
+        if shape == "supplement":
+            assert angles_sum_to_two_rights(a1, a2)

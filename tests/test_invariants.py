@@ -146,6 +146,21 @@ def test_one_runner():
                      ("elements/__init__.py", "run", "strategy key")}
 
 
+def test_vector_components_stay_in_geom():
+    """Only ``geom`` reads a vector's ``dx`` or ``dy``: every other module
+    moves a point with ``origin + d * t`` and tests sides and incidence
+    with ``orientation`` and ``collinear``."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.relative_to(PACKAGE) == Path("geom.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.relative_to(PACKAGE)}:{node.lineno} .{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("dx", "dy")]
+    assert found == []
+
+
 def test_optimized_interpreter_gives_same_records():
     env = {k: v for k, v in os.environ.items() if k != "EUCLID_SEED"}
     env["PYTHONPATH"] = str(PACKAGE.parent)

@@ -256,6 +256,11 @@ class TestApprox:
     def test_negative(self):
         assert C(-1, 3).approx(3) == "-0.333"
 
+    def test_past_the_int_string_limit(self):
+        # 4401 integer digits, past the interpreter's default of 4300
+        v = C(10) ** 4400 + C(1, 3)
+        assert v.approx(2) == "1" + "0" * 4400 + ".33"
+
     def test_agrees_with_mpmath(self):
         with mpmath.workdps(60):
             want = mpmath.nstr(mpmath.sqrt(5), 25, strip_zeros=False)
@@ -329,6 +334,10 @@ class TestSerialization:
         v = sqrt_nonneg(1 + sqrt_nonneg(C(5)))
         w = from_prefix(to_prefix(v))
         assert (v - w).sign() == 0
+
+    def test_prints_past_the_int_string_limit(self):
+        v = C(10) ** 4400 + C(1, 3)
+        assert to_prefix(v) == "3" + "0" * 4399 + "1/3"
 
     def test_accepts_all_operator_tokens(self):
         v = from_prefix("÷ − 5 1 √ 4")
