@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prop = sub.add_parser("prop", help="run one proposition")
     p_prop.add_argument("id")
     p_prop.add_argument("--strategy")
-    p_prop.add_argument("--side", choices=("upper", "lower"))
+    p_prop.add_argument("--side")
     p_prop.add_argument("--input")
     p_prop.add_argument("--svg")
     p_prop.add_argument("--trace", action="store_true")

@@ -486,17 +486,16 @@ class _LineParser:
             self.error("expected a proposition identifier such as I.42")
         self.advance()
         args = self.arg_list()
-        strategy = None
-        side = None
-        while self.peek().kind == "word" and self.peek().text in ("strategy",
-                                                                  "side"):
-            which = self.advance().text
-            value = self.expect_word().text
-            if which == "strategy":
-                strategy = value
-            else:
-                side = value
+        strategy = self.keyword_value("strategy")
+        side = self.keyword_value("side")
         return PropCall(t.text, args, strategy, side, kw.span)
+
+    def keyword_value(self, keyword: str) -> Optional[str]:
+        """The name after ``keyword`` if the line continues with it."""
+        if self.peek().kind == "word" and self.peek().text == keyword:
+            self.advance()
+            return self.expect_word().text
+        return None
 
     def ensure_line_end(self) -> None:
         if self.peek().kind != "end":
@@ -568,6 +567,7 @@ def check(script: Script) -> list[Diagnostic]:
                        PREDICATES[st.predicate].args, st.args)
             continue
         expr = st.expr
+        count = 1  # objects the expression yields
         if isinstance(expr, PointLit):
             result_types = ("point",)
         elif isinstance(expr, Call):
@@ -589,7 +589,8 @@ def check(script: Script) -> list[Diagnostic]:
                 prop = elements.PROPOSITIONS[base]
                 check_args(expr.span, expr.prop_id,
                            tuple(w for _, w in prop.params), expr.args)
-                result_types = (prop.result,)
+                result_types = prop.result
+                count = len(prop.result)
         if st.type not in result_types and "unknown" not in result_types:
             diags.append(Diagnostic(
                 st.span, f"a {st.type} cannot be bound from this expression "
@@ -599,9 +600,10 @@ def check(script: Script) -> list[Diagnostic]:
                 diags.append(Diagnostic(name.span,
                                         f"{name.ident!r} is already defined"))
             env[name.ident] = st.type
-        if len(st.names) == 2 and not (
-                isinstance(expr, PropCall) and expr.prop_id.startswith("I.43")):
-            diags.append(Diagnostic(st.span, "only prop I.43 yields a pair"))
+        if len(st.names) != count and "unknown" not in result_types:
+            diags.append(Diagnostic(
+                st.span, "one name per yielded object: the expression yields "
+                f"{count}, the declaration names {len(st.names)}"))
     return diags
 
 
@@ -672,13 +674,13 @@ def interpret(script: Script) -> Interpretation:
             expr.prop_id, expr.strategy, expr.side)
         params = elements.PROPOSITIONS[base].params
         givens = {name: value(a) for (name, _), a in zip(params, expr.args)}
-        sub = tr.sub(base)
-        result, checks = elements.run(base, givens, strategy, expr.side, sub)
+        result, checks = elements.run(base, givens, strategy, expr.side, tr)
         if not checks.all_pass:
             failed = "; ".join(c for c, ok, _ in checks.claims if not ok)
             raise ScriptError(expr.span, f"{base} fails: {failed}")
         got = result.result
-        tr.attach(sub, produced=got if isinstance(got, tuple) else (got,))
+        got = got if isinstance(got, tuple) else (got,)
+        tr.attach(result, produced=got)
         return got
 
     for st in script.statements:
@@ -692,16 +694,13 @@ def interpret(script: Script) -> Interpretation:
                 continue
             expr = st.expr
             if isinstance(expr, PointLit):
-                got = _registered(tr, value(expr))
+                got = (_registered(tr, value(expr)),)
             elif isinstance(expr, PropCall):
                 got = run_prop(expr)
             else:
-                got = run_call(expr, st.type)
-            if isinstance(got, tuple):
-                for name, obj in zip(st.names, got):
-                    env[name.ident] = obj
-            else:
-                env[st.names[0].ident] = got
+                got = (run_call(expr, st.type),)
+            for name, obj in zip(st.names, got):
+                env[name.ident] = obj
         except ScriptError:
             raise
         except EuclidError as e:

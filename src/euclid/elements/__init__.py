@@ -49,14 +49,14 @@ from .theorems import THEOREM_IDS, THEOREMS, check_theorem
 
 @dataclass(frozen=True)
 class Proposition:
-    """One construction: its function, the type of its principal result,
-    its instance generator ``generate(rng) -> kwargs``, its postcondition
-    ``post(checks, call, result)`` on ``result = fn(**call)``, and its
-    strategy table: each variant strategy in order, with its identifier
-    suffix and route."""
+    """One construction: its function, the type word of each object its
+    result yields (one, or I.43's two complements), its instance generator
+    ``generate(rng) -> kwargs``, its postcondition ``post(checks, call,
+    result)`` on ``result = fn(**call)``, and its strategy table: each
+    variant strategy in order, with its identifier suffix and route."""
 
     fn: Callable
-    result: str
+    result: tuple[str, ...]
     generate: Callable
     post: Callable
     strategies: dict[str, tuple[str, Callable]] = field(default_factory=dict)
@@ -79,24 +79,25 @@ class Proposition:
 
 
 PROPOSITIONS = {
-    "I.1": Proposition(p1_equilateral, "figure", gen.i1, basics.post_i1),
-    "I.2": Proposition(p2_place, "segment", gen.i2, basics.post_i2),
-    "I.3": Proposition(p3_cut, "point", gen.i3, basics.post_i3),
-    "I.9": Proposition(p9_bisect_angle, "ray", gen.i9, basics.post_i9),
-    "I.10": Proposition(p10_bisect_segment, "point", gen.i10, basics.post_i10),
-    "I.11": Proposition(p11_perp_at, "line", gen.i11, basics.post_i11),
-    "I.12": Proposition(p12_perp_from, "line", gen.i12, basics.post_i12),
-    "I.22": Proposition(p22_triangle, "figure", gen.i22, triangles.post_i22),
-    "I.23": Proposition(p23_copy_angle, "angle", gen.i23, triangles.post_i23,
+    "I.1": Proposition(p1_equilateral, ("figure",), gen.i1, basics.post_i1),
+    "I.2": Proposition(p2_place, ("segment",), gen.i2, basics.post_i2),
+    "I.3": Proposition(p3_cut, ("point",), gen.i3, basics.post_i3),
+    "I.9": Proposition(p9_bisect_angle, ("ray",), gen.i9, basics.post_i9),
+    "I.10": Proposition(p10_bisect_segment, ("point",), gen.i10, basics.post_i10),
+    "I.11": Proposition(p11_perp_at, ("line",), gen.i11, basics.post_i11),
+    "I.12": Proposition(p12_perp_from, ("line",), gen.i12, basics.post_i12),
+    "I.22": Proposition(p22_triangle, ("figure",), gen.i22, triangles.post_i22),
+    "I.23": Proposition(p23_copy_angle, ("angle",), gen.i23, triangles.post_i23,
                         P23_STRATEGIES),
-    "I.31": Proposition(p31_parallel, "line", gen.i31, triangles.post_i31),
-    "I.42": Proposition(p42_parallelogram_eq_triangle, "figure", gen.i42,
+    "I.31": Proposition(p31_parallel, ("line",), gen.i31, triangles.post_i31),
+    "I.42": Proposition(p42_parallelogram_eq_triangle, ("figure",), gen.i42,
                         areas.post_i42, P42_STRATEGIES),
-    "I.43": Proposition(p43_complements, "figure", gen.i43, areas.post_i43),
-    "I.44": Proposition(p44_apply, "figure", gen.i44, areas.post_i44,
+    "I.43": Proposition(p43_complements, ("figure", "figure"), gen.i43,
+                        areas.post_i43),
+    "I.44": Proposition(p44_apply, ("figure",), gen.i44, areas.post_i44,
                         P44_STRATEGIES),
-    "I.45": Proposition(p45_apply_figure, "figure", gen.i45, areas.post_i45),
-    "I.46": Proposition(p46_square, "figure", gen.i46, areas.post_i46,
+    "I.45": Proposition(p45_apply_figure, ("figure",), gen.i45, areas.post_i45),
+    "I.46": Proposition(p46_square, ("figure",), gen.i46, areas.post_i46,
                         P46_STRATEGIES),
 }
 
@@ -159,17 +160,18 @@ def certify(base: str, call: dict, result: PropositionResult) -> Checks:
 
 
 def run(base: str, givens: dict, strategy: str | None = None,
-        side: str | None = None, tracer: Tracer | None = None
+        side: str | None = None, parent: Tracer | None = None
         ) -> tuple[PropositionResult, Checks]:
     """Run construction ``base`` on ``givens`` with the strategy and side
     that ``split_identifier`` resolved (``None`` takes the function's
-    default), and certify the result."""
+    default), nested under ``parent`` if one is given, and certify the
+    result."""
     call = dict(givens)
     if strategy is not None:
         call["strategy"] = strategy
     if side is not None:
         call["side"] = side
-    result = CONSTRUCTIONS[base](**call, tracer=tracer)
+    result = CONSTRUCTIONS[base](**call, parent=parent)
     return result, certify(base, call, result)
 
 

@@ -57,11 +57,11 @@ from .triangles import copy_angle, place_triangle_on_ray
 
 
 def p42_parallelogram_eq_triangle(t: Figure, d: Angle, strategy: str = "euclid",
-                                  tracer: Tracer | None = None) -> PropositionResult:
+                                  parent: Tracer | None = None) -> PropositionResult:
     """Construct, in a given angle, a parallelogram equal to a given triangle."""
     route = strategy_route(P42_STRATEGIES, "I.42", strategy)
     require_triangle(t)
-    tr = tracer or Tracer("I.42" if strategy == "euclid" else f"I.42.{strategy}")
+    tr = Tracer.level(parent, "I.42", strategy)
     fig, named = route(tr, t, d)
     return PropositionResult(named, fig, tr)
 
@@ -119,7 +119,7 @@ P42_STRATEGIES = {"euclid": (".euclid", _p42_euclid),
 
 
 def p42_on_ray(t: Figure, d: Angle, base_ray: Ray, side: str = "upper",
-               tracer: Tracer | None = None) -> PropositionResult:
+               parent: Tracer | None = None) -> PropositionResult:
     """The strengthened I.42: prescribed placement along a given ray.
 
     One side of the parallelogram runs along the ray from its origin (its
@@ -127,15 +127,14 @@ def p42_on_ray(t: Figure, d: Angle, base_ray: Ray, side: str = "upper",
     origin.  This is the placement the I.44 routes silently require.
     """
     require_triangle(t)
-    tr = tracer or Tracer("I.42+")
+    tr = Tracer.level(parent, "I.42")
     v1, v2, v3 = t.vertices
     o = base_ray.origin
     tr.register_input(o)
-    sub = tr.sub("I.22")
     placed = place_triangle_on_ray(
-        v2.dist(v3), v3.dist(v1), v1.dist(v2), base_ray, side, tracer=sub)
+        v2.dist(v3), v3.dist(v1), v1.dist(v2), base_ray, side, parent=tr)
     pb, pc, papex = placed.result.vertices
-    tr.attach(sub, operands=(o,), produced=(pb, pc, papex))
+    tr.attach(placed, operands=(o,), produced=(pb, pc, papex))
     e = cite_midpoint(tr, pb, pc, "E bisects the placed base")
     w = copy_angle(tr, Ray(o, e), d, side)
     top = cite_parallel(tr, papex, Line(pb, pc), "top line through the apex")
@@ -156,14 +155,14 @@ def p42_on_ray(t: Figure, d: Angle, base_ray: Ray, side: str = "upper",
 
 
 def p43_complements(pg: Figure, k: Point,
-                    tracer: Tracer | None = None) -> PropositionResult:
+                    parent: Tracer | None = None) -> PropositionResult:
     """The two complements about the diameter of a parallelogram are equal."""
     require_parallelogram(pg)
     a, b, c, d = pg.vertices
     if not between(a, k, c):
         raise PreconditionViolated(
             "the point must lie strictly inside the diameter")
-    tr = tracer or Tracer("I.43")
+    tr = Tracer.level(parent, "I.43")
     tr.register_input(a, b, c, d, k)
     tr.join(a, c)
     par_ab = cite_parallel(tr, k, Line(a, b), "through K parallel to AB")
@@ -195,7 +194,7 @@ def post_i43(r: Checks, call: dict, result: PropositionResult) -> None:
 
 def p44_apply(ab: Segment, t: Figure, d: Angle,
               strategy: str = "euclid_superposition", side: str = "upper",
-              tracer: Tracer | None = None) -> PropositionResult:
+              parent: Tracer | None = None) -> PropositionResult:
     """Apply to a given segment, in a given angle, a parallelogram equal to
     a given triangle.
 
@@ -205,7 +204,7 @@ def p44_apply(ab: Segment, t: Figure, d: Angle,
     """
     route = strategy_route(P44_STRATEGIES, "I.44", strategy)
     require_triangle(t)
-    tr = tracer or Tracer(f"I.44.{strategy}")
+    tr = Tracer.level(parent, "I.44", strategy)
     fig, named = route(tr, ab, t, d, side)
     named.setdefault("parallelogram", ("result", fig))
     return PropositionResult(named, fig, tr)
@@ -233,10 +232,9 @@ def _p44_euclid(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
     # in a straight line with the given segment: one superposition step
     a0, b0 = ab.b, ab.a  # extension goes beyond the angle-carrying endpoint
     tr.register_input(a0, b0)
-    sub = tr.sub("I.42")
-    p42 = p42_parallelogram_eq_triangle(t, d, "euclid", tracer=sub)
+    p42 = p42_parallelogram_eq_triangle(t, d, "euclid", parent=tr)
     f42, e42, c42, g42 = p42.result.vertices
-    tr.attach(sub, operands=tuple(t.vertices), produced=(f42, e42, c42, g42))
+    tr.attach(p42, operands=tuple(t.vertices), produced=(f42, e42, c42, g42))
     e_t = cut_at(tr, b0, produce(tr, a0, b0), e42.dist_sq(c42),
                  "BE in a straight line with AB")
     from_seg = Segment(e42, c42)
@@ -275,10 +273,9 @@ def _p44_alnayrizi(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
     base_sq = t.vertices[1].dist_sq(t.vertices[2])
     h = cut_at(tr, b0, beyond, base_sq / 4, "BH equal to half the base")
     scaffold = ray_side_word(Ray(b0, beyond), ab.a, ab.b, -side_sign(side))
-    sub = tr.sub("I.42")
-    pr = p42_on_ray(t, d, Ray(b0, beyond), side=scaffold, tracer=sub)
+    pr = p42_on_ray(t, d, Ray(b0, beyond), side=scaffold, parent=tr)
     _, _, kk, theta = pr.result.vertices
-    tr.attach(sub, operands=(b0, h), produced=(theta, kk))
+    tr.attach(pr, operands=(b0, h), produced=(theta, kk))
     tr.extend(Segment(kk, theta), "b")
     apar = cite_parallel(tr, a0, Line(b0, theta), "through A parallel to B-Theta")
     l = tr.pick(intersect_lines(Line(theta, kk), apar), note="L", operands=(apar,))
@@ -387,12 +384,11 @@ def _p44_tinemue(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
     tv1, tv2, tv3 = t.vertices
     beyond = produce(tr, a, b)
     scaffold = ray_side_word(Ray(b, beyond), ab.a, ab.b, -side_sign(side))
-    sub = tr.sub("I.22")
     placed = place_triangle_on_ray(
         tv2.dist(tv3), tv3.dist(tv1), tv1.dist(tv2),
-        Ray(b, beyond), side=scaffold, tracer=sub)
+        Ray(b, beyond), side=scaffold, parent=tr)
     _, c, dd = placed.result.vertices
-    tr.attach(sub, operands=(b,), produced=(c, dd))
+    tr.attach(placed, operands=(b,), produced=(c, dd))
     o = bisect(tr, b, c)
     tr.join(o, dd)
     if not angle_eq(Angle(o, c, dd), d):
@@ -441,7 +437,7 @@ def tinemue_matching_angle(t: Figure) -> Angle:
 
 
 def p45_apply_figure(d_angle: Angle, f: Figure,
-                     tracer: Tracer | None = None) -> PropositionResult:
+                     parent: Tracer | None = None) -> PropositionResult:
     """Construct, in a given angle, a parallelogram equal to a given
     rectilineal figure: triangulate, apply one piece, then apply each
     remaining piece to the far side of the accumulated parallelogram.
@@ -453,15 +449,14 @@ def p45_apply_figure(d_angle: Angle, f: Figure,
     """
     if not is_simple(f):
         raise NotSimple("the figure's boundary crosses itself")
-    tr = tracer or Tracer("I.45")
+    tr = Tracer.level(parent, "I.45")
     tr.register_input(*f.vertices)
     pieces = triangulate(f)
     fat = [p for p in pieces if content(p).sign() > 0]
 
-    sub = tr.sub("I.42")
-    first = p42_parallelogram_eq_triangle(fat[0], d_angle, "euclid", tracer=sub)
+    first = p42_parallelogram_eq_triangle(fat[0], d_angle, "euclid", parent=tr)
     base_e, base_c = first.result.vertices[1], first.result.vertices[2]
-    tr.attach(sub, operands=(), produced=tuple(first.result.vertices))
+    tr.attach(first, operands=(), produced=tuple(first.result.vertices))
     # far side tracked as (u, v): u carries the supplementary angle
     u, vv = first.result.vertices[0], first.result.vertices[3]
     acc_probe = base_e
@@ -469,11 +464,10 @@ def p45_apply_figure(d_angle: Angle, f: Figure,
         shared = Segment(u, vv)
         # the far side of u->v from the probe is the probe's side of v->u
         new_side = side_name_of(vv, u, acc_probe)
-        sub44 = tr.sub("I.44")
         applied = p44_apply(shared, piece, d_angle, "alnayrizi",
-                            side=new_side, tracer=sub44)
+                            side=new_side, parent=tr)
         nfig = applied.result
-        tr.attach(sub44, operands=(u, vv), produced=tuple(nfig.vertices))
+        tr.attach(applied, operands=(u, vv), produced=tuple(nfig.vertices))
         _, _, xi, n = nfig.vertices
         acc_probe = u
         u, vv = xi, n
@@ -558,13 +552,13 @@ def _in_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:
 
 def p46_square(ab: Segment, side: str = "upper",
                strategy: str = "campanus_first",
-               tracer: Tracer | None = None) -> PropositionResult:
+               parent: Tracer | None = None) -> PropositionResult:
     """Describe a square on a given segment (two completed proof routes).
 
     Both routes raise the perpendicular at a and cut it at c; the route
     then finds the fourth corner d."""
     route = strategy_route(P46_STRATEGIES, "I.46", strategy)
-    tr = tracer or Tracer(f"I.46.{strategy}")
+    tr = Tracer.level(parent, "I.46", strategy)
     a, b = ab.a, ab.b
     tr.register_input(a, b)
     c = _p46_corner(tr, a, b, a, b, side, "c")
@@ -579,12 +573,11 @@ def _p46_corner(tr: Tracer, a: Point, b: Point, at: Point, through: Point,
                 side: str, note: str) -> Point:
     # the perpendicular to ab at ``at`` (I.11), cut on ``side`` by the
     # circle about ``at`` through ``through``
-    sub = tr.sub("I.11")
-    perp = p11_perp_at(Line(a, b), at, tracer=sub).result
-    tr.attach(sub, operands=(at,), produced=(perp,))
+    perp = p11_perp_at(Line(a, b), at, parent=tr)
+    tr.attach(perp, operands=(at,), produced=(perp.result,))
     circ = tr.circle(at, through)
-    return tr.pick(intersect_line_circle(perp, circ), side_selector(a, b, side),
-                   note=note, operands=(circ,))
+    return tr.pick(intersect_line_circle(perp.result, circ),
+                   side_selector(a, b, side), note=note, operands=(circ,))
 
 
 def _p46_first(tr: Tracer, a: Point, b: Point, c: Point, side: str) -> Point:

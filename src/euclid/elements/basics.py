@@ -25,9 +25,9 @@ from ._common import side_selector, side_word
 
 
 def p1_equilateral(ab: Segment, side: str = "upper",
-                   tracer: Tracer | None = None) -> PropositionResult:
+                   parent: Tracer | None = None) -> PropositionResult:
     """On a given finite straight line construct an equilateral triangle."""
-    tr = tracer or Tracer("I.1")
+    tr = Tracer.level(parent, "I.1")
     a, b = ab.a, ab.b
     tr.register_input(a, b)
     c1 = tr.circle(a, b)
@@ -51,7 +51,7 @@ def post_i1(r: Checks, call: dict, result: PropositionResult) -> None:
 
 
 def p2_place(a: Point, bc: Segment, side: str = "upper",
-             tracer: Tracer | None = None) -> PropositionResult:
+             parent: Tracer | None = None) -> PropositionResult:
     """Place at a given point a straight line equal to a given straight line.
 
     Euclid's construction is free of superposition; that is its whole point.
@@ -59,7 +59,7 @@ def p2_place(a: Point, bc: Segment, side: str = "upper",
     itself already answers, and it is returned unchanged (documented
     deviation for the degenerate case the text does not treat).
     """
-    tr = tracer or Tracer("I.2")
+    tr = Tracer.level(parent, "I.2")
     b, c = bc.a, bc.b
     tr.register_input(a, b, c)
     if a == b:
@@ -69,10 +69,9 @@ def p2_place(a: Point, bc: Segment, side: str = "upper",
              "AL": ("result", result)}, result, tr)
 
     ab = tr.join(a, b)
-    sub = tr.sub("I.1")
-    tri = p1_equilateral(ab, side, tracer=sub)
+    tri = p1_equilateral(ab, side, parent=tr)
     d = tri.result.vertices[2]
-    tr.attach(sub, operands=(ab,), produced=(d,))
+    tr.attach(tri, operands=(ab,), produced=(d,))
     da = tr.join(d, a)
     db = tr.join(d, b)
     ray_ae = tr.extend(da, "b")  # beyond A, away from D
@@ -105,17 +104,16 @@ def post_i2(r: Checks, call: dict, result: PropositionResult) -> None:
 
 
 def p3_cut(greater: Segment, less: Segment,
-           tracer: Tracer | None = None) -> PropositionResult:
+           parent: Tracer | None = None) -> PropositionResult:
     """Cut off from the greater of two segments a part equal to the less."""
     if (greater.length_sq() - less.length_sq()).sign() <= 0:
         raise PreconditionViolated("first segment must be strictly greater")
-    tr = tracer or Tracer("I.3")
+    tr = Tracer.level(parent, "I.3")
     a, b = greater.a, greater.b
     tr.register_input(a, b)
-    sub = tr.sub("I.2")
-    placed = p2_place(a, less, tracer=sub)
+    placed = p2_place(a, less, parent=tr)
     d = placed.result.b
-    tr.attach(sub, operands=(a,), produced=(d,))
+    tr.attach(placed, operands=(a,), produced=(d,))
     cdef = tr.circle(a, d)
     toward = b - a
     e = tr.pick(intersect_line_circle(Line(a, b), cdef),
@@ -133,9 +131,9 @@ def post_i3(r: Checks, call: dict, result: PropositionResult) -> None:
            between(greater.a, e, greater.b))
 
 
-def p9_bisect_angle(angle: Angle, tracer: Tracer | None = None) -> PropositionResult:
+def p9_bisect_angle(angle: Angle, parent: Tracer | None = None) -> PropositionResult:
     """Bisect a given rectilineal angle."""
-    tr = tracer or Tracer("I.9")
+    tr = Tracer.level(parent, "I.9")
     a = angle.vertex
     d = angle.arm1
     tr.register_input(a, d, angle.arm2)
@@ -146,10 +144,9 @@ def p9_bisect_angle(angle: Angle, tracer: Tracer | None = None) -> PropositionRe
     de = tr.join(d, e)
     # equilateral triangle on DE, apex away from the vertex
     away = side_word(-orientation(d, e, a))
-    sub = tr.sub("I.1")
-    tri = p1_equilateral(de, away, tracer=sub)
+    tri = p1_equilateral(de, away, parent=tr)
     f = tri.result.vertices[2]
-    tr.attach(sub, operands=(de,), produced=(f,))
+    tr.attach(tri, operands=(de,), produced=(f,))
     tr.join(a, f)
     bisector = Ray(a, f)
     return PropositionResult(
@@ -164,19 +161,17 @@ def post_i9(r: Checks, call: dict, result: PropositionResult) -> None:
                     Angle(angle.vertex, angle.arm2, f)))
 
 
-def p10_bisect_segment(ab: Segment, tracer: Tracer | None = None) -> PropositionResult:
+def p10_bisect_segment(ab: Segment, parent: Tracer | None = None) -> PropositionResult:
     """Bisect a given finite straight line."""
-    tr = tracer or Tracer("I.10")
+    tr = Tracer.level(parent, "I.10")
     a, b = ab.a, ab.b
     tr.register_input(a, b)
-    sub = tr.sub("I.1")
-    tri = p1_equilateral(ab, "upper", tracer=sub)
+    tri = p1_equilateral(ab, "upper", parent=tr)
     c = tri.result.vertices[2]
-    tr.attach(sub, operands=(a, b), produced=(c,))
-    sub9 = tr.sub("I.9")
-    bis = p9_bisect_angle(Angle(c, a, b), tracer=sub9)
+    tr.attach(tri, operands=(a, b), produced=(c,))
+    bis = p9_bisect_angle(Angle(c, a, b), parent=tr)
     ray = bis.result
-    tr.attach(sub9, operands=(c,), produced=(ray.through,))
+    tr.attach(bis, operands=(c,), produced=(ray.through,))
     d = tr.pick(intersect_lines(ray.line(), Line(a, b)),
                 note="D where the bisector meets AB", operands=(ab,))
     return PropositionResult(
@@ -186,10 +181,9 @@ def p10_bisect_segment(ab: Segment, tracer: Tracer | None = None) -> Proposition
 
 def bisect(tr: Tracer, a: Point, b: Point) -> Point:
     """Bisect the segment ab (runs I.10); the midpoint."""
-    sub = tr.sub("I.10")
-    mid = p10_bisect_segment(Segment(a, b), tracer=sub).result
-    tr.attach(sub, operands=(a, b), produced=(mid,))
-    return mid
+    bisected = p10_bisect_segment(Segment(a, b), parent=tr)
+    tr.attach(bisected, operands=(a, b), produced=(bisected.result,))
+    return bisected.result
 
 
 def post_i10(r: Checks, call: dict, result: PropositionResult) -> None:
@@ -198,21 +192,20 @@ def post_i10(r: Checks, call: dict, result: PropositionResult) -> None:
     r.true("D is the exact midpoint", d == ab.a.midpoint(ab.b))
 
 
-def p11_perp_at(l: Line, c: Point, tracer: Tracer | None = None) -> PropositionResult:
+def p11_perp_at(l: Line, c: Point, parent: Tracer | None = None) -> PropositionResult:
     """Erect a right angle to a given line at a given point on it."""
     if not l.contains(c):
         raise PreconditionViolated("the point must lie on the line")
-    tr = tracer or Tracer("I.11")
+    tr = Tracer.level(parent, "I.11")
     d = l.p if l.p != c else l.q
     tr.register_input(l, c, d)
     circ = tr.circle(c, d)
     e = tr.pick(intersect_line_circle(l, circ), lambda p: p != d,
                 note="E opposite D", operands=(circ,))
     de = Segment(d, e)
-    sub = tr.sub("I.1")
-    tri = p1_equilateral(de, "upper", tracer=sub)
+    tri = p1_equilateral(de, "upper", parent=tr)
     f = tri.result.vertices[2]
-    tr.attach(sub, operands=(d, e), produced=(f,))
+    tr.attach(tri, operands=(d, e), produced=(f,))
     tr.join(f, c)
     result = Line(c, f)
     return PropositionResult(
@@ -227,7 +220,7 @@ def post_i11(r: Checks, call: dict, result: PropositionResult) -> None:
            is_right(Angle(c, f, d)) and is_right(Angle(c, f, e)))
 
 
-def p12_perp_from(l: Line, c: Point, tracer: Tracer | None = None) -> PropositionResult:
+def p12_perp_from(l: Line, c: Point, parent: Tracer | None = None) -> PropositionResult:
     """Drop a perpendicular to a given line from a point not on it.
 
     The text takes a point "on the other side" without saying how; here it
@@ -236,7 +229,7 @@ def p12_perp_from(l: Line, c: Point, tracer: Tracer | None = None) -> Propositio
     """
     if l.contains(c):
         raise PreconditionViolated("the point must lie off the line")
-    tr = tracer or Tracer("I.12")
+    tr = Tracer.level(parent, "I.12")
     d = point_reflect(c, l.p)  # the chance point on the other side
     tr.register_input(l, c, d)
     circ = tr.circle(c, d)

@@ -44,7 +44,7 @@ def _check_lengths(*lengths: Constructible) -> None:
 
 def p22_triangle(a_len: Constructible, b_len: Constructible, c_len: Constructible,
                  base_ray: Ray, side: str = "upper",
-                 tracer: Tracer | None = None) -> PropositionResult:
+                 parent: Tracer | None = None) -> PropositionResult:
     """Construct a triangle out of three given lengths.
 
     Following the classical figure, the second length is laid along the ray
@@ -54,7 +54,7 @@ def p22_triangle(a_len: Constructible, b_len: Constructible, c_len: Constructibl
     """
     _check_lengths(a_len, b_len, c_len)
     _require_triangle_inequality(a_len, b_len, c_len)
-    tr = tracer or Tracer("I.22")
+    tr = Tracer.level(parent, "I.22")
     f = base_ray.origin
     toward = base_ray.through
     tr.register_input(f, toward)
@@ -86,7 +86,7 @@ def post_i22(r: Checks, call: dict, result: PropositionResult) -> None:
 
 def place_triangle_on_ray(a_len: Constructible, b_len: Constructible,
                           c_len: Constructible, ray: Ray, side: str = "upper",
-                          tracer: Tracer | None = None) -> PropositionResult:
+                          parent: Tracer | None = None) -> PropositionResult:
     """The strengthened triangle construction with prescribed placement.
 
     The first length runs along the ray from its origin; the apex (joined
@@ -95,7 +95,7 @@ def place_triangle_on_ray(a_len: Constructible, b_len: Constructible,
     """
     _check_lengths(a_len, b_len, c_len)
     _require_triangle_inequality(a_len, b_len, c_len)
-    tr = tracer or Tracer("I.22+")
+    tr = Tracer.level(parent, "I.22")
     v1 = ray.origin
     toward = ray.through
     tr.register_input(v1, toward)
@@ -122,7 +122,7 @@ def place_triangle_on_ray(a_len: Constructible, b_len: Constructible,
 
 def p23_copy_angle(target_ray: Ray, model: Angle, side: str = "upper",
                    strategy: str = "euclid",
-                   tracer: Tracer | None = None) -> PropositionResult:
+                   parent: Tracer | None = None) -> PropositionResult:
     """Construct at the ray's origin an angle equal to the model angle.
 
     One arm of the result lies along the target ray; the apex lands on the
@@ -130,7 +130,7 @@ def p23_copy_angle(target_ray: Ray, model: Angle, side: str = "upper",
     differ only in their construction routes.
     """
     route = strategy_route(P23_STRATEGIES, "I.23", strategy)
-    tr = tracer or Tracer(f"I.23.{strategy}" if strategy != "euclid" else "I.23")
+    tr = Tracer.level(parent, "I.23", strategy)
     apex, on_ray, named = route(tr, target_ray, model, side)
     result = Angle(target_ray.origin, on_ray, apex)
     named.setdefault("angle", ("result", result))
@@ -283,9 +283,9 @@ P23_STRATEGIES = {"euclid": (".euclid", _p23_euclid),
 def copy_angle(tr: Tracer, ray: Ray, model: Angle, side: str) -> Point:
     """Copy the model angle onto the ray, apex on ``side`` (runs I.23);
     the apex of the copy."""
-    sub = tr.sub("I.23")
-    apex = p23_copy_angle(ray, model, side=side, tracer=sub).result.arm2
-    tr.attach(sub, operands=(ray.origin, ray.through), produced=(apex,))
+    copied = p23_copy_angle(ray, model, side=side, parent=tr)
+    apex = copied.result.arm2
+    tr.attach(copied, operands=(ray.origin, ray.through), produced=(apex,))
     return apex
 
 
@@ -293,13 +293,13 @@ def copy_angle(tr: Tracer, ray: Ray, model: Angle, side: str) -> Point:
 # I.31
 
 
-def p31_parallel(p: Point, l: Line, tracer: Tracer | None = None) -> PropositionResult:
+def p31_parallel(p: Point, l: Line, parent: Tracer | None = None) -> PropositionResult:
     """Draw through a given point the straight line parallel to a given line.
 
     When the point already lies on the line, the line itself is returned
     and the coincidence is recorded (documented deviation).
     """
-    tr = tracer or Tracer("I.31")
+    tr = Tracer.level(parent, "I.31")
     tr.register_input(p, l)
     if l.contains(p):
         return PropositionResult(
@@ -315,10 +315,9 @@ def p31_parallel(p: Point, l: Line, tracer: Tracer | None = None) -> Proposition
     model = Angle(d, p, c)
     # alternate angles: the copy's apex goes to the side of AD away from C
     side = side_word(-orientation(p, d, c))
-    sub = tr.sub("I.23")
-    copied = p23_copy_angle(Ray(p, d), model, side=side, tracer=sub)
+    copied = p23_copy_angle(Ray(p, d), model, side=side, parent=tr)
     e = copied.result.arm2
-    tr.attach(sub, operands=(ad,), produced=(e,))
+    tr.attach(copied, operands=(ad,), produced=(e,))
     f = produce(tr, e, p)
     tr.register_input(f)  # label on the produced part
     result = Line(e, f)

@@ -289,8 +289,6 @@ def extend(s: Segment, beyond: str) -> Ray:
 
 def circle(center: Point, distance_to: Point) -> Circle:
     """Postulate 3: circle with given centre through a given point."""
-    if center == distance_to:
-        raise DegenerateInput("circle through its own centre")
     return Circle(center, center.dist_sq(distance_to))
 
 

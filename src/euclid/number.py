@@ -81,8 +81,7 @@ class FieldContext:
         self.rad_index: dict[Node, int] = {}  # radicand node -> level
         # integer radicands of levels 1..len, all below the first nested one
         self.rational_radicands: list[int] = []
-        # e_i, the denominator of radicands[i-1], and g_i^2 as a poly
-        self.gen_scale: list[int] = []
+        # g_i^2 as a poly; e_i, the denominator of r_i, is radicands[i-1][2]
         self.gen_square: list[Poly] = []
         # the square classes of rational_radicands: a pairwise coprime base
         # of non-square integers, and one GF(2) echelon row per radicand,
@@ -96,7 +95,6 @@ class FieldContext:
     def adjoin(self, radicand: Node) -> int:
         """Append a radicand known not to be a square in the current tower."""
         with self._lock:
-            self.gen_scale.append(radicand[2])
             self.gen_square.append(_pscale(radicand[1], radicand[2]))
             self.radicands.append(radicand)
             level = len(self.radicands)
@@ -265,7 +263,7 @@ def _node(p: Poly, d: int) -> Node:
 
 def _gen(k: int, ctx: FieldContext) -> Node:
     """The node of sqrt(r_k)."""
-    return (k, (k, 0, 1), ctx.gen_scale[k - 1])
+    return (k, (k, 0, 1), ctx.radicands[k - 1][2])
 
 
 def _mk(k: int, a: Node, b: Node, ctx: FieldContext) -> Node:
@@ -274,7 +272,7 @@ def _mk(k: int, a: Node, b: Node, ctx: FieldContext) -> Node:
         return a
     _, pa, da = a
     _, pb, db = b
-    db *= ctx.gen_scale[k - 1]
+    db *= ctx.radicands[k - 1][2]
     g = gcd(da, db)
     return _node((k, _pscale(pa, db // g), _pscale(pb, da // g)), da // g * db)
 
@@ -282,7 +280,7 @@ def _mk(k: int, a: Node, b: Node, ctx: FieldContext) -> Node:
 def _split(x: Node, ctx: FieldContext) -> tuple[Node, Node]:
     """Nodes a, b of F(k-1) with x = a + b*sqrt(r_k), k the level of x."""
     k, (_, a, b), d = x
-    return _node(a, d), _node(_pscale(b, ctx.gen_scale[k - 1]), d)
+    return _node(a, d), _node(_pscale(b, ctx.radicands[k - 1][2]), d)
 
 
 def _nneg(x: Node) -> Node:
@@ -340,7 +338,7 @@ def _piv(p: Poly, m: int, d: int, ctx: FieldContext, prec: int):
         return _iv_leaf(p * m, d, prec)
     k, a, b = p
     alo, ahi = _piv(a, m, d, ctx, prec)
-    blo, bhi = _piv(b, m * ctx.gen_scale[k - 1], d, ctx, prec)
+    blo, bhi = _piv(b, m * ctx.radicands[k - 1][2], d, ctx, prec)
     rlo, rhi = _rad_sqrt_interval(k, ctx, prec)
     prods = (blo * rlo, blo * rhi, bhi * rlo, bhi * rhi)
     return alo + (min(prods) >> prec), ahi - (-max(prods) >> prec)
@@ -780,10 +778,6 @@ class Constructible:
         self._join_ctx(o)
         return self._node == o._node
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __lt__(self, other):
         return (self - self._coerce(other)).sign() < 0
 
@@ -837,11 +831,7 @@ class Constructible:
                     mid = Fraction(lo + hi, 1 << (prec + 1))
                     break
                 prec *= 2
-        scaled = mid * 10 ** digits
-        n = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
-        sign = "-" if n < 0 else ""
-        digits_str = _decimal(abs(n)).rjust(digits + 1, "0")
-        return f"{sign}{digits_str[:-digits]}.{digits_str[-digits:]}"
+        return decimal_text(mid, digits)
 
     def __float__(self):
         return float(Fraction(self.approx(17).replace(".", "")) / 10 ** 17)
@@ -872,6 +862,15 @@ def sqrt_nonneg(a: RationalLike) -> Constructible:
 # canonical prefix serialization
 
 
+def decimal_text(x: Fraction, digits: int) -> str:
+    """``x`` rounded half up to ``digits >= 1`` decimal places."""
+    scaled = x * 10 ** digits
+    n = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
+    sign = "-" if n < 0 else ""
+    text = _decimal(abs(n)).rjust(digits + 1, "0")
+    return f"{sign}{text[:-digits]}.{text[-digits:]}"
+
+
 def _decimal(n: int) -> str:
     """``str(n)`` for an int of any length.  The interpreter writes at most
     ``sys.get_int_max_str_digits()`` digits at once, so a longer int is
@@ -899,7 +898,7 @@ def _ser(p: Poly, d: int, ctx: Optional[FieldContext], out: list[str]) -> None:
     out.append("+")
     _ser(a, d, ctx, out)
     out.append("×")  # multiplication sign
-    _ser(_pscale(b, ctx.gen_scale[k - 1]), d, ctx, out)
+    _ser(_pscale(b, ctx.radicands[k - 1][2]), d, ctx, out)
     out.append("√")  # square root sign
     _ser(*ctx.radicands[k - 1][1:], ctx, out)
 

@@ -10,11 +10,12 @@ the SVG 1.1 elements line, circle, path and text are used.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 from .errors import NothingToRender
 from .geom import Angle, Circle, Figure, Line, Point, Ray, Segment, points
-from .number import Constructible, sqrt_nonneg
+from .number import Constructible, decimal_text, sqrt_nonneg
 from .trace import PropositionResult
 
 _STYLES = {
@@ -31,12 +32,7 @@ def _fr(value: Constructible) -> Fraction:
     return Fraction(value.approx(_DIGITS))
 
 
-def _fmt(x: Fraction) -> str:
-    scaled = x * 100
-    n = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
-    sign = "-" if n < 0 else ""
-    text = str(abs(n)).rjust(3, "0")
-    return f"{sign}{text[:-2]}.{text[-2:]}"
+_fmt = partial(decimal_text, digits=2)  # an SVG coordinate
 
 
 def _xy(p: Point) -> tuple[Fraction, Fraction]:

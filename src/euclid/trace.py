@@ -4,12 +4,14 @@ A trace is the ordered record of primitive construction acts: postulate
 applications (join, extend, circle), intersection selections, superposition
 (rigid-motion placement) and opaque sub-construction references.  One
 ``Tracer`` records each construction level, and a sub-construction's step
-holds the child's ``Tracer``.  Postulate counters tally the steps of one
-level; the superposition counter and the radical-depth counter aggregate
-over nested sub-constructions as well, since those two are global
-properties of a construction route.  A ``PropositionResult`` names each
-object once, with its role, and ``PropositionResult.costs`` is a route's
-one cost ledger, which reports, records and the ``prop`` line all print.
+holds the child's ``Tracer``.  A construction opens its own level with
+``Tracer.level``, so a nested level is labelled by the construction that
+ran.  Postulate counters tally the steps of one level; the superposition
+counter and the radical-depth counter aggregate over nested
+sub-constructions as well, since those two are global properties of a
+construction route.  A ``PropositionResult`` names each object once, with
+its role, and ``PropositionResult.costs`` is a route's one cost ledger,
+which reports, records and the ``prop`` line all print.
 """
 
 from __future__ import annotations
@@ -190,12 +192,27 @@ class Tracer:
         self._record("superpose", (from_seg, to_seg), (m, *images), note=side)
         return m, images
 
+    @staticmethod
+    def level(parent: Optional["Tracer"], prop_id: str,
+              strategy: Optional[str] = None) -> "Tracer":
+        """The level a construction opens: under ``parent``, labelled by
+        the bare id; at the top, labelled ``prop_id``, then ``.strategy``
+        for any strategy other than "euclid"."""
+        if parent is not None:
+            return parent.sub(prop_id)
+        return Tracer(prop_id if strategy in (None, "euclid")
+                      else f"{prop_id}.{strategy}")
+
     def sub(self, prop_id: str) -> "Tracer":
         return Tracer(prop_id, _registry=self.registry, _ids=self._ids)
 
-    def attach(self, child: "Tracer", operands: Iterable[object] = (),
+    def attach(self, nested: "PropositionResult",
+               operands: Iterable[object] = (),
                produced: Iterable[object] = ()) -> None:
-        self._record("sub", operands, produced, note=child.label, sub=child)
+        """Record a nested construction run, opened under this level, as
+        one step."""
+        self._record("sub", operands, produced, note=nested.trace.label,
+                     sub=nested.trace)
 
 
 def _select(candidates: list[Point], selector, note: str) -> Point:

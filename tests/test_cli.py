@@ -179,6 +179,32 @@ class TestRun:
         assert main(["run", str(script)]) == 2
         assert "3:12: error: expected '='" in capsys.readouterr().err
 
+    def test_one_name_for_two_complements_exit_2(self, tmp_path, capsys):
+        script = tmp_path / "one.euc"
+        script.write_text("figure pg = figure((0,0), (4,0), (6,3), (2,3))\n"
+                          "point K = (2, 1)\n"
+                          "figure T = prop I.43 (pg, K)\n")
+        assert main(["run", str(script)]) == 2
+        assert capsys.readouterr().err == (
+            "3:1: error: one name per yielded object: the expression yields "
+            "2, the declaration names 1\n")
+
+    def test_repeated_prop_keywords_exit_2(self, tmp_path, capsys):
+        script = tmp_path / "twice.euc"
+        script.write_text(TRIANGLE_IN_RIGHT_ANGLE.format("(3,4)")
+                          + "figure p = prop I.44 (ab, t, d) strategy alnayrizi"
+                          " side upper strategy campanus side lower\n")
+        assert main(["run", str(script)]) == 2
+        assert capsys.readouterr().err == (
+            "6:63: error: unexpected trailing tokens\n")
+
+    def test_circle_through_its_centre_exit_1(self, tmp_path, capsys):
+        script = tmp_path / "circle.euc"
+        script.write_text("point A = (0, 0)\ncircle c = circle(A, A)\n")
+        assert main(["run", str(script)]) == 1
+        assert capsys.readouterr().err == (
+            "2:1: DegenerateInput: circle must have positive radius\n")
+
 
 class TestProp:
     def test_decagon_triangles(self, capsys):
@@ -195,6 +221,11 @@ class TestProp:
 
     def test_unknown_prop(self, capsys):
         assert main(["prop", "I.77"]) == 2
+
+    def test_side_word_exit_2(self, capsys):
+        assert main(["prop", "I.1", "--side", "left"]) == 2
+        assert capsys.readouterr().err == (
+            "side must be 'upper' or 'lower', got 'left'\n")
 
     def test_side_not_a_parameter(self, capsys):
         for prop_id in ("I.45", "I.10"):

@@ -73,6 +73,18 @@ class TestParse:
             (3, "expected '='")]
         assert len(script.statements) == 2
 
+    @pytest.mark.parametrize("keywords", [
+        "strategy alnayrizi side upper strategy campanus side lower",
+        "side upper strategy alnayrizi",
+        "strategy alnayrizi strategy campanus",
+        "side upper side lower",
+    ])
+    def test_prop_keywords_once_in_grammar_order(self, keywords):
+        """At most one ``strategy NAME``, then at most one ``side WORD``."""
+        script, diags = parse(f"figure p = prop I.44 (ab, t, d) {keywords}\n")
+        assert [d.message for d in diags] == ["unexpected trailing tokens"]
+        assert script.statements == []
+
     def test_coordinate_nesting_cap(self):
         def nested(levels):
             text = "1"
@@ -201,6 +213,17 @@ class TestCheck:
         script, _ = parse(text)
         assert [d.message for d in check(script)] == ["I.45 takes no side"]
 
+    def test_one_name_per_yielded_object(self):
+        script, _ = parse("figure pg = figure((0,0), (4,0), (6,3), (2,3))\n"
+                          "point K = (2, 1)\n"
+                          "figure u = prop I.43 (pg, K)\n"
+                          "point P, Q = (0, 0)\n")
+        assert [d.message for d in check(script)] == [
+            "one name per yielded object: the expression yields 2, "
+            "the declaration names 1",
+            "one name per yielded object: the expression yields 1, "
+            "the declaration names 2"]
+
     @pytest.mark.parametrize("call, message", [
         ("figure f = figure(A, B)", "figure takes at least 3 arguments, got 2"),
         ("figure f = figure(A, B, c1)",
@@ -324,6 +347,18 @@ class TestInterpret:
                 "assert area_eq(u, v)\n")
         inter = run(text)
         assert inter.all_assertions_pass
+
+    def test_prop_with_number_arguments(self):
+        text = ("segment s = join((0,0), (1,0))\nray r = extend(s, b)\n"
+                "figure T = prop I.22 (3, 4, 5, r)\n")
+        assert run(text).env["T"].vertices[0] == Point(0, 3)
+
+    @pytest.mark.parametrize("selector, x", [("first", -1), ("second", 1)])
+    def test_intersect_circle_first(self, selector, x):
+        text = ("circle c = circle((0,0), (1,0))\n"
+                "line l = join((-2,0), (2,0))\n"
+                f"point P = intersect(c, l) {selector}\n")
+        assert run(text).env["P"] == Point(x, 0)
 
     def test_failed_assertion_recorded(self):
         text = ("point A = (0,0)\npoint B = (1,0)\npoint C = (5,5)\n"

@@ -4,6 +4,7 @@ plain run prints.  The engine also keeps no definition that nothing
 references, and runs every construction call through one runner."""
 
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -11,7 +12,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import euclid
+from euclid import elements
 
 PACKAGE = Path(euclid.__file__).resolve().parent
 ROOT = PACKAGE.parent.parent
@@ -161,15 +165,54 @@ def test_vector_components_stay_in_geom():
     assert found == []
 
 
-def test_optimized_interpreter_gives_same_records():
+def test_constructions_open_their_own_levels():
+    """A construction opens its trace level with ``Tracer.level`` and takes
+    its caller's level as ``parent``: nothing in ``elements`` builds a
+    ``Tracer``, only ``trace`` calls ``.sub``, and no ``tracer`` keyword
+    is left."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        where = path.relative_to(PACKAGE)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                if _name(node.func) == "Tracer" and where.parts[0] == "elements":
+                    found.append(f"{where}:{node.lineno} Tracer(...)")
+                if (isinstance(node.func, ast.Attribute) and node.func.attr == "sub"
+                        and where != Path("trace.py")):
+                    found.append(f"{where}:{node.lineno} .sub(...)")
+                found += [f"{where}:{node.lineno} tracer=" for k in node.keywords
+                          if k.arg == "tracer"]
+            if isinstance(node, ast.arg) and node.arg == "tracer":
+                found.append(f"{where}:{node.lineno} tracer parameter")
+    assert found == []
+    for fn in (*elements.CONSTRUCTIONS.values(), elements.p42_on_ray,
+               elements.place_triangle_on_ray):
+        assert "parent" in inspect.signature(fn).parameters, fn.__name__
+
+
+def _same_under_optimization(argv) -> None:
+    """The command prints the same bytes under ``python -O``."""
     env = {k: v for k, v in os.environ.items() if k != "EUCLID_SEED"}
     env["PYTHONPATH"] = str(PACKAGE.parent)
 
     def run(*flags):
-        return subprocess.run([sys.executable, *flags, "-m", "euclid", "suite",
-                               "all", "--n", "1", "--seed", "3", "--records"],
+        return subprocess.run([sys.executable, *flags, "-m", "euclid", *argv],
                               capture_output=True, env=env, timeout=120)
 
     plain, optimized = run(), run("-O")
     assert plain.returncode == 0 and optimized.returncode == 0
     assert plain.stdout and plain.stdout == optimized.stdout
+
+
+def test_optimized_interpreter_gives_same_records():
+    _same_under_optimization(["suite", "all", "--n", "1", "--seed", "3",
+                              "--records"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["prop", "I.45", "--seed", "3", "--trace"],
+    ["run", str(ROOT / "scripts" / "i44.euc"), "--trace"],
+])
+def test_optimized_interpreter_gives_same_trace_text(argv):
+    _same_under_optimization(argv)

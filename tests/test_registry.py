@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from euclid import dsl, elements, verify
@@ -9,6 +11,7 @@ from euclid.elements import (
     split_identifier,
 )
 from euclid.errors import UnknownProposition
+from euclid.number import new_context
 
 ENGINE_STRATEGIES = {"I.23": P23_STRATEGIES, "I.42": P42_STRATEGIES,
                      "I.44": P44_STRATEGIES, "I.46": P46_STRATEGIES}
@@ -49,6 +52,18 @@ def test_record(prop_id):
     for strategy, (suffix, route) in prop.strategies.items():
         assert split_identifier(prop_id + suffix) == (prop_id, strategy)
         assert callable(route)
+
+
+@pytest.mark.parametrize("prop_id", list(elements.PROPOSITIONS))
+def test_result_type_words(prop_id):
+    """A record's type words name what its construction yields, one word
+    per object, on the seed-0 instance."""
+    new_context()
+    prop = elements.PROPOSITIONS[prop_id]
+    got = prop.fn(**verify.generate_instance(prop_id, random.Random(0))).result
+    yielded = got if isinstance(got, tuple) else (got,)
+    assert tuple(type(obj).__name__.lower() for obj in yielded) == prop.result
+    assert len(prop.result) == (2 if prop_id == "I.43" else 1)
 
 
 def test_suite_ids():

@@ -1,5 +1,9 @@
-"""The tracer's object registry."""
+"""The tracer's object registry, its levels and its selections."""
 
+import pytest
+
+from euclid.elements import p1_equilateral
+from euclid.errors import NoSuchIntersection
 from euclid.geom import Point, Segment
 from euclid.number import new_context
 from euclid.trace import Tracer
@@ -27,3 +31,38 @@ def test_an_unregistered_operand_becomes_an_input():
     c = Point(2, 0)
     assert tr._id_of(c) == 2
     assert tr.inputs == [1, 2] and tr.registry[2] is c
+
+
+@pytest.mark.parametrize("strategy, label", [
+    (None, "I.42"), ("euclid", "I.42"), ("alnayrizi", "I.42.alnayrizi")])
+def test_level_label(strategy, label):
+    top = Tracer.level(None, "I.42", strategy)
+    assert top.label == label
+    nested = Tracer.level(top, "I.44", "alnayrizi")
+    assert nested.label == "I.44" and nested.registry is top.registry
+
+
+@pytest.mark.parametrize("selector, message", [
+    ("only", "X: expected exactly one intersection"),
+    (lambda p: True, "X: selector matched 2 of 2 points"),
+])
+def test_pick_fails(selector, message):
+    new_context()
+    with pytest.raises(NoSuchIntersection, match=f"^{message}$"):
+        Tracer().pick([Point(0, 0), Point(1, 0)], selector, note="X")
+
+
+def test_unattached_nested_run_fails_the_reference_check():
+    """A step that uses what a nested run produced, with the run never
+    attached, cites an id that no earlier step of its level made."""
+    new_context()
+    a, b = Point(0, 0), Point(1, 0)
+    for attached in (False, True):
+        tr = Tracer("outer")
+        tr.register_input(a, b)
+        tri = p1_equilateral(Segment(a, b), parent=tr)
+        apex = tri.result.vertices[2]
+        if attached:
+            tr.attach(tri, operands=(a, b), produced=(apex,))
+        tr.join(apex, a)
+        assert tr.check_references() is attached

@@ -1,7 +1,7 @@
 import pytest
 
-from euclid import verify
-from euclid.errors import UnknownProposition
+from euclid import elements, verify
+from euclid.errors import DegenerateInput, UnknownProposition
 from euclid.verify import compare, generate_instance, run_suite
 
 
@@ -28,6 +28,17 @@ class TestSuites:
     def test_theorem_suite(self):
         report = run_suite("I.41", 15, seed=3)
         assert report.failures == 0
+
+    def test_error_line(self, monkeypatch):
+        def construction(*args, **kwargs):
+            raise DegenerateInput("no figure")
+
+        monkeypatch.setitem(elements.CONSTRUCTIONS, "I.1", construction)
+        report = run_suite("I.1", 2, seed=7)
+        assert report.failures == 2
+        assert [line for line in report.lines() if "\tERROR\t" in line] == [
+            f"instance {i} [-]\tERROR\tDegenerateInput: no figure"
+            for i in range(2)]
 
     def test_unknown_id(self):
         with pytest.raises(UnknownProposition):
