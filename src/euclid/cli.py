@@ -2,7 +2,9 @@
 suites, compare strategies, render figures.
 
 Exit codes: 0 success, 1 assertion or postcondition failure, 2 usage or
-parse error.  The environment variable EUCLID_SEED overrides --seed.
+parse error.  A command returns 0 or 1 from its own checks and raises
+every failure; ``main`` alone prints a failure and decides its code.  The
+environment variable EUCLID_SEED overrides --seed.
 """
 
 from __future__ import annotations
@@ -13,10 +15,15 @@ import random
 import sys
 
 from . import dsl, elements, verify
-from .errors import EuclidError, NothingToRender
+from .errors import EuclidError, NothingToRender, UnknownProposition
 from .number import new_context
 from .render import render, render_result
 from .trace import key_values, trace_lines
+
+
+class _Usage(Exception):
+    """A bad call: its message is printed as it stands and the exit code
+    is 2."""
 
 
 def _seed(args) -> int:
@@ -26,28 +33,23 @@ def _seed(args) -> int:
     try:
         return int(env)
     except ValueError:
-        print(f"EUCLID_SEED must be an integer, got {env!r}", file=sys.stderr)
-        raise SystemExit(2)
+        raise _Usage(f"EUCLID_SEED must be an integer, got {env!r}")
 
 
 def _checked_script(path: str) -> dsl.Script:
-    """Read, parse and check a script; print the diagnostics and exit 2
-    unless it is clean."""
+    """Read, parse and check a script; raise its diagnostics unless it is
+    clean."""
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
     except OSError as e:
-        print(e, file=sys.stderr)
-        raise SystemExit(2)
+        raise _Usage(str(e))
     except UnicodeDecodeError as e:
-        print(f"{path}: {e}", file=sys.stderr)
-        raise SystemExit(2)
+        raise _Usage(f"{path}: {e}")
     script, diags = dsl.parse(text)
     diags += dsl.check(script)
     if diags:
-        for d in diags:
-            print(d, file=sys.stderr)
-        raise SystemExit(2)
+        raise _Usage("\n".join(map(str, diags)))
     return script
 
 
@@ -58,8 +60,7 @@ def _load_instance(path: str, base: str):
     try:
         declared = list(dsl.interpret(script).env.values())
     except dsl.ScriptError as e:
-        print(e, file=sys.stderr)
-        raise SystemExit(2)
+        raise _Usage(str(e))
     # each parameter takes the first type-matching object not yet consumed,
     # so helper declarations (points feeding a segment, say) are skipped;
     # a type word is the class name in lower case
@@ -73,9 +74,8 @@ def _load_instance(path: str, base: str):
                 kwargs[pname] = obj.length() if ptype == "number" else obj
                 break
         else:
-            print(f"{path}: no {ptype} found for parameter {pname!r} "
-                  f"of {base}", file=sys.stderr)
-            raise SystemExit(2)
+            raise _Usage(f"{path}: no {ptype} found for parameter {pname!r} "
+                         f"of {base}")
     return kwargs
 
 
@@ -92,23 +92,24 @@ def _instances(args, base: str, strategies) -> dict:
 
 
 def _write_svg(path: str, svg: bytes) -> None:
-    """Write an SVG file; print why and exit 2 if it cannot be written."""
+    """Write an SVG file, or raise why it cannot be written."""
     try:
         with open(path, "wb") as f:
             f.write(svg)
     except OSError as e:
-        print(f"cannot write {path}: {e.strerror or e}", file=sys.stderr)
-        raise SystemExit(2)
+        raise _Usage(f"cannot write {path}: {e.strerror or e}")
     print(f"wrote {path}")
 
 
+def _print_report(report, records: bool) -> None:
+    """A suite or comparison report, as key=value records or as lines."""
+    for line in (map(key_values, report.records()) if records
+                 else report.lines()):
+        print(line)
+
+
 def _cmd_run(args) -> int:
-    script = _checked_script(args.script)
-    try:
-        inter = dsl.interpret(script)
-    except dsl.ScriptError as e:
-        print(e, file=sys.stderr)
-        return 1
+    inter = dsl.interpret(_checked_script(args.script))
     for outcome in inter.assertions:
         state = "PASS" if outcome.passed else "FAIL"
         print(f"{outcome.span}: assert {outcome.text}\t{state}")
@@ -116,29 +117,16 @@ def _cmd_run(args) -> int:
         print(inter.trace_text())
     if args.svg:
         # a script's objects have no roles, so all draw as given
-        try:
-            svg = render({name: ("given", obj)
-                          for name, obj in inter.env.items()})
-        except NothingToRender as e:
-            print(e, file=sys.stderr)
-            return 2
-        _write_svg(args.svg, svg)
+        _write_svg(args.svg, render({name: ("given", obj)
+                                     for name, obj in inter.env.items()}))
     return 0 if inter.all_assertions_pass else 1
 
 
 def _cmd_prop(args) -> int:
-    try:
-        base, strategy = elements.split_identifier(args.id, args.strategy,
-                                                   args.side)
-    except EuclidError as e:
-        print(e, file=sys.stderr)
-        return 2
+    base, strategy = elements.split_identifier(args.id, args.strategy,
+                                               args.side)
     givens = _instances(args, base, [strategy])[strategy]
-    try:
-        result, checks = elements.run(base, givens, strategy, args.side)
-    except EuclidError as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+    result, checks = elements.run(base, givens, strategy, args.side)
     print(f"# {checks.prop_id}")
     for line in checks.lines():
         print(line)
@@ -156,52 +144,25 @@ def _cmd_prop(args) -> int:
 
 def _cmd_suite(args) -> int:
     if args.n < 0:
-        print(f"--n must be a non-negative integer, got {args.n}",
-              file=sys.stderr)
-        return 2
+        raise _Usage(f"--n must be a non-negative integer, got {args.n}")
     seed = _seed(args)
     ids = verify.SUITE_IDS if args.id == "all" else (args.id,)
     failures = 0
     for prop_id in ids:
-        try:
-            report = verify.run_suite(prop_id, args.n, seed)
-        except EuclidError as e:
-            print(f"{type(e).__name__}: {e}", file=sys.stderr)
-            return 2
+        report = verify.run_suite(prop_id, args.n, seed)
         failures += report.failures
-        if args.records:
-            for record in report.records():
-                print(key_values(record))
-        else:
-            for line in report.lines():
-                print(line)
+        _print_report(report, args.records)
     return 0 if failures == 0 else 1
 
 
 def _cmd_compare(args) -> int:
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    try:
-        base, _ = elements.split_identifier(args.id)
-    except EuclidError as e:
-        print(e, file=sys.stderr)
-        return 2
+    base, _ = elements.split_identifier(args.id)
     if not strategies:
-        print("--strategies needs at least one strategy name", file=sys.stderr)
-        return 2
-    instances = _instances(args, base, strategies)
-    try:
-        report = verify.compare(args.id, instances)
-    except EuclidError as e:
-        print(e, file=sys.stderr)
-        return 2
-    if args.records:
-        for record in report.records():
-            print(key_values(record))
-    else:
-        for line in report.lines():
-            print(line)
-    ok = all(oc.passed for oc in report.outcomes.values())
-    return 0 if ok else 1
+        raise _Usage("--strategies needs at least one strategy name")
+    report = verify.compare(args.id, _instances(args, base, strategies))
+    _print_report(report, args.records)
+    return 0 if all(oc.passed for oc in report.outcomes.values()) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,10 +214,17 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except SystemExit as e:
-        return e.code if isinstance(e.code, int) else 2
     except BrokenPipeError:
         return 0
+    except (_Usage, UnknownProposition, NothingToRender) as e:
+        print(e, file=sys.stderr)
+        return 2
+    except dsl.ScriptError as e:
+        print(e, file=sys.stderr)
+        return 1
+    except EuclidError as e:
+        print(f"{type(e).__name__}: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

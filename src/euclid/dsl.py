@@ -673,7 +673,9 @@ def interpret(script: Script) -> Interpretation:
         base, strategy = elements.split_identifier(
             expr.prop_id, expr.strategy, expr.side)
         params = elements.PROPOSITIONS[base].params
-        givens = {name: value(a) for (name, _), a in zip(params, expr.args)}
+        # a line parameter takes a segment or ray as its line (_ACCEPTS)
+        givens = {name: value(a).line() if ptype == "line" else value(a)
+                  for (name, ptype), a in zip(params, expr.args)}
         result, checks = elements.run(base, givens, strategy, expr.side, tr)
         if not checks.all_pass:
             failed = "; ".join(c for c, ok, _ in checks.claims if not ok)

@@ -18,12 +18,13 @@ from .geom import Angle, Circle, Figure, Line, Point, Ray, Segment, points
 from .number import Constructible, decimal_text, sqrt_nonneg
 from .trace import PropositionResult
 
+# role: (stroke attributes, point and label fill)
 _STYLES = {
-    "given": 'stroke="#202020" stroke-width="1.8" fill="none"',
-    "aux": 'stroke="#9a9a9a" stroke-width="0.9" stroke-dasharray="4 3" fill="none"',
-    "result": 'stroke="#1a5fb4" stroke-width="2.2" fill="none"',
+    "given": ('stroke="#202020" stroke-width="1.8" fill="none"', "#202020"),
+    "aux": ('stroke="#9a9a9a" stroke-width="0.9" stroke-dasharray="4 3" '
+            'fill="none"', "#9a9a9a"),
+    "result": ('stroke="#1a5fb4" stroke-width="2.2" fill="none"', "#1a5fb4"),
 }
-_POINT_FILL = {"given": "#202020", "aux": "#9a9a9a", "result": "#1a5fb4"}
 _DIGITS = 6
 _WIDTH = Fraction(640)
 
@@ -39,12 +40,16 @@ def _xy(p: Point) -> tuple[Fraction, Fraction]:
     return _fr(p.x), _fr(p.y)
 
 
-def _object_extent(obj) -> list[tuple[Fraction, Fraction]]:
-    if isinstance(obj, Circle):
-        cx, cy = _xy(obj.center)
-        r = _fr(sqrt_nonneg(obj.radius_sq))
-        return [(cx - r, cy - r), (cx + r, cy + r)]
-    return [_xy(p) for p in points(obj)]
+def _model(obj) -> tuple[list, Optional[Fraction], list]:
+    """A drawable's points in model coordinates, a circle's radius (None
+    for any other drawable) and the corners of its extent, each rounded
+    once."""
+    pts = [_xy(p) for p in points(obj)]
+    if not isinstance(obj, Circle):
+        return pts, None, pts
+    r = _fr(sqrt_nonneg(obj.radius_sq))
+    (cx, cy), = pts
+    return pts, r, [(cx - r, cy - r), (cx + r, cy + r)]
 
 
 class _Canvas:
@@ -104,60 +109,57 @@ class _Canvas:
 def render(named: dict[str, tuple[str, object]]) -> bytes:
     """Render named objects to SVG bytes (deterministic), each styled by
     its role: given, aux or result."""
-    drawable = {name: (role, obj) for name, (role, obj) in named.items()
+    drawable = {name: (role, obj, *_model(obj))
+                for name, (role, obj) in named.items()
                 if isinstance(obj, (Point, Segment, Line, Ray, Circle,
                                     Figure, Angle))}
     if not drawable:
         raise NothingToRender("no drawable objects")
 
-    extent = []
-    for _, obj in drawable.values():
-        extent.extend(_object_extent(obj))
-    xs = [e[0] for e in extent]
-    ys = [e[1] for e in extent]
-    canvas = _Canvas(xs, ys)
+    extent = [corner for *_, corners in drawable.values() for corner in corners]
+    canvas = _Canvas([x for x, _ in extent], [y for _, y in extent])
 
     body: list[str] = []
     labelled: list[tuple[Fraction, Fraction, str, str]] = []
 
-    def emit_segment(p, q, style: str) -> None:
+    def emit_segment(p, q, stroke: str) -> None:
         (x1, y1) = canvas.to_screen(*p)
         (x2, y2) = canvas.to_screen(*q)
         body.append(f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-                    f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" {_STYLES[style]}/>')
+                    f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" {stroke}/>')
 
-    for name, (style, obj) in drawable.items():
+    for name, (role, obj, pts, r, _) in drawable.items():
+        stroke, fill = _STYLES[role]
         if isinstance(obj, Point):
-            x, y = canvas.to_screen(*_xy(obj))
+            x, y = canvas.to_screen(*pts[0])
             body.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" '
-                        f'fill="{_POINT_FILL[style]}" stroke="none"/>')
-            labelled.append((x, y, name, style))
+                        f'fill="{fill}" stroke="none"/>')
+            labelled.append((x, y, name, fill))
         elif isinstance(obj, Segment):
-            emit_segment(_xy(obj.a), _xy(obj.b), style)
+            emit_segment(*pts, stroke)
         elif isinstance(obj, (Line, Ray)):
             clip = canvas.clip_line if isinstance(obj, Line) else canvas.clip_ray
-            got = clip(*(_xy(p) for p in points(obj)))
+            got = clip(*pts)
             if got:
-                emit_segment(*got, style)
+                emit_segment(*got, stroke)
         elif isinstance(obj, Circle):
-            cx, cy = canvas.to_screen(*_xy(obj.center))
-            r = _fr(sqrt_nonneg(obj.radius_sq)) * canvas.scale
+            cx, cy = canvas.to_screen(*pts[0])
             body.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                        f'r="{_fmt(r)}" {_STYLES[style]}/>')
+                        f'r="{_fmt(r * canvas.scale)}" {stroke}/>')
         elif isinstance(obj, Figure):
-            pts = [canvas.to_screen(*_xy(v)) for v in obj.vertices]
-            path = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts) + " Z"
-            body.append(f'<path d="{path}" {_STYLES[style]}/>')
+            screen = [canvas.to_screen(*p) for p in pts]
+            path = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in screen) + " Z"
+            body.append(f'<path d="{path}" {stroke}/>')
         elif isinstance(obj, Angle):
-            vertex = _xy(obj.vertex)
-            emit_segment(vertex, _xy(obj.arm1), style)
-            emit_segment(vertex, _xy(obj.arm2), style)
+            vertex, arm1, arm2 = pts
+            emit_segment(vertex, arm1, stroke)
+            emit_segment(vertex, arm2, stroke)
 
     placed: list[tuple[Fraction, Fraction]] = []
     # northeast of the point, shifted clockwise on collision
     offsets = ((6, -6), (6, 12), (-14, 12), (-14, -6))
     min_gap = Fraction(14)
-    for x, y, name, style in labelled:
+    for x, y, name, fill in labelled:
         for dx, dy in offsets:
             ax, ay = x + dx, y + dy
             if all(abs(ax - px) > min_gap or abs(ay - py) > min_gap
@@ -166,7 +168,7 @@ def render(named: dict[str, tuple[str, object]]) -> bytes:
         placed.append((ax, ay))
         body.append(f'<text x="{_fmt(ax)}" y="{_fmt(ay)}" '
                     f'font-family="serif" font-size="14" '
-                    f'fill="{_POINT_FILL[style]}">{_escape(name)}</text>')
+                    f'fill="{fill}">{_escape(name)}</text>')
 
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'width="{_fmt(canvas.width)}" height="{_fmt(canvas.height)}" '

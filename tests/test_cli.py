@@ -38,14 +38,18 @@ class TestRun:
         assert "PASS" in out
 
     def test_script_file_is_closed(self):
-        # development mode shows the ResourceWarning of an unclosed file
+        # development mode shows the ResourceWarning of an unclosed file,
+        # and -W error turns that or any other warning into a failure
         env = dict(os.environ,
                    PYTHONPATH=str(Path(euclid.__file__).resolve().parents[1]))
-        got = subprocess.run(
-            [sys.executable, "-X", "dev", "-m", "euclid", "run",
-             str(SCRIPTS / "i1.euc")], capture_output=True, text=True, env=env)
-        assert got.returncode == 0, got.stderr
-        assert "ResourceWarning" not in got.stderr
+        for argv in (["run", str(SCRIPTS / "i1.euc")],
+                     ["run", str(SCRIPTS / "i44.euc")],
+                     ["prop", "I.45", "--input", str(SCRIPTS / "decagon.txt")]):
+            got = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error", "-m", "euclid",
+                 *argv], capture_output=True, text=True, env=env)
+            assert got.returncode == 0, got.stderr
+            assert got.stderr == ""
 
     def test_svg_written(self, tmp_path, capsys):
         target = tmp_path / "i1.svg"
@@ -283,6 +287,16 @@ class TestProp:
                      "--input", missing]) == 2
         assert "No such file" in capsys.readouterr().err
 
+    def test_input_without_a_parameter_exit_2(self, tmp_path, capsys):
+        inst = tmp_path / "inst.txt"
+        inst.write_text("point A = (0,0)\npoint B = (4,0)\n"
+                        "segment ab = join(A, B)\n")
+        assert main(["prop", "I.44", "--input", str(inst)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{inst}: no figure found for parameter 't' of I.44\n")
+
     def test_degenerate_input(self, tmp_path, capsys):
         inst = tmp_path / "inst.txt"
         inst.write_text("point A = (0,0)\nsegment ab = join(A, A)\n")
@@ -319,6 +333,7 @@ class TestSuite:
 
     def test_unknown_suite(self, capsys):
         assert main(["suite", "I.99", "--n", "1"]) == 2
+        assert capsys.readouterr().err == "unknown proposition 'I.99'\n"
 
     def test_env_seed_not_integer(self, capsys):
         os.environ["EUCLID_SEED"] = "abc"
@@ -386,3 +401,20 @@ class TestCompare:
                        for line in out)
         inst.write_text(TRIANGLE_IN_RIGHT_ANGLE.format("(3,4)"))
         assert main(argv) == 0
+
+
+class TestMain:
+    def test_help_exit_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: euclid")
+
+    def test_closed_stdout_exit_0(self, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError
+
+            def flush(self):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["suite", "I.1", "--n", "1"]) == 0

@@ -23,7 +23,7 @@ from euclid.geom import (
     points,
 )
 from euclid.number import Constructible, new_context, sqrt_nonneg
-from euclid.render import _object_extent
+from euclid.render import _model
 from euclid.trace import _object_depth, describe_object
 
 O_ = "point(0.000000, 0.000000)"
@@ -85,7 +85,7 @@ def test_dispatch(cls):
     description, extent, depth, want_coords, want_points = CASES[cls]
     assert type(obj).__name__ == cls
     assert describe_object(obj) == description
-    assert _object_extent(obj) == extent
+    assert _model(obj)[2] == extent
     assert _object_depth(obj) == depth
     parts = {"r2": r2, "r2/2": r2 / 2}
     got = coords(obj)

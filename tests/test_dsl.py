@@ -353,6 +353,17 @@ class TestInterpret:
                 "figure T = prop I.22 (3, 4, 5, r)\n")
         assert run(text).env["T"].vertices[0] == Point(0, 3)
 
+    @pytest.mark.parametrize("call", ["I.11 ({}, C)", "I.12 ({}, D)",
+                                      "I.31 (D, {})"])
+    @pytest.mark.parametrize("given", ["s", "r"])
+    def test_prop_takes_segment_or_ray_as_its_line(self, call, given):
+        base = ("point A = (0,0)\npoint B = (4,0)\nsegment s = join(A, B)\n"
+                "ray r = extend(s, b)\nline l = join(A, B)\n"
+                "point C = (1,0)\npoint D = (1,3)\n")
+        want = run(base + f"line p = prop {call.format('l')}\n").env["p"]
+        got = run(base + f"line p = prop {call.format(given)}\n").env["p"]
+        assert got == want
+
     @pytest.mark.parametrize("selector, x", [("first", -1), ("second", 1)])
     def test_intersect_circle_first(self, selector, x):
         text = ("circle c = circle((0,0), (1,0))\n"

@@ -191,6 +191,25 @@ def test_constructions_open_their_own_levels():
         assert "parent" in inspect.signature(fn).parameters, fn.__name__
 
 
+def test_main_alone_decides_exit_codes():
+    """A CLI command raises its failure and returns only 0 or 1: in
+    ``cli.py`` only ``main`` writes to ``sys.stderr`` or returns the
+    literal 2, and nothing raises ``SystemExit``."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    found = set()
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "stderr":
+            found.add((scope, "sys.stderr"))
+        if isinstance(node, ast.Return) and any(
+                isinstance(c, ast.Constant) and c.value == 2
+                for c in ast.walk(node)):
+            found.add((scope, "return 2"))
+        if isinstance(node, ast.Raise) and any(
+                _name(n) == "SystemExit" for n in ast.walk(node)):
+            found.add((scope, "raise SystemExit"))
+    assert found == {("main", "sys.stderr"), ("main", "return 2")}
+
+
 def _same_under_optimization(argv) -> None:
     """The command prints the same bytes under ``python -O``."""
     env = {k: v for k, v in os.environ.items() if k != "EUCLID_SEED"}
