@@ -2,14 +2,15 @@
 suites, compare strategies, render figures.
 
 Exit codes: 0 success, 1 assertion or postcondition failure, 2 usage or
-parse error.  A command returns 0 or 1 from its own checks and raises
-every failure; ``main`` alone prints a failure and decides its code.  The
-environment variable EUCLID_SEED overrides --seed.
+parse error.  A command returns 0 or 1 from a run's ``trace.Checks``
+and raises every failure; ``main`` alone prints a failure and decides
+its code.  The environment variable EUCLID_SEED overrides --seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -58,7 +59,7 @@ def _load_instance(path: str, base: str):
     parameters, in declaration order."""
     script = _checked_script(path)
     try:
-        declared = list(dsl.interpret(script).env.values())
+        declared = list(dsl.interpret(script)[0].objects.values())
     except dsl.ScriptError as e:
         raise _Usage(str(e))
     # each parameter takes the first type-matching object not yet consumed,
@@ -101,25 +102,24 @@ def _write_svg(path: str, svg: bytes) -> None:
     print(f"wrote {path}")
 
 
-def _print_report(report, records: bool) -> None:
-    """A suite or comparison report, as key=value records or as lines."""
+def _print_report(report, records: bool) -> int:
+    """Print a suite or comparison report, as key=value records or as
+    lines; return its number of failed runs."""
     for line in (map(key_values, report.records()) if records
                  else report.lines()):
         print(line)
+    return report.failures
 
 
 def _cmd_run(args) -> int:
-    inter = dsl.interpret(_checked_script(args.script))
-    for outcome in inter.assertions:
-        state = "PASS" if outcome.passed else "FAIL"
-        print(f"{outcome.span}: assert {outcome.text}\t{state}")
+    result, checks = dsl.interpret(_checked_script(args.script))
+    for claim, ok, _ in checks.claims:  # an assertion shows no residual
+        print(f"{claim}\t{'PASS' if ok else 'FAIL'}")
     if args.trace:
-        print(inter.trace_text())
+        print("\n".join(trace_lines(result.trace)))
     if args.svg:
-        # a script's objects have no roles, so all draw as given
-        _write_svg(args.svg, render({name: ("given", obj)
-                                     for name, obj in inter.env.items()}))
-    return 0 if inter.all_assertions_pass else 1
+        _write_svg(args.svg, render(result.named))
+    return 0 if checks.all_pass else 1
 
 
 def _cmd_prop(args) -> int:
@@ -147,11 +147,8 @@ def _cmd_suite(args) -> int:
         raise _Usage(f"--n must be a non-negative integer, got {args.n}")
     seed = _seed(args)
     ids = verify.SUITE_IDS if args.id == "all" else (args.id,)
-    failures = 0
-    for prop_id in ids:
-        report = verify.run_suite(prop_id, args.n, seed)
-        failures += report.failures
-        _print_report(report, args.records)
+    failures = sum(_print_report(verify.run_suite(prop_id, args.n, seed),
+                                 args.records) for prop_id in ids)
     return 0 if failures == 0 else 1
 
 
@@ -161,11 +158,12 @@ def _cmd_compare(args) -> int:
     if not strategies:
         raise _Usage("--strategies needs at least one strategy name")
     report = verify.compare(args.id, _instances(args, base, strategies))
-    _print_report(report, args.records)
-    return 0 if all(oc.passed for oc in report.outcomes.values()) else 1
+    return 0 if _print_report(report, args.records) == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser, built on the first call, not on import."""
     parser = argparse.ArgumentParser(
         prog="euclid",
         description="exact straightedge-and-compass constructions")

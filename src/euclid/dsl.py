@@ -23,6 +23,7 @@ order), ``left_of(r)``/``right_of(r)`` for a ray, and
 Each word is one ``Word`` record in ``PRIMITIVES``, ``PREDICATES`` or
 ``SELECTORS``, which the parser, ``check`` and ``interpret`` all read; the
 type words are the lower-case names of the classes the primitives bind.
+``interpret`` returns a result and its claims, as ``elements.run`` does.
 Grammar (EBNF) ships in the package documentation.
 """
 
@@ -54,7 +55,7 @@ from .geom import (
     segment_eq,
 )
 from .number import from_prefix
-from .trace import Tracer, describe_object, trace_lines
+from .trace import Checks, PropositionResult, Tracer, describe_object
 
 
 # ---------------------------------------------------------------------------
@@ -617,32 +618,14 @@ class ScriptError(EuclidError):
         self.span = span
 
 
-@dataclass
-class AssertionOutcome:
-    span: Span
-    text: str
-    passed: bool
-
-
-@dataclass
-class Interpretation:
-    env: dict[str, object]
-    tracer: Tracer
-    assertions: list[AssertionOutcome]
-
-    @property
-    def all_assertions_pass(self) -> bool:
-        return all(a.passed for a in self.assertions)
-
-    def trace_text(self) -> str:
-        return "\n".join(trace_lines(self.tracer))
-
-
-def interpret(script: Script) -> Interpretation:
-    """Run a checked script; deterministic given the script text."""
+def interpret(script: Script) -> tuple[PropositionResult, Checks]:
+    """Run a checked script; deterministic given the script text.  The
+    result names each declared object, in order, as given, and its trace
+    is the ``script`` tracer; each assertion is one boolean claim,
+    ``line:col: assert predicate(...)``, of ``Checks("script")``."""
     env: dict[str, object] = {}
     tr = Tracer("script")
-    outcomes: list[AssertionOutcome] = []
+    checks = Checks("script")
 
     def value(arg):
         if isinstance(arg, Name):
@@ -676,9 +659,9 @@ def interpret(script: Script) -> Interpretation:
         # a line parameter takes a segment or ray as its line (_ACCEPTS)
         givens = {name: value(a).line() if ptype == "line" else value(a)
                   for (name, ptype), a in zip(params, expr.args)}
-        result, checks = elements.run(base, givens, strategy, expr.side, tr)
-        if not checks.all_pass:
-            failed = "; ".join(c for c, ok, _ in checks.claims if not ok)
+        result, certified = elements.run(base, givens, strategy, expr.side, tr)
+        if certified.failed:
+            failed = "; ".join(certified.failed)
             raise ScriptError(expr.span, f"{base} fails: {failed}")
         got = result.result
         got = got if isinstance(got, tuple) else (got,)
@@ -689,10 +672,9 @@ def interpret(script: Script) -> Interpretation:
         try:
             if isinstance(st, Assertion):
                 args = [value(a) for a in st.args]
-                passed = PREDICATES[st.predicate].run(*args)
-                text = (f"{st.predicate}"
-                        f"({', '.join(describe_object(a) for a in args)})")
-                outcomes.append(AssertionOutcome(st.span, text, passed))
+                ok = PREDICATES[st.predicate].run(*args)
+                text = ", ".join(map(describe_object, args))
+                checks.true(f"{st.span}: assert {st.predicate}({text})", ok)
                 continue
             expr = st.expr
             if isinstance(expr, PointLit):
@@ -707,4 +689,5 @@ def interpret(script: Script) -> Interpretation:
             raise
         except EuclidError as e:
             raise ScriptError(st.span, f"{type(e).__name__}: {e}")
-    return Interpretation(env, tr, outcomes)
+    named = {name: ("given", obj) for name, obj in env.items()}
+    return PropositionResult(named, None, tr), checks

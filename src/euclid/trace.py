@@ -273,11 +273,12 @@ class PropositionResult:
 
 @dataclass
 class Checks:
-    """Every exact check on one result or theorem instance, in order, as
-    (claim, passed, residual); a failed check raises nothing.  A boolean
-    claim has no residual: it shows ``0`` when it holds and ``-`` when it
-    fails.  ``prop_id`` names the run: the id, then ``.strategy`` for a
-    route of a construction with strategies."""
+    """Every exact check on one result, theorem instance or script, in
+    order, as (claim, passed, residual); a failed check raises nothing.  A
+    boolean claim has no residual: it shows ``0`` when it holds and ``-``
+    when it fails; an irrational residual shows its value to six digits
+    after it.  ``prop_id`` names the run: the id, then ``.strategy`` for a
+    route of a construction with strategies, or ``script``."""
 
     prop_id: str
     claims: list[tuple[str, bool, str]] = field(default_factory=list)
@@ -286,15 +287,24 @@ class Checks:
         self.claims.append((claim, bool(ok), "0" if ok else "-"))
 
     def zero(self, claim: str, residual) -> None:
-        self.claims.append((claim, residual.sign() == 0, str(residual)))
+        text = str(residual)
+        if not residual.is_rational:
+            text += f" (≈ {residual.approx(6)})"
+        self.claims.append((claim, residual.sign() == 0, text))
+
+    @property
+    def failed(self) -> list[str]:
+        """The texts of the failed claims, in order."""
+        return [c for c, ok, _ in self.claims if not ok]
 
     @property
     def all_pass(self) -> bool:
-        return all(ok for _, ok, _ in self.claims)
+        return not self.failed
 
-    def lines(self) -> list[str]:
-        return [f"{c}\t{'PASS' if ok else 'FAIL'}\t{r}"
-                for c, ok, r in self.claims]
+    def lines(self, prefix: str = "", failed_only: bool = False) -> list[str]:
+        """``prefix + claim<TAB>PASS|FAIL<TAB>residual`` for each claim."""
+        return [f"{prefix}{c}\t{'PASS' if ok else 'FAIL'}\t{r}"
+                for c, ok, r in self.claims if not (ok and failed_only)]
 
 
 def describe_object(obj) -> str:

@@ -3,7 +3,8 @@ comparison, and cost metrics (postulate counts, superposition counts,
 radical depth).
 
 Every instance runs in a fresh arithmetic context, and every claim of a
-result's postcondition is recorded, passed or failed.  Cost metrics are
+result's postcondition is recorded, passed or failed, in the run's own
+``trace.Checks``, whose lines the reports print.  Cost metrics are
 descriptive output only; nothing about them is asserted.
 """
 
@@ -17,7 +18,7 @@ from . import elements
 from .elements import THEOREM_IDS, check_theorem
 from .errors import EuclidError, UnknownProposition
 from .number import new_context
-from .trace import PropositionResult, Tracer, key_values
+from .trace import Checks, PropositionResult, Tracer, key_values
 
 SUITE_IDS = (*elements.CONSTRUCTIONS, *THEOREM_IDS)
 
@@ -41,16 +42,22 @@ _NO_COSTS = PropositionResult({}, None, Tracer()).costs()
 
 @dataclass
 class StrategyOutcome:
-    """One strategy's run: the error that stopped it, or its claims and
-    costs."""
+    """One strategy's run: its claims and costs, or the error that stopped
+    it, with no claims."""
 
-    error: str = ""
-    checks: list = field(default_factory=list)
+    checks: Checks
     costs: dict[str, int] = field(default_factory=_NO_COSTS.copy)
+    error: str = ""
 
     @property
     def passed(self) -> bool:
-        return not self.error and all(ok for _, ok, _ in self.checks)
+        return not self.error and self.checks.all_pass
+
+    def lines(self, tag: str, failed_only: bool = False) -> list[str]:
+        """The error line, or the claim lines, each led by ``tag``."""
+        if self.error:
+            return [f"{tag}\tERROR\t{self.error}"]
+        return self.checks.lines(f"{tag}: ", failed_only)
 
 
 @dataclass
@@ -58,14 +65,14 @@ class ComparisonReport:
     prop_id: str
     outcomes: dict[str, StrategyOutcome]
 
+    @property
+    def failures(self) -> int:
+        return sum(not oc.passed for oc in self.outcomes.values())
+
     def lines(self) -> list[str]:
         out = [f"# comparison {self.prop_id}"]
         for name, oc in self.outcomes.items():
-            if oc.error:
-                out.append(f"{name}\tERROR\t{oc.error}")
-                continue
-            for claim, ok, residual in oc.checks:
-                out.append(f"{name}: {claim}\t{'PASS' if ok else 'FAIL'}\t{residual}")
+            out += oc.lines(name)
         out.append("# metrics")
         for name, oc in self.outcomes.items():
             out.append(f"strategy={name} {key_values(oc.costs)}")
@@ -78,8 +85,7 @@ class ComparisonReport:
                 "proposition": self.prop_id,
                 "strategy": name,
                 "passed": oc.passed,
-                "error": oc.error or "; ".join(
-                    claim for claim, ok, _ in oc.checks if not ok),
+                "error": oc.error or "; ".join(oc.checks.failed),
                 **oc.costs,
             })
         return out
@@ -94,8 +100,7 @@ class SuiteReport:
 
     @property
     def failures(self) -> int:
-        return sum(not oc.passed for inst in self.instances
-                   for oc in inst.outcomes.values())
+        return sum(inst.failures for inst in self.instances)
 
     @property
     def runs(self) -> int:
@@ -113,14 +118,7 @@ class SuiteReport:
         out.append(f"runs={self.runs} failures={self.failures}")
         for idx, inst in enumerate(self.instances):
             for name, oc in inst.outcomes.items():
-                if oc.passed:
-                    continue
-                if oc.error:
-                    out.append(f"instance {idx} [{name}]\tERROR\t{oc.error}")
-                for claim, ok, residual in oc.checks:
-                    if not ok:
-                        out.append(f"instance {idx} [{name}]: {claim}"
-                                   f"\tFAIL\t{residual}")
+                out += oc.lines(f"instance {idx} [{name}]", failed_only=True)
         for name, total in sorted(self.superposition_totals().items()):
             out.append(f"superpositions[{name}]={total}")
         depth = 0
@@ -156,11 +154,11 @@ def _run_strategy(base: str, strategy: Optional[str], givens: dict
     validator of a theorem base."""
     try:
         if base in THEOREM_IDS:
-            return StrategyOutcome(checks=check_theorem(base, givens).claims)
+            return StrategyOutcome(check_theorem(base, givens))
         result, checks = elements.run(base, givens, strategy)
     except EuclidError as e:
-        return StrategyOutcome(error=f"{type(e).__name__}: {e}")
-    return StrategyOutcome(checks=checks.claims, costs=result.costs())
+        return StrategyOutcome(Checks(base), error=f"{type(e).__name__}: {e}")
+    return StrategyOutcome(checks, result.costs())
 
 
 def compare(prop_id: str, instances: dict) -> ComparisonReport:

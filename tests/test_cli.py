@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import euclid
-from euclid.cli import main
+from euclid.cli import build_parser, main
 from euclid.number import new_context
 
 TESTS = Path(__file__).resolve().parent
@@ -418,3 +418,28 @@ class TestMain:
 
         monkeypatch.setattr(sys, "stdout", ClosedPipe())
         assert main(["suite", "I.1", "--n", "1"]) == 0
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_records_flag_is_not_kept(self, capsys):
+        assert main(["suite", "I.1", "--n", "1", "--records"]) == 0
+        records = capsys.readouterr().out.splitlines()
+        assert records and all(r.startswith("proposition=") for r in records)
+        assert main(["suite", "I.1", "--n", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "# suite I.1 n=1 seed=7"
+        assert not any(line.startswith("proposition=") for line in lines)
+
+    def test_same_call_twice_same_stdout(self, capsys):
+        assert main(["prop", "I.1", "--seed", "3"]) == 0
+        first = capsys.readouterr().out
+        assert main(["prop", "I.1", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == first
+
+    def test_usage_error_and_help_leave_the_next_call_working(self, capsys):
+        assert main(["prop"]) == 2
+        assert main(["--help"]) == 0
+        capsys.readouterr()
+        assert main(["prop", "I.1", "--seed", "3"]) == 0
+        assert capsys.readouterr().out.startswith("# I.1\n")

@@ -9,6 +9,7 @@ from euclid import dsl
 from euclid.dsl import ScriptError, check, interpret, parse
 from euclid.geom import Point
 from euclid.number import Constructible, new_context, sqrt_nonneg
+from euclid.trace import trace_lines
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -93,8 +94,8 @@ class TestParse:
             return text
 
         cap = dsl.MAX_COORD_NESTING
-        inter = run(f"point P = ({nested(cap)}, 0)\n")
-        assert abs(inter.env["P"].x) == 1
+        result, _ = run(f"point P = ({nested(cap)}, 0)\n")
+        assert abs(result.objects["P"].x) == 1
         text = f"point P = ({nested(cap + 1)}, 0)\n"
         script, diags = parse(text)
         assert script.statements == []
@@ -110,8 +111,8 @@ class TestParse:
 
     def test_number_length_cap(self):
         limit = sys.get_int_max_str_digits()
-        inter = run(f"point P = ({'7' * limit}, 0)\n")
-        assert inter.env["P"].x == Constructible(int("7" * limit))
+        result, _ = run(f"point P = ({'7' * limit}, 0)\n")
+        assert result.objects["P"].x == Constructible(int("7" * limit))
         text = f"point P = (1 + {'7' * (limit + 1)}, 0)\n"
         script, diags = parse(text)
         assert script.statements == []
@@ -124,8 +125,8 @@ class TestParse:
             sys.set_int_max_str_digits(limit)
 
     def test_radical_coordinates(self):
-        inter = run("point P = (sqrt(3)/2, 1/2)\n")
-        p = inter.env["P"]
+        result, _ = run("point P = (sqrt(3)/2, 1/2)\n")
+        p = result.objects["P"]
         assert (p.x - sqrt_nonneg(Constructible(3)) / 2).is_zero()
         assert (p.y - Constructible(Fraction(1, 2))).is_zero()
 
@@ -269,25 +270,35 @@ class TestWords:
     def test_type_word_is_class_name(self):
         # cli binds proposition parameters by the lower-case class name
         script, _ = parse(EVERY_WORD.read_text())
-        inter = interpret(script)
+        result, _ = interpret(script)
         for st in script.statements:
             if isinstance(st, dsl.Decl):
                 for name in st.names:
-                    obj = inter.env[name.ident]
+                    obj = result.objects[name.ident]
                     assert type(obj).__name__.lower() == st.type
 
 
 class TestInterpret:
     def test_i1_apex(self):
         text = (SCRIPTS / "i1.euc").read_text()
-        inter = run(text)
-        c = inter.env["C"]
+        result, _ = run(text)
+        c = result.objects["C"]
         assert c == Point(Constructible(Fraction(1, 2)),
                           sqrt_nonneg(Constructible(3)) / 2)
 
+    def test_result_names_each_object_and_checks_each_assertion(self):
+        result, checks = run((SCRIPTS / "i44.euc").read_text())
+        assert list(result.named) == ["A", "B", "ab", "t", "d", "par"]
+        assert {role for role, _ in result.named.values()} == {"given"}
+        assert result.trace.label == "script"
+        assert checks.prop_id == "script"
+        (claim, ok, residual), = checks.claims
+        assert claim.startswith("8:1: assert area_eq(figure[point(4.000000, ")
+        assert (ok, residual) == (True, "0")
+
     def test_i44_assertion_passes(self):
-        inter = run((SCRIPTS / "i44.euc").read_text())
-        assert inter.all_assertions_pass
+        _, checks = run((SCRIPTS / "i44.euc").read_text())
+        assert checks.all_pass
 
     def test_selector_second_missing(self):
         text = ("point A = (0,0)\npoint B = (0,1)\npoint C = (1,1)\n"
@@ -308,50 +319,50 @@ class TestInterpret:
         with pytest.raises(ScriptError, match="no intersection point"):
             interpret(script)
         # the segment keeps one of the two points where u meets its line
-        inter = run(base + "point Q = intersect(s, u)\n")
-        assert inter.env["Q"] == Point(Constructible(1), Constructible(0))
+        result, _ = run(base + "point Q = intersect(s, u)\n")
+        assert result.objects["Q"] == Point(Constructible(1), Constructible(0))
 
     def test_left_of_selector(self):
         text = ("point A = (0,0)\npoint B = (1,0)\n"
                 "segment s = join(A, B)\nray r = extend(s, b)\n"
                 "circle c1 = circle(A, B)\ncircle c2 = circle(B, A)\n"
                 "point C = intersect(c1, c2) left_of(r)\n")
-        inter = run(text)
-        assert inter.env["C"].y.sign() > 0
+        result, _ = run(text)
+        assert result.objects["C"].y.sign() > 0
 
     def test_opposite_side_selector(self):
         text = ("point A = (0,0)\npoint B = (1,0)\npoint Q = (0,-5)\n"
                 "line l = join(A, B)\n"
                 "circle c1 = circle(A, B)\ncircle c2 = circle(B, A)\n"
                 "point C = intersect(c1, c2) opposite_side(l, Q)\n")
-        inter = run(text)
-        assert inter.env["C"].y.sign() > 0
+        result, _ = run(text)
+        assert result.objects["C"].y.sign() > 0
 
     def test_deterministic_traces(self):
         text = (SCRIPTS / "i44.euc").read_text()
-        a = run(text).trace_text()
+        a = trace_lines(run(text)[0].trace)
         new_context()
-        b = run(text).trace_text()
+        b = trace_lines(run(text)[0].trace)
         assert a == b
 
     def test_prop_by_suffixed_id(self):
         text = ("point A = (0,0)\npoint B = (3,0)\nsegment ab = join(A, B)\n"
                 "figure sq = prop I.46.campanus2 (ab)\n")
-        inter = run(text)
-        assert len(inter.env["sq"].vertices) == 4
+        result, _ = run(text)
+        assert len(result.objects["sq"].vertices) == 4
 
     def test_i43_pair_binding(self):
         text = ("figure pg = figure((0,0), (4,0), (6,3), (2,3))\n"
                 "point K = (2, 1)\n"
                 "figure u, v = prop I.43 (pg, K)\n"
                 "assert area_eq(u, v)\n")
-        inter = run(text)
-        assert inter.all_assertions_pass
+        _, checks = run(text)
+        assert checks.all_pass
 
     def test_prop_with_number_arguments(self):
         text = ("segment s = join((0,0), (1,0))\nray r = extend(s, b)\n"
                 "figure T = prop I.22 (3, 4, 5, r)\n")
-        assert run(text).env["T"].vertices[0] == Point(0, 3)
+        assert run(text)[0].objects["T"].vertices[0] == Point(0, 3)
 
     @pytest.mark.parametrize("call", ["I.11 ({}, C)", "I.12 ({}, D)",
                                       "I.31 (D, {})"])
@@ -360,22 +371,22 @@ class TestInterpret:
         base = ("point A = (0,0)\npoint B = (4,0)\nsegment s = join(A, B)\n"
                 "ray r = extend(s, b)\nline l = join(A, B)\n"
                 "point C = (1,0)\npoint D = (1,3)\n")
-        want = run(base + f"line p = prop {call.format('l')}\n").env["p"]
-        got = run(base + f"line p = prop {call.format(given)}\n").env["p"]
-        assert got == want
+        want, _ = run(base + f"line p = prop {call.format('l')}\n")
+        got, _ = run(base + f"line p = prop {call.format(given)}\n")
+        assert got.objects["p"] == want.objects["p"]
 
     @pytest.mark.parametrize("selector, x", [("first", -1), ("second", 1)])
     def test_intersect_circle_first(self, selector, x):
         text = ("circle c = circle((0,0), (1,0))\n"
                 "line l = join((-2,0), (2,0))\n"
                 f"point P = intersect(c, l) {selector}\n")
-        assert run(text).env["P"] == Point(x, 0)
+        assert run(text)[0].objects["P"] == Point(x, 0)
 
     def test_failed_assertion_recorded(self):
         text = ("point A = (0,0)\npoint B = (1,0)\npoint C = (5,5)\n"
                 "assert collinear(A, B, C)\n")
-        inter = run(text)
-        assert not inter.all_assertions_pass
+        _, checks = run(text)
+        assert not checks.all_pass
 
 
 
@@ -395,9 +406,9 @@ class TestCoordinates:
     @pytest.mark.parametrize("text, expected", COORDINATES,
                              ids=[t for t, _ in COORDINATES])
     def test_value(self, text, expected):
-        inter = run(f"point P = ({text}, {text})\n")
+        result, _ = run(f"point P = ({text}, {text})\n")
         want = expected()
-        assert inter.env["P"] == Point(want, want)
+        assert result.objects["P"] == Point(want, want)
 
     @pytest.mark.parametrize("text, error", [
         ("point P = (sqrt(0 - 1), 0)\n", "1:1: NegativeRadicand: "),

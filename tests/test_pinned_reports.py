@@ -5,12 +5,16 @@ output on purpose re-records the digests and says why in CHANGES.md."""
 
 import hashlib
 import os
+import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
-from euclid import elements
+from euclid import elements, number
 from euclid.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 FIVE = ("euclid_superposition,alnayrizi,robert_of_chester,campanus,"
         "tinemue_equal_case")
@@ -78,3 +82,27 @@ def test_svg_bytes(monkeypatch, capsys, tmp_path):
         digest.update(capsys.readouterr().out.encode("utf-8"))
         digest.update((tmp_path / "fig.svg").read_bytes())
     assert digest.hexdigest() == SVG_DIGEST
+
+
+def test_figures_bytes(monkeypatch, tmp_path):
+    """Every call of the benchmark's figures workload (``bench/workloads.py``)
+    prints the stdout and writes the SVG recorded in
+    ``bench/figures.sha256``.  Each call runs from a copy of ``scripts/``,
+    since its stdout names the SVG path relative to the working
+    directory."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    monkeypatch.delenv("EUCLID_SEED", raising=False)
+    shutil.copytree(ROOT / "scripts", tmp_path / "scripts")
+    (tmp_path / ".bench_build").mkdir()
+    monkeypatch.chdir(tmp_path)
+    digests = workloads.load_digests()
+    calls = workloads.figure_calls()
+    assert len(calls) == len(digests)
+    for argv in calls:
+        number.new_context()
+        code, stdout = workloads.run_figure(argv)
+        assert code == 0, argv
+        assert workloads.figure_digest(stdout) == digests[" ".join(argv)], argv

@@ -73,6 +73,33 @@ def test_script_prop_stops_with_exit_1(moved, tmp_path, capsys):
         "2:12: I.1 fails: side CA equals AB; side CB equals AB\n")
 
 
+def test_reports_write_claims_as_checks_does(moved):
+    """compare prints each run's claims, and suite its failed claims,
+    exactly as the run's own Checks writes them."""
+    moved("I.44")
+    seed = 3
+    strategies = elements.STRATEGIES["I.44"]
+
+    def ledgers():
+        new_context()
+        drawn = verify.generate_instance("I.44", random.Random(seed))
+        instances = {s: elements.drawn_instance(s, drawn) for s in strategies}
+        return instances, {s: elements.run("I.44", givens, s)[1]
+                           for s, givens in instances.items()}
+
+    instances, checks = ledgers()
+    lines = verify.compare("I.44", instances).lines()
+    want = [line for s in strategies for line in checks[s].lines(f"{s}: ")]
+    assert lines[1:len(want) + 2] == [*want, "# metrics"]
+
+    lines = run_suite("I.44", 1, seed).lines()
+    _, checks = ledgers()
+    want = [line for s in strategies for line in
+            checks[s].lines(f"instance 0 [{s}]: ", failed_only=True)]
+    assert want and lines[2:len(want) + 2] == want
+    assert lines[len(want) + 2].startswith("superpositions[")
+
+
 def test_failed_boolean_claim_shows_no_zero_residual(moved, capsys):
     moved("I.44")
     assert main(["prop", "I.44", "--seed", "3"]) == 1

@@ -5,8 +5,8 @@ import pytest
 from euclid.elements import p1_equilateral
 from euclid.errors import NoSuchIntersection
 from euclid.geom import Point, Segment
-from euclid.number import new_context
-from euclid.trace import Tracer
+from euclid.number import Constructible, new_context, sqrt_nonneg
+from euclid.trace import Checks, Tracer
 
 
 def test_register_input_takes_objects_in_order():
@@ -66,3 +66,21 @@ def test_unattached_nested_run_fails_the_reference_check():
             tr.attach(tri, operands=(a, b), produced=(apex,))
         tr.join(apex, a)
         assert tr.check_references() is attached
+
+
+def test_residual_shows_an_irrational_value():
+    checks = Checks("I.0")
+    checks.zero("irrational", sqrt_nonneg(Constructible(2)) - 1)
+    checks.zero("rational", Constructible(1) / 3)
+    checks.zero("zero", Constructible(0))
+    checks.true("boolean", False)
+    assert checks.lines() == [
+        "irrational\tFAIL\t+ -1 × 1 √ 2 (≈ 0.414214)",
+        "rational\tFAIL\t1/3",
+        "zero\tPASS\t0",
+        "boolean\tFAIL\t-",
+    ]
+    assert checks.failed == ["irrational", "rational", "boolean"]
+    assert not checks.all_pass
+    assert checks.lines("p: ", failed_only=True) == [
+        "p: " + line for line in checks.lines() if "\tFAIL\t" in line]
