@@ -29,6 +29,7 @@ Grammar (EBNF) ships in the package documentation.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -261,43 +262,25 @@ class Token:
     span: Span
 
 
+# one alternative per kind; a name never ends in a dot, so "I.42." is the
+# propid I.42 and then an unexpected '.'
+_TOKEN = re.compile(r"(?P<space>[ \t]+)|(?P<comment>#.*)|(?P<number>[0-9]+)"
+                    r"|(?P<word>[A-Za-z_](?:[A-Za-z0-9_.]*[A-Za-z0-9_])?)"
+                    r"|(?P<punct>[(),=+\-*/])|(?P<other>.)", re.DOTALL)
+
+
 def _lex_line(text: str, line_no: int, diags: list[Diagnostic]) -> list[Token]:
     out: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t":
-            i += 1
+    for m in _TOKEN.finditer(text):
+        kind, tok = m.lastgroup, m.group()
+        if kind in ("space", "comment"):
             continue
-        if ch == "#":
-            break
-        span = Span(line_no, i + 1)
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            out.append(Token("number", text[i:j], span))
-            i = j
-            continue
-        if ch.isascii() and (ch.isalpha() or ch == "_"):
-            j = i
-            while j < n and text[j].isascii() and (text[j].isalnum()
-                                                   or text[j] in "_."):
-                j += 1
-            word = text[i:j].rstrip(".")
-            j = i + len(word)
-            kind = "propid" if "." in word else "word"
-            out.append(Token(kind, word, span))
-            i = j
-            continue
-        if ch in "(),=+-*/":
-            out.append(Token("punct", ch, span))
-            i += 1
-            continue
-        diags.append(Diagnostic(span, f"unexpected character {ch!r}"))
-        i += 1
-    out.append(Token("end", "", Span(line_no, n + 1)))
+        span = Span(line_no, m.start() + 1)
+        if kind == "other":
+            diags.append(Diagnostic(span, f"unexpected character {tok!r}"))
+        else:  # only a word can hold a dot
+            out.append(Token("propid" if "." in tok else kind, tok, span))
+    out.append(Token("end", "", Span(line_no, len(text) + 1)))
     return out
 
 
@@ -329,30 +312,36 @@ class _LineParser:
         self.diags.append(Diagnostic(self.peek().span, message, note))
         raise _ParseAbort
 
-    def expect_punct(self, ch: str) -> Token:
+    def at(self, *texts: str) -> bool:
+        """Whether the next token is one of these punctuation marks or
+        words, or, given none, any word."""
         t = self.peek()
-        if t.kind == "punct" and t.text == ch:
+        if not texts:
+            return t.kind == "word"
+        return t.kind in ("punct", "word") and t.text in texts
+
+    def expect_punct(self, ch: str) -> Token:
+        if self.at(ch):
             return self.advance()
         self.error(f"expected {ch!r}")
 
-    def expect_word(self) -> Token:
-        t = self.peek()
-        if t.kind == "word":
+    def expect_word(self, what: str = "a name") -> Token:
+        if self.at():
             return self.advance()
-        self.error("expected a name")
+        self.error(f"expected {what}")
 
     # coordinate expressions: infix in, prefix text out ------------------
 
     def coord(self) -> str:
         node = self.coord_term()
-        while self.peek().kind == "punct" and self.peek().text in "+-":
+        while self.at("+", "-"):
             op = self.advance().text
             node = f"{op} {node} {self.coord_term()}"
         return node
 
     def coord_term(self) -> str:
         node = self.coord_factor()
-        while self.peek().kind == "punct" and self.peek().text in "*/":
+        while self.at("*", "/"):
             op = self.advance().text
             node = f"{op} {node} {self.coord_factor()}"
         return node
@@ -365,8 +354,7 @@ class _LineParser:
                 self.error(f"number longer than {limit} digits",
                            note="the interpreter's integer string limit")
             return self.advance().text
-        if not ((t.kind == "punct" and t.text in ("-", "("))
-                or (t.kind == "word" and t.text == "sqrt")):
+        if not self.at("-", "(", "sqrt"):
             self.error("expected a number, sqrt(...) or parenthesized "
                        "expression")
         if self.nesting == MAX_COORD_NESTING:
@@ -387,24 +375,15 @@ class _LineParser:
         self.nesting -= 1
         return node
 
-    def looks_like_coord(self) -> bool:
-        t = self.peek()
-        return (t.kind == "number"
-                or (t.kind == "word" and t.text == "sqrt")
-                or (t.kind == "punct" and t.text == "-"))
-
     # arguments ----------------------------------------------------------
 
     def argument(self) -> Arg:
-        t = self.peek()
-        if t.kind == "punct" and t.text == "(":
+        if self.at("("):
             return self.point_literal()
-        if self.looks_like_coord():
+        if self.peek().kind == "number" or self.at("sqrt", "-"):
             return self.coord()
-        if t.kind == "word":
-            self.advance()
-            return Name(t.text, t.span)
-        self.error("expected an argument")
+        t = self.expect_word("an argument")
+        return Name(t.text, t.span)
 
     def point_literal(self) -> PointLit:
         start = self.expect_punct("(")
@@ -417,29 +396,27 @@ class _LineParser:
     def arg_list(self) -> tuple:
         self.expect_punct("(")
         args = []
-        if not (self.peek().kind == "punct" and self.peek().text == ")"):
+        if not self.at(")"):
             args.append(self.argument())
-            while self.peek().kind == "punct" and self.peek().text == ",":
+            while self.at(","):
                 self.advance()
                 args.append(self.argument())
         self.expect_punct(")")
         return tuple(args)
 
     def selector(self) -> Optional[Selector]:
-        t = self.peek()
-        if t.kind != "word" or t.text not in SELECTORS:
+        if not self.at(*SELECTORS):
             return None
-        self.advance()
+        t = self.advance()
         args = self.arg_list() if SELECTORS[t.text].args else ()
         return Selector(t.text, args, t.span)
 
     # statements --------------------------------------------------------
 
     def statement(self) -> object:
-        t = self.peek()
-        if t.kind == "word" and t.text == "assert":
+        if self.at("assert"):
             return self.assertion()
-        if t.kind == "word" and t.text in TYPES:
+        if self.at(*TYPES):
             return self.declaration()
         self.error("expected a declaration or an assertion",
                    note="statements start with a type word or 'assert'")
@@ -458,7 +435,7 @@ class _LineParser:
         type_tok = self.advance()
         first = self.expect_word()
         names = [Name(first.text, first.span)]
-        if self.peek().kind == "punct" and self.peek().text == ",":
+        if self.at(","):
             self.advance()
             tok = self.expect_word()
             names.append(Name(tok.text, tok.span))
@@ -468,13 +445,12 @@ class _LineParser:
         return Decl(type_tok.text, tuple(names), expr, type_tok.span)
 
     def expression(self):
-        t = self.peek()
-        if t.kind == "punct" and t.text == "(":
+        if self.at("("):
             return self.point_literal()
-        if t.kind == "word" and t.text == "prop":
+        if self.at("prop"):
             return self.prop_call()
-        if t.kind == "word" and t.text in PRIMITIVES:
-            self.advance()
+        if self.at(*PRIMITIVES):
+            t = self.advance()
             args = self.arg_list()
             selector = self.selector() if t.text == "intersect" else None
             return Call(t.text, args, selector, t.span)
@@ -482,10 +458,9 @@ class _LineParser:
 
     def prop_call(self) -> PropCall:
         kw = self.advance()
-        t = self.peek()
-        if t.kind != "propid":
+        if self.peek().kind != "propid":
             self.error("expected a proposition identifier such as I.42")
-        self.advance()
+        t = self.advance()
         args = self.arg_list()
         strategy = self.keyword_value("strategy")
         side = self.keyword_value("side")
@@ -493,7 +468,7 @@ class _LineParser:
 
     def keyword_value(self, keyword: str) -> Optional[str]:
         """The name after ``keyword`` if the line continues with it."""
-        if self.peek().kind == "word" and self.peek().text == keyword:
+        if self.at(keyword):
             self.advance()
             return self.expect_word().text
         return None
@@ -528,14 +503,26 @@ def parse(text: str) -> tuple[Script, list[Diagnostic]]:
 # static checking
 
 
+def _is_endpoint(arg, want: str, env) -> bool:
+    """Whether ``arg`` is the word ``a`` or ``b`` naming a segment's
+    endpoint: always in an endpoint position, elsewhere when undeclared."""
+    return (isinstance(arg, Name) and arg.ident in ("a", "b")
+            and (want == "endpoint" or arg.ident not in env))
+
+
+def _slots(args: tuple, want: tuple[str, ...]):
+    """Each argument with the type word of its position ("" past ``want``)."""
+    return zip(args, want + ("",) * (len(args) - len(want)))
+
+
 def check(script: Script) -> list[Diagnostic]:
     """Definition-before-use, single definition, arity and type checks."""
     diags: list[Diagnostic] = []
     env: dict[str, str] = {}
 
-    def arg_type(arg) -> str:
+    def arg_type(arg, want: str) -> str:
         if isinstance(arg, Name):
-            if arg.ident in ("a", "b") and arg.ident not in env:
+            if _is_endpoint(arg, want, env):
                 return "endpoint"
             if arg.ident not in env:
                 diags.append(Diagnostic(arg.span,
@@ -547,9 +534,9 @@ def check(script: Script) -> list[Diagnostic]:
         return "number"
 
     def check_args(span, what, want, args, repeats=False) -> None:
-        got = [arg_type(a) for a in args]
-        if repeats and len(got) > len(want):
-            want = want + want[-1:] * (len(got) - len(want))
+        if repeats and len(args) > len(want):
+            want = want + want[-1:] * (len(args) - len(want))
+        got = [arg_type(a, w) for a, w in _slots(args, want)]
         if len(want) != len(got):
             least = "at least " if repeats else ""
             diags.append(Diagnostic(span,
@@ -627,19 +614,20 @@ def interpret(script: Script) -> tuple[PropositionResult, Checks]:
     tr = Tracer("script")
     checks = Checks("script")
 
-    def value(arg):
+    def value(arg, want: str = ""):
         if isinstance(arg, Name):
+            if _is_endpoint(arg, want, env):
+                return arg.ident
             if arg.ident in env:
                 return env[arg.ident]
-            if arg.ident in ("a", "b"):
-                return arg.ident
             raise ScriptError(arg.span, f"undefined name {arg.ident!r}")
         if isinstance(arg, PointLit):
             return Point(from_prefix(arg.x), from_prefix(arg.y))
         return from_prefix(arg)
 
     def run_call(expr: Call, declared: str):
-        args = [value(a) for a in expr.args]
+        args = [value(a, w)
+                for a, w in _slots(expr.args, PRIMITIVES[expr.fn].args)]
         sel = expr.selector
         if sel is not None:
             sel_args = [value(a) for a in sel.args]

@@ -833,9 +833,6 @@ class Constructible:
                 prec *= 2
         return decimal_text(mid, digits)
 
-    def __float__(self):
-        return float(Fraction(self.approx(17).replace(".", "")) / 10 ** 17)
-
     def __repr__(self):
         return f"Constructible({self.approx(6)}...)"
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from math import inf
 from typing import Optional
 
 from .errors import NothingToRender
@@ -36,15 +37,11 @@ def _fr(value: Constructible) -> Fraction:
 _fmt = partial(decimal_text, digits=2)  # an SVG coordinate
 
 
-def _xy(p: Point) -> tuple[Fraction, Fraction]:
-    return _fr(p.x), _fr(p.y)
-
-
 def _model(obj) -> tuple[list, Optional[Fraction], list]:
     """A drawable's points in model coordinates, a circle's radius (None
     for any other drawable) and the corners of its extent, each rounded
     once."""
-    pts = [_xy(p) for p in points(obj)]
+    pts = [(_fr(p.x), _fr(p.y)) for p in points(obj)]
     if not isinstance(obj, Circle):
         return pts, None, pts
     r = _fr(sqrt_nonneg(obj.radius_sq))
@@ -54,17 +51,13 @@ def _model(obj) -> tuple[list, Optional[Fraction], list]:
 
 class _Canvas:
     def __init__(self, xs, ys):
-        min_x, max_x = min(xs), max(xs)
-        min_y, max_y = min(ys), max(ys)
-        span_x = max_x - min_x or Fraction(1)
-        span_y = max_y - min_y or Fraction(1)
-        margin_x = span_x * Fraction(1, 20)
-        margin_y = span_y * Fraction(1, 20)
-        self.min_x = min_x - margin_x
-        self.max_x = max_x + margin_x
-        self.min_y = min_y - margin_y
-        self.max_y = max_y + margin_y
-        self.width = _WIDTH
+        def bounds(vs):  # a margin of a twentieth of the span each side
+            lo, hi = min(vs), max(vs)
+            margin = (hi - lo or Fraction(1)) / 20
+            return lo - margin, hi + margin
+
+        self.min_x, self.max_x = bounds(xs)
+        self.min_y, self.max_y = bounds(ys)
         self.scale = _WIDTH / (self.max_x - self.min_x)
         self.height = (self.max_y - self.min_y) * self.scale
 
@@ -72,38 +65,23 @@ class _Canvas:
         return ((x - self.min_x) * self.scale,
                 (self.max_y - y) * self.scale)
 
-    def clip_line(self, p, q) -> Optional[tuple]:
-        """Intersection of the infinite line p-q with the viewport box."""
-        x1, y1 = p
-        x2, y2 = q
+    def clip(self, p, q, ray: bool) -> Optional[tuple]:
+        """The part inside the viewport box of the line through p and q,
+        or of the ray from p through q: the parameter interval [t0, t1]
+        narrowed by each bound, or None when nothing of it is left or p = q."""
+        (x1, y1), (x2, y2) = p, q
         dx, dy = x2 - x1, y2 - y1
-        ts = []
-        for bound, origin, delta in ((self.min_x, x1, dx), (self.max_x, x1, dx),
-                                     (self.min_y, y1, dy), (self.max_y, y1, dy)):
-            if delta != 0:
-                ts.append((bound - origin) / delta)
-        hits = []
-        for t in sorted(set(ts)):
-            x, y = x1 + dx * t, y1 + dy * t
-            if self.min_x <= x <= self.max_x and self.min_y <= y <= self.max_y:
-                hits.append((x, y))
-        if len(hits) < 2:
+        t0, t1 = (0 if ray else -inf), inf
+        for lo, hi, origin, delta in ((self.min_x, self.max_x, x1, dx),
+                                      (self.min_y, self.max_y, y1, dy)):
+            if delta:
+                a, b = sorted(((lo - origin) / delta, (hi - origin) / delta))
+                t0, t1 = max(t0, a), min(t1, b)
+            elif not lo <= origin <= hi:
+                return None
+        if not (dx or dy) or t0 >= t1:
             return None
-        return hits[0], hits[-1]
-
-    def clip_ray(self, origin, through) -> Optional[tuple]:
-        got = self.clip_line(origin, through)
-        if got is None:
-            return None
-        dx = through[0] - origin[0]
-        dy = through[1] - origin[1]
-        ends = [origin]
-        for pt in got:
-            if (pt[0] - origin[0]) * dx + (pt[1] - origin[1]) * dy >= 0:
-                ends.append(pt)
-        far = max(ends, key=lambda pt: (pt[0] - origin[0]) * dx
-                  + (pt[1] - origin[1]) * dy)
-        return origin, far
+        return (x1 + dx * t0, y1 + dy * t0), (x1 + dx * t1, y1 + dy * t1)
 
 
 def render(named: dict[str, tuple[str, object]]) -> bytes:
@@ -138,8 +116,7 @@ def render(named: dict[str, tuple[str, object]]) -> bytes:
         elif isinstance(obj, Segment):
             emit_segment(*pts, stroke)
         elif isinstance(obj, (Line, Ray)):
-            clip = canvas.clip_line if isinstance(obj, Line) else canvas.clip_ray
-            got = clip(*pts)
+            got = canvas.clip(*pts, ray=isinstance(obj, Ray))
             if got:
                 emit_segment(*got, stroke)
         elif isinstance(obj, Circle):
@@ -171,8 +148,8 @@ def render(named: dict[str, tuple[str, object]]) -> bytes:
                     f'fill="{fill}">{_escape(name)}</text>')
 
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{_fmt(canvas.width)}" height="{_fmt(canvas.height)}" '
-            f'viewBox="0 0 {_fmt(canvas.width)} {_fmt(canvas.height)}">')
+            f'width="{_fmt(_WIDTH)}" height="{_fmt(canvas.height)}" '
+            f'viewBox="0 0 {_fmt(_WIDTH)} {_fmt(canvas.height)}">')
     doc = "\n".join([head, *body, "</svg>"]) + "\n"
     return doc.encode("utf-8")
 

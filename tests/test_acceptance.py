@@ -17,7 +17,6 @@ from euclid.elements import (
     instances,
     p44_apply,
     p45_apply_figure,
-    tinemue_matching_angle,
     triangulate,
 )
 from euclid.geom import Angle, Figure, Point, Segment, signed_area

@@ -69,6 +69,18 @@ class TestRun:
         assert capsys.readouterr().err == "no drawable objects\n"
         assert not target.exists()
 
+    def test_svg_line_and_ray_without_direction_exit_0(
+            self, tmp_path, capsys):
+        # A and B round to one model point, so the line and the ray have
+        # no direction to draw: only the segment's zero-length line is drawn
+        script = tmp_path / "tiny.euc"
+        script.write_text("point A = (0, 0)\npoint B = (1/10000000, 0)\n"
+                          "line l = join(A, B)\nsegment s = join(A, B)\n"
+                          "ray r = extend(s, b)\n")
+        target = tmp_path / "tiny.svg"
+        assert main(["run", str(script), "--svg", str(target)]) == 0
+        assert target.read_text().count("<line ") == 1
+
     def test_strategy_conflicts_with_suffix_exit_2(self, tmp_path, capsys):
         script = tmp_path / "conflict.euc"
         script.write_text(
@@ -143,6 +155,13 @@ class TestRun:
         assert main(["run", str(TESTS / "every_word.euc"), "--trace"]) == 0
         expected = (TESTS / "every_word.out").read_text(encoding="utf-8")
         assert capsys.readouterr().out == expected
+
+    def test_declared_b_is_still_the_endpoint_word(self, tmp_path, capsys):
+        script = tmp_path / "campanus.euc"
+        script.write_text("point a = (0, 0)\npoint b = (1, 0)\n"
+                          "segment s = join(a, b)\nray r = extend(s, b)\n")
+        assert main(["run", str(script), "--trace"]) == 0
+        assert "extend (beyond b)" in capsys.readouterr().out
 
     @pytest.mark.parametrize("selector, message", [
         ("left_of()", "left_of takes 1 arguments, got 0"),
@@ -296,6 +315,25 @@ class TestProp:
         assert captured.out == ""
         assert captured.err == (
             f"{inst}: no figure found for parameter 't' of I.44\n")
+
+    def test_input_binds_a_number_to_a_segment_length(self, tmp_path,
+                                                      capsys):
+        # I.22 takes three lengths, each the length of a declared segment
+        inst = tmp_path / "lengths.euc"
+        inst.write_text("point O = (0, 0)\npoint A = (3, 0)\n"
+                        "point B = (4, 0)\npoint C = (5, 0)\n"
+                        "segment p = join(O, A)\nsegment q = join(O, B)\n"
+                        "segment u = join(O, C)\npoint E = (1, 0)\n"
+                        "segment s = join(O, E)\nray r = extend(s, b)\n")
+        assert main(["prop", "I.22", "--input", str(inst)]) == 0
+        assert capsys.readouterr().out == (
+            "# I.22\n"
+            "KF equals the first length\tPASS\t0\n"
+            "FG equals the second length\tPASS\t0\n"
+            "GK equals the third length\tPASS\t0\n"
+            "the second side lies along the ray from its origin\tPASS\t0\n"
+            "joins=2 extends=0 circles=2 superpositions=0 "
+            "max_radical_depth=0\n")
 
     def test_degenerate_input(self, tmp_path, capsys):
         inst = tmp_path / "inst.txt"

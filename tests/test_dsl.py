@@ -4,6 +4,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from euclid import dsl
 from euclid.dsl import ScriptError, check, interpret, parse
@@ -129,6 +131,67 @@ class TestParse:
         p = result.objects["P"]
         assert (p.x - sqrt_nonneg(Constructible(3)) / 2).is_zero()
         assert (p.y - Constructible(Fraction(1, 2))).is_zero()
+
+
+def _reference_lex_line(text, line_no, diags):
+    """The character loop the token table replaced, kept as a reference."""
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t":
+            i += 1
+            continue
+        if ch == "#":
+            break
+        span = dsl.Span(line_no, i + 1)
+        if "0" <= ch <= "9":
+            j = i
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            out.append(dsl.Token("number", text[i:j], span))
+            i = j
+            continue
+        if ch.isascii() and (ch.isalpha() or ch == "_"):
+            j = i
+            while j < n and text[j].isascii() and (text[j].isalnum()
+                                                   or text[j] in "_."):
+                j += 1
+            word = text[i:j].rstrip(".")
+            j = i + len(word)
+            kind = "propid" if "." in word else "word"
+            out.append(dsl.Token(kind, word, span))
+            i = j
+            continue
+        if ch in "(),=+-*/":
+            out.append(dsl.Token("punct", ch, span))
+            i += 1
+            continue
+        diags.append(dsl.Diagnostic(span, f"unexpected character {ch!r}"))
+        i += 1
+    out.append(dsl.Token("end", "", dsl.Span(line_no, n + 1)))
+    return out
+
+
+# ASCII script characters, then a superscript two, an accented letter, a
+# root sign, a minus sign and an Arabic-Indic digit three
+SCRIPT_CHARS = ("abgzABGZ_0123456789._#()=,+-*/ \t"
+                "\u00b2\u00e9\u221a\u2212\u0663")
+
+
+class TestLexer:
+    @given(st.text(st.sampled_from(SCRIPT_CHARS), max_size=40))
+    @example("figure p = prop I.44.alnayrizi (ab, t, d) strategy x # I.44.")
+    @example("I.42. a..b _. 0.5 9x x9 .a")
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_token_table_matches_the_character_loop(self, text):
+        got_diags, want_diags = [], []
+        got = dsl._lex_line(text, 3, got_diags)
+        want = _reference_lex_line(text, 3, want_diags)
+        assert ([(t.kind, t.text, t.span) for t in got]
+                == [(t.kind, t.text, t.span) for t in want])
+        assert list(map(str, got_diags)) == list(map(str, want_diags))
 
 
 class TestCheck:
@@ -350,6 +413,21 @@ class TestInterpret:
                 "figure sq = prop I.46.campanus2 (ab)\n")
         result, _ = run(text)
         assert len(result.objects["sq"].vertices) == 4
+
+    def test_endpoint_words_whatever_is_declared(self):
+        # Campanus letters his points a, b, g, ...: in an endpoint position
+        # a and b are the endpoint words, elsewhere the declared names
+        result, _ = run("point a = (0, 0)\npoint b = (1, 0)\n"
+                        "segment s = join(a, b)\nray r = extend(s, b)\n"
+                        "ray q = extend(s, a)\n")
+        a, b, r, q = (result.objects[n] for n in "abrq")
+        assert (r.origin, r.through) == (a, b)
+        assert (q.origin, q.through) == (b, a)
+        result, _ = run("point A = (0, 0)\npoint B = (1, 0)\n"
+                        "segment b = join(A, B)\nray r = extend(b, a)\n")
+        r = result.objects["r"]
+        assert (r.origin, r.through) == (result.objects["B"],
+                                         result.objects["A"])
 
     def test_i43_pair_binding(self):
         text = ("figure pg = figure((0,0), (4,0), (6,3), (2,3))\n"

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from euclid import geom, number
 from euclid.errors import CoincidentCircles, DegenerateInput, SuperpositionMismatch
 from euclid.geom import (
     Angle,

@@ -81,11 +81,12 @@ def test_every_definition_is_referenced():
 
 
 def test_no_unused_imports():
-    """Every name a module imports, other than a ``__future__`` feature, is
-    read in that module or listed in its ``__all__``, so a deletion takes
-    its imports with it."""
+    """Every name a module of the engine or of its tests imports, other
+    than a ``__future__`` feature, is read in that module or listed in its
+    ``__all__``, so a deletion takes its imports with it."""
     unused = []
-    for path in sorted(PACKAGE.rglob("*.py")):
+    for path in [*sorted(PACKAGE.rglob("*.py")),
+                 *sorted((ROOT / "tests").glob("*.py"))]:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in tree.body:
@@ -101,7 +102,7 @@ def test_no_unused_imports():
                 name = alias.asname or alias.name.split(".")[0]
                 if name not in read:
                     unused.append(
-                        f"{path.relative_to(PACKAGE)}:{node.lineno} {name}")
+                        f"{path.relative_to(ROOT)}:{node.lineno} {name}")
     assert unused == []
 
 

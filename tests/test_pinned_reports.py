@@ -4,7 +4,6 @@ before the last change to the engine.  A change that alters report or trace
 output on purpose re-records the digests and says why in CHANGES.md."""
 
 import hashlib
-import os
 import shutil
 import sys
 from pathlib import Path

@@ -18,7 +18,6 @@ from euclid.elements import (
     place_triangle_on_ray,
 )
 from euclid.errors import (
-    DegenerateInput,
     PreconditionViolated,
     TriangleInequalityViolated,
 )

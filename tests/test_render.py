@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from euclid.elements import p1_equilateral, p44_apply
 from euclid.errors import NothingToRender
 from euclid.geom import Angle, Figure, Point, Segment
 from euclid.number import Constructible, new_context
-from euclid.render import render, render_result
+from euclid.render import _Canvas, render, render_result
 
 
 def P(x, y):
@@ -67,3 +69,56 @@ class TestRender:
         import re
         tags = set(re.findall(r"<(\w+)", svg))
         assert tags <= {"svg", "line", "circle", "path", "text"}
+
+
+def _reference_clip_line(canvas, p, q):
+    """The line clipper the one clip replaced, kept as a reference."""
+    x1, y1 = p
+    x2, y2 = q
+    dx, dy = x2 - x1, y2 - y1
+    ts = []
+    for bound, origin, delta in ((canvas.min_x, x1, dx), (canvas.max_x, x1, dx),
+                                 (canvas.min_y, y1, dy), (canvas.max_y, y1, dy)):
+        if delta != 0:
+            ts.append((bound - origin) / delta)
+    hits = []
+    for t in sorted(set(ts)):
+        x, y = x1 + dx * t, y1 + dy * t
+        if (canvas.min_x <= x <= canvas.max_x
+                and canvas.min_y <= y <= canvas.max_y):
+            hits.append((x, y))
+    if len(hits) < 2:
+        return None
+    return hits[0], hits[-1]
+
+
+def _reference_clip_ray(canvas, origin, through):
+    """The ray clipper the one clip replaced, kept as a reference."""
+    got = _reference_clip_line(canvas, origin, through)
+    if got is None:
+        return None
+    dx = through[0] - origin[0]
+    dy = through[1] - origin[1]
+    ends = [origin]
+    for pt in got:
+        if (pt[0] - origin[0]) * dx + (pt[1] - origin[1]) * dy >= 0:
+            ends.append(pt)
+    far = max(ends, key=lambda pt: (pt[0] - origin[0]) * dx
+              + (pt[1] - origin[1]) * dy)
+    return origin, far
+
+
+small = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+xy = st.tuples(small, small)
+
+
+@given(xy, xy, st.lists(xy, max_size=3))
+@settings(max_examples=400, deadline=None, derandomize=True)
+@example((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)), [])
+@example((Fraction(1), Fraction(2)), (Fraction(1), Fraction(2)),
+         [(Fraction(-3), Fraction(5))])
+def test_one_clip_matches_the_line_and_ray_clippers(p, q, others):
+    extent = [p, q, *others]
+    canvas = _Canvas([x for x, _ in extent], [y for _, y in extent])
+    assert canvas.clip(p, q, ray=False) == _reference_clip_line(canvas, p, q)
+    assert canvas.clip(p, q, ray=True) == _reference_clip_ray(canvas, p, q)
