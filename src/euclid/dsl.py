@@ -503,11 +503,11 @@ def parse(text: str) -> tuple[Script, list[Diagnostic]]:
 # static checking
 
 
-def _is_endpoint(arg, want: str, env) -> bool:
+def _is_endpoint(arg, want: str) -> bool:
     """Whether ``arg`` is the word ``a`` or ``b`` naming a segment's
-    endpoint: always in an endpoint position, elsewhere when undeclared."""
-    return (isinstance(arg, Name) and arg.ident in ("a", "b")
-            and (want == "endpoint" or arg.ident not in env))
+    endpoint: only ever in an endpoint position."""
+    return (want == "endpoint" and isinstance(arg, Name)
+            and arg.ident in ("a", "b"))
 
 
 def _slots(args: tuple, want: tuple[str, ...]):
@@ -522,7 +522,7 @@ def check(script: Script) -> list[Diagnostic]:
 
     def arg_type(arg, want: str) -> str:
         if isinstance(arg, Name):
-            if _is_endpoint(arg, want, env):
+            if _is_endpoint(arg, want):
                 return "endpoint"
             if arg.ident not in env:
                 diags.append(Diagnostic(arg.span,
@@ -616,7 +616,7 @@ def interpret(script: Script) -> tuple[PropositionResult, Checks]:
 
     def value(arg, want: str = ""):
         if isinstance(arg, Name):
-            if _is_endpoint(arg, want, env):
+            if _is_endpoint(arg, want):
                 return arg.ident
             if arg.ident in env:
                 return env[arg.ident]

@@ -72,8 +72,7 @@ def post_i42(r: Checks, call: dict, result: PropositionResult) -> None:
     r.zero("parallelogram content equals the triangle content",
            content(result.result) - content(call["t"]))
     r.true("one angle equals the given angle", angle_eq(Angle(b, a, c), call["d"]))
-    r.true("opposite sides are parallel",
-           (b - a).cross(c - dd).is_zero() and (c - b).cross(dd - a).is_zero())
+    r.true("opposite sides are parallel", is_parallelogram(result.result))
     r.true("opposite sides are equal",
            segment_eq(Segment(a, b), Segment(dd, c))
            and segment_eq(Segment(b, c), Segment(a, dd)))

@@ -22,6 +22,7 @@ from ..geom import (
     orientation,
     point_reflect,
     signed_area,
+    triangle_inequality,
 )
 from ..number import Constructible
 
@@ -76,8 +77,7 @@ def _length(rng) -> Constructible:
 def _triangle_lengths(rng):
     while True:
         a, b, c = _length(rng), _length(rng), _length(rng)
-        if ((a + b - c).sign() > 0 and (b + c - a).sign() > 0
-                and (c + a - b).sign() > 0):
+        if triangle_inequality(a * a, b * b, c * c):
             return a, b, c
 
 

@@ -20,10 +20,8 @@ from ..geom import (
     Line,
     Point,
     Segment,
-    angle_cos,
     angle_eq,
     angle_lt,
-    angle_sum_cos,
     angle_sum_eq,
     angles_sum_to_two_rights,
     between,
@@ -35,6 +33,7 @@ from ..geom import (
     parallel,
     point_reflect,
     segment_eq,
+    triangle_inequality,
 )
 from ..trace import Checks
 from . import instances as gen
@@ -137,10 +136,8 @@ def _check_i16(r: Checks, t) -> None:
 
 def _check_i20(r: Checks, t) -> None:
     a, b, c = _tri(t)
-    ab, bc, ca = a.dist(b), b.dist(c), c.dist(a)
     r.true("two sides exceed the third (all pairings)",
-            (ab + bc - ca).sign() > 0 and (bc + ca - ab).sign() > 0
-            and (ca + ab - bc).sign() > 0)
+            triangle_inequality(a.dist_sq(b), b.dist_sq(c), c.dist_sq(a)))
 
 
 def _check_i26(r: Checks, t1, t2, case="adjoining") -> None:
@@ -236,8 +233,8 @@ def _check_i32(r: Checks, t) -> None:
     at_a, at_b = Angle(b, a, c), Angle(a, b, c)
     r.true("the exterior angle equals the two interior and opposite",
             angle_sum_eq(at_a, at_b, Angle(c, a, d)))
-    r.zero("the three interior angles equal two right angles",
-           angle_sum_cos(at_a, at_b) + angle_cos(Angle(c, a, b)))
+    r.true("the three interior angles equal two right angles",
+            angles_sum_to_two_rights(at_a, at_b, Angle(c, a, b)))
 
 
 def _check_i33(r: Checks, ab, cd) -> None:

@@ -14,6 +14,7 @@ from ..geom import (
     orientation,
     parallel,
     point_reflect,
+    triangle_inequality,
 )
 from ..number import Constructible
 from ..trace import Checks, PropositionResult, Tracer
@@ -28,18 +29,12 @@ from ._common import (
 )
 
 
-def _require_triangle_inequality(a: Constructible, b: Constructible,
-                                 c: Constructible) -> None:
-    for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-        if (x + y - z).sign() <= 0:
-            raise TriangleInequalityViolated(
-                "two of the lengths taken together must exceed the third")
-
-
-def _check_lengths(*lengths: Constructible) -> None:
-    for l in lengths:
-        if l.sign() <= 0:
-            raise PreconditionViolated("lengths must be positive")
+def _require_lengths(*lengths: Constructible) -> None:
+    if any(l.sign() <= 0 for l in lengths):
+        raise PreconditionViolated("lengths must be positive")
+    if not triangle_inequality(*(l * l for l in lengths)):
+        raise TriangleInequalityViolated(
+            "two of the lengths taken together must exceed the third")
 
 
 def p22_triangle(a_len: Constructible, b_len: Constructible, c_len: Constructible,
@@ -52,8 +47,7 @@ def p22_triangle(a_len: Constructible, b_len: Constructible, c_len: Constructibl
     the three given lengths (a, b, c).  With lengths (3, 4, 5) on the
     positive x axis the apex is (0, 3).
     """
-    _check_lengths(a_len, b_len, c_len)
-    _require_triangle_inequality(a_len, b_len, c_len)
+    _require_lengths(a_len, b_len, c_len)
     tr = Tracer.level(parent, "I.22")
     f = base_ray.origin
     toward = base_ray.through
@@ -93,8 +87,7 @@ def place_triangle_on_ray(a_len: Constructible, b_len: Constructible,
     to the origin by the third length and to the far end by the second)
     lands on the requested side.
     """
-    _check_lengths(a_len, b_len, c_len)
-    _require_triangle_inequality(a_len, b_len, c_len)
+    _require_lengths(a_len, b_len, c_len)
     tr = Tracer.level(parent, "I.22")
     v1 = ray.origin
     toward = ray.through

@@ -197,11 +197,6 @@ class Angle:
     def arms(self) -> tuple[Vec, Vec]:
         return self.arm1 - self.vertex, self.arm2 - self.vertex
 
-    def cos_parts(self) -> tuple[Constructible, Constructible]:
-        """(dot, |u|^2 * |v|^2): cos = dot / sqrt(second part)."""
-        u, v = self.arms()
-        return u.dot(v), u.norm_sq() * v.norm_sq()
-
 
 @dataclass(frozen=True)
 class Figure:
@@ -361,53 +356,54 @@ def segment_eq(s1: Segment, s2: Segment) -> bool:
     return (s1.length_sq() - s2.length_sq()).is_zero()
 
 
-def _cos_equal(d1: Constructible, q1: Constructible,
-               d2: Constructible, q2: Constructible) -> bool:
-    """d1 / sqrt(q1) == d2 / sqrt(q2), exactly: one sign, equal squares."""
-    return d1.sign() == d2.sign() and (d1 * d1 * q2 - d2 * d2 * q1).is_zero()
+def triangle_inequality(x: Constructible, y: Constructible,
+                        z: Constructible) -> bool:
+    """Any two of the lengths with squares x, y, z together exceed the
+    third, decided without a root.  sqrt(x) + sqrt(y) > sqrt(z) exactly
+    when d = x + y - z >= 0 or 4xy > d^2; all three pairings hold exactly
+    when 4xy > d^2, which is sixteen times the squared area (Heron)."""
+    d = x + y - z
+    return (4 * x * y - d * d).sign() > 0
+
+
+def _angle_sum(*terms: tuple[Angle, int]) -> tuple[Constructible, Constructible]:
+    """(c, s), a positive multiple of the cosine and sine of the signed sum
+    of the terms (angle, +1 or -1).  An angle with arms u and v gives
+    (u.v, |u x v|), which is |u||v| times its cosine and sine; the pairs
+    fold by the angle-sum rule, so no norm and no root is taken."""
+    pairs = []
+    for a, k in terms:
+        u, v = a.arms()
+        sin = abs(u.cross(v))
+        pairs.append((u.dot(v), sin if k > 0 else -sin))
+    (c, s), *rest = pairs
+    for ci, si in rest:
+        c, s = c * ci - s * si, s * ci + c * si
+    return c, s
 
 
 def angle_eq(a1: Angle, a2: Angle) -> bool:
-    """Equality of undirected proper angles: exactly equal cosines."""
-    return _cos_equal(*a1.cos_parts(), *a2.cos_parts())
+    """Equality of undirected proper angles: the sine of a1 - a2 is zero."""
+    return _angle_sum((a1, 1), (a2, -1))[1].is_zero()
 
 
 def angle_lt(a1: Angle, a2: Angle) -> bool:
-    """a1 strictly smaller than a2 (cosine strictly larger), exact."""
-    d1, q1 = a1.cos_parts()
-    d2, q2 = a2.cos_parts()
-    s1, s2 = d1.sign(), d2.sign()
-    if s1 != s2:
-        return s1 > s2
-    # same sign: compare d1/sqrt(q1) > d2/sqrt(q2) by their squares
-    return s1 * (d1 * d1 * q2 - d2 * d2 * q1).sign() > 0
+    """a1 strictly smaller than a2: the sine of a2 - a1 is positive."""
+    return _angle_sum((a2, 1), (a1, -1))[1].sign() > 0
 
 
-def angles_sum_to_two_rights(a1: Angle, a2: Angle) -> bool:
-    """cos(a1) == -cos(a2), exactly; for proper angles this is a1+a2=pi."""
-    d1, q1 = a1.cos_parts()
-    d2, q2 = a2.cos_parts()
-    return _cos_equal(d1, q1, -d2, q2)
-
-
-def angle_cos(a: Angle) -> Constructible:
-    d, q = a.cos_parts()
-    return d / sqrt_nonneg(q)
-
-
-def angle_sin(a: Angle) -> Constructible:
-    u, v = a.arms()
-    return abs(u.cross(v)) / sqrt_nonneg(u.norm_sq() * v.norm_sq())
-
-
-def angle_sum_cos(a1: Angle, a2: Angle) -> Constructible:
-    """cos(a1 + a2), exactly."""
-    return angle_cos(a1) * angle_cos(a2) - angle_sin(a1) * angle_sin(a2)
+def angles_sum_to_two_rights(*angles: Angle) -> bool:
+    """Two or three proper angles make two right angles: the sine of their
+    sum is zero and its cosine negative."""
+    c, s = _angle_sum(*((a, 1) for a in angles))
+    return s.is_zero() and c.sign() < 0
 
 
 def angle_sum_eq(a1: Angle, a2: Angle, total: Angle) -> bool:
-    """cos(a1 + a2) == cos(total), exactly (all proper, sum below 2 pi)."""
-    return (angle_sum_cos(a1, a2) - angle_cos(total)).is_zero()
+    """a1 + a2 equals total: the sine of a1 + a2 - total is zero and its
+    cosine positive."""
+    c, s = _angle_sum((a1, 1), (a2, 1), (total, -1))
+    return s.is_zero() and c.sign() > 0
 
 
 def is_right(a: Angle) -> bool:

@@ -163,6 +163,23 @@ class TestRun:
         assert main(["run", str(script), "--trace"]) == 0
         assert "extend (beyond b)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("last, where", [
+        ("segment s = join(A, a)", "5:21"),
+        ("assert collinear(A, B, a)", "5:24"),
+        ("point P = intersect(l, c) left_of(b)", "5:35"),
+    ])
+    def test_undeclared_a_or_b_elsewhere_is_undefined(self, tmp_path, capsys,
+                                                      last, where):
+        # only an endpoint position reads a and b as the endpoint words
+        script = tmp_path / "undeclared.euc"
+        script.write_text("point A = (0, 0)\npoint B = (4, 0)\n"
+                          "line l = join(A, B)\ncircle c = circle(A, B)\n"
+                          + last + "\n")
+        assert main(["run", str(script)]) == 2
+        name = last[-2]
+        assert capsys.readouterr().err == (
+            f"{where}: error: use of undefined name {name!r}\n")
+
     @pytest.mark.parametrize("selector, message", [
         ("left_of()", "left_of takes 1 arguments, got 0"),
         ("same_side(s)", "same_side takes 2 arguments, got 1"),

@@ -16,6 +16,7 @@ from euclid.geom import (
     Ray,
     Segment,
     angle_eq,
+    angle_sum_eq,
     angles_sum_to_two_rights,
     circle,
     collinear,
@@ -33,8 +34,14 @@ from euclid.geom import (
     segment_eq,
     signed_area,
     superpose,
+    triangle_inequality,
 )
-from euclid.number import Constructible, new_context, sqrt_nonneg
+from euclid.number import (
+    Constructible,
+    current_context,
+    new_context,
+    sqrt_nonneg,
+)
 
 
 def P(x, y=None):
@@ -206,6 +213,15 @@ class TestAngles:
         a2 = Angle(P(0, 0), P(-1, 0), P(1, 1))
         assert angles_sum_to_two_rights(a1, a2)
         assert not angles_sum_to_two_rights(a1, a1)
+
+    def test_reflex_double_is_not_its_cosine_twin(self):
+        # twice 126.87 degrees is 253.74, whose cosine is that of 106.26
+        t = Angle(P(0, 0), P(1, 0), P(-3, 4))
+        u = Angle(P(0, 0), P(1, 0), P(-7, 24))
+        assert not angle_sum_eq(t, t, u)
+        assert angle_sum_eq(Angle(P(0, 0), P(1, 0), P(1, 1)),
+                            Angle(P(0, 0), P(0, 1), P(-1, 1)),
+                            Angle(P(0, 0), P(1, 0), P(0, 1)))
 
 
 class TestParallel:
@@ -463,13 +479,35 @@ def _surd(pair):
     return Constructible(a) + Constructible(b) * sqrt_nonneg(Constructible(3))
 
 
-def _mp_cos(angle: Angle):
+def _mp_arms(angle: Angle):
+    """The two arm vectors, from 60-digit coordinates."""
     def xy(pt):
         return mpmath.mpf(pt.x.approx(60)), mpmath.mpf(pt.y.approx(60))
 
     (vx, vy), (px, py), (qx, qy) = map(xy, (angle.vertex, angle.arm1, angle.arm2))
-    ux, uy, wx, wy = px - vx, py - vy, qx - vx, qy - vy
+    return px - vx, py - vy, qx - vx, qy - vy
+
+
+def _mp_cos(angle: Angle):
+    ux, uy, wx, wy = _mp_arms(angle)
     return (ux * wx + uy * wy) / mpmath.sqrt((ux * ux + uy * uy) * (wx * wx + wy * wy))
+
+
+def _mp_angle(angle: Angle):
+    """The angle in radians."""
+    ux, uy, wx, wy = _mp_arms(angle)
+    return mpmath.atan2(abs(ux * wy - uy * wx), ux * wx + uy * wy)
+
+
+def _mirror(p: Point, v: Point, q: Point) -> Point:
+    """p reflected in the line through v and q."""
+    u, w = p - v, q - v
+    return point_reflect(p, v + w * (u.dot(w) / w.norm_sq()))
+
+
+def _proper(v: Point, p: Point, q: Point) -> Angle:
+    assume(not collinear(v, p, q))
+    return Angle(v, p, q)
 
 
 surd = st.tuples(st.integers(-3, 3), st.sampled_from((0, 0, 1, -1)))
@@ -515,3 +553,101 @@ class TestAnglePredicatesReference:
             assert angle_eq(a1, a2)
         if shape == "supplement":
             assert angles_sum_to_two_rights(a1, a2)
+
+    @given(v=surd_point, p=surd_point, q=surd_point, r=surd_point,
+           shape=st.sampled_from(("free", "triangle", "doubled")))
+    @example(v=((0, 0), (0, 0)), p=((1, 0), (0, 0)), q=((-3, 0), (4, 0)),
+             r=((0, 0), (0, 0)), shape="doubled")  # twice 126.87 is no 106.26
+    @example(v=((0, 0), (0, 0)), p=((1, 0), (0, 0)), q=((-1, 0), (1, 0)),
+             r=((0, 0), (0, 0)), shape="doubled")  # 135 + 135 + 90: four rights
+    @example(v=((0, 0), (0, 0)), p=((2, 0), (0, 0)), q=((1, 0), (0, 1)),
+             r=((0, 0), (0, 0)), shape="triangle")  # equilateral
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_sums_agree_with_mpmath(self, v, p, q, r, shape):
+        """angle_sum_eq(a1, a2, total) and three-angle
+        angles_sum_to_two_rights against 50-digit radians.  "triangle"
+        takes the angles at V and A of triangle VAB, the exterior angle at
+        B and the interior one; "doubled" takes the angle at V twice, the
+        angle from A to its mirror A' in VB, and the angle from A' to A
+        produced through V: both sums hold exactly when the angle at V is
+        acute."""
+        new_context()
+        V, A, B, R = (Point(_surd(x), _surd(y)) for x, y in (v, p, q, r))
+        a1 = _proper(V, A, B)
+        if shape == "triangle":
+            a2 = Angle(A, V, B)
+            total = Angle(B, V, point_reflect(A, B))
+            third = Angle(B, V, A)
+        elif shape == "doubled":
+            mirror = _mirror(A, V, B)
+            a2 = a1
+            total = _proper(V, A, mirror)
+            third = Angle(V, mirror, point_reflect(A, V))
+        else:
+            a2, total, third = _proper(R, A, B), _proper(A, V, R), _proper(B, R, V)
+        with mpmath.workdps(50):
+            t1, t2, tt, t3 = map(_mp_angle, (a1, a2, total, third))
+            tiny = mpmath.mpf(10) ** -40
+            assert angle_sum_eq(a1, a2, total) == (abs(t1 + t2 - tt) < tiny)
+            assert (angles_sum_to_two_rights(a1, a2, third)
+                    == (abs(t1 + t2 + t3 - mpmath.pi) < tiny))
+        if shape == "triangle":
+            assert angle_sum_eq(a1, a2, total)
+            assert angles_sum_to_two_rights(a1, a2, third)
+        if shape == "doubled":
+            acute = (A - V).dot(B - V).sign() > 0
+            assert angle_sum_eq(a1, a2, total) == acute
+            assert angles_sum_to_two_rights(a1, a2, third) == acute
+
+
+def _length_loop(a, b, c) -> bool:
+    """Any two lengths together exceed the third, length by length."""
+    return all(x + y - z > 0 for x, y, z in ((a, b, c), (b, c, a), (c, a, b)))
+
+
+lengths = st.fractions(min_value=Fraction(1, 16), max_value=32,
+                       max_denominator=16)
+
+
+class TestTriangleInequalityReference:
+    """The rule on squared lengths, against the sum of the lengths."""
+
+    @given(a=lengths, b=lengths, c=lengths,
+           shape=st.sampled_from(("free", "sum", "difference")))
+    @example(a=Fraction(3), b=Fraction(4), c=Fraction(5), shape="free")
+    @example(a=Fraction(1), b=Fraction(2), c=Fraction(3), shape="free")
+    @example(a=Fraction(5, 2), b=Fraction(1, 2), c=Fraction(2), shape="free")
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_rationals_agree_with_the_length_loop(self, a, b, c, shape):
+        if shape == "sum":
+            c = a + b
+        elif shape == "difference":
+            c = abs(a - b)
+            assume(c > 0)
+        squares = (Constructible(x * x) for x in (a, b, c))
+        assert triangle_inequality(*squares) == _length_loop(a, b, c)
+
+    @given(p=surd_point, q=surd_point, r=surd_point,
+           t=st.sampled_from((None, None, Fraction(-1), Fraction(1, 2),
+                              Fraction(3, 2), Fraction(2))))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_surd_points_agree_with_mpmath(self, p, q, r, t):
+        """The squared sides of triangle ABC, where C lies on line AB at
+        A + t (B - A) when t is given, against 50-digit roots; the rule
+        adjoins no radical."""
+        new_context()
+        A, B, C = (Point(_surd(x), _surd(y)) for x, y in (p, q, r))
+        if t is not None:
+            C = A + (B - A) * t
+        assume(A != B and B != C and C != A)
+        sides = A.dist_sq(B), B.dist_sq(C), C.dist_sq(A)
+        tower = len(current_context().radicands)
+        got = triangle_inequality(*sides)
+        assert len(current_context().radicands) == tower
+        with mpmath.workdps(50):
+            x, y, z = (mpmath.sqrt(mpmath.mpf(s.approx(60))) for s in sides)
+            tiny = mpmath.mpf(10) ** -40
+            assert got == all(u + v - w > tiny
+                              for u, v, w in ((x, y, z), (y, z, x), (z, x, y)))
+        if t is not None:
+            assert not got

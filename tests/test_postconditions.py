@@ -15,7 +15,7 @@ import pytest
 from euclid import elements, verify
 from euclid.cli import main
 from euclid.geom import Figure, Point
-from euclid.number import new_context
+from euclid.number import current_context, new_context
 from euclid.verify import run_suite
 
 
@@ -131,3 +131,24 @@ def test_side_blind_postconditions_are_pinned():
                 if lower.all_pass:
                     still_pass.add(prop_id)
     assert still_pass == {"I.2", "I.22", "I.44", "I.46"}
+
+
+@pytest.mark.parametrize("prop_id", verify.SUITE_IDS)
+def test_no_certificate_grows_the_tower(prop_id):
+    """A postcondition or theorem check decides by exact signs of the
+    values it is given: it adjoins no radical to the run's field."""
+    for seed in range(5):
+        new_context()
+        kwargs = verify.generate_instance(prop_id, random.Random(seed))
+        for strategy in elements.STRATEGIES.get(prop_id, (None,)):
+            call = elements.drawn_instance(strategy, kwargs)
+            if prop_id in elements.THEOREMS:
+                tower = len(current_context().radicands)
+                elements.check_theorem(prop_id, call)
+            else:
+                if strategy is not None:
+                    call = dict(call, strategy=strategy)
+                result = elements.CONSTRUCTIONS[prop_id](**call)
+                tower = len(current_context().radicands)
+                elements.certify(prop_id, call, result)
+            assert len(current_context().radicands) == tower, (seed, strategy)
