@@ -18,7 +18,10 @@ where p is one int and p/d is in lowest terms.  That form is unique, so
 two values of one tower are equal exactly when their nodes are, and a
 value is zero exactly when it is the rational zero.  Each operation works
 on the integer leaves and reduces its result with one gcd pass, so
-arithmetic stays in Python ints; only the public boundary (the
+arithmetic stays in Python ints.  Most operands are rational, so an
+operator combines two rational operands in its own frame with one gcd (a
+product or quotient with two cross gcds) and calls the node kernel only
+when an operand is irrational.  Only the public boundary (the
 constructor, :meth:`Constructible.as_fraction`, :meth:`Constructible.approx`
 and the prefix form) converts to and from fractions.
 
@@ -640,6 +643,9 @@ def _csqrt(x: Node, ctx: FieldContext) -> Node:
 
 RationalLike = Union[int, Fraction, "Constructible"]
 
+_new = object.__new__
+_MIXED = "cannot mix irrational values from different field contexts"
+
 
 class Constructible:
     """An exact constructible real number.  Immutable."""
@@ -667,80 +673,167 @@ class Constructible:
             raise TypeError("an exact value needs an int, a Fraction or a "
                             f"str, not {type(value).__name__}")
 
-    @staticmethod
-    def _wrap(node: Node, ctx: Optional[FieldContext]) -> "Constructible":
-        v = Constructible.__new__(Constructible)
-        v._node = node
-        v._ctx = None if node[0] == 0 else ctx
-        return v
-
-    # -- context plumbing ---------------------------------------------------
-
-    def _join_ctx(self, other: "Constructible") -> Optional[FieldContext]:
-        a, b = self._ctx, other._ctx
-        if a is None:
-            return b
-        if b is None or a is b:
-            return a
-        raise FieldContextError(
-            "cannot mix irrational values from different field contexts"
-        )
-
     # -- arithmetic ---------------------------------------------------------
-
-    @staticmethod
-    def _coerce(value) -> "Constructible":
-        if isinstance(value, Constructible):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Constructible(value)
-        return NotImplemented  # type: ignore[return-value]
+    #
+    # Each operator does its common case in its own frame, because a Python
+    # call costs more than the integer work of a rational operation.  It
+    # reads the other operand's node directly (an int n is (0, n, 1); a
+    # bool or a Fraction goes through its numerator and denominator),
+    # combines two rationals there with one gcd, and otherwise makes one
+    # call into the node kernel.  Only an irrational value carries a
+    # context, so the contexts are joined only when the other operand is
+    # irrational.
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if type(other) is Constructible:
+            y = other._node
+        elif type(other) is int:
+            y = (0, other, 1)
+        elif isinstance(other, (int, Fraction)):
+            y = (0, other.numerator, other.denominator)
+        else:
             return NotImplemented
-        return Constructible._wrap(_nadd(self._node, o._node), self._join_ctx(o))
+        x = self._node
+        v = _new(Constructible)
+        if not (x[0] or y[0]):
+            _, n, d = x
+            _, m, e = y
+            if d == e:
+                n += m
+            else:
+                n = n * e + m * d
+                d *= e
+            g = gcd(n, d)
+            v._node = (0, n // g, d // g)
+            v._ctx = None
+            return v
+        ctx = self._ctx
+        if y[0] and other._ctx is not ctx:
+            if ctx is not None:
+                raise FieldContextError(_MIXED)
+            ctx = other._ctx
+        v._node = node = _nadd(x, y)
+        v._ctx = ctx if node[0] else None
+        return v
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if type(other) is Constructible:
+            y = other._node
+        elif type(other) is int:
+            y = (0, other, 1)
+        elif isinstance(other, (int, Fraction)):
+            y = (0, other.numerator, other.denominator)
+        else:
             return NotImplemented
-        return Constructible._wrap(_nadd(self._node, o._node, -1),
-                                   self._join_ctx(o))
+        x = self._node
+        v = _new(Constructible)
+        if not (x[0] or y[0]):
+            _, n, d = x
+            _, m, e = y
+            if d == e:
+                n -= m
+            else:
+                n = n * e - m * d
+                d *= e
+            g = gcd(n, d)
+            v._node = (0, n // g, d // g)
+            v._ctx = None
+            return v
+        ctx = self._ctx
+        if y[0] and other._ctx is not ctx:
+            if ctx is not None:
+                raise FieldContextError(_MIXED)
+            ctx = other._ctx
+        v._node = node = _nadd(x, y, -1)
+        v._ctx = ctx if node[0] else None
+        return v
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        # Python asks a right operand only when the left one is not a
+        # Constructible, which is rare, so this goes through the left
+        # operand's own operator
+        if isinstance(other, (int, Fraction)):
+            other = Constructible(other)
+        elif not isinstance(other, Constructible):
             return NotImplemented
-        return o - self
+        return other - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if type(other) is Constructible:
+            y = other._node
+        elif type(other) is int:
+            y = (0, other, 1)
+        elif isinstance(other, (int, Fraction)):
+            y = (0, other.numerator, other.denominator)
+        else:
             return NotImplemented
-        ctx = self._join_ctx(o)
-        return Constructible._wrap(_nmul(self._node, o._node, ctx), ctx)
+        x = self._node
+        v = _new(Constructible)
+        if not (x[0] or y[0]):
+            _, n, d = x
+            _, m, e = y
+            g = gcd(n, e)
+            h = gcd(m, d)
+            v._node = (0, (n // g) * (m // h), (d // h) * (e // g))
+            v._ctx = None
+            return v
+        ctx = self._ctx
+        if y[0] and other._ctx is not ctx:
+            if ctx is not None:
+                raise FieldContextError(_MIXED)
+            ctx = other._ctx
+        v._node = node = _nmul(x, y, ctx)
+        v._ctx = ctx if node[0] else None
+        return v
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if type(other) is Constructible:
+            y = other._node
+        elif type(other) is int:
+            y = (0, other, 1)
+        elif isinstance(other, (int, Fraction)):
+            y = (0, other.numerator, other.denominator)
+        else:
             return NotImplemented
-        ctx = self._join_ctx(o)
-        return Constructible._wrap(_ndiv(self._node, o._node, ctx), ctx)
+        x = self._node
+        v = _new(Constructible)
+        if not (x[0] or y[0]):
+            _, n, d = x
+            _, m, e = y
+            if not m:
+                raise DivisionByZero("division by exact zero")
+            g = gcd(n, m)
+            h = gcd(d, e)
+            n, d = (n // g) * (e // h), (d // h) * (m // g)
+            v._node = (0, n, d) if d > 0 else (0, -n, -d)
+            v._ctx = None
+            return v
+        ctx = self._ctx
+        if y[0] and other._ctx is not ctx:
+            if ctx is not None:
+                raise FieldContextError(_MIXED)
+            ctx = other._ctx
+        v._node = node = _ndiv(x, y, ctx)
+        v._ctx = ctx if node[0] else None
+        return v
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        # as __rsub__
+        if isinstance(other, (int, Fraction)):
+            other = Constructible(other)
+        elif not isinstance(other, Constructible):
             return NotImplemented
-        return o / self
+        return other / self
 
     def __neg__(self):
-        return Constructible._wrap(_nneg(self._node), self._ctx)
+        v = _new(Constructible)
+        v._node = _nneg(self._node)
+        v._ctx = self._ctx
+        return v
 
     def __pos__(self):
         return self
@@ -764,31 +857,35 @@ class Constructible:
 
     def sign(self) -> int:
         """Exact trichotomy: -1, 0 or +1."""
-        if self._node == _ZERO:
-            return 0
-        return _nsign(self._node, self._ctx)
+        x = self._node
+        if x[0]:
+            return _nsign(x, self._ctx)
+        return (x[1] > 0) - (x[1] < 0)
 
     def is_zero(self) -> bool:
         return self._node == _ZERO
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        self._join_ctx(o)
-        return self._node == o._node
+        if type(other) is Constructible:
+            y = other._node
+            if y[0] and self._node[0] and other._ctx is not self._ctx:
+                raise FieldContextError(_MIXED)
+            return self._node == y
+        if isinstance(other, (int, Fraction)):
+            return self._node == (0, other.numerator, other.denominator)
+        return NotImplemented
 
     def __lt__(self, other):
-        return (self - self._coerce(other)).sign() < 0
+        return (self - other).sign() < 0
 
     def __le__(self, other):
-        return (self - self._coerce(other)).sign() <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other):
-        return (self - self._coerce(other)).sign() > 0
+        return (self - other).sign() > 0
 
     def __ge__(self, other):
-        return (self - self._coerce(other)).sign() >= 0
+        return (self - other).sign() >= 0
 
     def __hash__(self):
         k, n, d = self._node
@@ -852,7 +949,10 @@ def sqrt_nonneg(a: RationalLike) -> Constructible:
     """The non-negative square root of a non-negative value."""
     v = a if isinstance(a, Constructible) else Constructible(a)
     ctx = current_context() if v._ctx is None else v._ctx
-    return Constructible._wrap(_csqrt(v._node, ctx), ctx)
+    root = _new(Constructible)
+    root._node = node = _csqrt(v._node, ctx)
+    root._ctx = ctx if node[0] else None
+    return root
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,19 @@ elements of 12-level towers whose nested radicands carry denominators.
 The property test holds every stored value to its normal form: integer
 leaves over one positive denominator coprime to their gcd, minimal
 level and a nonzero top coefficient; a rational value is one int over
-its denominator in lowest terms.
+its denominator in lowest terms.  Two more hold every operator to
+``Fraction`` arithmetic on rationals, however they are spelled, and to
+the node functions on the values of a tower.
 """
 
 import hashlib
+import operator
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from euclid import elements, number
@@ -302,6 +305,76 @@ def test_nested_tower_arithmetic_stays_normal(seed, ops):
         assert_normal(v)
 
 
+# -- the operators against Fraction and against the node kernel ---------
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv}
+_RATIONALS = (st.fractions(min_value=-50, max_value=50, max_denominator=12)
+              | st.sampled_from((Fraction(0), Fraction(1), Fraction(-1))))
+
+
+def _spell(q: Fraction, spelling: str):
+    """q as an operand: a Constructible, an int (when it is one) or a
+    Fraction."""
+    if spelling == "int" and q.denominator == 1:
+        return int(q)
+    if spelling == "fraction":
+        return q
+    return Constructible(q)
+
+
+@given(_RATIONALS, _RATIONALS, st.sampled_from(sorted(_OPERATORS)),
+       st.sampled_from(("constructible", "int", "fraction")), st.booleans())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_rational_results_are_canonical(a, b, op, spelling, reflected):
+    """Two rationals combine to the stored form and the hash of the
+    Fraction result, whichever side the Constructible is on."""
+    assume(not (op == "/" and b == 0))
+    fn = _OPERATORS[op]
+    f = fn(a, b)
+    if reflected:
+        z = fn(_spell(a, spelling), Constructible(b))
+    else:
+        z = fn(Constructible(a), _spell(b, spelling))
+    assert type(z) is Constructible and z._ctx is None
+    assert z._node == (0, f.numerator, f.denominator)
+    assert hash(z) == hash(f)
+    assert_normal(z)
+
+
+_STEPS = st.lists(st.tuples(st.sampled_from(sorted(_OPERATORS)), st.booleans(),
+                            st.integers(0, 99), st.integers(0, 99)),
+                  min_size=1, max_size=8)
+
+
+@given(st.integers(0, 2**16), _STEPS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_operators_agree_with_node_kernel(seed, steps):
+    """Each operator gives the node that the node functions give on the raw
+    nodes, over operands of a 4-level tower of which half are rational.  A
+    reflected step spells a rational left operand as a Fraction."""
+    rng = random.Random(seed)
+    gens = _tower(rng, 4)
+    ctx = number.current_context()
+    kernel = {"+": lambda x, y: number._nadd(x, y),
+              "-": lambda x, y: number._nadd(x, y, -1),
+              "*": lambda x, y: number._nmul(x, y, ctx),
+              "/": lambda x, y: number._ndiv(x, y, ctx)}
+    values = [*gens, _element(rng, gens), _element(rng, gens)]
+    values += [Constructible(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+               for _ in values]
+    for op, reflected, i, j in steps:
+        x, y = values[i % len(values)], values[j % len(values)]
+        if op == "/" and not y:
+            continue
+        left = x.as_fraction() if reflected and x.is_rational else x
+        z = _OPERATORS[op](left, y)
+        assert z._node == kernel[op](x._node, y._node)
+        assert z._ctx is (ctx if z._node[0] else None)
+        assert_normal(z)
+        values.append(z)
+
+
 class TestEquality:
     def test_equal_values_have_equal_nodes_and_hashes(self):
         rng = random.Random(5)
@@ -334,3 +407,32 @@ class TestEquality:
         with pytest.raises(FieldContextError):
             a == b  # noqa: B015
         assert a != Fraction(7, 5) and a != 2
+
+    @pytest.mark.parametrize("op", [
+        operator.add, operator.sub, operator.mul, operator.truediv,
+        Constructible.__radd__, Constructible.__rsub__, Constructible.__rmul__,
+        Constructible.__rtruediv__,
+        operator.lt, operator.le, operator.gt, operator.ge],
+        ids=["add", "sub", "mul", "truediv", "radd", "rsub", "rmul",
+             "rtruediv", "lt", "le", "gt", "ge"])
+    def test_cross_context_operations_raise(self, op):
+        new_context()
+        a = sqrt_nonneg(Constructible(2))
+        new_context()
+        b = sqrt_nonneg(Constructible(3))
+        with pytest.raises(FieldContextError):
+            op(a, b)
+
+    def test_rationals_cross_contexts(self):
+        """A rational carries no context, even one computed from
+        irrationals, so it combines with an irrational of any context."""
+        new_context()
+        a = sqrt_nonneg(Constructible(2))
+        two = a * a
+        new_context()
+        b = sqrt_nonneg(Constructible(3))
+        assert two.is_rational and two == 2
+        assert to_prefix(two + b) == "+ 2 × 1 √ 3"
+        assert (two - b) + b == 2 and two * b / b == 2
+        assert (b - two).sign() < 0 and b / two * two == b
+        assert b > a * a - 1 and b < two

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -56,10 +57,13 @@ class TestRationalArithmetic:
         assert (r3 - r3).sign() == 0
 
     def test_division_by_zero(self):
-        with pytest.raises(DivisionByZero):
-            1 / C(0)
-        with pytest.raises(DivisionByZero):
-            sqrt_nonneg(C(2)) / (sqrt_nonneg(C(2)) - sqrt_nonneg(C(2)))
+        r2 = sqrt_nonneg(C(2))
+        for make in (lambda: 1 / C(0), lambda: C(1) / 0,
+                     lambda: Fraction(1) / C(0), lambda: C(1) / False,
+                     lambda: r2 / (r2 - r2)):
+            with pytest.raises(DivisionByZero,
+                               match="^division by exact zero$"):
+                make()
 
     # a zero denominator is the same error however the value is spelled
     @pytest.mark.parametrize("make", [lambda: rational(1, 0),
@@ -81,8 +85,23 @@ class TestRationalArithmetic:
             Point(0.5, 0)
 
     def test_float_rejected_by_operation_surface(self):
-        with pytest.raises(TypeError):
-            C(1) + 0.1
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+                   operator.lt):
+            with pytest.raises(TypeError):
+                op(C(1), 0.1)
+            with pytest.raises(TypeError):
+                op(0.1, C(1))
+
+    def test_float_is_never_equal(self):
+        assert not C(1) == 0.1 and C(1) != 0.1 and not 0.1 == C(1)
+
+    def test_bool_acts_as_int(self):
+        assert C(2) + True == 3 and True + C(2) == 3
+        assert C(2) - True == 1 and True - C(2) == -1
+        assert C(2) * False == 0 and (False * C(2))._node == (0, 0, 1)
+        assert C(2) / True == 2 and True / C(2) == C(1, 2)
+        assert C(1) == True and C(0) == False  # noqa: E712
+        assert C(1) > False and C(0) < True
 
 
 class TestSqrt:
