@@ -2,7 +2,12 @@
 
 Proposition identifiers are stable strings ("I.1" ... "I.46"); variant
 strategies are selected either by keyword argument or by a suffixed
-identifier such as "I.44.alnayrizi".
+identifier such as "I.44.alnayrizi".  A construction and its strategy
+table are listed once, in their ``PROPOSITIONS`` record, and are
+imported from their defining module (``euclid.elements.areas.p44_apply``).
+A step the constructions share is written once in ``_common``:
+``produce``, ``cut_at``, ``cite_midpoint``, ``cite_parallel``, the
+I.1/I.22 step ``apex`` and the forward selector ``ahead``.
 """
 
 from __future__ import annotations
@@ -15,35 +20,7 @@ from typing import Callable
 from ..errors import UnknownProposition
 from ..trace import Checks, PropositionResult, Tracer
 from . import areas, basics, instances as gen, triangles
-from .basics import (
-    p1_equilateral,
-    p2_place,
-    p3_cut,
-    p9_bisect_angle,
-    p10_bisect_segment,
-    p11_perp_at,
-    p12_perp_from,
-)
-from .triangles import (
-    P23_STRATEGIES,
-    p22_triangle,
-    p23_copy_angle,
-    p31_parallel,
-    place_triangle_on_ray,
-)
-from .areas import (
-    P42_STRATEGIES,
-    P44_STRATEGIES,
-    P46_STRATEGIES,
-    p42_on_ray,
-    p42_parallelogram_eq_triangle,
-    p43_complements,
-    p44_apply,
-    p45_apply_figure,
-    p46_square,
-    tinemue_matching_angle,
-    triangulate,
-)
+from .areas import triangulate
 from .theorems import THEOREM_IDS, THEOREMS, check_theorem
 
 
@@ -79,26 +56,34 @@ class Proposition:
 
 
 PROPOSITIONS = {
-    "I.1": Proposition(p1_equilateral, ("figure",), gen.i1, basics.post_i1),
-    "I.2": Proposition(p2_place, ("segment",), gen.i2, basics.post_i2),
-    "I.3": Proposition(p3_cut, ("point",), gen.i3, basics.post_i3),
-    "I.9": Proposition(p9_bisect_angle, ("ray",), gen.i9, basics.post_i9),
-    "I.10": Proposition(p10_bisect_segment, ("point",), gen.i10, basics.post_i10),
-    "I.11": Proposition(p11_perp_at, ("line",), gen.i11, basics.post_i11),
-    "I.12": Proposition(p12_perp_from, ("line",), gen.i12, basics.post_i12),
-    "I.22": Proposition(p22_triangle, ("figure",), gen.i22, triangles.post_i22),
-    "I.23": Proposition(p23_copy_angle, ("angle",), gen.i23, triangles.post_i23,
-                        P23_STRATEGIES),
-    "I.31": Proposition(p31_parallel, ("line",), gen.i31, triangles.post_i31),
-    "I.42": Proposition(p42_parallelogram_eq_triangle, ("figure",), gen.i42,
-                        areas.post_i42, P42_STRATEGIES),
-    "I.43": Proposition(p43_complements, ("figure", "figure"), gen.i43,
+    "I.1": Proposition(basics.p1_equilateral, ("figure",), gen.i1,
+                       basics.post_i1),
+    "I.2": Proposition(basics.p2_place, ("segment",), gen.i2, basics.post_i2),
+    "I.3": Proposition(basics.p3_cut, ("point",), gen.i3, basics.post_i3),
+    "I.9": Proposition(basics.p9_bisect_angle, ("ray",), gen.i9,
+                       basics.post_i9),
+    "I.10": Proposition(basics.p10_bisect_segment, ("point",), gen.i10,
+                        basics.post_i10),
+    "I.11": Proposition(basics.p11_perp_at, ("line",), gen.i11,
+                        basics.post_i11),
+    "I.12": Proposition(basics.p12_perp_from, ("line",), gen.i12,
+                        basics.post_i12),
+    "I.22": Proposition(triangles.p22_triangle, ("figure",), gen.i22,
+                        triangles.post_i22),
+    "I.23": Proposition(triangles.p23_copy_angle, ("angle",), gen.i23,
+                        triangles.post_i23, triangles.P23_STRATEGIES),
+    "I.31": Proposition(triangles.p31_parallel, ("line",), gen.i31,
+                        triangles.post_i31),
+    "I.42": Proposition(areas.p42_parallelogram_eq_triangle, ("figure",),
+                        gen.i42, areas.post_i42, areas.P42_STRATEGIES),
+    "I.43": Proposition(areas.p43_complements, ("figure", "figure"), gen.i43,
                         areas.post_i43),
-    "I.44": Proposition(p44_apply, ("figure",), gen.i44, areas.post_i44,
-                        P44_STRATEGIES),
-    "I.45": Proposition(p45_apply_figure, ("figure",), gen.i45, areas.post_i45),
-    "I.46": Proposition(p46_square, ("figure",), gen.i46, areas.post_i46,
-                        P46_STRATEGIES),
+    "I.44": Proposition(areas.p44_apply, ("figure",), gen.i44, areas.post_i44,
+                        areas.P44_STRATEGIES),
+    "I.45": Proposition(areas.p45_apply_figure, ("figure",), gen.i45,
+                        areas.post_i45),
+    "I.46": Proposition(areas.p46_square, ("figure",), gen.i46, areas.post_i46,
+                        areas.P46_STRATEGIES),
 }
 
 # calls go through CONSTRUCTIONS, never through a record's fn, so that a
@@ -141,7 +126,7 @@ def drawn_instance(strategy: str | None, kwargs: dict) -> dict:
     covers only the angle matched to the triangle, so that angle replaces
     the drawn one; a given instance is run as given."""
     if strategy == "tinemue_equal_case":
-        return dict(kwargs, d=tinemue_matching_angle(kwargs["t"]))
+        return dict(kwargs, d=areas.tinemue_matching_angle(kwargs["t"]))
     return kwargs
 
 
@@ -179,10 +164,5 @@ __all__ = [
     "PROPOSITIONS", "Proposition", "CONSTRUCTIONS", "STRATEGIES",
     "THEOREMS", "THEOREM_IDS",
     "certify", "check_theorem", "drawn_instance", "run", "split_identifier",
-    "p1_equilateral", "p2_place", "p3_cut", "p9_bisect_angle",
-    "p10_bisect_segment", "p11_perp_at", "p12_perp_from",
-    "p22_triangle", "place_triangle_on_ray", "p23_copy_angle", "p31_parallel",
-    "p42_parallelogram_eq_triangle", "p42_on_ray", "p43_complements",
-    "p44_apply", "p45_apply_figure", "p46_square", "triangulate",
-    "tinemue_matching_angle",
+    "triangulate",
 ]

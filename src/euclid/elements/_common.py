@@ -10,7 +10,9 @@ from ..geom import (
     Point,
     Ray,
     Segment,
+    Vec,
     collinear,
+    intersect_circles,
     is_parallelogram,
     on_ray_at_sq,
     orientation,
@@ -65,6 +67,11 @@ def ray_side_word(ray: Ray, ref_from: Point, ref_to: Point,
     return side_word(desired_sign * dir_sign)
 
 
+def ahead(at: Point, d: Vec):
+    """Points strictly ahead of ``at`` in the direction ``d``."""
+    return lambda p: d.dot(p - at).sign() > 0
+
+
 def produce(tr: Tracer, a: Point, b: Point) -> Point:
     """Produce ab beyond b (Postulate 2); the point as far beyond b as a
     lies before it."""
@@ -76,20 +83,30 @@ def cut_at(tr: Tracer, origin: Point, toward: Point, length_sq: Constructible,
            note: str) -> Point:
     """Lay off a length along the ray origin->toward (cites I.3)."""
     p = on_ray_at_sq(Ray(origin, toward), length_sq)
-    tr._record("sub", (origin, toward), (p,), note=note)
+    tr.cite(note, (origin, toward), p)
     return p
+
+
+def apex(tr: Tracer, c1: Point, t1: Point, c2: Point, t2: Point,
+         toward: Point, side: str, note: str) -> Point:
+    """Cut the circle about c1 through t1 with the circle about c2 through
+    t2 on ``side`` of the ray c1->toward (the step of I.1 and I.22)."""
+    k1 = tr.circle(c1, t1)
+    k2 = tr.circle(c2, t2)
+    return tr.pick(intersect_circles(k1, k2), side_selector(c1, toward, side),
+                   note=note, operands=(k1, k2))
 
 
 def cite_midpoint(tr: Tracer, a: Point, b: Point, note: str) -> Point:
     p = a.midpoint(b)
-    tr._record("sub", (a, b), (p,), note=note)
+    tr.cite(note, (a, b), p)
     return p
 
 
 def cite_parallel(tr: Tracer, through: Point, l: Line, note: str) -> Line:
     d = l.direction()
     out = Line(through, through + d)
-    tr._record("sub", (through, l), (out,), note=note)
+    tr.cite(note, (through, l), out)
     return out
 
 

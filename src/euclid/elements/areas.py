@@ -36,6 +36,7 @@ from ..geom import (
 )
 from ..trace import Checks, PropositionResult, Tracer
 from ._common import (
+    ahead,
     cite_midpoint,
     cite_parallel,
     cut_at,
@@ -590,8 +591,7 @@ def _p46_second(tr: Tracer, a: Point, b: Point, c: Point, side: str) -> Point:
     # the parallel through c, cut by the circle about c through a
     cd = cite_parallel(tr, c, Line(a, b), "cd through c parallel to ab")
     circ_c = tr.circle(c, a)
-    dd = tr.pick(intersect_line_circle(cd, circ_c),
-                 lambda p: (b - a).dot(p - c).sign() > 0,
+    dd = tr.pick(intersect_line_circle(cd, circ_c), ahead(c, b - a),
                  note="d toward b", operands=(circ_c, cd))
     tr.join(dd, b)
     return dd

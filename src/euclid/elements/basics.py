@@ -12,7 +12,6 @@ from ..geom import (
     Segment,
     angle_eq,
     between,
-    intersect_circles,
     intersect_line_circle,
     intersect_lines,
     is_right,
@@ -21,7 +20,7 @@ from ..geom import (
     segment_eq,
 )
 from ..trace import Checks, PropositionResult, Tracer
-from ._common import side_selector, side_word
+from ._common import ahead, apex, side_selector, side_word
 
 
 def p1_equilateral(ab: Segment, side: str = "upper",
@@ -30,24 +29,21 @@ def p1_equilateral(ab: Segment, side: str = "upper",
     tr = Tracer.level(parent, "I.1")
     a, b = ab.a, ab.b
     tr.register_input(a, b)
-    c1 = tr.circle(a, b)
-    c2 = tr.circle(b, a)
-    apex = tr.pick(intersect_circles(c1, c2), side_selector(a, b, side),
-                   note=f"apex on the {side} side", operands=(c1, c2))
-    tr.join(apex, a)
-    tr.join(apex, b)
-    triangle = Figure([a, b, apex])
+    c = apex(tr, a, b, b, a, b, side, f"apex on the {side} side")
+    tr.join(c, a)
+    tr.join(c, b)
+    triangle = Figure([a, b, c])
     return PropositionResult(
-        {"A": ("given", a), "B": ("given", b), "C": ("result", apex),
+        {"A": ("given", a), "B": ("given", b), "C": ("result", c),
          "triangle": ("result", triangle)}, triangle, tr)
 
 
 def post_i1(r: Checks, call: dict, result: PropositionResult) -> None:
-    ab, (a, b, apex) = call["ab"], result.result.vertices
-    r.zero("side CA equals AB", apex.dist_sq(a) - ab.length_sq())
-    r.zero("side CB equals AB", apex.dist_sq(b) - ab.length_sq())
+    ab, (a, b, c) = call["ab"], result.result.vertices
+    r.zero("side CA equals AB", c.dist_sq(a) - ab.length_sq())
+    r.zero("side CB equals AB", c.dist_sq(b) - ab.length_sq())
     r.true("apex lies on the requested side",
-           side_selector(ab.a, ab.b, call["side"])(apex))
+           side_selector(ab.a, ab.b, call["side"])(c))
 
 
 def p2_place(a: Point, bc: Segment, side: str = "upper",
@@ -77,14 +73,10 @@ def p2_place(a: Point, bc: Segment, side: str = "upper",
     ray_ae = tr.extend(da, "b")  # beyond A, away from D
     ray_bf = tr.extend(db, "b")  # beyond B, away from D
     cgh = tr.circle(b, c)
-    dir_bf = b - d
-    g = tr.pick(intersect_line_circle(Line(d, b), cgh),
-                lambda p: dir_bf.dot(p - b).sign() > 0,
+    g = tr.pick(intersect_line_circle(Line(d, b), cgh), ahead(b, b - d),
                 note="G beyond B on BF", operands=(cgh, ray_bf))
     gkl = tr.circle(d, g)
-    dir_ae = a - d
-    l = tr.pick(intersect_line_circle(Line(d, a), gkl),
-                lambda p: dir_ae.dot(p - a).sign() > 0,
+    l = tr.pick(intersect_line_circle(Line(d, a), gkl), ahead(a, a - d),
                 note="L beyond A on AE", operands=(gkl, ray_ae))
     result = Segment(a, l)
     return PropositionResult(
@@ -115,9 +107,7 @@ def p3_cut(greater: Segment, less: Segment,
     d = placed.result.b
     tr.attach(placed, operands=(a,), produced=(d,))
     cdef = tr.circle(a, d)
-    toward = b - a
-    e = tr.pick(intersect_line_circle(Line(a, b), cdef),
-                lambda p: toward.dot(p - a).sign() > 0,
+    e = tr.pick(intersect_line_circle(Line(a, b), cdef), ahead(a, b - a),
                 note="E toward B", operands=(cdef,))
     return PropositionResult(
         {"A": ("given", a), "B": ("given", b), "D": ("aux", d),

@@ -20,6 +20,7 @@ from ..number import Constructible
 from ..trace import Checks, PropositionResult, Tracer
 from ._common import (
     angle_measures,
+    apex,
     cut_at,
     produce,
     side_selector,
@@ -56,10 +57,7 @@ def p22_triangle(a_len: Constructible, b_len: Constructible, c_len: Constructibl
     g = cut_at(tr, f, toward, b_len * b_len, "FG equal to the second length")
     h = cut_at(tr, f, toward, (b_len + c_len) * (b_len + c_len),
                "GH equal to the third length")
-    dkl = tr.circle(f, d)
-    klh = tr.circle(g, h)
-    k = tr.pick(intersect_circles(dkl, klh), side_selector(f, toward, side),
-                note=f"K on the {side} side", operands=(dkl, klh))
+    k = apex(tr, f, d, g, h, toward, side, f"K on the {side} side")
     tr.join(k, f)
     tr.join(k, g)
     triangle = Figure([k, f, g])
@@ -96,10 +94,7 @@ def place_triangle_on_ray(a_len: Constructible, b_len: Constructible,
     m1 = cut_at(tr, v1, toward, c_len * c_len, "marker for the third length")
     m2 = cut_at(tr, v2, point_reflect(v1, v2), b_len * b_len,
                 "marker for the second length")
-    c1 = tr.circle(v1, m1)
-    c2 = tr.circle(v2, m2)
-    v3 = tr.pick(intersect_circles(c1, c2), side_selector(v1, toward, side),
-                 note=f"apex on the {side} side", operands=(c1, c2))
+    v3 = apex(tr, v1, m1, v2, m2, toward, side, f"apex on the {side} side")
     tr.join(v1, v2)
     tr.join(v2, v3)
     tr.join(v3, v1)
@@ -124,8 +119,8 @@ def p23_copy_angle(target_ray: Ray, model: Angle, side: str = "upper",
     """
     route = strategy_route(P23_STRATEGIES, "I.23", strategy)
     tr = Tracer.level(parent, "I.23", strategy)
-    apex, on_ray, named = route(tr, target_ray, model, side)
-    result = Angle(target_ray.origin, on_ray, apex)
+    arm2, on_ray, named = route(tr, target_ray, model, side)
+    result = Angle(target_ray.origin, on_ray, arm2)
     named.setdefault("angle", ("result", result))
     return PropositionResult(named, result, tr)
 
@@ -147,10 +142,7 @@ def _p23_euclid(tr: Tracer, ray: Ray, model: Angle, side: str):
     f = cut_at(tr, a, ray.through, arm1_sq, "AF equal to CD")
     m1 = cut_at(tr, a, ray.through, arm2_sq, "marker for CE")
     m2 = cut_at(tr, f, point_reflect(a, f), chord_sq, "marker for DE")
-    c1 = tr.circle(a, m1)
-    c2 = tr.circle(f, m2)
-    g = tr.pick(intersect_circles(c1, c2), side_selector(a, ray.through, side),
-                note="G", operands=(c1, c2))
+    g = apex(tr, a, m1, f, m2, ray.through, side, "G")
     tr.join(a, g)
     tr.join(f, g)
     return g, f, {"A": ("given", a), "D": ("given", d), "E": ("given", e),
@@ -197,11 +189,8 @@ def _p23_albertus(tr: Tracer, ray: Ray, model: Angle, side: str):
     c = cut_at(tr, a, point_reflect(b, a), arm1_sq, "AC equal to FG")
     tr.extend(ab, "b")
     e = cut_at(tr, b, point_reflect(a, b), chord_sq, "BE equal to FH")
-    c1 = tr.circle(a, c)
-    c2 = tr.circle(b, e)
-    d = tr.pick(intersect_circles(c1, c2), side_selector(a, ray.through, side),
-                note="D (the circles intersect; touching is absurd by I.20)",
-                operands=(c1, c2))
+    d = apex(tr, a, c, b, e, ray.through, side,
+             "D (the circles intersect; touching is absurd by I.20)")
     tr.join(d, a)
     tr.join(d, b)
     return d, b, {"A": ("given", a), "B": ("aux", b), "C": ("aux", c),
@@ -216,10 +205,7 @@ def _p23_commandinus(tr: Tracer, ray: Ray, model: Angle, side: str):
     g = cut_at(tr, a, ray.through, arm2_sq, "AG equal to CE")
     m1 = cut_at(tr, a, ray.through, arm1_sq, "marker for CD")
     m2 = cut_at(tr, g, point_reflect(a, g), chord_sq, "marker for ED")
-    c1 = tr.circle(a, m1)
-    c2 = tr.circle(g, m2)
-    f = tr.pick(intersect_circles(c1, c2), side_selector(a, ray.through, side),
-                note="F", operands=(c1, c2))
+    f = apex(tr, a, m1, g, m2, ray.through, side, "F")
     tr.join(a, f)
     tr.join(f, g)
     return f, g, {"A": ("given", a), "G": ("aux", g), "F": ("result", f)}
@@ -232,10 +218,7 @@ def _p23_clavius(tr: Tracer, ray: Ray, model: Angle, side: str):
     i = cut_at(tr, c, ray.through, arm1_sq, "CI equal to EG")
     l = cut_at(tr, c, ray.through, arm2_sq, "CL equal to EH")
     m = cut_at(tr, i, point_reflect(c, i), chord_sq, "IM equal to GH")
-    c1 = tr.circle(c, l)
-    c2 = tr.circle(i, m)
-    k = tr.pick(intersect_circles(c1, c2), side_selector(c, ray.through, side),
-                note="K", operands=(c1, c2))
+    k = apex(tr, c, l, i, m, ray.through, side, "K")
     tr.join(c, k)
     tr.join(i, k)
     return k, i, {"C": ("given", c), "I": ("aux", i), "L": ("aux", l),
@@ -254,10 +237,7 @@ def _p23_campanus(tr: Tracer, ray: Ray, model: Angle, side: str):
                "fd adjoined equal to the first side")
     g = cut_at(tr, f, ray.through, arm2_sq, "fg equal to the second side")
     h = cut_at(tr, g, point_reflect(f, g), chord_sq, "gh equal to the base")
-    dk = tr.circle(f, d)
-    kh = tr.circle(g, h)
-    k = tr.pick(intersect_circles(dk, kh), side_selector(f, ray.through, side),
-                note="k", operands=(dk, kh))
+    k = apex(tr, f, d, g, h, ray.through, side, "k")
     tr.join(k, f)
     tr.join(k, g)
     return k, g, {"f": ("given", f), "d": ("aux", d), "g": ("aux", g),
@@ -277,9 +257,9 @@ def copy_angle(tr: Tracer, ray: Ray, model: Angle, side: str) -> Point:
     """Copy the model angle onto the ray, apex on ``side`` (runs I.23);
     the apex of the copy."""
     copied = p23_copy_angle(ray, model, side=side, parent=tr)
-    apex = copied.result.arm2
-    tr.attach(copied, operands=(ray.origin, ray.through), produced=(apex,))
-    return apex
+    arm2 = copied.result.arm2
+    tr.attach(copied, operands=(ray.origin, ray.through), produced=(arm2,))
+    return arm2
 
 
 # ---------------------------------------------------------------------------

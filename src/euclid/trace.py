@@ -214,6 +214,11 @@ class Tracer:
         self._record("sub", operands, produced, note=nested.trace.label,
                      sub=nested.trace)
 
+    def cite(self, note: str, operands: Iterable[object], product) -> None:
+        """Record a cited construction that is not run as one opaque step:
+        ``note`` names it, and ``product`` is what it gives."""
+        self._record("sub", operands, (product,), note=note)
+
 
 def _select(candidates: list[Point], selector, note: str) -> Point:
     if not candidates:

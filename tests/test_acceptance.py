@@ -12,9 +12,9 @@ import mpmath
 import pytest
 
 from euclid import verify
-from euclid.elements import (
+from euclid.elements import instances
+from euclid.elements.areas import (
     P44_STRATEGIES,
-    instances,
     p44_apply,
     p45_apply_figure,
     triangulate,
@@ -199,7 +199,7 @@ def test_8_determinism():
             assert a.returncode == b.returncode == 0
             assert a.stdout == b.stdout
 
-        from euclid.elements import p1_equilateral
+        from euclid.elements.basics import p1_equilateral
 
         first = render_result(p1_equilateral(Segment(P(0, 0), P(1, 0))))
         new_context()

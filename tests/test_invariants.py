@@ -151,6 +151,42 @@ def test_one_runner():
                      ("elements/__init__.py", "run", "strategy key")}
 
 
+def test_catalogue_lists_each_construction_once():
+    """A construction, its postcondition and its strategy table are named
+    once, in their ``PROPOSITIONS`` record, through the defining module:
+    ``elements/__init__.py`` imports none of them by name."""
+    listed = {id(x) for p in elements.PROPOSITIONS.values()
+              for x in (p.fn, p.post, p.strategies) if x is not None}
+    tree = ast.parse((PACKAGE / "elements" / "__init__.py")
+                     .read_text(encoding="utf-8"))
+    found = [alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names
+             if id(getattr(elements, alias.asname or alias.name, None))
+             in listed]
+    assert found == []
+
+
+def test_one_apex_step_and_one_trace_writer():
+    """Inside ``elements`` two circles are cut only by the I.1/I.22 step,
+    ``_common.apex``, and by Proclus's I.23, which takes both points of one
+    meet; and only ``trace`` writes a step with ``Tracer._record``."""
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        where = path.relative_to(PACKAGE)
+        for scope, node in _scoped_nodes(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if (_name(node.func) == "intersect_circles"
+                    and where.parts[0] == "elements"):
+                found.add((str(where), scope, "intersect_circles(...)"))
+            if _name(node.func) == "_record" and where != Path("trace.py"):
+                found.add((str(where), scope, "_record(...)"))
+    assert found == {
+        ("elements/_common.py", "apex", "intersect_circles(...)"),
+        ("elements/triangles.py", "_p23_proclus", "intersect_circles(...)")}
+
+
 def test_vector_components_stay_in_geom():
     """Only ``geom`` reads a vector's ``dx`` or ``dy``: every other module
     moves a point with ``origin + d * t`` and tests sides and incidence
@@ -187,8 +223,8 @@ def test_constructions_open_their_own_levels():
             if isinstance(node, ast.arg) and node.arg == "tracer":
                 found.append(f"{where}:{node.lineno} tracer parameter")
     assert found == []
-    for fn in (*elements.CONSTRUCTIONS.values(), elements.p42_on_ray,
-               elements.place_triangle_on_ray):
+    for fn in (*elements.CONSTRUCTIONS.values(), elements.areas.p42_on_ray,
+               elements.triangles.place_triangle_on_ray):
         assert "parent" in inspect.signature(fn).parameters, fn.__name__
 
 

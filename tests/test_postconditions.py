@@ -1,8 +1,8 @@
 """A result that misses its postcondition is reported claim by claim.
 
-Each test rebinds a registry construction to one that moves a vertex of
-its figure by a rational offset after it is built, so only the checks the
-registry runs on the returned result can notice.
+Each test moves one defining point of a construction's result by a
+rational offset after it is built, so only the checks the registry runs
+on the returned result can notice.
 """
 
 import dataclasses
@@ -14,7 +14,7 @@ import pytest
 
 from euclid import elements, verify
 from euclid.cli import main
-from euclid.geom import Figure, Point
+from euclid.geom import Angle, Figure, Line, Point, Ray, Segment
 from euclid.number import current_context, new_context
 from euclid.verify import run_suite
 
@@ -24,20 +24,56 @@ def _fresh_field():
     new_context()
 
 
+# the defining point moved in each result type that is not a figure
+MOVED_FIELD = {Segment: "b", Ray: "through", Line: "q", Angle: "arm2"}
+
+
+def _moved(obj):
+    """``obj`` with one defining point moved by (1/3, 1/7): a figure's
+    vertex 2, a segment's ``b``, a ray's ``through``, a line's ``q``, an
+    angle's ``arm2``, a bare point, or the first of two complements."""
+    if isinstance(obj, tuple):
+        return (_moved(obj[0]), *obj[1:])
+    if isinstance(obj, Point):
+        return Point(obj.x + Fraction(1, 3), obj.y + Fraction(1, 7))
+    if isinstance(obj, Figure):
+        vs = list(obj.vertices)
+        vs[2] = _moved(vs[2])
+        return Figure(vs)
+    name = MOVED_FIELD[type(obj)]
+    return dataclasses.replace(obj, **{name: _moved(getattr(obj, name))})
+
+
 @pytest.fixture
 def moved(monkeypatch):
-    """Rebind a construction so that vertex 2 of its figure is moved."""
+    """Rebind a construction so that its result is moved (``_moved``)."""
     def move(prop_id):
         fn = elements.CONSTRUCTIONS[prop_id]
 
         def construction(*args, **kwargs):
             got = fn(*args, **kwargs)
-            vs = list(got.result.vertices)
-            vs[2] = Point(vs[2].x + Fraction(1, 3), vs[2].y + Fraction(1, 7))
-            return dataclasses.replace(got, result=Figure(vs))
+            return dataclasses.replace(got, result=_moved(got.result))
 
         monkeypatch.setitem(elements.CONSTRUCTIONS, prop_id, construction)
     return move
+
+
+@pytest.mark.parametrize("prop_id, strategy", [
+    (prop_id, strategy) for prop_id in elements.CONSTRUCTIONS
+    for strategy in elements.STRATEGIES.get(prop_id, (None,))])
+def test_every_postcondition_notices_a_moved_result(prop_id, strategy):
+    """Every route's postcondition passes its own result and fails the
+    same result with one defining point moved."""
+    for seed in range(3):
+        new_context()
+        kwargs = verify.generate_instance(prop_id, random.Random(seed))
+        call = elements.drawn_instance(strategy, kwargs)
+        if strategy is not None:
+            call = dict(call, strategy=strategy)
+        result = elements.CONSTRUCTIONS[prop_id](**call)
+        assert elements.certify(prop_id, call, result).all_pass, seed
+        moved = dataclasses.replace(result, result=_moved(result.result))
+        assert elements.certify(prop_id, call, moved).failed, seed
 
 
 @pytest.mark.parametrize("prop_id", ["I.1", "I.44"])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from euclid import elements, verify
-from euclid.elements import (
+from euclid.elements.areas import (
     p42_on_ray,
     p42_parallelogram_eq_triangle,
     p43_complements,

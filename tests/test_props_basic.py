@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from euclid.elements import (
-    CONSTRUCTIONS,
-    certify,
+from euclid.elements import CONSTRUCTIONS, certify
+from euclid.elements.basics import (
     p1_equilateral,
     p2_place,
     p3_cut,
@@ -12,6 +11,8 @@ from euclid.elements import (
     p10_bisect_segment,
     p11_perp_at,
     p12_perp_from,
+)
+from euclid.elements.triangles import (
     p22_triangle,
     p23_copy_angle,
     p31_parallel,

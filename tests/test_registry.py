@@ -3,13 +3,9 @@ import random
 import pytest
 
 from euclid import dsl, elements, verify
-from euclid.elements import (
-    P23_STRATEGIES,
-    P42_STRATEGIES,
-    P44_STRATEGIES,
-    P46_STRATEGIES,
-    split_identifier,
-)
+from euclid.elements import split_identifier
+from euclid.elements.areas import P42_STRATEGIES, P44_STRATEGIES, P46_STRATEGIES
+from euclid.elements.triangles import P23_STRATEGIES
 from euclid.errors import UnknownProposition
 from euclid.number import new_context
 

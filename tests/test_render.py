@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from euclid.elements import p1_equilateral, p44_apply
+from euclid.elements.areas import p44_apply
+from euclid.elements.basics import p1_equilateral
 from euclid.errors import NothingToRender
 from euclid.geom import Angle, Figure, Point, Segment
 from euclid.number import Constructible, new_context

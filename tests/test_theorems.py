@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from euclid.elements import certify, check_theorem, p43_complements, THEOREM_IDS
+from euclid.elements import certify, check_theorem, THEOREM_IDS
+from euclid.elements.areas import p43_complements
 from euclid.errors import HypothesisNotSatisfied
 from euclid.geom import Figure, Line, Point, Segment
 from euclid.number import Constructible, new_context

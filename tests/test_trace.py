@@ -2,7 +2,7 @@
 
 import pytest
 
-from euclid.elements import p1_equilateral
+from euclid.elements.basics import p1_equilateral
 from euclid.errors import NoSuchIntersection
 from euclid.geom import Point, Segment
 from euclid.number import Constructible, new_context, sqrt_nonneg

@@ -93,7 +93,7 @@ class TestCompare:
         new_context()
         rng = random.Random(8)
         kwargs = generate_instance("I.46", rng)
-        from euclid.elements import p46_square
+        from euclid.elements.areas import p46_square
 
         a = p46_square(**dict(kwargs, strategy="campanus_first"))
         b = p46_square(**dict(kwargs, strategy="campanus_second"))
