@@ -2,9 +2,11 @@
 
 A value is an element of a tower of real quadratic extensions
 Q = F0 < F1 < ... < Fk, where F(i) = F(i-1)(sqrt(r_i)) and each radicand
-r_i is a positive element of F(i-1) that is not a square there.  Signs are
-decided by interval refinement with an exact algebraic fallback; no
-decision ever rests on floating point.
+r_i is a positive element of F(i-1) that is not a square there.  One
+rule decides every sign of a + b*sqrt(r_k): the sign that a and b share,
+else an outward-rounded interval of 64 to 512 bits that excludes 0, else
+the sign of the norm a^2 - b^2*r_k by the same rule.  No decision ever
+rests on floating point.
 
 Every value, rational or not, is stored as integers over one
 denominator.  Level i has the integral generator g_i = e_i*sqrt(r_i),
@@ -319,7 +321,7 @@ def _ndiv(x: Node, y: Node, ctx: Optional[FieldContext]) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# sign determination: interval refinement with an exact algebraic fallback
+# signs: the halves' shared sign, then the interval ladder, then the norm
 
 
 def _iv_leaf(n: int, d: int, prec: int) -> tuple[int, int]:
@@ -328,15 +330,11 @@ def _iv_leaf(n: int, d: int, prec: int) -> tuple[int, int]:
     return n // d, -(-n // d)
 
 
-def _node_interval(x: Node, ctx: FieldContext, prec: int) -> tuple[int, int]:
-    """Integers lo, hi with lo <= x * 2**prec <= hi."""
-    return _piv(x[1], 1, x[2], ctx, prec)
-
-
 def _piv(p: Poly, m: int, d: int, ctx: FieldContext, prec: int):
-    """The interval of p*m/d.  Each leaf is rounded outward as the reduced
-    coefficient of the canonical form it stands for, and each product with
-    sqrt(r_k) is rounded outward, to multiples of 2**-prec."""
+    """Integers lo, hi with lo <= p*m/d * 2**prec <= hi.  Each leaf is
+    rounded outward as the reduced coefficient of the canonical form it
+    stands for, and each product with sqrt(r_k) is rounded outward, to
+    multiples of 2**-prec."""
     if type(p) is int:
         return _iv_leaf(p * m, d, prec)
     k, a, b = p
@@ -352,40 +350,35 @@ def _rad_sqrt_interval(level: int, ctx: FieldContext, prec: int):
     key = (level, prec)
     got = cache.get(key)
     if got is None:
-        lo, hi = _node_interval(ctx.radicands[level - 1], ctx, prec)
+        _, r, e = ctx.radicands[level - 1]
+        lo, hi = _piv(r, 1, e, ctx, prec)
         got = cache[key] = (isqrt(max(lo, 0) << prec), isqrt(hi << prec) + 1)
     return got
 
 
-def _psign_exact(p: Poly, sq: list[Poly]) -> int:
+def _psign(p: Poly, ctx: FieldContext) -> int:
+    """The sign of p = a + b*g_k, which is that of the value p/d: the sign
+    that a and b share (b's when a is 0), as g_k > 0; else that of an
+    interval of p at 64, 128, 256 or 512 bits that excludes 0; else, by
+    this same rule, the norm a^2 - b^2*g_k^2 says whether a (positive) or
+    b (negative) is the larger in size.  The norm of a canonical p is
+    never 0."""
     if type(p) is int:
         return (p > 0) - (p < 0)
-    sa = _psign_exact(p[1], sq)
-    sb = _psign_exact(p[2], sq)
-    if sa == 0:
+    sa = _psign(p[1], ctx)
+    sb = _psign(p[2], ctx)
+    if sa == sb or sa == 0:
         return sb
-    if sa == sb:
-        return sa
-    st = _psign_exact(_pnorm(p, sq), sq)
-    if st == 0:
-        raise FieldContextError("tower canonicity violated")
-    return sa if st > 0 else sb
-
-
-def _nsign(x: Node, ctx: Optional[FieldContext]) -> int:
-    if x[0] == 0:
-        return (x[1] > 0) - (x[1] < 0)
-    # canonical nodes of positive level are never zero, so refinement is a
-    # complete decision procedure; the exact fallback bounds the work when
-    # the value is extremely close to zero.  The denominator is positive,
-    # so the exact sign is that of the poly.
     for prec in (64, 128, 256, 512):
-        lo, hi = _node_interval(x, ctx, prec)
+        lo, hi = _piv(p, 1, 1, ctx, prec)
         if lo > 0:
             return 1
         if hi < 0:
             return -1
-    return _psign_exact(x[1], ctx.gen_square)
+    st = _psign(_pnorm(p, ctx.gen_square), ctx)
+    if st == 0:
+        raise FieldContextError("tower canonicity violated")
+    return sa if st > 0 else sb
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +558,7 @@ def _sqrt_at_own_level(x: Node,
         return _rational_sqrt(x), False
     k = x[0]
     disc = _node(_pnorm(x[1], ctx.gen_square), x[2] * x[2])
-    if _nsign(disc, ctx) < 0:
+    if _psign(disc[1], ctx) < 0:
         return None, True
     w = _has_sqrt(disc, k - 1, ctx)
     if w is None:
@@ -573,7 +566,7 @@ def _sqrt_at_own_level(x: Node,
     a, b = _split(x, ctx)
     for w2 in (w, _nneg(w)):
         p = _nmul(_nadd(a, w2), _HALF, ctx)
-        if p == _ZERO or _nsign(p, ctx) < 0:
+        if p == _ZERO or _psign(p[1], ctx) < 0:
             continue
         s = _has_sqrt(p, k - 1, ctx)
         if s is None:
@@ -608,7 +601,7 @@ def _strip_square_factor(n: int) -> tuple[int, int]:
 
 
 def _csqrt(x: Node, ctx: FieldContext) -> Node:
-    s = _nsign(x, ctx)
+    s = _psign(x[1], ctx)
     if s < 0:
         raise NegativeRadicand("square root of a negative value")
     if s == 0:
@@ -629,7 +622,7 @@ def _csqrt(x: Node, ctx: FieldContext) -> Node:
         if level is None:
             y = _has_sqrt(rad, len(ctx.radicands), ctx)
             if y is not None:
-                if _nsign(y, ctx) < 0:
+                if _psign(y[1], ctx) < 0:
                     y = _nneg(y)
                 return _nmul(y, scale, ctx)
             level = ctx.adjoin(rad)
@@ -859,7 +852,7 @@ class Constructible:
         """Exact trichotomy: -1, 0 or +1."""
         x = self._node
         if x[0]:
-            return _nsign(x, self._ctx)
+            return _psign(x[1], self._ctx)
         return (x[1] > 0) - (x[1] < 0)
 
     def is_zero(self) -> bool:
@@ -923,7 +916,7 @@ class Constructible:
             ctx = self._ctx
             prec = 64
             while True:
-                lo, hi = _node_interval(node, ctx, prec)
+                lo, hi = _piv(node[1], 1, node[2], ctx, prec)
                 if (hi - lo) * 4 * 10 ** digits < 1 << prec:
                     mid = Fraction(lo + hi, 1 << (prec + 1))
                     break

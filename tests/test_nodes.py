@@ -17,6 +17,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -164,14 +165,14 @@ def _reference_own_level(x, ctx):
     k = x[0]
     a, b = number._split(x, ctx)
     disc = number._node(number._pnorm(x[1], ctx.gen_square), x[2] * x[2])
-    if number._nsign(disc, ctx) < 0:
+    if number._psign(disc[1], ctx) < 0:
         return None
     w = _reference_has_sqrt(disc, k - 1, ctx)
     if w is None:
         return None
     for w2 in (w, number._nneg(w)):
         p = number._nmul(number._nadd(a, w2), number._HALF, ctx)
-        if p == number._ZERO or number._nsign(p, ctx) < 0:
+        if p == number._ZERO or number._psign(p[1], ctx) < 0:
             continue
         s = _reference_has_sqrt(p, k - 1, ctx)
         if s is None:
@@ -273,6 +274,26 @@ def assert_normal(x: Constructible) -> None:
     assert type(d) is int and d > 0 and gcd(_content(p), d) == 1
 
 
+def _reference_sign(x: Constructible) -> int:
+    """The sign of the prefix form of x, evaluated right to left in mpmath
+    at 100 digits: a reference that shares no code with the engine's
+    signs.  It must stand clear of the evaluation's error."""
+    stack = []
+    with mpmath.workdps(100):
+        for tok in reversed(to_prefix(x).split()):
+            if tok == "√":
+                stack.append(mpmath.sqrt(stack.pop()))
+            elif tok in ("+", "×"):
+                u, v = stack.pop(), stack.pop()
+                stack.append(u + v if tok == "+" else u * v)
+            else:
+                q = Fraction(tok)
+                stack.append(mpmath.mpf(q.numerator) / q.denominator)
+        (value,) = stack
+        assert value == 0 or abs(value) > mpmath.mpf(10) ** -60
+    return (value > 0) - (value < 0)
+
+
 _OPS = st.lists(st.tuples(st.sampled_from("+-*/√"), st.integers(0, 99),
                           st.integers(0, 99)), min_size=1, max_size=8)
 
@@ -297,12 +318,38 @@ def test_nested_tower_arithmetic_stays_normal(seed, ops):
             z = sqrt_nonneg(abs(x))
         assert_normal(z)
         assert from_prefix(to_prefix(z)) == z
-        if not z.is_rational:  # the exact fallback agrees with refinement
-            assert number._psign_exact(z._node[1],
-                                       z._ctx.gen_square) == z.sign()
+        assert z.sign() == _reference_sign(z)
         values.append(z)
     for v in values:
         assert_normal(v)
+
+
+def _refuse(*args):
+    raise AssertionError("this rule should not have been reached")
+
+
+def test_halves_of_one_sign_need_no_interval(monkeypatch):
+    """Both halves of 3 + g_top + g_0*g_1 are positive at every level, so
+    its sign is read off them without any interval."""
+    gens = _tower(random.Random(4), 12)
+    x = 3 + gens[-1] + gens[0] * gens[1]
+    monkeypatch.setattr(number, "_piv", _refuse)
+    assert x.sign() == 1 and (-x).sign() == -1
+
+
+def test_interval_ladder_settles_a_tiny_difference(monkeypatch):
+    """x - q, for x = sqrt(1 + sqrt(2 + ... + sqrt(12))) and q its 60-digit
+    approximation, is below 2**-199 in size and its halves differ in
+    sign: one of the finer intervals settles it, never the norm."""
+    new_context()
+    x = from_prefix(" ".join(f"sqrt + {i}" for i in range(1, 12))
+                    + " sqrt 12")
+    q = Fraction(x.approx(60))
+    r = Fraction(x.approx(100))
+    expected = (r > q) - (r < q)
+    monkeypatch.setattr(number, "_pnorm", _refuse)
+    assert (x - q).sign() == expected != 0
+    assert (q - x).sign() == -expected
 
 
 # -- the operators against Fraction and against the node kernel ---------

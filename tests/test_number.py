@@ -222,7 +222,7 @@ class TestSign:
 
     def test_sign_beyond_interval_refinement(self):
         # a 200-digit convergent: intervals up to 512 bits straddle zero,
-        # so this exercises the exact algebraic fallback
+        # so the sign of the norm decides
         new_context()
         q = 10 ** 200
         p = __import__("math").isqrt(2 * q * q)

@@ -1,7 +1,9 @@
 import pytest
 
 from euclid import elements, verify
+from euclid.elements import instances
 from euclid.errors import DegenerateInput, UnknownProposition
+from euclid.number import current_context, sqrt_nonneg
 from euclid.verify import compare, generate_instance, run_suite
 
 
@@ -131,3 +133,42 @@ class TestGenerators:
     def test_small_suite_everywhere(self, prop_id):
         report = run_suite(prop_id, 4, seed=13)
         assert report.failures == 0, "\n".join(report.lines())
+
+
+def _nested_ids(seeds=(0, 1, 2)):
+    """The ids whose one-instance suite at some seed adjoins a radicand
+    of positive level (an irrational one), and the lines of every suite
+    that failed."""
+    nested, failed = set(), []
+    for prop_id in verify.SUITE_IDS:
+        for seed in seeds:
+            report = run_suite(prop_id, 1, seed)
+            if report.failures:
+                failed += report.lines()
+            if any(r[0] for r in current_context().radicands):
+                nested.add(prop_id)
+    return nested, failed
+
+
+class TestIrrationalGivens:
+    def test_every_suite_passes_on_irrational_givens(self, monkeypatch):
+        """Every coordinate the generators draw becomes u + v*sqrt(2)/8
+        with u and v drawn as before, so the constructions run on
+        irrational givens and build nested radicands."""
+        coord = instances._coord
+
+        def irrational_coord(rng):
+            u, v = coord(rng), coord(rng)
+            return u + v * sqrt_nonneg(2) / 8
+
+        monkeypatch.setattr(instances, "_coord", irrational_coord)
+        nested, failed = _nested_ids()
+        assert failed == []
+        assert nested
+
+    def test_rational_givens_adjoin_rational_radicands(self):
+        """On rational givens only I.9 roots an irrational value; the set
+        may shrink, never grow."""
+        nested, failed = _nested_ids()
+        assert failed == []
+        assert nested <= {"I.9"}
