@@ -82,7 +82,7 @@ PROPOSITIONS = {
                         areas.P44_STRATEGIES),
     "I.45": Proposition(areas.p45_apply_figure, ("figure",), gen.i45,
                         areas.post_i45),
-    "I.46": Proposition(areas.p46_square, ("figure",), gen.i46, areas.post_i46,
+    "I.46": Proposition(areas.p46_square, ("figure",), gen.i1, areas.post_i46,
                         areas.P46_STRATEGIES),
 }
 

@@ -46,28 +46,26 @@ def _distinct_points(rng, n: int) -> list[Point]:
     return pts
 
 
-def _segment(rng) -> Segment:
-    a, b = _distinct_points(rng, 2)
-    return Segment(a, b)
+def _segment(rng, cls=Segment):
+    """A segment, or a ``Line`` or ``Ray`` as ``cls``, through two distinct
+    points."""
+    return cls(*_distinct_points(rng, 2))
 
 
-def _line(rng) -> Line:
-    a, b = _distinct_points(rng, 2)
-    return Line(a, b)
+def _triple(rng) -> list[Point]:
+    """Three distinct points, not collinear."""
+    while True:
+        pts = _distinct_points(rng, 3)
+        if not collinear(*pts):
+            return pts
 
 
 def _angle(rng) -> Angle:
-    while True:
-        v, p, q = _distinct_points(rng, 3)
-        if not collinear(v, p, q):
-            return Angle(v, p, q)
+    return Angle(*_triple(rng))
 
 
 def _triangle(rng) -> Figure:
-    while True:
-        a, b, c = _distinct_points(rng, 3)
-        if not collinear(a, b, c):
-            return Figure([a, b, c])
+    return Figure(_triple(rng))
 
 
 def _length(rng) -> Constructible:
@@ -79,11 +77,6 @@ def _triangle_lengths(rng):
         a, b, c = _length(rng), _length(rng), _length(rng)
         if triangle_inequality(a * a, b * b, c * c):
             return a, b, c
-
-
-def _ray(rng) -> Ray:
-    a, b = _distinct_points(rng, 2)
-    return Ray(a, b)
 
 
 def _parallelogram(rng) -> Figure:
@@ -143,7 +136,7 @@ def _congruent_copy(rng, t: Figure) -> Figure:
 
 def _parallel_pair(rng):
     while True:
-        l1 = _line(rng)
+        l1 = _segment(rng, Line)
         p2 = _point(rng)
         if not l1.contains(p2):
             return l1, Line(p2, p2 + l1.direction())
@@ -151,7 +144,7 @@ def _parallel_pair(rng):
 
 def _transversal(rng, l1: Line, l2: Line) -> Line:
     while True:
-        t = _line(rng)
+        t = _segment(rng, Line)
         meets = intersect_lines(t, l1) + intersect_lines(t, l2)
         if len(meets) == 2 and meets[0] != meets[1]:
             return t
@@ -185,14 +178,14 @@ def i10(rng):
 
 
 def i11(rng):
-    l = _line(rng)
+    l = _segment(rng, Line)
     t = Fraction(rng.randint(-8, 8), rng.choice((1, 2, 4)))
     return {"l": l, "c": l.p + l.direction() * t}
 
 
 def i12(rng):
     while True:
-        l = _line(rng)
+        l = _segment(rng, Line)
         c = _point(rng)
         if not l.contains(c):
             return {"l": l, "c": c}
@@ -200,12 +193,12 @@ def i12(rng):
 
 def i22(rng):
     a, b, c = _triangle_lengths(rng)
-    return {"a_len": a, "b_len": b, "c_len": c, "base_ray": _ray(rng),
+    return {"a_len": a, "b_len": b, "c_len": c, "base_ray": _segment(rng, Ray),
             "side": rng.choice(("upper", "lower"))}
 
 
 def i23(rng):
-    return {"target_ray": _ray(rng), "model": _angle(rng),
+    return {"target_ray": _segment(rng, Ray), "model": _angle(rng),
             "side": rng.choice(("upper", "lower"))}
 
 
@@ -235,10 +228,6 @@ def i45(rng):
     return {"d_angle": _angle(rng), "f": _simple_polygon(rng, n)}
 
 
-def i46(rng):
-    return {"ab": _segment(rng), "side": rng.choice(("upper", "lower"))}
-
-
 def t_pair(rng):
     t1 = _triangle(rng)
     return {"t1": t1, "t2": _congruent_copy(rng, t1)}
@@ -253,11 +242,8 @@ def i7(rng):
 
 
 def i13(rng):
-    while True:
-        b, d, a = _distinct_points(rng, 3)
-        c = point_reflect(d, b)
-        if not collinear(a, b, d):
-            return {"a": a, "b": b, "c": c, "d": d}
+    b, d, a = _triple(rng)
+    return {"a": a, "b": b, "c": point_reflect(d, b), "d": d}
 
 
 def i15(rng):

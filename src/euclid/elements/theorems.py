@@ -4,6 +4,11 @@ Each validator checks that a figure bundle satisfies a theorem's
 hypothesis (raising HypothesisNotSatisfied otherwise) and then verifies
 the conclusion exactly on that instance.  These are instance validators,
 not proof checkers.
+
+The five area theorems share one rule, :func:`_in_same_parallels`: two
+figures on the same base (I.35, I.37, I.41) or on equal bases in one line
+(I.36, I.38), with every other vertex on one parallel to the base, have
+contents in a fixed ratio, 1 or I.41's 2.
 """
 
 from __future__ import annotations
@@ -51,14 +56,14 @@ def _tri(f) -> tuple[Point, Point, Point]:
     return a, b, c
 
 
-def _corresponding(t1: Figure, t2: Figure):
-    a, b, c = _tri(t1)
-    d, e, f = _tri(t2)
-    return a, b, c, d, e, f
+def _pgram(f) -> tuple[Point, Point, Point, Point]:
+    _hyp(isinstance(f, Figure) and is_parallelogram(f),
+         "expected a parallelogram")
+    return f.vertices
 
 
 def _check_i4(r: Checks, t1, t2) -> None:
-    a, b, c, d, e, f = _corresponding(t1, t2)
+    (a, b, c), (d, e, f) = _tri(t1), _tri(t2)
     _hyp(segment_eq(Segment(a, b), Segment(d, e)), "first sides unequal")
     _hyp(segment_eq(Segment(a, c), Segment(d, f)), "second sides unequal")
     _hyp(angle_eq(Angle(a, b, c), Angle(d, e, f)), "contained angles unequal")
@@ -82,7 +87,7 @@ def _check_i7(r: Checks, base, c, d) -> None:
 
 
 def _check_i8(r: Checks, t1, t2) -> None:
-    a, b, c, d, e, f = _corresponding(t1, t2)
+    (a, b, c), (d, e, f) = _tri(t1), _tri(t2)
     _hyp(segment_eq(Segment(a, b), Segment(d, e)), "first sides unequal")
     _hyp(segment_eq(Segment(a, c), Segment(d, f)), "second sides unequal")
     _hyp(segment_eq(Segment(b, c), Segment(e, f)), "bases unequal")
@@ -141,7 +146,7 @@ def _check_i20(r: Checks, t) -> None:
 
 
 def _check_i26(r: Checks, t1, t2, case="adjoining") -> None:
-    a, b, c, d, e, f = _corresponding(t1, t2)
+    (a, b, c), (d, e, f) = _tri(t1), _tri(t2)
     _hyp(angle_eq(Angle(b, a, c), Angle(e, d, f)), "first angles unequal")
     _hyp(angle_eq(Angle(c, a, b), Angle(f, d, e)), "second angles unequal")
     if case == "adjoining":
@@ -169,17 +174,13 @@ def _transversal_points(l1: Line, l2: Line, t: Line):
 
 
 def _alternate_pair(l1: Line, l2: Line, t: Line, g: Point, h: Point):
-    # pick arm points of l1 and l2 on opposite sides of the transversal
+    # arm points of l1 and l2 on opposite sides of the transversal: each
+    # line meets it only at g or h, so any other point of the line is off
+    # it, and that point's reflection through h lies on the other side
     a = l1.p if l1.p != g else l1.q
-    sa = orientation(t.p, t.q, a)
-    if sa == 0:
-        a = l1.q
-        sa = orientation(t.p, t.q, a)
-    _hyp(sa != 0, "degenerate transversal configuration")
     d = l2.p if l2.p != h else l2.q
-    if orientation(t.p, t.q, d) != -sa:
+    if orientation(t.p, t.q, d) == orientation(t.p, t.q, a):
         d = point_reflect(d, h)
-    _hyp(orientation(t.p, t.q, d) == -sa, "could not find opposite-side arm")
     return a, d
 
 
@@ -252,9 +253,7 @@ def _check_i33(r: Checks, ab, cd) -> None:
 
 
 def _check_i34(r: Checks, pg) -> None:
-    _hyp(isinstance(pg, Figure) and is_parallelogram(pg),
-         "expected a parallelogram")
-    a, b, c, d = pg.vertices
+    a, b, c, d = _pgram(pg)
     r.true("opposite sides are equal",
             segment_eq(Segment(a, b), Segment(d, c))
             and segment_eq(Segment(b, c), Segment(a, d)))
@@ -265,74 +264,55 @@ def _check_i34(r: Checks, pg) -> None:
            content(Figure([a, b, c])) - content(Figure([a, c, d])))
 
 
-def _same_parallels(base_line: Line, *tops: Point) -> bool:
-    first = tops[0]
-    top_line = Line(first, first + base_line.direction())
-    return all(top_line.contains(p) for p in tops)
+def _in_same_parallels(r: Checks, claim: str, f1: Figure, f2: Figure,
+                       equal_bases: bool = False, ratio: int = 1) -> None:
+    """Book I's area rule.  The first two vertices of each figure are its
+    base.  The figures must share their base (or, with ``equal_bases``,
+    have equal bases on one line), and every other vertex must lie on one
+    parallel to the base.  Then ``f1`` is ``ratio`` times ``f2`` in
+    content."""
+    a1, b1, *tops1 = f1.vertices
+    a2, b2, *tops2 = f2.vertices
+    base_line = Line(a1, b1)
+    if equal_bases:
+        _hyp(base_line.contains(a2) and base_line.contains(b2),
+             "the bases must lie on one line")
+        _hyp(segment_eq(Segment(a1, b1), Segment(a2, b2)),
+             "the bases must be equal")
+    else:
+        _hyp({a1, b1} == {a2, b2}, "the figures must share their base")
+    top_line = Line(tops1[0], tops1[0] + base_line.direction())
+    _hyp(all(top_line.contains(p) for p in tops1 + tops2),
+         "the figures must lie in the same parallels")
+    r.zero(claim, content(f1) - content(f2) * ratio)
 
 
 def _check_i35(r: Checks, pg1, pg2) -> None:
-    for pg in (pg1, pg2):
-        _hyp(isinstance(pg, Figure) and is_parallelogram(pg),
-             "expected parallelograms")
-    a1, b1, c1, d1 = pg1.vertices
-    a2, b2, c2, d2 = pg2.vertices
-    _hyp({a1, b1} == {a2, b2}, "the parallelograms must share their base")
-    _hyp(_same_parallels(Line(a1, b1), c1, d1, c2, d2),
-         "the parallelograms must lie in the same parallels")
-    r.zero("the parallelograms are equal in content",
-           content(pg1) - content(pg2))
+    _pgram(pg1), _pgram(pg2)
+    _in_same_parallels(r, "the parallelograms are equal in content", pg1, pg2)
 
 
 def _check_i36(r: Checks, pg1, pg2) -> None:
-    for pg in (pg1, pg2):
-        _hyp(isinstance(pg, Figure) and is_parallelogram(pg),
-             "expected parallelograms")
-    a1, b1, c1, d1 = pg1.vertices
-    a2, b2, c2, d2 = pg2.vertices
-    base_line = Line(a1, b1)
-    _hyp(base_line.contains(a2) and base_line.contains(b2),
-         "the bases must lie on one line")
-    _hyp(segment_eq(Segment(a1, b1), Segment(a2, b2)),
-         "the bases must be equal")
-    _hyp(_same_parallels(base_line, c1, d1, c2, d2),
-         "the parallelograms must lie in the same parallels")
-    r.zero("the parallelograms are equal in content",
-           content(pg1) - content(pg2))
+    _pgram(pg1), _pgram(pg2)
+    _in_same_parallels(r, "the parallelograms are equal in content", pg1, pg2,
+                       equal_bases=True)
 
 
 def _check_i37(r: Checks, t1, t2) -> None:
-    a1, b1, c1 = _tri(t1)
-    a2, b2, c2 = _tri(t2)
-    _hyp({a1, b1} == {a2, b2}, "the triangles must share their base")
-    _hyp(_same_parallels(Line(a1, b1), c1, c2),
-         "the apexes must lie on one parallel")
-    r.zero("the triangles are equal in content", content(t1) - content(t2))
+    _tri(t1), _tri(t2)
+    _in_same_parallels(r, "the triangles are equal in content", t1, t2)
 
 
 def _check_i38(r: Checks, t1, t2) -> None:
-    a1, b1, c1 = _tri(t1)
-    a2, b2, c2 = _tri(t2)
-    base_line = Line(a1, b1)
-    _hyp(base_line.contains(a2) and base_line.contains(b2),
-         "the bases must lie on one line")
-    _hyp(segment_eq(Segment(a1, b1), Segment(a2, b2)),
-         "the bases must be equal")
-    _hyp(_same_parallels(base_line, c1, c2),
-         "the apexes must lie on one parallel")
-    r.zero("the triangles are equal in content", content(t1) - content(t2))
+    _tri(t1), _tri(t2)
+    _in_same_parallels(r, "the triangles are equal in content", t1, t2,
+                       equal_bases=True)
 
 
 def _check_i41(r: Checks, pg, t) -> None:
-    _hyp(isinstance(pg, Figure) and is_parallelogram(pg),
-         "expected a parallelogram")
-    a, b, c, d = pg.vertices
-    ta, tb, tc = _tri(t)
-    _hyp({a, b} == {ta, tb}, "the figures must share their base")
-    _hyp(_same_parallels(Line(a, b), c, d, tc),
-         "the figures must lie in the same parallels")
-    r.zero("the parallelogram is double of the triangle",
-           content(pg) - content(t) * 2)
+    _pgram(pg), _tri(t)
+    _in_same_parallels(r, "the parallelogram is double of the triangle",
+                       pg, t, ratio=2)
 
 
 @dataclass(frozen=True)

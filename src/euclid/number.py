@@ -31,17 +31,17 @@ The tower itself lives in a :class:`FieldContext`, with per-level facts
 that :meth:`FieldContext.adjoin` sets and nothing keyed by queries.
 Radicands are adjoined on demand by :func:`sqrt_nonneg`, which first
 searches the existing tower for an exact square root along one of two
-paths.  A rational value asked for in F(k), where r_1..r_k are all
-rational, takes the multiquadratic path: it is a square there exactly when
-its square class lies in the GF(2) span of the classes of r_1..r_k
-(Besicovitch), which gcd factor refinement decides without factoring; the
-context keeps the coprime base and the echelon rows of those classes.
-Every other query (an irrational value, or a k above the first nested
-radicand) takes the general path, a recursive scan of the tower levels
-that a norm test prunes exactly: when the norm of x into the field below
-its level is not a square there, no branch that only multiplies x by
-lower radicands can find a root.  Rational values are context-free;
-irrational values from different contexts must not be mixed
+paths, one for each kind of value.  A rational value takes the
+multiquadratic path over the rational prefix r_1..r_p of the tower: it is
+a square in F(p) exactly when its square class lies in the GF(2) span of
+the classes of r_1..r_p (Besicovitch), which gcd factor refinement decides
+without factoring; the context keeps the coprime base and the echelon rows
+of those classes.  Asked for in a higher F(k), it then scans only the
+levels above p.  An irrational value takes the general path, a recursive
+scan of the tower levels that a norm test prunes exactly: when the norm of
+x into the field below its level is not a square there, no branch that
+only multiplies x by lower radicands can find a root.  Rational values are
+context-free; irrational values from different contexts must not be mixed
 (``FieldContextError``).
 
 The current context is per thread and per asyncio task: a thread or task
@@ -398,14 +398,15 @@ def _rational_sqrt(x: Node) -> Optional[Node]:
 def _has_sqrt(x: Node, k: int, ctx: FieldContext) -> Optional[Node]:
     """An exact square root of x inside F(k), or None.  Requires x >= 0.
 
-    A rational x with k no higher than the rational prefix of the tower
-    takes the multiquadratic span test, :func:`_rational_sqrt_in_prefix`.
-    Any other query takes the general path: a root at the level l of x
-    itself, then a root t*sqrt(r_j) for j above l up to k, stopping at the
-    first root found.  Branch j asks whether x/r_j is a square in F(j-1),
-    and recurses the same way.
+    A rational x first takes one multiquadratic span test,
+    :func:`_rational_sqrt_in_prefix`, in F(min(k, p)), where r_1..r_p is
+    the rational prefix of the tower.  An irrational x first looks for a
+    root at its own level l.  Either query then scans each level j above p
+    or above l, up to k, for a root t*sqrt(r_j), stopping at the first root
+    found.  Branch j asks whether x/r_j is a square in F(j-1), and recurses
+    the same way.
 
-    The norm test prunes that scan exactly.  For u in F(l-1), the norm of
+    The norm test prunes the scan of an irrational x exactly.  For u in F(l-1), the norm of
     x*u into F(l-1) is u^2 times the norm of x, so when the norm of x is
     negative or not a square in F(l-1), no x*u is a square in F(l).  While
     r_(l+1)..r_j all lie in F(l-1), branch j asks only about such values
@@ -413,13 +414,15 @@ def _has_sqrt(x: Node, k: int, ctx: FieldContext) -> Optional[Node]:
     query costs one norm test.
     """
     lx = x[0]
-    if lx == 0 and k <= len(ctx.rational_radicands):
-        return _rational_sqrt_in_prefix(x, k, ctx)
-    root, norm_fails = _sqrt_at_own_level(x, ctx)
-    j = lx
-    if norm_fails:
-        while j < k and ctx.radicands[j][0] < lx:
-            j += 1
+    if lx == 0:
+        j = len(ctx.rational_radicands)
+        root = _rational_sqrt_in_prefix(x, min(k, j), ctx)
+    else:
+        root, norm_fails = _sqrt_at_own_level(x, ctx)
+        j = lx
+        if norm_fails:
+            while j < k and ctx.radicands[j][0] < lx:
+                j += 1
     while root is None and j < k:
         j += 1
         root = _sqrt_t_branch(x, j, ctx)
@@ -551,11 +554,9 @@ def _rational_sqrt_in_prefix(x: Node, k: int,
 
 def _sqrt_at_own_level(x: Node,
                        ctx: FieldContext) -> tuple[Optional[Node], bool]:
-    """A square root of x in F(l), l the level of x, or None; and whether
-    the norm test failed, proving that no x*u with u in F(l-1) is a square
-    in F(l).  A rational x has no norm test."""
-    if x[0] == 0:
-        return _rational_sqrt(x), False
+    """A square root of the irrational x in F(l), l the level of x, or
+    None; and whether the norm test failed, proving that no x*u with u in
+    F(l-1) is a square in F(l)."""
     k = x[0]
     disc = _node(_pnorm(x[1], ctx.gen_square), x[2] * x[2])
     if _psign(disc[1], ctx) < 0:

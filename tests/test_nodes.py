@@ -219,7 +219,12 @@ def test_pruned_scan_agrees_with_full_scan(seed, levels, data):
         x = y * y
         for g in rng.sample(gens, rng.randint(0, 2)):
             x = x * g * g
-        for value, square in ((x, True), (x * _NON_SQUARE, False)):
+        # a rational square of the rational prefix, asked above it too
+        q = (Fraction(rng.randint(1, 9), rng.randint(1, 4)) ** 2
+             * rng.choice(ctx.rational_radicands))
+        for value, square in ((x, True), (x * _NON_SQUARE, False),
+                              (Constructible(q), True),
+                              (Constructible(q * _NON_SQUARE), False)):
             for k in range(value._node[0], levels + 1):
                 got = number._has_sqrt(value._node, k, ctx)
                 assert got == _reference_has_sqrt(value._node, k, ctx)
@@ -250,6 +255,27 @@ def test_norm_test_ends_the_scan(monkeypatch):
     sqrt_nonneg(3 + r2)
     assert len(ctx.radicands) == 12
     assert len(checks) <= 2
+
+
+def test_rational_query_takes_one_span_test(monkeypatch):
+    """A rational value asked for above the rational prefix takes the span
+    test once, over the whole prefix, and scans only the levels above it:
+    13 under five rational levels and one nested level."""
+    ctx = new_context()
+    for p in (2, 3, 5, 7, 11):
+        sqrt_nonneg(p)
+    sqrt_nonneg(1 + sqrt_nonneg(2))
+    assert (len(ctx.rational_radicands), len(ctx.radicands)) == (5, 6)
+    span_test = number._rational_sqrt_in_prefix
+    levels = []
+
+    def counted(x, k, c):
+        levels.append(k)
+        return span_test(x, k, c)
+
+    monkeypatch.setattr(number, "_rational_sqrt_in_prefix", counted)
+    assert number._has_sqrt(Constructible(13)._node, 6, ctx) is None
+    assert levels == [5]
 
 
 def _poly_level(p) -> int:

@@ -1,7 +1,7 @@
 """A result that misses its postcondition is reported claim by claim.
 
-Each test moves one defining point of a construction's result by a
-rational offset after it is built, so only the checks the registry runs
+Each test changes a construction's result after it is built (most move one
+defining point by a rational offset), so only the checks the registry runs
 on the returned result can notice.
 """
 
@@ -14,6 +14,7 @@ import pytest
 
 from euclid import elements, verify
 from euclid.cli import main
+from euclid.errors import DegenerateInput
 from euclid.geom import Angle, Figure, Line, Point, Ray, Segment
 from euclid.number import current_context, new_context
 from euclid.verify import run_suite
@@ -24,35 +25,86 @@ def _fresh_field():
     new_context()
 
 
-# the defining point moved in each result type that is not a figure
-MOVED_FIELD = {Segment: "b", Ray: "through", Line: "q", Angle: "arm2"}
+# the defining points of each result type that is not a figure, in order
+FIELDS = {Segment: ("a", "b"), Ray: ("origin", "through"), Line: ("p", "q"),
+          Angle: ("vertex", "arm1", "arm2")}
 
 
-def _moved(obj):
-    """``obj`` with one defining point moved by (1/3, 1/7): a figure's
-    vertex 2, a segment's ``b``, a ray's ``through``, a line's ``q``, an
-    angle's ``arm2``, a bare point, or the first of two complements."""
+def _mutated(obj, change):
+    """``obj`` with ``change`` applied to the list of its defining points:
+    a figure's vertices, the fields of a segment, ray, line or angle, a
+    bare point alone, or those of the first of two complements."""
     if isinstance(obj, tuple):
-        return (_moved(obj[0]), *obj[1:])
+        return (_mutated(obj[0], change), *obj[1:])
     if isinstance(obj, Point):
-        return Point(obj.x + Fraction(1, 3), obj.y + Fraction(1, 7))
+        return change([obj])[0]
     if isinstance(obj, Figure):
-        vs = list(obj.vertices)
-        vs[2] = _moved(vs[2])
-        return Figure(vs)
-    name = MOVED_FIELD[type(obj)]
-    return dataclasses.replace(obj, **{name: _moved(getattr(obj, name))})
+        return Figure(change(list(obj.vertices)))
+    names = FIELDS[type(obj)]
+    points = change([getattr(obj, name) for name in names])
+    return dataclasses.replace(obj, **dict(zip(names, points)))
+
+
+def _move(points):
+    """Move one point by (1/3, 1/7): vertex 2 of a figure or an angle's
+    ``arm2``, else the last."""
+    i = min(2, len(points) - 1)
+    p = points[i]
+    return [*points[:i], Point(p.x + Fraction(1, 3), p.y + Fraction(1, 7)),
+            *points[i + 1:]]
+
+
+def _scale(points):
+    """Scale by 2 about the first point."""
+    o = points[0]
+    return [o + (p - o) * 2 for p in points]
+
+
+def _swap(points):
+    """Swap the first two points."""
+    return [*points[1::-1], *points[2:]]
+
+
+MUTATIONS = {"moved": _move, "scaled": _scale, "swapped": _swap}
+
+# The (id, mutation) pairs whose postcondition fails no claim, with what it
+# does instead; every other pair fails a claim at seeds 0-2.  The set may
+# only shrink.  A bare point is its one defining point, so scaling or
+# swapping leaves it as it is; scaling a ray, line or angle about its first
+# point leaves the same one, as does swapping a line's two points or I.1's
+# base.  I.9, I.11 and I.12 read one point of their result (a ray's
+# ``through``, a line's ``q``), and a swap hands them a point of the given
+# on which their postcondition raises DegenerateInput.
+UNNOTICED = {
+    ("I.1", "swapped"): "passes",
+    ("I.3", "scaled"): "passes", ("I.3", "swapped"): "passes",
+    ("I.9", "scaled"): "passes", ("I.9", "swapped"): "raises",
+    ("I.10", "scaled"): "passes", ("I.10", "swapped"): "passes",
+    ("I.11", "scaled"): "passes", ("I.11", "swapped"): "raises",
+    ("I.12", "swapped"): "raises",
+    ("I.23", "scaled"): "passes",
+    ("I.31", "scaled"): "passes", ("I.31", "swapped"): "passes",
+}
+
+
+def _outcome(prop_id, call, result):
+    try:
+        checks = elements.certify(prop_id, call, result)
+    except DegenerateInput:
+        return "raises"
+    return "fails" if checks.failed else "passes"
 
 
 @pytest.fixture
 def moved(monkeypatch):
-    """Rebind a construction so that its result is moved (``_moved``)."""
+    """Rebind a construction so that its result is moved (``_move``)."""
     def move(prop_id):
         fn = elements.CONSTRUCTIONS[prop_id]
 
         def construction(*args, **kwargs):
             got = fn(*args, **kwargs)
-            return dataclasses.replace(got, result=_moved(got.result))
+            return dataclasses.replace(got,
+                                       result=_mutated(got.result, _move))
 
         monkeypatch.setitem(elements.CONSTRUCTIONS, prop_id, construction)
     return move
@@ -63,7 +115,8 @@ def moved(monkeypatch):
     for strategy in elements.STRATEGIES.get(prop_id, (None,))])
 def test_every_postcondition_notices_a_moved_result(prop_id, strategy):
     """Every route's postcondition passes its own result and fails the
-    same result with one defining point moved."""
+    same result with one defining point moved, and, unless ``UNNOTICED``
+    lists the pair, with the result scaled or two of its points swapped."""
     for seed in range(3):
         new_context()
         kwargs = verify.generate_instance(prop_id, random.Random(seed))
@@ -71,9 +124,12 @@ def test_every_postcondition_notices_a_moved_result(prop_id, strategy):
         if strategy is not None:
             call = dict(call, strategy=strategy)
         result = elements.CONSTRUCTIONS[prop_id](**call)
-        assert elements.certify(prop_id, call, result).all_pass, seed
-        moved = dataclasses.replace(result, result=_moved(result.result))
-        assert elements.certify(prop_id, call, moved).failed, seed
+        assert _outcome(prop_id, call, result) == "passes", seed
+        for name, change in MUTATIONS.items():
+            mutated = dataclasses.replace(
+                result, result=_mutated(result.result, change))
+            assert _outcome(prop_id, call, mutated) == \
+                UNNOTICED.get((prop_id, name), "fails"), (seed, name)
 
 
 @pytest.mark.parametrize("prop_id", ["I.1", "I.44"])

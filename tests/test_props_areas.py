@@ -29,6 +29,7 @@ from euclid.geom import (
     content,
     is_parallelogram,
     segment_eq,
+    signed_area,
 )
 from euclid.number import Constructible, new_context
 from euclid.render import render_result
@@ -252,6 +253,18 @@ class TestP45:
     def test_self_intersecting_rejected(self):
         with pytest.raises(NotSimple):
             p45_apply_figure(RIGHT, Figure([P(0, 0), P(2, 2), P(2, 0), P(0, 2)]))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_clockwise_figure(self, seed):
+        """A figure given clockwise is triangulated as its counterclockwise
+        reversal."""
+        call = verify.generate_instance("I.45", random.Random(seed))
+        f = Figure(reversed(call["f"].vertices))
+        assert signed_area(f).sign() < 0
+        call = dict(call, f=f)
+        got = p45_apply_figure(**call)
+        assert len(got.objects["triangles"]) == len(f) - 2
+        assert elements.certify("I.45", call, got).all_pass
 
     def test_triangle_matches_p42_content(self):
         t = Figure([P(0, 0), P(4, 0), P(1, 3)])

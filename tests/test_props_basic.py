@@ -95,6 +95,8 @@ class TestP2:
         got = p2_place(P(1, 1), bc)
         assert got.result.a == P(1, 1)
         assert segment_eq(got.result, bc)
+        checks = certify("I.2", {"a": P(1, 1), "bc": bc}, got)
+        assert checks.all_pass and len(checks.claims) == 1
 
 
 class TestP3:

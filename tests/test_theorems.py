@@ -125,6 +125,37 @@ class TestParallels:
             "cd": Segment(P(1, 4), P(4, 5))}))
 
 
+def F(*points):
+    return Figure([P(x, y) for x, y in points])
+
+
+PG = F((0, 0), (4, 0), (5, 3), (1, 3))
+TRI = F((0, 0), (4, 0), (1, 3))
+
+# Per area theorem: a valid bundle, one whose second base is another (or,
+# for I.36 and I.38, longer), and one whose second figure leaves the
+# parallels (for a parallelogram, by its whole top side).
+IN_PARALLELS = {
+    "I.35": ({"pg1": PG, "pg2": F((0, 0), (4, 0), (10, 3), (6, 3))},
+             {"pg1": PG, "pg2": F((1, 0), (5, 0), (11, 3), (7, 3))},
+             {"pg1": PG, "pg2": F((0, 0), (4, 0), (10, 4), (6, 4))}),
+    "I.36": ({"pg1": PG, "pg2": F((6, 0), (10, 0), (11, 3), (7, 3))},
+             {"pg1": PG, "pg2": F((6, 0), (11, 0), (12, 3), (7, 3))},
+             {"pg1": PG, "pg2": F((6, 0), (10, 0), (11, 4), (7, 4))}),
+    "I.37": ({"t1": TRI, "t2": F((0, 0), (4, 0), (9, 3))},
+             {"t1": TRI, "t2": F((1, 0), (5, 0), (9, 3))},
+             {"t1": TRI, "t2": F((0, 0), (4, 0), (9, 4))}),
+    "I.38": ({"t1": TRI, "t2": F((5, 0), (9, 0), (2, 3))},
+             {"t1": TRI, "t2": F((5, 0), (10, 0), (2, 3))},
+             {"t1": TRI, "t2": F((5, 0), (9, 0), (2, 4))}),
+    "I.41": ({"pg": PG, "t": F((0, 0), (4, 0), (2, 3))},
+             {"pg": PG, "t": F((0, 0), (3, 0), (2, 3))},
+             {"pg": PG, "t": F((0, 0), (4, 0), (2, 4))}),
+}
+BASE_MESSAGE = {"I.36": "the bases must be equal",
+                "I.38": "the bases must be equal"}
+
+
 class TestAreas:
     def test_i34(self):
         pg = Figure([P(0, 0), P(4, 0), P(6, 3), P(2, 3)])
@@ -163,6 +194,17 @@ class TestAreas:
         t = Figure([P(0, 0), P(3, 0), P(2, 3)])
         with pytest.raises(HypothesisNotSatisfied):
             check_theorem("I.41", {"pg": pg, "t": t})
+
+    @pytest.mark.parametrize("theorem_id", sorted(IN_PARALLELS))
+    def test_one_rule_decides_base_and_parallels(self, theorem_id):
+        valid, other_base, off_parallels = IN_PARALLELS[theorem_id]
+        assert_all_pass(check_theorem(theorem_id, valid))
+        base = BASE_MESSAGE.get(theorem_id, "the figures must share their base")
+        with pytest.raises(HypothesisNotSatisfied, match=f"^{base}$"):
+            check_theorem(theorem_id, other_base)
+        with pytest.raises(HypothesisNotSatisfied,
+                           match="^the figures must lie in the same parallels$"):
+            check_theorem(theorem_id, off_parallels)
 
     def test_i43_complements(self):
         # I.43 is certified by its construction's postcondition
