@@ -145,10 +145,11 @@ def p9_bisect_angle(angle: Angle, parent: Tracer | None = None) -> PropositionRe
 
 
 def post_i9(r: Checks, call: dict, result: PropositionResult) -> None:
-    angle, f = call["angle"], result.result.through
+    angle, ray = call["angle"], result.result
     r.true("the two halves are equal angles",
-           angle_eq(Angle(angle.vertex, angle.arm1, f),
-                    Angle(angle.vertex, angle.arm2, f)))
+           ray.origin == angle.vertex
+           and angle_eq(Angle(angle.vertex, angle.arm1, ray.through),
+                        Angle(angle.vertex, angle.arm2, ray.through)))
 
 
 def p10_bisect_segment(ab: Segment, parent: Tracer | None = None) -> PropositionResult:
@@ -204,10 +205,12 @@ def p11_perp_at(l: Line, c: Point, parent: Tracer | None = None) -> PropositionR
 
 
 def post_i11(r: Checks, call: dict, result: PropositionResult) -> None:
-    c, f = call["c"], result.result.q
+    c, line = call["c"], result.result
+    f = line.q if line.p == c else line.p
     d, e = result.objects["D"], result.objects["E"]
     r.true("FC is at right angles to the line",
-           is_right(Angle(c, f, d)) and is_right(Angle(c, f, e)))
+           line.contains(c)
+           and is_right(Angle(c, f, d)) and is_right(Angle(c, f, e)))
 
 
 def p12_perp_from(l: Line, c: Point, parent: Tracer | None = None) -> PropositionResult:
@@ -238,11 +241,13 @@ def p12_perp_from(l: Line, c: Point, parent: Tracer | None = None) -> Propositio
 
 
 def post_i12(r: Checks, call: dict, result: PropositionResult) -> None:
-    c, h = call["c"], result.result.q
+    c, line = call["c"], result.result
+    h = line.q if line.p == c else line.p
     g, e = result.objects["G"], result.objects["E"]
     r.true("GH equals HE", segment_eq(Segment(g, h), Segment(h, e)))
     r.true("CG equals CE", segment_eq(Segment(c, g), Segment(c, e)))
     r.true("angles GHC and EHC are equal (I.8)",
            angle_eq(Angle(h, g, c), Angle(h, e, c)))
     r.true("CH is perpendicular to the line",
-           is_right(Angle(h, c, g)) and is_right(Angle(h, c, e)))
+           line.contains(c)
+           and is_right(Angle(h, c, g)) and is_right(Angle(h, c, e)))

@@ -258,21 +258,9 @@ def triangle_only(rng):
     return {"t": _triangle(rng)}
 
 
-def i26(rng):
-    got = t_pair(rng)
-    got["case"] = rng.choice(("adjoining", "subtending"))
-    return got
-
-
 def transversal_bundle(rng):
     l1, l2 = _parallel_pair(rng)
     return {"l1": l1, "l2": l2, "transversal": _transversal(rng, l1, l2)}
-
-
-def i28(rng):
-    got = transversal_bundle(rng)
-    got["form"] = rng.choice(("exterior", "cointerior"))
-    return got
 
 
 def i30(rng):

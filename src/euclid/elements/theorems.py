@@ -9,6 +9,12 @@ The five area theorems share one rule, :func:`_in_same_parallels`: two
 figures on the same base (I.35, I.37, I.41) or on equal bases in one line
 (I.36, I.38), with every other vertex on one parallel to the base, have
 contents in a fixed ratio, 1 or I.41's 2.
+
+I.26 and I.28 state their hypotheses as Euclid's disjunctions: any one
+side equal to its correspondent (I.26); the exterior angle equal to the
+interior and opposite one, or the co-interior angles equal to two right
+angles (I.28).  I.27, I.28 and I.29 find the meets and the arm points
+through one :func:`_transversal`, and each builds only the angles it tests.
 """
 
 from __future__ import annotations
@@ -118,6 +124,7 @@ def _check_i14(r: Checks, a, b, c, d) -> None:
 
 
 def _check_i15(r: Checks, a, b, c, d) -> None:
+    _hyp(a != b and c != d, "each line needs two distinct points")
     meets = intersect_lines(Line(a, b), Line(c, d))
     _hyp(meets != [], "the lines do not cut one another")
     e = meets[0]
@@ -145,18 +152,16 @@ def _check_i20(r: Checks, t) -> None:
             triangle_inequality(a.dist_sq(b), b.dist_sq(c), c.dist_sq(a)))
 
 
-def _check_i26(r: Checks, t1, t2, case="adjoining") -> None:
+def _check_i26(r: Checks, t1, t2) -> None:
     (a, b, c), (d, e, f) = _tri(t1), _tri(t2)
     _hyp(angle_eq(Angle(b, a, c), Angle(e, d, f)), "first angles unequal")
     _hyp(angle_eq(Angle(c, a, b), Angle(f, d, e)), "second angles unequal")
-    if case == "adjoining":
-        _hyp(segment_eq(Segment(b, c), Segment(e, f)),
-             "the sides adjoining the equal angles must be equal")
-    elif case == "subtending":
-        _hyp(segment_eq(Segment(a, b), Segment(d, e)),
-             "the subtending sides must be equal")
-    else:
-        raise HypothesisNotSatisfied(f"unknown case {case!r}")
+    # the side adjoining the equal angles (bc), or one subtending one of
+    # them (ab or ac)
+    _hyp(segment_eq(Segment(b, c), Segment(e, f))
+         or segment_eq(Segment(a, b), Segment(d, e))
+         or segment_eq(Segment(a, c), Segment(d, f)),
+         "one side must equal its corresponding side")
     r.true("the remaining sides are equal",
             segment_eq(Segment(a, b), Segment(d, e))
             and segment_eq(Segment(a, c), Segment(d, f))
@@ -165,53 +170,44 @@ def _check_i26(r: Checks, t1, t2, case="adjoining") -> None:
             angle_eq(Angle(a, b, c), Angle(d, e, f)))
 
 
-def _transversal_points(l1: Line, l2: Line, t: Line):
+def _transversal(l1: Line, l2: Line, t: Line):
+    """Where the transversal ``t`` meets ``l1`` (g) and ``l2`` (h), and a
+    point of each line on opposite sides of it: a on l1, d on l2."""
     meets = intersect_lines(t, l1) + intersect_lines(t, l2)
     _hyp(len(meets) == 2, "the transversal must meet both lines")
     g, h = meets
     _hyp(g != h, "the transversal meets the lines at one point")
-    return g, h
-
-
-def _alternate_pair(l1: Line, l2: Line, t: Line, g: Point, h: Point):
-    # arm points of l1 and l2 on opposite sides of the transversal: each
-    # line meets it only at g or h, so any other point of the line is off
-    # it, and that point's reflection through h lies on the other side
+    # each line meets the transversal only at g or h, so any other point
+    # of the line is off it, and that point's reflection through h lies
+    # on the other side
     a = l1.p if l1.p != g else l1.q
     d = l2.p if l2.p != h else l2.q
     if orientation(t.p, t.q, d) == orientation(t.p, t.q, a):
         d = point_reflect(d, h)
-    return a, d
+    return g, h, a, d
 
 
 def _check_i27(r: Checks, l1, l2, transversal) -> None:
-    g, h = _transversal_points(l1, l2, transversal)
-    a, d = _alternate_pair(l1, l2, transversal, g, h)
+    g, h, a, d = _transversal(l1, l2, transversal)
     _hyp(angle_eq(Angle(g, a, h), Angle(h, d, g)),
          "alternate angles must be equal")
     r.true("the lines are parallel", parallel(l1, l2))
 
 
-def _check_i28(r: Checks, l1, l2, transversal, form="cointerior") -> None:
-    g, h = _transversal_points(l1, l2, transversal)
-    a, d = _alternate_pair(l1, l2, transversal, g, h)
+def _check_i28(r: Checks, l1, l2, transversal) -> None:
+    g, h, a, d = _transversal(l1, l2, transversal)
     b = point_reflect(a, g)   # same side as d
-    if form == "exterior":
-        e = point_reflect(h, g)  # on the transversal above g
-        _hyp(angle_eq(Angle(g, e, b), Angle(h, g, d)),
-             "exterior angle must equal the interior opposite on the same side")
-    elif form == "cointerior":
-        _hyp(angles_sum_to_two_rights(Angle(g, b, h), Angle(h, g, d)),
-             "interior angles on the same side must equal two right angles")
-    else:
-        raise HypothesisNotSatisfied(f"unknown form {form!r}")
+    e = point_reflect(h, g)   # on the transversal beyond g
+    _hyp(angle_eq(Angle(g, e, b), Angle(h, g, d))
+         or angles_sum_to_two_rights(Angle(g, b, h), Angle(h, g, d)),
+         "the exterior angle must equal the interior and opposite one, or "
+         "the interior angles on the same side must equal two right angles")
     r.true("the lines are parallel", parallel(l1, l2))
 
 
 def _check_i29(r: Checks, l1, l2, transversal) -> None:
-    g, h = _transversal_points(l1, l2, transversal)
+    g, h, a, d = _transversal(l1, l2, transversal)
     _hyp(parallel(l1, l2), "the lines must be parallel")
-    a, d = _alternate_pair(l1, l2, transversal, g, h)
     b = point_reflect(a, g)
     e = point_reflect(h, g)
     r.true("alternate angles are equal",
@@ -339,9 +335,9 @@ THEOREMS = {
     "I.15": Theorem(gen.i15, _check_i15),
     "I.16": Theorem(gen.triangle_only, _check_i16),
     "I.20": Theorem(gen.triangle_only, _check_i20),
-    "I.26": Theorem(gen.i26, _check_i26),
+    "I.26": Theorem(gen.t_pair, _check_i26),
     "I.27": Theorem(gen.transversal_bundle, _check_i27),
-    "I.28": Theorem(gen.i28, _check_i28),
+    "I.28": Theorem(gen.transversal_bundle, _check_i28),
     "I.29": Theorem(gen.transversal_bundle, _check_i29),
     "I.30": Theorem(gen.i30, _check_i30),
     "I.32": Theorem(gen.triangle_only, _check_i32),
@@ -354,7 +350,7 @@ THEOREMS = {
     "I.41": Theorem(gen.i41, _check_i41),
 }
 
-THEOREM_IDS = tuple(sorted(THEOREMS, key=lambda s: int(s.split(".")[1])))
+THEOREM_IDS = tuple(THEOREMS)
 
 
 def check_theorem(theorem_id: str, bundle: dict) -> Checks:

@@ -6,6 +6,7 @@ references, and runs every construction call through one runner."""
 import ast
 import inspect
 import os
+import random
 import re
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 
 import euclid
 from euclid import elements
+from euclid.number import new_context
 
 PACKAGE = Path(euclid.__file__).resolve().parent
 ROOT = PACKAGE.parent.parent
@@ -283,3 +285,21 @@ def test_optimized_interpreter_gives_same_records():
 ])
 def test_optimized_interpreter_gives_same_trace_text(argv):
     _same_under_optimization(argv)
+
+
+def test_theorem_checks_take_only_their_givens():
+    """Every theorem check takes the checks ``r`` and then its givens, none
+    with a default, and its generator draws exactly those givens: no check
+    takes an option that a bundle may leave out."""
+    new_context()
+    found = []
+    for theorem_id, theorem in elements.THEOREMS.items():
+        first, *givens = theorem.signature.parameters.values()
+        drawn = theorem.generate(random.Random(0))
+        if (first.name != "r"
+                or any(p.default is not p.empty
+                       or p.kind is not p.POSITIONAL_OR_KEYWORD
+                       for p in [first, *givens])
+                or set(drawn) != {p.name for p in givens}):
+            found.append(theorem_id)
+    assert found == []

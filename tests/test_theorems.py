@@ -49,10 +49,7 @@ class TestCongruence:
     def test_i26_asa(self):
         t1 = Figure([P(0, 0), P(4, 0), P(1, 3)])
         t2 = Figure([P(5, 5), P(9, 5), P(6, 8)])
-        assert_all_pass(check_theorem("I.26", {"t1": t1, "t2": t2,
-                                               "case": "adjoining"}))
-        assert_all_pass(check_theorem("I.26", {"t1": t1, "t2": t2,
-                                               "case": "subtending"}))
+        assert_all_pass(check_theorem("I.26", {"t1": t1, "t2": t2}))
 
 
 class TestAngleSums:
@@ -75,6 +72,14 @@ class TestAngleSums:
         report = check_theorem(
             "I.15", {"a": P(-2, -2), "b": P(2, 2), "c": P(-1, 2), "d": P(1, -2)})
         assert_all_pass(report)
+
+    def test_i15_rejects_a_line_through_one_point(self):
+        a, b, c = P(-2, -2), P(2, 2), P(-1, 2)
+        for bundle in ({"a": a, "b": a, "c": c, "d": b},
+                       {"a": a, "b": b, "c": b, "d": b}):
+            with pytest.raises(HypothesisNotSatisfied,
+                               match="^each line needs two distinct points$"):
+                check_theorem("I.15", bundle)
 
     def test_i16_exterior(self):
         t = Figure([P(0, 0), P(4, 0), P(1, 3)])
@@ -100,9 +105,13 @@ class TestParallels:
         assert_all_pass(check_theorem("I.27", self.bundle()))
 
     def test_i28_both_forms(self):
+        """Parallel lines satisfy both of Euclid's forms of the hypothesis,
+        whichever point of l2 comes first (the two orders reach l2's arm
+        point with and without a reflection through h)."""
         b = self.bundle()
-        assert_all_pass(check_theorem("I.28", dict(b, form="exterior")))
-        assert_all_pass(check_theorem("I.28", dict(b, form="cointerior")))
+        assert_all_pass(check_theorem("I.28", b))
+        assert_all_pass(check_theorem("I.28",
+                                      dict(b, l2=Line(P(4, 4), P(0, 3)))))
 
     def test_i29(self):
         assert_all_pass(check_theorem("I.29", self.bundle()))
@@ -249,21 +258,27 @@ class TestBundleBinding:
         with pytest.raises(HypothesisNotSatisfied, match="t3"):
             check_theorem("I.4", {"t1": self.T1, "t2": self.T2, "t3": self.T1})
 
-    def test_i26_case_defaults_to_adjoining(self):
-        for t2 in (self.T2, self.DOUBLE):
-            bundle = {"t1": self.T1, "t2": t2}
-            assert _outcome("I.26", bundle) == \
-                _outcome("I.26", dict(bundle, case="adjoining"))
-        similar = {"t1": self.T1, "t2": self.DOUBLE}
-        assert _outcome("I.26", similar) != \
-            _outcome("I.26", dict(similar, case="subtending"))
+    def test_i26_needs_one_equal_side(self):
+        """Two triangles with equal angles but no equal side are similar,
+        not congruent."""
+        assert _outcome("I.26", {"t1": self.T1, "t2": self.DOUBLE}) == \
+            "one side must equal its corresponding side"
 
-    def test_i28_form_defaults_to_cointerior(self):
+    def test_i28_needs_one_of_its_two_hypotheses(self):
         l1, t = Line(P(0, 0), P(4, 1)), Line(P(1, -1), P(2, 5))
-        for l2 in (Line(P(0, 3), P(4, 4)), Line(P(0, 3), P(4, 5))):
-            bundle = {"l1": l1, "l2": l2, "transversal": t}
-            assert _outcome("I.28", bundle) == \
-                _outcome("I.28", dict(bundle, form="cointerior"))
         tilted = {"l1": l1, "l2": Line(P(0, 3), P(4, 5)), "transversal": t}
-        assert _outcome("I.28", tilted) != \
-            _outcome("I.28", dict(tilted, form="exterior"))
+        assert _outcome("I.28", tilted) == (
+            "the exterior angle must equal the interior and opposite one, or "
+            "the interior angles on the same side must equal two right angles")
+
+    @pytest.mark.parametrize("theorem_id, bundle", [
+        ("I.26", {"t1": T1, "t2": T2, "case": "adjoining"}),
+        ("I.28", {"l1": Line(P(0, 0), P(4, 1)), "l2": Line(P(0, 3), P(4, 4)),
+                  "transversal": Line(P(1, -1), P(2, 5)),
+                  "form": "exterior"})])
+    def test_no_option_picks_a_hypothesis(self, theorem_id, bundle):
+        """I.26 and I.28 take no option: a bundle naming one carries an
+        extra given."""
+        option = list(bundle)[-1]
+        with pytest.raises(HypothesisNotSatisfied, match=option):
+            check_theorem(theorem_id, bundle)
