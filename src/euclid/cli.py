@@ -4,14 +4,15 @@ suites, compare strategies, render figures.
 Exit codes: 0 success, 1 assertion or postcondition failure, 2 usage or
 parse error.  A command returns 0 or 1 from a run's ``trace.Checks``
 and raises every failure; ``main`` alone prints a failure and decides
-its code.  The environment variable EUCLID_SEED overrides --seed.
+its code.  A run is chosen by its arguments alone: a proposition by its
+bare id, a strategy by ``--strategy`` (or ``--strategies``), a seed by
+``--seed``; no environment variable is read.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import random
 import sys
 
@@ -25,16 +26,6 @@ from .trace import key_values, trace_lines
 class _Usage(Exception):
     """A bad call: its message is printed as it stands and the exit code
     is 2."""
-
-
-def _seed(args) -> int:
-    env = os.environ.get("EUCLID_SEED")
-    if env is None:
-        return args.seed
-    try:
-        return int(env)
-    except ValueError:
-        raise _Usage(f"EUCLID_SEED must be an integer, got {env!r}")
 
 
 def _checked_script(path: str) -> dsl.Script:
@@ -54,7 +45,7 @@ def _checked_script(path: str) -> dsl.Script:
     return script
 
 
-def _load_instance(path: str, base: str):
+def _load_instance(path: str, prop_id: str):
     """Bind the objects of a declaration script to a proposition's
     parameters, in declaration order."""
     script = _checked_script(path)
@@ -67,7 +58,7 @@ def _load_instance(path: str, base: str):
     # a type word is the class name in lower case
     kwargs = {}
     used = [False] * len(declared)
-    for pname, ptype in elements.PROPOSITIONS[base].params:
+    for pname, ptype in elements.PROPOSITIONS[prop_id].params:
         want = "segment" if ptype == "number" else ptype
         for i, obj in enumerate(declared):
             if not used[i] and type(obj).__name__.lower() == want:
@@ -76,19 +67,19 @@ def _load_instance(path: str, base: str):
                 break
         else:
             raise _Usage(f"{path}: no {ptype} found for parameter {pname!r} "
-                         f"of {base}")
+                         f"of {prop_id}")
     return kwargs
 
 
-def _instances(args, base: str, strategies) -> dict:
+def _instances(args, prop_id: str, strategies) -> dict:
     """Each strategy's instance, in a fresh context: the objects of the
     --input file as given, or one instance drawn from the seed and adapted
     to each strategy."""
     new_context()
     if args.input:
-        givens = _load_instance(args.input, base)
+        givens = _load_instance(args.input, prop_id)
         return {s: givens for s in strategies}
-    drawn = verify.generate_instance(base, random.Random(_seed(args)))
+    drawn = verify.generate_instance(prop_id, random.Random(args.seed))
     return {s: elements.drawn_instance(s, drawn) for s in strategies}
 
 
@@ -123,14 +114,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_prop(args) -> int:
-    base, strategy = elements.split_identifier(args.id, args.strategy,
-                                               args.side)
-    givens = _instances(args, base, [strategy])[strategy]
-    result, checks = elements.run(base, givens, strategy, args.side)
+    elements.validate_call(args.id, args.strategy, args.side)
+    givens = _instances(args, args.id, [args.strategy])[args.strategy]
+    result, checks = elements.run(args.id, givens, args.strategy, args.side)
     print(f"# {checks.prop_id}")
     for line in checks.lines():
         print(line)
-    if base == "I.45":
+    if args.id == "I.45":
         print(f"triangles: {len(result.objects['triangles'])}")
     costs = result.costs()
     del costs["objects"]
@@ -145,19 +135,18 @@ def _cmd_prop(args) -> int:
 def _cmd_suite(args) -> int:
     if args.n < 0:
         raise _Usage(f"--n must be a non-negative integer, got {args.n}")
-    seed = _seed(args)
     ids = verify.SUITE_IDS if args.id == "all" else (args.id,)
-    failures = sum(_print_report(verify.run_suite(prop_id, args.n, seed),
+    failures = sum(_print_report(verify.run_suite(prop_id, args.n, args.seed),
                                  args.records) for prop_id in ids)
     return 0 if failures == 0 else 1
 
 
 def _cmd_compare(args) -> int:
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    base, _ = elements.split_identifier(args.id)
+    elements.validate_call(args.id)
     if not strategies:
         raise _Usage("--strategies needs at least one strategy name")
-    report = verify.compare(args.id, _instances(args, base, strategies))
+    report = verify.compare(args.id, _instances(args, args.id, strategies))
     return 0 if _print_report(report, args.records) == 0 else 1
 
 

@@ -568,13 +568,12 @@ def check(script: Script) -> list[Diagnostic]:
             result_types = word.types
         else:  # PropCall
             try:
-                base, _ = elements.split_identifier(
-                    expr.prop_id, expr.strategy, expr.side)
+                elements.validate_call(expr.prop_id, expr.strategy, expr.side)
             except EuclidError as e:
                 diags.append(Diagnostic(expr.span, str(e)))
                 result_types = ("unknown",)
             else:
-                prop = elements.PROPOSITIONS[base]
+                prop = elements.PROPOSITIONS[expr.prop_id]
                 check_args(expr.span, expr.prop_id,
                            tuple(w for _, w in prop.params), expr.args)
                 result_types = prop.result
@@ -641,16 +640,16 @@ def interpret(script: Script) -> tuple[PropositionResult, Checks]:
             raise ScriptError(expr.span, str(e))
 
     def run_prop(expr: PropCall):
-        base, strategy = elements.split_identifier(
-            expr.prop_id, expr.strategy, expr.side)
-        params = elements.PROPOSITIONS[base].params
+        elements.validate_call(expr.prop_id, expr.strategy, expr.side)
+        params = elements.PROPOSITIONS[expr.prop_id].params
         # a line parameter takes a segment or ray as its line (_ACCEPTS)
         givens = {name: value(a).line() if ptype == "line" else value(a)
                   for (name, ptype), a in zip(params, expr.args)}
-        result, certified = elements.run(base, givens, strategy, expr.side, tr)
+        result, certified = elements.run(expr.prop_id, givens, expr.strategy,
+                                         expr.side, tr)
         if certified.failed:
             failed = "; ".join(certified.failed)
-            raise ScriptError(expr.span, f"{base} fails: {failed}")
+            raise ScriptError(expr.span, f"{expr.prop_id} fails: {failed}")
         got = result.result
         got = got if isinstance(got, tuple) else (got,)
         tr.attach(result, produced=got)

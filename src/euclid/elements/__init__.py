@@ -1,10 +1,11 @@
 """The proposition catalogue: constructions and theorem validators.
 
-Proposition identifiers are stable strings ("I.1" ... "I.46"); variant
-strategies are selected either by keyword argument or by a suffixed
-identifier such as "I.44.alnayrizi".  A construction and its strategy
-table are listed once, in their ``PROPOSITIONS`` record, and are
-imported from their defining module (``euclid.elements.areas.p44_apply``).
+Proposition identifiers are stable strings ("I.1" ... "I.46"); a variant
+strategy is selected by its name alone, as the ``strategy`` keyword
+argument ("alnayrizi" for I.44), never through the id.  A construction
+and its strategy table are listed once, in their ``PROPOSITIONS``
+record, and are imported from their defining module
+(``euclid.elements.areas.p44_apply``).
 A step the constructions share is written once in ``_common``:
 ``produce``, ``cut_at``, ``cite_midpoint``, ``cite_parallel``, the
 I.1/I.22 step ``apex`` and the forward selector ``ahead``.
@@ -30,13 +31,13 @@ class Proposition:
     result yields (one, or I.43's two complements), its instance generator
     ``generate(rng) -> kwargs``, its postcondition ``post(checks, call,
     result)`` on ``result = fn(**call)``, and its strategy table: each
-    variant strategy in order, with its identifier suffix and route."""
+    variant strategy's name, in order, and its route."""
 
     fn: Callable
     result: tuple[str, ...]
     generate: Callable
     post: Callable
-    strategies: dict[str, tuple[str, Callable]] = field(default_factory=dict)
+    strategies: dict[str, Callable] = field(default_factory=dict)
 
     @cached_property
     def signature(self) -> inspect.Signature:
@@ -93,32 +94,24 @@ STRATEGIES = {pid: tuple(p.strategies) for pid, p in PROPOSITIONS.items()
               if p.strategies}
 
 
-def split_identifier(prop_id: str, strategy: str | None = None,
-                     side: str | None = None) -> tuple[str, str | None]:
-    """Resolve one call of a construction: e.g. "I.44.chester" gives
-    ("I.44", "robert_of_chester").  A strategy given beside the id must
-    agree with its suffix; a side must be a side word of a construction
-    that takes one.
+def validate_call(prop_id: str, strategy: str | None = None,
+                  side: str | None = None) -> None:
+    """Check one call of a construction: ``prop_id`` is a construction's
+    bare id, ``strategy`` one of its strategies, and ``side`` a side word
+    of a construction that takes one.
 
     Raises UnknownProposition for any call this rejects.
     """
-    base = ".".join(prop_id.split(".")[:2])
-    prop = PROPOSITIONS.get(base)
-    by_id = {base + suffix: name
-             for name, (suffix, _) in getattr(prop, "strategies", {}).items()}
-    if prop is None or prop_id not in (base, *by_id):
+    prop = PROPOSITIONS.get(prop_id)
+    if prop is None:
         raise UnknownProposition(f"unknown proposition {prop_id!r}")
-    named = by_id.get(prop_id, strategy)
-    if strategy not in (None, named):
-        raise UnknownProposition(f"{prop_id} names {named!r}, not {strategy!r}")
-    if named is not None and named not in prop.strategies:
-        raise UnknownProposition(f"{base} has no strategy {named!r}")
+    if strategy is not None and strategy not in prop.strategies:
+        raise UnknownProposition(f"{prop_id} has no strategy {strategy!r}")
     if side is not None and "side" not in prop.signature.parameters:
-        raise UnknownProposition(f"{base} takes no side")
+        raise UnknownProposition(f"{prop_id} takes no side")
     if side not in (None, "upper", "lower"):
         raise UnknownProposition(
             f"side must be 'upper' or 'lower', got {side!r}")
-    return base, named
 
 
 def drawn_instance(strategy: str | None, kwargs: dict) -> dict:
@@ -130,25 +123,26 @@ def drawn_instance(strategy: str | None, kwargs: dict) -> dict:
     return kwargs
 
 
-def certify(base: str, call: dict, result: PropositionResult) -> Checks:
-    """The postcondition of construction ``base`` on ``result``, the value
-    of ``fn(**call)``.  Keywords the call left out take the function's
-    defaults, so the checks see the side and strategy that ran, and the
-    checks name the run: ``base``, then ``.strategy`` if it has one."""
-    prop = PROPOSITIONS[base]
+def certify(prop_id: str, call: dict, result: PropositionResult) -> Checks:
+    """The postcondition of construction ``prop_id`` on ``result``, the
+    value of ``fn(**call)``.  Keywords the call left out take the
+    function's defaults, so the checks see the side and strategy that ran,
+    and the checks name the run: ``prop_id``, then ``.strategy`` if it has
+    one."""
+    prop = PROPOSITIONS[prop_id]
     bound = prop.signature.bind(**call)
     bound.apply_defaults()
     strategy = bound.arguments.get("strategy")
-    checks = Checks(base if strategy is None else f"{base}.{strategy}")
+    checks = Checks(prop_id if strategy is None else f"{prop_id}.{strategy}")
     prop.post(checks, bound.arguments, result)
     return checks
 
 
-def run(base: str, givens: dict, strategy: str | None = None,
+def run(prop_id: str, givens: dict, strategy: str | None = None,
         side: str | None = None, parent: Tracer | None = None
         ) -> tuple[PropositionResult, Checks]:
-    """Run construction ``base`` on ``givens`` with the strategy and side
-    that ``split_identifier`` resolved (``None`` takes the function's
+    """Run construction ``prop_id`` on ``givens`` with the strategy and side
+    that ``validate_call`` accepted (``None`` takes the function's
     default), nested under ``parent`` if one is given, and certify the
     result."""
     call = dict(givens)
@@ -156,13 +150,13 @@ def run(base: str, givens: dict, strategy: str | None = None,
         call["strategy"] = strategy
     if side is not None:
         call["side"] = side
-    result = CONSTRUCTIONS[base](**call, parent=parent)
-    return result, certify(base, call, result)
+    result = CONSTRUCTIONS[prop_id](**call, parent=parent)
+    return result, certify(prop_id, call, result)
 
 
 __all__ = [
     "PROPOSITIONS", "Proposition", "CONSTRUCTIONS", "STRATEGIES",
     "THEOREMS", "THEOREM_IDS",
-    "certify", "check_theorem", "drawn_instance", "run", "split_identifier",
-    "triangulate",
+    "certify", "check_theorem", "drawn_instance", "run", "triangulate",
+    "validate_call",
 ]

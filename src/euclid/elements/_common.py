@@ -24,10 +24,10 @@ from ..trace import Tracer
 
 def strategy_route(strategies: dict, base: str, strategy: str):
     """The route of ``strategy`` in the table of construction ``base``,
-    which maps each strategy name to its identifier suffix and route."""
+    which maps each strategy name to its route."""
     if strategy not in strategies:
         raise PreconditionViolated(f"unknown {base} strategy {strategy!r}")
-    return strategies[strategy][1]
+    return strategies[strategy]
 
 
 def side_sign(side: str) -> int:

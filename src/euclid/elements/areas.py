@@ -113,9 +113,8 @@ def _p42_alnayrizi(tr: Tracer, t: Figure, d: Angle):
                  "parallelogram": ("result", fig)}
 
 
-# strategy name -> (identifier suffix, construction route)
-P42_STRATEGIES = {"euclid": (".euclid", _p42_euclid),
-                  "alnayrizi": (".alnayrizi", _p42_alnayrizi)}
+# strategy name -> construction route
+P42_STRATEGIES = {"euclid": _p42_euclid, "alnayrizi": _p42_alnayrizi}
 
 
 def p42_on_ray(t: Figure, d: Angle, base_ray: Ray, side: str = "upper",
@@ -416,12 +415,12 @@ def _p44_tinemue(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
                  "i": ("result", i)}
 
 
-# strategy name -> (identifier suffix, construction route)
-P44_STRATEGIES = {"euclid_superposition": (".euclid", _p44_euclid),
-                  "alnayrizi": (".alnayrizi", _p44_alnayrizi),
-                  "robert_of_chester": (".chester", _p44_robert),
-                  "campanus": (".campanus", _p44_campanus),
-                  "tinemue_equal_case": (".tinemue", _p44_tinemue)}
+# strategy name -> construction route
+P44_STRATEGIES = {"euclid_superposition": _p44_euclid,
+                  "alnayrizi": _p44_alnayrizi,
+                  "robert_of_chester": _p44_robert,
+                  "campanus": _p44_campanus,
+                  "tinemue_equal_case": _p44_tinemue}
 
 
 def tinemue_matching_angle(t: Figure) -> Angle:
@@ -597,9 +596,8 @@ def _p46_second(tr: Tracer, a: Point, b: Point, c: Point, side: str) -> Point:
     return dd
 
 
-# strategy name -> (identifier suffix, construction route)
-P46_STRATEGIES = {"campanus_first": (".campanus", _p46_first),
-                  "campanus_second": (".campanus2", _p46_second)}
+# strategy name -> construction route
+P46_STRATEGIES = {"campanus_first": _p46_first, "campanus_second": _p46_second}
 
 
 def post_i46(r: Checks, call: dict, result: PropositionResult) -> None:

@@ -244,13 +244,13 @@ def _p23_campanus(tr: Tracer, ray: Ray, model: Angle, side: str):
                   "h": ("aux", h), "k": ("result", k)}
 
 
-# strategy name -> (identifier suffix, construction route)
-P23_STRATEGIES = {"euclid": (".euclid", _p23_euclid),
-                  "proclus": (".proclus", _p23_proclus),
-                  "albertus": (".albertus", _p23_albertus),
-                  "commandinus": (".commandinus", _p23_commandinus),
-                  "clavius": (".clavius", _p23_clavius),
-                  "campanus": (".campanus", _p23_campanus)}
+# strategy name -> construction route
+P23_STRATEGIES = {"euclid": _p23_euclid,
+                  "proclus": _p23_proclus,
+                  "albertus": _p23_albertus,
+                  "commandinus": _p23_commandinus,
+                  "clavius": _p23_clavius,
+                  "campanus": _p23_campanus}
 
 
 def copy_angle(tr: Tracer, ray: Ray, model: Angle, side: str) -> Point:

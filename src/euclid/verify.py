@@ -23,11 +23,12 @@ from .trace import Checks, PropositionResult, Tracer, key_values
 SUITE_IDS = (*elements.CONSTRUCTIONS, *THEOREM_IDS)
 
 
-def generate_instance(base: str, rng: random.Random) -> dict:
+def generate_instance(prop_id: str, rng: random.Random) -> dict:
     """A random valid instance (keyword arguments) for the proposition."""
-    record = elements.PROPOSITIONS.get(base) or elements.THEOREMS.get(base)
+    record = (elements.PROPOSITIONS.get(prop_id)
+              or elements.THEOREMS.get(prop_id))
     if record is None:
-        raise UnknownProposition(f"no instance generator for {base!r}")
+        raise UnknownProposition(f"no instance generator for {prop_id!r}")
     return record.generate(rng)
 
 
@@ -139,54 +140,52 @@ class SuiteReport:
 # running
 
 
-def _resolve(prop_id: str, strategy: Optional[str] = None
-             ) -> tuple[str, Optional[str]]:
-    """``elements.split_identifier``, except that a theorem id, which has
-    no strategies, names itself."""
-    if prop_id in THEOREM_IDS and strategy is None:
-        return prop_id, None
-    return elements.split_identifier(prop_id, strategy)
+def _validate(prop_id: str, strategy: Optional[str] = None) -> None:
+    """``elements.validate_call``, except that a theorem id, which has no
+    strategies, is valid by itself."""
+    if prop_id not in THEOREM_IDS or strategy is not None:
+        elements.validate_call(prop_id, strategy)
 
 
-def _run_strategy(base: str, strategy: Optional[str], givens: dict
+def _run_strategy(prop_id: str, strategy: Optional[str], givens: dict
                   ) -> StrategyOutcome:
     """Run one construction strategy and its postcondition, or the
-    validator of a theorem base."""
+    validator of a theorem."""
     try:
-        if base in THEOREM_IDS:
-            return StrategyOutcome(check_theorem(base, givens))
-        result, checks = elements.run(base, givens, strategy)
+        if prop_id in THEOREM_IDS:
+            return StrategyOutcome(check_theorem(prop_id, givens))
+        result, checks = elements.run(prop_id, givens, strategy)
     except EuclidError as e:
-        return StrategyOutcome(Checks(base), error=f"{type(e).__name__}: {e}")
+        return StrategyOutcome(Checks(prop_id),
+                               error=f"{type(e).__name__}: {e}")
     return StrategyOutcome(checks, result.costs())
 
 
 def compare(prop_id: str, instances: dict) -> ComparisonReport:
     """Run each strategy on its instance (``None`` stands for an id
-    without strategies and is shown as ``-``); deterministic report, named
-    by the resolved base.
+    without strategies and is shown as ``-``); deterministic report.
 
-    Raises UnknownProposition for a strategy that ``prop_id`` does not
-    name, before anything runs.
+    Raises UnknownProposition for an id or strategy that
+    ``elements.validate_call`` rejects, before anything runs.
     """
-    base, _ = _resolve(prop_id)
-    runs = {strategy: _resolve(prop_id, strategy)[1] for strategy in instances}
-    return ComparisonReport(base, {
+    for strategy in (None, *instances):
+        _validate(prop_id, strategy)
+    return ComparisonReport(prop_id, {
         "-" if strategy is None else strategy:
-            _run_strategy(base, runs[strategy], givens)
+            _run_strategy(prop_id, strategy, givens)
         for strategy, givens in instances.items()})
 
 
 def run_suite(prop_id: str, count: int = 100, seed: int = 7) -> SuiteReport:
-    """Random-instance postcondition suite; failures are expected to be 0."""
-    base, strategy = _resolve(prop_id)
-    strategies = ((strategy,) if strategy is not None
-                  else elements.STRATEGIES.get(base, (None,)))
+    """Random-instance postcondition suite over every strategy of
+    ``prop_id``; failures are expected to be 0."""
+    _validate(prop_id)
+    strategies = elements.STRATEGIES.get(prop_id, (None,))
     rng = random.Random(seed)
     report = SuiteReport(prop_id, count, seed)
     for _ in range(count):
         new_context()
-        kwargs = generate_instance(base, rng)
+        kwargs = generate_instance(prop_id, rng)
         report.instances.append(compare(prop_id, {
             s: elements.drawn_instance(s, kwargs) for s in strategies}))
     return report

@@ -7,6 +7,7 @@ import pytest
 
 import euclid
 from euclid.cli import build_parser, main
+from euclid.elements import validate_call
 from euclid.number import new_context
 
 TESTS = Path(__file__).resolve().parent
@@ -28,7 +29,6 @@ SELECTOR_BASE = ("point A = (0,0)\npoint B = (2,0)\nsegment s = join(A, B)\n"
 @pytest.fixture(autouse=True)
 def _fresh_field():
     new_context()
-    os.environ.pop("EUCLID_SEED", None)
 
 
 class TestRun:
@@ -90,8 +90,7 @@ class TestRun:
             "figure p = prop I.44.chester (ab, t, d) strategy alnayrizi\n")
         assert main(["run", str(script)]) == 2
         assert capsys.readouterr().err == (
-            "6:12: error: I.44.chester names 'robert_of_chester', "
-            "not 'alnayrizi'\n")
+            "6:12: error: unknown proposition 'I.44.chester'\n")
 
     def test_script_not_utf8_exit_2(self, tmp_path, capsys):
         script = tmp_path / "latin1.euc"
@@ -195,6 +194,26 @@ class TestRun:
         assert main(["prop", "I.1", "--input", str(script)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, code, err", [
+        ("point A = (0,0)\nassert foo(A)\n", 2,
+         "2:11: error: unknown predicate 'foo' (one of seg_eq, angle_eq, "
+         "area_eq, parallel, right_angle, collinear)"),
+        ("point 3 = (0, 0)\n", 2, "1:7: error: expected a name"),
+        ("point B = (1,1)\npoint A = foo(B)\n", 2,
+         "2:11: error: expected a point literal, a primitive call, or 'prop'"),
+        ("segment s = join((0,0),(1,0))\nfigure p = prop 42 (s)\n", 2,
+         "2:17: error: expected a proposition identifier such as I.42"),
+        (SELECTOR_BASE + "line l = join(A, B)\npoint P = (1, 0)\n"
+         "point C = intersect(c1, c2) same_side(l, P)\n", 1,
+         "9:29: reference point lies on the line"),
+    ])
+    def test_diagnostic_and_exit_code(self, tmp_path, capsys, text, code,
+                                      err):
+        script = tmp_path / "diag.euc"
+        script.write_text(text)
+        assert main(["run", str(script)]) == code
+        assert capsys.readouterr().err == err + "\n"
+
     def test_side_on_proposition_without_side(self, tmp_path, capsys):
         script = tmp_path / "side.euc"
         script.write_text("angle d = angle((0,0),(1,0),(0,1))\n"
@@ -273,14 +292,17 @@ class TestProp:
             assert f"{prop_id} takes no side" in capsys.readouterr().err
         assert main(["prop", "I.1", "--side", "lower", "--seed", "3"]) == 0
 
-    def test_strategy_must_agree_with_suffix(self, capsys):
-        assert main(["prop", "I.44.chester", "--strategy", "alnayrizi"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("I.44.chester names 'robert_of_chester', "
-                                "not 'alnayrizi'\n")
-        assert main(["prop", "I.44.chester", "--strategy",
-                     "robert_of_chester", "--seed", "3"]) == 0
+    def test_strategy_by_name_alone(self, capsys):
+        # the header names the run; the id it is run by is the bare id
+        for argv in (["prop", "I.44.chester"],
+                     ["prop", "I.44.robert_of_chester"],
+                     ["prop", "I.44.chester", "--strategy", "alnayrizi"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"unknown proposition {argv[1]!r}\n"
+        assert main(["prop", "I.44", "--strategy", "robert_of_chester",
+                     "--seed", "3"]) == 0
         assert "# I.44.robert_of_chester" in capsys.readouterr().out
 
     def test_strategy_on_degenerate_input_exit_1(self, tmp_path, capsys):
@@ -377,28 +399,9 @@ class TestSuite:
         assert "failures=0" in out
         assert "superpositions[euclid_superposition]=2" in out
 
-    def test_env_seed_override(self, capsys):
-        os.environ["EUCLID_SEED"] = "11"
-        try:
-            main(["suite", "I.1", "--n", "2", "--seed", "5"])
-            out = capsys.readouterr().out
-            assert "seed=11" in out
-        finally:
-            del os.environ["EUCLID_SEED"]
-
     def test_unknown_suite(self, capsys):
         assert main(["suite", "I.99", "--n", "1"]) == 2
         assert capsys.readouterr().err == "unknown proposition 'I.99'\n"
-
-    def test_env_seed_not_integer(self, capsys):
-        os.environ["EUCLID_SEED"] = "abc"
-        try:
-            assert main(["suite", "I.1", "--n", "1"]) == 2
-        finally:
-            del os.environ["EUCLID_SEED"]
-        captured = capsys.readouterr()
-        assert captured.err.strip() != ""
-        assert "EUCLID_SEED" in captured.err and captured.out == ""
 
     def test_negative_count(self, capsys):
         assert main(["suite", "I.1", "--n", "-1"]) == 2
@@ -420,12 +423,12 @@ class TestCompare:
     def test_bad_strategy(self, capsys):
         assert main(["compare", "I.44", "--strategies", "nope"]) == 2
 
-    def test_strategy_must_agree_with_suffix(self, capsys):
+    def test_suffixed_id_exit_2(self, capsys):
         assert main(["compare", "I.44.chester",
                      "--strategies", "alnayrizi"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "names 'robert_of_chester', not 'alnayrizi'" in captured.err
+        assert captured.err == "unknown proposition 'I.44.chester'\n"
 
     def test_empty_strategy_list(self, capsys):
         assert main(["compare", "I.44", "--strategies", ","]) == 2
@@ -476,6 +479,42 @@ class TestMain:
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
+
+    def test_every_record_names_a_call(self, capsys):
+        """Each ``--records`` line names its run by a proposition and a
+        strategy that a call takes as they stand."""
+        assert main(["suite", "all", "--n", "1", "--records"]) == 0
+        records = [dict(field.split("=", 1) for field in line.split(" "))
+                   for line in capsys.readouterr().out.splitlines()]
+        named = {(r["proposition"], r["strategy"]) for r in records
+                 if r["strategy"] != "-"}
+        assert len(named) == 15
+        for prop_id, strategy in named:
+            validate_call(prop_id, strategy)
+
+    def test_readme_commands_parse_and_resolve(self):
+        """Every ``euclid ...`` line of the README's "Command line" block
+        parses, names files that exist, and passes its id and strategies
+        to ``validate_call``, so a removed id form cannot stay
+        documented."""
+        text = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+        block = text.split("## Command line\n", 1)[1]
+        block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+        argvs = [line.split()[1:] for line in block.splitlines()
+                 if line.startswith("euclid ")]
+        assert len(argvs) == 7
+        for argv in argvs:
+            args = build_parser().parse_args(argv)
+            for path in (getattr(args, "script", None),
+                         getattr(args, "input", None)):
+                assert path is None or (TESTS.parent / path).is_file(), argv
+            if args.command == "run" or args.id == "all":
+                continue
+            strategies = (args.strategies.split(",")
+                          if args.command == "compare"
+                          else [getattr(args, "strategy", None)])
+            for strategy in strategies:
+                validate_call(args.id, strategy, getattr(args, "side", None))
 
     def test_records_flag_is_not_kept(self, capsys):
         assert main(["suite", "I.1", "--n", "1", "--records"]) == 0

@@ -409,9 +409,14 @@ class TestInterpret:
         assert a == b
 
     def test_prop_by_suffixed_id(self):
-        text = ("point A = (0,0)\npoint B = (3,0)\nsegment ab = join(A, B)\n"
-                "figure sq = prop I.46.campanus2 (ab)\n")
-        result, _ = run(text)
+        """A suffixed id names no construction; the strategy word does."""
+        given = "point A = (0,0)\npoint B = (3,0)\nsegment ab = join(A, B)\n"
+        script, diags = parse(given + "figure sq = prop I.46.campanus2 (ab)\n")
+        assert not diags
+        assert list(map(str, check(script))) == [
+            "4:13: error: unknown proposition 'I.46.campanus2'"]
+        result, _ = run(given + "figure sq = prop I.46 (ab) "
+                        "strategy campanus_second\n")
         assert len(result.objects["sq"].vertices) == 4
 
     def test_endpoint_words_whatever_is_declared(self):

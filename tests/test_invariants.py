@@ -43,6 +43,25 @@ def test_no_global_statements():
     assert found == []
 
 
+def test_the_engine_reads_no_environment():
+    """A run is chosen by its arguments alone: no module reads
+    ``os.environ`` or ``os.getenv``, nor imports either from ``os``."""
+    words = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in words:
+                read = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                read = [a.name for a in node.names if a.name in words]
+            else:
+                continue
+            found += [f"{path.relative_to(PACKAGE)}:{node.lineno} {w}"
+                      for w in read]
+    assert found == []
+
+
 def _definitions(tree):
     """The node of every module-level function, class and UPPER_CASE
     constant, and of every method that is not a dunder, with its name."""
@@ -262,8 +281,7 @@ def test_main_alone_decides_exit_codes():
 
 def _same_under_optimization(argv) -> None:
     """The command prints the same bytes under ``python -O``."""
-    env = {k: v for k, v in os.environ.items() if k != "EUCLID_SEED"}
-    env["PYTHONPATH"] = str(PACKAGE.parent)
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
 
     def run(*flags):
         return subprocess.run([sys.executable, *flags, "-m", "euclid", *argv],

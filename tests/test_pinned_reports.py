@@ -31,8 +31,7 @@ PINNED = [
 
 
 @pytest.mark.parametrize("argv, digest", PINNED, ids=[a for a, _ in PINNED])
-def test_report_bytes(monkeypatch, capsys, argv, digest):
-    monkeypatch.delenv("EUCLID_SEED", raising=False)
+def test_report_bytes(capsys, argv, digest):
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
@@ -51,8 +50,7 @@ TRACE_DIGEST = ("4c1e0dd7845409bf3a1822eaa2cdb4d4"
                 "322d0a38440d4a4b0273c92d1391aa91")
 
 
-def test_trace_bytes(monkeypatch, capsys):
-    monkeypatch.delenv("EUCLID_SEED", raising=False)
+def test_trace_bytes(capsys):
     digest = hashlib.sha256()
     argvs = list(_trace_argvs())
     assert len(argvs) == 26
@@ -69,7 +67,6 @@ SVG_DIGEST = ("12c61d875bbf06663ee9f8425eb1869e"
 def test_svg_bytes(monkeypatch, capsys, tmp_path):
     """The stdout and the SVG file of ``prop ... --svg`` for every
     construction and strategy, then of ``run scripts/i44.euc --svg``."""
-    monkeypatch.delenv("EUCLID_SEED", raising=False)
     monkeypatch.chdir(tmp_path)
     script = Path(__file__).resolve().parent.parent / "scripts" / "i44.euc"
     argvs = [*_trace_argvs(("--svg", "fig.svg")),
@@ -93,7 +90,6 @@ def test_figures_bytes(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import workloads
 
-    monkeypatch.delenv("EUCLID_SEED", raising=False)
     shutil.copytree(ROOT / "scripts", tmp_path / "scripts")
     (tmp_path / ".bench_build").mkdir()
     monkeypatch.chdir(tmp_path)

@@ -71,29 +71,82 @@ def _swap(points):
     return [*points[1::-1], *points[2:]]
 
 
+def _mirror(points):
+    """Reflect every point across the line through the first two, which is
+    the base for I.1, I.44 and I.46; a bare point stays as it is."""
+    if len(points) < 2:
+        return points
+    a, d = points[0], points[1] - points[0]
+    out = []
+    for p in points:
+        v = p - a
+        out.append(a + d * (2 * v.dot(d) / d.norm_sq()) + v * -1)
+    return out
+
+
 MUTATIONS = {"moved": _move, "first moved": _move_first, "scaled": _scale,
-             "swapped": _swap}
+             "swapped": _swap, "mirrored": _mirror}
 
 # The (id, mutation) pairs whose postcondition fails no claim; every other
 # pair fails a claim at seeds 0-2.  The set may only shrink.  A bare point
-# is its one defining point, so scaling or swapping leaves it as it is;
-# scaling a ray, line or angle about its first point leaves the same one,
-# as does swapping a line's two points or I.1's base.
+# is its one defining point, so scaling, swapping or mirroring leaves it as
+# it is; scaling a ray, line or angle about its first point leaves the same
+# one, as does swapping a line's two points or I.1's base, and mirroring a
+# segment, ray or line across itself.  A figure mirrored across its first
+# side is the same figure on the other side of its base, and the
+# postconditions of I.42 to I.46 check no side.
 UNNOTICED = {
     ("I.1", "swapped"),
-    ("I.3", "scaled"), ("I.3", "swapped"),
-    ("I.9", "scaled"),
-    ("I.10", "scaled"), ("I.10", "swapped"),
-    ("I.11", "scaled"), ("I.11", "swapped"),
-    ("I.12", "swapped"),
+    ("I.2", "mirrored"),
+    ("I.3", "scaled"), ("I.3", "swapped"), ("I.3", "mirrored"),
+    ("I.9", "scaled"), ("I.9", "mirrored"),
+    ("I.10", "scaled"), ("I.10", "swapped"), ("I.10", "mirrored"),
+    ("I.11", "scaled"), ("I.11", "swapped"), ("I.11", "mirrored"),
+    ("I.12", "swapped"), ("I.12", "mirrored"),
     ("I.23", "scaled"),
-    ("I.31", "scaled"), ("I.31", "swapped"),
+    ("I.31", "scaled"), ("I.31", "swapped"), ("I.31", "mirrored"),
+    ("I.42", "mirrored"), ("I.43", "mirrored"), ("I.44", "mirrored"),
+    ("I.45", "mirrored"), ("I.46", "mirrored"),
 }
+
+# The (id, claim) pairs that fail under no mutation, on any route at seeds
+# 0-2.  Each reads the trace or the named objects rather than the result,
+# so a changed result cannot reach it.  The set may only shrink.
+NEVER_FAILS = {
+    ("I.2", "no superposition used"),
+    ("I.12", "CG equals CE"),
+    ("I.23", "one arm lies along the target ray"),
+    ("I.31", "alternate angles are equal (I.27 hypothesis)"),
+    ("I.44", "superposition count is exactly 0"),
+    ("I.44", "superposition count is exactly 1"),
+    ("I.45", "piece 2: shared side is a full side of both"),
+    ("I.45", "piece 3: abutting angles sum to two right angles"),
+    ("I.45", "piece 3: shared side is a full side of both"),
+    ("I.45", "piece 3: the outer edges meet in a straight line"),
+    ("I.45", "piece 4: abutting angles sum to two right angles"),
+    ("I.45", "piece 4: shared side is a full side of both"),
+    ("I.45", "piece 4: the outer edges meet in a straight line"),
+    ("I.45", "the figure splits into two fewer triangles than sides"),
+}
+
+ROUTES = [(prop_id, strategy) for prop_id in elements.CONSTRUCTIONS
+          for strategy in elements.STRATEGIES.get(prop_id, (None,))]
 
 
 def _outcome(prop_id, call, result):
     checks = elements.certify(prop_id, call, result)
     return "fails" if checks.failed else "passes"
+
+
+def _built(prop_id, strategy, seed):
+    """The call of a route on its seed's drawn instance, and its result,
+    in a fresh context."""
+    new_context()
+    kwargs = verify.generate_instance(prop_id, random.Random(seed))
+    call = elements.drawn_instance(strategy, kwargs)
+    if strategy is not None:
+        call = dict(call, strategy=strategy)
+    return call, elements.CONSTRUCTIONS[prop_id](**call)
 
 
 @pytest.fixture
@@ -111,27 +164,39 @@ def moved(monkeypatch):
     return move
 
 
-@pytest.mark.parametrize("prop_id, strategy", [
-    (prop_id, strategy) for prop_id in elements.CONSTRUCTIONS
-    for strategy in elements.STRATEGIES.get(prop_id, (None,))])
+@pytest.mark.parametrize("prop_id, strategy", ROUTES)
 def test_every_postcondition_notices_a_moved_result(prop_id, strategy):
     """Every route's postcondition passes its own result and fails the
     same result with one defining point moved, and, unless ``UNNOTICED``
-    lists the pair, with its first point moved, the result scaled or two
-    of its points swapped."""
+    lists the pair, with its first point moved, the result scaled, two of
+    its points swapped or all mirrored across its first two."""
     for seed in range(3):
-        new_context()
-        kwargs = verify.generate_instance(prop_id, random.Random(seed))
-        call = elements.drawn_instance(strategy, kwargs)
-        if strategy is not None:
-            call = dict(call, strategy=strategy)
-        result = elements.CONSTRUCTIONS[prop_id](**call)
+        call, result = _built(prop_id, strategy, seed)
         assert _outcome(prop_id, call, result) == "passes", seed
         for name, change in MUTATIONS.items():
             mutated = dataclasses.replace(
                 result, result=_mutated(result.result, change))
             want = "passes" if (prop_id, name) in UNNOTICED else "fails"
             assert _outcome(prop_id, call, mutated) == want, (seed, name)
+
+
+def test_every_claim_fails_under_some_mutation():
+    """Every claim but those in ``NEVER_FAILS`` fails for some route, seed
+    and mutation: a claim no changed result can fail checks nothing about
+    the result."""
+    claims, failed = set(), set()
+    for prop_id, strategy in ROUTES:
+        for seed in range(3):
+            call, result = _built(prop_id, strategy, seed)
+            for change in MUTATIONS.values():
+                mutated = dataclasses.replace(
+                    result, result=_mutated(result.result, change))
+                for claim, ok, _ in elements.certify(prop_id, call,
+                                                     mutated).claims:
+                    claims.add((prop_id, claim))
+                    if not ok:
+                        failed.add((prop_id, claim))
+    assert claims - failed == NEVER_FAILS
 
 
 @pytest.mark.parametrize("prop_id", ["I.1", "I.44"])

@@ -1,9 +1,10 @@
 import random
+import re
 
 import pytest
 
 from euclid import dsl, elements, verify
-from euclid.elements import split_identifier
+from euclid.elements import validate_call
 from euclid.elements.areas import P42_STRATEGIES, P44_STRATEGIES, P46_STRATEGIES
 from euclid.elements.triangles import P23_STRATEGIES
 from euclid.errors import UnknownProposition
@@ -44,9 +45,9 @@ def test_record(prop_id):
     assert elements.CONSTRUCTIONS[prop_id] is prop.fn
     assert elements.STRATEGIES.get(prop_id, ()) == \
         tuple(ENGINE_STRATEGIES.get(prop_id, ()))
-    assert split_identifier(prop_id) == (prop_id, None)
-    for strategy, (suffix, route) in prop.strategies.items():
-        assert split_identifier(prop_id + suffix) == (prop_id, strategy)
+    assert validate_call(prop_id) is None
+    for strategy, route in prop.strategies.items():
+        assert validate_call(prop_id, strategy) is None
         assert callable(route)
 
 
@@ -76,7 +77,11 @@ def test_construction_and_theorem_ids_are_disjoint():
 
 
 @pytest.mark.parametrize("prop_id", ["I.99", "I.4", "I.44.nope", "I.4.x",
-                                     "I.44.chester.x", "I.46.euclid"])
+                                     "I.44.chester.x", "I.46.euclid",
+                                     "I.44.chester", "I.46.campanus2",
+                                     "I.23.euclid"])
 def test_unknown_identifier(prop_id):
-    with pytest.raises(UnknownProposition):
-        split_identifier(prop_id)
+    """A proposition id is the bare id: a strategy is never part of it."""
+    with pytest.raises(UnknownProposition,
+                       match=f"^{re.escape(f'unknown proposition {prop_id!r}')}$"):
+        validate_call(prop_id)

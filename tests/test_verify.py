@@ -47,14 +47,21 @@ class TestSuites:
             run_suite("I.99", 1, seed=0)
 
     def test_deterministic(self):
-        a = run_suite("I.23.proclus", 5, seed=11)
-        b = run_suite("I.23.proclus", 5, seed=11)
+        a = run_suite("I.23", 5, seed=11)
+        b = run_suite("I.23", 5, seed=11)
         assert a.lines() == b.lines()
 
     def test_strategy_suffix(self):
-        report = run_suite("I.44.chester", 5, seed=2)
+        """A suite runs every strategy of a bare id; a suffixed id names
+        no construction."""
+        with pytest.raises(UnknownProposition,
+                           match="^unknown proposition 'I.44.chester'$"):
+            run_suite("I.44.chester", 0)
+        report = run_suite("I.44", 2, seed=2)
         assert report.failures == 0
-        assert report.superposition_totals() == {"robert_of_chester": 0}
+        assert report.superposition_totals() == {
+            "alnayrizi": 0, "campanus": 0, "euclid_superposition": 2,
+            "robert_of_chester": 0, "tinemue_equal_case": 0}
 
 
 class TestCompare:
@@ -101,7 +108,7 @@ class TestCompare:
         b = p46_square(**dict(kwargs, strategy="campanus_second"))
         assert set(a.result.vertices) == set(b.result.vertices)
 
-    def test_strategy_must_agree_with_suffix(self):
+    def test_unknown_id_or_strategy(self):
         import random
 
         from euclid.number import new_context
@@ -109,9 +116,14 @@ class TestCompare:
         new_context()
         kwargs = generate_instance("I.44", random.Random(6))
         with pytest.raises(UnknownProposition,
-                           match="I.44.chester names 'robert_of_chester', "
-                                 "not 'alnayrizi'"):
+                           match="^unknown proposition 'I.44.chester'$"):
             compare("I.44.chester", {"alnayrizi": kwargs})
+        with pytest.raises(UnknownProposition,
+                           match="^I.44 has no strategy 'chester'$"):
+            compare("I.44", {"alnayrizi": kwargs, "chester": kwargs})
+        with pytest.raises(UnknownProposition,
+                           match="^unknown proposition 'I.34'$"):
+            compare("I.34", {"euclid": {}})
 
     def test_records_export(self):
         import random
