@@ -59,11 +59,10 @@ def _load_instance(path: str, prop_id: str):
     kwargs = {}
     used = [False] * len(declared)
     for pname, ptype in elements.PROPOSITIONS[prop_id].params:
-        want = "segment" if ptype == "number" else ptype
         for i, obj in enumerate(declared):
-            if not used[i] and type(obj).__name__.lower() == want:
+            if not used[i] and type(obj).__name__.lower() == ptype:
                 used[i] = True
-                kwargs[pname] = obj.length() if ptype == "number" else obj
+                kwargs[pname] = obj
                 break
         else:
             raise _Usage(f"{path}: no {ptype} found for parameter {pname!r} "

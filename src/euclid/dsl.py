@@ -204,7 +204,7 @@ class PointLit:
     span: Span
 
 
-Arg = Union[Name, PointLit, str]  # a bare str is a number in prefix text
+Arg = Union[Name, PointLit]
 
 
 @dataclass(frozen=True)
@@ -380,8 +380,6 @@ class _LineParser:
     def argument(self) -> Arg:
         if self.at("("):
             return self.point_literal()
-        if self.peek().kind == "number" or self.at("sqrt", "-"):
-            return self.coord()
         t = self.expect_word("an argument")
         return Name(t.text, t.span)
 
@@ -529,9 +527,7 @@ def check(script: Script) -> list[Diagnostic]:
                                         f"use of undefined name {arg.ident!r}"))
                 return "unknown"
             return env[arg.ident]
-        if isinstance(arg, PointLit):
-            return "point"
-        return "number"
+        return "point"
 
     def check_args(span, what, want, args, repeats=False) -> None:
         if repeats and len(args) > len(want):
@@ -620,9 +616,7 @@ def interpret(script: Script) -> tuple[PropositionResult, Checks]:
             if arg.ident in env:
                 return env[arg.ident]
             raise ScriptError(arg.span, f"undefined name {arg.ident!r}")
-        if isinstance(arg, PointLit):
-            return Point(from_prefix(arg.x), from_prefix(arg.y))
-        return from_prefix(arg)
+        return Point(from_prefix(arg.x), from_prefix(arg.y))
 
     def run_call(expr: Call, declared: str):
         args = [value(a, w)

@@ -47,13 +47,10 @@ class Proposition:
     @property
     def params(self) -> tuple[tuple[str, str], ...]:
         """The positional parameters as (name, type word) pairs, read from
-        the signature: the annotated class name in lower case, and
-        "number" for a ``Constructible`` length."""
-        return tuple(
-            (p.name, "number" if p.annotation == "Constructible"
-             else p.annotation.lower())
-            for p in self.signature.parameters.values()
-            if p.default is inspect.Parameter.empty)
+        the signature: the annotated class name in lower case."""
+        return tuple((p.name, p.annotation.lower())
+                     for p in self.signature.parameters.values()
+                     if p.default is inspect.Parameter.empty)
 
 
 PROPOSITIONS = {
@@ -128,7 +125,8 @@ def certify(prop_id: str, call: dict, result: PropositionResult) -> Checks:
     value of ``fn(**call)``.  Keywords the call left out take the
     function's defaults, so the checks see the side and strategy that ran,
     and the checks name the run: ``prop_id``, then ``.strategy`` if it has
-    one."""
+    one.  Raises UnknownProposition for an id that names no construction."""
+    validate_call(prop_id)
     prop = PROPOSITIONS[prop_id]
     bound = prop.signature.bind(**call)
     bound.apply_defaults()
@@ -141,10 +139,11 @@ def certify(prop_id: str, call: dict, result: PropositionResult) -> Checks:
 def run(prop_id: str, givens: dict, strategy: str | None = None,
         side: str | None = None, parent: Tracer | None = None
         ) -> tuple[PropositionResult, Checks]:
-    """Run construction ``prop_id`` on ``givens`` with the strategy and side
-    that ``validate_call`` accepted (``None`` takes the function's
-    default), nested under ``parent`` if one is given, and certify the
-    result."""
+    """Run construction ``prop_id`` on ``givens`` with the given strategy
+    and side (``None`` takes the function's default), nested under
+    ``parent`` if one is given, and certify the result.  Raises
+    UnknownProposition for a call that ``validate_call`` rejects."""
+    validate_call(prop_id, strategy, side)
     call = dict(givens)
     if strategy is not None:
         call["strategy"] = strategy

@@ -32,7 +32,6 @@ from ..geom import (
     orientation,
     segment_eq,
     signed_area,
-    superpose,
 )
 from ..trace import Checks, PropositionResult, Tracer
 from ._common import (
@@ -131,7 +130,8 @@ def p42_on_ray(t: Figure, d: Angle, base_ray: Ray, side: str = "upper",
     o = base_ray.origin
     tr.register_input(o)
     placed = place_triangle_on_ray(
-        v2.dist(v3), v3.dist(v1), v1.dist(v2), base_ray, side, parent=tr)
+        Segment(v2, v3), Segment(v3, v1), Segment(v1, v2), base_ray, side,
+        parent=tr)
     pb, pc, papex = placed.result.vertices
     tr.attach(placed, operands=(o,), produced=(pb, pc, papex))
     e = cite_midpoint(tr, pb, pc, "E bisects the placed base")
@@ -238,11 +238,11 @@ def _p44_euclid(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
                  "BE in a straight line with AB")
     from_seg = Segment(e42, c42)
     to_seg = Segment(b0, e_t)
-    # the scaffold lies on the far side of the given segment from the result
-    probe = superpose(from_seg, to_seg, "direct").apply(f42)
-    flag = "direct"
-    if orientation(ab.a, ab.b, probe) != -side_sign(side):
-        flag = "flipped"
+    # the scaffold lies on the far side of the given segment from the
+    # result; a direct motion keeps F on its side of EC, and BE runs
+    # against AB
+    flag = ("direct" if orientation(e42, c42, f42) == side_sign(side)
+            else "flipped")
     m, (g, f) = tr.superpose(from_seg, to_seg, flag, carry=[f42, g42])
     b, e = b0, e_t
     ah = cite_parallel(tr, a0, Line(b, g), "AH through A parallel to BG")
@@ -384,7 +384,7 @@ def _p44_tinemue(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
     beyond = produce(tr, a, b)
     scaffold = ray_side_word(Ray(b, beyond), ab.a, ab.b, -side_sign(side))
     placed = place_triangle_on_ray(
-        tv2.dist(tv3), tv3.dist(tv1), tv1.dist(tv2),
+        Segment(tv2, tv3), Segment(tv3, tv1), Segment(tv1, tv2),
         Ray(b, beyond), side=scaffold, parent=tr)
     _, c, dd = placed.result.vertices
     tr.attach(placed, operands=(b,), produced=(c, dd))

@@ -72,11 +72,13 @@ def _length(rng) -> Constructible:
     return Constructible(Fraction(rng.randint(1, 24), rng.choice((1, 1, 2, 4))))
 
 
-def _triangle_lengths(rng):
+def _triangle_sides(rng) -> list[Segment]:
+    """Three segments along the x axis from the origin that make a
+    triangle."""
     while True:
         a, b, c = _length(rng), _length(rng), _length(rng)
         if triangle_inequality(a * a, b * b, c * c):
-            return a, b, c
+            return [Segment(Point(0, 0), Point(l, 0)) for l in (a, b, c)]
 
 
 def _parallelogram(rng) -> Figure:
@@ -192,8 +194,8 @@ def i12(rng):
 
 
 def i22(rng):
-    a, b, c = _triangle_lengths(rng)
-    return {"a_len": a, "b_len": b, "c_len": c, "base_ray": _segment(rng, Ray),
+    a, b, c = _triangle_sides(rng)
+    return {"a": a, "b": b, "c": c, "base_ray": _segment(rng, Ray),
             "side": rng.choice(("upper", "lower"))}
 
 

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from ..errors import PreconditionViolated, TriangleInequalityViolated
+from ..errors import TriangleInequalityViolated
 from ..geom import (
     Angle,
     Figure,
     Line,
     Point,
     Ray,
+    Segment,
     angle_eq,
     intersect_circles,
     orientation,
@@ -16,7 +17,6 @@ from ..geom import (
     point_reflect,
     triangle_inequality,
 )
-from ..number import Constructible
 from ..trace import Checks, PropositionResult, Tracer
 from ._common import (
     angle_measures,
@@ -30,32 +30,30 @@ from ._common import (
 )
 
 
-def _require_lengths(*lengths: Constructible) -> None:
-    if any(l.sign() <= 0 for l in lengths):
-        raise PreconditionViolated("lengths must be positive")
-    if not triangle_inequality(*(l * l for l in lengths)):
+def _require_lengths(*sides: Segment) -> None:
+    if not triangle_inequality(*(s.length_sq() for s in sides)):
         raise TriangleInequalityViolated(
             "two of the lengths taken together must exceed the third")
 
 
-def p22_triangle(a_len: Constructible, b_len: Constructible, c_len: Constructible,
-                 base_ray: Ray, side: str = "upper",
+def p22_triangle(a: Segment, b: Segment, c: Segment, base_ray: Ray,
+                 side: str = "upper",
                  parent: Tracer | None = None) -> PropositionResult:
-    """Construct a triangle out of three given lengths.
+    """Construct a triangle out of three lines equal to the given lines.
 
-    Following the classical figure, the second length is laid along the ray
-    from its origin; the triangle's sides taken in order from the apex are
-    the three given lengths (a, b, c).  With lengths (3, 4, 5) on the
-    positive x axis the apex is (0, 3).
+    Following the classical figure, the second line's length is laid
+    along the ray from its origin; the triangle's sides in order from the
+    apex equal (a, b, c).  With the ray on the positive x axis, lines of
+    lengths (3, 4, 5) put the apex at (0, 3).
     """
-    _require_lengths(a_len, b_len, c_len)
+    _require_lengths(a, b, c)
     tr = Tracer.level(parent, "I.22")
     f = base_ray.origin
     toward = base_ray.through
     tr.register_input(f, toward)
-    d = cut_at(tr, f, toward, a_len * a_len, "DF equal to the first length")
-    g = cut_at(tr, f, toward, b_len * b_len, "FG equal to the second length")
-    h = cut_at(tr, f, toward, (b_len + c_len) * (b_len + c_len),
+    d = cut_at(tr, f, toward, a.length_sq(), "DF equal to the first length")
+    g = cut_at(tr, f, toward, b.length_sq(), "FG equal to the second length")
+    h = cut_at(tr, f, toward, (b.length() + c.length()) ** 2,
                "GH equal to the third length")
     k = apex(tr, f, d, g, h, toward, side, f"K on the {side} side")
     tr.join(k, f)
@@ -69,30 +67,30 @@ def p22_triangle(a_len: Constructible, b_len: Constructible, c_len: Constructibl
 
 def post_i22(r: Checks, call: dict, result: PropositionResult) -> None:
     ray, (k, f, g) = call["base_ray"], result.result.vertices
-    r.zero("KF equals the first length", k.dist_sq(f) - call["a_len"] ** 2)
-    r.zero("FG equals the second length", f.dist_sq(g) - call["b_len"] ** 2)
-    r.zero("GK equals the third length", g.dist_sq(k) - call["c_len"] ** 2)
+    r.zero("KF equals the first length", k.dist_sq(f) - call["a"].length_sq())
+    r.zero("FG equals the second length", f.dist_sq(g) - call["b"].length_sq())
+    r.zero("GK equals the third length", g.dist_sq(k) - call["c"].length_sq())
     r.true("the second side lies along the ray from its origin",
            f == ray.origin and ray.contains(g))
 
 
-def place_triangle_on_ray(a_len: Constructible, b_len: Constructible,
-                          c_len: Constructible, ray: Ray, side: str = "upper",
+def place_triangle_on_ray(a: Segment, b: Segment, c: Segment, ray: Ray,
+                          side: str = "upper",
                           parent: Tracer | None = None) -> PropositionResult:
     """The strengthened triangle construction with prescribed placement.
 
-    The first length runs along the ray from its origin; the apex (joined
-    to the origin by the third length and to the far end by the second)
-    lands on the requested side.
+    The first line's length runs along the ray from its origin; the apex
+    (joined to the origin by the third line's length, to the far end by
+    the second's) lands on the requested side.
     """
-    _require_lengths(a_len, b_len, c_len)
+    _require_lengths(a, b, c)
     tr = Tracer.level(parent, "I.22")
     v1 = ray.origin
     toward = ray.through
     tr.register_input(v1, toward)
-    v2 = cut_at(tr, v1, toward, a_len * a_len, "first length along the ray")
-    m1 = cut_at(tr, v1, toward, c_len * c_len, "marker for the third length")
-    m2 = cut_at(tr, v2, point_reflect(v1, v2), b_len * b_len,
+    v2 = cut_at(tr, v1, toward, a.length_sq(), "first length along the ray")
+    m1 = cut_at(tr, v1, toward, c.length_sq(), "marker for the third length")
+    m2 = cut_at(tr, v2, point_reflect(v1, v2), b.length_sq(),
                 "marker for the second length")
     v3 = apex(tr, v1, m1, v2, m2, toward, side, f"apex on the {side} side")
     tr.join(v1, v2)

@@ -63,9 +63,6 @@ class Point:
         dy = self.y - other.y
         return dx * dx + dy * dy
 
-    def dist(self, other: "Point") -> Constructible:
-        return sqrt_nonneg(self.dist_sq(other))
-
     def __repr__(self):
         return f"Point({self.x.approx(4)}, {self.y.approx(4)})"
 
@@ -105,7 +102,7 @@ class Segment:
         return self.a.dist_sq(self.b)
 
     def length(self) -> Constructible:
-        return self.a.dist(self.b)
+        return sqrt_nonneg(self.length_sq())
 
     def direction(self) -> Vec:
         return self.b - self.a

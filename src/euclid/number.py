@@ -44,9 +44,9 @@ only multiplies x by lower radicands can find a root.  Rational values are
 context-free; irrational values from different contexts must not be mixed
 (``FieldContextError``).
 
-The current context is per thread and per asyncio task: a thread or task
-that has none gets a fresh one on first use, and :func:`new_context`
-replaces the current context of its caller only.  Long-running batch jobs
+The current context is a context variable: a thread gets a fresh one on
+first use, an asyncio task starts with its creator's (the same tower),
+and :func:`new_context` replaces its caller's only.  Long-running batch jobs
 should call :func:`new_context` between independent problem instances so
 towers stay small.
 """
@@ -148,7 +148,8 @@ def new_context() -> FieldContext:
 
 
 def current_context() -> FieldContext:
-    """The calling thread's or task's tower, created on first use."""
+    """The caller's tower: a thread's own, created on first use; a task's
+    creator's until the task calls ``new_context``."""
     ctx = _current.get(None)
     return new_context() if ctx is None else ctx
 

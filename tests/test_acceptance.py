@@ -9,7 +9,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
-import pytest
 
 from euclid import verify
 from euclid.elements import instances
@@ -28,11 +27,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def P(x, y):
     return Point(Constructible(Fraction(x)), Constructible(Fraction(y)))
-
-
-@pytest.fixture(autouse=True)
-def _fresh_field():
-    new_context()
 
 
 class Budget:

@@ -26,11 +26,6 @@ SELECTOR_BASE = ("point A = (0,0)\npoint B = (2,0)\nsegment s = join(A, B)\n"
                  "circle c1 = circle(A, B)\ncircle c2 = circle(B, A)\n")
 
 
-@pytest.fixture(autouse=True)
-def _fresh_field():
-    new_context()
-
-
 class TestRun:
     def test_clean_script(self, capsys):
         assert main(["run", str(SCRIPTS / "i44.euc")]) == 0
@@ -355,9 +350,8 @@ class TestProp:
         assert captured.err == (
             f"{inst}: no figure found for parameter 't' of I.44\n")
 
-    def test_input_binds_a_number_to_a_segment_length(self, tmp_path,
-                                                      capsys):
-        # I.22 takes three lengths, each the length of a declared segment
+    def test_input_binds_three_segments(self, tmp_path, capsys):
+        # I.22 takes three straight lines, each a declared segment
         inst = tmp_path / "lengths.euc"
         inst.write_text("point O = (0, 0)\npoint A = (3, 0)\n"
                         "point B = (4, 0)\npoint C = (5, 0)\n"

@@ -10,13 +10,22 @@ from fractions import Fraction
 import pytest
 
 from euclid import verify
-from euclid.elements import CONSTRUCTIONS, STRATEGIES, check_theorem
+from euclid.elements import (
+    CONSTRUCTIONS,
+    STRATEGIES,
+    certify,
+    check_theorem,
+    run,
+)
 from euclid.elements.areas import p42_parallelogram_eq_triangle, p43_complements
 from euclid.elements.basics import p1_equilateral
-from euclid.elements.triangles import p22_triangle
-from euclid.errors import HypothesisNotSatisfied, PreconditionViolated
-from euclid.geom import Figure, Point, Ray, Segment
-from euclid.number import Constructible, new_context
+from euclid.errors import (
+    HypothesisNotSatisfied,
+    PreconditionViolated,
+    UnknownProposition,
+)
+from euclid.geom import Figure, Point, Segment
+from euclid.number import Constructible
 
 
 def P(x, y):
@@ -28,9 +37,16 @@ TRIANGLE = [P(0, 0), P(4, 0), P(1, 3)]
 TRAPEZIUM = Figure([P(0, 0), P(4, 0), P(3, 2), P(1, 2)])
 
 
-@pytest.fixture(autouse=True)
-def _fresh_field():
-    new_context()
+@pytest.mark.parametrize("prop_id", ["I.99", "I.4"])
+def test_runner_rejects_an_id_that_names_no_construction(prop_id):
+    """An unknown id, or a theorem's: the library runner and the pure
+    check give the error each front door gives."""
+    message = f"^unknown proposition {re.escape(repr(prop_id))}$"
+    with pytest.raises(UnknownProposition, match=message):
+        run(prop_id, {})
+    result, _ = run("I.1", {"ab": Segment(P(0, 0), P(1, 0))})
+    with pytest.raises(UnknownProposition, match=message):
+        certify(prop_id, {}, result)
 
 
 @pytest.mark.parametrize("prop_id", list(STRATEGIES))
@@ -46,13 +62,6 @@ def test_side_word():
     with pytest.raises(PreconditionViolated,
                        match=r"^side must be 'upper' or 'lower'$"):
         p1_equilateral(Segment(P(0, 0), P(1, 0)), side="left")
-
-
-def test_lengths_must_be_positive():
-    one = Constructible(1)
-    with pytest.raises(PreconditionViolated,
-                       match="^lengths must be positive$"):
-        p22_triangle(one, Constructible(0), one, Ray(P(0, 0), P(1, 0)))
 
 
 def test_i42_expects_a_triangle():

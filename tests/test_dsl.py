@@ -22,11 +22,6 @@ SELECTOR_BASE = ("point A = (0,0)\npoint B = (2,0)\nsegment s = join(A, B)\n"
                  "circle c1 = circle(A, B)\ncircle c2 = circle(B, A)\n")
 
 
-@pytest.fixture(autouse=True)
-def _fresh_field():
-    new_context()
-
-
 def run(text: str):
     script, diags = parse(text)
     assert not diags, [str(d) for d in diags]
@@ -443,9 +438,16 @@ class TestInterpret:
         assert checks.all_pass
 
     def test_prop_with_number_arguments(self):
-        text = ("segment s = join((0,0), (1,0))\nray r = extend(s, b)\n"
-                "figure T = prop I.22 (3, 4, 5, r)\n")
+        """I.22 takes three straight lines; a number is no argument."""
+        ray = "segment s = join((0,0), (1,0))\nray r = extend(s, b)\n"
+        lines = ("segment a = join((0,0), (3,0))\n"
+                 "segment b = join((0,0), (4,0))\n"
+                 "segment c = join((0,0), (5,0))\n")
+        text = ray + lines + "figure T = prop I.22 (a, b, c, r)\n"
         assert run(text)[0].objects["T"].vertices[0] == Point(0, 3)
+        _, diags = dsl.parse(ray + "figure T = prop I.22 (3, 4, 5, r)\n")
+        assert [str(d) for d in diags] == [
+            "3:23: error: expected an argument"]
 
     @pytest.mark.parametrize("call", ["I.11 ({}, C)", "I.12 ({}, D)",
                                       "I.31 (D, {})"])

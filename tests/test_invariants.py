@@ -219,6 +219,41 @@ def test_one_apex_step_and_one_trace_writer():
         ("elements/triangles.py", "_p23_proclus", "intersect_circles(...)")}
 
 
+def test_one_superposition():
+    """The engine moves a figure once, where the paper says Euclid does:
+    only ``trace`` calls ``geom.superpose``, and only Euclid's I.44 route
+    calls ``Tracer.superpose``, which records the step."""
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        where = str(path.relative_to(PACKAGE))
+        for scope, node in _scoped_nodes(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if (isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "superpose"):
+                found.add((where, scope, "Tracer.superpose"))
+            elif _name(node.func) in ("superpose", "geom_superpose"):
+                found.add((where, scope, "geom.superpose"))
+    assert found == {("trace.py", "superpose", "geom.superpose"),
+                     ("elements/areas.py", "_p44_euclid", "Tracer.superpose")}
+
+
+def test_no_given_is_a_number():
+    """A construction is given figures, never numbers: nothing in
+    ``elements`` takes a distance or a square root, and only I.22 reads a
+    given line's length, for the cut GH."""
+    found = set()
+    for path in sorted((PACKAGE / "elements").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        where = str(path.relative_to(PACKAGE))
+        found |= {(where, scope, _name(node.func))
+                  for scope, node in _scoped_nodes(tree)
+                  if isinstance(node, ast.Call)
+                  and _name(node.func) in ("dist", "sqrt_nonneg", "length")}
+    assert found == {("elements/triangles.py", "p22_triangle", "length")}
+
+
 def test_vector_components_stay_in_geom():
     """Only ``geom`` reads a vector's ``dx`` or ``dy``: every other module
     moves a point with ``origin + d * t`` and tests sides and incidence

@@ -19,11 +19,6 @@ from euclid.number import current_context, new_context
 from euclid.verify import run_suite
 
 
-@pytest.fixture(autouse=True)
-def _fresh_field():
-    new_context()
-
-
 # the defining points of each result type that is not a figure, in order
 FIELDS = {Segment: ("a", "b"), Ray: ("origin", "through"), Line: ("p", "q"),
           Angle: ("vertex", "arm1", "arm2")}

@@ -43,11 +43,6 @@ def C(x, y=1):
     return Constructible(Fraction(x, y))
 
 
-@pytest.fixture(autouse=True)
-def _fresh_field():
-    new_context()
-
-
 RIGHT = Angle(P(20, 20), P(21, 20), P(20, 21))
 SLANT = Angle(P(20, 20), P(22, 20), P(21, 22))
 

@@ -34,7 +34,7 @@ from euclid.geom import (
     parallel,
     segment_eq,
 )
-from euclid.number import Constructible, new_context, sqrt_nonneg
+from euclid.number import Constructible, sqrt_nonneg
 
 
 def P(x, y):
@@ -43,11 +43,6 @@ def P(x, y):
 
 def C(x, y=1):
     return Constructible(Fraction(x, y))
-
-
-@pytest.fixture(autouse=True)
-def _fresh_field():
-    new_context()
 
 
 class TestP1:
@@ -158,9 +153,14 @@ class TestP11P12:
             p12_perp_from(Line(P(0, 0), P(1, 0)), P(2, 0))
 
 
+def lines(*lengths):
+    """Straight lines of the given lengths, along the x axis."""
+    return [Segment(P(0, 0), P(l, 0)) for l in lengths]
+
+
 class TestP22:
     def test_three_four_five(self):
-        got = p22_triangle(C(3), C(4), C(5), Ray(P(0, 0), P(1, 0)), "upper")
+        got = p22_triangle(*lines(3, 4, 5), Ray(P(0, 0), P(1, 0)), "upper")
         k, f, g = got.result.vertices
         assert k == P(0, 3)
         assert f == P(0, 0)
@@ -168,16 +168,16 @@ class TestP22:
 
     def test_degenerate_lengths(self):
         with pytest.raises(TriangleInequalityViolated):
-            p22_triangle(C(1), C(1), C(2), Ray(P(0, 0), P(1, 0)))
+            p22_triangle(*lines(1, 1, 2), Ray(P(0, 0), P(1, 0)))
 
     def test_equilateral_cross_check(self):
-        got = p22_triangle(C(1), C(1), C(1), Ray(P(0, 0), P(1, 0)), "upper")
+        got = p22_triangle(*lines(1, 1, 1), Ray(P(0, 0), P(1, 0)), "upper")
         k, f, g = got.result.vertices
         assert k == Point(C(1, 2), sqrt_nonneg(C(3)) / 2)
 
     def test_placement(self):
         ray = Ray(P(0, 0), P(1, 0))
-        got = place_triangle_on_ray(C(3), C(4), C(5), ray, "upper")
+        got = place_triangle_on_ray(*lines(3, 4, 5), ray, "upper")
         v1, v2, v3 = got.result.vertices
         assert v1 == P(0, 0) and v2 == P(3, 0)
         assert v3 == P(3, 4)

@@ -1,5 +1,6 @@
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from euclid.elements import validate_call
 from euclid.elements.areas import P42_STRATEGIES, P44_STRATEGIES, P46_STRATEGIES
 from euclid.elements.triangles import P23_STRATEGIES
 from euclid.errors import UnknownProposition
+from euclid.geom import content
 from euclid.number import new_context
 
 ENGINE_STRATEGIES = {"I.23": P23_STRATEGIES, "I.42": P42_STRATEGIES,
@@ -24,7 +26,7 @@ PARAMS = {
     "I.10": (("ab", "segment"),),
     "I.11": (("l", "line"), ("c", "point")),
     "I.12": (("l", "line"), ("c", "point")),
-    "I.22": (("a_len", "number"), ("b_len", "number"), ("c_len", "number"),
+    "I.22": (("a", "segment"), ("b", "segment"), ("c", "segment"),
              ("base_ray", "ray")),
     "I.23": (("target_ray", "ray"), ("model", "angle")),
     "I.31": (("p", "point"), ("l", "line")),
@@ -40,8 +42,7 @@ PARAMS = {
 def test_record(prop_id):
     prop = elements.PROPOSITIONS[prop_id]
     assert prop.params == PARAMS[prop_id]
-    assert all(word in dsl.TYPES or word == "number"
-               for _, word in prop.params)
+    assert all(word in dsl.TYPES for _, word in prop.params)
     assert elements.CONSTRUCTIONS[prop_id] is prop.fn
     assert elements.STRATEGIES.get(prop_id, ()) == \
         tuple(ENGINE_STRATEGIES.get(prop_id, ()))
@@ -85,3 +86,19 @@ def test_unknown_identifier(prop_id):
     with pytest.raises(UnknownProposition,
                        match=f"^{re.escape(f'unknown proposition {prop_id!r}')}$"):
         validate_call(prop_id)
+
+
+def test_readme_library_example():
+    """The README's "Library" block runs, and what its comments state
+    holds, so an API change cannot leave the example stale."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    block = text.split("## Library\n", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    names: dict = {}
+    exec(compile(block, "README.md", "exec"), names)
+    result, checks = names["result"], names["checks"]
+    assert checks.failed == []
+    assert checks.prop_id == "I.44.alnayrizi"
+    assert result.costs()["superpositions"] == 0
+    assert content(result.result) == 12

@@ -16,11 +16,6 @@ def P(x, y):
     return Point(Constructible(Fraction(x)), Constructible(Fraction(y)))
 
 
-@pytest.fixture(autouse=True)
-def _fresh_field():
-    new_context()
-
-
 class TestRender:
     def test_i1_census(self):
         got = p1_equilateral(Segment(P(0, 0), P(1, 0)))

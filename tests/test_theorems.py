@@ -6,16 +6,11 @@ from euclid.elements import certify, check_theorem, THEOREM_IDS
 from euclid.elements.areas import p43_complements
 from euclid.errors import HypothesisNotSatisfied
 from euclid.geom import Figure, Line, Point, Segment
-from euclid.number import Constructible, new_context
+from euclid.number import Constructible
 
 
 def P(x, y):
     return Point(Constructible(Fraction(x)), Constructible(Fraction(y)))
-
-
-@pytest.fixture(autouse=True)
-def _fresh_field():
-    new_context()
 
 
 def assert_all_pass(report):

@@ -1,7 +1,8 @@
 """The field context is per thread: concurrent suites give the same
 reports as sequential ones, and a new context in one thread leaves the
-others alone."""
+others alone.  An asyncio task starts with its creator's context."""
 
+import asyncio
 import sys
 import threading
 
@@ -57,3 +58,28 @@ def test_fresh_thread_gets_its_own_context():
     first = _in_thread(current_context)
     assert first is not main_ctx
     assert current_context() is main_ctx
+
+
+def _from_two_tasks(step):
+    """The creator's context, what two gathered tasks running ``step``
+    return, and the creator's context after them."""
+    async def task():
+        return step()
+
+    async def creator():
+        before = current_context()
+        got = await asyncio.gather(task(), task())
+        return before, got, current_context()
+
+    return asyncio.run(creator())
+
+
+def test_a_task_shares_its_creators_context():
+    before, got, after = _from_two_tasks(current_context)
+    assert got[0] is before and got[1] is before and after is before
+
+
+def test_new_context_in_a_task_leaves_its_creators():
+    before, got, after = _from_two_tasks(new_context)
+    assert got[0] is not before and got[1] is not got[0]
+    assert after is before
