@@ -4,9 +4,10 @@ A value is an element of a tower of real quadratic extensions
 Q = F0 < F1 < ... < Fk, where F(i) = F(i-1)(sqrt(r_i)) and each radicand
 r_i is a positive element of F(i-1) that is not a square there.  One
 rule decides every sign of a + b*sqrt(r_k): the sign that a and b share,
-else an outward-rounded interval of 64 to 512 bits that excludes 0, else
-the sign of the norm a^2 - b^2*r_k by the same rule.  No decision ever
-rests on floating point.
+else an outward-rounded interval that excludes 0, refined from 64 bits by
+doubling the precision.  A canonical nonzero value is bounded away from 0
+by its conjugates, so an interval narrower than that bound which still
+holds 0 shows a broken tower.  No decision ever rests on floating point.
 
 Every value, rational or not, is stored as integers over one
 denominator.  Level i has the integral generator g_i = e_i*sqrt(r_i),
@@ -88,6 +89,8 @@ class FieldContext:
         self.rational_radicands: list[int] = []
         # g_i^2 as a poly; e_i, the denominator of r_i, is radicands[i-1][2]
         self.gen_square: list[Poly] = []
+        # an int at least the size of every conjugate of g_i
+        self.gen_bound: list[int] = []
         # the square classes of rational_radicands: a pairwise coprime base
         # of non-square integers, and one GF(2) echelon row per radicand,
         # keyed by its top bit, as (exponent parities over the base, subset
@@ -100,7 +103,9 @@ class FieldContext:
     def adjoin(self, radicand: Node) -> int:
         """Append a radicand known not to be a square in the current tower."""
         with self._lock:
-            self.gen_square.append(_pscale(radicand[1], radicand[2]))
+            square = _pscale(radicand[1], radicand[2])
+            self.gen_square.append(square)
+            self.gen_bound.append(isqrt(_pbound(square, self)) + 1)
             self.radicands.append(radicand)
             level = len(self.radicands)
             if (len(self.rational_radicands) == level - 1
@@ -223,6 +228,15 @@ def _pinv(p: Poly, sq: list[Poly]) -> tuple[Poly, int]:
     return _reduce((k, _pmul(a, q, sq), _pmul(b, _pscale(q, -1), sq)), d)
 
 
+def _pbound(p: Poly, ctx: FieldContext) -> int:
+    """An int at least the size of every conjugate of p: the sum of the
+    sizes of its leaves, each times the bounds of its generators."""
+    if type(p) is int:
+        return abs(p)
+    k, a, b = p
+    return _pbound(a, ctx) + _pbound(b, ctx) * ctx.gen_bound[k - 1]
+
+
 def _pgcd(p: Poly, g: int) -> int:
     """The gcd of g and every leaf of p."""
     if type(p) is int:
@@ -322,7 +336,7 @@ def _ndiv(x: Node, y: Node, ctx: Optional[FieldContext]) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# signs: the halves' shared sign, then the interval ladder, then the norm
+# signs: the halves' shared sign, then intervals of doubling precision
 
 
 def _iv_leaf(n: int, d: int, prec: int) -> tuple[int, int]:
@@ -360,26 +374,32 @@ def _rad_sqrt_interval(level: int, ctx: FieldContext, prec: int):
 def _psign(p: Poly, ctx: FieldContext) -> int:
     """The sign of p = a + b*g_k, which is that of the value p/d: the sign
     that a and b share (b's when a is 0), as g_k > 0; else that of an
-    interval of p at 64, 128, 256 or 512 bits that excludes 0; else, by
-    this same rule, the norm a^2 - b^2*g_k^2 says whether a (positive) or
-    b (negative) is the larger in size.  The norm of a canonical p is
-    never 0."""
+    interval of p, from 64 bits and doubling, that excludes 0.
+
+    A nonzero p is an algebraic integer of F(k), a field of degree 2^k,
+    so the product of its 2^k conjugates is a nonzero integer: with U at
+    least the size of every conjugate, |p| >= U^-(2^k - 1) (Burnikel et
+    al., Algorithmica 27, 2000, bound radical expressions the same way).
+    An interval that still holds 0 once it is narrower than that shows a
+    radicand that is a square below it."""
     if type(p) is int:
         return (p > 0) - (p < 0)
     sa = _psign(p[1], ctx)
     sb = _psign(p[2], ctx)
     if sa == sb or sa == 0:
         return sb
-    for prec in (64, 128, 256, 512):
+    prec = 64
+    while True:
         lo, hi = _piv(p, 1, 1, ctx, prec)
         if lo > 0:
             return 1
         if hi < 0:
             return -1
-    st = _psign(_pnorm(p, ctx.gen_square), ctx)
-    if st == 0:
-        raise FieldContextError("tower canonicity violated")
-    return sa if st > 0 else sb
+        # (hi - lo) * U^(2^k - 1) < 2^prec, by bit lengths
+        if ((hi - lo).bit_length() + ((1 << p[0]) - 1)
+                * _pbound(p, ctx).bit_length() <= prec):
+            raise FieldContextError("tower canonicity violated")
+        prec *= 2
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,21 @@ def test_one_superposition():
                      ("elements/areas.py", "_p44_euclid", "Tracer.superpose")}
 
 
+def test_signs_take_no_norm():
+    """A sign is decided by the halves and by refinement alone: only the
+    inverse ``_pinv`` and the square-root norm test ``_sqrt_at_own_level``
+    call ``_pnorm``."""
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        where = str(path.relative_to(PACKAGE))
+        found |= {(where, scope) for scope, node in _scoped_nodes(tree)
+                  if isinstance(node, ast.Call)
+                  and _name(node.func) == "_pnorm"}
+    assert found == {("number.py", "_pinv"),
+                     ("number.py", "_sqrt_at_own_level")}
+
+
 def test_no_given_is_a_number():
     """A construction is given figures, never numbers: nothing in
     ``elements`` takes a distance or a square root, and only I.22 reads a

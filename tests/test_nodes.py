@@ -366,7 +366,8 @@ def test_halves_of_one_sign_need_no_interval(monkeypatch):
 def test_interval_ladder_settles_a_tiny_difference(monkeypatch):
     """x - q, for x = sqrt(1 + sqrt(2 + ... + sqrt(12))) and q its 60-digit
     approximation, is below 2**-199 in size and its halves differ in
-    sign: one of the finer intervals settles it, never the norm."""
+    sign: refinement from 64 bits settles it once the interval is fine
+    enough, with no norm taken."""
     new_context()
     x = from_prefix(" ".join(f"sqrt + {i}" for i in range(1, 12))
                     + " sqrt 12")
@@ -376,6 +377,45 @@ def test_interval_ladder_settles_a_tiny_difference(monkeypatch):
     monkeypatch.setattr(number, "_pnorm", _refuse)
     assert (x - q).sign() == expected != 0
     assert (q - x).sign() == -expected
+
+
+def test_refinement_signs_a_20_deep_chain(monkeypatch):
+    """x - q, for x = sqrt(1 + sqrt(2 + ... + sqrt(20))) and q its
+    200-digit decimal, is settled by refinement at 1024 bits; its norm
+    would hold integers that double in size at each of the 20 levels.  An
+    mpmath evaluation at 260 digits gives the sign."""
+    new_context()
+    x = from_prefix(" ".join(f"sqrt + {i}" for i in range(1, 20))
+                    + " sqrt 20")
+    q = Fraction(x.approx(200))
+    with mpmath.workdps(260):
+        chain = mpmath.mpf(20)
+        for i in range(19, 0, -1):
+            chain = i + mpmath.sqrt(chain)
+        gap = mpmath.sqrt(chain) - mpmath.mpf(q.numerator) / q.denominator
+        expected = int(mpmath.sign(gap))
+    monkeypatch.setattr(number, "_pnorm", _refuse)
+    assert (x - q).sign() == expected != 0
+    assert (q - x).sign() == -expected
+
+
+@pytest.mark.parametrize("rational_levels", [1, 5])
+def test_a_square_radicand_breaks_the_tower(rational_levels):
+    """Adjoining (1 + sqrt 2)^2 = 3 + 2*sqrt 2 directly skips the search for
+    its square root, so the top generator g is 1 + sqrt 2 while no
+    canonical form says so.  g - (1 + sqrt 2) is then 0 with halves of
+    opposite signs: its intervals hold 0 at every precision, and once one
+    is narrower than any nonzero value of the tower can be, the sign
+    raises."""
+    ctx = new_context()
+    for r in (2, 3, 5, 7, 11)[:rational_levels]:
+        sqrt_nonneg(Constructible(r))
+    one_plus_r2 = 1 + sqrt_nonneg(Constructible(2))
+    square = one_plus_r2 * one_plus_r2
+    assert ctx.adjoin(square._node) == rational_levels + 1
+    g = sqrt_nonneg(square)
+    with pytest.raises(FieldContextError, match="tower canonicity violated"):
+        (g - one_plus_r2).sign()
 
 
 # -- the operators against Fraction and against the node kernel ---------

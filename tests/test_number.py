@@ -221,8 +221,8 @@ class TestSign:
         assert (sqrt_nonneg(C(2)) - Constructible(b)).sign() == -1
 
     def test_sign_beyond_interval_refinement(self):
-        # a 200-digit convergent: intervals up to 512 bits straddle zero,
-        # so the sign of the norm decides
+        # a 200-digit convergent: the difference is about 2**-670 in size,
+        # so refinement doubles from 64 bits until an interval excludes 0
         new_context()
         q = 10 ** 200
         p = __import__("math").isqrt(2 * q * q)

@@ -321,3 +321,41 @@ def test_roles_on_every_route(prop_id, strategy, seed):
         assert isinstance(entry, tuple) and len(entry) == 2, name
         assert entry[0] in ("given", "aux", "result"), name
     assert render_result(got).startswith(b"<svg")
+
+
+def _one_figure(prop_id, a, b) -> bool:
+    """Whether two routes' results are one figure: one vertex set, or for
+    I.23 one vertex and the same two arm rays, as its routes mark
+    different points on the arms."""
+    if prop_id == "I.23":
+        return (a.vertex == b.vertex
+                and Ray(a.vertex, a.arm1).contains(b.arm1)
+                and Ray(a.vertex, a.arm2).contains(b.arm2))
+    return set(a.vertices) == set(b.vertices)
+
+
+@pytest.mark.parametrize("prop_id", sorted(elements.STRATEGIES))
+def test_every_route_builds_one_figure(prop_id):
+    """On one call every route of an id builds the same figure, so the
+    medieval routes of I.44 give Euclid's parallelogram itself, not only
+    one of equal content.  I.44's general routes run on the drawn
+    instance, and all five on Tinemue's equal case."""
+    strategies = elements.STRATEGIES[prop_id]
+    sides = (("upper", "lower")
+             if "side" in elements.PROPOSITIONS[prop_id].signature.parameters
+             else (None,))
+    for seed in range(10):
+        new_context()
+        kwargs = verify.generate_instance(prop_id, random.Random(seed))
+        calls = [(kwargs, [s for s in strategies
+                           if s != "tinemue_equal_case"])]
+        if prop_id == "I.44":
+            calls.append((elements.drawn_instance("tinemue_equal_case",
+                                                  kwargs), strategies))
+        for side in sides:
+            for givens, routes in calls:
+                first, *rest = [elements.run(prop_id, givens, s, side)[0].result
+                                for s in routes]
+                for strategy, got in zip(routes[1:], rest):
+                    assert _one_figure(prop_id, first, got), (seed, side,
+                                                              strategy)

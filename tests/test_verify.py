@@ -164,19 +164,22 @@ def _nested_ids(seeds=(0, 1, 2)):
 
 class TestIrrationalGivens:
     def test_every_suite_passes_on_irrational_givens(self, monkeypatch):
-        """Every coordinate the generators draw becomes u + v*sqrt(2)/8
-        with u and v drawn as before, so the constructions run on
-        irrational givens and build nested radicands."""
+        """Every coordinate the generators draw becomes u + v*s/8 with u
+        and v drawn as before, for s = sqrt(2) and then the nested
+        s = sqrt(2 + sqrt(3)), so the constructions run on irrational
+        givens and build nested radicands."""
         coord = instances._coord
+        for radical in (lambda: sqrt_nonneg(2),
+                        lambda: sqrt_nonneg(2 + sqrt_nonneg(3))):
 
-        def irrational_coord(rng):
-            u, v = coord(rng), coord(rng)
-            return u + v * sqrt_nonneg(2) / 8
+            def irrational_coord(rng):
+                u, v = coord(rng), coord(rng)
+                return u + v * radical() / 8
 
-        monkeypatch.setattr(instances, "_coord", irrational_coord)
-        nested, failed = _nested_ids()
-        assert failed == []
-        assert nested
+            monkeypatch.setattr(instances, "_coord", irrational_coord)
+            nested, failed = _nested_ids()
+            assert failed == []
+            assert nested
 
     def test_rational_givens_adjoin_rational_radicands(self):
         """On rational givens only I.9 roots an irrational value; the set
