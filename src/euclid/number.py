@@ -25,8 +25,8 @@ arithmetic stays in Python ints.  Most operands are rational, so an
 operator combines two rational operands in its own frame with one gcd (a
 product or quotient with two cross gcds) and calls the node kernel only
 when an operand is irrational.  Only the public boundary (the
-constructor, :meth:`Constructible.as_fraction`, :meth:`Constructible.approx`
-and the prefix form) converts to and from fractions.
+constructor, :meth:`Constructible.as_fraction` and the prefix form)
+converts to and from fractions; ``approx`` rounds an integer ratio.
 
 The tower itself lives in a :class:`FieldContext`, with per-level facts
 that :meth:`FieldContext.adjoin` sets and nothing keyed by queries.
@@ -927,23 +927,26 @@ class Constructible:
         """Maximum nesting depth of square roots in the canonical form."""
         return _pdepth(self._node[1], self._ctx)
 
-    def approx(self, digits: int) -> str:
-        """Decimal approximation with absolute error below 10**-digits."""
+    def scaled(self, digits: int) -> int:
+        """The m that approx(digits) writes, |self - m/10**digits| <
+        10**-digits: self, or the midpoint of an interval narrower than
+        10**-digits / 4, times 10**digits rounded half up."""
         if digits < 1:
             raise ValueError("digits must be >= 1")
-        node = self._node
-        if node[0] == 0:
-            mid = Fraction(node[1], node[2])
-        else:
-            ctx = self._ctx
+        k, n, d = self._node
+        if k:
             prec = 64
             while True:
-                lo, hi = _piv(node[1], 1, node[2], ctx, prec)
+                lo, hi = _piv(n, 1, d, self._ctx, prec)
                 if (hi - lo) * 4 * 10 ** digits < 1 << prec:
-                    mid = Fraction(lo + hi, 1 << (prec + 1))
+                    n, d = lo + hi, 1 << (prec + 1)
                     break
                 prec *= 2
-        return decimal_text(mid, digits)
+        return half_up(n, d, digits)
+
+    def approx(self, digits: int) -> str:
+        """Decimal approximation with absolute error below 10**-digits."""
+        return fixed_text(self.scaled(digits), digits)
 
     def __repr__(self):
         return f"Constructible({self.approx(6)}...)"
@@ -974,13 +977,21 @@ def sqrt_nonneg(a: RationalLike) -> Constructible:
 # canonical prefix serialization
 
 
+def half_up(n: int, d: int, digits: int) -> int:
+    """n/d * 10**digits rounded half up, for d > 0: the one rounding rule
+    of every decimal the engine writes.  An unreduced n/d rounds alike."""
+    return (n * 10 ** digits * 2 + d) // (2 * d)
+
+
+def fixed_text(m: int, digits: int) -> str:
+    """m * 10**-digits written with ``digits >= 1`` decimal places."""
+    text = _decimal(abs(m)).rjust(digits + 1, "0")
+    return f"{'-' if m < 0 else ''}{text[:-digits]}.{text[-digits:]}"
+
+
 def decimal_text(x: Fraction, digits: int) -> str:
     """``x`` rounded half up to ``digits >= 1`` decimal places."""
-    scaled = x * 10 ** digits
-    n = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
-    sign = "-" if n < 0 else ""
-    text = _decimal(abs(n)).rjust(digits + 1, "0")
-    return f"{sign}{text[:-digits]}.{text[-digits:]}"
+    return fixed_text(half_up(x.numerator, x.denominator, digits), digits)
 
 
 def _decimal(n: int) -> str:

@@ -1,22 +1,23 @@
 """Deterministic SVG emission of figures and construction results.
 
-Output is a pure function of the input: coordinates pass through the exact
-decimal approximation (six digits) and all layout arithmetic is done in
-rational numbers, so the bytes are identical across runs and platforms.
-The y axis is flipped so figures appear in the usual orientation.  Only
-the SVG 1.1 elements line, circle, path and text are used.
+Output is a pure function of the input: each coordinate is rounded once
+to an integer in units of 10**-6, the layout is integer numerators over
+one denominator per canvas (only clipping takes rational parameters) and
+each SVG number is rounded once, so the bytes are identical across runs
+and platforms.  The y axis is flipped so figures appear in the usual
+orientation.  Only the SVG 1.1 elements line, circle, path and text are
+used.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from math import inf
 from typing import Optional
 
 from .errors import NothingToRender
 from .geom import Angle, Circle, Figure, Line, Point, Ray, Segment, points
-from .number import Constructible, decimal_text, sqrt_nonneg
+from .number import fixed_text, half_up, sqrt_nonneg
 from .trace import PropositionResult
 
 # role: (stroke attributes, point and label fill)
@@ -26,44 +27,43 @@ _STYLES = {
             'fill="none"', "#9a9a9a"),
     "result": ('stroke="#1a5fb4" stroke-width="2.2" fill="none"', "#1a5fb4"),
 }
-_DIGITS = 6
-_WIDTH = Fraction(640)
+_DIGITS = 6  # model coordinates are integers in units of 10**-_DIGITS
+_WIDTH = 640
 
 
-def _fr(value: Constructible) -> Fraction:
-    return Fraction(value.approx(_DIGITS))
-
-
-_fmt = partial(decimal_text, digits=2)  # an SVG coordinate
-
-
-def _model(obj) -> tuple[list, Optional[Fraction], list]:
+def _model(obj) -> tuple[list, Optional[int], list]:
     """A drawable's points in model coordinates, a circle's radius (None
     for any other drawable) and the corners of its extent, each rounded
     once."""
-    pts = [(_fr(p.x), _fr(p.y)) for p in points(obj)]
+    pts = [(p.x.scaled(_DIGITS), p.y.scaled(_DIGITS)) for p in points(obj)]
     if not isinstance(obj, Circle):
         return pts, None, pts
-    r = _fr(sqrt_nonneg(obj.radius_sq))
+    r = sqrt_nonneg(obj.radius_sq).scaled(_DIGITS)
     (cx, cy), = pts
     return pts, r, [(cx - r, cy - r), (cx + r, cy + r)]
 
 
 class _Canvas:
+    """The viewport, in twentieths of a model unit so that its margins (a
+    twentieth of the span each side) are integral; a screen number is an
+    integer numerator over the one denominator ``den``."""
+
     def __init__(self, xs, ys):
-        def bounds(vs):  # a margin of a twentieth of the span each side
+        def bounds(vs):
             lo, hi = min(vs), max(vs)
-            margin = (hi - lo or Fraction(1)) / 20
-            return lo - margin, hi + margin
+            span = hi - lo or 10 ** _DIGITS
+            return 20 * lo - span, 20 * hi + span
 
         self.min_x, self.max_x = bounds(xs)
         self.min_y, self.max_y = bounds(ys)
-        self.scale = _WIDTH / (self.max_x - self.min_x)
-        self.height = (self.max_y - self.min_y) * self.scale
+        self.den = self.max_x - self.min_x
+        self.height = (self.max_y - self.min_y) * _WIDTH
 
-    def to_screen(self, x: Fraction, y: Fraction) -> tuple[Fraction, Fraction]:
-        return ((x - self.min_x) * self.scale,
-                (self.max_y - y) * self.scale)
+    def to_screen(self, x, y) -> tuple:
+        return ((20 * x - self.min_x) * _WIDTH, (self.max_y - 20 * y) * _WIDTH)
+
+    def fmt(self, n) -> str:  # the screen number n / den, to two decimals
+        return fixed_text(half_up(n, self.den, 2), 2)
 
     def clip(self, p, q, ray: bool) -> Optional[tuple]:
         """The part inside the viewport box of the line through p and q,
@@ -75,9 +75,10 @@ class _Canvas:
         for lo, hi, origin, delta in ((self.min_x, self.max_x, x1, dx),
                                       (self.min_y, self.max_y, y1, dy)):
             if delta:
-                a, b = sorted(((lo - origin) / delta, (hi - origin) / delta))
+                a, b = sorted((Fraction(lo - 20 * origin, 20 * delta),
+                               Fraction(hi - 20 * origin, 20 * delta)))
                 t0, t1 = max(t0, a), min(t1, b)
-            elif not lo <= origin <= hi:
+            elif not lo <= 20 * origin <= hi:
                 return None
         if not (dx or dy) or t0 >= t1:
             return None
@@ -96,9 +97,10 @@ def render(named: dict[str, tuple[str, object]]) -> bytes:
 
     extent = [corner for *_, corners in drawable.values() for corner in corners]
     canvas = _Canvas([x for x, _ in extent], [y for _, y in extent])
+    _fmt, den = canvas.fmt, canvas.den
 
     body: list[str] = []
-    labelled: list[tuple[Fraction, Fraction, str, str]] = []
+    labelled: list[tuple[int, int, str, str]] = []
 
     def emit_segment(p, q, stroke: str) -> None:
         (x1, y1) = canvas.to_screen(*p)
@@ -122,7 +124,7 @@ def render(named: dict[str, tuple[str, object]]) -> bytes:
         elif isinstance(obj, Circle):
             cx, cy = canvas.to_screen(*pts[0])
             body.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                        f'r="{_fmt(r * canvas.scale)}" {stroke}/>')
+                        f'r="{_fmt(r * 20 * _WIDTH)}" {stroke}/>')
         elif isinstance(obj, Figure):
             screen = [canvas.to_screen(*p) for p in pts]
             path = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in screen) + " Z"
@@ -132,13 +134,13 @@ def render(named: dict[str, tuple[str, object]]) -> bytes:
             emit_segment(vertex, arm1, stroke)
             emit_segment(vertex, arm2, stroke)
 
-    placed: list[tuple[Fraction, Fraction]] = []
+    placed: list[tuple[int, int]] = []
     # northeast of the point, shifted clockwise on collision
     offsets = ((6, -6), (6, 12), (-14, 12), (-14, -6))
-    min_gap = Fraction(14)
+    min_gap = 14 * den
     for x, y, name, fill in labelled:
         for dx, dy in offsets:
-            ax, ay = x + dx, y + dy
+            ax, ay = x + dx * den, y + dy * den
             if all(abs(ax - px) > min_gap or abs(ay - py) > min_gap
                    for px, py in placed):
                 break
@@ -148,8 +150,8 @@ def render(named: dict[str, tuple[str, object]]) -> bytes:
                     f'fill="{fill}">{_escape(name)}</text>')
 
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{_fmt(_WIDTH)}" height="{_fmt(canvas.height)}" '
-            f'viewBox="0 0 {_fmt(_WIDTH)} {_fmt(canvas.height)}">')
+            f'width="{_fmt(_WIDTH * den)}" height="{_fmt(canvas.height)}" '
+            f'viewBox="0 0 {_fmt(_WIDTH * den)} {_fmt(canvas.height)}">')
     doc = "\n".join([head, *body, "</svg>"]) + "\n"
     return doc.encode("utf-8")
 

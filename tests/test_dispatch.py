@@ -6,8 +6,6 @@ pin trace and SVG output; every depth, an angle's included, is the
 deepest radical among the value's coordinates.
 """
 
-from fractions import Fraction
-
 import pytest
 
 from euclid.geom import (
@@ -29,7 +27,6 @@ from euclid.trace import _object_depth, describe_object
 O_ = "point(0.000000, 0.000000)"
 P_ = "point(1.414214, 1.000000)"
 Q_ = "point(2.000000, 0.000000)"
-F = Fraction
 
 
 def _values():
@@ -49,28 +46,28 @@ def _values():
     return values, r2, (o, p, q)
 
 
-# class: (description, extent, depth, coords, points); coords and points
-# name the parts r2 = sqrt(2), "o" = (0, 0), "p" = (r2, 1), "q" = (2, 0)
+# class: (description, extent, depth, coords, points); the extent is in
+# the renderer's model units of 10**-6; coords and points name the parts
+# r2 = sqrt(2), "o" = (0, 0), "p" = (r2, 1), "q" = (2, 0)
 CASES = {
-    "Point": (P_, [(F(707107, 500000), F(1))], 1, ["r2", 1], ["p"]),
+    "Point": (P_, [(1414214, 10**6)], 1, ["r2", 1], ["p"]),
     "Segment": (f"segment[{O_} {P_}]",
-                [(F(0), F(0)), (F(707107, 500000), F(1))], 1,
+                [(0, 0), (1414214, 10**6)], 1,
                 [0, 0, "r2", 1], ["o", "p"]),
     "Line": (f"line[{O_} {P_}]",
-             [(F(0), F(0)), (F(707107, 500000), F(1))], 1,
+             [(0, 0), (1414214, 10**6)], 1,
              [0, 0, "r2", 1], ["o", "p"]),
     "Ray": (f"ray[{O_} {P_}]",
-            [(F(0), F(0)), (F(707107, 500000), F(1))], 1,
+            [(0, 0), (1414214, 10**6)], 1,
             [0, 0, "r2", 1], ["o", "p"]),
     "Circle": (f"circle[{P_} r2=3.000000]",
-               [(F(-317837, 1000000), F(-732051, 1000000)),
-                (F(629253, 200000), F(2732051, 1000000))], 1,
+               [(-317837, -732051), (3146265, 2732051)], 1,
                ["r2", 1, 3], ["p"]),
     "Angle": ("angle",
-              [(F(0), F(0)), (F(2), F(0)), (F(707107, 500000), F(1))], 1,
+              [(0, 0), (2 * 10**6, 0), (1414214, 10**6)], 1,
               [0, 0, 2, 0, "r2", 1], ["o", "q", "p"]),
     "Figure": (f"figure[{O_} {Q_} {P_}]",
-               [(F(0), F(0)), (F(2), F(0)), (F(707107, 500000), F(1))], 1,
+               [(0, 0), (2 * 10**6, 0), (1414214, 10**6)], 1,
                [0, 0, 2, 0, "r2", 1], ["o", "q", "p"]),
     "Isometry": ("isometry[reflecting c=0.707107 s=0.707107 "
                  "t=(1.414214, 1.000000)]", [], 1,

@@ -12,6 +12,7 @@ from euclid.errors import DivisionByZero, NegativeRadicand
 from euclid.geom import Point
 from euclid.number import (
     Constructible,
+    decimal_text,
     from_prefix,
     new_context,
     rational,
@@ -285,6 +286,43 @@ class TestApprox:
             want = mpmath.nstr(mpmath.sqrt(5), 25, strip_zeros=False)
         got = sqrt_nonneg(C(5)).approx(20)
         assert abs(mpmath.mpf(got) - mpmath.mpf(want)) < mpmath.mpf(10) ** -19
+
+    @pytest.mark.parametrize("x, want", [
+        (Fraction(1, 8), "0.13"), (Fraction(-1, 8), "-0.12"),
+        (Fraction(-1, 200), "0.00"), (Fraction(-3, 200), "-0.01"),
+        (Fraction(1, 200), "0.01")])
+    def test_ties_round_half_up(self, x, want):
+        # half up is toward +infinity on both sides of 0; no "-0.00"
+        assert Constructible(x).approx(2) == want
+        assert decimal_text(x, 2) == want
+
+    @given(st.fractions(max_denominator=10 ** 9), st.integers(1, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_decimal_text_is_the_fraction_rule(self, x, digits):
+        scaled = x * 10 ** digits
+        n = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
+        text = str(abs(n)).rjust(digits + 1, "0")
+        want = f"{'-' if n < 0 else ''}{text[:-digits]}.{text[-digits:]}"
+        assert decimal_text(x, digits) == want
+
+    @given(st.data(), st.integers(1, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_within_one_unit_of_the_last_place(self, data, digits):
+        # a + b*sqrt(r), and the nested sqrt(r + s*(a + b*sqrt(r))^2)
+        new_context()
+        q = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+        a, b = data.draw(q), data.draw(q)
+        r = data.draw(st.integers(2, 40).filter(lambda n: math.isqrt(n) ** 2 != n))
+        s = data.draw(st.integers(1, 9))
+        flat = Constructible(a) + Constructible(b) * sqrt_nonneg(C(r))
+        nested = sqrt_nonneg(r + s * flat * flat)
+        with mpmath.workdps(60):
+            want_flat = (mpmath.mpf(a.numerator) / a.denominator
+                         + mpmath.mpf(b.numerator) / b.denominator * mpmath.sqrt(r))
+            want_nested = mpmath.sqrt(r + s * want_flat ** 2)
+            for x, want in ((flat, want_flat), (nested, want_nested)):
+                got = mpmath.mpf(x.approx(digits))
+                assert abs(got - want) < mpmath.mpf(10) ** -digits
 
 
 class TestProperties:

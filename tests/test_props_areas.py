@@ -277,12 +277,6 @@ class TestP46:
         got = p46_square(Segment(P(0, 0), P(1, 1)))
         assert (content(got.result) - 2).is_zero()
 
-    def test_both_strategies_identical_vertices(self):
-        ab = Segment(P(2, 1), P(5, 3))
-        a = p46_square(ab, strategy="campanus_first")
-        b = p46_square(ab, strategy="campanus_second")
-        assert set(a.result.vertices) == set(b.result.vertices)
-
     def test_sides_and_angles(self):
         ab = Segment(P(0, 0), P(2, 1))
         got = p46_square(ab, "lower")
