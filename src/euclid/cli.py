@@ -28,7 +28,7 @@ class _Usage(Exception):
     is 2."""
 
 
-def _checked_script(path: str) -> dsl.Script:
+def _checked_script(path: str) -> list:
     """Read, parse and check a script; raise its diagnostics unless it is
     clean."""
     try:

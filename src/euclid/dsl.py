@@ -23,6 +23,9 @@ order), ``left_of(r)``/``right_of(r)`` for a ray, and
 Each word is one ``Word`` record in ``PRIMITIVES``, ``PREDICATES`` or
 ``SELECTORS``, which the parser, ``check`` and ``interpret`` all read; the
 type words are the lower-case names of the classes the primitives bind.
+Each call of a word parses to one ``Call`` node: an assertion is the
+``Call`` of its predicate, and an intersection's selector is a ``Call``
+nested in the primitive's.  A parsed script is its list of statements.
 ``interpret`` returns a result and its claims, as ``elements.run`` does.
 Grammar (EBNF) ships in the package documentation.
 """
@@ -208,18 +211,13 @@ Arg = Union[Name, PointLit]
 
 
 @dataclass(frozen=True)
-class Selector:
-    kind: str
-    args: tuple
-    span: Span
-
-
-@dataclass(frozen=True)
 class Call:
+    """A call of one registered word: a primitive, a selector or, as a
+    statement spanned at its ``assert``, a predicate."""
     fn: str
     args: tuple
-    selector: Optional[Selector]
     span: Span
+    selector: Optional[Call] = None
 
 
 @dataclass(frozen=True)
@@ -237,18 +235,6 @@ class Decl:
     names: tuple[Name, ...]
     expr: Union[Call, PropCall, PointLit]
     span: Span
-
-
-@dataclass(frozen=True)
-class Assertion:
-    predicate: str
-    args: tuple
-    span: Span
-
-
-@dataclass
-class Script:
-    statements: list
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +388,6 @@ class _LineParser:
         self.expect_punct(")")
         return tuple(args)
 
-    def selector(self) -> Optional[Selector]:
-        if not self.at(*SELECTORS):
-            return None
-        t = self.advance()
-        args = self.arg_list() if SELECTORS[t.text].args else ()
-        return Selector(t.text, args, t.span)
-
     # statements --------------------------------------------------------
 
     def statement(self) -> object:
@@ -419,7 +398,7 @@ class _LineParser:
         self.error("expected a declaration or an assertion",
                    note="statements start with a type word or 'assert'")
 
-    def assertion(self) -> Assertion:
+    def assertion(self) -> Call:
         kw = self.advance()
         pred = self.expect_word()
         if pred.text not in PREDICATES:
@@ -427,7 +406,7 @@ class _LineParser:
                        note="one of " + ", ".join(PREDICATES))
         args = self.arg_list()
         self.ensure_line_end()
-        return Assertion(pred.text, args, kw.span)
+        return Call(pred.text, args, kw.span)
 
     def declaration(self) -> Decl:
         type_tok = self.advance()
@@ -450,8 +429,12 @@ class _LineParser:
         if self.at(*PRIMITIVES):
             t = self.advance()
             args = self.arg_list()
-            selector = self.selector() if t.text == "intersect" else None
-            return Call(t.text, args, selector, t.span)
+            selector = None
+            if t.text == "intersect" and self.at(*SELECTORS):
+                s = self.advance()
+                selector = Call(s.text, self.arg_list()
+                                if SELECTORS[s.text].args else (), s.span)
+            return Call(t.text, args, t.span, selector)
         self.error("expected a point literal, a primitive call, or 'prop'")
 
     def prop_call(self) -> PropCall:
@@ -480,7 +463,7 @@ class _ParseAbort(Exception):
     pass
 
 
-def parse(text: str) -> tuple[Script, list[Diagnostic]]:
+def parse(text: str) -> tuple[list, list[Diagnostic]]:
     """Parse a script; syntax errors are reported with spans and recovery
     happens at statement (line) boundaries."""
     diags: list[Diagnostic] = []
@@ -494,7 +477,7 @@ def parse(text: str) -> tuple[Script, list[Diagnostic]]:
             statements.append(parser.statement())
         except _ParseAbort:
             continue
-    return Script(statements), diags
+    return statements, diags
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +496,7 @@ def _slots(args: tuple, want: tuple[str, ...]):
     return zip(args, want + ("",) * (len(args) - len(want)))
 
 
-def check(script: Script) -> list[Diagnostic]:
+def check(script: list) -> list[Diagnostic]:
     """Definition-before-use, single definition, arity and type checks."""
     diags: list[Diagnostic] = []
     env: dict[str, str] = {}
@@ -545,10 +528,10 @@ def check(script: Script) -> list[Diagnostic]:
                     span, f"{what} expects ({', '.join(want)}), got {g!r}"))
                 return
 
-    for st in script.statements:
-        if isinstance(st, Assertion):
-            check_args(st.span, f"assert {st.predicate}",
-                       PREDICATES[st.predicate].args, st.args)
+    for st in script:
+        if isinstance(st, Call):
+            check_args(st.span, f"assert {st.fn}", PREDICATES[st.fn].args,
+                       st.args)
             continue
         expr = st.expr
         count = 1  # objects the expression yields
@@ -559,8 +542,7 @@ def check(script: Script) -> list[Diagnostic]:
             check_args(expr.span, expr.fn, word.args, expr.args, word.repeats)
             sel = expr.selector
             if sel is not None:
-                check_args(sel.span, sel.kind, SELECTORS[sel.kind].args,
-                           sel.args)
+                check_args(sel.span, sel.fn, SELECTORS[sel.fn].args, sel.args)
             result_types = word.types
         else:  # PropCall
             try:
@@ -600,7 +582,7 @@ class ScriptError(EuclidError):
         self.span = span
 
 
-def interpret(script: Script) -> tuple[PropositionResult, Checks]:
+def interpret(script: list) -> tuple[PropositionResult, Checks]:
     """Run a checked script; deterministic given the script text.  The
     result names each declared object, in order, as given, and its trace
     is the ``script`` tracer; each assertion is one boolean claim,
@@ -625,7 +607,7 @@ def interpret(script: Script) -> tuple[PropositionResult, Checks]:
         if sel is not None:
             sel_args = [value(a) for a in sel.args]
             try:
-                args.append(SELECTORS[sel.kind].run(*sel_args))
+                args.append(SELECTORS[sel.fn].run(*sel_args))
             except DegenerateInput as e:
                 raise ScriptError(sel.span, str(e))
         try:
@@ -649,13 +631,13 @@ def interpret(script: Script) -> tuple[PropositionResult, Checks]:
         tr.attach(result, produced=got)
         return got
 
-    for st in script.statements:
+    for st in script:
         try:
-            if isinstance(st, Assertion):
+            if isinstance(st, Call):
                 args = [value(a) for a in st.args]
-                ok = PREDICATES[st.predicate].run(*args)
+                ok = PREDICATES[st.fn].run(*args)
                 text = ", ".join(map(describe_object, args))
-                checks.true(f"{st.span}: assert {st.predicate}({text})", ok)
+                checks.true(f"{st.span}: assert {st.fn}({text})", ok)
                 continue
             expr = st.expr
             if isinstance(expr, PointLit):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from . import number
 from .errors import (
     CoincidentCircles,
     DegenerateInput,
@@ -55,8 +54,7 @@ class Point:
         return Vec(self.x - other.x, self.y - other.y)
 
     def midpoint(self, other: "Point") -> "Point":
-        half = number.rational(1, 2)
-        return Point((self.x + other.x) * half, (self.y + other.y) * half)
+        return Point((self.x + other.x) / 2, (self.y + other.y) / 2)
 
     def dist_sq(self, other: "Point") -> Constructible:
         dx = self.x - other.x

@@ -935,14 +935,22 @@ class Constructible:
             raise ValueError("digits must be >= 1")
         k, n, d = self._node
         if k:
-            prec = 64
-            while True:
-                lo, hi = _piv(n, 1, d, self._ctx, prec)
-                if (hi - lo) * 4 * 10 ** digits < 1 << prec:
-                    n, d = lo + hi, 1 << (prec + 1)
-                    break
-                prec *= 2
+            return _scaled_iv(n, d, self._ctx, digits, False)
         return half_up(n, d, digits)
+
+    def scaled_sqrt(self, digits: int) -> int:
+        """``scaled(digits)`` of the non-negative square root of self, by
+        the same rule and without adjoining it: exact for a rational
+        square, else from intervals of the root taken from self's."""
+        if digits < 1:
+            raise ValueError("digits must be >= 1")
+        if self.sign() < 0:
+            raise NegativeRadicand("square root of a negative value")
+        k, n, d = self._node
+        root = None if k else _rational_sqrt(self._node)
+        if root is not None:
+            return half_up(root[1], root[2], digits)
+        return _scaled_iv(n, d, self._ctx, digits, True)
 
     def approx(self, digits: int) -> str:
         """Decimal approximation with absolute error below 10**-digits."""
@@ -955,12 +963,23 @@ class Constructible:
         return to_prefix(self)
 
 
+def _scaled_iv(p: Poly, d: int, ctx: Optional[FieldContext], digits: int,
+               root: bool) -> int:
+    """The midpoint of an interval of p/d, or of its square root when
+    ``root`` is set, narrower than 10**-digits / 4, from 64 bits and
+    doubling, times 10**digits rounded half up."""
+    prec = 64
+    while True:
+        lo, hi = _piv(p, 1, d, ctx, prec)
+        if root:  # as _rad_sqrt_interval
+            lo, hi = isqrt(max(lo, 0) << prec), isqrt(hi << prec) + 1
+        if (hi - lo) * 4 * 10 ** digits < 1 << prec:
+            return half_up(lo + hi, 1 << (prec + 1), digits)
+        prec *= 2
+
+
 # ---------------------------------------------------------------------------
 # module-level operation surface
-
-
-def rational(numerator: int, denominator: int = 1) -> Constructible:
-    return Constructible(numerator) / denominator
 
 
 def sqrt_nonneg(a: RationalLike) -> Constructible:
@@ -987,11 +1006,6 @@ def fixed_text(m: int, digits: int) -> str:
     """m * 10**-digits written with ``digits >= 1`` decimal places."""
     text = _decimal(abs(m)).rjust(digits + 1, "0")
     return f"{'-' if m < 0 else ''}{text[:-digits]}.{text[-digits:]}"
-
-
-def decimal_text(x: Fraction, digits: int) -> str:
-    """``x`` rounded half up to ``digits >= 1`` decimal places."""
-    return fixed_text(half_up(x.numerator, x.denominator, digits), digits)
 
 
 def _decimal(n: int) -> str:

@@ -1,12 +1,13 @@
 """Deterministic SVG emission of figures and construction results.
 
 Output is a pure function of the input: each coordinate is rounded once
-to an integer in units of 10**-6, the layout is integer numerators over
-one denominator per canvas (only clipping takes rational parameters) and
-each SVG number is rounded once, so the bytes are identical across runs
-and platforms.  The y axis is flipped so figures appear in the usual
-orientation.  Only the SVG 1.1 elements line, circle, path and text are
-used.
+to an integer in units of 10**-6, and so is each circle's radius, from
+intervals of its squared radius, so drawing adjoins nothing to the tower.
+The layout is integer numerators over one denominator per canvas (only
+clipping takes rational parameters) and each SVG number is rounded once,
+so the bytes are identical across runs and platforms.  The y axis is
+flipped so figures appear in the usual orientation.  Only the SVG 1.1
+elements line, circle, path and text are used.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional
 
 from .errors import NothingToRender
 from .geom import Angle, Circle, Figure, Line, Point, Ray, Segment, points
-from .number import fixed_text, half_up, sqrt_nonneg
+from .number import fixed_text, half_up
 from .trace import PropositionResult
 
 # role: (stroke attributes, point and label fill)
@@ -38,7 +39,7 @@ def _model(obj) -> tuple[list, Optional[int], list]:
     pts = [(p.x.scaled(_DIGITS), p.y.scaled(_DIGITS)) for p in points(obj)]
     if not isinstance(obj, Circle):
         return pts, None, pts
-    r = sqrt_nonneg(obj.radius_sq).scaled(_DIGITS)
+    r = obj.radius_sq.scaled_sqrt(_DIGITS)
     (cx, cy), = pts
     return pts, r, [(cx - r, cy - r), (cx + r, cy + r)]
 

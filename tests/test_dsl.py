@@ -34,7 +34,7 @@ class TestParse:
     def test_single_declaration(self):
         script, diags = parse("point A = (0, 0)\n")
         assert not diags
-        assert len(script.statements) == 1
+        assert len(script) == 1
 
     def test_missing_comma_is_reported(self):
         script, diags = parse("point A = (0 0)\n")
@@ -46,13 +46,13 @@ class TestParse:
         text = (SCRIPTS / "i1.euc").read_text()
         script, diags = parse(text)
         assert not diags
-        assert len(script.statements) == 6
+        assert len(script) == 6
 
     def test_recovery_at_statement_boundaries(self):
         text = "point A = (0, 0)\npoint B = (1 0)\npoint C = (2, 0)\n"
         script, diags = parse(text)
         assert len(diags) == 1
-        assert len(script.statements) == 2
+        assert len(script) == 2
 
     def test_spans_inside_source(self):
         text = "point A = (0, 0)\nbogus line here\n"
@@ -69,7 +69,7 @@ class TestParse:
         script, diags = parse(text)
         assert [(d.span.line, d.message) for d in diags] == [
             (3, "expected '='")]
-        assert len(script.statements) == 2
+        assert len(script) == 2
 
     @pytest.mark.parametrize("keywords", [
         "strategy alnayrizi side upper strategy campanus side lower",
@@ -81,7 +81,7 @@ class TestParse:
         """At most one ``strategy NAME``, then at most one ``side WORD``."""
         script, diags = parse(f"figure p = prop I.44 (ab, t, d) {keywords}\n")
         assert [d.message for d in diags] == ["unexpected trailing tokens"]
-        assert script.statements == []
+        assert script == []
 
     def test_coordinate_nesting_cap(self):
         def nested(levels):
@@ -95,14 +95,14 @@ class TestParse:
         assert abs(result.objects["P"].x) == 1
         text = f"point P = ({nested(cap + 1)}, 0)\n"
         script, diags = parse(text)
-        assert script.statements == []
+        assert script == []
         assert [(d.span.line, d.span.col, d.message) for d in diags] == [
             (1, text.index("1"),
              f"coordinate nested more than {cap} levels deep")]
 
     def test_digits_are_ascii(self):
         script, diags = parse("point A = (\u00b2, 0)\n")
-        assert script.statements == []
+        assert script == []
         assert [(d.span.col, d.message) for d in diags][0] == (
             12, "unexpected character '\u00b2'")
 
@@ -112,7 +112,7 @@ class TestParse:
         assert result.objects["P"].x == Constructible(int("7" * limit))
         text = f"point P = (1 + {'7' * (limit + 1)}, 0)\n"
         script, diags = parse(text)
-        assert script.statements == []
+        assert script == []
         assert [(d.span.col, d.message) for d in diags] == [
             (16, f"number longer than {limit} digits")]
         sys.set_int_max_str_digits(0)
@@ -307,14 +307,14 @@ class TestWords:
     def test_every_word_script_uses_every_word(self):
         script, diags = parse(EVERY_WORD.read_text())
         assert not diags and check(script) == []
-        decls = [st for st in script.statements if isinstance(st, dsl.Decl)]
+        decls = [st for st in script if isinstance(st, dsl.Decl)]
         calls = [st.expr for st in decls if isinstance(st.expr, dsl.Call)]
         assert {st.type for st in decls} == set(dsl.TYPES)
         assert {c.fn for c in calls} == set(dsl.PRIMITIVES)
-        assert {c.selector.kind for c in calls if c.selector} == set(
+        assert {c.selector.fn for c in calls if c.selector} == set(
             dsl.SELECTORS)
-        assert {st.predicate for st in script.statements
-                if isinstance(st, dsl.Assertion)} == set(dsl.PREDICATES)
+        assert {st.fn for st in script
+                if isinstance(st, dsl.Call)} == set(dsl.PREDICATES)
 
     @pytest.mark.parametrize("rule, words", [
         ("type", dsl.TYPES),
@@ -329,7 +329,7 @@ class TestWords:
         # cli binds proposition parameters by the lower-case class name
         script, _ = parse(EVERY_WORD.read_text())
         result, _ = interpret(script)
-        for st in script.statements:
+        for st in script:
             if isinstance(st, dsl.Decl):
                 for name in st.names:
                     obj = result.objects[name.ident]

@@ -83,30 +83,47 @@ def _definitions(tree):
 
 # Definitions that only tests call, each with the reason it stays.
 TEST_ONLY = {
-    "check_references": "ROADMAP item 6 retires it: a trace whose script "
+    "as_fraction": "the documented way back to a Fraction",
+    "check_references": "ROADMAP item 5 retires it: a trace whose script "
                         "runs is closed",
 }
 
 
+def _reads(tree):
+    """The line and name of each place the code of ``tree`` reads a
+    name: an ``ast.Name``, an ``ast.Attribute`` or an imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                for part in alias.name.split("."):
+                    yield node.lineno, part
+
+
 def test_every_definition_is_referenced():
-    """No unused helpers: each name the engine defines appears somewhere
-    outside its own definition (a recursive call does not count), in the
-    engine, the benchmark, the example scripts or the README.  Tests do
-    not count as callers, so a definition only tests call is declared in
-    ``TEST_ONLY`` with its reason.  The check goes by name, so it is a
-    floor, not a proof of use."""
+    """No unused helpers: code reads each name the engine defines
+    somewhere outside its own definition (a recursive call does not
+    count), in the engine or the benchmark, or an example script uses it
+    as a word.  Prose (the README, notes, docstrings and comments) does
+    not count, and tests do not count as callers, so a definition only
+    tests call is declared in ``TEST_ONLY`` with its reason.  The check
+    goes by name, so it is a floor, not a proof of use."""
     sources = sorted(PACKAGE.rglob("*.py"))
-    corpus = [p for d in ("bench", "scripts") for p in sorted((ROOT / d).rglob("*"))
-              if p.suffix in (".py", ".md", ".euc", ".txt")]
-    texts = {p: p.read_text(encoding="utf-8")
-             for p in [*sources, *corpus, ROOT / "README.md"]}
-    words = Counter(w for text in texts.values() for w in re.findall(r"\w+", text))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"))
+             for p in [*sources, *sorted((ROOT / "bench").rglob("*.py"))]}
+    reads = {p: list(_reads(tree)) for p, tree in trees.items()}
+    words = Counter(name for found in reads.values() for _, name in found)
+    words.update(w for p in sorted((ROOT / "scripts").rglob("*"))
+                 for w in re.findall(r"\w+", p.read_text(encoding="utf-8")))
     unused = []
     for path in sources:
-        lines = texts[path].splitlines()
-        for name, node in _definitions(ast.parse(texts[path])):
-            body = "\n".join(lines[node.lineno - 1:node.end_lineno])
-            if words[name] <= re.findall(r"\w+", body).count(name):
+        for name, node in _definitions(trees[path]):
+            own = sum(1 for line, read in reads[path] if read == name
+                      and node.lineno <= line <= node.end_lineno)
+            if words[name] <= own:
                 unused.append(name if name in TEST_ONLY else
                               f"{path.relative_to(PACKAGE)}:{node.lineno} {name}")
     assert sorted(unused) == sorted(TEST_ONLY)

@@ -12,10 +12,8 @@ from euclid.errors import DivisionByZero, NegativeRadicand
 from euclid.geom import Point
 from euclid.number import (
     Constructible,
-    decimal_text,
     from_prefix,
     new_context,
-    rational,
     sqrt_nonneg,
     to_prefix,
 )
@@ -67,10 +65,9 @@ class TestRationalArithmetic:
                 make()
 
     # a zero denominator is the same error however the value is spelled
-    @pytest.mark.parametrize("make", [lambda: rational(1, 0),
-                                      lambda: Constructible("1/0"),
+    @pytest.mark.parametrize("make", [lambda: Constructible("1/0"),
                                       lambda: from_prefix("1/0")],
-                             ids=["rational", "str", "prefix"])
+                             ids=["str", "prefix"])
     def test_zero_denominator(self, make):
         with pytest.raises(DivisionByZero):
             make()
@@ -294,7 +291,6 @@ class TestApprox:
     def test_ties_round_half_up(self, x, want):
         # half up is toward +infinity on both sides of 0; no "-0.00"
         assert Constructible(x).approx(2) == want
-        assert decimal_text(x, 2) == want
 
     @given(st.fractions(max_denominator=10 ** 9), st.integers(1, 12))
     @settings(max_examples=300, deadline=None)
@@ -303,7 +299,7 @@ class TestApprox:
         n = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
         text = str(abs(n)).rjust(digits + 1, "0")
         want = f"{'-' if n < 0 else ''}{text[:-digits]}.{text[-digits:]}"
-        assert decimal_text(x, digits) == want
+        assert Constructible(x).approx(digits) == want
 
     @given(st.data(), st.integers(1, 30))
     @settings(max_examples=60, deadline=None)

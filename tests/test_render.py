@@ -1,14 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from euclid import elements, verify
 from euclid.elements.areas import p44_apply
 from euclid.elements.basics import p1_equilateral
 from euclid.errors import NothingToRender
 from euclid.geom import Angle, Figure, Point, Segment
-from euclid.number import Constructible, new_context
+from euclid.number import Constructible, current_context, new_context
 from euclid.render import _Canvas, render, render_result
 
 
@@ -32,6 +34,27 @@ class TestRender:
         a = render_result(got)
         b = render_result(got)
         assert a == b
+
+    def test_drawing_adjoins_nothing(self):
+        """A circle's radius is rounded from intervals of its squared
+        radius, so drawing a result leaves the tower it was built in as
+        it was: every route at seeds 0-2."""
+        grown = []
+        for prop_id in elements.CONSTRUCTIONS:
+            for strategy in elements.STRATEGIES.get(prop_id, (None,)):
+                for seed in range(3):
+                    new_context()
+                    kwargs = verify.generate_instance(prop_id,
+                                                      random.Random(seed))
+                    result, _ = elements.run(
+                        prop_id, elements.drawn_instance(strategy, kwargs),
+                        strategy)
+                    before = len(current_context().radicands)
+                    render_result(result)
+                    after = len(current_context().radicands)
+                    if after != before:
+                        grown.append((prop_id, strategy, seed, before, after))
+        assert grown == []
 
     def test_deterministic_across_contexts(self):
         a = render_result(p1_equilateral(Segment(P(0, 0), P(1, 0))))
