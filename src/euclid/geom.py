@@ -299,7 +299,7 @@ def intersect_lines(l1: Line, l2: Line) -> list[Point]:
 
 
 def intersect_line_circle(l: Line, c: Circle) -> list[Point]:
-    """0, 1 (tangent) or 2 exact points in canonical order."""
+    """0, 1 (tangent) or 2 exact points in lexicographic (x, y) order."""
     d = l.direction()
     f = l.p - c.center
     a = d.norm_sq()
@@ -309,37 +309,54 @@ def intersect_line_circle(l: Line, c: Circle) -> list[Point]:
     sd = disc.sign()
     if sd < 0:
         return []
+    k = 1 / (2 * a)
     if sd == 0:
-        return [l.p + d * (-b / (2 * a))]
+        return [l.p + d * (-b * k)]
     root = sqrt_nonneg(disc)
-    p = l.p + d * ((-b - root) / (2 * a))
-    q = l.p + d * ((-b + root) / (2 * a))
-    if ((q.x - p.x).sign() or (q.y - p.y).sign()) < 0:
+    p = l.p + d * ((-b - root) * k)
+    q = l.p + d * ((-b + root) * k)
+    # q - p = d * root / a, a positive multiple of d
+    if (d.dx.sign() or d.dy.sign()) < 0:
         p, q = q, p
     return [p, q]
 
 
 def intersect_circles(c1: Circle, c2: Circle) -> list[Point]:
-    """0, 1 (touching) or 2 exact points in canonical order."""
-    same_center = c1.center == c2.center
-    if same_center and (c1.radius_sq - c2.radius_sq).is_zero():
-        raise CoincidentCircles("the circles coincide")
-    if same_center:
+    """0, 1 (touching) or 2 exact points in lexicographic (x, y) order.
+
+    With d = c2 - c1, s = r1 - r2 + |d|^2 (r1, r2 the squared radii) and
+    q = 4*r1*|d|^2 - s^2, the chord's foot is c1 + d*s/(2|d|^2) and its
+    half is perp(d)*sqrt(q)/(2|d|^2).  The root taken is sqrt(q/m^2), m
+    being d.dx, or d.dy when d.dx is 0.  That is the discriminant
+    b^2 - 4ac that ``intersect_line_circle`` takes for the radical line
+    stepped by 1 in y (in x when d.dx is 0) and the first circle, so the
+    tower adjoins the radicand that construction adjoined.  Rooting
+    q/(4|d|^4), the squared half chord over |d|^2, would give the same
+    points over a different radicand and so move I.9's printed output.
+    """
+    d = c2.center - c1.center
+    m = d.dx or d.dy
+    if not m:
+        if c1.radius_sq == c2.radius_sq:
+            raise CoincidentCircles("the circles coincide")
         return []
-    # radical line: subtract the two circle equations
-    x1, y1 = c1.center.x, c1.center.y
-    x2, y2 = c2.center.x, c2.center.y
-    a = (x2 - x1) * 2
-    b = (y2 - y1) * 2
-    rhs = (c1.radius_sq - c2.radius_sq) - (x1 * x1 - x2 * x2) - (y1 * y1 - y2 * y2)
-    # two points of the radical line a*x + b*y = rhs
-    if not a.is_zero():
-        p1 = Point(rhs / a, 0)
-        p2 = Point((rhs - b) / a, 1)
-    else:
-        p1 = Point(0, rhs / b)
-        p2 = Point(1, rhs / b)
-    return intersect_line_circle(Line(p1, p2), c1)
+    dd = d.norm_sq()
+    s = c1.radius_sq - c2.radius_sq + dd
+    q = 4 * c1.radius_sq * dd - s * s
+    sq = q.sign()
+    if sq < 0:
+        return []
+    k = 1 / (2 * dd)
+    foot = c1.center + d * (s * k)
+    if sq == 0:
+        return [foot]
+    t = sqrt_nonneg(q / (m * m)) * abs(m) * k
+    # (hx, -hy), the half chord from the first point to the foot, is
+    # (dy, -dx)*t or its reverse, whichever is positive in (x, y) order
+    hx, hy = d.dy * t, d.dx * t
+    if (d.dy.sign() or -d.dx.sign()) < 0:
+        hx, hy = -hx, -hy
+    return [Point(foot.x - hx, foot.y + hy), Point(foot.x + hx, foot.y - hy)]
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ class TestIntersectLineCircle:
 
 class TestIntersectCircles:
     def test_two_unit_circles(self):
-        # radical-line oracle: x = 1/2, y^2 = 3/4
+        # oracle: x^2 + y^2 = 1 less (x - 1)^2 + y^2 = 1 gives x = 1/2, y^2 = 3/4
         new_context()
         c1 = circle(P(0, 0), P(1, 0))
         c2 = circle(P(1, 0), P(0, 0))
@@ -651,3 +651,168 @@ class TestTriangleInequalityReference:
                               for u, v, w in ((x, y, z), (y, z, x), (z, x, y)))
         if t is not None:
             assert not got
+
+
+# ---------------------------------------------------------------------------
+# the intersections against the radical-line construction, and their order
+
+
+def _root2(pair):
+    """u + v sqrt(2)."""
+    u, v = pair
+    return Constructible(u) + Constructible(v) * sqrt_nonneg(Constructible(2))
+
+
+root2_coord = st.tuples(st.fractions(-3, 3, max_denominator=6),
+                        st.sampled_from((0, 0, 1, -1, Fraction(1, 2))))
+root2_point = st.tuples(root2_coord, root2_coord)
+scale = st.sampled_from([Fraction(k, 4) for k in (1, 2, 3, 4, 5, 6, 8)])
+alignment = st.sampled_from((None, None, "x", "y"))
+
+
+def _lex(p, q):
+    """The sign of q - p in lexicographic (x, y) order, decided on the
+    coordinates themselves."""
+    return (q.x - p.x).sign() or (q.y - p.y).sign()
+
+
+def _radical_line_intersection(c1, c2):
+    """Two circles met as the engine once met them: two points of the
+    radical line a x + b y = rhs, one step apart in y (in x when a is 0),
+    are met with the first circle through b^2 - 4ac of that line, and the
+    two points are ordered by comparing their coordinates."""
+    if c1.center == c2.center:
+        if (c1.radius_sq - c2.radius_sq).is_zero():
+            raise CoincidentCircles("the circles coincide")
+        return []
+    x1, y1 = c1.center.x, c1.center.y
+    x2, y2 = c2.center.x, c2.center.y
+    a = (x2 - x1) * 2
+    b = (y2 - y1) * 2
+    rhs = (c1.radius_sq - c2.radius_sq) - (x1 * x1 - x2 * x2) - (y1 * y1 - y2 * y2)
+    if not a.is_zero():
+        p, q = Point(rhs / a, 0), Point((rhs - b) / a, 1)
+    else:
+        p, q = Point(0, rhs / b), Point(1, rhs / b)
+    d = q - p
+    f = p - c1.center
+    qa = d.norm_sq()
+    qb = d.dot(f) * 2
+    disc = qb * qb - 4 * qa * (f.norm_sq() - c1.radius_sq)
+    if disc.sign() < 0:
+        return []
+    if disc.is_zero():
+        return [p + d * (-qb / (2 * qa))]
+    root = sqrt_nonneg(disc)
+    pts = [p + d * ((-qb - root) / (2 * qa)), p + d * ((-qb + root) / (2 * qa))]
+    return pts if _lex(*pts) > 0 else pts[::-1]
+
+
+def _aligned(a, b, align):
+    """The points a and b, b moved onto a's vertical ("x"), horizontal
+    ("y") or onto a itself ("both")."""
+    (ax, ay), (bx, by) = a, b
+    if align in ("x", "both"):
+        bx = ax
+    if align in ("y", "both"):
+        by = ay
+    return (Point(_root2(ax), _root2(ay)), Point(_root2(bx), _root2(by)))
+
+
+def _both_ways(a, b, lam, mu, align, scaled):
+    """For each of the radical-line construction and intersect_circles, in
+    a fresh context: the points as prefix strings (or the exception's
+    type) and the radicands adjoined.  The circles are about a and b, with
+    squared radii lam^2 and mu^2 times |ab|^2 when scaled (so they touch
+    where lam + mu or |lam - mu| is 1), else lam and mu."""
+    sides = []
+    for meet in (_radical_line_intersection, intersect_circles):
+        ctx = new_context()
+        A, B = _aligned(a, b, align)
+        dd = A.dist_sq(B)
+        if scaled and not dd.is_zero():
+            c1, c2 = Circle(A, dd * (lam * lam)), Circle(B, dd * (mu * mu))
+        else:
+            c1, c2 = Circle(A, lam), Circle(B, mu)
+        try:
+            got = [(str(p.x), str(p.y)) for p in meet(c1, c2)]
+        except CoincidentCircles as exc:
+            got = type(exc)
+        sides.append((got, list(ctx.radicands)))
+    return sides
+
+
+_A = ((1, 1), (0, 0))     # (1 + sqrt 2, 0)
+_B = ((2, 0), (1, -1))    # (2, 1 - sqrt 2)
+_Q = Fraction(1, 4)
+# name: the arguments of _both_ways, and the number of points or the error
+SHAPES = {
+    "crossing": ((_A, _B, 1, 1, None, True), 2),
+    "external tangency": ((_A, _B, _Q, 3 * _Q, None, True), 1),
+    "internal tangency": ((_A, _B, _Q, 5 * _Q, None, True), 1),
+    "apart": ((_A, _B, _Q, 2 * _Q, None, True), 0),
+    "one inside the other": ((_A, _B, _Q, 6 * _Q, None, True), 0),
+    "dx = 0": ((_A, _B, 1, 1, "x", True), 2),
+    "dy = 0": ((_A, _B, 1, 1, "y", True), 2),
+    "dx = 0, touching": ((_A, _B, _Q, 3 * _Q, "x", True), 1),
+    "concentric": ((_A, _B, 1, 2, "both", False), 0),
+    "coincident": ((_A, _B, 2, 2, "both", False), CoincidentCircles),
+}
+
+
+class TestIntersectCirclesRadicands:
+    """The closed form gives the radical-line construction's points, in its
+    order, with its error, over the same adjoined radicands."""
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_named_shapes(self, name):
+        args, want = SHAPES[name]
+        (got, radicands), other = _both_ways(*args)
+        assert (got, radicands) == other
+        assert (got if isinstance(got, type) else len(got)) == want
+
+    @given(a=root2_point, b=root2_point, lam=scale, mu=scale,
+           align=st.sampled_from((None, None, "x", "y", "both")),
+           scaled=st.booleans())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_drawn_pairs(self, a, b, lam, mu, align, scaled):
+        parent, change = _both_ways(a, b, lam, mu, align, scaled)
+        assert change == parent
+
+
+class TestIntersectionOrder:
+    """Both intersections list two points in lexicographic (x, y) order, as
+    comparing their coordinates decides it, whichever way a line runs and
+    whichever circle comes first."""
+
+    @given(a=root2_point, b=root2_point, c=root2_point, align=alignment,
+           t=st.sampled_from((Fraction(-1), Fraction(1, 2), Fraction(2))))
+    @example(a=((1, 0), (0, 0)), b=((1, 0), (5, 0)), c=((1, 0), (0, 0)),
+             align=None, t=Fraction(-1))     # a vertical line: y decides
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_line_and_circle(self, a, b, c, align, t):
+        new_context()
+        A, B = _aligned(a, b, align)
+        assume(A != B)
+        on = A + (B - A) * t
+        C = Point(_root2(c[0]), _root2(c[1]))
+        assume(C != on)
+        ring = circle(C, on)
+        got = intersect_line_circle(Line(A, B), ring)
+        assert on in got
+        assert intersect_line_circle(Line(B, A), ring) == got
+        if len(got) == 2:
+            assert _lex(*got) > 0
+
+    @given(a=root2_point, b=root2_point, c=root2_point, align=alignment)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_two_circles(self, a, b, c, align):
+        new_context()
+        A, B = _aligned(a, b, align)
+        C = Point(_root2(c[0]), _root2(c[1]))
+        assume(len({A, B, C}) == 3)
+        got = intersect_circles(circle(A, C), circle(B, C))
+        assert C in got
+        assert intersect_circles(circle(B, C), circle(A, C)) == got
+        if len(got) == 2:
+            assert _lex(*got) > 0
