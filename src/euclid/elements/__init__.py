@@ -8,7 +8,8 @@ record, and are imported from their defining module
 (``euclid.elements.areas.p44_apply``).
 A step the constructions share is written once in ``_common``:
 ``produce``, ``cut_at``, ``cite_midpoint``, ``cite_parallel``, the
-I.1/I.22 step ``apex`` and the forward selector ``ahead``.
+I.1/I.22 step ``apex``, the forward selector ``ahead`` and the side
+word ``far_side`` of an I.44 scaffold.
 """
 
 from __future__ import annotations

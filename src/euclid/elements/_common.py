@@ -58,13 +58,12 @@ def side_name_of(anchor: Point, toward: Point, probe: Point) -> str:
     return side_word(s)
 
 
-def ray_side_word(ray: Ray, ref_from: Point, ref_to: Point,
-                  desired_sign: int) -> str:
-    """Side word to use on a ray collinear with a reference direction so the
-    chosen half-plane has the desired orientation sign relative to the
-    reference ray ref_from->ref_to."""
-    dir_sign = ray.direction().dot(ref_to - ref_from).sign()
-    return side_word(desired_sign * dir_sign)
+def far_side(ray: Ray, ab: Segment, side: str) -> str:
+    """Side word on a ray along the segment ab for the half-plane away from
+    ``side`` of the directed ab: the side where a construction builds its
+    scaffold when its result is to lie on ``side``."""
+    along = ray.direction().dot(ab.b - ab.a).sign()
+    return side_word(-side_sign(side) * along)
 
 
 def ahead(at: Point, d: Vec):

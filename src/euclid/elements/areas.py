@@ -6,7 +6,11 @@ segment with a rigid motion; that placement is recorded as an explicit
 superposition step, so its trace has superposition count one.  The other
 four routes construct the parallelogram directly against the segment's
 extension and complete the figure through the complement argument (I.43);
-their traces contain no superposition step at all.
+their traces contain no superposition step at all.  Each builds its
+scaffold on the far side of the segment from the result (``far_side``).
+Robert of Chester's and Campanus's routes share one device, ``_rebuild``:
+the given triangle rebuilt from its base angles (I.23 twice) on a base
+adjoined to the segment.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from ._common import (
     cite_midpoint,
     cite_parallel,
     cut_at,
+    far_side,
     produce,
-    ray_side_word,
     require_parallelogram,
     require_triangle,
     side_name_of,
@@ -271,8 +275,8 @@ def _p44_alnayrizi(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
     beyond = produce(tr, a0, b0)
     base_sq = t.vertices[1].dist_sq(t.vertices[2])
     h = cut_at(tr, b0, beyond, base_sq / 4, "BH equal to half the base")
-    scaffold = ray_side_word(Ray(b0, beyond), ab.a, ab.b, -side_sign(side))
-    pr = p42_on_ray(t, d, Ray(b0, beyond), side=scaffold, parent=tr)
+    ray = Ray(b0, beyond)
+    pr = p42_on_ray(t, d, ray, side=far_side(ray, ab, side), parent=tr)
     _, _, kk, theta = pr.result.vertices
     tr.attach(pr, operands=(b0, h), produced=(theta, kk))
     tr.extend(Segment(kk, theta), "b")
@@ -299,21 +303,14 @@ def _p44_robert(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
     # given angle at the common endpoint and complete the figure
     a0, b0 = ab.b, ab.a
     tr.register_input(a0, b0)
-    tv1, tv2, tv3 = t.vertices
-    base_sq = tv2.dist_sq(tv3)
+    base_sq = t.vertices[1].dist_sq(t.vertices[2])
     beyond = produce(tr, a0, b0)
     h = cut_at(tr, b0, beyond, base_sq / 4, "adjoined half base")
     g = cut_at(tr, b0, beyond, base_sq, "produced to the whole base")
-    want = -side_sign(side)
-    w1 = copy_angle(tr, Ray(b0, g), Angle(tv2, tv3, tv1),
-                    ray_side_word(Ray(b0, g), ab.a, ab.b, want))
-    w2 = copy_angle(tr, Ray(g, b0), Angle(tv3, tv2, tv1),
-                    ray_side_word(Ray(g, b0), ab.a, ab.b, want))
-    k = tr.pick(intersect_lines(Line(b0, w1), Line(g, w2)), note="K")
+    k = _rebuild(tr, b0, g, t, ab, side, "K")
     tr.join(k, h)
     top = cite_parallel(tr, k, Line(b0, g), "top line through K")
-    w3 = copy_angle(tr, Ray(b0, h), d,
-                    ray_side_word(Ray(b0, h), ab.a, ab.b, want))
+    w3 = copy_angle(tr, Ray(b0, h), d, far_side(Ray(b0, h), ab, side))
     theta = tr.pick(intersect_lines(Line(b0, w3), top), note="T", operands=(top,))
     hpar = cite_parallel(tr, h, Line(b0, theta), "through H parallel to BT")
     u = tr.pick(intersect_lines(hpar, top), note="U", operands=(hpar, top))
@@ -339,23 +336,14 @@ def _p44_campanus(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
     # the completed figure land the result on the given segment
     a, b = ab.a, ab.b
     tr.register_input(a, b)
-    tv1, tv2, tv3 = t.vertices  # apex, base start, base end
-    base_sq = tv2.dist_sq(tv3)
+    base_sq = t.vertices[1].dist_sq(t.vertices[2])
     beyond = produce(tr, b, a)
     g = cut_at(tr, a, beyond, base_sq, "ag adjoined equal to the base")
-    # the ray g->a points with a->b, the ray a->g against it, so the side
-    # words flip between the two copies
-    want = -side_sign(side)
-    w1 = copy_angle(tr, Ray(g, a), Angle(tv2, tv3, tv1),
-                    ray_side_word(Ray(g, a), ab.a, ab.b, want))
-    w2 = copy_angle(tr, Ray(a, g), Angle(tv3, tv2, tv1),
-                    ray_side_word(Ray(a, g), ab.a, ab.b, want))
-    k = tr.pick(intersect_lines(Line(g, w1), Line(a, w2)), note="k")
+    k = _rebuild(tr, g, a, t, ab, side, "k")
     h = bisect(tr, g, a)
     tr.join(k, h)
     top = cite_parallel(tr, k, Line(g, a), "mkn through k parallel to gh")
-    w3 = copy_angle(tr, Ray(a, g), d,
-                    ray_side_word(Ray(a, g), ab.a, ab.b, want))
+    w3 = copy_angle(tr, Ray(a, g), d, far_side(Ray(a, g), ab, side))
     l = tr.pick(intersect_lines(Line(a, w3), top), note="l", operands=(top,))
     hpar = cite_parallel(tr, h, Line(a, l), "through h parallel to al")
     m = tr.pick(intersect_lines(hpar, top), note="m", operands=(hpar, top))
@@ -382,10 +370,9 @@ def _p44_tinemue(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
     tr.register_input(a, b)
     tv1, tv2, tv3 = t.vertices
     beyond = produce(tr, a, b)
-    scaffold = ray_side_word(Ray(b, beyond), ab.a, ab.b, -side_sign(side))
     placed = place_triangle_on_ray(
         Segment(tv2, tv3), Segment(tv3, tv1), Segment(tv1, tv2),
-        Ray(b, beyond), side=scaffold, parent=tr)
+        Ray(b, beyond), side=far_side(Ray(b, beyond), ab, side), parent=tr)
     _, c, dd = placed.result.vertices
     tr.attach(placed, operands=(b,), produced=(c, dd))
     o = bisect(tr, b, c)
@@ -413,6 +400,19 @@ def _p44_tinemue(tr: Tracer, ab: Segment, t: Figure, d: Angle, side: str):
                  "d": ("aux", dd), "o": ("aux", o), "g": ("aux", g),
                  "f": ("aux", f), "k": ("aux", k), "h": ("result", h),
                  "i": ("result", i)}
+
+
+def _rebuild(tr: Tracer, p: Point, q: Point, t: Figure, ab: Segment,
+             side: str, note: str) -> Point:
+    # the device Robert's and Campanus's routes share: the triangle rebuilt
+    # on pq from its base angles (I.23 at p, then at q) on the far side of
+    # the given segment; its apex is where the two copied arms meet
+    apex, start, end = t.vertices
+    w1 = copy_angle(tr, Ray(p, q), Angle(start, end, apex),
+                    far_side(Ray(p, q), ab, side))
+    w2 = copy_angle(tr, Ray(q, p), Angle(end, start, apex),
+                    far_side(Ray(q, p), ab, side))
+    return tr.pick(intersect_lines(Line(p, w1), Line(q, w2)), note=note)
 
 
 # strategy name -> construction route
@@ -505,44 +505,35 @@ def post_i45(r: Checks, call: dict, result: PropositionResult) -> None:
 
 
 def triangulate(f: Figure) -> list[Figure]:
-    """Ear clipping with exact orientation predicates; n-2 triangles."""
+    """Ear clipping with exact orientation predicates; n-2 triangles.
+
+    Each clip takes the first straight corner if there is one (clipping it
+    never changes the boundary), else the first ear."""
     verts = list(f.vertices)
     if signed_area(f).sign() < 0:
         verts.reverse()
     out: list[Figure] = []
     while len(verts) > 3:
-        n = len(verts)
-        clipped = False
-        # straight vertices first: clipping them never changes the boundary
-        for i in range(n):
-            a, b, c = verts[i - 1], verts[i], verts[(i + 1) % n]
-            if collinear(a, b, c):
-                out.append(Figure([a, b, c]))
-                del verts[i]
-                clipped = True
-                break
-        if clipped:
-            continue
-        for i in range(n):
-            a, b, c = verts[i - 1], verts[i], verts[(i + 1) % n]
-            if orientation(a, b, c) <= 0:
-                continue
-            if any(_in_triangle(p, a, b, c) for p in verts
-                   if p not in (a, b, c)):
-                continue
-            out.append(Figure([a, b, c]))
-            del verts[i]
-            clipped = True
-            break
-        if not clipped:
+        corners = [(verts[i - 1], v, verts[(i + 1) % len(verts)])
+                   for i, v in enumerate(verts)]
+        i = next((i for i, abc in enumerate(corners) if collinear(*abc)), None)
+        if i is None:
+            i = next((i for i, abc in enumerate(corners)
+                      if _is_ear(abc, verts)), None)
+        if i is None:
             raise NotSimple("ear clipping failed; is the figure simple?")
+        out.append(Figure(corners[i]))
+        del verts[i]
     out.append(Figure(verts))
     return out
 
 
-def _in_triangle(p: Point, a: Point, b: Point, c: Point) -> bool:
-    return (orientation(a, b, p) >= 0 and orientation(b, c, p) >= 0
-            and orientation(c, a, p) >= 0)
+def _is_ear(abc: tuple[Point, Point, Point], verts: list[Point]) -> bool:
+    """A left turn with no other vertex in or on the triangle abc."""
+    a, b, c = abc
+    return orientation(a, b, c) > 0 and not any(
+        orientation(a, b, p) >= 0 and orientation(b, c, p) >= 0
+        and orientation(c, a, p) >= 0 for p in verts if p not in abc)
 
 
 # ---------------------------------------------------------------------------

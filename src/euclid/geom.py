@@ -298,27 +298,32 @@ def intersect_lines(l1: Line, l2: Line) -> list[Point]:
     return [l1.p + d1 * t]
 
 
+def _chord(foot: Point, v: Vec, radicand: Constructible, k) -> list[Point]:
+    """The chord foot -/+ v*sqrt(radicand)*k, k > 0: none when the radicand
+    is negative, the foot alone when it is zero.  The second point less the
+    first is a positive multiple of v, so the signs of v put the two in
+    lexicographic (x, y) order."""
+    sr = radicand.sign()
+    if sr < 0:
+        return []
+    if sr == 0:
+        return [foot]
+    h = v * (sqrt_nonneg(radicand) * k)
+    p, q = Point(foot.x - h.dx, foot.y - h.dy), foot + h
+    return [p, q] if (v.dx.sign() or v.dy.sign()) > 0 else [q, p]
+
+
 def intersect_line_circle(l: Line, c: Circle) -> list[Point]:
-    """0, 1 (tangent) or 2 exact points in lexicographic (x, y) order."""
+    """0, 1 (tangent) or 2 exact points in lexicographic (x, y) order: the
+    roots of a t^2 + b t + cc = 0 on the line l.p + d t, the chord about
+    the foot at t = -b/(2a) in the direction d, rooting b^2 - 4a cc."""
     d = l.direction()
     f = l.p - c.center
     a = d.norm_sq()
     b = d.dot(f) * 2
     cc = f.norm_sq() - c.radius_sq
-    disc = b * b - 4 * a * cc
-    sd = disc.sign()
-    if sd < 0:
-        return []
     k = 1 / (2 * a)
-    if sd == 0:
-        return [l.p + d * (-b * k)]
-    root = sqrt_nonneg(disc)
-    p = l.p + d * ((-b - root) * k)
-    q = l.p + d * ((-b + root) * k)
-    # q - p = d * root / a, a positive multiple of d
-    if (d.dx.sign() or d.dy.sign()) < 0:
-        p, q = q, p
-    return [p, q]
+    return _chord(l.p + d * (-b * k), d, b * b - 4 * a * cc, k)
 
 
 def intersect_circles(c1: Circle, c2: Circle) -> list[Point]:
@@ -326,13 +331,13 @@ def intersect_circles(c1: Circle, c2: Circle) -> list[Point]:
 
     With d = c2 - c1, s = r1 - r2 + |d|^2 (r1, r2 the squared radii) and
     q = 4*r1*|d|^2 - s^2, the chord's foot is c1 + d*s/(2|d|^2) and its
-    half is perp(d)*sqrt(q)/(2|d|^2).  The root taken is sqrt(q/m^2), m
-    being d.dx, or d.dy when d.dx is 0.  That is the discriminant
-    b^2 - 4ac that ``intersect_line_circle`` takes for the radical line
-    stepped by 1 in y (in x when d.dx is 0) and the first circle, so the
-    tower adjoins the radicand that construction adjoined.  Rooting
-    q/(4|d|^4), the squared half chord over |d|^2, would give the same
-    points over a different radicand and so move I.9's printed output.
+    half is (dy, -dx)*sqrt(q)/(2|d|^2).  ``_chord`` roots q/m^2, m being
+    d.dx, or d.dy when d.dx is 0, and scales by k = |m|/(2|d|^2).  q/m^2
+    is the discriminant b^2 - 4ac that ``intersect_line_circle`` takes for
+    the radical line stepped by 1 in y (in x when d.dx is 0) and the first
+    circle, so the tower adjoins the radicand that construction adjoined.
+    Rooting q/(4|d|^4), the squared half chord over |d|^2, would give the
+    same points over a different radicand and so move I.9's printed output.
     """
     d = c2.center - c1.center
     m = d.dx or d.dy
@@ -343,20 +348,9 @@ def intersect_circles(c1: Circle, c2: Circle) -> list[Point]:
     dd = d.norm_sq()
     s = c1.radius_sq - c2.radius_sq + dd
     q = 4 * c1.radius_sq * dd - s * s
-    sq = q.sign()
-    if sq < 0:
-        return []
     k = 1 / (2 * dd)
-    foot = c1.center + d * (s * k)
-    if sq == 0:
-        return [foot]
-    t = sqrt_nonneg(q / (m * m)) * abs(m) * k
-    # (hx, -hy), the half chord from the first point to the foot, is
-    # (dy, -dx)*t or its reverse, whichever is positive in (x, y) order
-    hx, hy = d.dy * t, d.dx * t
-    if (d.dy.sign() or -d.dx.sign()) < 0:
-        hx, hy = -hx, -hy
-    return [Point(foot.x - hx, foot.y + hy), Point(foot.x + hx, foot.y - hy)]
+    return _chord(c1.center + d * (s * k), Vec(d.dy, -d.dx), q / (m * m),
+                  abs(m) * k)
 
 
 # ---------------------------------------------------------------------------

@@ -780,6 +780,91 @@ class TestIntersectCirclesRadicands:
         assert change == parent
 
 
+def _quadratic_line_circle(l, c):
+    """A line and a circle met as the engine once met them: the two roots
+    (-b -/+ sqrt(b^2 - 4ac))/(2a) of the quadratic in the line's
+    parameter, each put on the line, swapped when the direction is
+    negative in (x, y) order."""
+    d = l.direction()
+    f = l.p - c.center
+    a = d.norm_sq()
+    b = d.dot(f) * 2
+    disc = b * b - 4 * a * (f.norm_sq() - c.radius_sq)
+    sd = disc.sign()
+    if sd < 0:
+        return []
+    k = 1 / (2 * a)
+    if sd == 0:
+        return [l.p + d * (-b * k)]
+    root = sqrt_nonneg(disc)
+    p = l.p + d * ((-b - root) * k)
+    q = l.p + d * ((-b + root) * k)
+    if (d.dx.sign() or d.dy.sign()) < 0:
+        p, q = q, p
+    return [p, q]
+
+
+def _line_circle_both_ways(a, b, c, through, t=None):
+    """For each of the quadratic and intersect_line_circle, in a fresh
+    context: the points as prefix strings and the radicands adjoined.  The
+    line runs from a to b; the circle is about c through ``through``, or
+    through the point a + (b - a) t of the line when t is given.  A circle
+    through its own centre gives the exception's type."""
+    sides = []
+    for meet in (_quadratic_line_circle, intersect_line_circle):
+        ctx = new_context()
+        A, B, C, D = (Point(_root2(x), _root2(y)) for x, y in (a, b, c, through))
+        if t is not None:
+            D = A + (B - A) * t
+        try:
+            got = [(str(p.x), str(p.y)) for p in meet(Line(A, B), circle(C, D))]
+        except DegenerateInput as exc:
+            got = type(exc)
+        sides.append((got, list(ctx.radicands)))
+    return sides
+
+
+_O = ((0, 0), (0, 0))     # the origin
+_C = ((1, 1), (0, 0))     # (1 + sqrt 2, 0)
+_C2 = ((1, 1), (2, 0))    # (1 + sqrt 2, 2), on the circle about _C
+# name: the arguments of _line_circle_both_ways, and the number of points
+LINE_SHAPES = {
+    "secant": ((_O, ((3, 0), (1, 0)), _C, _C2), 2),
+    "secant, reversed": ((((3, 0), (1, 0)), _O, _C, _C2), 2),
+    "tangent": ((((-1, 1), (2, 0)), ((4, 1), (2, 0)), _C, _C2), 1),
+    "tangent, reversed": ((((4, 1), (2, 0)), ((-1, 1), (2, 0)), _C, _C2), 1),
+    "slanting tangent": ((((3, 1), (0, 0)), ((2, 1), (1, 0)), _C,
+                          ((2, 1), (1, 0))), 1),
+    "miss": ((((4, 1), (0, 0)), ((3, 1), (1, 0)), _C, _C2), 0),
+    "vertical": ((((1, 0), (0, 0)), ((1, 0), (5, 0)), _C, _C2), 2),
+    "vertical, reversed": ((((1, 0), (5, 0)), ((1, 0), (0, 0)), _C, _C2), 2),
+    "horizontal": ((((0, 0), (1, 0)), ((2, 0), (1, 0)), _C, _C2), 2),
+    "horizontal, reversed": ((((2, 0), (1, 0)), ((0, 0), (1, 0)), _C, _C2), 2),
+    "through the centre": ((_C, ((2, 1), (1, 0)), _C, _C2), 2),
+    "through the centre, reversed": ((((2, 1), (1, 0)), _C, _C, _C2), 2),
+}
+
+
+class TestIntersectLineCircleRadicands:
+    """The chord about the foot gives the quadratic's points, in its order,
+    over the same adjoined radicands."""
+
+    @pytest.mark.parametrize("name", LINE_SHAPES)
+    def test_named_shapes(self, name):
+        args, want = LINE_SHAPES[name]
+        (got, radicands), other = _line_circle_both_ways(*args)
+        assert (got, radicands) == other
+        assert len(got) == want
+
+    @given(a=root2_point, b=root2_point, c=root2_point, through=root2_point,
+           t=st.sampled_from((None, None, Fraction(-1), Fraction(1, 2), 2)))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_drawn_lines(self, a, b, c, through, t):
+        assume(a != b)
+        parent, change = _line_circle_both_ways(a, b, c, through, t)
+        assert change == parent
+
+
 class TestIntersectionOrder:
     """Both intersections list two points in lexicographic (x, y) order, as
     comparing their coordinates decides it, whichever way a line runs and

@@ -363,7 +363,7 @@ def test_halves_of_one_sign_need_no_interval(monkeypatch):
     assert x.sign() == 1 and (-x).sign() == -1
 
 
-def test_interval_ladder_settles_a_tiny_difference(monkeypatch):
+def test_refinement_settles_a_tiny_difference(monkeypatch):
     """x - q, for x = sqrt(1 + sqrt(2 + ... + sqrt(12))) and q its 60-digit
     approximation, is below 2**-199 in size and its halves differ in
     sign: refinement from 64 bits settles it once the interval is fine

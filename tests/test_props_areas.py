@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from euclid import elements, verify
 from euclid.elements.areas import (
@@ -26,8 +29,11 @@ from euclid.geom import (
     Ray,
     Segment,
     angle_eq,
+    collinear,
     content,
     is_parallelogram,
+    is_simple,
+    orientation,
     segment_eq,
     signed_area,
 )
@@ -266,6 +272,82 @@ class TestP45:
         via45 = p45_apply_figure(SLANT, t)
         via42 = p42_parallelogram_eq_triangle(t, SLANT)
         assert (content(via45.result) - content(via42.result)).is_zero()
+
+
+def _two_loop_triangulate(f):
+    """Ear clipping as the engine once wrote it: one loop clips the first
+    straight corner, and only when there is none a second loop clips the
+    first ear."""
+    verts = list(f.vertices)
+    if signed_area(f).sign() < 0:
+        verts.reverse()
+    out = []
+    while len(verts) > 3:
+        n = len(verts)
+        clipped = False
+        for i in range(n):
+            a, b, c = verts[i - 1], verts[i], verts[(i + 1) % n]
+            if collinear(a, b, c):
+                out.append(Figure([a, b, c]))
+                del verts[i]
+                clipped = True
+                break
+        if clipped:
+            continue
+        for i in range(n):
+            a, b, c = verts[i - 1], verts[i], verts[(i + 1) % n]
+            if orientation(a, b, c) <= 0:
+                continue
+            if any(orientation(a, b, p) >= 0 and orientation(b, c, p) >= 0
+                   and orientation(c, a, p) >= 0
+                   for p in verts if p not in (a, b, c)):
+                continue
+            out.append(Figure([a, b, c]))
+            del verts[i]
+            clipped = True
+            break
+        if not clipped:
+            raise NotSimple("ear clipping failed; is the figure simple?")
+    out.append(Figure(verts))
+    return out
+
+
+# primitive lattice directions, one per angle
+DIRECTIONS = sorted({(x // math.gcd(x, y), y // math.gcd(x, y))
+                     for x in range(-3, 4) for y in range(-3, 4) if x or y},
+                    key=lambda v: math.atan2(v[1], v[0]))
+
+
+@st.composite
+def polygons_with_straight_corners(draw):
+    """A polygon of 3 to 9 corners, star-shaped about the origin (each
+    corner a drawn multiple of a drawn direction, in the order of their
+    angles), with the midpoints of one or two of its sides inserted."""
+    n = draw(st.integers(3, 9))
+    dirs = sorted(draw(st.lists(st.sampled_from(DIRECTIONS), min_size=n,
+                                max_size=n, unique=True)),
+                  key=DIRECTIONS.index)
+    verts = [P(x * r, y * r) for (x, y), r in
+             zip(dirs, draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))]
+    sides = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2,
+                          unique=True))
+    for i in sorted(sides, reverse=True):
+        verts.insert(i + 1, verts[i].midpoint(verts[(i + 1) % n]))
+    return verts
+
+
+class TestTriangulate:
+    """One clipping loop gives the two-loop clipper's triangles, in its
+    order, whichever way the figure runs."""
+
+    @given(verts=polygons_with_straight_corners(), clockwise=st.booleans())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_drawn_polygons(self, verts, clockwise):
+        f = Figure(reversed(verts) if clockwise else verts)
+        assume(is_simple(f) and signed_area(f).sign() != 0)
+        want = [t.vertices for t in _two_loop_triangulate(f)]
+        assert [t.vertices for t in triangulate(f)] == want
+        assert len(want) == len(f) - 2
 
 
 class TestP46:
