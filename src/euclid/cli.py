@@ -211,7 +211,3 @@ def main(argv=None) -> int:
     except EuclidError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

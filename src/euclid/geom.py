@@ -498,14 +498,14 @@ def superpose(from_seg: Segment, to_seg: Segment, side: str = "direct") -> Isome
     lsq = from_seg.length_sq()
     if side == "flipped":
         vf = Vec(vf.dx, -vf.dy)
+    # c^2 + s^2 = 1: |vf|^2 = |vt|^2 = lsq, and by Lagrange's identity
+    # (vf.vt)^2 + (vf x vt)^2 = |vf|^2 |vt|^2.
     c = vf.dot(vt) / lsq
     s = vf.cross(vt) / lsq
     a = from_seg.a
     ax, ay = (a.x, -a.y) if side == "flipped" else (a.x, a.y)
     tx = to_seg.a.x - (c * ax - s * ay)
     ty = to_seg.a.y - (s * ax + c * ay)
-    if not (c * c + s * s - 1).is_zero():
-        raise SuperpositionMismatch("rotation pair must be unitary")
     return Isometry(c, s, tx, ty, side == "flipped")
 
 

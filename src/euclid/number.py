@@ -287,9 +287,7 @@ def _gen(k: int, ctx: FieldContext) -> Node:
 
 
 def _mk(k: int, a: Node, b: Node, ctx: FieldContext) -> Node:
-    """The node of a + b*sqrt(r_k) for nodes a, b of F(k-1)."""
-    if b == _ZERO:
-        return a
+    """The node of a + b*sqrt(r_k) for nodes a, b of F(k-1), b nonzero."""
     _, pa, da = a
     _, pb, db = b
     db *= ctx.radicands[k - 1][2]
@@ -575,9 +573,17 @@ def _rational_sqrt_in_prefix(x: Node, k: int,
 
 def _sqrt_at_own_level(x: Node,
                        ctx: FieldContext) -> tuple[Optional[Node], bool]:
-    """A square root of the irrational x in F(l), l the level of x, or
+    """A square root of the irrational x > 0 in F(l), l the level of x, or
     None; and whether the norm test failed, proving that no x*u with u in
-    F(l-1) is a square in F(l)."""
+    F(l-1) is a square in F(l).
+
+    With x = a + b*g, a root s + t*g has s^2 = (a +- w)/2 for a root w of
+    the norm a^2 - b^2*r_l, and t = b/(2s).  Both halves are > 0: x > 0
+    and a norm x*x' > 0 (not 0, as r_l is no square in F(l-1)) give
+    x' > 0, so a = (x + x')/2 > sqrt(x*x') = |w|.
+    A root s of a half needs no recheck: s^2 = (a +- w)/2 and t = b/(2s)
+    give (s + t*g)^2 = x identically.
+    """
     k = x[0]
     disc = _node(_pnorm(x[1], ctx.gen_square), x[2] * x[2])
     if _psign(disc[1], ctx) < 0:
@@ -588,15 +594,10 @@ def _sqrt_at_own_level(x: Node,
     a, b = _split(x, ctx)
     for w2 in (w, _nneg(w)):
         p = _nmul(_nadd(a, w2), _HALF, ctx)
-        if p == _ZERO or _psign(p[1], ctx) < 0:
-            continue
         s = _has_sqrt(p, k - 1, ctx)
-        if s is None:
-            continue
-        t = _ndiv(_nmul(b, _HALF, ctx), s, ctx)
-        y = _mk(k, s, t, ctx)
-        if _nmul(y, y, ctx) == x:
-            return y, False
+        if s is not None:
+            t = _ndiv(_nmul(b, _HALF, ctx), s, ctx)
+            return _mk(k, s, t, ctx), False
     return None, False
 
 
@@ -671,9 +672,6 @@ class Constructible:
         if type(value) is int:
             self._node = (0, value, 1)
             self._ctx = None
-        elif isinstance(value, Constructible):
-            self._node = value._node
-            self._ctx = value._ctx
         elif isinstance(value, (int, Fraction, str)):
             # a Fraction is already in lowest terms with a positive denominator
             if not isinstance(value, Fraction):
@@ -849,9 +847,6 @@ class Constructible:
         v._node = _nneg(self._node)
         v._ctx = self._ctx
         return v
-
-    def __pos__(self):
-        return self
 
     def __abs__(self):
         return -self if self.sign() < 0 else self

@@ -69,9 +69,15 @@ class _Canvas:
     def clip(self, p, q, ray: bool) -> Optional[tuple]:
         """The part inside the viewport box of the line through p and q,
         or of the ray from p through q: the parameter interval [t0, t1]
-        narrowed by each bound, or None when nothing of it is left or p = q."""
+        narrowed by each bound; None when p = q.
+
+        p is in the extent and the margins are > 0, so p lies strictly
+        inside the box: each bound's interval holds t = 0 inside it, and
+        t0 < t1 always."""
         (x1, y1), (x2, y2) = p, q
         dx, dy = x2 - x1, y2 - y1
+        if not (dx or dy):
+            return None
         t0, t1 = (0 if ray else -inf), inf
         for lo, hi, origin, delta in ((self.min_x, self.max_x, x1, dx),
                                       (self.min_y, self.max_y, y1, dy)):
@@ -79,10 +85,6 @@ class _Canvas:
                 a, b = sorted((Fraction(lo - 20 * origin, 20 * delta),
                                Fraction(hi - 20 * origin, 20 * delta)))
                 t0, t1 = max(t0, a), min(t1, b)
-            elif not lo <= 20 * origin <= hi:
-                return None
-        if not (dx or dy) or t0 >= t1:
-            return None
         return (x1 + dx * t0, y1 + dy * t0), (x1 + dx * t1, y1 + dy * t1)
 
 

@@ -183,15 +183,15 @@ def test_8_determinism():
     with Budget(30.0, "8 determinism"):
         script = str(ROOT / "scripts" / "i44.euc")
         env_cmds = [
-            [sys.executable, "-m", "euclid.cli", "run", script, "--trace"],
-            [sys.executable, "-m", "euclid.cli", "suite", "I.42", "--n", "3",
+            [sys.executable, "-m", "euclid", "run", script, "--trace"],
+            [sys.executable, "-m", "euclid", "suite", "I.42", "--n", "3",
              "--seed", "9"],
         ]
         for cmd in env_cmds:
             a = subprocess.run(cmd, capture_output=True, cwd=ROOT)
             b = subprocess.run(cmd, capture_output=True, cwd=ROOT)
             assert a.returncode == b.returncode == 0
-            assert a.stdout == b.stdout
+            assert a.stdout and a.stdout == b.stdout
 
         from euclid.elements.basics import p1_equilateral
 

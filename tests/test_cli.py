@@ -1,4 +1,5 @@
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +46,17 @@ class TestRun:
                  *argv], capture_output=True, text=True, env=env)
             assert got.returncode == 0, got.stderr
             assert got.stderr == ""
+
+    def test_module_entry_point(self, monkeypatch, capsys):
+        """``python -m euclid`` runs ``main`` on the command line and exits
+        with its code."""
+        argv = ["run", str(SCRIPTS / "i44.euc")]
+        monkeypatch.setattr(sys, "argv", ["euclid", *argv])
+        with pytest.raises(SystemExit) as stop:
+            runpy.run_module("euclid", run_name="__main__")
+        out = capsys.readouterr().out
+        assert stop.value.code == main(argv) == 0
+        assert out and out == capsys.readouterr().out
 
     def test_svg_written(self, tmp_path, capsys):
         target = tmp_path / "i1.svg"
@@ -201,6 +213,10 @@ class TestRun:
         (SELECTOR_BASE + "line l = join(A, B)\npoint P = (1, 0)\n"
          "point C = intersect(c1, c2) same_side(l, P)\n", 1,
          "9:29: reference point lies on the line"),
+        ("point A = (0,0)\npoint B = (1,0)\nangle x = angle(A, A, B)\n", 1,
+         "3:1: DegenerateInput: angle arm coincides with vertex"),
+        ("point A = (0,0)\npoint B = (1,0)\nfigure f = figure(A, A, B)\n", 1,
+         "3:1: DegenerateInput: consecutive figure vertices coincide"),
     ])
     def test_diagnostic_and_exit_code(self, tmp_path, capsys, text, code,
                                       err):

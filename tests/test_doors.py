@@ -17,6 +17,7 @@ from euclid.elements import (
     check_theorem,
     run,
 )
+from euclid.elements._common import side_name_of
 from euclid.elements.areas import p42_parallelogram_eq_triangle, p43_complements
 from euclid.elements.basics import p1_equilateral
 from euclid.errors import (
@@ -49,6 +50,16 @@ def test_runner_rejects_an_id_that_names_no_construction(prop_id):
         certify(prop_id, {}, result)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_theorem("I.99", {}), "no validator for 'I.99'"),
+    (lambda: verify.generate_instance("I.99", random.Random(0)),
+     "no instance generator for 'I.99'"),
+])
+def test_unknown_id_at_the_check_and_the_generator(call, message):
+    with pytest.raises(UnknownProposition, match=f"^{re.escape(message)}$"):
+        call()
+
+
 @pytest.mark.parametrize("prop_id", list(STRATEGIES))
 def test_unknown_strategy(prop_id):
     """One construction per strategy table."""
@@ -62,6 +73,12 @@ def test_side_word():
     with pytest.raises(PreconditionViolated,
                        match=r"^side must be 'upper' or 'lower'$"):
         p1_equilateral(Segment(P(0, 0), P(1, 0)), side="left")
+
+
+def test_no_side_of_a_line_for_a_point_on_it():
+    with pytest.raises(PreconditionViolated,
+                       match="^probe point lies on the reference line$"):
+        side_name_of(P(0, 0), P(2, 0), P(1, 0))
 
 
 def test_i42_expects_a_triangle():

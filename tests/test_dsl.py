@@ -358,6 +358,13 @@ class TestInterpret:
         _, checks = run((SCRIPTS / "i44.euc").read_text())
         assert checks.all_pass
 
+    def test_undefined_name_in_an_unchecked_script(self):
+        script, diags = parse("point A = (0,0)\nsegment s = join(A, B)\n")
+        assert not diags
+        with pytest.raises(ScriptError,
+                           match="^2:21: undefined name 'B'$"):
+            interpret(script)
+
     def test_selector_second_missing(self):
         text = ("point A = (0,0)\npoint B = (0,1)\npoint C = (1,1)\n"
                 "line l = join(B, C)\ncircle c = circle(A, B)\n"

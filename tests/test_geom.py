@@ -83,6 +83,24 @@ class TestExtend:
         r = extend(Segment(P(0, 0), P(1, 1)), "b")
         assert r.contains(P(3, 3))
 
+    def test_beyond_neither_endpoint(self):
+        with pytest.raises(ValueError, match="^beyond must be 'a' or 'b'$"):
+            extend(Segment(P(0, 0), P(1, 1)), "c")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Ray(P(1, 1), P(1, 1)), "a ray needs a direction point"),
+    (lambda: Figure([P(0, 0), P(1, 0)]),
+     "a figure needs at least three vertices"),
+])
+def test_degenerate_object(make, message):
+    with pytest.raises(DegenerateInput, match=f"^{message}$"):
+        make()
+
+
+def test_a_point_equals_no_tuple():
+    assert P(0, 0) != (0, 0) and not P(0, 0) == (0, 0)
+
 
 class TestCircle:
     def test_unit(self):

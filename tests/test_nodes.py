@@ -418,6 +418,30 @@ def test_a_square_radicand_breaks_the_tower(rational_levels):
         (g - one_plus_r2).sign()
 
 
+def test_a_radicand_in_a_square_class_of_the_tower_breaks_it():
+    """8 = 2 * 2^2 has the square class of 2, so adjoining it after 2,
+    past the search that finds sqrt 8 = 2*sqrt 2, gives the square-class
+    rows no new row."""
+    ctx = new_context()
+    ctx.adjoin(Constructible(2)._node)
+    with pytest.raises(FieldContextError, match="^a rational radicand is "
+                       "a square in the tower below it$"):
+        ctx.adjoin(Constructible(8)._node)
+
+
+def test_corrupt_square_class_rows_are_caught():
+    """A row that says the parity of 3 comes from the radicand 2 reduces
+    6 to the empty subset, whose root of 6 is not rational."""
+    ctx = new_context()
+    for r in (2, 3):
+        sqrt_nonneg(Constructible(r))
+    assert ctx.square_rows[2] == (0b10, 0b10)
+    ctx.square_rows[2] = (0b10, 0b01)
+    with pytest.raises(FieldContextError, match="^square classes of the "
+                       "rational radicands are inconsistent$"):
+        sqrt_nonneg(Constructible(6))
+
+
 # -- the operators against Fraction and against the node kernel ---------
 
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -77,6 +78,22 @@ class TestRationalArithmetic:
     def test_float_rejected_by_constructor(self):
         with pytest.raises(TypeError):
             Constructible(0.1)
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda r2: r2.as_fraction(), ValueError, "value is irrational"),
+        (lambda r2: r2.scaled(0), ValueError, "digits must be >= 1"),
+        (lambda r2: r2.scaled_sqrt(0), ValueError, "digits must be >= 1"),
+        (lambda r2: (-r2).scaled_sqrt(6), NegativeRadicand,
+         "square root of a negative value"),
+        (lambda r2: r2 ** -1, TypeError, "unsupported operand"),
+        (lambda r2: r2 ** C(2), TypeError, "unsupported operand"),
+        (lambda r2: Constructible(r2), TypeError,
+         "an exact value needs an int, a Fraction or a str, not Constructible"),
+    ], ids=["as_fraction", "scaled", "scaled_sqrt", "negative scaled_sqrt",
+            "negative power", "power by a value", "from a value"])
+    def test_bad_argument(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}"):
+            call(sqrt_nonneg(C(2)))
 
     def test_float_rejected_by_point(self):
         with pytest.raises(TypeError):
@@ -269,6 +286,11 @@ class TestApprox:
 
     def test_zero(self):
         assert C(0).approx(2) == "0.00"
+
+    def test_repr(self):
+        assert repr(sqrt_nonneg(C(2))) == "Constructible(1.414214...)"
+        assert repr(Point(C(1, 3), sqrt_nonneg(C(2)))) == \
+            "Point(0.3333, 1.4142)"
 
     def test_negative(self):
         assert C(-1, 3).approx(3) == "-0.333"

@@ -255,6 +255,12 @@ class TestP45:
         with pytest.raises(NotSimple):
             p45_apply_figure(RIGHT, Figure([P(0, 0), P(2, 2), P(2, 0), P(0, 2)]))
 
+    def test_triangulate_finds_no_ear_in_a_crossed_pentagon(self):
+        f = Figure([P(0, 2), P(0, 3), P(1, 5), P(4, 2), P(6, 6)])
+        assert not is_simple(f)
+        with pytest.raises(NotSimple, match="^ear clipping failed"):
+            triangulate(f)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_clockwise_figure(self, seed):
         """A figure given clockwise is triangulated as its counterclockwise

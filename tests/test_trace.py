@@ -6,7 +6,7 @@ from euclid.elements.basics import p1_equilateral
 from euclid.errors import NoSuchIntersection
 from euclid.geom import Point, Segment
 from euclid.number import Constructible, new_context, sqrt_nonneg
-from euclid.trace import Checks, Tracer
+from euclid.trace import Checks, PropositionResult, Tracer
 
 
 def test_register_input_takes_objects_in_order():
@@ -52,6 +52,12 @@ def test_pick_fails(selector, message):
         Tracer().pick([Point(0, 0), Point(1, 0)], selector, note="X")
 
 
+def test_pick_refuses_an_unknown_selector():
+    new_context()
+    with pytest.raises(ValueError, match="^unknown selector 'nearest'$"):
+        Tracer().pick([Point(0, 0), Point(1, 0)], "nearest", note="X")
+
+
 def test_unattached_nested_run_fails_the_reference_check():
     """A step that uses what a nested run produced, with the run never
     attached, cites an id that no earlier step of its level made."""
@@ -66,6 +72,20 @@ def test_unattached_nested_run_fails_the_reference_check():
             tr.attach(tri, operands=(a, b), produced=(apex,))
         tr.join(apex, a)
         assert tr.check_references() is attached
+
+
+def test_a_nested_level_that_fails_the_reference_check_fails_its_parent():
+    new_context()
+    a, b = Point(0, 0), Point(1, 0)
+    outer = Tracer("outer")
+    outer.register_input(a, b)
+    inner = outer.sub("inner")
+    inner.register_input(a, b)
+    tri = p1_equilateral(Segment(a, b), parent=inner)
+    inner.join(tri.result.vertices[2], a)
+    outer.attach(PropositionResult({}, None, inner), operands=(a, b))
+    assert not inner.check_references()
+    assert not outer.check_references()
 
 
 def test_residual_shows_an_irrational_value():

@@ -146,6 +146,15 @@ class TestGenerators:
         report = run_suite(prop_id, 4, seed=13)
         assert report.failures == 0, "\n".join(report.lines())
 
+    @pytest.mark.parametrize("seed", [4767, 1380])
+    def test_i45_figure_drawn_again(self, seed):
+        """At seed 4767 a set of points that I.45's figure generator draws
+        has a point at its centroid, and at seed 1380 two points of a set
+        lie in one direction from the centroid; either set is drawn again,
+        and the suite passes."""
+        report = run_suite("I.45", 1, seed=seed)
+        assert report.failures == 0, "\n".join(report.lines())
+
 
 def _nested_ids(seeds=(0, 1, 2)):
     """The ids whose one-instance suite at some seed adjoins a radicand
