@@ -46,9 +46,11 @@ def side_word(sign: int) -> str:
 
 
 def side_selector(anchor: Point, toward: Point, side: str):
-    """Points strictly in the chosen half-plane of the ray anchor->toward."""
+    """Points strictly in the chosen half-plane of the ray anchor->toward,
+    as ``orientation`` decides it, with the ray's direction taken once."""
     want = side_sign(side)
-    return lambda p: orientation(anchor, toward, p) == want
+    direction = toward - anchor
+    return lambda p: direction.cross(p - anchor).sign() == want
 
 
 def side_name_of(anchor: Point, toward: Point, probe: Point) -> str:

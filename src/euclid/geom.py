@@ -10,6 +10,7 @@ constructible number; there are no tolerances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Union
 
 from .errors import (
@@ -17,7 +18,7 @@ from .errors import (
     DegenerateInput,
     SuperpositionMismatch,
 )
-from .number import Constructible, sqrt_nonneg
+from .number import DIGITS, Constructible, sqrt_nonneg
 
 Coord = Union[int, "Constructible"]
 
@@ -60,6 +61,12 @@ class Point:
         dx = self.x - other.x
         dy = self.y - other.y
         return dx * dx + dy * dy
+
+    @cached_property
+    def rounded(self) -> tuple[int, int]:
+        """The coordinates in units of 10**-DIGITS, each rounded once: the
+        trace text and the SVG both write these integers."""
+        return self.x.scaled(DIGITS), self.y.scaled(DIGITS)
 
     def __repr__(self):
         return f"Point({self.x.approx(4)}, {self.y.approx(4)})"

@@ -24,9 +24,13 @@ on the integer leaves and reduces its result with one gcd pass, so
 arithmetic stays in Python ints.  Most operands are rational, so an
 operator combines two rational operands in its own frame with one gcd (a
 product or quotient with two cross gcds) and calls the node kernel only
-when an operand is irrational.  Only the public boundary (the
-constructor, :meth:`Constructible.as_fraction` and the prefix form)
-converts to and from fractions; ``approx`` rounds an integer ratio.
+when an operand is irrational.  Most irrational operands are one-level
+values a + b*g_k with int a and b: the kernel adds two of those, and
+reduces one, in one step, and multiplies two in one step when g_k^2 is
+an int; it recurses only into nested coefficients or a nested radicand.
+Only the public boundary (the constructor,
+:meth:`Constructible.as_fraction` and the prefix form) converts to and
+from fractions; ``approx`` rounds an integer ratio.
 
 The tower itself lives in a :class:`FieldContext`, with per-level facts
 that :meth:`FieldContext.adjoin` sets and nothing keyed by queries.
@@ -182,8 +186,15 @@ def _plin(p: Poly, u: int, q: Poly, v: int) -> Poly:
         return (p[0], _plin(p[1], u, q, v), _pscale(p[2], u))
     lp, lq = p[0], q[0]
     if lp == lq:
-        b = _plin(p[2], u, q[2], v)
-        a = _plin(p[1], u, q[1], v)
+        _, a, b = p
+        _, c, d = q
+        if (type(a) is int and type(b) is int
+                and type(c) is int and type(d) is int):  # one level
+            b = u * b + v * d
+            a = u * a + v * c
+        else:
+            b = _plin(b, u, d, v)
+            a = _plin(a, u, c, v)
         return (lp, a, b) if b else a
     if lp > lq:
         return (lp, _plin(p[1], u, q, v), _pscale(p[2], u))
@@ -205,9 +216,14 @@ def _pmul(p: Poly, q: Poly, sq: list[Poly]) -> Poly:
     if lq < lp:
         return (lp, _pmul(a, q, sq), _pmul(b, q, sq))
     _, c, d = q
-    bd = _pmul(b, d, sq)
-    hi = _plin(_pmul(a, d, sq), 1, _pmul(b, c, sq), 1)
-    lo = _plin(_pmul(a, c, sq), 1, _pmul(bd, sq[lp - 1], sq), 1)
+    g2 = sq[lp - 1]
+    if (type(a) is int and type(b) is int and type(c) is int
+            and type(d) is int and type(g2) is int):  # one level
+        hi = a * d + b * c
+        lo = a * c + b * d * g2
+    else:
+        hi = _plin(_pmul(a, d, sq), 1, _pmul(b, c, sq), 1)
+        lo = _plin(_pmul(a, c, sq), 1, _pmul(_pmul(b, d, sq), g2, sq), 1)
     return (lp, lo, hi) if hi else lo
 
 
@@ -277,8 +293,12 @@ def _node(p: Poly, d: int) -> Node:
     if type(p) is int:
         g = gcd(p, d)
         return (0, p, d) if g == 1 else (0, p // g, d // g)
+    k, a, b = p
+    if type(a) is int and type(b) is int:  # one level
+        g = gcd(gcd(b, d), a)
+        return (k, p, d) if g == 1 else (k, (k, a // g, b // g), d // g)
     p, d = _reduce(p, d)
-    return (p[0], p, d)
+    return (k, p, d)
 
 
 def _gen(k: int, ctx: FieldContext) -> Node:
@@ -989,6 +1009,9 @@ def sqrt_nonneg(a: RationalLike) -> Constructible:
 
 # ---------------------------------------------------------------------------
 # canonical prefix serialization
+
+
+DIGITS = 6  # decimal places of every coordinate and residual written
 
 
 def half_up(n: int, d: int, digits: int) -> int:

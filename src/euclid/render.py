@@ -1,8 +1,10 @@
 """Deterministic SVG emission of figures and construction results.
 
-Output is a pure function of the input: each coordinate is rounded once
-to an integer in units of 10**-6, and so is each circle's radius, from
-intervals of its squared radius, so drawing adjoins nothing to the tower.
+Output is a pure function of the input: each point's coordinates are
+integers in units of 10**-DIGITS that the point rounds once and keeps
+(``Point.rounded``), the same integers the trace text writes, and each
+circle's radius is rounded once, from intervals of its squared radius,
+so drawing adjoins nothing to the tower.
 The layout is integer numerators over one denominator per canvas (only
 clipping takes rational parameters) and each SVG number is rounded once,
 so the bytes are identical across runs and platforms.  The y axis is
@@ -18,7 +20,7 @@ from typing import Optional
 
 from .errors import NothingToRender
 from .geom import Angle, Circle, Figure, Line, Point, Ray, Segment, points
-from .number import fixed_text, half_up
+from .number import DIGITS, fixed_text, half_up
 from .trace import PropositionResult
 
 # role: (stroke attributes, point and label fill)
@@ -28,7 +30,6 @@ _STYLES = {
             'fill="none"', "#9a9a9a"),
     "result": ('stroke="#1a5fb4" stroke-width="2.2" fill="none"', "#1a5fb4"),
 }
-_DIGITS = 6  # model coordinates are integers in units of 10**-_DIGITS
 _WIDTH = 640
 
 
@@ -36,10 +37,10 @@ def _model(obj) -> tuple[list, Optional[int], list]:
     """A drawable's points in model coordinates, a circle's radius (None
     for any other drawable) and the corners of its extent, each rounded
     once."""
-    pts = [(p.x.scaled(_DIGITS), p.y.scaled(_DIGITS)) for p in points(obj)]
+    pts = [p.rounded for p in points(obj)]
     if not isinstance(obj, Circle):
         return pts, None, pts
-    r = obj.radius_sq.scaled_sqrt(_DIGITS)
+    r = obj.radius_sq.scaled_sqrt(DIGITS)
     (cx, cy), = pts
     return pts, r, [(cx - r, cy - r), (cx + r, cy + r)]
 
@@ -52,7 +53,7 @@ class _Canvas:
     def __init__(self, xs, ys):
         def bounds(vs):
             lo, hi = min(vs), max(vs)
-            span = hi - lo or 10 ** _DIGITS
+            span = hi - lo or 10 ** DIGITS
             return 20 * lo - span, 20 * hi + span
 
         self.min_x, self.max_x = bounds(xs)

@@ -34,6 +34,7 @@ from .geom import (
     points,
     superpose as geom_superpose,
 )
+from .number import DIGITS, fixed_text
 
 
 @dataclass(frozen=True)
@@ -294,7 +295,7 @@ class Checks:
     def zero(self, claim: str, residual) -> None:
         text = str(residual)
         if not residual.is_rational:
-            text += f" (≈ {residual.approx(6)})"
+            text += f" (≈ {residual.approx(DIGITS)})"
         self.claims.append((claim, residual.sign() == 0, text))
 
     @property
@@ -313,16 +314,17 @@ class Checks:
 
 
 def describe_object(obj) -> str:
-    """Short deterministic description (six-digit decimal coordinates)."""
+    """Short deterministic description (DIGITS-place decimal coordinates)."""
     if isinstance(obj, Point):
-        return f"point({obj.x.approx(6)}, {obj.y.approx(6)})"
+        x, y = obj.rounded
+        return f"point({fixed_text(x, DIGITS)}, {fixed_text(y, DIGITS)})"
     if isinstance(obj, Circle):
         return (f"circle[{describe_object(obj.center)} "
-                f"r2={obj.radius_sq.approx(6)}]")
+                f"r2={obj.radius_sq.approx(DIGITS)}]")
     if isinstance(obj, Isometry):
         kind = "reflecting" if obj.reflect else "direct"
-        return (f"isometry[{kind} c={obj.c.approx(6)} s={obj.s.approx(6)} "
-                f"t=({obj.tx.approx(6)}, {obj.ty.approx(6)})]")
+        return (f"isometry[{kind} c={obj.c.approx(DIGITS)} s={obj.s.approx(DIGITS)} "
+                f"t=({obj.tx.approx(DIGITS)}, {obj.ty.approx(DIGITS)})]")
     name = type(obj).__name__.lower()
     if isinstance(obj, (Segment, Line, Ray, Figure)):
         return f"{name}[{' '.join(describe_object(p) for p in points(obj))}]"

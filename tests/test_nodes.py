@@ -19,7 +19,7 @@ from math import gcd
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from euclid import elements, number
@@ -510,6 +510,41 @@ def test_operators_agree_with_node_kernel(seed, steps):
         assert z._ctx is (ctx if z._node[0] else None)
         assert_normal(z)
         values.append(z)
+
+
+_ONE_LEVEL_Q = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@given(st.sampled_from(("rational", "nested", "cancel")),
+       st.sampled_from((2, 3, Fraction(5, 7))), _ONE_LEVEL_Q, _ONE_LEVEL_Q,
+       _ONE_LEVEL_Q, _ONE_LEVEL_Q, st.sampled_from(sorted(_OPERATORS)))
+@example("cancel", 2, Fraction(1), Fraction(1), None, None, "*")
+@example("cancel", 2, Fraction(1), Fraction(1), None, None, "+")
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_one_level_operands(kind, r, a, b, c, d, op):
+    """x = a + b*g and y = c + d*g for g the root of a rational radicand r,
+    whose g^2 is an int (the one-level path), or of the nested radicand
+    1 + sqrt(r), whose g^2 is a poly (the general product); "cancel" takes
+    y = a - b*g over the rational radicand, so that x*y and x + y lose
+    their g part.  Each result agrees with mpmath at 50 digits and its
+    node is the canonical one, as rebuilt from its prefix form."""
+    if kind == "cancel":
+        c, d = a, -b
+    assume(not (op == "/" and c == 0 and d == 0))
+    with mpmath.workdps(50):
+        g_mp = mpmath.sqrt(mpmath.mpf(r.numerator) / r.denominator)
+        if kind == "nested":
+            g_mp = mpmath.sqrt(1 + g_mp)
+        x_mp, y_mp = (mpmath.mpf(u.numerator) / u.denominator
+                      + mpmath.mpf(v.numerator) / v.denominator * g_mp
+                      for u, v in ((a, b), (c, d)))
+        root = sqrt_nonneg(Constructible(r))
+        g = sqrt_nonneg(1 + root) if kind == "nested" else root
+        z = _OPERATORS[op](a + b * g, c + d * g)
+        error = mpmath.mpf(z.approx(45)) - _OPERATORS[op](x_mp, y_mp)
+        assert abs(error) < mpmath.mpf(10) ** -44
+    assert_normal(z)
+    assert from_prefix(to_prefix(z))._node == z._node
 
 
 class TestEquality:

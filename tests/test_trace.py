@@ -1,12 +1,17 @@
 """The tracer's object registry, its levels and its selections."""
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from euclid import render
 from euclid.elements.basics import p1_equilateral
 from euclid.errors import NoSuchIntersection
-from euclid.geom import Point, Segment
-from euclid.number import Constructible, new_context, sqrt_nonneg
-from euclid.trace import Checks, PropositionResult, Tracer
+from euclid.geom import Point, Segment, coords, points
+from euclid.number import DIGITS, Constructible, new_context, sqrt_nonneg
+from euclid.trace import Checks, PropositionResult, Tracer, describe_object
 
 
 def test_register_input_takes_objects_in_order():
@@ -104,3 +109,33 @@ def test_residual_shows_an_irrational_value():
     assert not checks.all_pass
     assert checks.lines("p: ", failed_only=True) == [
         "p: " + line for line in checks.lines() if "\tFAIL\t" in line]
+
+
+_Q = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+_COORDINATES = st.one_of(
+    st.fractions(max_denominator=10 ** 4).map(Constructible),
+    # n + 1/2 units of the last place: a tie, which rounds up
+    st.integers(-10 ** 7, 10 ** 7).map(
+        lambda n: Constructible(Fraction(2 * n + 1, 2 * 10 ** DIGITS))),
+    st.tuples(_Q, _Q, st.sampled_from((2, 3, Fraction(5, 7)))).map(
+        lambda t: t[0] + t[1] * sqrt_nonneg(Constructible(t[2]))),
+)
+
+
+@given(_COORDINATES, _COORDINATES)
+@example(Constructible(Fraction(-1, 2 * 10 ** DIGITS)),
+         -sqrt_nonneg(Constructible(2)))
+@example(Constructible(Fraction(-3, 2 * 10 ** DIGITS)),
+         Constructible(Fraction(-7, 3)))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_a_point_is_rounded_once_for_the_text_and_the_svg(x, y):
+    """A point's kept integers are those a fresh rounding gives; the trace
+    writes them and the SVG lays them out; and keeping them changes no
+    list of the point's or its segment's coordinates or points."""
+    p = Point(x, y)
+    seg = Segment(p, Point(x + 1, y))
+    before = (coords(p), points(p), coords(seg), points(seg))
+    assert describe_object(p) == f"point({x.approx(DIGITS)}, {y.approx(DIGITS)})"
+    assert p.rounded == (x.scaled(DIGITS), y.scaled(DIGITS))
+    assert render._model(seg)[0][0] == p.rounded
+    assert (coords(p), points(p), coords(seg), points(seg)) == before
