@@ -5,12 +5,21 @@ postulate primitives (a join is the ``Segment`` or ``Line`` constructor;
 extend, circle), exact intersection operations, exact predicates, and
 rigid motions.  Every predicate decides with the exact sign of a
 constructible number; there are no tolerances.
+
+Geometry values are immutable by contract, as ``Constructible`` is: each
+is a slotted dataclass that stores its fields once, by plain assignment
+in its own constructor, and nothing assigns them afterwards (a point's
+rounded coordinates are filled once, on first use).  The store is not
+frozen: a frozen dataclass stores each field through
+``object.__setattr__``, which made building a point or a vector nearly
+three times as slow, so ``tests/test_invariants.py`` checks the contract
+instead.  Values compare and hash by their fields, and a value of one
+type never equals one of another.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Iterable, Union
 
 from .errors import (
@@ -31,14 +40,15 @@ def _c(x) -> Constructible:
 # primitive types
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Point:
     x: Constructible
     y: Constructible
+    _rounded: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __init__(self, x: Coord, y: Coord):
-        object.__setattr__(self, "x", _c(x))
-        object.__setattr__(self, "y", _c(y))
+        self.x = x if type(x) is Constructible else Constructible(x)
+        self.y = y if type(y) is Constructible else Constructible(y)
 
     def __eq__(self, other):
         if not isinstance(other, Point):
@@ -62,24 +72,29 @@ class Point:
         dy = self.y - other.y
         return dx * dx + dy * dy
 
-    @cached_property
+    @property
     def rounded(self) -> tuple[int, int]:
         """The coordinates in units of 10**-DIGITS, each rounded once: the
-        trace text and the SVG both write these integers."""
-        return self.x.scaled(DIGITS), self.y.scaled(DIGITS)
+        trace text and the SVG both write these integers.  Threads that
+        race to fill the slot store equal integers."""
+        try:
+            return self._rounded
+        except AttributeError:
+            kept = self._rounded = (self.x.scaled(DIGITS), self.y.scaled(DIGITS))
+            return kept
 
     def __repr__(self):
         return f"Point({self.x.approx(4)}, {self.y.approx(4)})"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Vec:
     dx: Constructible
     dy: Constructible
 
     def __init__(self, dx: Coord, dy: Coord):
-        object.__setattr__(self, "dx", _c(dx))
-        object.__setattr__(self, "dy", _c(dy))
+        self.dx = dx if type(dx) is Constructible else Constructible(dx)
+        self.dy = dy if type(dy) is Constructible else Constructible(dy)
 
     def dot(self, other: "Vec") -> Constructible:
         return self.dx * other.dx + self.dy * other.dy
@@ -94,7 +109,7 @@ class Vec:
         return Vec(self.dx * k, self.dy * k)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Segment:
     a: Point
     b: Point
@@ -120,7 +135,7 @@ class Segment:
                 and (p - self.a).dot(p - self.b).sign() <= 0)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Line:
     p: Point
     q: Point
@@ -139,7 +154,7 @@ class Line:
         return collinear(self.p, self.q, pt)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Ray:
     origin: Point
     through: Point
@@ -159,7 +174,7 @@ class Ray:
                 and self.direction().dot(p - self.origin).sign() >= 0)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Circle:
     center: Point
     radius_sq: Constructible
@@ -168,14 +183,14 @@ class Circle:
         rs = _c(radius_sq)
         if rs.sign() <= 0:
             raise DegenerateInput("circle must have positive radius")
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius_sq", rs)
+        self.center = center
+        self.radius_sq = rs
 
     def contains(self, p: Point) -> bool:
         return (self.center.dist_sq(p) - self.radius_sq).is_zero()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Angle:
     """Undirected rectilineal angle at ``vertex`` between the two arm rays.
 
@@ -200,7 +215,7 @@ class Angle:
         return self.arm1 - self.vertex, self.arm2 - self.vertex
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Figure:
     """Closed polygon given by its ordered vertices (three or more)."""
 
@@ -213,7 +228,7 @@ class Figure:
         for a, b in zip(vs, vs[1:] + vs[:1]):
             if a == b:
                 raise DegenerateInput("consecutive figure vertices coincide")
-        object.__setattr__(self, "vertices", vs)
+        self.vertices = vs
 
     def __len__(self):
         return len(self.vertices)
@@ -224,7 +239,7 @@ class Figure:
 
 
 # rotation pair (c, s) with c^2 + s^2 = 1, optional reflection, translation
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Isometry:
     c: Constructible
     s: Constructible
@@ -240,20 +255,23 @@ class Isometry:
                      self.s * x + self.c * y + self.ty)
 
 
+def _fields(obj) -> list:
+    """The values of a dataclass's constructor fields, in field order, which
+    its ``__match_args__`` names; [] for any other value."""
+    return [getattr(obj, name) for name in getattr(obj, "__match_args__", ())]
+
+
 def coords(obj) -> list[Constructible]:
     """Every constructible number in a geometry value, in field order.
 
-    Tuples are flattened and any other value walks its instance fields;
-    a value with no geometry in it gives [].
+    Tuples are flattened and any other value walks its fields; a value
+    with no geometry in it gives [].
     """
     if isinstance(obj, Point):
         return [obj.x, obj.y]
     if isinstance(obj, Constructible):
         return [obj]
-    if isinstance(obj, tuple):
-        parts = obj
-    else:
-        parts = getattr(obj, "__dict__", {}).values()
+    parts = obj if isinstance(obj, tuple) else _fields(obj)
     return [c for part in parts for c in coords(part)]
 
 
@@ -263,8 +281,7 @@ def points(obj) -> list[Point]:
         return [obj]
     if isinstance(obj, Figure):
         return list(obj.vertices)
-    fields = getattr(obj, "__dict__", {}).values()
-    return [v for v in fields if isinstance(v, Point)]
+    return [v for v in _fields(obj) if isinstance(v, Point)]
 
 
 # ---------------------------------------------------------------------------

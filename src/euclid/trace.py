@@ -11,7 +11,9 @@ counter and the radical-depth counter aggregate over nested
 sub-constructions as well, since those two are global properties of a
 construction route.  A ``PropositionResult`` names each object once, with
 its role, and ``PropositionResult.costs`` is a route's one cost ledger,
-which reports, records and the ``prop`` line all print.
+which reports, records and the ``prop`` line all print.  A ``Step``, like
+a geometry value, is a slotted dataclass that is immutable by contract:
+it is written once, when it is recorded, and never assigned again.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .geom import (
 from .number import DIGITS, fixed_text
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Step:
     kind: str                  # join | extend | circle | pick | superpose | sub
     operands: tuple[int, ...]  # ids of earlier objects

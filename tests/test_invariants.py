@@ -4,6 +4,7 @@ plain run prints.  The engine also keeps no definition that nothing
 references, and runs every construction call through one runner."""
 
 import ast
+import dataclasses
 import inspect
 import os
 import random
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import euclid
-from euclid import elements
+from euclid import elements, geom, trace
 from euclid.number import new_context
 
 PACKAGE = Path(euclid.__file__).resolve().parent
@@ -284,6 +285,70 @@ def test_no_given_is_a_number():
                   if isinstance(node, ast.Call)
                   and _name(node.func) in ("dist", "sqrt_nonneg", "length")}
     assert found == {("elements/triangles.py", "p22_triangle", "length")}
+
+
+VALUE_TYPES = (geom.Point, geom.Vec, geom.Segment, geom.Line, geom.Ray,
+               geom.Circle, geom.Angle, geom.Figure, geom.Isometry, trace.Step)
+
+
+def _class_scoped_nodes(node, cls=None, fn=None):
+    """Every node below ``node`` with the names of the innermost class and
+    the innermost function that hold it (``None`` where there is none)."""
+    for child in ast.iter_child_nodes(node):
+        yield cls, fn, child
+        if isinstance(child, ast.ClassDef):
+            yield from _class_scoped_nodes(child, child.name, None)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _class_scoped_nodes(child, cls, child.name)
+        else:
+            yield from _class_scoped_nodes(child, cls, fn)
+
+
+def test_values_are_written_only_by_their_constructors():
+    """Geometry values and trace steps are immutable by contract, not by a
+    frozen store.  Nothing in the engine names ``__setattr__`` or
+    ``__delattr__`` or calls ``setattr`` or ``delattr``.  A field of one of
+    these types is assigned only as ``self.<field>`` in the constructor of
+    a class that has that field, or in ``Point.rounded``, which fills its
+    slot once.  The check goes by attribute name, so a store of that name
+    on any other object fails it too.  No instance has a ``__dict__`` that
+    could hold anything else."""
+    owners: dict[str, set[str]] = {}
+    for cls in VALUE_TYPES:
+        for f in dataclasses.fields(cls):
+            owners.setdefault(f.name, set()).add(cls.__name__)
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        where = f"{path.relative_to(PACKAGE)}"
+        for cls, fn, node in _class_scoped_nodes(tree):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("__setattr__", "__delattr__")):
+                found.append(f"{where}:{node.lineno} .{node.attr}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("setattr", "delattr")):
+                found.append(f"{where}:{node.lineno} {node.func.id}(...)")
+            elif (isinstance(node, ast.Attribute)
+                    and not isinstance(node.ctx, ast.Load)
+                    and node.attr in owners):
+                by_self = (isinstance(node.value, ast.Name)
+                           and node.value.id == "self")
+                if not by_self or (cls, fn, node.attr) not in (
+                        *((c, "__init__", node.attr) for c in owners[node.attr]),
+                        ("Point", "rounded", "_rounded")):
+                    found.append(f"{where}:{node.lineno} {cls}.{fn} "
+                                 f"stores .{node.attr}")
+    assert found == []
+    new_context()
+    a, b, c = geom.Point(0, 0), geom.Point(1, 0), geom.Point(0, 1)
+    values = [a, geom.Vec(1, 2), geom.Segment(a, b), geom.Line(a, b),
+              geom.Ray(a, b), geom.Circle(a, 1), geom.Angle(a, b, c),
+              geom.Figure([a, b, c]),
+              geom.superpose(geom.Segment(a, b), geom.Segment(a, c)),
+              trace.Step("join", (1, 2), (3,))]
+    assert sorted(type(v).__name__ for v in values) == sorted(
+        cls.__name__ for cls in VALUE_TYPES)
+    assert [type(v).__name__ for v in values if hasattr(v, "__dict__")] == []
 
 
 def test_vector_components_stay_in_geom():
