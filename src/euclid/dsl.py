@@ -18,7 +18,8 @@ parser writes each coordinate as prefix text, and ``number.from_prefix``
 evaluates it, left to right.
 Intersection selectors are ``first``/``second`` (canonical lexicographic
 order), ``left_of(r)``/``right_of(r)`` for a ray, and
-``same_side(l, P)``/``opposite_side(l, P)`` for a line and a point.
+``same_side(l, P)``/``opposite_side(l, P)`` for a line and a point; the
+four side words pick through the constructions' ``side_selector``.
 
 Each word is one ``Word`` record in ``PRIMITIVES``, ``PREDICATES`` or
 ``SELECTORS``, which the parser, ``check`` and ``interpret`` all read; the
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from . import elements
+from .elements._common import side_selector, side_word
 from .errors import DegenerateInput, EuclidError, NoSuchIntersection
 from .geom import (
     Angle,
@@ -107,11 +109,9 @@ def _intersect(tr: Tracer, declared, a, b, chosen="only") -> Point:
     return tr.pick(pts, chosen, note="intersect", operands=(a, b))
 
 
-def _turn(want: int):
-    """Pick the point on the left (+1) or right (-1) of a ray."""
-    def select(ray: Ray):
-        return lambda p: orientation(ray.origin, ray.through, p) == want
-    return select
+def _turn(side: str):
+    """Pick the point on the left ("upper") or right ("lower") of a ray."""
+    return lambda ray: side_selector(ray.origin, ray.through, side)
 
 
 def _side(same: int):
@@ -121,7 +121,7 @@ def _side(same: int):
         s = orientation(ref.p, ref.q, probe)
         if s == 0:
             raise DegenerateInput("reference point lies on the line")
-        return lambda p: orientation(ref.p, ref.q, p) == same * s
+        return side_selector(ref.p, ref.q, side_word(same * s))
     return select
 
 
@@ -158,8 +158,8 @@ PREDICATES = {
 SELECTORS = {
     "first": Word((), lambda: "first"),
     "second": Word((), lambda: "second"),
-    "left_of": Word(("ray",), _turn(1)),
-    "right_of": Word(("ray",), _turn(-1)),
+    "left_of": Word(("ray",), _turn("upper")),
+    "right_of": Word(("ray",), _turn("lower")),
     "same_side": Word(("line", "point"), _side(1)),
     "opposite_side": Word(("line", "point"), _side(-1)),
 }

@@ -18,10 +18,8 @@ from ..geom import (
     Segment,
     collinear,
     intersect_lines,
-    is_simple,
     orientation,
     point_reflect,
-    signed_area,
     triangle_inequality,
 )
 from ..number import Constructible
@@ -111,13 +109,13 @@ def _simple_polygon(rng, n: int) -> Figure:
             return -orientation(center, p, q)
 
         ordered = sorted(pts, key=functools.cmp_to_key(cmp))
-        collinear_tie = any(
-            cmp(ordered[i], ordered[(i + 1) % n]) == 0 for i in range(n))
-        if collinear_tie:
-            continue
-        fig = Figure(ordered)
-        if signed_area(fig).sign() != 0 and is_simple(fig):
-            return fig
+        # With no two points at one angle about the centroid, every angular
+        # gap is under half a turn: points in one closed half-plane through
+        # the centroid that sum to zero about it all lie on its boundary
+        # line, where two share an angle.  So the polygon is star-shaped
+        # about the centroid, hence simple and counter-clockwise.
+        if all(cmp(ordered[i], ordered[(i + 1) % n]) != 0 for i in range(n)):
+            return Figure(ordered)
 
 
 def _rational_rotation(rng):

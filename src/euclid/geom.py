@@ -40,7 +40,7 @@ def _c(x) -> Constructible:
 # primitive types
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Point:
     x: Constructible
     y: Constructible
@@ -54,9 +54,6 @@ class Point:
         if not isinstance(other, Point):
             return NotImplemented
         return self.x == other.x and self.y == other.y
-
-    def __hash__(self):
-        return hash((self.x, self.y))
 
     def __add__(self, v: "Vec") -> "Point":
         return Point(self.x + v.dx, self.y + v.dy)

@@ -64,7 +64,7 @@ import threading
 from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .errors import DivisionByZero, FieldContextError, NegativeRadicand
 
@@ -464,7 +464,9 @@ def _has_sqrt(x: Node, k: int, ctx: FieldContext) -> Optional[Node]:
                 j += 1
     while root is None and j < k:
         j += 1
-        root = _sqrt_t_branch(x, j, ctx)
+        t = _has_sqrt(_ndiv(x, ctx.radicands[j - 1], ctx), j - 1, ctx)
+        if t is not None:
+            root = _mk(j, _ZERO, t, ctx)
     return root
 
 
@@ -619,14 +621,6 @@ def _sqrt_at_own_level(x: Node,
             t = _ndiv(_nmul(b, _HALF, ctx), s, ctx)
             return _mk(k, s, t, ctx), False
     return None, False
-
-
-def _sqrt_t_branch(x: Node, j: int, ctx: FieldContext) -> Optional[Node]:
-    """A root of the form t*sqrt(r_j) with t in F(j-1), if any."""
-    t = _has_sqrt(_ndiv(x, ctx.radicands[j - 1], ctx), j - 1, ctx)
-    if t is not None:
-        return _mk(j, _ZERO, t, ctx)
-    return None
 
 
 def _strip_square_factor(n: int) -> tuple[int, int]:
@@ -1005,6 +999,20 @@ def sqrt_nonneg(a: RationalLike) -> Constructible:
     root._node = node = _csqrt(v._node, ctx)
     root._ctx = ctx if node[0] else None
     return root
+
+
+def deepest(values: Iterable[Constructible]) -> int:
+    """The greatest ``radical_depth`` among values of one field context, 0
+    for none.  No value is deeper than the deepest radicand of its context,
+    so the walk stops once it reaches that depth."""
+    depth = 0
+    for c in values:
+        d = c.radical_depth()
+        if d > depth:
+            depth = d
+            if depth == max(c._ctx.rad_depth):
+                return depth
+    return depth
 
 
 # ---------------------------------------------------------------------------

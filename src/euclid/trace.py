@@ -9,11 +9,13 @@ holds the child's ``Tracer``.  A construction opens its own level with
 ran.  Postulate counters tally the steps of one level; the superposition
 counter and the radical-depth counter aggregate over nested
 sub-constructions as well, since those two are global properties of a
-construction route.  A ``PropositionResult`` names each object once, with
-its role, and ``PropositionResult.costs`` is a route's one cost ledger,
-which reports, records and the ``prop`` line all print.  A ``Step``, like
-a geometry value, is a slotted dataclass that is immutable by contract:
-it is written once, when it is recorded, and never assigned again.
+construction route; the radical depth is ``number.deepest`` over the
+coordinates of every registered object.  A ``PropositionResult`` names
+each object once, with its role, and ``PropositionResult.costs`` is a
+route's one cost ledger, which reports, records and the ``prop`` line all
+print.  A ``Step``, like a geometry value, is a slotted dataclass that is
+immutable by contract: it is written once, when it is recorded, and never
+assigned again.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .geom import (
     points,
     superpose as geom_superpose,
 )
-from .number import DIGITS, fixed_text
+from .number import DIGITS, deepest, fixed_text
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -55,21 +57,6 @@ def _all_ids(trace: "Tracer") -> set[int]:
         if s.sub is not None:
             out |= _all_ids(s.sub)
     return out
-
-
-def _object_depth(*objects) -> int:
-    """The deepest radical among the coordinates of objects that share one
-    field context.  No value is deeper than the deepest radicand of its
-    context, so the walk stops once it reaches that depth."""
-    depth = 0
-    for obj in objects:
-        for c in coords(obj):
-            d = c.radical_depth()
-            if d > depth:
-                depth = d
-                if depth == max(c._ctx.rad_depth):
-                    return depth
-    return depth
 
 
 class Tracer:
@@ -268,12 +255,12 @@ class PropositionResult:
         """The route's cost ledger, in report order: the trace counters,
         the deepest radical among all registered objects, and the number
         of objects at the top level.  One run lives in one field context,
-        so the walk over the registry can stop at that context's deepest
-        radicand."""
+        as ``deepest`` requires."""
         trace = self.trace
         return {
             **trace.counters(),
-            "max_radical_depth": _object_depth(*trace.registry.values()),
+            "max_radical_depth": deepest(c for obj in trace.registry.values()
+                                         for c in coords(obj)),
             "objects": len(trace.inputs) + sum(len(s.produced)
                                                for s in trace.steps),
         }

@@ -130,8 +130,8 @@ class SuiteReport:
         return out
 
     def records(self) -> list[dict]:
-        """Each comparison's records, named by the suite's id."""
-        return [dict(rec, proposition=self.prop_id, instance=idx)
+        """Each comparison's records, with its instance index."""
+        return [dict(rec, instance=idx)
                 for idx, inst in enumerate(self.instances)
                 for rec in inst.records()]
 

@@ -20,9 +20,9 @@ from euclid.geom import (
     coords,
     points,
 )
-from euclid.number import Constructible, new_context, sqrt_nonneg
+from euclid.number import Constructible, deepest, new_context, sqrt_nonneg
 from euclid.render import _model
-from euclid.trace import _object_depth, describe_object
+from euclid.trace import describe_object
 
 O_ = "point(0.000000, 0.000000)"
 P_ = "point(1.414214, 1.000000)"
@@ -83,7 +83,7 @@ def test_dispatch(cls):
     assert type(obj).__name__ == cls
     assert describe_object(obj) == description
     assert _model(obj)[2] == extent
-    assert _object_depth(obj) == depth
+    assert deepest(coords(obj)) == depth
     parts = {"r2": r2, "r2/2": r2 / 2}
     got = coords(obj)
     assert len(got) == len(want_coords)
@@ -97,16 +97,16 @@ def test_dispatch(cls):
 def test_non_geometry_values():
     assert coords("upper") == [] and points("upper") == []
     assert coords(None) == [] and points(None) == []
-    assert _object_depth(None) == 0
+    assert deepest(coords(None)) == 0
     assert describe_object(None) == "nonetype"
 
 
 def test_depth_walk_stops_only_at_the_deepest_radicand():
     values, r2, (o, p, q) = _values()
     deep = Point(sqrt_nonneg(1 + r2), 0)
-    assert _object_depth(o, p, values["Circle"], deep, q) == 2
-    assert _object_depth(o, p, q) == 1
-    assert _object_depth(o, q) == 0
+    assert deepest(coords((o, p, values["Circle"], deep, q))) == 2
+    assert deepest(coords((o, p, q))) == 1
+    assert deepest(coords((o, q))) == 0
 
 
 def test_tuples_flatten():

@@ -150,7 +150,6 @@ class TestIntersectLineCircle:
     @pytest.mark.parametrize("down", [False, True])
     def test_vertical_line_orders_by_y(self, down):
         # equal x, so the lexicographic order falls to y: (1, -sqrt 3) first
-        new_context()
         ends = [P(1, 0), P(1, 5)]
         line = Line(*reversed(ends)) if down else Line(*ends)
         r = sqrt_nonneg(Constructible(3))
@@ -161,7 +160,6 @@ class TestIntersectLineCircle:
 class TestIntersectCircles:
     def test_two_unit_circles(self):
         # oracle: x^2 + y^2 = 1 less (x - 1)^2 + y^2 = 1 gives x = 1/2, y^2 = 3/4
-        new_context()
         c1 = circle(P(0, 0), P(1, 0))
         c2 = circle(P(1, 0), P(0, 0))
         got = intersect_circles(c1, c2)
@@ -209,7 +207,6 @@ class TestAngles:
         assert angle_eq(a1, a2)
 
     def test_equilateral_angles_equal(self):
-        new_context()
         apex = Point(Constructible(Fraction(1, 2)), sqrt_nonneg(Constructible(3)) / 2)
         a1 = Angle(P(0, 0), P(1, 0), apex)
         a2 = Angle(P(1, 0), P(0, 0), apex)

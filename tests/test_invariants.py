@@ -351,19 +351,31 @@ def test_values_are_written_only_by_their_constructors():
     assert [type(v).__name__ for v in values if hasattr(v, "__dict__")] == []
 
 
-def test_vector_components_stay_in_geom():
-    """Only ``geom`` reads a vector's ``dx`` or ``dy``: every other module
-    moves a point with ``origin + d * t`` and tests sides and incidence
-    with ``orientation`` and ``collinear``."""
+def _attributes_outside(home: str, attrs) -> list[str]:
+    """Each use of an attribute named in ``attrs`` outside module ``home``."""
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
-        if path.relative_to(PACKAGE) == Path("geom.py"):
+        if path.relative_to(PACKAGE) == Path(home):
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.relative_to(PACKAGE)}:{node.lineno} .{node.attr}"
                   for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr in ("dx", "dy")]
-    assert found == []
+                  if isinstance(node, ast.Attribute) and node.attr in attrs]
+    return found
+
+
+def test_vector_components_stay_in_geom():
+    """Only ``geom`` reads a vector's ``dx`` or ``dy``: every other module
+    moves a point with ``origin + d * t`` and tests sides and incidence
+    with ``orientation`` and ``collinear``."""
+    assert _attributes_outside("geom.py", ("dx", "dy")) == []
+
+
+def test_number_keeps_its_private_state():
+    """Only ``number`` reads a value's ``_node`` or ``_ctx``: every other
+    module asks through public names such as ``radical_depth`` and
+    ``deepest``."""
+    assert _attributes_outside("number.py", ("_node", "_ctx")) == []
 
 
 def test_constructions_open_their_own_levels():
@@ -441,7 +453,6 @@ def test_theorem_checks_take_only_their_givens():
     """Every theorem check takes the checks ``r`` and then its givens, none
     with a default, and its generator draws exactly those givens: no check
     takes an option that a bundle may leave out."""
-    new_context()
     found = []
     for theorem_id, theorem in elements.THEOREMS.items():
         first, *givens = theorem.signature.parameters.values()

@@ -368,7 +368,6 @@ def test_refinement_settles_a_tiny_difference(monkeypatch):
     approximation, is below 2**-199 in size and its halves differ in
     sign: refinement from 64 bits settles it once the interval is fine
     enough, with no norm taken."""
-    new_context()
     x = from_prefix(" ".join(f"sqrt + {i}" for i in range(1, 12))
                     + " sqrt 12")
     q = Fraction(x.approx(60))
@@ -384,7 +383,6 @@ def test_refinement_signs_a_20_deep_chain(monkeypatch):
     200-digit decimal, is settled by refinement at 1024 bits; its norm
     would hold integers that double in size at each of the 20 levels.  An
     mpmath evaluation at 260 digits gives the sign."""
-    new_context()
     x = from_prefix(" ".join(f"sqrt + {i}" for i in range(1, 20))
                     + " sqrt 20")
     q = Fraction(x.approx(200))
@@ -565,14 +563,12 @@ class TestEquality:
         assert type(f) is Fraction and f == Fraction(-1, 2)
 
     def test_points_compare_by_coordinates(self):
-        new_context()
         r2 = sqrt_nonneg(Constructible(2))
         half = Constructible(Fraction(1, 2))
         assert Point(r2 * r2 / 4, r2) == Point(half, 2 / r2)
         assert Point(half, r2) != Point(half, -r2)
 
     def test_cross_context_equality_raises(self):
-        new_context()
         a = sqrt_nonneg(Constructible(2))
         new_context()
         b = sqrt_nonneg(Constructible(2))
@@ -588,7 +584,6 @@ class TestEquality:
         ids=["add", "sub", "mul", "truediv", "radd", "rsub", "rmul",
              "rtruediv", "lt", "le", "gt", "ge"])
     def test_cross_context_operations_raise(self, op):
-        new_context()
         a = sqrt_nonneg(Constructible(2))
         new_context()
         b = sqrt_nonneg(Constructible(3))
@@ -598,7 +593,6 @@ class TestEquality:
     def test_rationals_cross_contexts(self):
         """A rational carries no context, even one computed from
         irrationals, so it combines with an irrational of any context."""
-        new_context()
         a = sqrt_nonneg(Constructible(2))
         two = a * a
         new_context()

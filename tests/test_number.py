@@ -142,7 +142,6 @@ class TestSqrt:
         assert (v - (1 + r2)).sign() == 0
 
     def test_sqrt_scaled_radicand_shares_tower(self):
-        new_context()
         r2 = sqrt_nonneg(C(2))
         r8 = sqrt_nonneg(C(8))
         assert (r8 - 2 * r2).is_zero()
@@ -238,7 +237,6 @@ class TestSign:
     def test_sign_beyond_interval_refinement(self):
         # a 200-digit convergent: the difference is about 2**-670 in size,
         # so refinement doubles from 64 bits until an interval excludes 0
-        new_context()
         q = 10 ** 200
         p = __import__("math").isqrt(2 * q * q)
         approx_under = Fraction(p, q)
@@ -250,7 +248,6 @@ class TestSign:
     def test_threaded_shared_values(self):
         from concurrent.futures import ThreadPoolExecutor
 
-        new_context()
         r2 = sqrt_nonneg(C(2))
         r3 = sqrt_nonneg(C(3))
 
@@ -435,7 +432,6 @@ class TestSerialization:
         assert [r[1] for r in ctx.radicands] == [3, 2, 5]
 
     def test_canonical_is_stable(self):
-        new_context()
         a = to_prefix(sqrt_nonneg(C(2)) + 1)
         new_context()
         b = to_prefix(sqrt_nonneg(C(2)) + 1)
@@ -444,7 +440,6 @@ class TestSerialization:
 
 class TestImmutability:
     def test_hash_and_eq(self):
-        new_context()
         a = sqrt_nonneg(C(2)) + 1
         b = 1 + sqrt_nonneg(C(2))
         assert a == b

@@ -382,7 +382,6 @@ ROUTES = [(pid, strategy) for pid, prop in elements.PROPOSITIONS.items()
 def test_trace_references_on_every_route(prop_id, strategy, seed):
     """Every step of every construction route, nested sub-constructions
     included, refers only to objects registered or produced before it."""
-    new_context()
     kwargs = verify.generate_instance(prop_id, random.Random(seed))
     got, _ = elements.run(
         prop_id, elements.drawn_instance(strategy, kwargs), strategy)
@@ -395,7 +394,6 @@ def test_trace_references_on_every_route(prop_id, strategy, seed):
 def test_roles_on_every_route(prop_id, strategy, seed):
     """Every construction route names each object once, with a role the
     renderer styles, and its figure renders."""
-    new_context()
     kwargs = verify.generate_instance(prop_id, random.Random(seed))
     got, _ = elements.run(
         prop_id, elements.drawn_instance(strategy, kwargs), strategy)

@@ -10,7 +10,6 @@ from euclid.elements.areas import P42_STRATEGIES, P44_STRATEGIES, P46_STRATEGIES
 from euclid.elements.triangles import P23_STRATEGIES
 from euclid.errors import UnknownProposition
 from euclid.geom import content
-from euclid.number import new_context
 
 ENGINE_STRATEGIES = {"I.23": P23_STRATEGIES, "I.42": P42_STRATEGIES,
                      "I.44": P44_STRATEGIES, "I.46": P46_STRATEGIES}
@@ -56,7 +55,6 @@ def test_record(prop_id):
 def test_result_type_words(prop_id):
     """A record's type words name what its construction yields, one word
     per object, on the seed-0 instance."""
-    new_context()
     prop = elements.PROPOSITIONS[prop_id]
     got = prop.fn(**verify.generate_instance(prop_id, random.Random(0))).result
     yielded = got if isinstance(got, tuple) else (got,)

@@ -10,12 +10,11 @@ from euclid import render
 from euclid.elements.basics import p1_equilateral
 from euclid.errors import NoSuchIntersection
 from euclid.geom import Point, Segment, coords, points
-from euclid.number import DIGITS, Constructible, new_context, sqrt_nonneg
+from euclid.number import DIGITS, Constructible, sqrt_nonneg
 from euclid.trace import Checks, PropositionResult, Tracer, describe_object
 
 
 def test_register_input_takes_objects_in_order():
-    new_context()
     a, b = Point(0, 0), Point(1, 0)
     objs = (a, b, Segment(a, b))
     one_call, three_calls = Tracer(), Tracer()
@@ -30,7 +29,6 @@ def test_register_input_takes_objects_in_order():
 
 
 def test_an_unregistered_operand_becomes_an_input():
-    new_context()
     tr = Tracer()
     tr.register_input(Point(0, 0))
     c = Point(2, 0)
@@ -52,13 +50,11 @@ def test_level_label(strategy, label):
     (lambda p: True, "X: selector matched 2 of 2 points"),
 ])
 def test_pick_fails(selector, message):
-    new_context()
     with pytest.raises(NoSuchIntersection, match=f"^{message}$"):
         Tracer().pick([Point(0, 0), Point(1, 0)], selector, note="X")
 
 
 def test_pick_refuses_an_unknown_selector():
-    new_context()
     with pytest.raises(ValueError, match="^unknown selector 'nearest'$"):
         Tracer().pick([Point(0, 0), Point(1, 0)], "nearest", note="X")
 
@@ -66,7 +62,6 @@ def test_pick_refuses_an_unknown_selector():
 def test_unattached_nested_run_fails_the_reference_check():
     """A step that uses what a nested run produced, with the run never
     attached, cites an id that no earlier step of its level made."""
-    new_context()
     a, b = Point(0, 0), Point(1, 0)
     for attached in (False, True):
         tr = Tracer("outer")
@@ -80,7 +75,6 @@ def test_unattached_nested_run_fails_the_reference_check():
 
 
 def test_a_nested_level_that_fails_the_reference_check_fails_its_parent():
-    new_context()
     a, b = Point(0, 0), Point(1, 0)
     outer = Tracer("outer")
     outer.register_input(a, b)

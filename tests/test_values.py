@@ -26,7 +26,7 @@ from euclid.geom import (
     coords,
     points,
 )
-from euclid.number import DIGITS, Constructible, new_context, sqrt_nonneg
+from euclid.number import DIGITS, Constructible, sqrt_nonneg
 from euclid.trace import Step, Tracer
 
 
@@ -77,7 +77,6 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_equal_fields_make_equal_values(name):
-    new_context()
     one, two = _values()[0][name], _values()[0][name]
     assert one is not two
     assert one == two and not one != two
@@ -88,7 +87,6 @@ def test_equal_fields_make_equal_values(name):
 def test_each_field_is_compared(name):
     """Taking any one field from a value with other fields gives a value
     that differs."""
-    new_context()
     value, other = _values()[0][name], _values(1)[0][name]
     for f in dataclasses.fields(value):
         if f.init:
@@ -97,7 +95,6 @@ def test_each_field_is_compared(name):
 
 
 def test_no_value_equals_one_of_another_type():
-    new_context()
     a, b = Point(0, 0), Point(3, 1)
     same_fields = [Segment(a, b), Line(a, b), Ray(a, b)]
     for i, u in enumerate(same_fields):
@@ -108,7 +105,6 @@ def test_no_value_equals_one_of_another_type():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_repr_coords_and_points(name):
-    new_context()
     values, pts = _values()
     value = values[name]
     text, want_coords, want_points = CASES[name]
@@ -120,7 +116,6 @@ def test_repr_coords_and_points(name):
 
 
 def test_rounded_fills_its_slot_once_and_changes_no_value():
-    new_context()
     r2 = sqrt_nonneg(Constructible(2))
     p, fresh = Point(r2, 1), Point(r2, 1)
     assert not hasattr(p, "_rounded")
@@ -132,7 +127,6 @@ def test_rounded_fills_its_slot_once_and_changes_no_value():
 
 
 def test_threads_that_race_to_fill_rounded_read_equal_integers():
-    new_context()
     p = Point(sqrt_nonneg(Constructible(3)), Constructible(1) / 3)
     start = threading.Barrier(4)
     got = []

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from euclid import elements, verify
 from euclid.elements import instances
 from euclid.errors import DegenerateInput, UnknownProposition
+from euclid.geom import is_simple, signed_area
 from euclid.number import current_context, sqrt_nonneg
 from euclid.verify import compare, generate_instance, run_suite
 
@@ -66,11 +69,6 @@ class TestSuites:
 
 class TestCompare:
     def test_i23_euclid_vs_proclus(self):
-        import random
-
-        from euclid.number import new_context
-
-        new_context()
         rng = random.Random(5)
         kwargs = generate_instance("I.23", rng)
         report = compare("I.23", {"euclid": kwargs, "proclus": kwargs})
@@ -81,11 +79,6 @@ class TestCompare:
         assert eu.costs["joins"] != pr.costs["joins"]
 
     def test_i44_superposition_difference(self):
-        import random
-
-        from euclid.number import new_context
-
-        new_context()
         rng = random.Random(6)
         kwargs = generate_instance("I.44", rng)
         report = compare("I.44", {"euclid_superposition": kwargs,
@@ -94,26 +87,7 @@ class TestCompare:
         assert costs["euclid_superposition"]["superpositions"] == 1
         assert costs["alnayrizi"]["superpositions"] == 0
 
-    def test_i46_identical_vertex_sets(self):
-        import random
-
-        from euclid.number import new_context
-
-        new_context()
-        rng = random.Random(8)
-        kwargs = generate_instance("I.46", rng)
-        from euclid.elements.areas import p46_square
-
-        a = p46_square(**dict(kwargs, strategy="campanus_first"))
-        b = p46_square(**dict(kwargs, strategy="campanus_second"))
-        assert set(a.result.vertices) == set(b.result.vertices)
-
     def test_unknown_id_or_strategy(self):
-        import random
-
-        from euclid.number import new_context
-
-        new_context()
         kwargs = generate_instance("I.44", random.Random(6))
         with pytest.raises(UnknownProposition,
                            match="^unknown proposition 'I.44.chester'$"):
@@ -126,11 +100,6 @@ class TestCompare:
             compare("I.34", {"euclid": {}})
 
     def test_records_export(self):
-        import random
-
-        from euclid.number import new_context
-
-        new_context()
         rng = random.Random(5)
         kwargs = generate_instance("I.42", rng)
         report = compare("I.42", {"euclid": kwargs, "alnayrizi": kwargs})
@@ -154,6 +123,14 @@ class TestGenerators:
         and the suite passes."""
         report = run_suite("I.45", 1, seed=seed)
         assert report.failures == 0, "\n".join(report.lines())
+
+    def test_drawn_polygons_are_simple(self):
+        """The exact angular sort about the centroid alone makes each drawn
+        polygon simple and counter-clockwise."""
+        for n in range(3, 11):
+            for seed in range(25):
+                fig = instances._simple_polygon(random.Random(seed), n)
+                assert is_simple(fig) and signed_area(fig).sign() > 0, (n, seed)
 
 
 def _nested_ids(seeds=(0, 1, 2)):
