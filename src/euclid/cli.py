@@ -19,7 +19,7 @@ import sys
 from . import dsl, elements, verify
 from .errors import EuclidError, NothingToRender, UnknownProposition
 from .number import new_context
-from .render import render, render_result
+from .render import render_result
 from .trace import key_values, trace_lines
 
 
@@ -55,18 +55,19 @@ def _load_instance(path: str, prop_id: str):
         raise _Usage(str(e))
     # each parameter takes the first type-matching object not yet consumed,
     # so helper declarations (points feeding a segment, say) are skipped;
-    # a type word is the class name in lower case
+    # a type word is the class name in lower case, and a line parameter
+    # with no line left takes the line of a segment or ray, as in a script
     kwargs = {}
-    used = [False] * len(declared)
-    for pname, ptype in elements.PROPOSITIONS[prop_id].params:
-        for i, obj in enumerate(declared):
-            if not used[i] and type(obj).__name__.lower() == ptype:
-                used[i] = True
-                kwargs[pname] = obj
-                break
-        else:
+    unused = dict(enumerate(declared))
+    for pname, ptype in elements.validate_call(prop_id).params:
+        accepted = ((ptype,), ("segment", "ray") if ptype == "line" else ())
+        ranked = [i for types in accepted for i, obj in unused.items()
+                  if type(obj).__name__.lower() in types]
+        if not ranked:
             raise _Usage(f"{path}: no {ptype} found for parameter {pname!r} "
                          f"of {prop_id}")
+        obj = unused.pop(ranked[0])
+        kwargs[pname] = obj.line() if ptype == "line" else obj
     return kwargs
 
 
@@ -82,14 +83,20 @@ def _instances(args, prop_id: str, strategies) -> dict:
     return {s: elements.drawn_instance(s, drawn) for s in strategies}
 
 
-def _write_svg(path: str, svg: bytes) -> None:
-    """Write an SVG file, or raise why it cannot be written."""
-    try:
-        with open(path, "wb") as f:
-            f.write(svg)
-    except OSError as e:
-        raise _Usage(f"cannot write {path}: {e.strerror or e}")
-    print(f"wrote {path}")
+def _trace_and_svg(args, result, checks) -> int:
+    """The tail of ``run`` and ``prop``: the trace lines on --trace, the
+    SVG file on --svg; 0 if every check passed, else 1."""
+    if args.trace:
+        print("\n".join(trace_lines(result.trace)))
+    if args.svg:
+        svg = render_result(result)
+        try:
+            with open(args.svg, "wb") as f:
+                f.write(svg)
+        except OSError as e:
+            raise _Usage(f"cannot write {args.svg}: {e.strerror or e}")
+        print(f"wrote {args.svg}")
+    return 0 if checks.all_pass else 1
 
 
 def _print_report(report, records: bool) -> int:
@@ -105,11 +112,7 @@ def _cmd_run(args) -> int:
     result, checks = dsl.interpret(_checked_script(args.script))
     for claim, ok, _ in checks.claims:  # an assertion shows no residual
         print(f"{claim}\t{'PASS' if ok else 'FAIL'}")
-    if args.trace:
-        print("\n".join(trace_lines(result.trace)))
-    if args.svg:
-        _write_svg(args.svg, render(result.named))
-    return 0 if checks.all_pass else 1
+    return _trace_and_svg(args, result, checks)
 
 
 def _cmd_prop(args) -> int:
@@ -124,11 +127,7 @@ def _cmd_prop(args) -> int:
     costs = result.costs()
     del costs["objects"]
     print(key_values(costs))
-    if args.trace:
-        print("\n".join(trace_lines(result.trace)))
-    if args.svg:
-        _write_svg(args.svg, render_result(result))
-    return 0 if checks.all_pass else 1
+    return _trace_and_svg(args, result, checks)
 
 
 def _cmd_suite(args) -> int:
@@ -145,6 +144,9 @@ def _cmd_compare(args) -> int:
     elements.validate_call(args.id)
     if not strategies:
         raise _Usage("--strategies needs at least one strategy name")
+    for i, s in enumerate(strategies):
+        if s in strategies[:i]:
+            raise _Usage(f"--strategies names {s!r} twice")
     report = verify.compare(args.id, _instances(args, args.id, strategies))
     return 0 if _print_report(report, args.records) == 0 else 1
 

@@ -546,12 +546,12 @@ def check(script: list) -> list[Diagnostic]:
             result_types = word.types
         else:  # PropCall
             try:
-                elements.validate_call(expr.prop_id, expr.strategy, expr.side)
+                prop = elements.validate_call(expr.prop_id, expr.strategy,
+                                              expr.side)
             except EuclidError as e:
                 diags.append(Diagnostic(expr.span, str(e)))
                 result_types = ("unknown",)
             else:
-                prop = elements.PROPOSITIONS[expr.prop_id]
                 check_args(expr.span, expr.prop_id,
                            tuple(w for _, w in prop.params), expr.args)
                 result_types = prop.result
@@ -616,8 +616,8 @@ def interpret(script: list) -> tuple[PropositionResult, Checks]:
             raise ScriptError(expr.span, str(e))
 
     def run_prop(expr: PropCall):
-        elements.validate_call(expr.prop_id, expr.strategy, expr.side)
-        params = elements.PROPOSITIONS[expr.prop_id].params
+        params = elements.validate_call(expr.prop_id, expr.strategy,
+                                        expr.side).params
         # a line parameter takes a segment or ray as its line (_ACCEPTS)
         givens = {name: value(a).line() if ptype == "line" else value(a)
                   for (name, ptype), a in zip(params, expr.args)}

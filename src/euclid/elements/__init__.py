@@ -93,10 +93,10 @@ STRATEGIES = {pid: tuple(p.strategies) for pid, p in PROPOSITIONS.items()
 
 
 def validate_call(prop_id: str, strategy: str | None = None,
-                  side: str | None = None) -> None:
+                  side: str | None = None) -> Proposition:
     """Check one call of a construction: ``prop_id`` is a construction's
     bare id, ``strategy`` one of its strategies, and ``side`` a side word
-    of a construction that takes one.
+    of a construction that takes one.  Returns the construction's record.
 
     Raises UnknownProposition for any call this rejects.
     """
@@ -110,6 +110,7 @@ def validate_call(prop_id: str, strategy: str | None = None,
     if side not in (None, "upper", "lower"):
         raise UnknownProposition(
             f"side must be 'upper' or 'lower', got {side!r}")
+    return prop
 
 
 def drawn_instance(strategy: str | None, kwargs: dict) -> dict:
@@ -127,8 +128,7 @@ def certify(prop_id: str, call: dict, result: PropositionResult) -> Checks:
     function's defaults, so the checks see the side and strategy that ran,
     and the checks name the run: ``prop_id``, then ``.strategy`` if it has
     one.  Raises UnknownProposition for an id that names no construction."""
-    validate_call(prop_id)
-    prop = PROPOSITIONS[prop_id]
+    prop = validate_call(prop_id)
     bound = prop.signature.bind(**call)
     bound.apply_defaults()
     strategy = bound.arguments.get("strategy")

@@ -13,7 +13,6 @@ from ..geom import (
     Vec,
     collinear,
     intersect_circles,
-    is_parallelogram,
     on_ray_at_sq,
     orientation,
     point_reflect,
@@ -123,9 +122,4 @@ def require_triangle(f: Figure) -> None:
     a, b, c = f.vertices
     if collinear(a, b, c):
         raise PreconditionViolated("degenerate (collinear) triangle")
-
-
-def require_parallelogram(f: Figure) -> None:
-    if not is_parallelogram(f):
-        raise PreconditionViolated("expected a parallelogram")
 

@@ -45,7 +45,6 @@ from ._common import (
     cut_at,
     far_side,
     produce,
-    require_parallelogram,
     require_triangle,
     side_name_of,
     side_selector,
@@ -160,7 +159,8 @@ def p42_on_ray(t: Figure, d: Angle, base_ray: Ray, side: str = "upper",
 def p43_complements(pg: Figure, k: Point,
                     parent: Tracer | None = None) -> PropositionResult:
     """The two complements about the diameter of a parallelogram are equal."""
-    require_parallelogram(pg)
+    if not is_parallelogram(pg):
+        raise PreconditionViolated("expected a parallelogram")
     a, b, c, d = pg.vertices
     if not between(a, k, c):
         raise PreconditionViolated(

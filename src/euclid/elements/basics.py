@@ -15,12 +15,11 @@ from ..geom import (
     intersect_line_circle,
     intersect_lines,
     is_right,
-    orientation,
     point_reflect,
     segment_eq,
 )
 from ..trace import Checks, PropositionResult, Tracer
-from ._common import ahead, apex, side_selector, side_word
+from ._common import ahead, apex, side_name_of, side_selector
 
 
 def p1_equilateral(ab: Segment, side: str = "upper",
@@ -133,7 +132,7 @@ def p9_bisect_angle(angle: Angle, parent: Tracer | None = None) -> PropositionRe
                 arm2_ray.contains, note="E on the second arm", operands=(cad,))
     de = tr.join(d, e)
     # equilateral triangle on DE, apex away from the vertex
-    away = side_word(-orientation(d, e, a))
+    away = side_name_of(e, d, a)
     tri = p1_equilateral(de, away, parent=tr)
     f = tri.result.vertices[2]
     tr.attach(tri, operands=(de,), produced=(f,))

@@ -12,7 +12,6 @@ from ..geom import (
     Segment,
     angle_eq,
     intersect_circles,
-    orientation,
     parallel,
     point_reflect,
     triangle_inequality,
@@ -23,6 +22,7 @@ from ._common import (
     apex,
     cut_at,
     produce,
+    side_name_of,
     side_selector,
     side_sign,
     side_word,
@@ -285,7 +285,7 @@ def p31_parallel(p: Point, l: Line, parent: Tracer | None = None) -> Proposition
     ad = tr.join(p, d)
     model = Angle(d, p, c)
     # alternate angles: the copy's apex goes to the side of AD away from C
-    side = side_word(-orientation(p, d, c))
+    side = side_name_of(d, p, c)
     copied = p23_copy_angle(Ray(p, d), model, side=side, parent=tr)
     e = copied.result.arm2
     tr.attach(copied, operands=(ad,), produced=(e,))

@@ -32,10 +32,6 @@ from .number import DIGITS, Constructible, sqrt_nonneg
 Coord = Union[int, "Constructible"]
 
 
-def _c(x) -> Constructible:
-    return x if isinstance(x, Constructible) else Constructible(x)
-
-
 # ---------------------------------------------------------------------------
 # primitive types
 
@@ -177,7 +173,8 @@ class Circle:
     radius_sq: Constructible
 
     def __init__(self, center: Point, radius_sq: Coord):
-        rs = _c(radius_sq)
+        rs = (radius_sq if type(radius_sq) is Constructible
+              else Constructible(radius_sq))
         if rs.sign() <= 0:
             raise DegenerateInput("circle must have positive radius")
         self.center = center
@@ -459,7 +456,7 @@ def between(p: Point, q: Point, r: Point) -> bool:
 
 def signed_area(f: Figure) -> Constructible:
     """Half the shoelace sum; positive for counter-clockwise order."""
-    total = _c(0)
+    total = Constructible(0)
     vs = f.vertices
     for a, b in zip(vs, vs[1:] + vs[:1]):
         total = total + (a.x * b.y - b.x * a.y)

@@ -357,19 +357,14 @@ def _ndiv(x: Node, y: Node, ctx: Optional[FieldContext]) -> Node:
 # signs: the halves' shared sign, then intervals of doubling precision
 
 
-def _iv_leaf(n: int, d: int, prec: int) -> tuple[int, int]:
-    """Floor and ceiling of n/d * 2**prec."""
-    n <<= prec
-    return n // d, -(-n // d)
-
-
 def _piv(p: Poly, m: int, d: int, ctx: FieldContext, prec: int):
     """Integers lo, hi with lo <= p*m/d * 2**prec <= hi.  Each leaf is
     rounded outward as the reduced coefficient of the canonical form it
     stands for, and each product with sqrt(r_k) is rounded outward, to
     multiples of 2**-prec."""
     if type(p) is int:
-        return _iv_leaf(p * m, d, prec)
+        n = p * m << prec
+        return n // d, -(-n // d)
     k, a, b = p
     alo, ahi = _piv(a, m, d, ctx, prec)
     blo, bhi = _piv(b, m * ctx.radicands[k - 1][2], d, ctx, prec)

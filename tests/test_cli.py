@@ -384,6 +384,29 @@ class TestProp:
             "joins=2 extends=0 circles=2 superpositions=0 "
             "max_radical_depth=0\n")
 
+    @pytest.mark.parametrize("given", [
+        "segment s = join(A, B)\n",
+        "segment s = join(A, B)\nray r = extend(s, b)\n",
+        "point D = (0,5)\nsegment s = join(A, D)\nline l = join(A, B)\n"],
+        ids=["segment", "ray", "exact-match-wins"])
+    @pytest.mark.parametrize("prop_id, c", [
+        ("I.11", "(1,0)"), ("I.12", "(1,3)"), ("I.31", "(1,3)")])
+    def test_input_line_from_segment_or_ray(self, tmp_path, capsys, prop_id,
+                                            c, given):
+        """With no line left, a line parameter takes the line of the first
+        unused segment or ray, as a script's ``prop`` call does: the run is
+        the one a declared line AB gives.  A ray is declared after the
+        segment it extends, which binds first; a declared line still wins
+        over an earlier segment."""
+        points = f"point C = {c}\npoint A = (0,0)\npoint B = (4,0)\n"
+        inst = tmp_path / "inst.txt"
+        inst.write_text(points + "line l = join(A, B)\n")
+        assert main(["prop", prop_id, "--input", str(inst), "--trace"]) == 0
+        expected = capsys.readouterr().out
+        inst.write_text(points + given)
+        assert main(["prop", prop_id, "--input", str(inst), "--trace"]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_degenerate_input(self, tmp_path, capsys):
         inst = tmp_path / "inst.txt"
         inst.write_text("point A = (0,0)\nsegment ab = join(A, A)\n")
@@ -444,6 +467,13 @@ class TestCompare:
         assert main(["compare", "I.44", "--strategies", ","]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--strategies" in captured.err
+
+    def test_repeated_strategy_exit_2(self, capsys):
+        assert main(["compare", "I.44", "--strategies",
+                     "campanus,alnayrizi,alnayrizi"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "--strategies names 'alnayrizi' twice\n"
 
     def test_instance_file(self, tmp_path, capsys):
         inst = tmp_path / "inst.txt"

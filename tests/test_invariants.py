@@ -351,17 +351,23 @@ def test_values_are_written_only_by_their_constructors():
     assert [type(v).__name__ for v in values if hasattr(v, "__dict__")] == []
 
 
-def _attributes_outside(home: str, attrs) -> list[str]:
-    """Each use of an attribute named in ``attrs`` outside module ``home``."""
+def _nodes_outside(home: str, matches) -> list[str]:
+    """The place of each node for which ``matches`` holds, outside module
+    ``home``."""
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         if path.relative_to(PACKAGE) == Path(home):
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.relative_to(PACKAGE)}:{node.lineno} .{node.attr}"
-                  for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr in attrs]
+        found += [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+                  for node in ast.walk(tree) if matches(node)]
     return found
+
+
+def _attributes_outside(home: str, attrs) -> list[str]:
+    """Each use of an attribute named in ``attrs`` outside module ``home``."""
+    return _nodes_outside(home, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr in attrs))
 
 
 def test_vector_components_stay_in_geom():
@@ -447,6 +453,36 @@ def test_optimized_interpreter_gives_same_records():
 ])
 def test_optimized_interpreter_gives_same_trace_text(argv):
     _same_under_optimization(argv)
+
+
+def test_one_lookup_of_a_record():
+    """Only ``elements/__init__.py`` subscripts ``PROPOSITIONS``: every
+    other module takes a construction's record from ``validate_call``,
+    which checks the call and returns the record it checked."""
+    assert _nodes_outside("elements/__init__.py", lambda node: (
+        isinstance(node, ast.Subscript)
+        and _name(node.value) == "PROPOSITIONS")) == []
+
+
+def test_one_rule_for_a_probe_side():
+    """The side a probe lies on is ``_common.side_name_of``: no module
+    restates it as ``side_word(-orientation(...))`` with the line
+    reversed."""
+    assert _nodes_outside("elements/_common.py", lambda node: (
+        isinstance(node, ast.Call) and _name(node.func) == "side_word"
+        and any(isinstance(arg, ast.UnaryOp)
+                and isinstance(arg.op, ast.USub)
+                and isinstance(arg.operand, ast.Call)
+                and _name(arg.operand.func) == "orientation"
+                for arg in node.args))) == []
+
+
+def test_geom_coerces_inline():
+    """``geom`` coerces a coordinate inline, as ``Point`` and ``Vec`` do,
+    with no ``_c`` helper beside that idiom."""
+    tree = ast.parse((PACKAGE / "geom.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_c"] == []
 
 
 def test_theorem_checks_take_only_their_givens():

@@ -45,9 +45,9 @@ def test_record(prop_id):
     assert elements.CONSTRUCTIONS[prop_id] is prop.fn
     assert elements.STRATEGIES.get(prop_id, ()) == \
         tuple(ENGINE_STRATEGIES.get(prop_id, ()))
-    assert validate_call(prop_id) is None
+    assert validate_call(prop_id) is prop
     for strategy, route in prop.strategies.items():
-        assert validate_call(prop_id, strategy) is None
+        assert validate_call(prop_id, strategy) is prop
         assert callable(route)
 
 

@@ -1,17 +1,21 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from euclid import elements, verify
+from euclid import dsl, elements, verify
 from euclid.elements.areas import p44_apply
 from euclid.elements.basics import p1_equilateral
 from euclid.errors import NothingToRender
 from euclid.geom import Angle, Figure, Point, Segment
 from euclid.number import Constructible, current_context, new_context
 from euclid.render import _Canvas, render, render_result
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def P(x, y):
@@ -75,6 +79,18 @@ class TestRender:
         svg = render_result(got).decode()
         for letter in ("A", "B", "C"):
             assert svg.count(f">{letter}<") == 1
+
+    @pytest.mark.parametrize("path", [
+        *sorted((ROOT / "scripts").glob("*.euc")),
+        ROOT / "tests" / "every_word.euc"], ids=lambda p: p.name)
+    def test_a_script_draws_only_its_names(self, path):
+        """A script step binds every object it makes to a declared name, so
+        ``render_result`` adds no construction object to a script's
+        result, and ``euclid run --svg`` draws its names alone."""
+        script, diags = dsl.parse(path.read_text(encoding="utf-8"))
+        assert diags == []
+        result, _ = dsl.interpret(script)
+        assert render_result(result) == render(result.named)
 
     def test_empty_raises(self):
         with pytest.raises(NothingToRender):

@@ -1,16 +1,17 @@
 """The tracer's object registry, its levels and its selections."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from euclid import render
+from euclid import elements, render, verify
 from euclid.elements.basics import p1_equilateral
 from euclid.errors import NoSuchIntersection
 from euclid.geom import Point, Segment, coords, points
-from euclid.number import DIGITS, Constructible, sqrt_nonneg
+from euclid.number import DIGITS, Constructible, new_context, sqrt_nonneg
 from euclid.trace import Checks, PropositionResult, Tracer, describe_object
 
 
@@ -34,6 +35,45 @@ def test_an_unregistered_operand_becomes_an_input():
     c = Point(2, 0)
     assert tr._id_of(c) == 2
     assert tr.inputs == [1, 2] and tr.registry[2] is c
+
+
+# operands that ``_id_of`` registered because no step made them, per route
+# over seeds 0-2; a strict tracer would take every entry to 0
+IMPLICIT_INPUTS = {
+    "I.1": 0, "I.2": 0, "I.3": 0, "I.9": 0, "I.10": 3, "I.11": 0, "I.12": 3,
+    "I.22": 0, "I.23.euclid": 6, "I.23.proclus": 9, "I.23.albertus": 9,
+    "I.23.commandinus": 12, "I.23.clavius": 6, "I.23.campanus": 9,
+    "I.31": 6, "I.42.euclid": 9, "I.42.alnayrizi": 9, "I.43": 6,
+    "I.44.euclid_superposition": 39, "I.44.alnayrizi": 39,
+    "I.44.robert_of_chester": 27, "I.44.campanus": 36,
+    "I.44.tinemue_equal_case": 33, "I.45": 61, "I.46.campanus_first": 0,
+    "I.46.campanus_second": 3,
+}
+
+
+def test_implicit_inputs_do_not_grow(monkeypatch):
+    """No route registers more operands unseen than the table holds: the
+    count may fall, never rise."""
+    counts = dict.fromkeys(IMPLICIT_INPUTS, 0)
+    route = None
+    id_of = Tracer._id_of
+
+    def counting(self, obj):
+        if id(obj) not in self._ids:
+            counts[route] += 1
+        return id_of(self, obj)
+
+    monkeypatch.setattr(Tracer, "_id_of", counting)
+    for prop_id in elements.CONSTRUCTIONS:
+        for strategy in elements.STRATEGIES.get(prop_id, (None,)):
+            route = prop_id if strategy is None else f"{prop_id}.{strategy}"
+            for seed in range(3):
+                new_context()
+                kwargs = verify.generate_instance(prop_id, random.Random(seed))
+                elements.run(prop_id, elements.drawn_instance(strategy, kwargs),
+                             strategy)
+    assert counts.keys() == IMPLICIT_INPUTS.keys()
+    assert {r: n for r, n in counts.items() if n > IMPLICIT_INPUTS[r]} == {}
 
 
 @pytest.mark.parametrize("strategy, label", [

@@ -13,10 +13,24 @@ extra pytest arguments if wanted::
 
     PYTHONPATH=src python tests/unreached_lines.py [-x ...]
 
+With ``--traffic`` it runs the front doors' traffic in place of the
+tests: one pass of each ``bench/workloads.py`` pool at seed 0, from a
+temporary copy of ``scripts/``, then ``suite all`` (plain and with
+``--records``) and one ``compare`` of the I.44 routes, each operation in
+a fresh field context as ``bench/run.py`` starts it; the exit status is
+1 if an operation failed::
+
+    PYTHONPATH=src python tests/unreached_lines.py --traffic
+
 Tracing makes the run several times slower than plain tier-1.
 """
 
+import contextlib
+import io
+import os
+import shutil
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -35,6 +49,38 @@ def executable_lines(path: Path, source: str) -> set[int]:
         lines.update(line for _, _, line in code.co_lines() if line)
         todo.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
     return lines
+
+
+def traffic() -> int:
+    """Run the traffic; the number of operations that failed.  Every
+    euclid module is first imported here, under the trace."""
+    sys.dont_write_bytecode = True  # leave no __pycache__ in bench/
+    sys.path.insert(0, str(ROOT / "bench"))
+    import spans
+    import workloads
+    from euclid import cli, elements, number
+
+    probe, failed = spans.NullProbe(), 0
+    commands = (["suite", "all"], ["suite", "all", "--records"],
+                ["compare", "I.44", "--strategies",
+                 ",".join(elements.STRATEGIES["I.44"])])
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copytree(ROOT / "scripts", Path(tmp) / "scripts")
+        (Path(tmp) / ".bench_build").mkdir()
+        os.chdir(tmp)
+        try:
+            for pool in workloads.WORKLOADS.values():
+                for op in pool(0):
+                    number.new_context()
+                    failed += not op(probe)()
+            for argv in commands:
+                number.new_context()
+                with contextlib.redirect_stdout(io.StringIO()):
+                    failed += cli.main(argv) != 0
+        finally:
+            os.chdir(cwd)
+    return failed
 
 
 def main(args: list[str]) -> int:
@@ -58,7 +104,10 @@ def main(args: list[str]) -> int:
     threading.settrace(trace)
     sys.settrace(trace)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", *args])
+        if args == ["--traffic"]:
+            status = int(traffic() > 0)
+        else:
+            status = pytest.main(["-q", "-p", "no:cacheprovider", *args])
     finally:
         sys.settrace(None)
         threading.settrace(None)
